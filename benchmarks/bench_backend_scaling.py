@@ -286,7 +286,7 @@ def bench_experiment_batch_scaling(benchmark):
     rows = _measure_batches(SMOKE_BATCH_SIZES, SMOKE_BATCH_ITERATIONS)
     _report_batch_rows(rows, SMOKE_BATCH_ITERATIONS, smoke=True)
     # The benchmarked unit: one lockstep round of 8 experiments x 2
-    # devices through the compiled batched program, steady state.
+    # devices through the batched program replica, steady state.
     group = LaneGroup(capacity=8)
     trainers = [
         SyncDataParallelTrainer(
@@ -296,7 +296,7 @@ def bench_experiment_batch_scaling(benchmark):
         for _ in range(8)
     ]
     try:
-        run_lockstep(group, trainers, [1] * 8)  # compile + warm up
+        run_lockstep(group, trainers, [1] * 8)  # warm up
         benchmark(lambda: run_lockstep(group, trainers, [1] * 8))
     finally:
         for trainer in trainers:

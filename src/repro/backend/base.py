@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.nn.linear import Dropout
 from repro.nn.module import Module
+from repro.observe import profile_scope
 
 #: Canonical backend names, in CLI order.
 BACKEND_NAMES = ("inprocess", "multiprocess", "batched")
@@ -224,6 +225,35 @@ class ExecutionBackend:
     def broadcast(self) -> None:
         """Copy master parameters into every other replica."""
         raise NotImplementedError
+
+    def step_devices(self, iteration: int) -> tuple[float, float]:
+        """Run :func:`device_step` for every device in this process, in
+        device order; returns shard-averaged ``(loss, acc)``."""
+        trainer = self.trainer
+        total_loss = 0.0
+        total_acc = 0.0
+        for device in range(trainer.num_devices):
+            loss, acc = device_step(trainer, device, iteration)
+            total_loss += loss
+            total_acc += acc
+        return total_loss / trainer.num_devices, total_acc / trainer.num_devices
+
+    def reduce_fused(self) -> None:
+        """The central-server reduction over fused arenas: sum every
+        device's gradient buffer into the scratch ``self._grad_accum``
+        (an arena-sized buffer the subclass allocates in ``bind``) in
+        device order, average into the master's gradient buffer with one
+        axpy, then apply the comm-fault site to the reduced buffer."""
+        trainer = self.trainer
+        accum = self._grad_accum
+        accum.fill(0.0)
+        inv = 1.0 / trainer.num_devices
+        with np.errstate(over="ignore", invalid="ignore"):
+            for arena in trainer.arenas:
+                accum += arena.grad
+            with profile_scope("sync.grad_average"):
+                np.multiply(accum, inv, out=trainer.master_arena.grad)
+                self._apply_comm_fault(trainer.master_arena.grad)
 
     # ------------------------------------------------------------------
     # Fault surface

@@ -3,10 +3,29 @@
 The multiprocess backend parallelizes *devices* and loses to the
 in-process loop on the paper's tiny NumPy models (IPC dominates).  This
 backend scales the axis fault-injection campaigns actually consume —
-*experiments* — by stacking E experiments x D devices into ``(E * D,
-...)`` lane tensors and stepping them all with single vectorized NumPy
-ops (see :mod:`repro.backend.batched_ops` for the kernels and
-:mod:`repro.state.batched` for the ``(E, ...)`` arena layout).
+*experiments* — by stepping E experiments x D devices as the *lanes* of
+one extra, ordinary model instance (the *program replica*) whose tensors
+carry a leading lane axis (see :mod:`repro.state.batched` for the
+``(E * D, total)`` row stacks the lanes' parameters live in).
+
+Lane contract (the layer side is in :mod:`repro.nn.module`): one lane is
+one (experiment, device) replica.  Per block of at most
+:attr:`LaneGroup.lane_chunk` lanes, :class:`LaneGroup` — and nothing
+else — points the program replica at L lanes:
+
+* ``Module.lanes = (L,)`` on every program module; inputs and gradients
+  are ``(L, n, ...)`` stacks of the lanes' shard batches;
+* every parameter's ``data`` / ``grad`` is an ``(L,) + shape`` view of the
+  block's gathered parameter rows / a zeroed gradient block that is
+  written back to the lanes' ``ExperimentStacks.grad`` rows (the storage
+  behind each lane replica's ``param.grad``);
+* ``extra_state()`` (BatchNorm moving statistics — per device, never
+  averaged) is stacked from the lane replicas before the forward pass
+  and handed back through ``load_extra_state`` after it;
+* the three fault-hook slots of every program module hold a dispatcher
+  that hands each lane replica's armed hook that lane's slice, with the
+  plain call's site info and ``info["module"]`` the lane's own module —
+  one program, L differently-injected experiments.
 
 Bit-identity contract: every experiment in a batch produces exactly the
 traces it would produce alone on
@@ -14,57 +33,137 @@ traces it would produce alone on
 parameter bytes, same injected-fault and rollback behavior.  Three
 design rules deliver that:
 
-* kernels mirror the solo modules op-for-op per lane (batched_ops);
+* there is one kernel set: the program replica runs the same ``nn``
+  ``forward`` / ``backward`` statements as a plain replica, written so
+  that slice ``l`` of every lane tensor equals the plain call on lane
+  ``l`` (pinned per layer by ``tests/test_lane_native.py``);
 * the per-experiment phases that are cheap and stateful stay on the solo
   code path operating on that experiment's arena row views: loss
   objects, metrics, gradient averaging (the literal in-process reduction
   per experiment), comm-fault hooks, ``optimizer.step()``, checkpoint
   capture/rollback;
-* models the kernels cannot mirror fall back to per-lane
-  :func:`~repro.backend.base.device_step` — the solo loop body itself.
+* a model containing any module type that has not declared itself
+  lane-native (attention, recurrent, pooling, dropout, ...), and any
+  non-FP32 compute precision, runs per-lane
+  :func:`~repro.backend.base.device_step` — the solo loop body itself,
+  and the reference the lane path is tested against.
 
 A :class:`BatchedBackend` constructed bare owns a private single
 -experiment :class:`LaneGroup`, so ``--backend batched`` drops into any
 trainer (the D device lanes still batch through one program).  Campaigns
 share one group across E trainers and drive them with
 :func:`run_lockstep`, which interleaves the trainers' iterations while
-dispatching each trainer's hooks, records, and finiteness checks in the
-exact order of ``SyncDataParallelTrainer.train``.
+each trainer dispatches its own hooks, records, and finiteness checks
+through the same methods ``SyncDataParallelTrainer.train`` uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.base import ExecutionBackend, device_step, reseed_random_layers
-from repro.backend.batched_ops import LaneContext, compile_program
+from repro.backend.base import ExecutionBackend
 from repro.nn import config
 from repro.nn.config import Precision
-from repro.observe import DIVERGENCE, ITERATION_STATS, profile_scope
+from repro.nn.module import HOOK_KINDS
 from repro.state import ExperimentStacks
+
+
+class LaneProgram:
+    """The program replica plus the binding half of the lane contract.
+
+    ``model`` is an ordinary, freshly built instance of the workload's
+    model; ``index`` is the arena's ``name -> (offset, size, shape)``
+    layout its parameters are addressed by inside a parameter row.
+    """
+
+    def __init__(self, model, index: dict):
+        self.model = model
+        self._modules = list(model.named_modules())
+        self._stateful = [(path, module) for path, module in self._modules
+                          if module.extra_state()]
+        self._params = [(index[name], param)
+                        for name, param in model.named_parameters()]
+        #: Per-lane ``dict(named_modules())`` of the bound lane replicas.
+        self._lane_modules: list[dict] = []
+        for path, module in self._modules:
+            hook = self._lane_hook(path)
+            for kind in HOOK_KINDS:
+                module.set_fault_hook(kind, hook)
+
+    def _lane_hook(self, path: str):
+        """Masked injection: the hook held by every slot of the program
+        module at ``path`` applies each lane replica's armed hook (if
+        any) to that lane's slice only.  The repo's software fault
+        models return fresh float32 arrays of the input shape, so
+        writing the result back into the slice is exact."""
+        def hook(stacked: np.ndarray, info: dict) -> np.ndarray:
+            kind = info["kind"]
+            for lane, modules in enumerate(self._lane_modules):
+                peer = modules[path]
+                if peer._fault_hooks[kind] is None:
+                    continue
+                site = {key: value for key, value in info.items()
+                        if key not in ("module", "kind")}
+                tensor = stacked[lane]
+                out = peer.apply_fault_hook(kind, tensor, **site)
+                if out is not tensor:
+                    stacked[lane] = out
+            return stacked
+        return hook
+
+    def bind(self, lane_modules: list[dict], params: np.ndarray,
+             training: bool) -> np.ndarray:
+        """Point the program replica at L lanes: ``lane_modules`` is each
+        lane replica's ``dict(named_modules())`` and ``params`` the
+        lanes' ``(L, total)`` parameter rows.  Returns the zeroed ``(L,
+        total)`` gradient block the ``param.grad`` views accumulate
+        into."""
+        lanes = (len(lane_modules),)
+        self._lane_modules = lane_modules
+        grads = np.zeros_like(params)
+        for entry, param in self._params:
+            span = slice(entry.offset, entry.offset + entry.size)
+            param.data = params[:, span].reshape(lanes + entry.shape)
+            param.grad = grads[:, span].reshape(lanes + entry.shape)
+        for _path, module in self._modules:
+            module.lanes = lanes
+            module.training = training
+        for path, module in self._stateful:
+            state = [modules[path].extra_state() for modules in lane_modules]
+            module.load_extra_state({
+                key: np.stack([lane_state[key] for lane_state in state])
+                for key in state[0]})
+        return grads
+
+    def hand_back_extra_state(self) -> None:
+        """Give every bound lane replica its slice of the program
+        replica's extra state (the moving statistics a training forward
+        updated)."""
+        for path, module in self._stateful:
+            state = module.extra_state()
+            for lane, modules in enumerate(self._lane_modules):
+                modules[path].load_extra_state(
+                    {key: value[lane] for key, value in state.items()})
 
 
 class _Member:
     """One adopted experiment: its trainer, stack rows, and lane data."""
 
-    __slots__ = ("trainer", "exp", "rows", "modules", "accum")
+    __slots__ = ("trainer", "rows", "modules")
 
-    def __init__(self, trainer, exp: int, rows: list[int],
-                 modules: list[dict], accum: np.ndarray):
+    def __init__(self, trainer, rows: list[int], modules: list[dict]):
         self.trainer = trainer
-        self.exp = exp
         self.rows = rows
         self.modules = modules
-        self.accum = accum
 
 
 class LaneGroup:
-    """E experiments' lanes stepped together through one program.
+    """E experiments' lanes stepped together through one program replica.
 
-    Owns the :class:`~repro.state.ExperimentStacks` and the compiled
-    :class:`~repro.backend.batched_ops.BatchedProgram` (compiled once,
-    from the first adopted trainer; all members share one workload
-    layout, which adoption enforces via the arena index).
+    Owns the :class:`~repro.state.ExperimentStacks` and the
+    :class:`LaneProgram` (built once, from the first adopted trainer's
+    spec; all members share one workload layout, which adoption enforces
+    via the arena index).
     """
 
     #: Max lanes per kernel sweep.  Stacking amortizes NumPy dispatch
@@ -77,7 +176,9 @@ class LaneGroup:
     def __init__(self, capacity: int = 1):
         self.stacks = ExperimentStacks(capacity)
         self._members: dict[int, _Member] = {}
-        self._program = None
+        #: ``None`` when the model is not lane-native (every round then
+        #: takes the per-lane fallback).
+        self._program: LaneProgram | None = None
 
     # ------------------------------------------------------------------
     # Membership
@@ -91,16 +192,13 @@ class LaneGroup:
         exp = self.stacks.adopt(trainer.arenas, trainer.optimizer)
         member = _Member(
             trainer=trainer,
-            exp=exp,
             rows=[self.stacks.row(exp, d) for d in range(trainer.num_devices)],
             modules=[dict(r.named_modules()) for r in trainer.replicas],
-            accum=trainer.master_arena.scratch(),
         )
         self._members[id(trainer)] = member
-        if first:
-            x, _y = trainer.loader.shard_batch_at(0, 0, trainer.num_devices)
-            self._program = compile_program(
-                trainer.master, trainer.master_arena.index, x.shape)
+        if first and trainer.master.is_lane_native():
+            self._program = LaneProgram(trainer.spec.build_model(trainer.seed),
+                                        trainer.master_arena.index)
         return member
 
     def member(self, trainer) -> _Member:
@@ -108,8 +206,8 @@ class LaneGroup:
 
     @property
     def vectorized(self) -> bool:
-        """Whether the compiled fast path is active (re-checked against
-        the live compute precision every round)."""
+        """Whether rounds run through the program replica (re-checked
+        against the live compute precision every round)."""
         return (self._program is not None
                 and config.get_compute_precision() is Precision.FP32)
 
@@ -140,39 +238,28 @@ class LaneGroup:
     def _compute_block(self, entries: list[tuple]) -> list[tuple[float, float]]:
         lane_modules: list[dict] = []
         rows: list[int] = []
+        losses: list = []
         xs: list[np.ndarray] = []
         ys: list[np.ndarray] = []
         for trainer, iteration in entries:
             member = self._members[id(trainer)]
+            lane_modules.extend(member.modules)
+            rows.extend(member.rows)
+            losses.extend(trainer.losses)
             for d in range(trainer.num_devices):
-                model = trainer.replicas[d]
-                model.train()
-                reseed_random_layers(model, (trainer.seed, iteration, d))
                 x, y = trainer.loader.shard_batch_at(
                     iteration, d, trainer.num_devices)
-                lane_modules.append(member.modules[d])
-                rows.append(member.rows[d])
                 xs.append(x)
                 ys.append(y)
-        ctx = LaneContext(lane_modules, rows, self.stacks.param,
-                          self.stacks.grad, training=True)
-        x_stack = np.stack(xs)
+        program = self._program
+        grads = program.bind(lane_modules, self.stacks.param[rows], training=True)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = self._program.forward(ctx, x_stack)
-            lane_losses = []
-            lane = 0
-            for trainer, _iteration in entries:
-                for d in range(trainer.num_devices):
-                    lane_losses.append(
-                        trainer.losses[d].forward(out[lane], ys[lane]))
-                    lane += 1
-            self.stacks.grad[ctx.rows] = 0.0
-            grad_in = np.stack([
-                trainer.losses[d].backward()
-                for trainer, _iteration in entries
-                for d in range(trainer.num_devices)
-            ])
-            self._program.backward(ctx, grad_in)
+            out = program.model.forward(np.stack(xs))
+            lane_losses = [loss.forward(out[lane], ys[lane])
+                           for lane, loss in enumerate(losses)]
+            program.model.backward(np.stack([loss.backward() for loss in losses]))
+        self.stacks.grad[rows] = grads
+        program.hand_back_extra_state()
         # Metrics outside the errstate scope, mirroring device_step.
         results = []
         lane = 0
@@ -183,52 +270,23 @@ class LaneGroup:
                 total_loss += float(lane_losses[lane])
                 total_acc += float(trainer.spec.metric(out[lane], ys[lane]))
                 lane += 1
-            self._reduce(trainer)
+            trainer.backend.reduce_fused()
             results.append((total_loss / trainer.num_devices,
                             total_acc / trainer.num_devices))
         return results
 
-    def _reduce(self, trainer) -> None:
-        """The in-process gradient reduction, verbatim, on this
-        experiment's arena row views (including its comm-fault site)."""
-        member = self._members[id(trainer)]
-        accum = member.accum
-        accum.fill(0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for device in range(trainer.num_devices):
-                accum += trainer.arenas[device].grad
-        inv = 1.0 / trainer.num_devices
-        with profile_scope("sync.grad_average"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(accum, inv, out=trainer.master_arena.grad)
-            trainer.backend._apply_comm_fault(trainer.master_arena.grad)
-
     def _solo_entry(self, trainer, iteration: int) -> tuple[float, float]:
         """Per-lane fallback: the literal in-process step for one
-        experiment (unbatchable model or non-FP32 precision)."""
-        total_loss = 0.0
-        total_acc = 0.0
-        member = self._members[id(trainer)]
-        accum = member.accum
-        accum.fill(0.0)
-        for device in range(trainer.num_devices):
-            loss, acc = device_step(trainer, device, iteration)
-            total_loss += loss
-            total_acc += acc
-            with np.errstate(over="ignore", invalid="ignore"):
-                accum += trainer.arenas[device].grad
-        inv = 1.0 / trainer.num_devices
-        with profile_scope("sync.grad_average"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(accum, inv, out=trainer.master_arena.grad)
-            trainer.backend._apply_comm_fault(trainer.master_arena.grad)
-        return total_loss / trainer.num_devices, total_acc / trainer.num_devices
+        experiment (model not lane-native, or non-FP32 precision)."""
+        result = trainer.backend.step_devices(iteration)
+        trainer.backend.reduce_fused()
+        return result
 
     # ------------------------------------------------------------------
     # Evaluation rounds
     # ------------------------------------------------------------------
     def evaluate_many(self, trainers: list) -> list[float]:
-        """Batched mirror of ``SyncDataParallelTrainer.evaluate`` for the
+        """Lane form of ``SyncDataParallelTrainer.evaluate`` for the
         trainers' eval-device lanes: same chunking, same per-chunk metric
         and weight accumulation, one stacked forward per chunk."""
         if not self.vectorized:
@@ -244,29 +302,22 @@ class LaneGroup:
                 scores.extend(self.evaluate_many(
                     trainers[start:start + self.lane_chunk]))
             return scores
-        lane_modules = []
-        rows = []
-        for trainer in trainers:
-            member = self._members[id(trainer)]
-            device = trainer.eval_device
-            trainer.replicas[device].eval()
-            lane_modules.append(member.modules[device])
-            rows.append(member.rows[device])
-        ctx = LaneContext(lane_modules, rows, self.stacks.param,
-                          self.stacks.grad, training=False)
+        members = [self._members[id(trainer)] for trainer in trainers]
+        rows = [m.rows[t.eval_device] for m, t in zip(members, trainers)]
+        self._program.bind(
+            [m.modules[t.eval_device] for m, t in zip(members, trainers)],
+            self.stacks.param[rows], training=False)
         metrics: list[list] = [[] for _ in trainers]
         weights: list[int] = []
         for start in range(0, n, batch):
             x_stack = np.stack([
                 t.spec.test_data.inputs[start:start + batch] for t in trainers])
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = self._program.forward(ctx, x_stack)
+                out = self._program.model.forward(x_stack)
             for lane, trainer in enumerate(trainers):
                 y = trainer.spec.test_data.targets[start:start + batch]
                 metrics[lane].append(trainer.spec.metric(out[lane], y))
             weights.append(x_stack.shape[1])
-        for trainer in trainers:
-            trainer.replicas[trainer.eval_device].train()
         return [
             float(np.average(m, weights=weights)) if m else 0.0
             for m in metrics
@@ -285,6 +336,7 @@ class BatchedBackend(ExecutionBackend):
     def __init__(self, group: LaneGroup | None = None):
         super().__init__()
         self._group = group
+        self._grad_accum: np.ndarray | None = None
 
     @property
     def group(self) -> LaneGroup | None:
@@ -295,6 +347,7 @@ class BatchedBackend(ExecutionBackend):
         if self._group is None:
             self._group = LaneGroup(capacity=1)
         self._group.adopt(trainer)
+        self._grad_accum = trainer.master_arena.scratch()
 
     def step(self, iteration: int) -> tuple[float, float]:
         return self._group.compute([(self.trainer, iteration)])[0]
@@ -307,7 +360,7 @@ class BatchedBackend(ExecutionBackend):
 
 
 class _LockstepRun:
-    __slots__ = ("trainer", "end", "t", "loss", "acc")
+    __slots__ = ("trainer", "end", "t", "loss", "acc", "test_due")
 
     def __init__(self, trainer, end: int):
         self.trainer = trainer
@@ -315,22 +368,24 @@ class _LockstepRun:
         self.t = 0
         self.loss = 0.0
         self.acc = 0.0
+        self.test_due = False
 
 
 def run_lockstep(group: LaneGroup, trainers: list, budgets: list[int]) -> list:
     """Drive E trainers through ``budgets`` iterations in lockstep.
 
-    Per experiment this replays ``SyncDataParallelTrainer.train`` in its
-    exact order — before_iteration, backend step, after_backward,
-    optimizer step, after_step, broadcast, condition probes, records,
-    trace events, evaluation, after_iteration, recovery/finiteness
-    bookkeeping — so hooks (fault injectors, detectors, recovery) behave
-    identically to a solo run.  Across experiments, iterations advance
-    together; an experiment whose recovery hook rewinds its iteration
-    counter simply trails its batch-mates (batch shards and reseeding are
-    pure functions of the iteration, so divergent counters are exact),
-    and experiments leave the round set when they diverge non-finite or
-    exhaust their budget.  Returns each trainer's ConvergenceRecord.
+    Per experiment this is ``SyncDataParallelTrainer.train``: the same
+    trainer methods (``apply_update``, ``record_iteration``,
+    ``finish_iteration``) run in the same order, with the device work
+    and the test evaluations of all experiments batched through the
+    group in between — so hooks (fault injectors, detectors, recovery)
+    behave identically to a solo run.  Across experiments, iterations
+    advance together; an experiment whose recovery hook rewinds its
+    iteration counter simply trails its batch-mates (batch shards and
+    reseeding are pure functions of the iteration, so divergent counters
+    are exact), and experiments leave the round set when they diverge
+    non-finite or exhaust their budget.  Returns each trainer's
+    ConvergenceRecord.
     """
     runs = [_LockstepRun(trainer, trainer.iteration + int(budget))
             for trainer, budget in zip(trainers, budgets)]
@@ -340,44 +395,18 @@ def run_lockstep(group: LaneGroup, trainers: list, budgets: list[int]) -> list:
             run.t = run.trainer.iteration
             run.trainer._dispatch("before_iteration", run.t)
         results = group.compute([(run.trainer, run.t) for run in active])
-        evaluating: list[_LockstepRun] = []
         for run, (loss, acc) in zip(active, results):
-            trainer = run.trainer
             run.loss, run.acc = loss, acc
-            trainer._dispatch("after_backward", run.t)
-            with profile_scope("optim.step"):
-                trainer.optimizer.step()
-            trainer._dispatch("after_step", run.t)
-            with profile_scope("sync.broadcast"):
-                trainer.backend.broadcast()
-            hist = trainer.history_magnitude() if trainer.track_conditions else None
-            mvar = trainer.mvar_magnitude() if trainer.track_conditions else None
-            trainer.record.record_train(run.t, loss, acc, hist, mvar)
-            if trainer.tracer.enabled:
-                trainer.tracer.emit(ITERATION_STATS, iteration=run.t,
-                                    loss=float(loss), acc=float(acc),
-                                    history_magnitude=hist,
-                                    mvar_magnitude=mvar)
-            if trainer.test_every and (run.t + 1) % trainer.test_every == 0:
-                evaluating.append(run)
-        if evaluating:
-            scores = group.evaluate_many([run.trainer for run in evaluating])
-            for run, score in zip(evaluating, scores):
-                run.trainer.record.record_test(run.t, score)
+            run.trainer.apply_update(run.t)
+            run.test_due = run.trainer.record_iteration(run.t, loss, acc)
+        evaluating = [run.trainer for run in active if run.test_due]
+        scores = iter(group.evaluate_many(evaluating) if evaluating else ())
         still_active: list[_LockstepRun] = []
         for run in active:
             trainer = run.trainer
-            trainer._dispatch("after_iteration", run.t, run.loss, run.acc)
-            trainer.iteration += 1
-            if trainer._just_recovered:
-                trainer._just_recovered = False
-            elif not trainer._state_is_finite(run.loss):
-                trainer.record.mark_nonfinite(run.t)
-                trainer.tracer.emit(DIVERGENCE, iteration=run.t,
-                                    loss=float(run.loss))
-                if trainer.stop_on_nonfinite:
-                    continue
-            if trainer.iteration < run.end:
+            score = next(scores) if run.test_due else None
+            if (trainer.finish_iteration(run.t, run.loss, run.acc, score)
+                    and trainer.iteration < run.end):
                 still_active.append(run)
         active = still_active
     return [run.trainer.record for run in runs]

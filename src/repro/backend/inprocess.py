@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.base import ExecutionBackend, device_step
+from repro.backend.base import ExecutionBackend
 from repro.observe import profile_scope
 
 
@@ -46,40 +46,28 @@ class InProcessBackend(ExecutionBackend):
     # Per-iteration contract
     # ------------------------------------------------------------------
     def step(self, iteration: int) -> tuple[float, float]:
-        trainer = self.trainer
-        fused = trainer.arenas is not None
-        if fused:
-            grad_accum = self._grad_accum
-            grad_accum.fill(0.0)
+        result = self.step_devices(iteration)
+        if self.trainer.arenas is not None:
+            self.reduce_fused()
         else:
-            grad_sums = self._grad_sums
-            for g_sum in grad_sums:
-                g_sum.fill(0.0)
-        total_loss = 0.0
-        total_acc = 0.0
-        for device in range(trainer.num_devices):
-            loss, acc = device_step(trainer, device, iteration)
-            total_loss += loss
-            total_acc += acc
-            with np.errstate(over="ignore", invalid="ignore"):
-                if fused:
-                    grad_accum += trainer.arenas[device].grad
-                else:
-                    for g_sum, param in zip(
-                            grad_sums, trainer.replicas[device].parameters()):
-                        g_sum += param.grad
-        # Average gradients into the master replica (the "central
-        # server"): one fused axpy instead of a per-parameter loop.
+            self._reduce_scattered()
+        return result
+
+    def _reduce_scattered(self) -> None:
+        """Per-parameter accumulate and average (tied weights: no arena,
+        so no comm-fault site either)."""
+        trainer = self.trainer
+        grad_sums = self._grad_sums
+        for g_sum in grad_sums:
+            g_sum.fill(0.0)
         inv = 1.0 / trainer.num_devices
-        with profile_scope("sync.grad_average"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            if fused:
-                np.multiply(grad_accum, inv, out=trainer.master_arena.grad)
-                self._apply_comm_fault(trainer.master_arena.grad)
-            else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for replica in trainer.replicas:
+                for g_sum, param in zip(grad_sums, replica.parameters()):
+                    g_sum += param.grad
+            with profile_scope("sync.grad_average"):
                 for param, g_sum in zip(self._master_params, grad_sums):
                     np.multiply(g_sum, inv, out=param.grad)
-        return total_loss / trainer.num_devices, total_acc / trainer.num_devices
 
     def broadcast(self) -> None:
         """Copy master parameters into every other replica — one fused

@@ -44,6 +44,8 @@ class ABFTChecker:
         self.tolerance = float(tolerance)
         self.check_weight_grads = bool(check_weight_grads)
         self.violations: list[ABFTViolation] = []
+        #: Verifications actually performed: forward checksums compared
+        #: plus weight-gradient finiteness checks.
         self.checks = 0
 
     # ------------------------------------------------------------------
@@ -101,6 +103,7 @@ class ABFTChecker:
     # would move the weights out from under it.
     # ------------------------------------------------------------------
     def after_backward(self, trainer, iteration: int) -> None:
+        compared = 0
         for replica in trainer.replicas:
             for name, module in replica.named_modules():
                 if isinstance(module, Dense):
@@ -109,9 +112,10 @@ class ABFTChecker:
                     err = self._verify_conv(module)
                 else:
                     continue
-                self.checks += 1
-                if err is not None and (not np.isfinite(err) or err > self.tolerance):
-                    self.violations.append(ABFTViolation(iteration, name, err))
+                if err is not None:
+                    compared += 1
+                    if not np.isfinite(err) or err > self.tolerance:
+                        self.violations.append(ABFTViolation(iteration, name, err))
                 if self.check_weight_grads:
                     gerr = self._verify_weight_grad(module)
                     self.checks += 1
@@ -119,6 +123,16 @@ class ABFTChecker:
                         self.violations.append(
                             ABFTViolation(iteration, f"{name}.weight_grad", gerr)
                         )
+        if not compared:
+            # The operands come from the forward caches of
+            # ``trainer.replicas``; a backend that computes elsewhere
+            # (stacked lanes, replica processes) never fills them.
+            raise RuntimeError(
+                f"ABFT compared no forward checksum at iteration {iteration} on "
+                f"the {trainer.backend.name!r} backend: no Dense/Conv2D module of "
+                "trainer.replicas ran a training forward (use backend='inprocess')"
+            )
+        self.checks += compared
 
     @property
     def fired(self) -> bool:

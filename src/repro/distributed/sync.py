@@ -121,13 +121,18 @@ class SyncDataParallelTrainer:
         """
         self._dispatch("before_iteration", iteration)
         loss, acc = self.backend.step(iteration)
+        self.apply_update(iteration)
+        return loss, acc
+
+    def apply_update(self, iteration: int) -> None:
+        """The post-reduction half of an iteration: ``after_backward``
+        hooks, optimizer step, ``after_step`` hooks, weight broadcast."""
         self._dispatch("after_backward", iteration)
         with profile_scope("optim.step"):
             self.optimizer.step()
         self._dispatch("after_step", iteration)
         with profile_scope("sync.broadcast"):
             self.backend.broadcast()
-        return loss, acc
 
     def evaluate(self, device: int | None = None, max_batches: int | None = None) -> float:
         """Test metric on the chosen device's replica (eval mode).
@@ -192,6 +197,39 @@ class SyncDataParallelTrainer:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
+    def record_iteration(self, t: int, loss: float, acc: float) -> bool:
+        """First half of the per-iteration tail: condition probes, train
+        record, ``ITERATION_STATS`` event.  Returns whether a test
+        evaluation is due, whose score goes to :meth:`finish_iteration`
+        (the caller evaluates, so lockstep drivers can batch it)."""
+        hist = self.history_magnitude() if self.track_conditions else None
+        mvar = self.mvar_magnitude() if self.track_conditions else None
+        self.record.record_train(t, loss, acc, hist, mvar)
+        if self.tracer.enabled:  # skip argument marshalling when off
+            self.tracer.emit(ITERATION_STATS, iteration=t,
+                             loss=float(loss), acc=float(acc),
+                             history_magnitude=hist, mvar_magnitude=mvar)
+        return bool(self.test_every) and (t + 1) % self.test_every == 0
+
+    def finish_iteration(self, t: int, loss: float, acc: float,
+                         test_score: float | None = None) -> bool:
+        """Second half of the tail: test record, ``after_iteration``
+        hooks, counter advance, recovered / non-finite bookkeeping.
+        Returns ``False`` when training must stop (non-finite state with
+        ``stop_on_nonfinite``)."""
+        if test_score is not None:
+            self.record.record_test(t, test_score)
+        self._dispatch("after_iteration", t, loss, acc)
+        self.iteration += 1
+        if self._just_recovered:
+            self._just_recovered = False
+            return True
+        if not self._state_is_finite(loss):
+            self.record.mark_nonfinite(t)
+            self.tracer.emit(DIVERGENCE, iteration=t, loss=float(loss))
+            return not self.stop_on_nonfinite
+        return True
+
     def train(self, iterations: int | None = None) -> ConvergenceRecord:
         """Train for ``iterations`` (default: the spec's budget).
 
@@ -211,25 +249,9 @@ class SyncDataParallelTrainer:
                 # already torn itself down and emitted the trace event.
                 self.record.mark_replica_lost(t, lost.device)
                 break
-            hist = self.history_magnitude() if self.track_conditions else None
-            mvar = self.mvar_magnitude() if self.track_conditions else None
-            self.record.record_train(t, loss, acc, hist, mvar)
-            if self.tracer.enabled:  # skip argument marshalling when off
-                self.tracer.emit(ITERATION_STATS, iteration=t,
-                                 loss=float(loss), acc=float(acc),
-                                 history_magnitude=hist, mvar_magnitude=mvar)
-            if self.test_every and (t + 1) % self.test_every == 0:
-                self.record.record_test(t, self.evaluate())
-            self._dispatch("after_iteration", t, loss, acc)
-            self.iteration += 1
-            if self._just_recovered:
-                self._just_recovered = False
-                continue
-            if not self._state_is_finite(loss):
-                self.record.mark_nonfinite(t)
-                self.tracer.emit(DIVERGENCE, iteration=t, loss=float(loss))
-                if self.stop_on_nonfinite:
-                    break
+            score = self.evaluate() if self.record_iteration(t, loss, acc) else None
+            if not self.finish_iteration(t, loss, acc, score):
+                break
         return self.record
 
     # ------------------------------------------------------------------

@@ -16,6 +16,8 @@ from repro.nn.module import Module
 class ReLU(Module):
     """Rectified linear unit: max(0, x)."""
 
+    lane_native = True
+
     def __init__(self):
         super().__init__()
         self._mask: np.ndarray | None = None
@@ -32,6 +34,8 @@ class ReLU(Module):
 
 class LeakyReLU(Module):
     """Leaky ReLU with configurable negative slope (YOLO uses 0.1)."""
+
+    lane_native = True
 
     def __init__(self, negative_slope: float = 0.1):
         super().__init__()

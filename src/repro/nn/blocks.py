@@ -26,6 +26,8 @@ class ResidualBlock(Module):
     occur if normalization layers are not present").
     """
 
+    lane_native = True
+
     def __init__(
         self,
         in_channels: int,

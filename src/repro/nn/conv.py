@@ -32,7 +32,10 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
         for j in range(kw):
             j_max = j + stride * ow
             col[:, :, i, j, :, :] = img[:, :, i:i_max:stride, j:j_max:stride]
-    return col.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
+    # Degenerate shapes (one image, 1x1 window) let the reshape return a
+    # Fortran-ordered view, and BLAS then rounds matrix-vector products
+    # differently than for the usual copy; always hand back C order.
+    return np.ascontiguousarray(col.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1))
 
 
 def col2im(
@@ -66,6 +69,8 @@ class Conv2D(Module):
     ``in_channels * kh * kw``, exposed as :attr:`fan_in`.
     """
 
+    lane_native = True
+
     def __init__(
         self,
         in_channels: int,
@@ -89,8 +94,8 @@ class Conv2D(Module):
         if use_bias:
             self.add_param("bias", zeros((out_channels,)))
         self._col: np.ndarray | None = None
-        self._input_shape: tuple[int, int, int, int] | None = None
-        self._out_hw: tuple[int, int] | None = None
+        self._input_shape: tuple[int, ...] | None = None
+        self._folded_shape: tuple[int, int, int, int] | None = None
         self._out: np.ndarray | None = None
 
     @property
@@ -98,20 +103,27 @@ class Conv2D(Module):
         return self.in_channels * self.kernel_size * self.kernel_size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+        lanes, (n, c, h, w) = x.shape[:-4], x.shape[-4:]
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} channels, got {c}")
         k, s, p = self.kernel_size, self.stride, self.padding
         oh, ow = conv_output_size(h, k, s, p), conv_output_size(w, k, s, p)
-        col = im2col(x, k, k, s, p)
+        # Lanes fold into im2col's batch axis: its patch rows stay one
+        # contiguous block per image, so each lane's block of rows is the
+        # plain call's patch matrix.
+        folded = x.reshape(-1, c, h, w)
+        col = im2col(folded, k, k, s, p).reshape(*lanes, -1, c * k * k)
         self._col = col
         self._input_shape = x.shape
-        self._out_hw = (oh, ow)
-        w_row = self.weight.data.reshape(self.out_channels, -1)
-        out = config.matmul(col, w_row.T)
+        self._folded_shape = folded.shape
+        w_row = self.weight.data.reshape(*lanes, self.out_channels, -1)
+        out = config.matmul(col, w_row.swapaxes(-1, -2))
         if self.use_bias:
-            out = out + self.bias.data
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+            out = out + self.bias.data[..., None, :]
+        # (..., oh, ow, Cout) -> (..., Cout, oh, ow) as two swaps, a tenth
+        # of np.moveaxis's per-call cost.
+        out = out.reshape(*lanes, n, oh, ow, self.out_channels)
+        out = out.swapaxes(-1, -3).swapaxes(-1, -2)
         out = np.ascontiguousarray(out, dtype=np.float32)
         out = self.apply_fault_hook("forward", out)
         # Cached post-hook so integrity checkers (ABFT) see what the
@@ -120,20 +132,19 @@ class Conv2D(Module):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        n = self._input_shape[0]
-        oh, ow = self._out_hw
-        g2 = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
-        dw = config.matmul(self._col.T, g2).astype(np.float32)  # (C*k*k, Cout)
-        dw = dw.T.reshape(self.weight.data.shape)
+        lanes = self._input_shape[:-4]
+        g2 = grad.swapaxes(-3, -1).swapaxes(-3, -2).reshape(*lanes, -1, self.out_channels)
+        dw = config.matmul(self._col.swapaxes(-1, -2), g2).astype(np.float32)  # (C*k*k, Cout)
+        dw = dw.swapaxes(-1, -2).reshape(self.weight.data.shape)
         dw = self.apply_fault_hook("weight_grad", dw, param="weight")
         self.weight.grad += dw
         if self.use_bias:
-            self.bias.grad += g2.sum(axis=0).astype(np.float32)
-        w_row = self.weight.data.reshape(self.out_channels, -1)
+            self.bias.grad += g2.sum(axis=-2).astype(np.float32)
+        w_row = self.weight.data.reshape(*lanes, self.out_channels, -1)
         dcol = config.matmul(g2, w_row).astype(np.float32)
-        dx = col2im(dcol, self._input_shape, self.kernel_size, self.kernel_size,
-                    self.stride, self.padding)
-        return self.apply_fault_hook("input_grad", dx)
+        dx = col2im(dcol.reshape(-1, dcol.shape[-1]), self._folded_shape,
+                    self.kernel_size, self.kernel_size, self.stride, self.padding)
+        return self.apply_fault_hook("input_grad", dx.reshape(self._input_shape))
 
 
 class MaxPool2D(Module):
@@ -196,15 +207,17 @@ class AvgPool2D(Module):
 class GlobalAvgPool2D(Module):
     """Global average pooling: NCHW -> NC."""
 
+    lane_native = True
+
     def __init__(self):
         super().__init__()
-        self._input_shape: tuple[int, int, int, int] | None = None
+        self._input_shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input_shape = x.shape
-        return x.mean(axis=(2, 3)).astype(np.float32)
+        return x.mean(axis=(-2, -1)).astype(np.float32)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._input_shape
-        scale = 1.0 / (h * w)
-        return (np.broadcast_to(grad[:, :, None, None], (n, c, h, w)) * scale).astype(np.float32)
+        shape = self._input_shape
+        scale = 1.0 / (shape[-2] * shape[-1])
+        return (np.broadcast_to(grad[..., None, None], shape) * scale).astype(np.float32)

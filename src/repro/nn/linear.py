@@ -19,8 +19,11 @@ class Dense(Module):
     Fault-injection op sites: the forward output, the weight gradient
     (``dW = x^T @ dy``), and the input gradient (``dx = dy @ W^T``) — the
     three operation classes of Table 1 (Layer_Output, and the two
-    Layer_Input roles in the backward pass).
+    Layer_Input roles in the backward pass).  Under lanes the input is
+    ``(L, n, in_features)``: each lane's rows meet that lane's weights.
     """
+
+    lane_native = True
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  use_bias: bool = True):
@@ -43,7 +46,7 @@ class Dense(Module):
         self._x = x
         out = config.matmul(x, self.weight.data)
         if self.use_bias:
-            out = out + self.bias.data
+            out = out + self.bias.data[..., None, :]
         out = out.astype(np.float32)
         out = self.apply_fault_hook("forward", out)
         # Cached post-hook so integrity checkers (ABFT) see what the
@@ -54,20 +57,22 @@ class Dense(Module):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x = self._x
         # Flatten any leading batch dimensions for the weight gradient.
-        x2 = x.reshape(-1, self.in_features)
-        g2 = grad.reshape(-1, self.out_features)
-        dw = config.matmul(x2.T, g2).astype(np.float32)
+        x2 = x.reshape(*self.lanes, -1, self.in_features)
+        g2 = grad.reshape(*self.lanes, -1, self.out_features)
+        dw = config.matmul(x2.swapaxes(-1, -2), g2).astype(np.float32)
         dw = self.apply_fault_hook("weight_grad", dw, param="weight")
         self.weight.grad += dw
         if self.use_bias:
-            db = g2.sum(axis=0).astype(np.float32)
+            db = g2.sum(axis=-2).astype(np.float32)
             self.bias.grad += db
-        dx = config.matmul(grad, self.weight.data.T).astype(np.float32)
+        dx = config.matmul(grad, self.weight.data.swapaxes(-1, -2)).astype(np.float32)
         return self.apply_fault_hook("input_grad", dx)
 
 
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
+
+    lane_native = True
 
     def __init__(self):
         super().__init__()
@@ -75,7 +80,7 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(*x.shape[:len(self.lanes) + 1], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad.reshape(self._shape)

@@ -23,6 +23,29 @@ A hook is a callable ``hook(tensor, site_info) -> tensor``.  The injection
 engine (:mod:`repro.core.faults.injector`) installs one-shot hooks at the
 chosen training iteration; in fault-free operation all slots are ``None``
 and the hot path pays a single attribute check.
+
+Lanes
+-----
+The batched backend steps L (experiment, device) replicas through one
+extra model instance whose tensors carry one *leading lane axis*: inputs
+and gradients are ``(L,) + plain shape``, every parameter's ``data`` /
+``grad`` is ``(L,) + param.shape``, and persistent extra state (BatchNorm
+moving statistics) is ``(L,) + state shape``.  :attr:`Module.lanes` holds
+that leading shape — ``()`` everywhere except on that one instance, where
+:class:`~repro.backend.batched.LaneGroup` (and nothing else) sets it to
+``(L,)`` per block of lanes.  Lanes never mix arithmetic: slice ``l`` of
+every lane tensor is byte-identical to the plain call on lane ``l``'s
+tensors, and a hook installed on a lane module receives the whole
+``(L, ...)`` tensor.
+
+A layer is *lane-native* when its one ``forward`` / ``backward`` is
+written over trailing axes (``x.shape[-3:]``, ``axis=-2``,
+``swapaxes(-1, -2)``, ``self.lanes`` where a leading count is needed), so
+the same statements serve both cases, and its class body says
+``lane_native = True``.  The declaration is read from the class's own
+namespace, never inherited — a subclass that overrides the math must
+declare (and be tested in ``tests/test_lane_native.py``) again.  A model
+containing any undeclared module type runs on the per-lane fallback.
 """
 
 from __future__ import annotations
@@ -72,12 +95,18 @@ class Module:
     accumulating parameter gradients, and returning the input gradient).
     """
 
+    #: Set to ``True`` in the class body of a layer whose kernels accept a
+    #: leading lane axis (see the module docstring); not inherited.
+    lane_native = False
+
     def __init__(self):
         self._params: dict[str, Parameter] = {}
         self._modules: dict[str, Module] = {}
         self._fault_hooks: dict[str, HookFn | None] = {k: None for k in HOOK_KINDS}
         self.name = type(self).__name__
         self.training = True
+        #: Leading lane shape of this instance's tensors: ``()`` or ``(L,)``.
+        self.lanes: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # Registration and traversal
@@ -120,6 +149,11 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
+
+    def is_lane_native(self) -> bool:
+        """Whether every module type in this tree declares itself
+        ``lane_native`` in its own class body."""
+        return all(vars(type(m)).get("lane_native", False) for m in self.modules())
 
     # ------------------------------------------------------------------
     # Train / eval mode
@@ -247,6 +281,8 @@ class Module:
 
 class Sequential(Module):
     """Chain of modules applied in order; backward runs in reverse."""
+
+    lane_native = True
 
     def __init__(self, *layers: Module):
         super().__init__()

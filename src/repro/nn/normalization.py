@@ -33,6 +33,8 @@ class BatchNorm(Module):
         configuration whose slow mvar correction produces LowTestAccuracy.
     """
 
+    lane_native = True
+
     def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5):
         super().__init__()
         self.num_features = int(num_features)
@@ -63,26 +65,27 @@ class BatchNorm(Module):
         return max(finite)
 
     # ------------------------------------------------------------------
-    # Shape plumbing: reduce over every axis except the channel axis (1
-    # for 4D NCHW, 1 for 2D NC).
+    # Shape plumbing: reduce over every axis except the channel axis and
+    # the lanes.  Axes count from the end, so a leading lane axis shifts
+    # nothing and per-lane statistics come out as ``lanes + (C,)``.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _axes(x: np.ndarray) -> tuple[int, ...]:
-        if x.ndim == 2:
-            return (0,)
-        if x.ndim == 4:
-            return (0, 2, 3)
-        raise ValueError(f"BatchNorm expects 2D or 4D input, got {x.ndim}D")
+    #: trailing dims after the channel axis -> (reduce axes, index that
+    #: broadcasts a ``lanes + (C,)`` statistic against the input).
+    _LAYOUTS = {
+        0: ((-2,), (..., None, slice(None))),
+        2: ((-4, -2, -1), (..., None, slice(None), None, None)),
+    }
 
-    @staticmethod
-    def _reshape_stats(stat: np.ndarray, ndim: int) -> np.ndarray:
-        if ndim == 2:
-            return stat
-        return stat.reshape(1, -1, 1, 1)
+    def _layout(self, x: np.ndarray) -> tuple[tuple, tuple]:
+        try:
+            return self._LAYOUTS[x.ndim - len(self.lanes) - 2]
+        except KeyError:
+            raise ValueError(
+                f"BatchNorm expects 2D or 4D input, got {x.ndim - len(self.lanes)}D"
+            ) from None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        axes = self._axes(x)
-        ndim = x.ndim
+        axes, expand = self._layout(x)
         if self.training:
             with np.errstate(over="ignore", invalid="ignore"):
                 mean = x.mean(axis=axes, dtype=np.float32)
@@ -101,27 +104,22 @@ class BatchNorm(Module):
             var = self.moving_var
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - self._reshape_stats(mean, ndim)) * self._reshape_stats(inv_std, ndim)
-            out = (
-                self._reshape_stats(self.gamma.data, ndim) * xhat
-                + self._reshape_stats(self.beta.data, ndim)
-            ).astype(np.float32)
+            xhat = (x - mean[expand]) * inv_std[expand]
+            out = (self.gamma.data[expand] * xhat + self.beta.data[expand]).astype(np.float32)
         if self.training:
-            self._cache = (xhat, inv_std, axes, x.shape)
+            self._cache = (xhat, inv_std, axes, expand)
         return self.apply_fault_hook("forward", out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, inv_std, axes, shape = self._cache
-        ndim = len(shape)
-        m = float(np.prod([shape[a] for a in axes]))
+        xhat, inv_std, axes, expand = self._cache
+        m = float(np.prod([xhat.shape[a] for a in axes]))
         dgamma = (grad * xhat).sum(axis=axes).astype(np.float32)
         dbeta = grad.sum(axis=axes).astype(np.float32)
         dgamma = self.apply_fault_hook("weight_grad", dgamma, param="gamma")
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
-        gamma = self._reshape_stats(self.gamma.data, ndim)
-        inv = self._reshape_stats(inv_std, ndim)
-        dxhat = grad * gamma
+        inv = inv_std[expand]
+        dxhat = grad * self.gamma.data[expand]
         with np.errstate(over="ignore", invalid="ignore"):
             dx = (
                 inv

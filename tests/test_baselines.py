@@ -5,6 +5,7 @@ import pytest
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults import FaultInjector, HardwareFault, OpSite
+from repro.nn import Conv2D, Dense
 from repro.core.mitigation.baselines import (
     ABFTChecker,
     CheckpointRecovery,
@@ -27,6 +28,26 @@ class TestABFT:
         trainer.train(5)
         assert not checker.fired
         assert checker.checks > 0
+
+    @pytest.mark.parametrize("weight_grads", [False, True])
+    def test_checks_count_verifications_performed(self, make_trainer, weight_grads):
+        trainer = make_trainer(num_devices=2)
+        checker = ABFTChecker(check_weight_grads=weight_grads)
+        trainer.add_hook(checker)
+        trainer.train(3)
+        mac_layers = sum(isinstance(m, (Conv2D, Dense)) for m in trainer.master.modules())
+        checksums = mac_layers * trainer.num_devices * 3
+        assert checker.checks == checksums * (2 if weight_grads else 1)
+
+    @pytest.mark.parametrize("backend", ["batched", "multiprocess"])
+    def test_raises_where_replicas_run_no_forward(self, make_trainer, backend):
+        """Off the in-process backend the replica modules ABFT reads never
+        run a training forward; it must say so, not report checks of
+        nothing."""
+        with make_trainer(num_devices=2, backend=backend) as trainer:
+            trainer.add_hook(ABFTChecker())
+            with pytest.raises(RuntimeError, match=backend):
+                trainer.train(1)
 
     def test_detects_forward_output_corruption(self, make_trainer):
         """ABFT's strength: a corrupted matmul output breaks the checksum
