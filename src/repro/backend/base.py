@@ -206,7 +206,11 @@ class ExecutionBackend:
         self.trainer = trainer
 
     def close(self) -> None:
-        """Release backend resources (processes, shared memory)."""
+        """Release backend resources (processes, shared memory) and the
+        trainer back-reference: a closed trainer and everything it holds
+        (models, arenas) is then freed by refcount instead of waiting,
+        tens of MB per experiment, for a cycle collection."""
+        self.trainer = None
 
     def __enter__(self) -> "ExecutionBackend":
         return self

@@ -96,9 +96,11 @@ class LaneProgram:
         any) to that lane's slice only.  The repo's software fault
         models return fresh float32 arrays of the input shape, so
         writing the result back into the slice is exact."""
+        lane_modules = self._lane_modules  # not self: no program<->hook cycle
+
         def hook(stacked: np.ndarray, info: dict) -> np.ndarray:
             kind = info["kind"]
-            for lane, modules in enumerate(self._lane_modules):
+            for lane, modules in enumerate(lane_modules):
                 peer = modules[path]
                 if peer._fault_hooks[kind] is None:
                     continue
@@ -119,7 +121,7 @@ class LaneProgram:
         total)`` gradient block the ``param.grad`` views accumulate
         into."""
         lanes = (len(lane_modules),)
-        self._lane_modules = lane_modules
+        self._lane_modules[:] = lane_modules
         grads = np.zeros_like(params)
         for entry, param in self._params:
             span = slice(entry.offset, entry.offset + entry.size)
@@ -348,6 +350,10 @@ class BatchedBackend(ExecutionBackend):
             self._group = LaneGroup(capacity=1)
         self._group.adopt(trainer)
         self._grad_accum = trainer.master_arena.scratch()
+
+    def close(self) -> None:
+        super().close()
+        self._group = None  # group -> member -> trainer -> backend -> group
 
     def step(self, iteration: int) -> tuple[float, float]:
         return self._group.compute([(self.trainer, iteration)])[0]

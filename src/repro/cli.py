@@ -253,14 +253,17 @@ def cmd_campaign(args) -> int:
         return 2
 
     telemetry = None
+    engines = []  # filled by Campaign.run once the engine exists
     if args.serve is not None:
+        from repro.observe import build_sample
         from repro.observe.slo import load_rules
-        from repro.serve import CampaignTelemetry
+        from repro.serve import TelemetryService
 
-        rules = load_rules(args.slo) if args.slo else []
-        telemetry = CampaignTelemetry(
+        telemetry = TelemetryService(
+            lambda: build_sample(engines[0].progress() if engines else None),
+            rules=load_rules(args.slo) if args.slo else [],
             store_path=args.store, port=args.serve,
-            interval=args.serve_interval, rules=rules,
+            interval=args.serve_interval,
             meta={"workload": args.workload, "store": args.store})
         telemetry.start()
         print(f"telemetry: serving on {telemetry.url}", flush=True)
@@ -276,7 +279,7 @@ def cmd_campaign(args) -> int:
             parallel=args.parallel, store=args.store, resume=args.resume,
             timeout=args.timeout, max_retries=args.retries,
             on_progress=_progress_printer(args.progress_every),
-            on_engine=telemetry.on_engine if telemetry else None,
+            on_engine=engines.append,
             trace=args.trace)
     finally:
         if telemetry is not None:
@@ -294,9 +297,8 @@ def cmd_campaign(args) -> int:
     if report is not None and report.trace_path is not None:
         print(f"campaign trace: {report.trace_path}")
     if telemetry is not None:
-        if telemetry.series_path is not None:
-            print(f"telemetry series: {telemetry.series_path} "
-                  f"({telemetry.sampler.samples_taken} samples)")
+        print(f"telemetry series: {telemetry.series_path} "
+              f"({telemetry.sampler.samples_taken} samples)")
         breached = telemetry.breached()
         if breached:
             print("slo: sustained breach of critical rule"
@@ -480,23 +482,15 @@ def cmd_monitor(args) -> int:
 
     from repro.engine import (
         collect,
-        evaluate_alerts,
+        render_alerts,
         render_html,
         render_markdown,
         render_text,
         snapshot_dict,
     )
-    from repro.engine.monitor import monitor_flat_metrics
-    from repro.observe.slo import evaluate_once, load_rules
+    from repro.observe.slo import evaluate_once, load_rules, threshold_rules
 
     rules = load_rules(args.slo) if args.slo else []
-
-    def observe():
-        state = collect(args.store, stall_after=args.stall_after)
-        evaluate_alerts(state,
-                        max_quarantine_rate=args.max_quarantine_rate,
-                        max_divergence_rate=args.max_divergence_rate)
-        return state
 
     if args.serve is not None:
         from repro.serve import serve_monitor
@@ -517,17 +511,25 @@ def cmd_monitor(args) -> int:
             return 1
         return 0
 
-    state = observe()
+    flag_rules = threshold_rules(
+        max_quarantine_rate=args.max_quarantine_rate,
+        max_divergence_rate=args.max_divergence_rate)
+
+    def observe():
+        """One observation: the state (alerts filled from the compiled
+        flags) and the --slo statuses, from one pass over the sample."""
+        state = collect(args.store, stall_after=args.stall_after)
+        statuses = evaluate_once(flag_rules + rules, state.sample().flat())
+        render_alerts(state, statuses[:len(flag_rules)])
+        return state, statuses[len(flag_rules):]
+
+    state, statuses = observe()
     if args.json:
         snapshot = snapshot_dict(state)
         if rules:
-            statuses = evaluate_once(rules, monitor_flat_metrics(state))
             snapshot["slo"] = [s.to_dict() for s in statuses]
-            firing = [s for s in statuses if s.firing]
-        else:
-            firing = []
         print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 1 if state.alerts or firing else 0
+        return 1 if state.alerts or any(s.firing for s in statuses) else 0
     if args.follow:
         try:
             while True:
@@ -536,7 +538,7 @@ def cmd_monitor(args) -> int:
                         and state.attempted >= state.total:
                     break
                 time.sleep(args.interval)
-                state = observe()
+                state, statuses = observe()
                 print(flush=True)
         except KeyboardInterrupt:  # pragma: no cover - interactive exit
             pass
@@ -549,8 +551,7 @@ def cmd_monitor(args) -> int:
         Path(args.markdown).write_text(render_markdown(state),
                                        encoding="utf-8")
         print(f"markdown snapshot -> {args.markdown}")
-    firing = [s for s in evaluate_once(rules, monitor_flat_metrics(state))
-              if s.firing] if rules else []
+    firing = [s for s in statuses if s.firing]
     for status in firing:
         print(f"  SLO        {status.message()}")
     if state.alerts or firing:
@@ -579,7 +580,6 @@ def cmd_serve_infer(args) -> int:
 
     from repro.observe.slo import load_rules
     from repro.serving import InferenceSession, ServingEngine, run_service
-    from repro.workloads.registry import build_workload
 
     spec = build_workload(args.workload, size=args.size, seed=args.seed)
     print(f"training {args.workload} ({args.size}) for serving...",

@@ -13,17 +13,15 @@ here; the engine itself is payload-agnostic.
 """
 
 from repro.engine.monitor import (
-    DIVERGENCE_OUTCOMES,
     MonitorState,
     WorkerShard,
     collect,
     evaluate_alerts,
-    monitor_flat_metrics,
+    render_alerts,
     render_html,
     render_markdown,
     render_text,
     snapshot_dict,
-    telemetry_sample,
 )
 from repro.engine.scheduler import CampaignEngine, EngineConfig, EngineReport
 from repro.engine.store import (
@@ -43,7 +41,6 @@ from repro.engine.telemetry import ProgressSnapshot, ProgressTracker, WorkerHeal
 from repro.engine.worker import UnitCapture, WorkUnit
 
 __all__ = [
-    "DIVERGENCE_OUTCOMES",
     "EXPERIMENT",
     "HEADER",
     "QUARANTINE",
@@ -65,12 +62,11 @@ __all__ = [
     "evaluate_alerts",
     "experiment_key",
     "merge_stores",
-    "monitor_flat_metrics",
     "read_records",
+    "render_alerts",
     "render_html",
     "render_markdown",
     "render_text",
     "snapshot_dict",
     "store_to_campaign",
-    "telemetry_sample",
 ]

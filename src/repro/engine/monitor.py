@@ -37,12 +37,12 @@ from repro.observe import (
     read_trace,
     shard_paths,
 )
-from repro.observe.slo import evaluate_once, threshold_rules
-
-# Shared with the telemetry sampler (re-exported here and from
-# ``repro.engine`` for back-compat): outcome labels that count as
-# training divergence (the INF/NaN classes of the Table 3 taxonomy).
-from repro.observe.timeseries import DIVERGENCE_OUTCOMES, TelemetrySample
+from repro.observe.slo import SLOStatus, evaluate_once, threshold_rules
+from repro.observe.timeseries import (
+    DIVERGENCE_OUTCOMES,
+    TelemetrySample,
+    campaign_sample,
+)
 
 #: How many recent completions / detector firings the dashboard keeps.
 RECENT = 8
@@ -113,6 +113,21 @@ class MonitorState:
     @property
     def stalled_workers(self) -> list[int]:
         return [w.worker for w in self.workers if w.stalled]
+
+    def sample(self, now: float | None = None) -> TelemetrySample:
+        """This observation through the one
+        :func:`~repro.observe.timeseries.campaign_sample` mapping: the
+        same exposition and SLO namespace as a live engine."""
+        return campaign_sample(
+            done=self.completed, quarantined=self.quarantined,
+            breakdown=self.breakdown, total=self.total,
+            throughput=self.throughput, eta=self.eta,
+            workers_alive=len(self.workers),
+            workers_busy=sum(w.busy_key is not None for w in self.workers),
+            workers_stalled=len(self.stalled_workers),
+            extras={"campaign.last_result_age_seconds":
+                    self.last_result_age},
+            now=now)
 
 
 def _shard_worker_id(path: Path) -> int:
@@ -226,49 +241,22 @@ def collect(store_path: str | Path, stall_after: float | None = None,
     return state
 
 
-def monitor_flat_metrics(state: MonitorState) -> dict[str, float]:
-    """The flat metric namespace of one observation, as the SLO engine
-    addresses it.  Rates are omitted (not zero) before any data exists,
-    so rules stay ``no_data`` instead of trivially passing."""
-    flat: dict[str, float] = {
-        "campaign.completed": float(state.completed),
-        "campaign.quarantined": float(state.quarantined),
-        "workers.stalled": float(len(state.stalled_workers)),
-    }
-    if state.attempted:
-        flat["campaign.quarantine_rate"] = state.quarantine_rate
-    if state.completed:
-        flat["campaign.divergence_rate"] = state.divergence_rate
-    if state.throughput is not None:
-        flat["campaign.throughput"] = state.throughput
-    return flat
-
-
-def evaluate_alerts(state: MonitorState,
-                    max_quarantine_rate: float | None = None,
-                    max_divergence_rate: float | None = None) -> list[str]:
-    """Check alert thresholds; fills and returns ``state.alerts``.
-
-    The classic flags are compiled to instantaneous SLO rules and run
-    through the same engine as ``--slo`` rule files; the legacy alert
-    strings (asserted by downstream tooling) are rendered from the
-    firing statuses.
-    """
-    rules = threshold_rules(max_quarantine_rate=max_quarantine_rate,
-                            max_divergence_rate=max_divergence_rate)
-    firing = {status.rule for status in
-              evaluate_once(rules, monitor_flat_metrics(state))
-              if status.firing}
+def render_alerts(state: MonitorState,
+                  statuses: list[SLOStatus]) -> list[str]:
+    """Fill and return ``state.alerts``: the legacy strings (asserted by
+    downstream tooling) for the firing ``threshold_rules`` statuses,
+    plus the stalled-worker alert."""
+    firing = {status.rule: status for status in statuses if status.firing}
     alerts: list[str] = []
     if "quarantine-rate" in firing:
         alerts.append(
             f"quarantine rate {state.quarantine_rate:.2f} exceeds "
-            f"{max_quarantine_rate:.2f} "
+            f"{firing['quarantine-rate'].threshold:.2f} "
             f"({state.quarantined}/{state.attempted} experiments)")
     if "divergence-rate" in firing:
         alerts.append(
             f"divergence rate {state.divergence_rate:.2f} exceeds "
-            f"{max_divergence_rate:.2f}")
+            f"{firing['divergence-rate'].threshold:.2f}")
     if state.stalled_workers:
         alerts.append(
             "stalled workers: "
@@ -277,36 +265,18 @@ def evaluate_alerts(state: MonitorState,
     return alerts
 
 
-def telemetry_sample(state: MonitorState,
-                     now: float | None = None) -> TelemetrySample:
-    """One observation as a :class:`TelemetrySample`, so the monitor's
-    polled on-disk view feeds the same exposition/SLO machinery as a
-    live engine (``repro monitor --serve``)."""
-    if now is None:
-        now = time.time()
-    gauges = {
-        "campaign.done": float(state.completed),
-        "campaign.quarantined": float(state.quarantined),
-        "campaign.quarantine_rate": state.quarantine_rate,
-        "campaign.divergence_rate": state.divergence_rate,
-        "workers.alive": float(len(state.workers)),
-        "workers.busy": float(sum(w.busy_key is not None
-                                  for w in state.workers)),
-        "workers.stalled": float(len(state.stalled_workers)),
-    }
-    if state.total is not None:
-        gauges["campaign.total"] = float(state.total)
-        gauges["campaign.remaining"] = float(
-            max(state.total - state.attempted, 0))
-    if state.throughput is not None:
-        gauges["campaign.throughput"] = state.throughput
-    if state.eta is not None:
-        gauges["campaign.eta_seconds"] = state.eta
-    if state.last_result_age is not None:
-        gauges["campaign.last_result_age_seconds"] = state.last_result_age
-    return TelemetrySample(
-        t=now, gauges=gauges,
-        outcomes={k: int(v) for k, v in sorted(state.breakdown.items())})
+def evaluate_alerts(state: MonitorState,
+                    max_quarantine_rate: float | None = None,
+                    max_divergence_rate: float | None = None) -> list[str]:
+    """Check alert thresholds; fills and returns ``state.alerts``.
+
+    The classic flags are compiled to instantaneous SLO rules and run
+    through the same engine, over the same namespace, as ``--slo`` rule
+    files.
+    """
+    rules = threshold_rules(max_quarantine_rate=max_quarantine_rate,
+                            max_divergence_rate=max_divergence_rate)
+    return render_alerts(state, evaluate_once(rules, state.sample().flat()))
 
 
 def snapshot_dict(state: MonitorState) -> dict:
@@ -362,38 +332,55 @@ def _fmt_eta(seconds: float | None) -> str:
     return f"{seconds:.0f}s"
 
 
+def _headline(state: MonitorState, unmeasured: str) -> tuple[str, ...]:
+    """``(workload, progress, throughput, eta)`` as every renderer shows
+    them (``unmeasured`` stands in for a missing throughput)."""
+    total = "?" if state.total is None else state.total
+    throughput = (unmeasured if state.throughput is None
+                  else f"{state.throughput:.2f} exp/s")
+    return (state.meta.get("workload", "?"),
+            f"{state.completed}/{total} done", throughput,
+            _fmt_eta(state.eta))
+
+
+def _ranked(breakdown: dict[str, int]) -> list[tuple[str, int]]:
+    return sorted(breakdown.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _worker_status(shard: WorkerShard, unreadable: str, stalled: str,
+                   busy: str) -> tuple[str, str]:
+    """``(state, status text)`` from the unreadable / stalled / busy /
+    idle ladder; the templates format ``{key}``."""
+    if shard.unreadable:
+        return "unreadable", unreadable
+    if shard.stalled:
+        return "stalled", stalled.format(key=shard.busy_key)
+    if shard.busy_key is not None:
+        return "busy", busy.format(key=shard.busy_key)
+    return "idle", "idle"
+
+
 def render_text(state: MonitorState) -> str:
     """The terminal dashboard, one observation per call."""
-    lines = []
-    workload = state.meta.get("workload", "?")
-    lines.append(f"== campaign monitor: {state.store_path.name} "
-                 f"(kind={state.kind}, workload={workload}) ==")
-    total = "?" if state.total is None else str(state.total)
-    progress = f"  progress   {state.completed}/{total} done"
+    workload, done, throughput, eta = _headline(state, unmeasured="-")
+    lines = [f"== campaign monitor: {state.store_path.name} "
+             f"(kind={state.kind}, workload={workload}) =="]
+    progress = f"  progress   {done}"
     if state.quarantined:
         progress += f" | {state.quarantined} quarantined"
     if state.total:
         progress += f" | {100.0 * state.attempted / state.total:.0f}%"
     lines.append(progress)
-    tput = ("-" if state.throughput is None
-            else f"{state.throughput:.2f} exp/s")
-    line = f"  throughput {tput} | eta {_fmt_eta(state.eta)}"
+    line = f"  throughput {throughput} | eta {eta}"
     if state.last_result_age is not None:
         line += f" | last result {state.last_result_age:.0f}s ago"
     lines.append(line)
     if state.breakdown:
-        top = sorted(state.breakdown.items(), key=lambda kv: (-kv[1], kv[0]))
-        lines.append("  outcomes   "
-                     + " ".join(f"{k}:{v}" for k, v in top))
+        lines.append("  outcomes   " + " ".join(
+            f"{k}:{v}" for k, v in _ranked(state.breakdown)))
     for shard in state.workers:
-        if shard.unreadable:
-            status = "UNREADABLE"
-        elif shard.stalled:
-            status = f"STALLED key={shard.busy_key}"
-        elif shard.busy_key is not None:
-            status = f"busy key={shard.busy_key}"
-        else:
-            status = "idle"
+        _, status = _worker_status(shard, "UNREADABLE", "STALLED key={key}",
+                                   "busy key={key}")
         line = (f"  worker w{shard.worker:<3} {status} | "
                 f"{shard.finished} finished | last write "
                 f"{shard.last_write_age:.0f}s ago")
@@ -414,32 +401,21 @@ def render_text(state: MonitorState) -> str:
 
 def render_markdown(state: MonitorState) -> str:
     """A static markdown snapshot (for dropping into a report or issue)."""
-    workload = state.meta.get("workload", "?")
-    lines = [f"# Campaign monitor: `{state.store_path.name}`", ""]
-    lines.append(f"- kind: `{state.kind}`, workload: `{workload}`")
-    total = "?" if state.total is None else str(state.total)
-    lines.append(f"- progress: {state.completed}/{total} done, "
-                 f"{state.quarantined} quarantined")
-    tput = ("n/a" if state.throughput is None
-            else f"{state.throughput:.2f} exp/s")
-    lines.append(f"- throughput: {tput}, eta: {_fmt_eta(state.eta)}")
+    workload, done, throughput, eta = _headline(state, unmeasured="n/a")
+    lines = [f"# Campaign monitor: `{state.store_path.name}`", "",
+             f"- kind: `{state.kind}`, workload: `{workload}`",
+             f"- progress: {done}, {state.quarantined} quarantined",
+             f"- throughput: {throughput}, eta: {eta}"]
     if state.breakdown:
         lines += ["", "| outcome | count |", "| --- | --- |"]
-        for outcome, count in sorted(state.breakdown.items(),
-                                     key=lambda kv: (-kv[1], kv[0])):
+        for outcome, count in _ranked(state.breakdown):
             lines.append(f"| {outcome} | {count} |")
     if state.workers:
         lines += ["", "| worker | status | finished | last write |",
                   "| --- | --- | --- | --- |"]
         for shard in state.workers:
-            if shard.unreadable:
-                status = "unreadable"
-            elif shard.stalled:
-                status = f"**STALLED** `{shard.busy_key}`"
-            elif shard.busy_key is not None:
-                status = f"busy `{shard.busy_key}`"
-            else:
-                status = "idle"
+            _, status = _worker_status(shard, "unreadable",
+                                       "**STALLED** `{key}`", "busy `{key}`")
             lines.append(f"| w{shard.worker} | {status} | {shard.finished} "
                          f"| {shard.last_write_age:.0f}s ago |")
     for alert in state.alerts:
@@ -452,28 +428,17 @@ def render_html(state: MonitorState) -> str:
     def esc(value) -> str:
         return html.escape(str(value))
 
-    workload = state.meta.get("workload", "?")
-    total = "?" if state.total is None else str(state.total)
-    tput = ("n/a" if state.throughput is None
-            else f"{state.throughput:.2f} exp/s")
-    rows = []
-    for outcome, count in sorted(state.breakdown.items(),
-                                 key=lambda kv: (-kv[1], kv[0])):
-        rows.append(f"<tr><td>{esc(outcome)}</td>"
-                    f"<td>{count}</td></tr>")
+    workload, done, throughput, eta = _headline(state, unmeasured="n/a")
+    rows = [f"<tr><td>{esc(outcome)}</td><td>{count}</td></tr>"
+            for outcome, count in _ranked(state.breakdown)]
     worker_rows = []
     for shard in state.workers:
-        if shard.unreadable:
-            status, cls = "unreadable", "warn"
-        elif shard.stalled:
-            status, cls = f"STALLED {esc(shard.busy_key)}", "alert"
-        elif shard.busy_key is not None:
-            status, cls = f"busy {esc(shard.busy_key)}", ""
-        else:
-            status, cls = "idle", ""
+        kind, status = _worker_status(shard, "unreadable", "STALLED {key}",
+                                      "busy {key}")
+        cls = {"unreadable": "warn", "stalled": "alert"}.get(kind, "")
         worker_rows.append(
-            f'<tr class="{cls}"><td>w{shard.worker}</td><td>{status}</td>'
-            f"<td>{shard.finished}</td>"
+            f'<tr class="{cls}"><td>w{shard.worker}</td>'
+            f"<td>{esc(status)}</td><td>{shard.finished}</td>"
             f"<td>{shard.last_write_age:.0f}s ago</td></tr>")
     alert_html = "".join(f'<p class="alert">ALERT: {esc(a)}</p>'
                          for a in state.alerts)
@@ -494,9 +459,9 @@ p.alert {{ color: #a00; font-weight: bold; }}
 </style></head><body>
 <h1>campaign monitor: {esc(state.store_path.name)}</h1>
 <p>kind={esc(state.kind)} workload={esc(workload)}</p>
-<p>progress {state.completed}/{total} done,
-{state.quarantined} quarantined | throughput {tput} |
-eta {_fmt_eta(state.eta)}</p>
+<p>progress {done},
+{state.quarantined} quarantined | throughput {throughput} |
+eta {eta}</p>
 {alert_html}
 <h2>outcomes</h2>
 <table><tr><th>outcome</th><th>count</th></tr>{''.join(rows)}</table>

@@ -95,6 +95,7 @@ from repro.observe.timeseries import (
     TelemetrySample,
     TelemetrySampler,
     build_sample,
+    campaign_sample,
     derive_rates,
     read_series,
     series_path,
@@ -151,6 +152,7 @@ __all__ = [
     "TraceSchemaError",
     "Tracer",
     "build_sample",
+    "campaign_sample",
     "campaign_trace_path",
     "counter",
     "current_tracer",

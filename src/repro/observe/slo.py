@@ -200,9 +200,7 @@ def load_rules(path: str | Path) -> list[SLORule]:
 
 
 def threshold_rules(max_quarantine_rate: float | None = None,
-                    max_divergence_rate: float | None = None,
-                    min_throughput: float | None = None,
-                    max_stalled_workers: float | None = None) -> list[SLORule]:
+                    max_divergence_rate: float | None = None) -> list[SLORule]:
     """Compile the classic ad-hoc monitor flags into instantaneous rules."""
     rules = []
     if max_quarantine_rate is not None:
@@ -213,14 +211,6 @@ def threshold_rules(max_quarantine_rate: float | None = None,
         rules.append(SLORule(name="divergence-rate",
                              metric="campaign.divergence_rate",
                              max=max_divergence_rate))
-    if min_throughput is not None:
-        rules.append(SLORule(name="throughput-floor",
-                             metric="campaign.throughput",
-                             min=min_throughput))
-    if max_stalled_workers is not None:
-        rules.append(SLORule(name="stalled-workers",
-                             metric="workers.stalled",
-                             max=max_stalled_workers))
     return rules
 
 

@@ -11,6 +11,8 @@ requirement, not a luxury.  This module provides the substrate:
   gauges (progress, throughput, ETA, rates), raw counter values from
   the :class:`~repro.observe.counters.MetricsRegistry`, histogram
   summaries (count/sum/mean/max/p50/p99), and the outcome tally;
+* :func:`campaign_sample` — the one mapping from raw campaign counts to
+  the ``campaign.*`` / ``workers.*`` gauges;
 * :func:`build_sample` — assemble a sample from the registry plus an
   engine :class:`~repro.engine.telemetry.ProgressSnapshot`; everything
   is read from *snapshots*, never from live training state, so the
@@ -115,9 +117,54 @@ class TelemetrySample:
                    rates=dict(data.get("rates") or {}))
 
 
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and value == value \
-        and value not in (float("inf"), float("-inf"))
+def campaign_sample(*, done: int, quarantined: int, breakdown: dict,
+                    total: int | None = None,
+                    throughput: float | None = None,
+                    eta: float | None = None,
+                    workers_alive: int = 0, workers_busy: int = 0,
+                    workers_stalled: int = 0,
+                    extras: dict | None = None,
+                    now: float | None = None) -> TelemetrySample:
+    """The one mapping from raw campaign counts to the flat namespace,
+    fed by a live ``ProgressSnapshot`` (:func:`build_sample`) and by a
+    store polled from disk (``MonitorState.sample``) alike.
+
+    Always present: ``campaign.done``, ``campaign.quarantined``,
+    ``workers.alive|busy|stalled`` and the source's ``extras`` (full
+    gauge names; ``None`` values dropped).  Once the total is known:
+    ``campaign.total``, ``campaign.remaining``.  Only once defined — so
+    a rule over them is ``no_data``, not trivially passing or breaching,
+    before the campaign starts: ``campaign.quarantine_rate`` (first
+    attempt), ``campaign.divergence_rate`` (first completion),
+    ``campaign.throughput`` / ``campaign.eta_seconds`` (first measured
+    completion rate).
+    """
+    attempted = done + quarantined
+    gauges = {
+        "campaign.done": float(done),
+        "campaign.quarantined": float(quarantined),
+        "workers.alive": float(workers_alive),
+        "workers.busy": float(workers_busy),
+        "workers.stalled": float(workers_stalled),
+    }
+    if total is not None:
+        gauges["campaign.total"] = float(total)
+        gauges["campaign.remaining"] = float(max(total - attempted, 0))
+    if attempted:
+        gauges["campaign.quarantine_rate"] = quarantined / attempted
+    if done:
+        diverged = sum(count for outcome, count in breakdown.items()
+                       if outcome in DIVERGENCE_OUTCOMES)
+        gauges["campaign.divergence_rate"] = diverged / done
+    if throughput:
+        gauges["campaign.throughput"] = float(throughput)
+    if eta is not None:
+        gauges["campaign.eta_seconds"] = float(eta)
+    gauges.update({name: float(value) for name, value
+                   in (extras or {}).items() if value is not None})
+    return TelemetrySample(
+        t=time.time() if now is None else now, gauges=gauges,
+        outcomes={k: int(v) for k, v in sorted(breakdown.items())})
 
 
 def build_sample(progress=None, registry: MetricsRegistry | None = None,
@@ -128,7 +175,23 @@ def build_sample(progress=None, registry: MetricsRegistry | None = None,
     before the engine starts); ``registry`` defaults to the process
     -global :data:`~repro.observe.counters.REGISTRY`.
     """
-    sample = TelemetrySample(t=time.time() if now is None else now)
+    if progress is None:
+        sample = TelemetrySample(t=time.time() if now is None else now)
+    else:
+        workers = progress.workers.values()
+        sample = campaign_sample(
+            done=progress.done, quarantined=progress.quarantined,
+            breakdown=progress.breakdown, total=progress.total,
+            throughput=progress.throughput, eta=progress.eta,
+            workers_alive=len(workers),
+            workers_busy=sum(w.busy_key is not None for w in workers),
+            workers_stalled=len(progress.stalled_workers()),
+            extras={
+                "campaign.skipped": progress.skipped,
+                "campaign.retries": progress.retries,
+                "campaign.elapsed_seconds": progress.elapsed,
+                "workers.restarts": sum(w.restarts for w in workers),
+            }, now=now)
     registry = REGISTRY if registry is None else registry
     for name, summary in registry.snapshot().items():
         if summary.get("type") == "counter":
@@ -136,37 +199,6 @@ def build_sample(progress=None, registry: MetricsRegistry | None = None,
         elif summary.get("type") == "histogram":
             sample.histograms[name] = {
                 k: v for k, v in summary.items() if k != "type"}
-    if progress is not None:
-        attempted = progress.done + progress.quarantined
-        gauges = {
-            "campaign.total": float(progress.total),
-            "campaign.done": float(progress.done),
-            "campaign.skipped": float(progress.skipped),
-            "campaign.quarantined": float(progress.quarantined),
-            "campaign.retries": float(progress.retries),
-            "campaign.remaining": float(progress.remaining),
-            "campaign.elapsed_seconds": float(progress.elapsed),
-            "campaign.throughput": float(progress.throughput),
-            "campaign.quarantine_rate": (
-                progress.quarantined / attempted if attempted else 0.0),
-        }
-        if progress.eta is not None and _finite(progress.eta):
-            gauges["campaign.eta_seconds"] = float(progress.eta)
-        completed = sum(progress.breakdown.values())
-        diverged = sum(count for outcome, count in progress.breakdown.items()
-                       if outcome in DIVERGENCE_OUTCOMES)
-        gauges["campaign.divergence_rate"] = (
-            diverged / completed if completed else 0.0)
-        workers = progress.workers
-        gauges["workers.alive"] = float(len(workers))
-        gauges["workers.busy"] = float(sum(
-            w.busy_key is not None for w in workers.values()))
-        gauges["workers.restarts"] = float(sum(
-            w.restarts for w in workers.values()))
-        gauges["workers.stalled"] = float(len(progress.stalled_workers()))
-        sample.gauges.update(gauges)
-        sample.outcomes = {k: int(v) for k, v in
-                           sorted(progress.breakdown.items())}
     return sample
 
 
@@ -332,15 +364,13 @@ class TelemetrySampler:
                  buffer: SeriesBuffer | None = None,
                  path: str | Path | None = None,
                  meta: dict | None = None,
-                 slo_engine=None,
-                 clock=time.time):
+                 slo_engine=None):
         if interval <= 0:
             raise ValueError("sampler interval must be positive")
         self.provider = provider
         self.interval = float(interval)
         self.buffer = buffer if buffer is not None else SeriesBuffer()
         self.slo_engine = slo_engine
-        self._clock = clock
         self._writer = SeriesWriter(path, meta=meta) if path else None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None

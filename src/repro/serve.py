@@ -1,107 +1,111 @@
-"""Scrapeable telemetry endpoint for live campaigns.
+"""The telemetry service: one object behind every scrapeable endpoint.
 
 A paper-scale campaign should behave like a service, not a script: while
 it runs, anything — a Prometheus scraper, a cron gate, an operator with
-``curl`` — can ask how it is doing.  This module serves that view with
-nothing beyond the stdlib ``http.server``:
+``curl`` — can ask how it is doing.  :class:`TelemetryService` is that
+answer for all three telemetry sources, which differ only in the
+zero-argument *provider* handed to it: ``lambda:
+build_sample(engine.progress())`` (``repro campaign --serve``),
+``lambda: collect(store).sample()`` (``repro monitor --serve``,
+:func:`serve_monitor`) and ``ServingEngine.sample`` (``repro
+serve-infer``).
 
-* ``/metrics``  — Prometheus/OpenMetrics text of the latest sample;
-* ``/healthz``  — liveness + degradation summary (HTTP 503 while any
-  critical SLO rule fires or workers stall);
-* ``/progress`` — deterministic JSON of campaign progress;
-* ``/alerts``   — SLO rule states plus legacy alert strings;
-* ``/``         — endpoint index.
-
-The server only ever reads the latest :class:`TelemetrySample` published
-by a :class:`~repro.observe.timeseries.TelemetrySampler`; nothing in a
-request handler touches training state, so a slow or hostile scraper
-cannot perturb the campaign (the sampler itself stays inside the ≤5%
-observability budget pinned by ``bench_observe_overhead``).
-
-:class:`CampaignTelemetry` bundles sampler + server + SLO engine for a
-live engine run (``repro campaign --serve``); :func:`serve_monitor`
-drives the same stack from polled on-disk state (``repro monitor
---serve``), so a finished or remote campaign is scrapeable too.
+The service owns the sampler (so the sample ring and the
+``<store>.series.jsonl`` file), the SLO engine, and the
+:class:`~repro.httpcore.HTTPServer` its routes — ``/metrics``,
+``/healthz`` (503 while degraded), ``/progress``, ``/alerts`` — are
+mounted on next to the caller's extra ``routes``.  The latest sample
+*is* the newest entry of the sampler's ring; handlers (run on the HTTP
+core's loop thread, see :mod:`repro.httpcore`) read only that ring, the
+SLO engine's last statuses and ``alerts``, never training state, so a
+slow or hostile scraper cannot perturb the campaign.  The sample
+namespace is stated on :func:`repro.observe.timeseries.campaign_sample`.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.observe import REGISTRY
+from repro.httpcore import DEFAULT_HOST, JSON, HTTPServer
 from repro.observe.export import dumps_json, render_prometheus
 from repro.observe.slo import SLOEngine, SLORule
 from repro.observe.timeseries import (
     SeriesBuffer,
     TelemetrySample,
     TelemetrySampler,
-    build_sample,
     series_path,
 )
 
-#: Default bind host: telemetry is an operator surface, not a public
-#: one — bind loopback unless explicitly told otherwise.
-DEFAULT_HOST = "127.0.0.1"
 
-ENDPOINTS = ("/metrics", "/healthz", "/progress", "/alerts")
+class TelemetryService:
+    """Sampler + SLO engine + series file + HTTP routes for one provider.
 
+    ``with service:`` is the thread-hosted lifecycle (server thread +
+    sampler thread, what ``repro campaign --serve`` uses); a caller with
+    its own loop awaits ``service.server.start()`` instead.
+    """
 
-class TelemetryHub:
-    """Thread-safe bridge between the sampler and request handlers."""
-
-    def __init__(self, meta: dict | None = None,
-                 slo_engine: SLOEngine | None = None):
+    def __init__(self, provider, *, rules: list[SLORule] | None = None,
+                 store_path: str | Path | None = None,
+                 interval: float = 1.0, meta: dict | None = None,
+                 host: str = DEFAULT_HOST, port: int = 0,
+                 routes: dict | None = None):
         self.meta = dict(meta or {})
-        self.slo_engine = slo_engine
-        self._lock = threading.Lock()
-        self._sample: TelemetrySample | None = None
+        self.slo = SLOEngine(list(rules or []))
+        #: Where the series is persisted (None without a store).
+        self.series_path = series_path(store_path) if store_path else None
+        self.sampler = TelemetrySampler(
+            provider, interval=interval, path=self.series_path,
+            meta=self.meta, slo_engine=self.slo)
         #: Legacy alert strings (monitor-style), shown next to SLO states.
-        self._alerts: list[str] = []
-        self.scrapes = 0
+        self.alerts: list[str] = []
+        self.server = HTTPServer({**self.routes(), **(routes or {})},
+                                 host=host, port=port, meta=self.meta)
 
-    # ------------------------------------------------------------------
-    # Publishing (sampler side)
-    # ------------------------------------------------------------------
-    def publish(self, sample: TelemetrySample | None,
-                alerts: list[str] | None = None) -> None:
-        with self._lock:
-            if sample is not None:
-                self._sample = sample
-            if alerts is not None:
-                self._alerts = list(alerts)
+    @property
+    def buffer(self) -> SeriesBuffer:
+        return self.sampler.buffer
 
-    # ------------------------------------------------------------------
-    # Reading (handler side)
-    # ------------------------------------------------------------------
+    @property
+    def url(self) -> str:
+        return self.server.url
+
     def latest(self) -> TelemetrySample | None:
-        with self._lock:
-            return self._sample
+        return self.buffer.latest()
 
-    def alerts(self) -> list[str]:
-        with self._lock:
-            return list(self._alerts)
+    def breached(self, severity: str = "critical") -> list[str]:
+        """Rules of at least ``severity`` that fired at any point."""
+        return self.slo.breached(severity)
 
-    def slo_statuses(self) -> list[dict]:
-        if self.slo_engine is None:
-            return []
-        return [status.to_dict() for status in self.slo_engine.statuses]
+    # ------------------------------------------------------------------
+    # Endpoints
+    # ------------------------------------------------------------------
+    def routes(self) -> dict:
+        """The telemetry route table (see :mod:`repro.httpcore`)."""
+        def healthz(_body):
+            healthy, payload = self.health()
+            return (200 if healthy else 503,
+                    json.dumps(payload, indent=2, sort_keys=True), JSON)
 
-    def metrics_text(self) -> str:
-        return render_prometheus(self.latest())
-
-    def progress_json(self) -> str:
-        return dumps_json(self.latest(), meta=self.meta)
+        return {
+            ("GET", "/metrics"): lambda _body: (
+                200, render_prometheus(self.latest()),
+                "text/plain; version=0.0.4; charset=utf-8"),
+            ("GET", "/healthz"): healthz,
+            ("GET", "/progress"): lambda _body: (
+                200, dumps_json(self.latest(), meta=self.meta), JSON),
+            ("GET", "/alerts"): lambda _body: (200, self.alerts_json(), JSON),
+        }
 
     def alerts_json(self) -> str:
-        firing = [s for s in self.slo_statuses() if s["state"] == "firing"]
+        statuses = [status.to_dict() for status in self.slo.statuses]
         return json.dumps({
-            "slo": self.slo_statuses(),
-            "firing": [s["rule"] for s in firing],
-            "alerts": self.alerts(),
+            "slo": statuses,
+            "firing": [s["rule"] for s in statuses
+                       if s["state"] == "firing"],
+            "alerts": list(self.alerts),
         }, indent=2, sort_keys=True)
 
     def health(self) -> tuple[bool, dict]:
@@ -111,178 +115,31 @@ class TelemetryHub:
         raised, or workers are stalled in the latest sample.
         """
         sample = self.latest()
-        reasons: list[str] = []
-        for status in self.slo_statuses():
-            if status["state"] == "firing" and \
-                    status["severity"] == "critical":
-                reasons.append(f"slo:{status['rule']}")
-        reasons.extend(f"alert:{a}" for a in self.alerts())
-        stalled = 0
-        age = None
-        if sample is not None:
-            stalled = int(sample.gauges.get("workers.stalled", 0))
-            age = max(time.time() - sample.t, 0.0)
+        stalled = int(sample.gauges.get("workers.stalled", 0)) if sample else 0
+        reasons = [f"slo:{status.rule}" for status in self.slo.statuses
+                   if status.firing and status.severity == "critical"]
+        reasons += [f"alert:{alert}" for alert in self.alerts]
         if stalled:
             reasons.append(f"stalled_workers:{stalled}")
         payload = {
             "status": "ok" if not reasons else "degraded",
             "reasons": reasons,
-            "last_sample_age_s": age,
-            "scrapes": self.scrapes,
+            "last_sample_age_s": (max(time.time() - sample.t, 0.0)
+                                  if sample else None),
+            "scrapes": self.server.scrapes,
         }
         return not reasons, payload
 
-
-def _make_handler(hub: TelemetryHub):
-    class TelemetryHandler(BaseHTTPRequestHandler):
-        server_version = "repro-telemetry/1"
-
-        def log_message(self, *args) -> None:  # silence per-request noise
-            pass
-
-        def _respond(self, status: int, body: str,
-                     content_type: str) -> None:
-            data = body.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def do_GET(self) -> None:  # noqa: N802 - http.server API
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            hub.scrapes += 1
-            try:
-                if path == "/metrics":
-                    self._respond(200, hub.metrics_text(),
-                                  "text/plain; version=0.0.4; charset=utf-8")
-                elif path == "/healthz":
-                    healthy, payload = hub.health()
-                    self._respond(200 if healthy else 503,
-                                  json.dumps(payload, indent=2,
-                                             sort_keys=True),
-                                  "application/json")
-                elif path == "/progress":
-                    self._respond(200, hub.progress_json(),
-                                  "application/json")
-                elif path == "/alerts":
-                    self._respond(200, hub.alerts_json(), "application/json")
-                elif path == "/":
-                    self._respond(200, json.dumps(
-                        {"endpoints": list(ENDPOINTS), "meta": hub.meta},
-                        indent=2, sort_keys=True), "application/json")
-                else:
-                    self._respond(404, json.dumps(
-                        {"error": f"unknown path {path!r}",
-                         "endpoints": list(ENDPOINTS)}), "application/json")
-            except BrokenPipeError:  # scraper went away mid-response
-                pass
-
-    return TelemetryHandler
-
-
-class TelemetryServer:
-    """A threaded HTTP server over one :class:`TelemetryHub`."""
-
-    def __init__(self, hub: TelemetryHub, port: int = 0,
-                 host: str = DEFAULT_HOST):
-        self.hub = hub
-        self.httpd = ThreadingHTTPServer((host, port), _make_handler(hub))
-        self.httpd.daemon_threads = True
-        self.host = host
-        #: The bound port (resolves port 0 to the ephemeral choice).
-        self.port = self.httpd.server_address[1]
-        self.url = f"http://{host}:{self.port}"
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> "TelemetryServer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.httpd.serve_forever,
-                kwargs={"poll_interval": 0.1},
-                daemon=True, name="repro-telemetry-server")
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self.httpd.shutdown()
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        self.httpd.server_close()
-
-    def __enter__(self) -> "TelemetryServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-class CampaignTelemetry:
-    """Sampler + server + SLO engine for one live engine-driven run.
-
-    Usage (what ``repro campaign --serve`` does)::
-
-        telemetry = CampaignTelemetry(store_path="camp.jsonl", port=0,
-                                      rules=load_rules("slo.json"))
-        telemetry.start()
-        campaign.run(..., on_engine=telemetry.on_engine)
-        telemetry.stop()
-        if telemetry.breached():
-            sys.exit(1)
-
-    The sampler reads only the engine's published progress snapshots and
-    the global metrics registry; the series lands next to the store.
-    """
-
-    def __init__(self, store_path: str | Path | None = None,
-                 port: int = 0, host: str = DEFAULT_HOST,
-                 interval: float = 1.0,
-                 rules: list[SLORule] | None = None,
-                 registry=REGISTRY, meta: dict | None = None,
-                 buffer_len: int = 720):
-        self.meta = dict(meta or {})
-        self.slo = SLOEngine(rules or [])
-        self.hub = TelemetryHub(meta=self.meta, slo_engine=self.slo)
-        self.buffer = SeriesBuffer(maxlen=buffer_len)
-        self._registry = registry
-        self._engine = None
-        path = series_path(store_path) if store_path else None
-        self.sampler = TelemetrySampler(
-            self._provider, interval=interval, buffer=self.buffer,
-            path=path, meta=self.meta, slo_engine=self.slo)
-        self.series_path = path
-        self.server = TelemetryServer(self.hub, port=port, host=host)
-        self.url = self.server.url
-
-    # ------------------------------------------------------------------
-    def on_engine(self, engine) -> None:
-        """Engine hook: called by ``Campaign.run`` once the engine
-        exists, so the sampler can read its progress snapshots."""
-        self._engine = engine
-
-    def _provider(self) -> TelemetrySample:
-        engine = self._engine
-        progress = engine.progress() if engine is not None else None
-        sample = build_sample(progress=progress, registry=self._registry)
-        self.hub.publish(sample)
-        return sample
-
-    # ------------------------------------------------------------------
-    def start(self) -> "CampaignTelemetry":
-        self.server.start()
+    def start(self) -> "TelemetryService":
+        self.server.start_thread()
         self.sampler.start()
         return self
 
     def stop(self) -> None:
-        self.sampler.stop(final_sample=True)
-        self.server.stop()
+        self.sampler.stop()  # takes the final sample
+        self.server.stop_thread()
 
-    def breached(self, severity: str = "critical") -> list[str]:
-        """Rules of at least ``severity`` that fired at any point."""
-        return self.slo.breached(severity)
-
-    def __enter__(self) -> "CampaignTelemetry":
+    def __enter__(self) -> "TelemetryService":
         return self.start()
 
     def __exit__(self, *exc) -> None:
@@ -300,51 +157,48 @@ def serve_monitor(store_path: str | Path, port: int = 0,
     """Poll a store into a served telemetry endpoint until the campaign
     completes (or ``max_polls`` observations).
 
-    This is the post-hoc twin of :class:`CampaignTelemetry`: the
-    provider is :func:`repro.engine.monitor.collect` over the on-disk
-    store + shards, so it works from any machine that can read the
-    filesystem — including against a crashed or finished run.  Returns
-    ``{"polls", "alerts", "slo_breached", "url"}``.
+    The post-hoc twin of ``repro campaign --serve``: the provider is
+    :func:`repro.engine.monitor.collect` over the on-disk store +
+    shards, so it works from any machine that can read the filesystem —
+    including against a crashed or finished run.  Returns
+    ``{"polls", "alerts", "slo_breached", "url", "statuses"}``.
     """
-    from repro.engine.monitor import collect, evaluate_alerts, telemetry_sample
+    from repro.engine.monitor import collect, evaluate_alerts
 
     store_path = Path(store_path)
-    slo = SLOEngine(rules or [])
-    hub = TelemetryHub(meta={"store": store_path.name}, slo_engine=slo)
-    buffer = SeriesBuffer()
-    last_alerts: list[str] = []
-    state_box = {"complete": False}
+    state = None
 
     def provider() -> TelemetrySample:
+        nonlocal state
         state = collect(store_path, stall_after=stall_after)
-        alerts = evaluate_alerts(
+        service.alerts = evaluate_alerts(
             state, max_quarantine_rate=max_quarantine_rate,
             max_divergence_rate=max_divergence_rate)
-        last_alerts[:] = alerts
-        if state.total is not None and state.attempted >= state.total:
-            state_box["complete"] = True
-        sample = telemetry_sample(state)
-        hub.publish(sample, alerts=alerts)
-        if on_poll is not None:
-            on_poll(state)
-        return sample
+        return state.sample()
 
-    sampler = TelemetrySampler(provider, interval=interval, buffer=buffer,
-                               slo_engine=slo)
+    service = TelemetryService(provider, rules=rules, interval=interval,
+                               meta={"store": store_path.name},
+                               host=host, port=port)
+    sampler = service.sampler
     polls = 0
-    with TelemetryServer(hub, port=port, host=host) as server:
+    service.server.start_thread()
+    try:
         if on_start is not None:
-            on_start(server.url)
-        sampler.sample_once()
-        polls += 1
-        while not state_box["complete"]:
-            if max_polls is not None and polls >= max_polls:
+            on_start(service.url)
+        while True:
+            # on_poll runs once the observation is scrapeable.
+            if sampler.sample_once() is not None and on_poll is not None:
+                on_poll(state)
+            polls += 1
+            complete = (state is not None and state.total is not None
+                        and state.attempted >= state.total)
+            if complete or (max_polls is not None and polls >= max_polls):
                 break
             time.sleep(interval)
-            sampler.sample_once()
-            polls += 1
+    finally:
+        service.server.stop_thread()
     if sampler.last_error is not None and sampler.samples_taken == 0:
         raise RuntimeError(f"monitor polling failed: {sampler.last_error}")
-    return {"polls": polls, "alerts": list(last_alerts),
-            "slo_breached": slo.breached(), "url": server.url,
-            "statuses": [s.to_dict() for s in slo.statuses]}
+    return {"polls": polls, "alerts": list(service.alerts),
+            "slo_breached": service.breached(), "url": service.url,
+            "statuses": [s.to_dict() for s in service.slo.statuses]}

@@ -12,9 +12,9 @@ from repro.serving.batcher import DynamicBatcher, ShedError
 from repro.serving.loadgen import render_loadgen, run_loadgen
 from repro.serving.server import (
     DEFAULT_SERVING_RULES,
-    InferenceServer,
     ServingEngine,
     run_service,
+    serving_routes,
 )
 from repro.serving.session import FaultPlane, InferenceSession
 
@@ -22,11 +22,11 @@ __all__ = [
     "DEFAULT_SERVING_RULES",
     "DynamicBatcher",
     "FaultPlane",
-    "InferenceServer",
     "InferenceSession",
     "ServingEngine",
     "ShedError",
     "run_loadgen",
     "render_loadgen",
     "run_service",
+    "serving_routes",
 ]

@@ -1,4 +1,4 @@
-"""Serving engine, asyncio HTTP front-end, and service driver.
+"""Serving engine, its HTTP routes, and the service driver.
 
 Three layers, separable for tests:
 
@@ -10,14 +10,16 @@ Three layers, separable for tests:
   -> optional batch recovery (re-serve the fault-free re-execution, the
   serving analogue of the paper's two-iteration rewind).  All metrics
   land in a per-engine :class:`~repro.observe.counters.MetricsRegistry`.
-* :class:`InferenceServer` — a minimal asyncio HTTP/1.1 server (stdlib
-  only, ``Connection: close``) exposing ``POST /predict`` next to the
-  telemetry surface (``/metrics``, ``/healthz``, ``/progress``,
-  ``/alerts``) rendered by the same :class:`~repro.serve.TelemetryHub`
-  the campaign service uses.
-* :func:`run_service` — wires engine + server + sampler + SLO engine
-  and runs until a duration elapses or the task is cancelled; the
-  telemetry series lands in ``<store>.series.jsonl``.
+* :func:`serving_routes` — ``POST /predict`` and ``GET /workload`` as
+  route-table entries for the one HTTP core (:mod:`repro.httpcore`),
+  mounted next to the telemetry surface (``/metrics``, ``/healthz``,
+  ``/progress``, ``/alerts``) of the same
+  :class:`~repro.serve.TelemetryService` the campaign service uses.
+* :func:`run_service` — hands ``ServingEngine.sample`` to a
+  :class:`~repro.serve.TelemetryService`, hosts its server on the
+  running loop next to the batcher, and runs until a duration elapses
+  or the task is cancelled; the telemetry series lands in
+  ``<store>.series.jsonl``.
 
 Detection semantics: with ``fault_rate == 0`` nothing is armed and the
 response bytes are bit-identical to a direct ``model.forward`` of the
@@ -34,14 +36,16 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.analysis.classify import InferenceOutcome, classify_inference_rows
 from repro.observe.counters import MetricsRegistry
-from repro.observe.slo import SLOEngine, SLORule
-from repro.observe.timeseries import TelemetrySampler, build_sample, series_path
-from repro.serve import DEFAULT_HOST, TelemetryHub
+from repro.httpcore import DEFAULT_HOST, JSON, error
+from repro.observe.slo import SLORule
+from repro.observe.timeseries import build_sample
+from repro.serve import TelemetryService
 from repro.serving.batcher import DynamicBatcher, ShedError
 from repro.serving.session import FaultPlane, InferenceSession
 
@@ -221,141 +225,35 @@ class ServingEngine:
 
 
 # ----------------------------------------------------------------------
-# Asyncio HTTP front-end
+# HTTP routes (mounted next to the telemetry routes on the one core)
 # ----------------------------------------------------------------------
-_JSON = "application/json"
+def serving_routes(engine: ServingEngine) -> dict:
+    """``POST /predict`` (a coroutine handler: host the server on the
+    loop the batcher runs on) and ``GET /workload`` over one engine."""
+    session = engine.session
 
-
-class InferenceServer:
-    """Minimal asyncio HTTP/1.1 server over one :class:`ServingEngine`.
-
-    One request per connection (``Connection: close``) keeps the parser
-    trivial; the load generator and smoke scripts speak the same
-    dialect.  Telemetry endpoints delegate to the shared
-    :class:`~repro.serve.TelemetryHub` so scrapers see the exact surface
-    ``repro campaign --serve`` exposes.
-    """
-
-    def __init__(self, engine: ServingEngine, hub: TelemetryHub,
-                 host: str = DEFAULT_HOST, port: int = 0):
-        self.engine = engine
-        self.hub = hub
-        self.host = host
-        self.port = int(port)
-        self.url = ""
-        self._server: asyncio.AbstractServer | None = None
-        self._batcher_task: asyncio.Task | None = None
-
-    async def start(self) -> "InferenceServer":
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.url = f"http://{self.host}:{self.port}"
-        self._batcher_task = asyncio.create_task(self.engine.batcher.run())
-        return self
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self.engine.batcher.stop()
-        if self._batcher_task is not None:
-            await self._batcher_task
-            self._batcher_task = None
-
-    # ------------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
+    async def predict(body: bytes) -> tuple[int, str, str]:
         try:
-            status, body, ctype = await self._respond(reader)
-            data = body.encode("utf-8")
-            phrase = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                      503: "Service Unavailable",
-                      500: "Internal Server Error"}.get(status, "OK")
-            head = (f"HTTP/1.1 {status} {phrase}\r\n"
-                    f"Content-Type: {ctype}\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: close\r\n\r\n")
-            writer.write(head.encode("utf-8") + data)
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    async def _respond(self, reader) -> tuple[int, str, str]:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, json.dumps({"error": "malformed request line"}), _JSON
-        method, path = parts[0].upper(), parts[1].split("?", 1)[0]
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        body = await reader.readexactly(length) if length else b""
-
-        if method == "POST" and path == "/predict":
-            return await self._predict(body)
-        if method != "GET":
-            return 404, json.dumps({"error": f"no route {method} {path}"}), \
-                _JSON
-        path = path.rstrip("/") or "/"
-        self.hub.scrapes += 1
-        if path == "/metrics":
-            return 200, self.hub.metrics_text(), \
-                "text/plain; version=0.0.4; charset=utf-8"
-        if path == "/healthz":
-            healthy, payload = self.hub.health()
-            return (200 if healthy else 503,
-                    json.dumps(payload, indent=2, sort_keys=True), _JSON)
-        if path == "/progress":
-            return 200, self.hub.progress_json(), _JSON
-        if path == "/alerts":
-            return 200, self.hub.alerts_json(), _JSON
-        if path == "/workload":
-            return 200, json.dumps({
-                "workload": self.engine.session.spec.name,
-                "num_samples": self.engine.session.num_samples,
-                "fault_rate": self.engine.plane.rate,
-                "max_batch": self.engine.batcher.max_batch,
-            }, sort_keys=True), _JSON
-        if path == "/":
-            return 200, json.dumps({
-                "endpoints": ["/predict", "/workload", "/metrics",
-                              "/healthz", "/progress", "/alerts"],
-                "meta": self.hub.meta}, indent=2, sort_keys=True), _JSON
-        return 404, json.dumps({"error": f"unknown path {path!r}"}), _JSON
-
-    async def _predict(self, body: bytes) -> tuple[int, str, str]:
-        try:
-            payload = json.loads(body.decode("utf-8") or "{}")
-            index = int(payload["index"])
+            index = int(json.loads(body.decode("utf-8") or "{}")["index"])
         except (ValueError, KeyError, TypeError):
-            return 400, json.dumps(
-                {"error": "body must be JSON with an integer 'index'"}), _JSON
-        if not 0 <= index < self.engine.session.num_samples:
-            return 400, json.dumps(
-                {"error": f"index out of range "
-                          f"[0, {self.engine.session.num_samples})"}), _JSON
+            return error(400, "body must be JSON with an integer 'index'")
+        if not 0 <= index < session.num_samples:
+            return error(
+                400, f"index out of range [0, {session.num_samples})")
         try:
-            result = await self.engine.predict(index)
+            return 200, json.dumps(await engine.predict(index)), JSON
         except ShedError as exc:
-            return 503, json.dumps({"error": "shed", "detail": str(exc)}), \
-                _JSON
-        except Exception as exc:  # noqa: BLE001 - surface as HTTP 500
-            return 500, json.dumps(
-                {"error": f"{type(exc).__name__}: {exc}"}), _JSON
-        return 200, json.dumps(result), _JSON
+            return error(503, "shed", detail=str(exc))
+
+    def workload(_body: bytes) -> tuple[int, str, str]:
+        return 200, json.dumps({
+            "workload": session.spec.name,
+            "num_samples": session.num_samples,
+            "fault_rate": engine.plane.rate,
+            "max_batch": engine.batcher.max_batch,
+        }, sort_keys=True), JSON
+
+    return {("POST", "/predict"): predict, ("GET", "/workload"): workload}
 
 
 # ----------------------------------------------------------------------
@@ -369,49 +267,36 @@ async def run_service(engine: ServingEngine, *, host: str = DEFAULT_HOST,
                       announce=None) -> dict:
     """Serve until ``duration`` elapses (or cancellation); returns the
     run summary with the list of SLO rules that ever fired."""
-    slo = SLOEngine(list(rules if rules is not None
-                         else DEFAULT_SERVING_RULES))
-    meta = {"workload": engine.session.spec.name, "kind": "serving",
-            "fault_rate": engine.plane.rate}
-    hub = TelemetryHub(meta=meta, slo_engine=slo)
-
-    def provider():
-        sample = engine.sample()
-        hub.publish(sample)
-        return sample
-
-    sampler = TelemetrySampler(
-        provider, interval=interval,
-        path=series_path(store) if store else None,
-        meta=meta, slo_engine=slo)
-    server = InferenceServer(engine, hub, host=host, port=port)
-    await server.start()
-    sampler.start()
+    service = TelemetryService(
+        engine.sample, store_path=store, interval=interval, host=host,
+        port=port, routes=serving_routes(engine),
+        rules=list(rules if rules is not None else DEFAULT_SERVING_RULES),
+        meta={"workload": engine.session.spec.name, "kind": "serving",
+              "fault_rate": engine.plane.rate})
+    await service.server.start()
+    batcher_task = asyncio.create_task(engine.batcher.run())
+    service.sampler.start()
     if announce is not None:
-        announce(f"serving: {engine.session.spec.name} on {server.url} "
+        announce(f"serving: {engine.session.spec.name} on {service.url} "
                  f"(fault-rate {engine.plane.rate:g})")
-    cancelled = False
     try:
         if duration is None:
             await asyncio.Event().wait()  # until cancelled
         else:
             await asyncio.sleep(duration)
-    except asyncio.CancelledError:
-        cancelled = True
     finally:
         # Runs on the normal path, cancellation, *and* interrupts: the
         # summary and the on-disk store must reflect whatever was served.
-        await server.stop()
-        sampler.stop()
+        await service.server.stop()
+        engine.batcher.stop()
+        await batcher_task
+        service.sampler.stop()
         summary = engine.summary()
-        summary["breached"] = sorted(slo.ever_fired)
-        summary["breached_critical"] = slo.breached("critical")
+        summary["breached"] = sorted(service.slo.ever_fired)
+        summary["breached_critical"] = service.breached("critical")
         if store is not None:
-            from pathlib import Path
             Path(store).write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8")
-            summary["series_path"] = str(series_path(store))
-    if cancelled:
-        raise asyncio.CancelledError
+            summary["series_path"] = str(service.series_path)
     return summary

@@ -1,8 +1,11 @@
 """Tests for the live campaign monitor (repro.engine.monitor)."""
 
+import contextlib
+import io
 import json
 import os
 import time
+import urllib.request
 
 import pytest
 
@@ -11,14 +14,20 @@ from repro.engine import (
     ResultStore,
     collect,
     evaluate_alerts,
-    monitor_flat_metrics,
     render_html,
     render_markdown,
     render_text,
-    telemetry_sample,
 )
 from repro.engine.worker import UnitCapture
-from repro.observe import DETECTOR_FIRED, ITERATION_STATS, Tracer, shard_path
+from repro.observe import (
+    DETECTOR_FIRED,
+    ITERATION_STATS,
+    TelemetrySample,
+    Tracer,
+    read_series,
+    shard_path,
+)
+from repro.serve import serve_monitor
 
 
 def _fixture_store(path, outcomes=("ok", "ok", "latent_inf_nan"),
@@ -207,36 +216,140 @@ class TestMonitorCli:
         assert "5/6 done" in capsys.readouterr().out
 
 
-class TestFlatMetricsAndSample:
-    def test_monitor_flat_metrics_namespace(self, tmp_path):
-        state = collect(_fixture_store(tmp_path / "r.jsonl"))
-        flat = monitor_flat_metrics(state)
-        assert flat["campaign.completed"] == 3.0
-        assert flat["campaign.quarantined"] == 1.0
-        assert flat["campaign.quarantine_rate"] == pytest.approx(0.25)
-        assert flat["campaign.divergence_rate"] == pytest.approx(1 / 3)
-        assert flat["workers.stalled"] == 0.0
+# ----------------------------------------------------------------------
+# One namespace, three sources: the same campaign observed live (the
+# samples `campaign --serve` builds from `engine.progress()`), from disk
+# (`collect` -> sample) and through `serve_monitor` must read the same
+# under every name a rule can address — so one rules file must gate
+# every CLI path the same way.
+# ----------------------------------------------------------------------
+#: Gauges each source measures on its own clock; present once measured
+#: but not comparable across sources.
+WALL_CLOCK = {"campaign.throughput", "campaign.eta_seconds",
+              "campaign.elapsed_seconds",
+              "campaign.last_result_age_seconds"}
+UNDEFINED_AT_ZERO = WALL_CLOCK - {"campaign.elapsed_seconds"} | {
+    "campaign.quarantine_rate", "campaign.divergence_rate"}
 
-    def test_rates_absent_before_any_data(self, tmp_path):
-        # An empty campaign must leave rate metrics out (no_data), not
-        # report a trivially-passing 0.0.
-        store_path = _fixture_store(tmp_path / "r.jsonl", outcomes=(),
-                                    quarantined=())
-        flat = monitor_flat_metrics(collect(store_path))
-        assert "campaign.quarantine_rate" not in flat
-        assert "campaign.divergence_rate" not in flat
-        assert flat["campaign.completed"] == 0.0
 
-    def test_telemetry_sample_mirrors_state(self, tmp_path):
-        state = collect(_fixture_store(tmp_path / "r.jsonl"))
-        sample = telemetry_sample(state, now=123.0)
-        assert sample.t == 123.0
-        assert sample.gauges["campaign.done"] == 3.0
-        assert sample.gauges["campaign.total"] == 6.0
-        assert sample.gauges["campaign.remaining"] == 2.0
-        assert sample.outcomes == {"latent_inf_nan": 1, "ok": 2}
-        # The flat view feeds the same SLO namespace the rules address.
-        assert sample.flat()["outcome.latent_inf_nan"] == 1.0
+def _served_sample(store_path) -> TelemetrySample:
+    """What a scraper of `monitor --serve` reads for this store."""
+    urls, bodies = [], []
+
+    def scrape(_state):
+        with urllib.request.urlopen(urls[0] + "/progress",
+                                    timeout=5) as response:
+            bodies.append(json.loads(response.read()))
+
+    serve_monitor(store_path, port=0, interval=0.01, max_polls=1,
+                  on_start=urls.append, on_poll=scrape)
+    return TelemetrySample.from_dict(
+        {"t": bodies[0]["t"], **bodies[0]["sample"]})
+
+
+def _shared(sample: TelemetrySample) -> dict[str, float]:
+    return {name: value for name, value in sample.flat().items()
+            if name.startswith(("campaign.", "outcome."))
+            and name not in WALL_CLOCK}
+
+
+class TestOneNamespace:
+    RULES = [
+        # Fires on any finished 3-experiment campaign; at the parent of
+        # this test `monitor --json --slo` called the gauge
+        # `campaign.completed` and reported no_data / exit 0.
+        {"name": "done-floor", "metric": "campaign.done", "min": 100},
+        {"name": "qrate-ceiling", "metric": "campaign.quarantine_rate",
+         "max": 0.9},
+    ]
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        """One small live campaign served with the rules file; the
+        series it leaves behind is the live source's own samples."""
+        tmp = tmp_path_factory.mktemp("one-namespace")
+        rules = tmp / "rules.json"
+        rules.write_text(json.dumps(self.RULES), encoding="utf-8")
+        store = tmp / "camp.jsonl"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = main(["campaign", "resnet", "--experiments", "3",
+                       "--devices", "2", "--store", str(store),
+                       "--serve", "0", "--serve-interval", "0.05",
+                       "--slo", str(rules)])
+        empty = ResultStore(tmp / "empty.jsonl", kind="campaign",
+                            meta={"workload": "resnet",
+                                  "num_experiments": 3})
+        empty.close()
+        _, live = read_series(store.with_name("camp.series.jsonl"))
+        return {"store": store, "empty": tmp / "empty.jsonl",
+                "rules": rules, "live": live,
+                "campaign-serve": (rc, stderr.getvalue())}
+
+    @pytest.mark.parametrize("source", ["live", "disk", "served"])
+    def test_sources_agree_and_one_rules_file_gates_every_path(
+            self, campaign, source, capsys):
+        store, rules = str(campaign["store"]), str(campaign["rules"])
+        reference = collect(store).sample()
+        if source == "live":
+            unstarted = [s for s in campaign["live"]
+                         if s.gauges.get("campaign.done") == 0.0]
+            final = campaign["live"][-1]
+        elif source == "disk":
+            unstarted = [collect(campaign["empty"]).sample()]
+            final = collect(store).sample()
+        else:
+            unstarted = [_served_sample(campaign["empty"])]
+            final = _served_sample(store)
+
+        # Zero completions: rates, throughput and ETA are absent (a rule
+        # over them is no_data), never a trivially-passing 0.0.
+        assert unstarted
+        for sample in unstarted:
+            assert sample.gauges["campaign.done"] == 0.0
+            assert sample.gauges["campaign.total"] == 3.0
+            assert not UNDEFINED_AT_ZERO & set(sample.flat())
+
+        # Finished: every key both sources report reads the same as
+        # from disk, and the rates are now defined everywhere.
+        got, want = _shared(final), _shared(reference)
+        assert {k: got[k] for k in want} == want
+        assert want == {
+            "campaign.done": 3.0, "campaign.total": 3.0,
+            "campaign.remaining": 0.0, "campaign.quarantined": 0.0,
+            "campaign.quarantine_rate": 0.0,
+            "campaign.divergence_rate": 0.0,
+            **{f"outcome.{label}": float(count) for label, count
+               in collect(store).breakdown.items()}}
+        assert sum(collect(store).breakdown.values()) == 3
+        assert final.gauges["campaign.throughput"] > 0.0
+
+        # One rules file, the same firing set and exit code on every
+        # CLI path that reads this source.
+        gates = []
+        if source == "live":
+            rc, err = campaign["campaign-serve"]
+            assert "critical rule: done-floor" in err
+            gates.append((rc, {n for n in ("done-floor", "qrate-ceiling")
+                               if n in err}))
+        elif source == "disk":
+            rc = main(["monitor", store, "--json", "--slo", rules])
+            doc = json.loads(capsys.readouterr().out)
+            gates.append((rc, {s["rule"] for s in doc["slo"]
+                               if s["state"] == "firing"}))
+            rc = main(["monitor", store, "--once", "--slo", rules])
+            out = capsys.readouterr().out
+            gates.append((rc, {line.split()[2].rstrip(":")
+                               for line in out.splitlines()
+                               if line.startswith("  SLO ")}))
+        else:
+            rc = main(["monitor", store, "--serve", "0", "--interval",
+                       "0.01", "--slo", rules])
+            err = capsys.readouterr().err
+            gates.append((rc, {part.removeprefix("slo:")
+                               for part in err.strip().removeprefix(
+                                   "monitor: ").split("; ")}))
+        assert gates and all(gate == (1, {"done-floor"}) for gate in gates)
 
 
 class TestMonitorSlo:

@@ -1,6 +1,10 @@
-"""Tests for the telemetry exposition and HTTP service (repro.serve)."""
+"""Tests for the telemetry exposition and HTTP service (repro.serve,
+repro.httpcore)."""
 
+import asyncio
+import contextlib
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -8,21 +12,18 @@ import urllib.request
 
 import pytest
 
+from repro import httpcore
 from repro.engine import CampaignEngine, EngineConfig, ResultStore, WorkUnit
+from repro.observe import build_sample
 from repro.observe.export import (
     dumps_json,
     metric_name,
     render_prometheus,
     validate_exposition,
 )
-from repro.observe.slo import SLOEngine, SLORule
+from repro.observe.slo import SLORule
 from repro.observe.timeseries import TelemetrySample
-from repro.serve import (
-    CampaignTelemetry,
-    TelemetryHub,
-    TelemetryServer,
-    serve_monitor,
-)
+from repro.serve import TelemetryService, serve_monitor
 
 
 def _get(url: str) -> tuple[int, str, str]:
@@ -100,63 +101,199 @@ class TestExposition:
 
 
 # ----------------------------------------------------------------------
-# Hub + server endpoints
+# Service endpoints on the one HTTP core, under both hostings
 # ----------------------------------------------------------------------
-class TestEndpoints:
-    def test_all_endpoints_respond(self):
-        hub = TelemetryHub(meta={"workload": "resnet"})
-        hub.publish(_sample())
-        with TelemetryServer(hub, port=0) as server:
-            status, body, ctype = _get(f"{server.url}/metrics")
-            assert status == 200 and "version=0.0.4" in ctype
-            validate_exposition(body)
+@contextlib.contextmanager
+def _hosted(server, hosting: str):
+    """Host ``server`` and yield the list its event loop's exception
+    handler fills: ``"thread"`` is the campaign/monitor hosting (private
+    daemon-thread loop), ``"loop"`` the serve-infer one (the server is
+    started on a loop somebody else owns and runs)."""
+    unhandled: list[dict] = []
 
-            status, body, _ = _get(f"{server.url}/healthz")
-            assert status == 200
-            assert json.loads(body)["status"] == "ok"
+    def record(_loop, context):
+        unhandled.append(context)
 
-            status, body, _ = _get(f"{server.url}/progress")
-            assert json.loads(body)["schema"] == 1
+    if hosting == "thread":
+        server.start_thread()
+        server.loop.call_soon_threadsafe(
+            server.loop.set_exception_handler, record)
+        try:
+            yield unhandled
+        finally:
+            server.stop_thread()
+        return
 
-            status, body, _ = _get(f"{server.url}/alerts")
-            assert json.loads(body)["firing"] == []
+    ready = threading.Event()
+    box = {}
 
-            status, body, _ = _get(f"{server.url}/")
-            assert "/metrics" in json.loads(body)["endpoints"]
+    async def main():
+        box["loop"] = asyncio.get_running_loop()
+        box["loop"].set_exception_handler(record)
+        box["quit"] = asyncio.Event()
+        await server.start()
+        ready.set()
+        await box["quit"].wait()
+        await server.stop()
 
-            status, body, _ = _get(f"{server.url}/nope")
-            assert status == 404
-            assert "/healthz" in json.loads(body)["endpoints"]
-        assert hub.scrapes == 6
+    thread = threading.Thread(target=asyncio.run, args=(main(),))
+    thread.start()
+    assert ready.wait(timeout=5)
+    try:
+        yield unhandled
+    finally:
+        box["loop"].call_soon_threadsafe(box["quit"].set)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
-    def test_healthz_degrades_on_firing_critical_slo(self):
-        slo = SLOEngine([SLORule(name="qrate",
-                                 metric="campaign.quarantine_rate",
-                                 max=0.1)])
-        hub = TelemetryHub(slo_engine=slo)
+
+@pytest.fixture
+def host(request):
+    """``host(server)`` starts it under the requesting class's
+    ``hosting`` and returns the loop's unhandled-exception list."""
+    with contextlib.ExitStack() as stack:
+        yield lambda server: stack.enter_context(
+            _hosted(server, request.cls.hosting))
+
+
+def _raw(url: str, payload: bytes) -> int | None:
+    """Send raw bytes; the response's status code (None: closed mute)."""
+    host_name, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host_name, int(port)), timeout=5) as sock:
+        sock.sendall(payload)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return int(data.split()[1]) if data else None
+
+
+#: The hostile-request table: every malformed request gets an answer.
+HOSTILE = {
+    "non-integer-length":
+        (b"POST /predict HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    "negative-length":
+        (b"POST /predict HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    "oversized-header-line":
+        (b"GET /metrics HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+         + b"\r\n\r\n", 431),
+    "body-never-arrives":
+        (b"POST /predict HTTP/1.1\r\nContent-Length: 10\r\n\r\n", 408),
+    "body-over-cap":
+        (b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (httpcore.MAX_BODY_BYTES + 1), 413),
+    "unknown-method":
+        (b"DELETE /metrics HTTP/1.1\r\n\r\n", 405),
+    "garbage-request-line": (b"\x00\xff\r\n\r\n", 400),
+}
+
+
+class EndpointSuite:
+    """The endpoint contract; subclasses pick the hosting."""
+
+    hosting: str
+
+    def test_all_endpoints_respond(self, host):
+        service = TelemetryService(_sample, meta={"workload": "resnet"})
+        service.sampler.sample_once()
+        server = service.server
+        host(server)
+        status, body, ctype = _get(f"{server.url}/metrics")
+        assert status == 200 and "version=0.0.4" in ctype
+        validate_exposition(body)
+
+        status, body, ctype = _get(f"{server.url}/healthz")
+        assert status == 200 and ctype == "application/json"
+        assert json.loads(body)["status"] == "ok"
+
+        status, body, ctype = _get(f"{server.url}/progress")
+        assert ctype == "application/json"
+        assert json.loads(body)["schema"] == 1
+
+        status, body, ctype = _get(f"{server.url}/alerts")
+        assert ctype == "application/json"
+        assert json.loads(body)["firing"] == []
+
+        status, body, _ = _get(f"{server.url}/")
+        assert "/metrics" in json.loads(body)["endpoints"]
+        # The index is generated from the route table.
+        assert json.loads(body)["endpoints"] == \
+            [path for _, path in server.routes] == \
+            ["/metrics", "/healthz", "/progress", "/alerts"]
+        assert json.loads(body)["meta"] == {"workload": "resnet"}
+
+        status, body, _ = _get(f"{server.url}/nope")
+        assert status == 404
+        assert "/healthz" in json.loads(body)["endpoints"]
+        assert json.loads(body)["error"] == "unknown path '/nope'"
+        assert server.scrapes == 6
+
+    def test_healthz_degrades_on_firing_critical_slo(self, host):
         sample = TelemetrySample(
             t=time.time(), gauges={"campaign.quarantine_rate": 0.5})
-        slo.evaluate(sample.flat(), now=sample.t)
-        hub.publish(sample)
-        with TelemetryServer(hub, port=0) as server:
-            status, body, _ = _get(f"{server.url}/healthz")
-            assert status == 503
-            payload = json.loads(body)
-            assert payload["status"] == "degraded"
-            assert "slo:qrate" in payload["reasons"]
+        service = TelemetryService(
+            lambda: sample,
+            rules=[SLORule(name="qrate", metric="campaign.quarantine_rate",
+                           max=0.1)])
+        service.sampler.sample_once()
+        server = service.server
+        host(server)
+        status, body, _ = _get(f"{server.url}/healthz")
+        assert status == 503
+        payload = json.loads(body)
+        assert payload["status"] == "degraded"
+        assert "slo:qrate" in payload["reasons"]
 
-            status, body, _ = _get(f"{server.url}/alerts")
-            assert json.loads(body)["firing"] == ["qrate"]
+        status, body, _ = _get(f"{server.url}/alerts")
+        assert json.loads(body)["firing"] == ["qrate"]
 
-    def test_healthz_degrades_on_stalled_workers_and_legacy_alerts(self):
-        hub = TelemetryHub()
-        hub.publish(TelemetrySample(t=time.time(),
-                                    gauges={"workers.stalled": 2.0}),
-                    alerts=["stalled workers: w0, w1"])
-        healthy, payload = hub.health()
+    def test_healthz_degrades_on_stalled_workers_and_legacy_alerts(
+            self, host):
+        service = TelemetryService(lambda: TelemetrySample(
+            t=time.time(), gauges={"workers.stalled": 2.0}))
+        service.sampler.sample_once()
+        service.alerts = ["stalled workers: w0, w1"]
+        healthy, payload = service.health()
         assert not healthy
         assert "stalled_workers:2" in payload["reasons"]
         assert any(r.startswith("alert:") for r in payload["reasons"])
+        host(service.server)
+        status, body, _ = _get(f"{service.url}/healthz")
+        assert status == 503
+        assert json.loads(body)["reasons"] == payload["reasons"]
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_request_is_answered(self, host, case, monkeypatch):
+        monkeypatch.setattr(httpcore, "READ_TIMEOUT_S", 0.3)
+        payload, expected = HOSTILE[case]
+        service = TelemetryService(_sample)
+        service.sampler.sample_once()
+        unhandled = host(service.server)
+        assert _raw(service.url, payload) == expected
+        # The server is still healthy for the next, well-formed client...
+        status, body, _ = _get(f"{service.url}/metrics")
+        assert status == 200
+        validate_exposition(body)
+        # ...and nothing fell through to the loop's exception handler.
+        assert unhandled == []
+
+    def test_handler_exception_is_a_500_not_a_dropped_socket(self, host):
+        def boom(_body):
+            raise RuntimeError("deliberate")
+
+        server = httpcore.HTTPServer({("GET", "/boom"): boom})
+        unhandled = host(server)
+        status, body, _ = _get(f"{server.url}/boom")
+        assert status == 500
+        assert "RuntimeError: deliberate" in json.loads(body)["error"]
+        assert unhandled == []
+
+
+class TestEndpoints(EndpointSuite):
+    hosting = "thread"
+
+
+class TestEndpointsLoopHosted(EndpointSuite):
+    hosting = "loop"
 
 
 # ----------------------------------------------------------------------
@@ -176,9 +313,9 @@ class TestConcurrentScrape:
         units = [WorkUnit(key=f"key{i}",
                           payload={"key": f"key{i}", "x": i, "sleep": 0.03})
                  for i in range(12)]
-        telemetry = CampaignTelemetry(port=0, interval=0.01)
         engine = CampaignEngine(_sleepy_factory, EngineConfig(parallel=2))
-        telemetry.on_engine(engine)
+        telemetry = TelemetryService(
+            lambda: build_sample(engine.progress()), port=0, interval=0.01)
         report_box = {}
 
         def run_engine():
@@ -207,10 +344,10 @@ class TestConcurrentScrape:
         store_path = tmp_path / "camp.jsonl"
         rules = [SLORule(name="done-ceiling", metric="campaign.done",
                          max=0.5)]
-        telemetry = CampaignTelemetry(store_path=store_path, port=0,
-                                      interval=0.01, rules=rules)
         engine = CampaignEngine(_sleepy_factory, EngineConfig(parallel=1))
-        telemetry.on_engine(engine)
+        telemetry = TelemetryService(
+            lambda: build_sample(engine.progress()), store_path=store_path,
+            port=0, interval=0.01, rules=rules)
         units = [WorkUnit(key=f"k{i}",
                           payload={"key": f"k{i}", "x": i, "sleep": 0.02})
                  for i in range(4)]

@@ -21,7 +21,6 @@ from repro.observe.export import validate_exposition
 from repro.observe.slo import SLORule
 from repro.serving import (
     DynamicBatcher,
-    InferenceServer,
     InferenceSession,
     ServingEngine,
     ShedError,

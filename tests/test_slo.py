@@ -185,14 +185,10 @@ class TestSeverityGate:
 class TestThresholdRules:
     def test_flags_compile_to_instantaneous_rules(self):
         rules = threshold_rules(max_quarantine_rate=0.1,
-                                max_divergence_rate=0.2,
-                                min_throughput=0.5,
-                                max_stalled_workers=0)
+                                max_divergence_rate=0.2)
         by_name = {r.name: r for r in rules}
-        assert set(by_name) == {"quarantine-rate", "divergence-rate",
-                                "throughput-floor", "stalled-workers"}
+        assert set(by_name) == {"quarantine-rate", "divergence-rate"}
         assert by_name["quarantine-rate"].max == 0.1
-        assert by_name["throughput-floor"].min == 0.5
         assert all(r.for_seconds == 0.0 for r in rules)
 
     def test_no_flags_no_rules(self):
