@@ -111,9 +111,8 @@ def reseed_random_layers(model: Module, seed) -> None:
     for the multi-process backend, reproducible regardless of which
     process executes the iteration.
     """
-    for index, module in enumerate(model.modules()):
-        if isinstance(module, Dropout):
-            module.reseed((seed, index))
+    for index, module in model.instances_of(Dropout):
+        module.reseed((seed, index))
 
 
 def device_step(trainer, device: int, iteration: int) -> tuple[float, float]:

@@ -57,19 +57,6 @@ class HardwareFailureDetector:
         #: Total number of bound checks performed (overhead accounting).
         self.checks = 0
         self._fired_this_iteration = False
-        # Hot-path caches keyed by trainer identity: the BatchNorm layer
-        # lists never change during a run, and re-walking the module tree
-        # every iteration would dominate the check's cost.
-        self._bn_cache: dict[int, list] = {}
-
-    def _bn_layers(self, trainer) -> list:
-        key = id(trainer)
-        if key not in self._bn_cache:
-            layers = []
-            for replica in trainer.replicas:
-                layers.extend(batchnorm_layers(replica))
-            self._bn_cache[key] = layers
-        return self._bn_cache[key]
 
     @staticmethod
     def _violates(value: float, bound: float) -> bool:
@@ -110,7 +97,8 @@ class HardwareFailureDetector:
                                       max_abs([arr]), second_bound)
         if trainer.spec.has_batchnorm and self.bounds.mvar_bound > 0.0:
             mvar_bound = self.bounds.effective_mvar_bound
-            for layer in self._bn_layers(trainer):
+            # The per-replica layer lists are memoised on each model root.
+            for layer in (bn for r in trainer.replicas for bn in batchnorm_layers(r)):
                 var = float(np.abs(layer.moving_var).max())
                 mean = float(np.abs(layer.moving_mean).max())
                 if self._violates(var, mvar_bound) or self._violates(mean, mvar_bound):

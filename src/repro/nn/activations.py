@@ -13,6 +13,35 @@ import numpy as np
 from repro.nn.module import Module
 
 
+def _positive_mask(x: np.ndarray) -> np.ndarray:
+    """int32 mask of ``x > 0``: all bits set where it holds, none where
+    it does not (NaN, -0.0 and +0.0 among them)."""
+    mask = (x > 0).astype(np.int32)
+    return np.negative(mask, out=mask)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """The float32 bit patterns of ``x`` (another dtype is cast once, here,
+    so what follows — ScaledReLU's gain included — is float32 work)."""
+    return np.asarray(x, dtype=np.float32).view(np.int32)
+
+
+def _keep(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``where(mask, x, +0.0)`` as float32, by ANDing the float bits with
+    a :func:`_positive_mask` — the same bytes for NaN, +-inf and -0.0,
+    without ``np.where``'s per-element branch."""
+    return (_bits(x) & mask).view(np.float32)
+
+
+def _blend(mask: np.ndarray, x: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``where(mask, x, other)`` as float32, on the float bits."""
+    other = _bits(other)
+    picked = _bits(x) ^ other
+    picked &= mask
+    picked ^= other
+    return picked.view(np.float32)
+
+
 class ReLU(Module):
     """Rectified linear unit: max(0, x)."""
 
@@ -23,13 +52,11 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        out = np.where(self._mask, x, 0.0).astype(np.float32)
-        return self.apply_fault_hook("forward", out)
+        self._mask = _positive_mask(x)
+        return self.apply_fault_hook("forward", _keep(self._mask, x))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        out = np.where(self._mask, grad, 0.0).astype(np.float32)
-        return self.apply_fault_hook("input_grad", out)
+        return self.apply_fault_hook("input_grad", _keep(self._mask, grad))
 
 
 class LeakyReLU(Module):
@@ -43,12 +70,12 @@ class LeakyReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        out = np.where(self._mask, x, self.negative_slope * x).astype(np.float32)
+        self._mask = _positive_mask(x)
+        out = _blend(self._mask, x, self.negative_slope * x)
         return self.apply_fault_hook("forward", out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        out = np.where(self._mask, grad, self.negative_slope * grad).astype(np.float32)
+        out = _blend(self._mask, grad, self.negative_slope * grad)
         return self.apply_fault_hook("input_grad", out)
 
 
@@ -157,10 +184,8 @@ class ScaledReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        out = (np.where(self._mask, x, 0.0) * self.GAMMA).astype(np.float32)
-        return self.apply_fault_hook("forward", out)
+        self._mask = _positive_mask(x)
+        return self.apply_fault_hook("forward", _keep(self._mask, x) * self.GAMMA)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        out = (np.where(self._mask, grad, 0.0) * self.GAMMA).astype(np.float32)
-        return self.apply_fault_hook("input_grad", out)
+        return self.apply_fault_hook("input_grad", _keep(self._mask, grad) * self.GAMMA)

@@ -76,7 +76,7 @@ class ResidualBlock(Module):
         else:
             shortcut = x
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (h + shortcut).astype(np.float32)
+            out = (h + shortcut).astype(np.float32, copy=False)
         return self.relu_out.forward(out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -95,7 +95,7 @@ class ResidualBlock(Module):
                 g_short = self.proj_bn.backward(g_short)
             g_short = self.proj.backward(g_short)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (g_main + g_short).astype(np.float32)
+            return (g_main + g_short).astype(np.float32, copy=False)
 
 
 class DenseLayer(Module):
@@ -202,18 +202,18 @@ class SqueezeExcite(Module):
         scale = self.gate.forward(self.fc2.forward(self.act.forward(self.fc1.forward(squeezed))))
         self._scale = scale
         with np.errstate(over="ignore", invalid="ignore"):
-            return (x * scale[:, :, None, None]).astype(np.float32)
+            return (x * scale[:, :, None, None]).astype(np.float32, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            d_scale = (grad * self._x).sum(axis=(2, 3)).astype(np.float32)
-            dx_direct = (grad * self._scale[:, :, None, None]).astype(np.float32)
+            d_scale = (grad * self._x).sum(axis=(2, 3)).astype(np.float32, copy=False)
+            dx_direct = (grad * self._scale[:, :, None, None]).astype(np.float32, copy=False)
         d_squeezed = self.fc1.backward(
             self.act.backward(self.fc2.backward(self.gate.backward(d_scale)))
         )
         dx_pool = self.pool.backward(d_squeezed)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (dx_direct + dx_pool).astype(np.float32)
+            return (dx_direct + dx_pool).astype(np.float32, copy=False)
 
 
 class MBConvBlock(Module):
@@ -244,7 +244,7 @@ class MBConvBlock(Module):
         h = self.bn3.forward(self.project.forward(h))
         if self.has_skip:
             with np.errstate(over="ignore", invalid="ignore"):
-                h = (h + x).astype(np.float32)
+                h = (h + x).astype(np.float32, copy=False)
         return h
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -254,7 +254,7 @@ class MBConvBlock(Module):
         g = self.expand.backward(self.bn1.backward(self.act1.backward(g)))
         if self.has_skip:
             with np.errstate(over="ignore", invalid="ignore"):
-                g = (g + grad).astype(np.float32)
+                g = (g + grad).astype(np.float32, copy=False)
         return g
 
 
@@ -284,16 +284,16 @@ class NFBlock(Module):
         h = self.act2.forward(h)
         h = self.conv2.forward(h)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (x + self.alpha * h).astype(np.float32)
+            return (x + self.alpha * h).astype(np.float32, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        g = (self.alpha * grad).astype(np.float32)
+        g = (self.alpha * grad).astype(np.float32, copy=False)
         g = self.conv2.backward(g)
         g = self.act2.backward(g)
         g = self.conv1.backward(g)
         g = self.act1.backward(g) / self.beta
         with np.errstate(over="ignore", invalid="ignore"):
-            return (grad + g).astype(np.float32)
+            return (grad + g).astype(np.float32, copy=False)
 
 
 class InceptionBlock(Module):
@@ -332,7 +332,7 @@ class InceptionBlock(Module):
         for dy in range(3):
             for dx in range(3):
                 out += padded[:, :, dy : dy + x.shape[2], dx : dx + x.shape[3]]
-        return (out / 9.0).astype(np.float32)
+        return (out / 9.0).astype(np.float32, copy=False)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape
@@ -367,7 +367,7 @@ class InceptionBlock(Module):
                 padded[:, :, dy : dy + h, dx : dx + w] += gp_pooled / 9.0
         gp = padded[:, :, 1 : 1 + h, 1 : 1 + w]
         with np.errstate(over="ignore", invalid="ignore"):
-            return (g1 + g3 + g5 + gp).astype(np.float32)
+            return (g1 + g3 + g5 + gp).astype(np.float32, copy=False)
 
 
 def conv_bn_act(

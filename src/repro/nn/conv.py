@@ -8,6 +8,8 @@ input-channel slices into the MAC array.  The matmul goes through
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn import config
@@ -20,22 +22,51 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold NCHW input into a (N*OH*OW, C*KH*KW) patch matrix."""
+#: One flat gather index per window geometry ``(C, Hp, Wp, kh, kw, stride)``:
+#: entry ``[oy * OW + ox, (c * kh + i) * kw + j]`` is the offset of padded
+#: pixel ``(c, i + stride * oy, j + stride * ox)`` inside one image.  A plain
+#: dict is enough under the serving path's two threads (worst case both build
+#: the same entry).  It holds OH*OW*C*kh*kw entries of the narrowest unsigned
+#: dtype that fits per distinct geometry the process ever runs, i.e. a handful
+#: of layer shapes per model (36 KB for 16 channels at 8x8, 3x3) and nothing
+#: per batch size or lane count; the benchmark's ``peak_rss_mb`` bound covers it.
+_GATHER_INDEX: dict[tuple[int, ...], np.ndarray] = {}
+
+
+def _gather_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    key = (c, hp, wp, kh, kw, stride)
+    index = _GATHER_INDEX.get(key)
+    if index is None:
+        oy = stride * np.arange((hp - kh) // stride + 1)
+        ox = stride * np.arange((wp - kw) // stride + 1)
+        window = (oy[:, None] * wp + ox).reshape(-1, 1)
+        taps = (np.arange(c)[:, None, None] * hp + np.arange(kh)[:, None]) * wp + np.arange(kw)
+        index = (window + taps.reshape(1, -1)).astype(np.min_scalar_type(c * hp * wp))
+        _GATHER_INDEX[key] = index
+    return index
+
+
+def im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int, padding: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unfold NCHW input into a C-ordered float32 (N*OH*OW, C*KH*KW) patch
+    matrix (other input dtypes are cast once).  ``out``, if given, is a
+    float32 C-contiguous ``(N, OH*OW, C*KH*KW)`` array the patches are
+    written into."""
     n, c, h, w = x.shape
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    img = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
-    col = np.empty((n, c, kh, kw, oh, ow), dtype=np.float32)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            col[:, :, i, j, :, :] = img[:, :, i:i_max:stride, j:j_max:stride]
-    # Degenerate shapes (one image, 1x1 window) let the reshape return a
-    # Fortran-ordered view, and BLAS then rounds matrix-vector products
-    # differently than for the usual copy; always hand back C order.
-    return np.ascontiguousarray(col.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1))
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if padding:
+        img = np.zeros((n, c, hp, wp), dtype=np.float32)
+        img[:, :, padding : padding + h, padding : padding + w] = x
+    else:
+        img = np.ascontiguousarray(x, dtype=np.float32)
+    index = _gather_index(c, hp, wp, kh, kw, stride)
+    # One gather per image through the cached index (a 1x1 window without
+    # padding is the same call: a transposing copy).  The index is in range
+    # by construction; "clip" only skips take's bounds pass and lets it
+    # write into ``out`` directly.
+    col = img.reshape(n, -1).take(index, axis=1, out=out, mode="clip")
+    return col.reshape(n * index.shape[0], index.shape[1])
 
 
 def col2im(
@@ -46,17 +77,35 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Fold a patch matrix back into NCHW, accumulating overlaps."""
+    """Fold a patch matrix (cast once to float32) back into NCHW,
+    accumulating overlaps in window order ``(i, j)`` per pixel."""
     n, c, h, w = input_shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    col6 = col.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    hr, wr = -(-hp // stride), -(-wp // stride)
+    # Padded pixel (y, x) lives in phase (y % stride, x % stride) at
+    # (y // stride, x // stride), so tap (i, j) of every patch lands in one
+    # phase as an OHxOW block at unit stride.  One transposing copy lays
+    # each tap out as a plane at the phase images' own pitch, zero outside
+    # its block; adding plane (i, j) at its flat offset is then one 1-D add
+    # for the whole batch, in the same (i, j) order per pixel.  The extra
+    # +0.0 terms change no byte: a sum that starts at +0.0 is never -0.0.
+    taps = np.zeros((kh * kw, n, c, hr, wr), dtype=np.float32)
+    taps[..., :oh, :ow] = col.reshape(n, oh, ow, c, kh * kw).transpose(4, 0, 3, 1, 2)
+    phases = np.zeros((min(stride, kh), min(stride, kw), n, c, hr, wr), dtype=np.float32)
+    flat = phases.reshape(*phases.shape[:2], -1)
     for i in range(kh):
-        i_max = i + stride * oh
         for j in range(kw):
-            j_max = j + stride * ow
-            img[:, :, i:i_max:stride, j:j_max:stride] += col6[:, :, i, j, :, :]
+            block = flat[i % stride, j % stride, i // stride * wr + j // stride :]
+            block += taps[i * kw + j].reshape(-1)[: block.size]
+    if stride == 1:
+        img = phases[0, 0]
+    else:
+        img = np.zeros((n, c, hp, wp), dtype=np.float32)
+        for a, b in np.ndindex(phases.shape[:2]):
+            part = img[:, :, a::stride, b::stride]
+            part[...] = phases[a, b, :, :, : part.shape[2], : part.shape[3]]
     if padding == 0:
         return img
     return img[:, :, padding : padding + h, padding : padding + w]
@@ -112,7 +161,12 @@ class Conv2D(Module):
         # contiguous block per image, so each lane's block of rows is the
         # plain call's patch matrix.
         folded = x.reshape(-1, c, h, w)
-        col = im2col(folded, k, k, s, p).reshape(*lanes, -1, c * k * k)
+        # The previous forward's patch matrix is dead by now; when the size
+        # repeats (every training iteration) its storage takes the new one.
+        rows = (folded.shape[0], oh * ow, c * k * k)
+        recycle = self._col is not None and self._col.size == math.prod(rows)
+        col = im2col(folded, k, k, s, p, out=self._col.reshape(rows) if recycle else None)
+        col = col.reshape(*lanes, -1, c * k * k)
         self._col = col
         self._input_shape = x.shape
         self._folded_shape = folded.shape
@@ -134,14 +188,15 @@ class Conv2D(Module):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         lanes = self._input_shape[:-4]
         g2 = grad.swapaxes(-3, -1).swapaxes(-3, -2).reshape(*lanes, -1, self.out_channels)
-        dw = config.matmul(self._col.swapaxes(-1, -2), g2).astype(np.float32)  # (C*k*k, Cout)
+        dw = config.matmul(self._col.swapaxes(-1, -2), g2)  # (C*k*k, Cout)
+        dw = dw.astype(np.float32, copy=False)
         dw = dw.swapaxes(-1, -2).reshape(self.weight.data.shape)
         dw = self.apply_fault_hook("weight_grad", dw, param="weight")
         self.weight.grad += dw
         if self.use_bias:
-            self.bias.grad += g2.sum(axis=-2).astype(np.float32)
+            self.bias.grad += g2.sum(axis=-2).astype(np.float32, copy=False)
         w_row = self.weight.data.reshape(*lanes, self.out_channels, -1)
-        dcol = config.matmul(g2, w_row).astype(np.float32)
+        dcol = config.matmul(g2, w_row).astype(np.float32, copy=False)
         dx = col2im(dcol.reshape(-1, dcol.shape[-1]), self._folded_shape,
                     self.kernel_size, self.kernel_size, self.stride, self.padding)
         return self.apply_fault_hook("input_grad", dx.reshape(self._input_shape))
@@ -215,9 +270,10 @@ class GlobalAvgPool2D(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input_shape = x.shape
-        return x.mean(axis=(-2, -1)).astype(np.float32)
+        return x.mean(axis=(-2, -1)).astype(np.float32, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         shape = self._input_shape
         scale = 1.0 / (shape[-2] * shape[-1])
-        return (np.broadcast_to(grad[..., None, None], shape) * scale).astype(np.float32)
+        dx = np.broadcast_to(grad[..., None, None], shape) * scale
+        return dx.astype(np.float32, copy=False)

@@ -47,7 +47,7 @@ class Dense(Module):
         out = config.matmul(x, self.weight.data)
         if self.use_bias:
             out = out + self.bias.data[..., None, :]
-        out = out.astype(np.float32)
+        out = out.astype(np.float32, copy=False)
         out = self.apply_fault_hook("forward", out)
         # Cached post-hook so integrity checkers (ABFT) see what the
         # accelerator actually produced, faults included.
@@ -59,13 +59,13 @@ class Dense(Module):
         # Flatten any leading batch dimensions for the weight gradient.
         x2 = x.reshape(*self.lanes, -1, self.in_features)
         g2 = grad.reshape(*self.lanes, -1, self.out_features)
-        dw = config.matmul(x2.swapaxes(-1, -2), g2).astype(np.float32)
+        dw = config.matmul(x2.swapaxes(-1, -2), g2).astype(np.float32, copy=False)
         dw = self.apply_fault_hook("weight_grad", dw, param="weight")
         self.weight.grad += dw
         if self.use_bias:
-            db = g2.sum(axis=-2).astype(np.float32)
+            db = g2.sum(axis=-2).astype(np.float32, copy=False)
             self.bias.grad += db
-        dx = config.matmul(grad, self.weight.data.swapaxes(-1, -2)).astype(np.float32)
+        dx = config.matmul(grad, self.weight.data.swapaxes(-1, -2)).astype(np.float32, copy=False)
         return self.apply_fault_hook("input_grad", dx)
 
 

@@ -58,6 +58,12 @@ HOOK_KINDS = ("forward", "weight_grad", "input_grad")
 
 HookFn = Callable[[np.ndarray, dict], np.ndarray]
 
+#: Replaced by every :meth:`Module.add_module` call; its identity stamps
+#: the :meth:`Module.instances_of` memos, so any structural change anywhere
+#: (and any copy or unpickling of a memo) sends the next lookup back to
+#: the tree.
+_structure = object()
+
 
 class Parameter:
     """A trainable tensor with its gradient.
@@ -103,6 +109,7 @@ class Module:
         self._params: dict[str, Parameter] = {}
         self._modules: dict[str, Module] = {}
         self._fault_hooks: dict[str, HookFn | None] = {k: None for k in HOOK_KINDS}
+        self._instances: dict[type, tuple[object, list]] = {}
         self.name = type(self).__name__
         self.training = True
         #: Leading lane shape of this instance's tensors: ``()`` or ``(L,)``.
@@ -118,6 +125,8 @@ class Module:
         return param
 
     def add_module(self, name: str, module: "Module") -> "Module":
+        global _structure
+        _structure = object()
         module.name = f"{self.name}.{name}"
         self._modules[name] = module
         setattr(self, name, module)
@@ -140,6 +149,17 @@ class Module:
         yield self
         for child in self._modules.values():
             yield from child.modules()
+
+    def instances_of(self, cls: type) -> list[tuple[int, "Module"]]:
+        """``(traversal index, module)`` for every ``cls`` instance in
+        :meth:`modules` order, memoised on this module until the next
+        :meth:`add_module` call — the per-iteration probes (moving-variance
+        bound, dropout reseed) ask for the same list every step."""
+        stamp, found = self._instances.get(cls, (None, None))
+        if stamp is not _structure:
+            found = [(i, m) for i, m in enumerate(self.modules()) if isinstance(m, cls)]
+            self._instances[cls] = (_structure, found)
+        return found
 
     def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
         yield (prefix.rstrip("."), self)

@@ -14,6 +14,8 @@ statistic, which the detector and the propagation tracer both read.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.initializers import ones, zeros
@@ -58,11 +60,8 @@ class BatchNorm(Module):
 
     def history_magnitude(self) -> float:
         """Largest absolute moving statistic (the detector's |mvar| probe)."""
-        mags = [np.abs(self.moving_var).max(), np.abs(self.moving_mean).max()]
-        finite = [float(m) for m in mags if np.isfinite(m)]
-        if len(finite) < len(mags):
-            return float("inf")
-        return max(finite)
+        mags = (float(np.abs(self.moving_var).max()), float(np.abs(self.moving_mean).max()))
+        return max(mags) if all(map(math.isfinite, mags)) else float("inf")
 
     # ------------------------------------------------------------------
     # Shape plumbing: reduce over every axis except the channel axis and
@@ -86,50 +85,59 @@ class BatchNorm(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         axes, expand = self._layout(x)
-        if self.training:
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = x.mean(axis=axes, dtype=np.float32)
-                var = x.var(axis=axes, dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self.training:
+                # ``x.mean`` then ``x.var`` would reduce the mean twice and
+                # centre twice; these are the same ufunc calls NumPy's
+                # ``_mean``/``_var`` make (sum, then divide by the intp
+                # count), made once, with ``centered`` kept for ``xhat``.
+                count = np.intp(math.prod(x.shape[a] for a in axes))
+                mean = np.add.reduce(x, axis=axes, dtype=np.float32, keepdims=True)
+                np.true_divide(mean, count, out=mean, casting="unsafe")
+                centered = x - mean
+                var = np.add.reduce(centered * centered, axis=axes, dtype=np.float32)
+                np.true_divide(var, count, out=var, casting="unsafe")
+                mean = mean.reshape(var.shape)
                 # Moving statistics update: the history-term recurrence of
                 # Sec. 4.2.2.  Computed in float32 so faulty magnitudes
                 # overflow to inf exactly as they would on the accelerator.
                 self.moving_mean = (
                     self.momentum * self.moving_mean + (1.0 - self.momentum) * mean
-                ).astype(np.float32)
+                ).astype(np.float32, copy=False)
                 self.moving_var = (
                     self.momentum * self.moving_var + (1.0 - self.momentum) * var
-                ).astype(np.float32)
-        else:
-            mean = self.moving_mean
-            var = self.moving_var
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ).astype(np.float32, copy=False)
+            else:
+                var = self.moving_var
+                centered = x - self.moving_mean[expand]
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean[expand]) * inv_std[expand]
-            out = (self.gamma.data[expand] * xhat + self.beta.data[expand]).astype(np.float32)
+            xhat = np.multiply(centered, inv_std[expand], out=centered)
+            out = self.gamma.data[expand] * xhat
+            out += self.beta.data[expand]
+            out = out.astype(np.float32, copy=False)
         if self.training:
             self._cache = (xhat, inv_std, axes, expand)
         return self.apply_fault_hook("forward", out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         xhat, inv_std, axes, expand = self._cache
-        m = float(np.prod([xhat.shape[a] for a in axes]))
-        dgamma = (grad * xhat).sum(axis=axes).astype(np.float32)
-        dbeta = grad.sum(axis=axes).astype(np.float32)
+        m = float(math.prod(xhat.shape[a] for a in axes))
+        dgamma = (grad * xhat).sum(axis=axes).astype(np.float32, copy=False)
+        dbeta = grad.sum(axis=axes).astype(np.float32, copy=False)
         dgamma = self.apply_fault_hook("weight_grad", dgamma, param="gamma")
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
-        inv = inv_std[expand]
         dxhat = grad * self.gamma.data[expand]
         with np.errstate(over="ignore", invalid="ignore"):
-            dx = (
-                inv
-                / m
-                * (
-                    m * dxhat
-                    - dxhat.sum(axis=axes, keepdims=True)
-                    - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
-                )
-            ).astype(np.float32)
+            # inv / m * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+            # each product and difference written over a dead operand of
+            # its own result dtype.
+            lhs = m * dxhat
+            lhs -= dxhat.sum(axis=axes, keepdims=True)
+            rhs = dxhat * xhat
+            np.multiply(xhat, rhs.sum(axis=axes, keepdims=True), out=rhs)
+            np.subtract(lhs, rhs, out=rhs)
+            dx = np.multiply(inv_std[expand] / m, rhs, out=rhs).astype(np.float32, copy=False)
         return self.apply_fault_hook("input_grad", dx)
 
 
@@ -185,7 +193,7 @@ class LayerNorm(Module):
 
 def batchnorm_layers(model: Module) -> list[BatchNorm]:
     """All BatchNorm layers in a model, in traversal order."""
-    return [m for m in model.modules() if isinstance(m, BatchNorm)]
+    return [m for _, m in model.instances_of(BatchNorm)]
 
 
 def max_moving_variance(model: Module) -> float:
@@ -196,7 +204,4 @@ def max_moving_variance(model: Module) -> float:
     no BatchNorm layers (e.g. Resnet_NoBN, NFNet), for which the mvar
     necessary condition is structurally impossible.
     """
-    layers = batchnorm_layers(model)
-    if not layers:
-        return 0.0
-    return max(layer.history_magnitude() for layer in layers)
+    return max((bn.history_magnitude() for bn in batchnorm_layers(model)), default=0.0)
