@@ -1,26 +1,13 @@
-"""Execution-backend scaling: replicas vs wall-clock, all backends.
+"""Execution-backend scaling: experiments per program vs throughput.
 
-Two sweeps:
+The batched backend stacks E experiments into one vectorized NumPy
+program (``repro.backend.batched``), so campaign throughput
+(experiment-iterations per second) grows with E while the serial
+in-process loop stays flat.  E=1 is the honest overhead point: the
+batched program pays its lane bookkeeping without amortizing it.  The
+throughput ratio must clear ``BATCH_SPEEDUP_FLOOR`` at the largest E.
 
-* **Replica axis** — the in-process backend simulates every replica
-  sequentially, so its wall-clock grows linearly with the replica
-  count.  The multi-process backend runs one OS process per replica
-  over shared-memory arenas; with enough physical cores the device work
-  overlaps and the ratio ``inprocess_s / multiprocess_s`` approaches
-  the replica count.  On a single-core host the same run only pays
-  fork/IPC overhead, so the >=2x expectation at 8 replicas is asserted
-  only when the host actually has the cores — the artifact records the
-  honest core count either way.
-
-* **Experiment axis** — the batched backend stacks E experiments into
-  one vectorized NumPy program (``repro.backend.batched``), so campaign
-  throughput (experiment-iterations per second) grows with E while the
-  serial in-process loop stays flat.  E=1 is the honest overhead point:
-  the batched program pays its lane bookkeeping without amortizing it,
-  so it runs *slower* than in-process there.  The throughput ratio must
-  clear ``BATCH_SPEEDUP_FLOOR`` at E >= 32.
-
-Also checked at every scale: all backends produce bit-identical
+Also checked at every scale: both backends produce bit-identical
 convergence records (the determinism contract that makes the backend a
 drop-in choice).
 
@@ -41,14 +28,6 @@ from repro.distributed import SyncDataParallelTrainer
 from repro.workloads import build_workload
 
 WORKLOAD = "resnet"
-REPLICA_COUNTS = (1, 2, 4, 8)
-ITERATIONS = 10
-SMOKE_REPLICA_COUNTS = (1, 2)
-SMOKE_ITERATIONS = 3
-
-#: The speedup the multiprocess backend must deliver at the largest
-#: replica count — when the host has at least that many cores.
-SPEEDUP_FLOOR = 2.0
 
 #: Experiment-batch sweep: campaign throughput, batched vs serial.
 #: 8 devices is the paper's campaign setting — and the regime the
@@ -81,85 +60,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _timed_train(backend: str, num_devices: int, iterations: int):
-    """Train one fresh trainer; returns (startup_s, train_s, loss_hex)."""
-    spec = build_workload(WORKLOAD, size="tiny", seed=0)
-    trainer = SyncDataParallelTrainer(spec, num_devices=num_devices, seed=0,
-                                      test_every=0, backend=backend)
-    try:
-        start = time.perf_counter()
-        if backend == "multiprocess":
-            trainer.backend.start()  # fork + shm mapping, measured apart
-        startup = time.perf_counter() - start
-        start = time.perf_counter()
-        trainer.train(iterations)
-        train_s = time.perf_counter() - start
-        losses = [float(v).hex() for v in trainer.record.train_loss]
-    finally:
-        trainer.close()
-    return startup, train_s, losses
-
-
-def _measure(replica_counts, iterations):
-    rows = []
-    for replicas in replica_counts:
-        _, inproc_s, inproc_losses = _timed_train("inprocess", replicas,
-                                                  iterations)
-        startup_s, multi_s, multi_losses = _timed_train("multiprocess",
-                                                        replicas, iterations)
-        assert inproc_losses == multi_losses, (
-            f"backends diverged at {replicas} replicas")
-        rows.append({
-            "replicas": replicas,
-            "inprocess_s": inproc_s,
-            "multiprocess_s": multi_s,
-            "multiprocess_startup_s": startup_s,
-            "serial_ratio": inproc_s / multi_s if multi_s > 0 else 0.0,
-            "bit_identical": True,
-        })
-    return rows
-
-
-def _report_rows(rows, iterations: int, batch_data: dict | None = None) -> dict:
-    cpus = _cpus()
-    top = rows[-1]
-    speedup = top["serial_ratio"]
-    header("backend scaling: in-process simulation vs multi-process runtime")
-    emit(f"host: {cpus} usable core(s); {WORKLOAD}/tiny, "
-         f"{iterations} iterations per measurement")
-    table(rows, columns=["replicas", "inprocess_s", "multiprocess_s",
-                         "multiprocess_startup_s", "serial_ratio"])
-    paper_vs_measured(
-        "replica processes overlap device work (multi-core scaling)",
-        paper=f">={SPEEDUP_FLOOR:.0f}x over the serial simulator at "
-              f"{top['replicas']} replicas on a >= {top['replicas']}-core host",
-        measured=f"{speedup:.2f}x at {top['replicas']} replicas "
-                 f"on {cpus} core(s)",
-        holds=speedup >= SPEEDUP_FLOOR or cpus < top["replicas"],
-    )
-    data = {
-        "workload": WORKLOAD,
-        "iterations": iterations,
-        "cpus": cpus,
-        "rows": rows,
-        "max_replicas": top["replicas"],
-        "speedup_at_max_replicas": speedup,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "speedup_floor_applicable": cpus >= top["replicas"],
-    }
-    if batch_data is not None:
-        data["experiment_batch_sweep"] = batch_data
-    write_artifact("backend_scaling", data)
-    if cpus >= top["replicas"]:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"multiprocess backend only reached {speedup:.2f}x at "
-            f"{top['replicas']} replicas on {cpus} cores")
-    return data
-
-
-# ----------------------------------------------------------------------
-# Experiment-batch sweep (the batched backend's axis)
-# ----------------------------------------------------------------------
 def _solo_experiment(iterations: int):
     """One serial in-process experiment; returns (seconds, loss_hexes)."""
     spec = build_workload(WORKLOAD, size="tiny", seed=0)
@@ -223,10 +123,12 @@ def _measure_batches(batch_sizes, iterations):
     return rows
 
 
-def _report_batch_rows(rows, iterations: int, smoke: bool) -> dict:
+def _report_batch_rows(rows, iterations: int, smoke: bool) -> None:
+    cpus = _cpus()
     header("experiment-batch scaling: E experiments, one vectorized program")
-    emit(f"{WORKLOAD}/tiny, {BATCH_DEVICES} devices, {iterations} iterations "
-         f"per experiment; throughput in experiment-iterations/second")
+    emit(f"host: {cpus} usable core(s); {WORKLOAD}/tiny, {BATCH_DEVICES} "
+         f"devices, {iterations} iterations per experiment; throughput in "
+         f"experiment-iterations/second")
     table(rows, columns=["experiment_batch", "inprocess_throughput_expiter_s",
                          "batched_throughput_expiter_s", "speedup"])
     at_e1 = next((r for r in rows if r["experiment_batch"] == 1), None)
@@ -251,6 +153,7 @@ def _report_batch_rows(rows, iterations: int, smoke: bool) -> dict:
              f"the serial loop's dispatch-overhead fraction")
     data = {
         "workload": WORKLOAD,
+        "cpus": cpus,
         "num_devices": BATCH_DEVICES,
         "iterations": iterations,
         "rows": rows,
@@ -261,25 +164,10 @@ def _report_batch_rows(rows, iterations: int, smoke: bool) -> dict:
         "speedup_floor": floor,
         "smoke": smoke,
     }
+    write_artifact("backend_scaling", data)
     assert top["speedup"] >= floor, (
         f"batched backend only reached {top['speedup']:.2f}x at "
         f"E={top['experiment_batch']} (floor {floor:.1f}x)")
-    return data
-
-
-def bench_backend_scaling(benchmark):
-    rows = _measure(REPLICA_COUNTS, ITERATIONS)
-    _report_rows(rows, ITERATIONS)
-    # The benchmarked unit: one synchronous 2-replica multiprocess
-    # iteration (dispatch + step + reduce + broadcast), steady state.
-    spec = build_workload(WORKLOAD, size="tiny", seed=0)
-    trainer = SyncDataParallelTrainer(spec, num_devices=2, seed=0,
-                                      test_every=0, backend="multiprocess")
-    try:
-        trainer.train(1)  # fork + warm up
-        benchmark(lambda: trainer.run_iteration(trainer.iteration))
-    finally:
-        trainer.close()
 
 
 def bench_experiment_batch_scaling(benchmark):
@@ -311,20 +199,12 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="reduced run for CI (fewer replicas/iterations)")
+                        help="reduced run for CI (fewer batch sizes/iterations)")
     args = parser.parse_args(argv)
-    if args.smoke:
-        batch_rows = _measure_batches(SMOKE_BATCH_SIZES, SMOKE_BATCH_ITERATIONS)
-        batch_data = _report_batch_rows(batch_rows, SMOKE_BATCH_ITERATIONS,
-                                        smoke=True)
-        rows = _measure(SMOKE_REPLICA_COUNTS, SMOKE_ITERATIONS)
-        _report_rows(rows, SMOKE_ITERATIONS, batch_data)
-    else:
-        batch_rows = _measure_batches(BATCH_SIZES, BATCH_ITERATIONS)
-        batch_data = _report_batch_rows(batch_rows, BATCH_ITERATIONS,
-                                        smoke=False)
-        rows = _measure(REPLICA_COUNTS, ITERATIONS)
-        _report_rows(rows, ITERATIONS, batch_data)
+    sizes, iterations = ((SMOKE_BATCH_SIZES, SMOKE_BATCH_ITERATIONS)
+                         if args.smoke else (BATCH_SIZES, BATCH_ITERATIONS))
+    _report_batch_rows(_measure_batches(sizes, iterations), iterations,
+                       smoke=args.smoke)
     for line in _report.LINES:
         print(line)
     _report.LINES.clear()

@@ -9,7 +9,7 @@ rebuilds it from scratch so the selection is reproducible:
 1. run a fixed, seeded campaign sweep on the inprocess backend;
 2. select experiments covering every (site kind, outcome) pair the
    sweep observed, padded with extra masked entries per kind so the
-   corpus splits evenly across the three backends;
+   corpus splits evenly across the two backends;
 3. assign backends round-robin (every backend appears) and bless each
    entry on its assigned backend.
 
@@ -42,7 +42,7 @@ WARMUP, HORIZON, TEST_EVERY = 3, 9, 2
 SITE_KINDS = ("forward", "weight_grad", "input_grad", "comm")
 SWEEP_SIZE, SWEEP_SEED = 320, 20260808
 
-BACKENDS = ("inprocess", "multiprocess", "batched")
+BACKENDS = ("inprocess", "batched")
 MIN_ENTRIES = 12
 
 

@@ -1,11 +1,9 @@
 """Pluggable execution backends for the data-parallel trainer.
 
 See :mod:`repro.backend.base` for the contract,
-:mod:`repro.backend.inprocess` for the historical simulated loop,
-:mod:`repro.backend.multiprocess` for the one-process-per-replica
-shared-memory runtime with deterministic collectives
-(:mod:`repro.backend.collectives`), and :mod:`repro.backend.batched`
-for the experiment-stacked vectorized runtime.
+:mod:`repro.backend.inprocess` for the historical simulated loop (the
+reference), and :mod:`repro.backend.batched` for the experiment-stacked
+vectorized runtime (the fast path).
 
 :data:`BACKEND_REGISTRY` is the single source of truth for what each
 backend is and when to pick it; CLI help and docs are generated from it
@@ -14,24 +12,15 @@ rather than hand-maintained.
 
 from dataclasses import dataclass
 
-from repro.backend import collectives
 from repro.backend.base import (
     BACKEND_NAMES,
-    CollectiveTimeoutError,
-    DeviceFaultPlan,
     ExecutionBackend,
-    ReplicaChaos,
-    ReplicaLostError,
-    absorb_device_fault_results,
     build_backend,
-    collect_device_fault_plans,
     device_step,
     reseed_random_layers,
 )
 from repro.backend.batched import BatchedBackend, LaneGroup, run_lockstep
-from repro.backend.collectives import all_reduce_mean, barrier, broadcast
 from repro.backend.inprocess import InProcessBackend
-from repro.backend.multiprocess import MultiProcessBackend
 
 
 @dataclass(frozen=True)
@@ -56,13 +45,6 @@ BACKEND_REGISTRY: dict[str, BackendInfo] = {
             tradeoff="the bit-exact reference; lowest overhead for a "
                      "single run, but campaigns step one experiment at "
                      "a time",
-        ),
-        BackendInfo(
-            name="multiprocess",
-            summary="one OS process per replica over shared memory",
-            tradeoff="true process isolation and replica-loss/chaos "
-                     "experiments; IPC dominates on the paper's tiny "
-                     "models, so it is slower than inprocess there",
         ),
         BackendInfo(
             name="batched",
@@ -94,20 +76,9 @@ __all__ = [
     "LaneGroup",
     "backend_choices_help",
     "run_lockstep",
-    "CollectiveTimeoutError",
-    "DeviceFaultPlan",
     "ExecutionBackend",
     "InProcessBackend",
-    "MultiProcessBackend",
-    "ReplicaChaos",
-    "ReplicaLostError",
-    "absorb_device_fault_results",
-    "all_reduce_mean",
-    "barrier",
-    "broadcast",
     "build_backend",
-    "collect_device_fault_plans",
-    "collectives",
     "device_step",
     "reseed_random_layers",
 ]

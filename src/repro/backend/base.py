@@ -1,8 +1,8 @@
 """Execution-backend interface: who runs the replicas, and how.
 
 The paper's campaigns ran on 8 real TPU devices (Sec. 3.3); the
-reproduction historically simulated all replicas inside one Python
-process.  :class:`ExecutionBackend` makes that substrate pluggable: the
+reproduction simulates all replicas inside one Python process.
+:class:`ExecutionBackend` makes how they are stepped pluggable: the
 :class:`~repro.distributed.sync.SyncDataParallelTrainer` owns the
 *algorithm* (hook dispatch, optimizer step, convergence recording,
 outcome bookkeeping) and delegates the *execution* of the per-device
@@ -10,24 +10,21 @@ work — forward/backward on every replica, gradient reduction, weight
 broadcast — to a backend:
 
 * :class:`~repro.backend.inprocess.InProcessBackend` — the historical
-  simulated loop, extracted verbatim (golden traces stay bit-identical);
-* :class:`~repro.backend.multiprocess.MultiProcessBackend` — one OS
-  process per replica over shared-memory state, reduced with the
-  deterministic collectives in :mod:`repro.backend.collectives`.
+  simulated loop, extracted verbatim (the bit-exact reference);
+* :class:`~repro.backend.batched.BatchedBackend` — E experiments x D
+  devices stepped as lanes of one vectorized NumPy program.
 
-Crossing a process boundary means closures cannot travel: a fault hook
-armed on a parent-side replica module never fires in the child that
-actually computes.  The backend therefore carries faults across the
-boundary as *plans* — serializable :class:`DeviceFaultPlan` descriptors
-exported by injector hooks (``export_device_fault``), executed on the
-owning replica, and absorbed back (``absorb_device_fault``) so the
-parent-side hook's ``fired``/``record`` state, trace emission, and
-reports behave identically under every backend.
+Both run every replica inside the calling process, so a fault hook is a
+plain closure armed on a replica module (the batched program hands each
+lane's hook that lane's slice), and both reduce through
+:meth:`ExecutionBackend.reduce_fused`, which is also where the
+comm-fault site lives.  Process death is not a backend concern: the
+campaign engine's forked worker pool (timeout / retry / quarantine)
+owns it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,79 +34,18 @@ from repro.nn.module import Module
 from repro.observe import profile_scope
 
 #: Canonical backend names, in CLI order.
-BACKEND_NAMES = ("inprocess", "multiprocess", "batched")
+BACKEND_NAMES = ("inprocess", "batched")
 
 #: Hook applied to the in-flight reduced gradient buffer (the comm-fault
 #: injection site); returns the possibly perturbed buffer.
 CommFaultHook = Callable[[np.ndarray], np.ndarray]
 
 
-class ReplicaLostError(RuntimeError):
-    """A replica process died mid-collective; the trainer aborts cleanly
-    and the run is classified as the ``ReplicaLost`` outcome."""
-
-    def __init__(self, device: int, phase: str, detail: str = ""):
-        self.device = int(device)
-        self.phase = str(phase)
-        msg = f"replica {device} lost during {phase}"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
-
-
-class CollectiveTimeoutError(RuntimeError):
-    """A collective exceeded its hard deadline even after straggler
-    grace; raised to the caller (campaigns quarantine the experiment)."""
-
-
-@dataclass(frozen=True)
-class ReplicaChaos:
-    """Runtime-fault injection for the backend itself.
-
-    Extends the repo's fault-injection story from tensors to the
-    execution substrate: ``kind="delay"`` makes one replica straggle
-    (``seconds`` of sleep before it answers the step collective) and
-    ``kind="kill"`` hard-kills the replica process mid-iteration, both
-    at a chosen iteration.  Used by the robustness tests and available
-    for chaos experiments.
-    """
-
-    device: int
-    iteration: int
-    kind: str = "delay"
-    seconds: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("delay", "kill"):
-            raise ValueError(f"unknown chaos kind: {self.kind!r}")
-
-    def applies(self, device: int, iteration: int) -> bool:
-        return device == self.device and iteration == self.iteration
-
-
-@dataclass(frozen=True)
-class DeviceFaultPlan:
-    """A serializable order to inject one fault on one replica.
-
-    ``fault`` is a :class:`~repro.core.faults.hardware.HardwareFault`
-    (plain dataclasses all the way down, so the plan crosses process
-    boundaries by pickling); ``plan_id`` routes the execution result
-    back to the exporting hook.
-    """
-
-    plan_id: int
-    device: int
-    fault: object
-    config: object = None
-
-
 def reseed_random_layers(model: Module, seed) -> None:
     """Reseed every stochastic layer (currently Dropout) in a model.
 
     Implements requirement (3) of the paper's recovery technique: random
-    draws must be reproducible when an iteration is re-executed — and,
-    for the multi-process backend, reproducible regardless of which
-    process executes the iteration.
+    draws must be reproducible when an iteration is re-executed.
     """
     for index, module in model.instances_of(Dropout):
         module.reseed((seed, index))
@@ -120,11 +56,10 @@ def device_step(trainer, device: int, iteration: int) -> tuple[float, float]:
     backward.  Gradients land in the replica's arena ``grad`` segment
     (or scattered ``param.grad`` arrays); returns ``(loss, acc)``.
 
-    This is the unit of work both backends execute — in-process runs it
-    for every device sequentially, multi-process runs it inside the
-    replica's own OS process.  The body is the historical loop body of
-    ``SyncDataParallelTrainer.run_iteration``, unchanged, so results are
-    bit-identical across backends.
+    This is the unit of work :meth:`ExecutionBackend.step_devices` runs
+    for every device sequentially (the in-process backend, and the
+    batched backend's per-lane fallback).  The body is the historical
+    loop body of ``SyncDataParallelTrainer.run_iteration``, unchanged.
     """
     model = trainer.replicas[device]
     model.train()
@@ -139,42 +74,6 @@ def device_step(trainer, device: int, iteration: int) -> tuple[float, float]:
             model.zero_grad()
         model.backward(trainer.losses[device].backward())
     return float(loss), float(trainer.spec.metric(out, y))
-
-
-def collect_device_fault_plans(trainer, iteration: int) \
-        -> tuple[dict[int, list[DeviceFaultPlan]], dict[int, object]]:
-    """Export pending device-fault plans from the trainer's hooks.
-
-    Returns ``(plans_by_device, hook_by_plan_id)``: hooks implementing
-    ``export_device_fault(iteration)`` contribute one plan each (or
-    ``None``); results are absorbed back via
-    :func:`absorb_device_fault_results`.
-    """
-    plans: dict[int, list[DeviceFaultPlan]] = {}
-    exporters: dict[int, object] = {}
-    plan_id = 0
-    for hook in trainer.hooks:
-        export = getattr(hook, "export_device_fault", None)
-        if export is None:
-            continue
-        fault = export(iteration)
-        if fault is None:
-            continue
-        plan = DeviceFaultPlan(plan_id=plan_id, device=fault[0],
-                               fault=fault[1], config=fault[2])
-        plans.setdefault(plan.device, []).append(plan)
-        exporters[plan_id] = hook
-        plan_id += 1
-    return plans, exporters
-
-
-def absorb_device_fault_results(exporters: dict[int, object],
-                                results: list[tuple[int, bool, object]]) -> None:
-    """Route child-side fault execution results back to their hooks."""
-    for plan_id, fired, record in results:
-        hook = exporters.get(plan_id)
-        if hook is not None:
-            hook.absorb_device_fault(fired, record)
 
 
 class ExecutionBackend:
@@ -205,10 +104,10 @@ class ExecutionBackend:
         self.trainer = trainer
 
     def close(self) -> None:
-        """Release backend resources (processes, shared memory) and the
-        trainer back-reference: a closed trainer and everything it holds
-        (models, arenas) is then freed by refcount instead of waiting,
-        tens of MB per experiment, for a cycle collection."""
+        """Release backend resources and the trainer back-reference: a
+        closed trainer and everything it holds (models, arenas) is then
+        freed by refcount instead of waiting, tens of MB per experiment,
+        for a cycle collection."""
         self.trainer = None
 
     def __enter__(self) -> "ExecutionBackend":
@@ -277,33 +176,21 @@ class ExecutionBackend:
         if faulty is not reduced:
             np.copyto(reduced, faulty)
 
-    # ------------------------------------------------------------------
-    # State-restore notification
-    # ------------------------------------------------------------------
-    def on_state_restored(self) -> None:
-        """Called after an external restore of trainer state (recovery
-        rewind, checkpoint load) so the backend can resynchronize any
-        state living outside the parent process.  In-process: no-op."""
-
 
 def build_backend(backend, trainer) -> ExecutionBackend:
     """Resolve a backend argument (name or instance) and bind it.
 
     ``backend`` may be a name from :data:`BACKEND_NAMES` or an already
-    constructed :class:`ExecutionBackend` (the way to pass options such
-    as collective timeouts or chaos plans).
+    constructed :class:`ExecutionBackend`.
     """
     from repro.backend.batched import BatchedBackend
     from repro.backend.inprocess import InProcessBackend
-    from repro.backend.multiprocess import MultiProcessBackend
 
     if isinstance(backend, ExecutionBackend):
         backend.bind(trainer)
         return backend
     if backend == "inprocess":
         built = InProcessBackend()
-    elif backend == "multiprocess":
-        built = MultiProcessBackend()
     elif backend == "batched":
         built = BatchedBackend()
     else:

@@ -1,12 +1,10 @@
 """Experiment-batched execution backend: E experiments, one program.
 
-The multiprocess backend parallelizes *devices* and loses to the
-in-process loop on the paper's tiny NumPy models (IPC dominates).  This
-backend scales the axis fault-injection campaigns actually consume —
-*experiments* — by stepping E experiments x D devices as the *lanes* of
-one extra, ordinary model instance (the *program replica*) whose tensors
-carry a leading lane axis (see :mod:`repro.state.batched` for the
-``(E * D, total)`` row stacks the lanes' parameters live in).
+This backend scales the axis fault-injection campaigns actually
+consume — *experiments* — by stepping E experiments x D devices as the
+*lanes* of one extra, ordinary model instance (the *program replica*)
+whose tensors carry a leading lane axis (see :mod:`repro.state.batched`
+for the ``(E * D, total)`` row stacks the lanes' parameters live in).
 
 Lane contract (the layer side is in :mod:`repro.nn.module`): one lane is
 one (experiment, device) replica.  Per block of at most
@@ -330,10 +328,6 @@ class BatchedBackend(ExecutionBackend):
     """Vectorized experiment-stacked backend (``--backend batched``)."""
 
     name = "batched"
-    #: Device work happens in this process on parent-side replica
-    #: modules, so injector hooks arm normally (per-lane masking happens
-    #: inside the kernels).
-    local_device_work = True
 
     def __init__(self, group: LaneGroup | None = None):
         super().__init__()

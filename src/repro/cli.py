@@ -4,7 +4,7 @@ Mirrors the paper artifact's entry points (train a workload, replay an
 injection, evaluate the technique) as subcommands::
 
     python -m repro train resnet --iterations 60
-    python -m repro train resnet --backend multiprocess --devices 2
+    python -m repro train resnet --backend batched --devices 2
     python -m repro inject resnet --site 1.conv1 --kind weight_grad \\
         --group 1 --iteration 20 --device 1
     python -m repro inject resnet --kind comm --bit 30 --iteration 20
@@ -42,7 +42,7 @@ import argparse
 import sys
 
 from repro.accelerator.ffs import FFDescriptor
-from repro.backend import BACKEND_NAMES, MultiProcessBackend, backend_choices_help
+from repro.backend import BACKEND_NAMES, backend_choices_help
 from repro.core.analysis.classify import classify_outcome
 from repro.core.analysis.report import (
     campaign_report_dict,
@@ -90,32 +90,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              + backend_choices_help())
 
 
-def _make_backend(args, replica_trace: bool = True):
-    """The backend argument for a trainer built from CLI args.
-
-    Returns the plain backend name except for ``--backend multiprocess``
-    combined with ``--trace PATH``, where a configured instance carrying
-    the trace path is built so each replica process streams its own
-    flight-recorder shard next to the exported trace.
-    """
-    name = getattr(args, "backend", "inprocess")
-    if name != "multiprocess":
-        return name
-    trace = getattr(args, "trace", None)
-    trace_path = trace if (replica_trace and isinstance(trace, str)) else None
-    return MultiProcessBackend(trace_path=trace_path)
-
-
 def _make_trainer(args, eval_device: int = 0,
                   stop_on_nonfinite: bool = True,
-                  tracer: Tracer | None = None,
-                  replica_trace: bool = True) -> SyncDataParallelTrainer:
+                  tracer: Tracer | None = None) -> SyncDataParallelTrainer:
     spec = build_workload(args.workload, size=args.size, seed=args.seed)
     return SyncDataParallelTrainer(
         spec, num_devices=args.devices, seed=args.seed,
         test_every=max(spec.iterations // 6, 1), eval_device=eval_device,
         stop_on_nonfinite=stop_on_nonfinite, tracer=tracer,
-        backend=_make_backend(args, replica_trace=replica_trace),
+        backend=args.backend,
     )
 
 
@@ -160,13 +143,6 @@ def _make_injector(fault: HardwareFault):
     return FaultInjector(fault)
 
 
-def _report_replica_trace(trainer) -> None:
-    """Print the merged per-replica trace path, if the backend wrote one."""
-    path = getattr(trainer.backend, "replica_trace", None)
-    if path is not None:
-        print(f"replica trace: {path}")
-
-
 # ----------------------------------------------------------------------
 # Subcommand implementations
 # ----------------------------------------------------------------------
@@ -181,7 +157,6 @@ def cmd_train(args) -> int:
     print(render_convergence(trainer.record, every=args.report_every,
                              title=f"{args.workload} fault-free"))
     _export_trace(tracer, args)
-    _report_replica_trace(trainer)
     return 0
 
 
@@ -190,9 +165,7 @@ def cmd_inject(args) -> int:
     tracer = _make_tracer(args, "inject")
     trainer = _make_trainer(args, eval_device=args.device,
                             stop_on_nonfinite=False, tracer=tracer)
-    # The clean reference never writes replica shards: both trainers
-    # share the --trace directory and the shards are per-device files.
-    reference = _make_trainer(args, replica_trace=False)
+    reference = _make_trainer(args)
     reference.stop_on_nonfinite = True
     fault = _make_fault(args)
     injector = _make_injector(fault)
@@ -212,7 +185,6 @@ def cmd_inject(args) -> int:
     report = classify_outcome(trainer.record, reference.record, fault.iteration)
     print(f"outcome: {report.outcome.value} (unexpected: {report.is_unexpected})")
     _export_trace(tracer, args)
-    _report_replica_trace(trainer)
     return 0
 
 
@@ -428,7 +400,6 @@ def cmd_mitigate(args) -> int:
     else:
         print("\nno detection event (the fault was masked or benign)")
     _export_trace(tracer, args)
-    _report_replica_trace(trainer)
     return 0
 
 

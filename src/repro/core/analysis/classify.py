@@ -37,9 +37,6 @@ class Outcome(str, Enum):
     SHARP_SLOW_DEGRADE = "sharp_slow_degrade"
     SHARP_DEGRADE = "sharp_degrade"
     LOW_TEST_ACCURACY = "low_test_accuracy"
-    #: A replica process died mid-run (multi-process backend): a fail-stop
-    #: hardware failure, as opposed to the silent corruptions above.
-    REPLICA_LOST = "replica_lost"
 
     @property
     def is_unexpected(self) -> bool:
@@ -124,17 +121,6 @@ def classify_outcome(
     """
     th = thresholds or ClassifierThresholds()
     t = int(injection_iteration)
-
-    # ------------------------------------------------------------------
-    # Fail-stop: a replica process was lost (no convergence trend to
-    # classify — the run aborted).
-    # ------------------------------------------------------------------
-    if faulty.replica_lost_at is not None:
-        return OutcomeReport(
-            Outcome.REPLICA_LOST, t, 0.0, 0.0, False,
-            {"replica_lost_at": faulty.replica_lost_at,
-             "device": faulty.replica_lost_device},
-        )
 
     # ------------------------------------------------------------------
     # INFs/NaNs: classify by manifestation latency (Table 3).
@@ -233,7 +219,7 @@ def classify_outcomes(
     reports: list[OutcomeReport | None] = [None] * len(records)
     nonfinite_idx = [
         i for i, record in enumerate(records)
-        if record.replica_lost_at is None and record.nonfinite_at is not None
+        if record.nonfinite_at is not None
     ]
     if nonfinite_idx:
         at = np.array([records[i].nonfinite_at for i in nonfinite_idx])

@@ -309,9 +309,6 @@ class Campaign:
             trainer.train(self.horizon)
             self.reference = trainer.record
         finally:
-            # Release the backend now: for the multiprocess backend this
-            # stops the baseline's replica processes before the engine
-            # forks its workers.
             trainer.close()
 
     # ------------------------------------------------------------------
@@ -368,8 +365,6 @@ class Campaign:
         arena_sha256 = None
         try:
             trainer.train(remaining)
-            # Digest before close(): the multiprocess backend unlinks its
-            # shared-memory segments when the trainer is released.
             arena_sha256 = training_state_digest(trainer)
         finally:
             trainer.close()
@@ -569,10 +564,7 @@ class Campaign:
             self._engine_runner,
             EngineConfig(parallel=int(parallel), timeout=timeout,
                          max_retries=int(max_retries), trace=trace,
-                         block_size=self.experiment_batch,
-                         # Multiprocess-backend experiments spawn replica
-                         # processes, which daemonic workers may not do.
-                         worker_daemon=(self.backend != "multiprocess")),
+                         block_size=self.experiment_batch),
             store=store_obj, on_progress=on_progress, tracer=tracer)
         if on_engine is not None:
             on_engine(engine)

@@ -10,13 +10,12 @@ gradient, perturbed exactly once, after the reduction and before any
 consumer (hooks, optimizer) sees it.
 
 Both execution backends expose the identical injection point
-(:meth:`repro.backend.base.ExecutionBackend.set_comm_fault_hook` —
-the in-process simulator applies it after its central-server average,
-the multi-process runtime inside ``all_reduce_mean``), so a comm fault
-propagates bit-identically under either backend: the corrupted mean is
-applied by the master optimizer and broadcast to *every* replica, the
-defining difference from single-device faults, which are diluted by
-``1/num_devices`` at the same point.
+(:meth:`repro.backend.base.ExecutionBackend.set_comm_fault_hook`,
+applied by ``reduce_fused`` after the central-server average), so a
+comm fault propagates bit-identically under either backend: the
+corrupted mean is applied by the master optimizer and broadcast to
+*every* replica, the defining difference from single-device faults,
+which are diluted by ``1/num_devices`` at the same point.
 """
 
 from __future__ import annotations

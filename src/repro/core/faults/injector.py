@@ -105,8 +105,8 @@ class FaultInjector:
         return faulty
 
     # ------------------------------------------------------------------
-    # Arming (shared by the trainer-hook path and the backend's
-    # replica-process path)
+    # Arming (shared by the trainer-hook path and the serving fault
+    # plane)
     # ------------------------------------------------------------------
     def arm(self, trainer, replica) -> None:
         """Arm the fault hook on ``replica``'s target module."""
@@ -120,27 +120,6 @@ class FaultInjector:
             self._armed_module = None
 
     # ------------------------------------------------------------------
-    # Crossing a process boundary (multi-process backend)
-    # ------------------------------------------------------------------
-    def export_device_fault(self, iteration: int):
-        """Export this injection as a serializable plan, or ``None``.
-
-        Called by backends whose device work runs in another process: a
-        fresh injector built from ``(fault, config)`` over there draws
-        the identical perturbation (the rng is seeded from the fault).
-        """
-        if iteration != self.fault.iteration or self.fired:
-            return None
-        return (self.fault.device, self.fault, self.config)
-
-    def absorb_device_fault(self, fired: bool, record) -> None:
-        """Take back the replica-side execution result, so ``fired`` /
-        ``record`` state and trace emission match the in-process path."""
-        if fired:
-            self.fired = True
-            self.record = record
-
-    # ------------------------------------------------------------------
     # Trainer hook interface
     # ------------------------------------------------------------------
     def before_iteration(self, trainer, iteration: int) -> None:
@@ -152,13 +131,6 @@ class FaultInjector:
                 f"fault targets device {self.fault.device} but trainer has "
                 f"{trainer.num_devices} devices"
             )
-        backend = getattr(trainer, "backend", None)
-        if backend is not None and not getattr(backend, "local_device_work", True):
-            # Device work runs in a replica process; the backend ships
-            # this injection there as a DeviceFaultPlan (see
-            # export_device_fault) instead of arming a parent-side
-            # module that never computes.
-            return
         self.arm(trainer, trainer.replicas[self.fault.device])
 
     def after_iteration(self, trainer, iteration: int, loss: float, acc: float) -> None:

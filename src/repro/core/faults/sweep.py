@@ -142,8 +142,7 @@ def run_sweep(
     engine = CampaignEngine(
         campaign._engine_runner,
         EngineConfig(parallel=int(parallel), timeout=timeout,
-                     max_retries=int(max_retries),
-                     worker_daemon=(campaign.backend == "inprocess")),
+                     max_retries=int(max_retries)),
         store=store_obj, on_progress=on_progress)
     try:
         report = engine.run(units)

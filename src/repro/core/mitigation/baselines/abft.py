@@ -126,7 +126,7 @@ class ABFTChecker:
         if not compared:
             # The operands come from the forward caches of
             # ``trainer.replicas``; a backend that computes elsewhere
-            # (stacked lanes, replica processes) never fills them.
+            # (the batched backend's stacked lanes) never fills them.
             raise RuntimeError(
                 f"ABFT compared no forward checksum at iteration {iteration} on "
                 f"the {trainer.backend.name!r} backend: no Dense/Conv2D module of "

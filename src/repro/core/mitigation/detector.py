@@ -71,14 +71,6 @@ class HardwareFailureDetector:
         """Run all bound checks once; returns the first violation if any."""
         if self.bounds is None:
             self.bounds = derive_bounds_for_trainer(trainer)
-            # The calibration forward pass (Algorithm 1 reads layer
-            # shapes) ran train-mode on the parent's master replica and
-            # advanced its BatchNorm moving statistics; resynchronize
-            # backends whose replicas live in other processes so every
-            # backend sees the identical post-calibration state.
-            backend = getattr(trainer, "backend", None)
-            if backend is not None:
-                backend.on_state_restored()
         self.checks += 1
         optimizer = trainer.optimizer
         history_bound = self.bounds.effective_history_bound

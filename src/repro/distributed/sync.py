@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.base import ReplicaLostError, build_backend
+from repro.backend.base import build_backend
 from repro.backend.base import reseed_random_layers  # noqa: F401  (re-export)
 from repro.data.loader import BatchLoader
 from repro.nn.module import Module
@@ -178,11 +178,8 @@ class SyncDataParallelTrainer:
     def signal_recovered(self) -> None:
         """Called by a recovery hook after it rewinds training state: the
         just-recorded iteration has been rolled back, so the training loop
-        must not act on its (possibly non-finite) loss.  The backend is
-        notified so state living outside this process (per-replica
-        BatchNorm statistics in replica processes) is resynchronized."""
+        must not act on its (possibly non-finite) loss."""
         self._just_recovered = True
-        self.backend.on_state_restored()
 
     def _state_is_finite(self, loss: float) -> bool:
         if not np.isfinite(loss):
@@ -242,13 +239,7 @@ class SyncDataParallelTrainer:
         end = self.iteration + budget
         while self.iteration < end:
             t = self.iteration
-            try:
-                loss, acc = self.run_iteration(t)
-            except ReplicaLostError as lost:
-                # A replica process died mid-collective; the backend has
-                # already torn itself down and emitted the trace event.
-                self.record.mark_replica_lost(t, lost.device)
-                break
+            loss, acc = self.run_iteration(t)
             score = self.evaluate() if self.record_iteration(t, loss, acc) else None
             if not self.finish_iteration(t, loss, acc, score):
                 break
@@ -258,8 +249,8 @@ class SyncDataParallelTrainer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the execution backend (replica processes, shared
-        memory).  The trainer state remains readable afterwards."""
+        """Release the execution backend.  The trainer state remains
+        readable afterwards."""
         self.backend.close()
 
     def __enter__(self) -> "SyncDataParallelTrainer":

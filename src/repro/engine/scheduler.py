@@ -77,12 +77,6 @@ class EngineConfig:
     #: shard file next to the result store (required), merged into one
     #: campaign trace when the run ends.
     trace: bool = False
-    #: Run workers as daemons (killed with the parent, the safe default).
-    #: Must be False when the runner itself spawns processes — e.g. the
-    #: multiprocess execution backend's replicas — because daemonic
-    #: processes may not have children; the engine still sentinels,
-    #: joins, and kills its workers on every exit path.
-    worker_daemon: bool = True
 
 
 @dataclass
@@ -121,7 +115,7 @@ class _WorkerHandle:
 
     def __init__(self, worker_id: int, ctx, runner_factory, result_queue,
                  trace_path: Path | None = None,
-                 outcome_field: str = "outcome", daemon: bool = True):
+                 outcome_field: str = "outcome"):
         self.id = worker_id
         self.queue = ctx.Queue()
         self.ready = False
@@ -132,7 +126,7 @@ class _WorkerHandle:
             target=worker_main,
             args=(worker_id, runner_factory, self.queue, result_queue,
                   trace_path, outcome_field),
-            daemon=daemon,
+            daemon=True,  # workers never outlive a killed parent
         )
         self.process.start()
 
@@ -411,8 +405,7 @@ class CampaignEngine:
                           if self._trace_dir is not None else None)
             handle = _WorkerHandle(next_worker_id, ctx, self.runner_factory,
                                    result_queue, trace_path=trace_path,
-                                   outcome_field=self.config.outcome_field,
-                                   daemon=self.config.worker_daemon)
+                                   outcome_field=self.config.outcome_field)
             workers[handle.id] = handle
             next_worker_id += 1
 

@@ -42,10 +42,7 @@ from repro.observe.events import (
     EXPERIMENT_STARTED,
     FAULT_INJECTED,
     ITERATION_STATS,
-    REPLICA_LOST,
-    REPLICA_STEP,
     ROLLBACK,
-    STRAGGLER_DETECTED,
     TRACE_SCHEMA_VERSION,
     TraceEvent,
     TraceFormatError,
@@ -59,14 +56,11 @@ from repro.observe.export import (
     validate_exposition,
 )
 from repro.observe.merge import (
-    REPLICA_SHARD_PREFIX,
     SHARD_PREFIX,
     TraceMergeResult,
     campaign_trace_path,
     merge_campaign_shards,
     merge_traces,
-    replica_shard_path,
-    replica_trace_path,
     shard_path,
     shard_paths,
 )
@@ -123,9 +117,6 @@ __all__ = [
     "NULL_TRACER",
     "PROFILER",
     "REGISTRY",
-    "REPLICA_LOST",
-    "REPLICA_SHARD_PREFIX",
-    "REPLICA_STEP",
     "ROLLBACK",
     "SERIES_SCHEMA_VERSION",
     "SHARD_PREFIX",
@@ -133,7 +124,6 @@ __all__ = [
     "SLOEngine",
     "SLORule",
     "SLOStatus",
-    "STRAGGLER_DETECTED",
     "TRACE_SCHEMA_VERSION",
     "Counter",
     "Histogram",
@@ -172,8 +162,6 @@ __all__ = [
     "render_json",
     "render_profile",
     "render_prometheus",
-    "replica_shard_path",
-    "replica_trace_path",
     "series_path",
     "set_current_tracer",
     "set_metrics_enabled",

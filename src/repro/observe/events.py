@@ -56,18 +56,6 @@ EXPERIMENT_STARTED = "experiment_started"
 #: status "done"/"error", plus outcome or error).  The shard merge uses
 #: this marker to pick the completed attempt when a unit was retried.
 EXPERIMENT_FINISHED = "experiment_finished"
-#: Multi-process backend, replica side: one device completed its share
-#: of a synchronous iteration (data: device, loss, acc).  Streamed into
-#: per-replica shard files and merged like worker shards.
-REPLICA_STEP = "replica_step"
-#: Multi-process backend, parent side: a replica exceeded the collective
-#: timeout but the collective is still waiting (data: device, phase,
-#: waited, timeout).
-STRAGGLER_DETECTED = "straggler_detected"
-#: Multi-process backend, parent side: a replica process died
-#: mid-collective; the trainer aborts with the ReplicaLost outcome
-#: (data: device, phase).
-REPLICA_LOST = "replica_lost"
 
 #: Every known event type; :meth:`Tracer.emit` rejects others so trace
 #: consumers can rely on a closed vocabulary.
@@ -81,9 +69,6 @@ EVENT_TYPES = frozenset({
     EXPERIMENT_QUARANTINED,
     EXPERIMENT_STARTED,
     EXPERIMENT_FINISHED,
-    REPLICA_STEP,
-    STRAGGLER_DETECTED,
-    REPLICA_LOST,
 })
 
 

@@ -41,25 +41,10 @@ from repro.observe.tracer import _json_default, read_trace
 #: Filename prefix of per-worker shard files (next to the result store).
 SHARD_PREFIX = "trace-worker"
 
-#: Filename prefix of per-replica shard files streamed by the
-#: multi-process backend's replica processes (next to the main trace).
-REPLICA_SHARD_PREFIX = "trace-replica"
-
 
 def shard_path(directory: str | Path, worker_id: int) -> Path:
     """The shard file a given engine worker streams into."""
     return Path(directory) / f"{SHARD_PREFIX}{worker_id}.jsonl"
-
-
-def replica_shard_path(directory: str | Path, device: int) -> Path:
-    """The shard file one backend replica process streams into."""
-    return Path(directory) / f"{REPLICA_SHARD_PREFIX}{device}.jsonl"
-
-
-def replica_trace_path(trace_path: str | Path) -> Path:
-    """The merged per-replica trace written next to a main trace file."""
-    trace_path = Path(trace_path)
-    return trace_path.with_name(trace_path.stem + ".replicas.jsonl")
 
 
 def shard_paths(directory: str | Path) -> list[Path]:

@@ -147,7 +147,8 @@ class StateArena:
         return np.empty(self.total, dtype=np.float32)
 
     def rebind_segment(self, name: str, buffer: np.ndarray) -> np.ndarray:
-        """Swap a segment's backing storage (e.g. into shared memory).
+        """Swap a segment's backing storage (e.g. into a row of the
+        batched backend's experiment stacks).
 
         The current contents are copied into ``buffer``, the segment map
         is repointed, and — for the ``param``/``grad`` segments — every
@@ -248,8 +249,7 @@ def training_state_digest(trainer) -> str:
     state": the golden traces pin it across machines and backends, and
     the replay gate verifies it per experiment.  The digest reads only
     values the training loop already computed, so it is safe to take on
-    a live trainer (but must run before ``trainer.close()`` — the
-    multiprocess backend unlinks its shared-memory segments on close).
+    a live trainer.
     """
     h = hashlib.sha256()
     for name, param in sorted(trainer.master.named_parameters()):

@@ -28,10 +28,6 @@ class ConvergenceRecord:
         self.mvar_magnitude: list[float] = []
         #: Iteration at which a non-finite loss/weight was first observed.
         self.nonfinite_at: int | None = None
-        #: Iteration at which a replica process was lost (multi-process
-        #: backend), and the device that died.
-        self.replica_lost_at: int | None = None
-        self.replica_lost_device: int | None = None
         #: Iterations at which the hardware-failure detector fired.
         self.detections: list[int] = []
         #: Iterations at which a recovery re-execution was performed.
@@ -58,11 +54,6 @@ class ConvergenceRecord:
     def mark_nonfinite(self, iteration: int) -> None:
         if self.nonfinite_at is None:
             self.nonfinite_at = int(iteration)
-
-    def mark_replica_lost(self, iteration: int, device: int) -> None:
-        if self.replica_lost_at is None:
-            self.replica_lost_at = int(iteration)
-            self.replica_lost_device = int(device)
 
     def truncate_to(self, iteration: int) -> None:
         """Drop all entries at or after ``iteration`` (used when recovery
@@ -115,8 +106,6 @@ class ConvergenceRecord:
             "test_iterations": self.test_iterations,
             "test_acc": self.test_acc,
             "nonfinite_at": self.nonfinite_at,
-            "replica_lost_at": self.replica_lost_at,
-            "replica_lost_device": self.replica_lost_device,
             "detections": self.detections,
             "recoveries": self.recoveries,
         }

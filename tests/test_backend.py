@@ -1,36 +1,25 @@
-"""Tests for :mod:`repro.backend`: pluggable execution backends.
+"""Tests for :mod:`repro.backend`: two execution backends, one contract.
 
 Three contracts are pinned here:
 
-* **Collective determinism** — the order-pinned ring ``all_reduce_mean``
-  is bit-identical to the naive central-server mean the in-process
-  simulator computes, for real gradients of every registry workload and
-  for any chunking.
+* **The reduction** — :meth:`ExecutionBackend.reduce_fused` is the
+  central-server mean (ascending-rank sum, one multiply) written into
+  the master gradient segment, which is also its rank-0 input, and the
+  comm-fault hook sees the reduced buffer exactly once — on both
+  backends.
 * **Cross-backend bit-identity** — training (fault-free, device faults,
   comm faults) produces byte-equal convergence records and final state
-  under the in-process and multi-process backends, including the
-  paper-scale 8-replica topology.
-* **Robustness** — a killed replica surfaces as the ``ReplicaLost``
-  outcome with no shared-memory leak, a straggling replica is flagged in
-  telemetry while the collective keeps waiting, and a hard collective
-  timeout aborts cleanly.
+  under the in-process and batched backends, including the paper-scale
+  8-replica topology.
+* **Lifecycle** — accumulators are allocated once, unknown backend
+  names are rejected, and trainer state stays readable after ``close``.
 """
-
-import hashlib
-from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
 
 from repro.accelerator.ffs import FFDescriptor
-from repro.backend import (
-    CollectiveTimeoutError,
-    MultiProcessBackend,
-    ReplicaChaos,
-    all_reduce_mean,
-    device_step,
-)
-from repro.core.analysis.classify import Outcome, classify_outcome
+from repro.backend import BACKEND_NAMES
 from repro.core.faults import (
     COMM,
     LINK_SITE,
@@ -40,8 +29,8 @@ from repro.core.faults import (
     OpSite,
 )
 from repro.distributed import SyncDataParallelTrainer
-from repro.observe import STRAGGLER_DETECTED, Tracer
-from repro.workloads import build_workload, workload_names
+from repro.state import training_state_digest as state_digest
+from repro.workloads import build_workload
 
 RECORD_FIELDS = ("train_loss", "train_acc", "history_magnitude",
                  "mvar_magnitude", "test_acc")
@@ -56,24 +45,6 @@ def record_hex(record) -> dict[str, list]:
     }
 
 
-def state_digest(trainer) -> str:
-    """sha256 over final params, optimizer slots, and per-replica extra
-    state, mirroring the golden-trace digest."""
-    h = hashlib.sha256()
-    for name, param in sorted(trainer.master.named_parameters()):
-        h.update(name.encode())
-        h.update(param.data.tobytes())
-    opt = trainer.optimizer.state_dict()
-    for key in sorted(k for k in opt if k not in ("iteration", "lr")):
-        for arr in opt[key]:
-            h.update(arr.tobytes())
-    for replica in trainer.replicas:
-        for _mod_name, module in sorted(replica.named_modules()):
-            for _k, v in sorted(module.extra_state().items()):
-                h.update(v.tobytes())
-    return h.hexdigest()
-
-
 def make_trainer(workload="resnet", num_devices=2, backend="inprocess",
                  test_every=0, **kwargs) -> SyncDataParallelTrainer:
     spec = build_workload(workload, size="tiny", seed=0)
@@ -83,72 +54,69 @@ def make_trainer(workload="resnet", num_devices=2, backend="inprocess",
 
 
 # ----------------------------------------------------------------------
-# Property: pinned ring == central-server mean (satellite 2)
+# The reduction and its comm-fault site
 # ----------------------------------------------------------------------
+def _trainer_with_random_grads(backend, rng, num_devices=3):
+    """A trainer whose per-device gradient segments hold random values,
+    plus copies of them (``reduce_fused`` overwrites the master's)."""
+    trainer = make_trainer(num_devices=num_devices, backend=backend)
+    for arena in trainer.arenas:
+        arena.grad[:] = rng.normal(size=arena.total).astype(np.float32)
+    return trainer, [arena.grad.copy() for arena in trainer.arenas]
+
+
+def _central_server_mean(grads) -> np.ndarray:
+    acc = np.zeros(grads[0].size, dtype=np.float32)
+    for g in grads:
+        acc += g
+    expected = np.empty_like(acc)
+    np.multiply(acc, 1.0 / len(grads), out=expected)
+    return expected
+
+
 class TestAllReduceMeanProperty:
-    @pytest.mark.parametrize("workload", workload_names())
-    def test_pinned_ring_matches_central_server_mean(self, workload):
-        """For every registry workload's real first-iteration gradients,
-        the chunked ring reduction must be bit-identical to the
-        sequential central-server sum, at any chunk size."""
-        trainer = make_trainer(workload, num_devices=4)
-        assert trainer.arenas is not None, "workload lost its fused arena"
-        for device in range(trainer.num_devices):
-            device_step(trainer, device, 0)
-        grads = [arena.grad.copy() for arena in trainer.arenas]
-        total = grads[0].size
-
-        # The central-server reference: ascending-rank sum, one multiply.
-        acc = np.zeros(total, dtype=np.float32)
-        for g in grads:
-            acc += g
-        expected = np.empty(total, dtype=np.float32)
-        np.multiply(acc, 1.0 / len(grads), out=expected)
-
-        for chunk in (1 << 16, 17):  # default and a pathological chunking
-            out = np.empty(total, dtype=np.float32)
-            all_reduce_mean(grads, out=out, chunk=chunk)
-            assert out.tobytes() == expected.tobytes(), (
-                f"{workload}: ring mean diverged at chunk={chunk}")
-
     def test_out_may_alias_rank_zero(self, rng):
         """The master gradient segment is both rank-0 input and the
         destination; aliasing must not perturb the result."""
-        buffers = [rng.normal(size=1000).astype(np.float32) for _ in range(3)]
-        acc = np.zeros(1000, dtype=np.float32)
-        for b in buffers:
-            acc += b
-        expected = np.empty(1000, dtype=np.float32)
-        np.multiply(acc, 1.0 / 3, out=expected)
-        out = all_reduce_mean(buffers, out=buffers[0], chunk=64)
-        assert out.tobytes() == expected.tobytes()
+        for backend in BACKEND_NAMES:
+            trainer, grads = _trainer_with_random_grads(backend, rng)
+            assert trainer.master_arena is trainer.arenas[0]
+            trainer.backend.reduce_fused()
+            assert (trainer.master_arena.grad.tobytes()
+                    == _central_server_mean(grads).tobytes()), backend
+            for arena, before in zip(trainer.arenas[1:], grads[1:]):
+                assert arena.grad.tobytes() == before.tobytes(), backend
+            trainer.close()
 
     def test_fault_hook_applied_once_to_reduced_buffer(self, rng):
-        buffers = [rng.normal(size=64).astype(np.float32) for _ in range(2)]
-        calls = []
+        for backend in BACKEND_NAMES:
+            trainer, grads = _trainer_with_random_grads(backend, rng, 2)
+            calls = []
 
-        def hook(reduced):
-            calls.append(reduced.copy())
-            faulty = reduced.copy()
-            faulty[7] = np.float32(1e30)
-            return faulty
+            def hook(reduced):
+                calls.append(reduced.copy())
+                faulty = reduced.copy()
+                faulty[7] = np.float32(1e30)
+                return faulty
 
-        out = np.empty(64, dtype=np.float32)
-        all_reduce_mean(buffers, out=out, fault_hook=hook)
-        assert len(calls) == 1
-        assert out[7] == np.float32(1e30)
-        clean = np.delete(out, 7)
-        assert np.array_equal(clean, np.delete(calls[0], 7))
+            trainer.backend.set_comm_fault_hook(hook)
+            trainer.backend.reduce_fused()
+            out = trainer.master_arena.grad
+            assert len(calls) == 1, backend
+            assert calls[0].tobytes() == _central_server_mean(grads).tobytes()
+            assert out[7] == np.float32(1e30)
+            assert np.array_equal(np.delete(out, 7), np.delete(calls[0], 7))
+            trainer.close()
 
 
 # ----------------------------------------------------------------------
-# Cross-backend bit-identity (tentpole + satellite 2)
+# Cross-backend bit-identity
 # ----------------------------------------------------------------------
 class TestCrossBackendIdentity:
     def _train_both(self, workload="resnet", num_devices=2, iterations=6,
                     test_every=3, hook_factory=None):
         results = {}
-        for backend in ("inprocess", "multiprocess"):
+        for backend in BACKEND_NAMES:
             trainer = make_trainer(workload, num_devices=num_devices,
                                    backend=backend, test_every=test_every,
                                    stop_on_nonfinite=False)
@@ -165,21 +133,21 @@ class TestCrossBackendIdentity:
     def test_training_is_bit_identical(self):
         results = self._train_both()
         inproc, _ = results["inprocess"]
-        multi, _ = results["multiprocess"]
-        assert record_hex(inproc.record) == record_hex(multi.record)
-        assert state_digest(inproc) == state_digest(multi)
+        batched, _ = results["batched"]
+        assert record_hex(inproc.record) == record_hex(batched.record)
+        assert state_digest(inproc) == state_digest(batched)
 
     def test_eight_replica_topology_is_bit_identical(self):
-        """The paper-scale topology: 8 replicas, one process each."""
+        """The paper-scale topology: 8 replicas."""
         results = self._train_both(num_devices=8, iterations=3, test_every=0)
         inproc, _ = results["inprocess"]
-        multi, _ = results["multiprocess"]
-        assert record_hex(inproc.record) == record_hex(multi.record)
-        assert state_digest(inproc) == state_digest(multi)
+        batched, _ = results["batched"]
+        assert record_hex(inproc.record) == record_hex(batched.record)
+        assert state_digest(inproc) == state_digest(batched)
 
     def test_device_fault_is_bit_identical(self):
-        """A shipped DeviceFaultPlan must fire in the replica process
-        with the exact draws the in-process injector would make."""
+        """The injector armed on a lane replica must make the exact
+        draws the in-process injector makes."""
         def fault_hook():
             ff = FFDescriptor("global_control", group=1, has_feedback=True)
             fault = HardwareFault(ff=ff, site=OpSite("1.conv1", "weight_grad"),
@@ -189,11 +157,11 @@ class TestCrossBackendIdentity:
         results = self._train_both(iterations=5, test_every=0,
                                    hook_factory=fault_hook)
         inproc, hook_in = results["inprocess"]
-        multi, hook_mp = results["multiprocess"]
-        assert hook_in.fired and hook_mp.fired
-        assert hook_in.record.num_faulty == hook_mp.record.num_faulty
-        assert hook_in.record.max_abs_faulty() == hook_mp.record.max_abs_faulty()
-        assert record_hex(inproc.record) == record_hex(multi.record)
+        batched, hook_b = results["batched"]
+        assert hook_in.fired and hook_b.fired
+        assert hook_in.record.num_faulty == hook_b.record.num_faulty
+        assert hook_in.record.max_abs_faulty() == hook_b.record.max_abs_faulty()
+        assert record_hex(inproc.record) == record_hex(batched.record)
 
     def test_comm_fault_is_bit_identical(self):
         """Link faults hit the identical point of the reduction under
@@ -207,11 +175,11 @@ class TestCrossBackendIdentity:
         results = self._train_both(iterations=5, test_every=0,
                                    hook_factory=fault_hook)
         inproc, hook_in = results["inprocess"]
-        multi, hook_mp = results["multiprocess"]
-        assert hook_in.fired and hook_mp.fired
-        assert hook_in.record.num_faulty == hook_mp.record.num_faulty
-        assert record_hex(inproc.record) == record_hex(multi.record)
-        assert state_digest(inproc) == state_digest(multi)
+        batched, hook_b = results["batched"]
+        assert hook_in.fired and hook_b.fired
+        assert hook_in.record.num_faulty == hook_b.record.num_faulty
+        assert record_hex(inproc.record) == record_hex(batched.record)
+        assert state_digest(inproc) == state_digest(batched)
 
     def test_unknown_backend_name_rejected(self):
         spec = build_workload("resnet", size="tiny", seed=0)
@@ -220,7 +188,7 @@ class TestCrossBackendIdentity:
 
 
 # ----------------------------------------------------------------------
-# Gradient-accumulation buffers are pre-allocated (satellite 1)
+# Lifecycle
 # ----------------------------------------------------------------------
 class TestPreallocatedBuffers:
     def test_inprocess_accumulator_is_reused(self):
@@ -230,108 +198,14 @@ class TestPreallocatedBuffers:
         trainer.train(2)
         assert trainer.backend._grad_accum is buf
 
-    def test_multiprocess_scratch_is_reused(self):
-        trainer = make_trainer(backend="multiprocess")
-        try:
-            trainer.train(2)
-            scratch = trainer.backend._scratch
-            assert scratch is not None
-            trainer.train(1)
-            assert trainer.backend._scratch is scratch
-        finally:
-            trainer.close()
 
-
-# ----------------------------------------------------------------------
-# Robustness: replica loss, stragglers, timeouts (satellite 3)
-# ----------------------------------------------------------------------
-class TestReplicaLoss:
-    def test_killed_replica_aborts_cleanly_and_unlinks_shm(self):
-        backend = MultiProcessBackend(
-            chaos=(ReplicaChaos(device=1, iteration=2, kind="kill"),))
-        trainer = make_trainer(backend=backend)
-        trainer.backend.start()
-        names = [shm.name for shm in backend._segments]
-        assert names, "backend did not map shared segments"
-
-        record = trainer.train(5)
-        assert record.replica_lost_at == 2
-        assert record.replica_lost_device == 1
-        # Iterations 0 and 1 completed; the aborted one is not recorded.
-        assert len(record.train_loss) == 2
-        # Abort means teardown: every shared segment must be unlinked.
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                leaked = SharedMemory(name=name)
-                leaked.close()
-
-    def test_replica_lost_is_its_own_outcome(self):
-        backend = MultiProcessBackend(
-            chaos=(ReplicaChaos(device=0, iteration=1, kind="kill"),))
-        faulty = make_trainer(backend=backend)
-        faulty.train(4)
-        reference = make_trainer()
-        reference.train(4)
-        report = classify_outcome(faulty.record, reference.record,
-                                  injection_iteration=1)
-        assert report.outcome is Outcome.REPLICA_LOST
-        assert report.is_unexpected
-        assert report.details["replica_lost_at"] == 1
-
+class TestLifecycle:
     def test_trainer_state_remains_readable_after_close(self):
-        trainer = make_trainer(backend="multiprocess")
-        trainer.train(2)
-        trainer.close()
-        digest = state_digest(trainer)
-        trainer.close()  # idempotent
-        assert state_digest(trainer) == digest
-        assert np.isfinite(trainer.master_arena.param).all()
-
-
-class TestStragglers:
-    def test_straggler_is_flagged_in_telemetry_and_trace(self):
-        tracer = Tracer()
-        backend = MultiProcessBackend(
-            timeout=0.05, hard_timeout=60.0,
-            chaos=(ReplicaChaos(device=0, iteration=1, kind="delay",
-                                seconds=0.4),))
-        trainer = make_trainer(backend=backend, tracer=tracer)
-        try:
-            record = trainer.train(3)
-        finally:
+        for backend in BACKEND_NAMES:
+            trainer = make_trainer(backend=backend)
+            trainer.train(2)
             trainer.close()
-        # The collective waited the straggler out: training completed.
-        assert len(record.train_loss) == 3
-        # On a loaded box other replicas may be flagged too (the timeout
-        # is tight by design); the delayed replica must be among them.
-        matching = [e for e in backend.straggler_events
-                    if e["device"] == 0 and e["iteration"] == 1]
-        assert matching, f"straggler not flagged: {backend.straggler_events}"
-        event = matching[0]
-        assert event["phase"] == "step"
-        assert event["waited"] >= event["timeout"]
-        emitted = tracer.events(STRAGGLER_DETECTED)
-        assert any(e.data["device"] == 0 and e.iteration == 1
-                   for e in emitted)
-
-    def test_hard_timeout_aborts_the_collective(self):
-        backend = MultiProcessBackend(
-            timeout=0.05, hard_timeout=0.15,
-            chaos=(ReplicaChaos(device=1, iteration=1, kind="delay",
-                                seconds=1.0),))
-        trainer = make_trainer(backend=backend)
-        with pytest.raises(CollectiveTimeoutError, match="timed out"):
-            trainer.train(3)
-        # The straggler was flagged before the abort, and the abort
-        # tore the backend down.
-        assert backend.straggler_events
-        assert backend._closed
-
-    def test_barrier_roundtrip(self):
-        trainer = make_trainer(backend="multiprocess")
-        try:
-            trainer.train(1)
-            trainer.backend.barrier()
-        finally:
-            trainer.close()
-        trainer.backend.barrier()  # no-op once closed
+            digest = state_digest(trainer)
+            trainer.close()  # idempotent
+            assert state_digest(trainer) == digest
+            assert np.isfinite(trainer.master_arena.param).all()

@@ -39,7 +39,7 @@ class TestABFT:
         checksums = mac_layers * trainer.num_devices * 3
         assert checker.checks == checksums * (2 if weight_grads else 1)
 
-    @pytest.mark.parametrize("backend", ["batched", "multiprocess"])
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_raises_where_replicas_run_no_forward(self, make_trainer, backend):
         """Off the in-process backend the replica modules ABFT reads never
         run a training forward; it must say so, not report checks of

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,6 +21,19 @@ class TestParser:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "alexnet"])
+
+    def test_removed_backend_rejected(self, capsys):
+        """``multiprocess`` is gone from the CLI choices and from
+        ``build_backend``, which names the backends that exist."""
+        from repro.backend import build_backend
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["train", "resnet", "--backend", "multiprocess"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'multiprocess'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="known: inprocess, batched$"):
+            build_backend("multiprocess", None)
 
     def test_inject_fault_args(self):
         args = build_parser().parse_args([
@@ -127,6 +142,21 @@ class TestEngineCommands:
     def test_report_missing_store_is_clean_error(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_report_rejects_outcome_of_removed_backend(self, capsys, tmp_path):
+        """A store from when ``replica_lost`` was an outcome: one-line
+        operator error, not a traceback and not a Table 3 row."""
+        store = tmp_path / "r.jsonl"
+        assert main(["campaign", "resnet", "--experiments", "1", "--devices",
+                     "2", "--store", str(store)]) == 0
+        text, swapped = re.subn(r'"outcome":"\w+"', '"outcome":"replica_lost"',
+                                store.read_text())
+        assert swapped == 1
+        store.write_text(text)
+        capsys.readouterr()
+        assert main(["report", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 'replica_lost' is not a valid Outcome\n"
 
     def test_campaign_resume_skips_finished(self, capsys, tmp_path):
         store = tmp_path / "r.jsonl"

@@ -216,6 +216,22 @@ class TestCampaignThroughEngine:
         assert {k: v.outcome for k, v in serial.cells.items()} == \
             {k: v.outcome for k, v in parallel.cells.items()}
 
+    def test_batched_sweep_workers_are_daemonic(self):
+        """Engine workers die with a killed parent on every backend (a
+        ``batched`` sweep used to run them non-daemonic)."""
+        import multiprocessing
+
+        from repro.core.faults import SweepAxis, run_sweep
+
+        spec = build_workload("resnet", size="tiny", seed=0)
+        campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=4,
+                            horizon=6, backend="batched")
+        daemonic = []
+        run_sweep(campaign, [SweepAxis("group", [1, 2])], parallel=2,
+                  on_progress=lambda _snapshot: daemonic.extend(
+                      p.daemon for p in multiprocessing.active_children()))
+        assert daemonic and all(daemonic)
+
     def test_keep_records_rejects_engine_options(self):
         spec = build_workload("resnet", size="tiny", seed=0)
         campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=4,

@@ -152,8 +152,6 @@ class TestRecordCompleteness:
 class TestRoundTrip:
     @pytest.mark.parametrize("backend,batch,num", [
         pytest.param("inprocess", 1, 2, id="inprocess"),
-        pytest.param("multiprocess", 1, 2, id="multiprocess",
-                     marks=[pytest.mark.slow, pytest.mark.backend]),
         pytest.param("batched", 2, 4, id="batched",
                      marks=[pytest.mark.slow, pytest.mark.backend]),
     ])
@@ -299,7 +297,7 @@ class TestCorpus:
         kinds = {e["fault"]["site"]["kind"] for e in entries}
         assert kinds == {"forward", "weight_grad", "input_grad", "comm"}
         backends = {e["backend"] for e in entries}
-        assert backends == {"inprocess", "multiprocess", "batched"}
+        assert backends == {"inprocess", "batched"}
         outcomes = {e["outcome"] for e in entries}
         assert len(outcomes) >= 3  # masked plus at least two failure classes
         for entry in entries:
