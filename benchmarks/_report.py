@@ -42,18 +42,22 @@ def provenance_banner() -> str:
             f"on {stamp['host']} (python {stamp['python']})")
 
 
-def write_artifact(name: str, data: dict) -> Path:
+def write_artifact(name: str, data: dict, smoke: bool) -> Path:
     """Persist one benchmark's measurements as ``BENCH_<name>.json``.
 
-    The artifact lands in ``$BENCH_ARTIFACT_DIR`` (default: the current
-    working directory), stamped with the run's provenance so ``repro
-    bench record`` can attach each number to a commit, and its path is
+    A full-size run's artifact lands in ``$BENCH_ARTIFACT_DIR`` (default:
+    the current working directory); a ``smoke`` run's lands in the
+    git-ignored ``.perfbench_out/`` below it, so a reduced CI run can
+    never overwrite a committed full-size artifact.  Either way it is
+    stamped with ``smoke`` and the run's provenance, and its path is
     echoed into the text report.
     """
     directory = Path(os.environ.get("BENCH_ARTIFACT_DIR", "."))
+    if smoke:
+        directory /= ".perfbench_out"
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
-    stamped = {**data, "provenance": provenance()}
+    stamped = {**data, "smoke": smoke, "provenance": provenance()}
     path.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     emit(f"artifact -> {path}")

@@ -162,9 +162,8 @@ def _report_batch_rows(rows, iterations: int, smoke: bool) -> None:
         "speedup_target": BATCH_SPEEDUP_TARGET,
         "speedup_target_met": top["speedup"] >= BATCH_SPEEDUP_TARGET,
         "speedup_floor": floor,
-        "smoke": smoke,
     }
-    write_artifact("backend_scaling", data)
+    write_artifact("backend_scaling", data, smoke=smoke)
     assert top["speedup"] >= floor, (
         f"batched backend only reached {top['speedup']:.2f}x at "
         f"E={top['experiment_batch']} (floor {floor:.1f}x)")

@@ -1,6 +1,6 @@
 """Overhead of the observability layer (``repro.observe``).
 
-The tracer/counters/profiler are designed to be left attached during
+The tracer and counters are designed to be left attached during
 statistical campaigns, so their cost must be invisible next to an
 iteration of training.  Measured here, on the 8-device trainer:
 
@@ -13,8 +13,8 @@ iteration of training.  Measured here, on the 8-device trainer:
   fast interval (the ``--serve`` configuration) — the whole telemetry
   stack must fit inside the same <=5% budget;
 * micro-costs of the primitives themselves: one enabled ``emit``, one
-  disabled ``emit`` (the campaign-default fast path), one counter
-  increment each way, and one disabled ``profile_scope`` entry.
+  disabled ``emit`` (the campaign-default fast path), and one counter
+  increment each way.
 
 Run under pytest (``pytest benchmarks/bench_observe_overhead.py``) or as
 a script; ``--smoke`` shrinks the run for CI while still exercising the
@@ -35,7 +35,6 @@ from repro.observe import (
     TelemetrySampler,
     Tracer,
     build_sample,
-    profile_scope,
     set_metrics_enabled,
 )
 from repro.workloads import build_workload
@@ -130,15 +129,13 @@ def _micro_costs() -> list[dict]:
                      "ns_per_call": _per_call(live_counter.inc) * 1e9})
     finally:
         set_metrics_enabled(True)
-    rows.append({"primitive": "profile_scope (disabled)",
-                 "ns_per_call": _per_call(
-                     lambda: profile_scope("bench.scope").__enter__()) * 1e9})
     return rows
 
 
 def _report_and_check(traced_ips, untraced_ips, overhead, events,
                       sampled_ips, sampled_overhead,
-                      num_devices, iterations, repeats=REPEATS) -> None:
+                      num_devices, iterations, repeats=REPEATS,
+                      smoke=False) -> None:
     header(f"repro.observe — tracing overhead ({num_devices} devices, "
            f"resnet/tiny, best-of-{repeats})")
     table([
@@ -178,7 +175,7 @@ def _report_and_check(traced_ips, untraced_ips, overhead, events,
         "sampler_overhead_fraction": sampled_overhead,
         "budget_fraction": OVERHEAD_CEILING,
         "events_buffered": events,
-    })
+    }, smoke=smoke)
     assert overhead <= OVERHEAD_CEILING, (
         f"tracing overhead {overhead * 100.0:.2f}% exceeds the "
         f"{OVERHEAD_CEILING * 100.0:.0f}% per-iteration budget"
@@ -212,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         results = _end_to_end(num_devices=2, warmup=2, iterations=8,
                               repeats=SMOKE_REPEATS)
-        _report_and_check(*results, 2, 8, repeats=SMOKE_REPEATS)
+        _report_and_check(*results, 2, 8, repeats=SMOKE_REPEATS, smoke=True)
     else:
         results = _end_to_end()
         _report_and_check(*results, NUM_DEVICES, MEASURED_ITERATIONS)

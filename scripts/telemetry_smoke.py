@@ -1,10 +1,8 @@
 """CI smoke test for the live telemetry service.
 
 Launches a real parallel campaign with ``--serve 0`` as a subprocess,
-scrapes every endpoint while the campaign is still running, validates
-the Prometheus exposition, and — once the campaign finishes — exercises
-the bench-history pipeline (``repro bench record`` twice + an
-informational ``repro bench compare``) against a synthetic artifact.
+scrapes every endpoint while the campaign is still running and validates
+the Prometheus exposition.
 
 Run from the repository root::
 
@@ -18,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -26,6 +25,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.observe.export import validate_exposition  # noqa: E402
 
 POLL_TIMEOUT_S = 120.0
+
+#: How long a campaign whose endpoint refused a scrape has to exit 0.
+#: The endpoint closes a few tens of ms before the process does, so a
+#: scrape can land in between; a refusal from a campaign that then keeps
+#: running is a dead server.
+EXIT_GRACE_S = 5.0
 
 
 def _fetch(url: str) -> tuple[int, str]:
@@ -48,6 +53,27 @@ def _wait_for_url(process) -> str:
     raise RuntimeError("campaign never announced its telemetry endpoint")
 
 
+def _scrape(url: str) -> None:
+    """One round over the four endpoints; asserts each answers validly."""
+    status, metrics = _fetch(f"{url}/metrics")
+    assert status == 200, f"/metrics returned {status}"
+    samples = validate_exposition(metrics)
+    names = {name for name, _, _ in samples}
+    assert "repro_up" in names, f"no repro_up in scrape: {names}"
+
+    status, health = _fetch(f"{url}/healthz")
+    assert status in (200, 503), f"/healthz returned {status}"
+    json.loads(health)
+
+    status, progress = _fetch(f"{url}/progress")
+    assert status == 200, f"/progress returned {status}"
+    assert json.loads(progress)["schema"] == 1
+
+    status, alerts = _fetch(f"{url}/alerts")
+    assert status == 200, f"/alerts returned {status}"
+    json.loads(alerts)
+
+
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="telemetry-smoke-"))
     store = tmp / "campaign.jsonl"
@@ -63,24 +89,17 @@ def main() -> int:
         scrapes = 0
         deadline = time.monotonic() + POLL_TIMEOUT_S
         while process.poll() is None and time.monotonic() < deadline:
-            status, metrics = _fetch(f"{url}/metrics")
-            assert status == 200, f"/metrics returned {status}"
-            samples = validate_exposition(metrics)
-            names = {name for name, _, _ in samples}
-            assert "repro_up" in names, f"no repro_up in scrape: {names}"
-
-            status, health = _fetch(f"{url}/healthz")
-            assert status in (200, 503), f"/healthz returned {status}"
-            json.loads(health)
-
-            status, progress = _fetch(f"{url}/progress")
-            assert status == 200, f"/progress returned {status}"
-            assert json.loads(progress)["schema"] == 1
-
-            status, alerts = _fetch(f"{url}/alerts")
-            assert status == 200, f"/alerts returned {status}"
-            json.loads(alerts)
-
+            try:
+                _scrape(url)
+            except (urllib.error.URLError, ConnectionError) as exc:
+                try:
+                    process.wait(timeout=EXIT_GRACE_S)
+                except subprocess.TimeoutExpired:
+                    raise AssertionError(
+                        f"endpoint refused a scrape and the campaign was "
+                        f"still running {EXIT_GRACE_S:g} s later: {exc}"
+                    ) from exc
+                break  # end of run; the exit code is checked below
             scrapes += 1
             time.sleep(0.3)
         returncode = process.wait(timeout=POLL_TIMEOUT_S)
@@ -96,34 +115,6 @@ def main() -> int:
         if process.poll() is None:
             process.kill()
             process.wait()
-
-    # Bench-history pipeline: record the same artifact twice with a
-    # perturbed metric, then compare informationally.
-    artifact = tmp / "BENCH_smoke.json"
-    history = tmp / "BENCH_HISTORY.jsonl"
-    artifact.write_text(json.dumps(
-        {"iterations_per_s": 100.0, "overhead_fraction": 0.01}) + "\n")
-    subprocess.run([sys.executable, "-m", "repro", "bench", "record",
-                    str(artifact), "--history", str(history)], check=True)
-    artifact.write_text(json.dumps(
-        {"iterations_per_s": 90.0, "overhead_fraction": 0.02}) + "\n")
-    subprocess.run([sys.executable, "-m", "repro", "bench", "record",
-                    str(artifact), "--history", str(history)], check=True)
-    compare = subprocess.run(
-        [sys.executable, "-m", "repro", "bench", "compare",
-         "--history", str(history), "--informational"],
-        capture_output=True, text=True)
-    print(compare.stdout, end="")
-    assert compare.returncode == 0, \
-        f"informational compare exited {compare.returncode}"
-    assert "regression" in compare.stdout, \
-        "induced 10% slowdown was not reported as a regression"
-    gating = subprocess.run(
-        [sys.executable, "-m", "repro", "bench", "compare",
-         "--history", str(history)], capture_output=True, text=True)
-    assert gating.returncode == 1, \
-        f"gating compare should exit 1 on regression, got {gating.returncode}"
-    print("smoke: bench record/compare detected the induced regression")
     return 0
 
 

@@ -21,8 +21,8 @@ Package layout
     EfficientNet, NFNet, YOLO, multigrid memory, Transformer).
 ``repro.observe``
     The unified observability layer: a typed event :class:`~repro.observe.Tracer`
-    with JSONL export, low-overhead counters/histograms, and
-    ``profile_scope`` wall-clock profiling of the hot paths.
+    with JSONL export and low-overhead counters/histograms.  Wall-clock
+    attribution lives outside the package, in ``benchmarks/perf``.
 
 Quickstart
 ----------

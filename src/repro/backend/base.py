@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.nn.linear import Dropout
 from repro.nn.module import Module
-from repro.observe import profile_scope
 
 #: Canonical backend names, in CLI order.
 BACKEND_NAMES = ("inprocess", "batched")
@@ -153,9 +152,8 @@ class ExecutionBackend:
         with np.errstate(over="ignore", invalid="ignore"):
             for arena in trainer.arenas:
                 accum += arena.grad
-            with profile_scope("sync.grad_average"):
-                np.multiply(accum, inv, out=trainer.master_arena.grad)
-                self._apply_comm_fault(trainer.master_arena.grad)
+            np.multiply(accum, inv, out=trainer.master_arena.grad)
+            self._apply_comm_fault(trainer.master_arena.grad)
 
     # ------------------------------------------------------------------
     # Fault surface

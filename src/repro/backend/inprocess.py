@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.base import ExecutionBackend
-from repro.observe import profile_scope
 
 
 class InProcessBackend(ExecutionBackend):
@@ -65,9 +64,8 @@ class InProcessBackend(ExecutionBackend):
             for replica in trainer.replicas:
                 for g_sum, param in zip(grad_sums, replica.parameters()):
                     g_sum += param.grad
-            with profile_scope("sync.grad_average"):
-                for param, g_sum in zip(self._master_params, grad_sums):
-                    np.multiply(g_sum, inv, out=param.grad)
+            for param, g_sum in zip(self._master_params, grad_sums):
+                np.multiply(g_sum, inv, out=param.grad)
 
     def broadcast(self) -> None:
         """Copy master parameters into every other replica — one fused

@@ -1,30 +1,12 @@
-"""Benchmark provenance and regression tracking.
+"""Benchmark provenance.
 
-Benchmarks emit ``BENCH_<name>.json`` artifacts (``benchmarks/_report``);
-this package stamps them with provenance (:mod:`repro.bench.provenance`)
-and folds them into a git-SHA-stamped ``BENCH_HISTORY.jsonl`` so CI can
-flag perf regressions between commits (:mod:`repro.bench.history`,
-``repro bench record`` / ``repro bench compare``).
+Benchmarks emit ``BENCH_<name>.json`` artifacts (``benchmarks/_report``)
+and the repo benchmark emits ``result.json`` (``benchmarks/perf/run.py``);
+both stamp what they write with :func:`run_provenance`.  Judging a run
+against another is ``benchmarks/perf/compare.py``'s job, not this
+package's.
 """
 
-from repro.bench.history import (
-    HISTORY_SCHEMA_VERSION,
-    BenchComparison,
-    HistoryFormatError,
-    compare,
-    metric_direction,
-    read_history,
-    record_artifacts,
-)
 from repro.bench.provenance import run_provenance
 
-__all__ = [
-    "HISTORY_SCHEMA_VERSION",
-    "BenchComparison",
-    "HistoryFormatError",
-    "compare",
-    "metric_direction",
-    "read_history",
-    "record_artifacts",
-    "run_provenance",
-]
+__all__ = ["run_provenance"]

@@ -20,8 +20,6 @@ injection, evaluate the technique) as subcommands::
     python -m repro serve-infer resnet --port 9200 --fault-rate 1e-3 \\
         --store serving.json
     python -m repro loadgen http://127.0.0.1:9200 --rps 200 --duration 10
-    python -m repro bench record BENCH_*.json --history BENCH_HISTORY.jsonl
-    python -m repro bench compare --history BENCH_HISTORY.jsonl
     python -m repro merge merged.jsonl shard0.jsonl shard1.jsonl
     python -m repro validate --experiments 400
     python -m repro mitigate resnet --iteration 20 --trace run.trace.jsonl
@@ -30,7 +28,6 @@ injection, evaluate the technique) as subcommands::
     python -m repro replay results.trace.jsonl <experiment-key> --verify-trace
     python -m repro replay --corpus tests/data/replay_corpus.json
     python -m repro diff-campaign results_a.jsonl results_b.jsonl [--json]
-    python -m repro profile resnet --iterations 20
 
 Every command prints an artifact-style text report (see
 :mod:`repro.core.analysis.report`) and exits non-zero on hard failures.
@@ -67,13 +64,7 @@ from repro.core.mitigation import (
     RecoveryManager,
 )
 from repro.distributed import SyncDataParallelTrainer
-from repro.observe import (
-    PROFILER,
-    EVENT_TYPES,
-    Tracer,
-    read_trace,
-    render_profile,
-)
+from repro.observe import EVENT_TYPES, Tracer, read_trace
 from repro.workloads import build_workload, workload_names
 
 
@@ -658,87 +649,6 @@ def cmd_diff_campaign(args) -> int:
     return 1 if diff["flip_count"] else 0
 
 
-def cmd_bench_record(args) -> int:
-    """``repro bench record``: fold BENCH artifacts into the history."""
-    from pathlib import Path
-
-    from repro.bench import record_artifacts
-
-    artifacts = [Path(p) for p in args.artifacts]
-    if not artifacts:
-        artifacts = sorted(Path(".").glob("BENCH_*.json"))
-    if not artifacts:
-        print("no BENCH_*.json artifacts found (run the benchmarks first, "
-              "or pass artifact paths)", file=sys.stderr)
-        return 2
-    records = record_artifacts(artifacts, args.history)
-    sha = records[0]["provenance"]["git_sha"][:12] if records else "?"
-    for record in records:
-        metrics = record["metrics"]
-        print(f"recorded {record['bench']}: {len(metrics)} metric"
-              f"{'s' if len(metrics) != 1 else ''} @ {sha}")
-    print(f"bench history: {args.history}")
-    return 0
-
-
-def cmd_bench_compare(args) -> int:
-    """``repro bench compare``: diff the newest runs, gate regressions."""
-    import json
-    from pathlib import Path
-
-    from repro.bench import compare
-
-    if not Path(args.history).exists():
-        print(f"no bench history at {args.history}; nothing to compare",
-              file=sys.stderr)
-        return 0 if args.informational else 2
-    comparisons = compare(args.history, tolerance=args.tolerance,
-                          metrics=args.metric)
-    regressions = [c for c in comparisons if c.status == "regression"]
-    if args.json:
-        print(json.dumps({
-            "history": str(args.history),
-            "tolerance": args.tolerance,
-            "comparisons": [c.to_dict() for c in comparisons],
-            "regressions": [f"{c.bench}.{c.metric}" for c in regressions],
-        }, indent=2, sort_keys=True))
-    else:
-        if not comparisons:
-            print("bench compare: fewer than two recorded runs per "
-                  "benchmark; nothing to compare")
-        for comparison in comparisons:
-            print(comparison.message())
-        if regressions:
-            print(f"bench compare: {len(regressions)} regression"
-                  f"{'s' if len(regressions) != 1 else ''} beyond "
-                  f"{args.tolerance:.0%} tolerance", file=sys.stderr)
-    if regressions and not args.informational:
-        return 1
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """``repro profile``: time the hot paths over a short traced run."""
-    PROFILER.reset()
-    PROFILER.enable()
-    trainer = None
-    try:
-        trainer = _make_trainer(args, stop_on_nonfinite=False)
-        # The mitigation hook exercises the snapshot/restore scopes too,
-        # so the report covers every instrumented path in one run.
-        trainer.add_hook(MitigationHook(HardwareFailureDetector(),
-                                        RecoveryManager(strategy="snapshot")))
-        trainer.train(args.iterations)
-    finally:
-        if trainer is not None:
-            trainer.close()
-        PROFILER.disable()
-    print(f"# profile: {args.workload} ({args.devices} devices, "
-          f"{args.iterations} iterations)")
-    print(render_profile())
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -1024,48 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--json", action="store_true",
                       help="machine-readable JSON (deterministic)")
     diff.set_defaults(func=cmd_diff_campaign)
-
-    bench = sub.add_parser(
-        "bench",
-        help="record benchmark artifacts into a history and compare runs")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_record = bench_sub.add_parser(
-        "record",
-        help="ingest BENCH_<name>.json artifacts into the bench history")
-    bench_record.add_argument("artifacts", nargs="*", metavar="ARTIFACT",
-                              help="artifact paths (default: ./BENCH_*.json)")
-    bench_record.add_argument("--history", default="BENCH_HISTORY.jsonl",
-                              metavar="PATH",
-                              help="history file to append to "
-                                   "(default: BENCH_HISTORY.jsonl)")
-    bench_record.set_defaults(func=cmd_bench_record)
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="diff each benchmark's newest recorded run against the "
-             "previous one")
-    bench_compare.add_argument("--history", default="BENCH_HISTORY.jsonl",
-                               metavar="PATH")
-    bench_compare.add_argument("--tolerance", type=float, default=0.05,
-                               metavar="R",
-                               help="relative change beyond which a "
-                                    "directional metric counts as a "
-                                    "regression (default: 0.05)")
-    bench_compare.add_argument("--metric", action="append", metavar="NAME",
-                               help="restrict the gate to this metric "
-                                    "(repeatable; matches 'metric' or "
-                                    "'bench.metric')")
-    bench_compare.add_argument("--informational", action="store_true",
-                               help="report regressions but always exit 0")
-    bench_compare.add_argument("--json", action="store_true",
-                               help="machine-readable comparison output")
-    bench_compare.set_defaults(func=cmd_bench_compare)
-
-    profile = sub.add_parser("profile",
-                             help="profile hot-path timings over a short run")
-    profile.add_argument("workload", choices=workload_names())
-    _add_common(profile)
-    profile.add_argument("--iterations", type=int, default=20)
-    profile.set_defaults(func=cmd_profile)
 
     return parser
 

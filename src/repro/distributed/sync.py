@@ -24,7 +24,7 @@ from repro.backend.base import reseed_random_layers  # noqa: F401  (re-export)
 from repro.data.loader import BatchLoader
 from repro.nn.module import Module
 from repro.nn.normalization import max_moving_variance
-from repro.observe import DIVERGENCE, ITERATION_STATS, NULL_TRACER, profile_scope
+from repro.observe import DIVERGENCE, ITERATION_STATS, NULL_TRACER
 from repro.optim.base import Optimizer
 from repro.state import build_arenas
 from repro.training.metrics import ConvergenceRecord
@@ -128,11 +128,9 @@ class SyncDataParallelTrainer:
         """The post-reduction half of an iteration: ``after_backward``
         hooks, optimizer step, ``after_step`` hooks, weight broadcast."""
         self._dispatch("after_backward", iteration)
-        with profile_scope("optim.step"):
-            self.optimizer.step()
+        self.optimizer.step()
         self._dispatch("after_step", iteration)
-        with profile_scope("sync.broadcast"):
-            self.backend.broadcast()
+        self.backend.broadcast()
 
     def evaluate(self, device: int | None = None, max_batches: int | None = None) -> float:
         """Test metric on the chosen device's replica (eval mode).

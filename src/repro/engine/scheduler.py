@@ -43,7 +43,6 @@ from repro.observe import (
     counter,
     histogram,
     merge_campaign_shards,
-    profile_scope,
     set_current_tracer,
     shard_path,
 )
@@ -310,8 +309,7 @@ class CampaignEngine:
                 if capture is not None:
                     capture.start(task.unit.key, task.unit.payload)
                 try:
-                    with profile_scope("engine.experiment"):
-                        payload = runner(task.unit.payload)
+                    payload = runner(task.unit.payload)
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:  # noqa: BLE001 - retry policy owns this
@@ -357,8 +355,7 @@ class CampaignEngine:
             tracker.task_started(0, task.unit.key)
             task.leased_at = time.monotonic()
         try:
-            with profile_scope("engine.experiment"):
-                payloads = runner([task.unit.payload for task in block])
+            payloads = runner([task.unit.payload for task in block])
             if not isinstance(payloads, list) or len(payloads) != len(block):
                 raise RuntimeError(
                     f"block runner returned {payloads!r:.80} for "

@@ -29,7 +29,6 @@ from repro.observe import (
     EXPERIMENT_FINISHED,
     EXPERIMENT_STARTED,
     Tracer,
-    profile_scope,
     set_current_tracer,
 )
 
@@ -106,8 +105,7 @@ def _run_block(runner, keys: list, payloads: list, worker_id: int,
     block: events emitted while the block runs are interleaved across
     its experiments and are not attributed to a single one."""
     try:
-        with profile_scope("engine.experiment"):
-            results = runner(payloads)
+        results = runner(payloads)
         if not isinstance(results, list) or len(results) != len(keys):
             raise RuntimeError(
                 f"block runner returned {results!r:.80} for "
@@ -161,8 +159,7 @@ def worker_main(worker_id: int, runner_factory, task_queue, result_queue,
             if capture is not None:
                 capture.start(key, payload)
             try:
-                with profile_scope("engine.experiment"):
-                    result = runner(payload)
+                result = runner(payload)
                 if capture is not None:
                     capture.done(result)
                 result_queue.put((DONE, worker_id, (key, result)))

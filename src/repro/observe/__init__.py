@@ -1,4 +1,4 @@
-"""Unified observability layer: tracing, counters, and profiling.
+"""Unified observability layer: tracing and counters.
 
 Every empirical claim reproduced from the paper rests on observing what
 a fault does iteration by iteration — the Fig. 4/5 propagation stories,
@@ -11,10 +11,10 @@ plumbing:
   plus two engine-level types) in a bounded ring buffer with
   schema-versioned JSONL export and a crash-tolerant reader;
 * :mod:`~repro.observe.counters` — numpy-backed counters/histograms in a
-  global registry, with a single-flag disabled fast path;
-* :func:`profile_scope` — wall-clock scopes on the hot paths (optimizer
-  step, gradient averaging, broadcast, snapshot capture/restore, engine
-  experiment execution), rendered by the CLI ``profile`` subcommand.
+  global registry, with a single-flag disabled fast path.
+
+Where the wall-clock went is not answered here: ``benchmarks/perf/run.py
+--trace`` attributes it from outside the package (DESIGN.md decision 8).
 
 The layer is *numerically invisible* (it only reads already-computed
 values; pinned by ``tests/test_golden_traces.py``) and cheap enough to
@@ -64,13 +64,6 @@ from repro.observe.merge import (
     shard_path,
     shard_paths,
 )
-from repro.observe.profiler import (
-    PROFILER,
-    ProfileStat,
-    Profiler,
-    profile_scope,
-    render_profile,
-)
 from repro.observe.slo import (
     SLOConfigError,
     SLOEngine,
@@ -115,7 +108,6 @@ __all__ = [
     "FAULT_INJECTED",
     "ITERATION_STATS",
     "NULL_TRACER",
-    "PROFILER",
     "REGISTRY",
     "ROLLBACK",
     "SERIES_SCHEMA_VERSION",
@@ -128,8 +120,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "ProfileStat",
-    "Profiler",
     "SeriesBuffer",
     "SeriesFormatError",
     "SeriesWriter",
@@ -156,11 +146,9 @@ __all__ = [
     "merge_traces",
     "metrics_enabled",
     "metrics_snapshot",
-    "profile_scope",
     "read_series",
     "read_trace",
     "render_json",
-    "render_profile",
     "render_prometheus",
     "series_path",
     "set_current_tracer",

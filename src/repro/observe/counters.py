@@ -16,7 +16,8 @@ experiments.  These metrics are built accordingly:
 
 Metrics live in a process-global :class:`MetricsRegistry` so any layer
 (engine scheduler, detector, recovery) can publish without plumbing; the
-CLI ``profile`` subcommand and tests read :func:`metrics_snapshot`.
+telemetry sampler reads the registry and tests read
+:func:`metrics_snapshot`.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ Design constraints, in order:
    ``deque.append`` (the ring drops the oldest event once full, so a
    runaway trace cannot exhaust memory).  The overhead budget is pinned
    by ``benchmarks/bench_observe_overhead.py`` (<=5% per iteration on
-   the 8-device trainer).
+   the 8-device trainer; the committed full-size run is
+   ``BENCH_observe_overhead.json``).
 3. **Durable** — :meth:`export` writes the ring as schema-versioned
    JSONL following the :class:`~repro.engine.store.ResultStore`
    conventions (header line, one record per line, flush per line), and

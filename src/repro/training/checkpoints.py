@@ -19,7 +19,8 @@ extra state (BatchNorm moving statistics — deliberately outside the
 arena, because they are never averaged across devices and their
 per-device locality is the LowTestAccuracy mechanism, Sec. 4.3.3).  This
 is what makes the always-on per-iteration snapshot ring of the recovery
-manager cheap (see ``benchmarks/bench_state_overhead.py``).
+manager cheap (``state.snapshot_s`` / ``state.restore_s`` in
+``benchmarks/perf/run.py --trace``).
 
 The legacy dict representation (``replica_states`` / ``optimizer_state``)
 remains available on every checkpoint: for fused captures it is
@@ -33,8 +34,6 @@ import copy
 import time
 
 import numpy as np
-
-from repro.observe import profile_scope
 
 
 def _ndarray_leaf_bytes(value) -> int:
@@ -147,18 +146,18 @@ class Checkpoint:
 
         Fused-buffer capture when the trainer has a state arena; the
         scattered per-array walk otherwise."""
-        with profile_scope("state.snapshot"):
-            if getattr(trainer, "arenas", None) is not None:
-                ckpt = cls(trainer.iteration)
-                ckpt._fused = _FusedCapture(trainer)
-                return ckpt
-            return cls.capture_scattered(trainer)
+        if getattr(trainer, "arenas", None) is not None:
+            ckpt = cls(trainer.iteration)
+            ckpt._fused = _FusedCapture(trainer)
+            return ckpt
+        return cls.capture_scattered(trainer)
 
     @classmethod
     def capture_scattered(cls, trainer) -> "Checkpoint":
         """The pre-arena capture path: one copy per array via
         ``state_dict()``.  Kept for non-arena trainers and as the
-        before/after baseline in ``benchmarks/bench_state_overhead.py``."""
+        reference ``tests/test_state_arena.py`` compares fused captures
+        against."""
         replica_states = [replica.state_dict() for replica in trainer.replicas]
         return cls(
             iteration=trainer.iteration,
@@ -197,16 +196,14 @@ class Checkpoint:
                 f"checkpoint has {self.num_replicas} replicas, "
                 f"trainer has {len(trainer.replicas)}"
             )
-        with profile_scope("state.restore"):
-            if self._fused is not None and self._fused.restorable_into(trainer):
-                self._fused.restore(trainer)
-                trainer.iteration = self.iteration
-                return
-            for replica, state in zip(trainer.replicas, self.replica_states):
-                replica.load_state_dict(state)
-            trainer.optimizer.load_state_dict(
-                copy.deepcopy(self.optimizer_state))
+        if self._fused is not None and self._fused.restorable_into(trainer):
+            self._fused.restore(trainer)
             trainer.iteration = self.iteration
+            return
+        for replica, state in zip(trainer.replicas, self.replica_states):
+            replica.load_state_dict(state)
+        trainer.optimizer.load_state_dict(copy.deepcopy(self.optimizer_state))
+        trainer.iteration = self.iteration
 
     def nbytes(self) -> int:
         """Approximate snapshot size: every ndarray leaf, including

@@ -1,9 +1,9 @@
 """Tests for the observability layer (``repro.observe``).
 
 Covers the tracer ring buffer and its crash-tolerant JSONL round trip,
-the counters/histograms with their disabled fast path, the profiling
-scopes, and the end-to-end integration: one trainer run under
-injection + mitigation must tell the whole story (fault_injected,
+the counters/histograms with their disabled fast path, and the
+end-to-end integration: one trainer run under injection + mitigation
+must tell the whole story (fault_injected,
 detector_fired, rollback, iteration_stats) through a single tracer —
 each structural event exactly once, even though recovery re-executes
 the faulty iteration.
@@ -29,21 +29,17 @@ from repro.observe import (
     FAULT_INJECTED,
     ITERATION_STATS,
     NULL_TRACER,
-    PROFILER,
     ROLLBACK,
     TRACE_SCHEMA_VERSION,
     Counter,
     Histogram,
     MetricsRegistry,
-    Profiler,
     TraceFormatError,
     Tracer,
     TraceSchemaError,
     counter,
     metrics_enabled,
-    profile_scope,
     read_trace,
-    render_profile,
     set_metrics_enabled,
 )
 
@@ -251,51 +247,6 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# Profiler
-# ----------------------------------------------------------------------
-class TestProfiler:
-    def test_disabled_scope_is_shared_noop(self):
-        profiler = Profiler(enabled=False)
-        assert profiler.scope("a") is profiler.scope("b")
-        with profiler.scope("a"):
-            pass
-        assert profiler.stats() == {}
-
-    def test_enabled_scope_accumulates(self):
-        profiler = Profiler(enabled=True)
-        for _ in range(3):
-            with profiler.scope("work"):
-                pass
-        stat = profiler.stats()["work"]
-        assert stat.count == 3
-        assert stat.total >= 0.0
-        assert stat.min <= stat.mean() <= stat.max
-
-    def test_report_sorted_by_total_time(self):
-        profiler = Profiler(enabled=True)
-        with profiler.scope("fast"):
-            pass
-        with profiler.scope("slow"):
-            sum(range(20000))
-        report = profiler.report()
-        assert [r["scope"] for r in report] == \
-            sorted((r["scope"] for r in report),
-                   key=lambda s: -profiler.stats()[s].total)
-
-    def test_global_profile_scope_default_off(self):
-        assert PROFILER.enabled is False
-        with profile_scope("test.noop"):
-            pass
-        assert "test.noop" not in PROFILER.stats()
-
-    def test_render_profile_empty_and_filled(self):
-        assert "no profile samples" in render_profile([])
-        text = render_profile([{"scope": "s", "count": 1, "total_s": 0.5,
-                                "mean_us": 5e5, "min_us": 5e5, "max_us": 5e5}])
-        assert "scope" in text and "s" in text
-
-
-# ----------------------------------------------------------------------
 # End-to-end integration: one tracer tells the whole experiment story
 # ----------------------------------------------------------------------
 class TestTrainerIntegration:
@@ -393,13 +344,3 @@ class TestObserveCli:
         path.write_text('{"record":"header","kind":"nope"}\n')
         assert main(["trace", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_profile_command_reports_hot_paths(self, capsys):
-        rc = main(["profile", "resnet", "--iterations", "4", "--devices",
-                   "2"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "optim.step" in out
-        assert "sync.grad_average" in out
-        assert "state.snapshot" in out
-        assert PROFILER.enabled is False  # profiling off again afterwards
