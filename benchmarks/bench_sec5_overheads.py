@@ -64,6 +64,9 @@ def bench_sec5_overheads(benchmark):
 
     snapshot_time = _best_time(lambda: Checkpoint.capture(trainer), repeats=15)
 
+    # ABFT reads the operands of whichever path ``run_iteration`` above
+    # took (by default lanes of the program replica), so the pass and its
+    # baseline iteration are timed on the same path.
     abft = ABFTChecker()
     abft_time = _best_time(lambda: abft.after_backward(trainer, 0), repeats=10)
 

@@ -1,13 +1,13 @@
 """Pluggable execution backends for the data-parallel trainer.
 
 See :mod:`repro.backend.base` for the contract,
-:mod:`repro.backend.inprocess` for the historical simulated loop (the
-reference), and :mod:`repro.backend.batched` for the experiment-stacked
-vectorized runtime (the fast path).
+:mod:`repro.backend.inprocess` for the device-step program (lane step,
+solo-loop fallback) and :mod:`repro.backend.batched` for the lane
+machinery and the E-experiment lockstep driver.
 
 :data:`BACKEND_REGISTRY` is the single source of truth for what each
-backend is and when to pick it; CLI help and docs are generated from it
-rather than hand-maintained.
+backend name is and when to pick it; CLI help and docs are generated
+from it rather than hand-maintained.
 """
 
 from dataclasses import dataclass
@@ -41,19 +41,20 @@ BACKEND_REGISTRY: dict[str, BackendInfo] = {
     for info in (
         BackendInfo(
             name="inprocess",
-            summary="sequential simulated replicas in one process",
-            tradeoff="the bit-exact reference; lowest overhead for a "
-                     "single run, but campaigns step one experiment at "
-                     "a time",
+            summary="one experiment; its D devices step as D lanes of one "
+                    "vectorized NumPy program",
+            tradeoff="the default; a model with a layer that is not "
+                     "lane-native (and any non-FP32 precision) steps "
+                     "device by device instead, the bit-exact reference",
         ),
         BackendInfo(
             name="batched",
-            summary="E experiments stacked into one vectorized NumPy "
-                    "program",
-            tradeoff="highest campaign throughput (pair with "
-                     "--experiment-batch E); small overhead at E=1, and "
-                     "unbatchable models fall back to the solo loop "
-                     "per lane",
+            summary="the same program; E experiments x D devices share "
+                    "its lanes",
+            tradeoff="a few percent more campaign throughput with "
+                     "--experiment-batch E, at E times the memory and "
+                     "marker-only per-experiment traces; identical to "
+                     "inprocess at E=1",
         ),
     )
 }

@@ -1,26 +1,24 @@
 """Execution-backend interface: who runs the replicas, and how.
 
 The paper's campaigns ran on 8 real TPU devices (Sec. 3.3); the
-reproduction simulates all replicas inside one Python process.
-:class:`ExecutionBackend` makes how they are stepped pluggable: the
+reproduction simulates all replicas inside one Python process.  The
 :class:`~repro.distributed.sync.SyncDataParallelTrainer` owns the
 *algorithm* (hook dispatch, optimizer step, convergence recording,
 outcome bookkeeping) and delegates the *execution* of the per-device
 work — forward/backward on every replica, gradient reduction, weight
-broadcast — to a backend:
+broadcast — to an :class:`ExecutionBackend`.  There is one device-step
+program, :class:`~repro.backend.inprocess.InProcessBackend`: D lanes of
+one program replica when the model allows it, the sequential
+:func:`device_step` loop (the reference) otherwise;
+:class:`~repro.backend.batched.BatchedBackend` is the same class sharing
+its lanes with other trainers, so E experiments x D devices step together.
 
-* :class:`~repro.backend.inprocess.InProcessBackend` — the historical
-  simulated loop, extracted verbatim (the bit-exact reference);
-* :class:`~repro.backend.batched.BatchedBackend` — E experiments x D
-  devices stepped as lanes of one vectorized NumPy program.
-
-Both run every replica inside the calling process, so a fault hook is a
-plain closure armed on a replica module (the batched program hands each
-lane's hook that lane's slice), and both reduce through
-:meth:`ExecutionBackend.reduce_fused`, which is also where the
-comm-fault site lives.  Process death is not a backend concern: the
-campaign engine's forked worker pool (timeout / retry / quarantine)
-owns it.
+A fault hook is a plain closure armed on a replica module (the lane
+program hands each lane's hook that lane's slice), and every step
+reduces through :meth:`ExecutionBackend.reduce_fused`, which is also
+where the comm-fault site lives.  Process death is not a backend
+concern: the campaign engine's forked worker pool (timeout / retry /
+quarantine) owns it.
 """
 
 from __future__ import annotations
@@ -56,9 +54,10 @@ def device_step(trainer, device: int, iteration: int) -> tuple[float, float]:
     (or scattered ``param.grad`` arrays); returns ``(loss, acc)``.
 
     This is the unit of work :meth:`ExecutionBackend.step_devices` runs
-    for every device sequentially (the in-process backend, and the
-    batched backend's per-lane fallback).  The body is the historical
-    loop body of ``SyncDataParallelTrainer.run_iteration``, unchanged.
+    for every device sequentially: the solo loop, which models the lane
+    program cannot take fall back to and which the lane program is tested
+    against.  The body is the historical loop body of
+    ``SyncDataParallelTrainer.run_iteration``, unchanged.
     """
     model = trainer.replicas[device]
     model.train()
@@ -127,6 +126,14 @@ class ExecutionBackend:
         """Copy master parameters into every other replica."""
         raise NotImplementedError
 
+    def forward_caches(self, device: int):
+        """``(model, index)``: the model instance whose layer caches
+        (``_x`` / ``_col`` / ``_out``) and parameters are those of
+        ``device``'s last forward, and the index of the device's slice
+        in each (``...``: all of it) — or ``None`` when nothing kept
+        them.  Integrity checkers (ABFT) read operands through this."""
+        return self.trainer.replicas[device], ...
+
     def step_devices(self, iteration: int) -> tuple[float, float]:
         """Run :func:`device_step` for every device in this process, in
         device order; returns shard-averaged ``(loss, acc)``."""
@@ -161,13 +168,13 @@ class ExecutionBackend:
     def set_comm_fault_hook(self, hook: CommFaultHook | None) -> None:
         """Arm/disarm the link-fault site: ``hook`` perturbs the reduced
         gradient buffer after averaging, before the optimizer sees it.
-        Both backends apply it at the same mathematical point, so comm
-        faults propagate identically under either."""
+        Lane step and solo loop reduce through the same
+        :meth:`reduce_fused`, so comm faults propagate identically."""
         self._comm_fault_hook = hook
 
     def _apply_comm_fault(self, reduced: np.ndarray) -> None:
         """Apply the armed comm-fault hook (if any) to ``reduced`` in
-        place.  Shared by both backends' reduction paths."""
+        place."""
         if self._comm_fault_hook is None:
             return
         faulty = self._comm_fault_hook(reduced)
@@ -184,16 +191,12 @@ def build_backend(backend, trainer) -> ExecutionBackend:
     from repro.backend.batched import BatchedBackend
     from repro.backend.inprocess import InProcessBackend
 
-    if isinstance(backend, ExecutionBackend):
-        backend.bind(trainer)
-        return backend
-    if backend == "inprocess":
-        built = InProcessBackend()
-    elif backend == "batched":
-        built = BatchedBackend()
-    else:
-        raise ValueError(
-            f"unknown execution backend {backend!r}; known: "
-            f"{', '.join(BACKEND_NAMES)}")
-    built.bind(trainer)
-    return built
+    if not isinstance(backend, ExecutionBackend):
+        classes = {cls.name: cls for cls in (InProcessBackend, BatchedBackend)}
+        if backend not in classes:
+            raise ValueError(
+                f"unknown execution backend {backend!r}; known: "
+                f"{', '.join(BACKEND_NAMES)}")
+        backend = classes[backend]()
+    backend.bind(trainer)
+    return backend

@@ -1,15 +1,17 @@
-"""Experiment-batched execution backend: E experiments, one program.
+"""The lane program: E experiments x D devices stepped as one replica.
 
-This backend scales the axis fault-injection campaigns actually
-consume — *experiments* — by stepping E experiments x D devices as the
-*lanes* of one extra, ordinary model instance (the *program replica*)
-whose tensors carry a leading lane axis (see :mod:`repro.state.batched`
-for the ``(E * D, total)`` row stacks the lanes' parameters live in).
+One lane is one (experiment, device) replica.  The lanes' parameters and
+gradients are the rows of :class:`~repro.state.ExperimentStacks`, and one
+extra, ordinary model instance — the *program replica* — runs their
+forward / backward with a leading lane axis on every tensor.  Every
+arena trainer has a :class:`LaneGroup`: a private one (E = 1, the
+default backend, its D devices the lanes) or, for campaigns with
+``experiment_batch=E``, one shared by E trainers through
+:class:`BatchedBackend` and driven by :func:`run_lockstep`.
 
-Lane contract (the layer side is in :mod:`repro.nn.module`): one lane is
-one (experiment, device) replica.  Per block of at most
-:attr:`LaneGroup.lane_chunk` lanes, :class:`LaneGroup` — and nothing
-else — points the program replica at L lanes:
+Lane contract (the layer side is in :mod:`repro.nn.module`).  Per block
+of at most :attr:`LaneGroup.lane_chunk` lanes, :class:`LaneGroup` — and
+nothing else — points the program replica at L lanes:
 
 * ``Module.lanes = (L,)`` on every program module; inputs and gradients
   are ``(L, n, ...)`` stacks of the lanes' shard batches;
@@ -23,13 +25,11 @@ else — points the program replica at L lanes:
 * the three fault-hook slots of every program module hold a dispatcher
   that hands each lane replica's armed hook that lane's slice, with the
   plain call's site info and ``info["module"]`` the lane's own module —
-  one program, L differently-injected experiments.
+  one program, L differently-injected replicas.
 
-Bit-identity contract: every experiment in a batch produces exactly the
-traces it would produce alone on
-:class:`~repro.backend.inprocess.InProcessBackend` — same losses, same
-parameter bytes, same injected-fault and rollback behavior.  Three
-design rules deliver that:
+Bit-identity contract: every experiment produces exactly the traces it
+produces on the solo :func:`~repro.backend.base.device_step` loop, alone
+or in a batch.  Three design rules deliver that:
 
 * there is one kernel set: the program replica runs the same ``nn``
   ``forward`` / ``backward`` statements as a plain replica, written so
@@ -37,29 +37,21 @@ design rules deliver that:
   ``l`` (pinned per layer by ``tests/test_lane_native.py``);
 * the per-experiment phases that are cheap and stateful stay on the solo
   code path operating on that experiment's arena row views: loss
-  objects, metrics, gradient averaging (the literal in-process reduction
-  per experiment), comm-fault hooks, ``optimizer.step()``, checkpoint
-  capture/rollback;
+  objects, metrics, gradient averaging (``reduce_fused`` per
+  experiment), comm-fault hooks, ``optimizer.step()``, evaluation of a
+  lone trainer, checkpoint capture/rollback;
 * a model containing any module type that has not declared itself
   lane-native (attention, recurrent, pooling, dropout, ...), and any
-  non-FP32 compute precision, runs per-lane
-  :func:`~repro.backend.base.device_step` — the solo loop body itself,
-  and the reference the lane path is tested against.
-
-A :class:`BatchedBackend` constructed bare owns a private single
--experiment :class:`LaneGroup`, so ``--backend batched`` drops into any
-trainer (the D device lanes still batch through one program).  Campaigns
-share one group across E trainers and drive them with
-:func:`run_lockstep`, which interleaves the trainers' iterations while
-each trainer dispatches its own hooks, records, and finiteness checks
-through the same methods ``SyncDataParallelTrainer.train`` uses.
+  non-FP32 compute precision, takes the solo loop instead.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-from repro.backend.base import ExecutionBackend
+from repro.backend.inprocess import InProcessBackend
 from repro.nn import config
 from repro.nn.config import Precision
 from repro.nn.module import HOOK_KINDS
@@ -146,15 +138,9 @@ class LaneProgram:
                     {key: value[lane] for key, value in state.items()})
 
 
-class _Member:
-    """One adopted experiment: its trainer, stack rows, and lane data."""
-
-    __slots__ = ("trainer", "rows", "modules")
-
-    def __init__(self, trainer, rows: list[int], modules: list[dict]):
-        self.trainer = trainer
-        self.rows = rows
-        self.modules = modules
+#: One adopted experiment: its trainer, its stack rows (one per device)
+#: and each device replica's ``dict(named_modules())``.
+_Member = namedtuple("_Member", "trainer rows modules")
 
 
 class LaneGroup:
@@ -166,10 +152,10 @@ class LaneGroup:
     via the arena index).
     """
 
-    #: Max lanes per kernel sweep.  Stacking amortizes NumPy dispatch
-    #: overhead, but past a point the im2col transients of a sweep spill
-    #: out of cache and large batches get slower, not faster — so one
-    #: compute round walks its experiments in chunks of this many lanes.
+    #: Max lanes per kernel sweep: one compute round walks its
+    #: experiments in chunks of this many lanes.  8 lanes already amortize
+    #: NumPy's dispatch overhead; measured at E = 32, 16 / 32 lanes buy
+    #: 2 / 3 % for 12 / 37 % more memory (``BENCH_backend_scaling.json``).
     #: Chunking is invisible numerically: lanes never mix arithmetic.
     lane_chunk = 8
 
@@ -186,7 +172,7 @@ class LaneGroup:
     def adopt(self, trainer) -> _Member:
         if trainer.arenas is None:
             raise RuntimeError(
-                "the batched backend requires the fused state arena "
+                "a shared lane group requires the fused state arena "
                 "(this workload's parameters could not be fused)")
         first = self.stacks.param is None
         exp = self.stacks.adopt(trainer.arenas, trainer.optimizer)
@@ -201,9 +187,6 @@ class LaneGroup:
                                         trainer.master_arena.index)
         return member
 
-    def member(self, trainer) -> _Member:
-        return self._members[id(trainer)]
-
     @property
     def vectorized(self) -> bool:
         """Whether rounds run through the program replica (re-checked
@@ -217,9 +200,9 @@ class LaneGroup:
     def compute(self, entries: list[tuple]) -> list[tuple[float, float]]:
         """Run one (forward, loss, backward, reduce) round for every
         ``(trainer, iteration)`` entry; returns per-entry shard-averaged
-        ``(loss, acc)`` exactly as ``InProcessBackend.step`` would."""
-        if not self.vectorized:
-            return [self._solo_entry(trainer, iteration)
+        ``(loss, acc)``, in blocks of at most :attr:`lane_chunk` lanes."""
+        if not self.vectorized:  # each backend then steps its solo loop
+            return [trainer.backend.step(iteration)
                     for trainer, iteration in entries]
         results: list[tuple[float, float]] = []
         block: list[tuple] = []
@@ -227,15 +210,18 @@ class LaneGroup:
         for entry in entries:
             devices = entry[0].num_devices
             if block and lanes + devices > self.lane_chunk:
-                results.extend(self._compute_block(block))
+                results.extend(self.compute_block(block))
                 block, lanes = [], 0
             block.append(entry)
             lanes += devices
         if block:
-            results.extend(self._compute_block(block))
+            results.extend(self.compute_block(block))
         return results
 
-    def _compute_block(self, entries: list[tuple]) -> list[tuple[float, float]]:
+    def compute_block(self, entries: list[tuple]) -> list[tuple[float, float]]:
+        """One lane step — forward, loss, backward, per-experiment
+        reduction — for the entries' lanes as a single block (also the
+        whole device step of a lone trainer's backend)."""
         lane_modules: list[dict] = []
         rows: list[int] = []
         losses: list = []
@@ -275,12 +261,15 @@ class LaneGroup:
                             total_acc / trainer.num_devices))
         return results
 
-    def _solo_entry(self, trainer, iteration: int) -> tuple[float, float]:
-        """Per-lane fallback: the literal in-process step for one
-        experiment (model not lane-native, or non-FP32 precision)."""
-        result = trainer.backend.step_devices(iteration)
-        trainer.backend.reduce_fused()
-        return result
+    def forward_caches(self, trainer, device: int):
+        """``(program model, lane)`` while the program replica still holds
+        ``device``'s lane from its last block, else ``None`` (its caches
+        cover one block: in a batch of several, only the last)."""
+        modules = self._members[id(trainer)].modules[device]
+        for lane, bound in enumerate(self._program._lane_modules):
+            if bound is modules:
+                return self._program.model, lane
+        return None
 
     # ------------------------------------------------------------------
     # Evaluation rounds
@@ -324,39 +313,17 @@ class LaneGroup:
         ]
 
 
-class BatchedBackend(ExecutionBackend):
-    """Vectorized experiment-stacked backend (``--backend batched``)."""
+class BatchedBackend(InProcessBackend):
+    """``--backend batched``: the in-process backend, except that its
+    :class:`LaneGroup` may be one shared with other trainers, whose lanes
+    then step together under :func:`run_lockstep`.  Constructed bare it
+    is the default backend under another name."""
 
     name = "batched"
 
     def __init__(self, group: LaneGroup | None = None):
         super().__init__()
-        self._group = group
-        self._grad_accum: np.ndarray | None = None
-
-    @property
-    def group(self) -> LaneGroup | None:
-        return self._group
-
-    def bind(self, trainer) -> None:
-        super().bind(trainer)
-        if self._group is None:
-            self._group = LaneGroup(capacity=1)
-        self._group.adopt(trainer)
-        self._grad_accum = trainer.master_arena.scratch()
-
-    def close(self) -> None:
-        super().close()
-        self._group = None  # group -> member -> trainer -> backend -> group
-
-    def step(self, iteration: int) -> tuple[float, float]:
-        return self._group.compute([(self.trainer, iteration)])[0]
-
-    def broadcast(self) -> None:
-        trainer = self.trainer
-        master = trainer.master_arena.param
-        for arena in trainer.arenas[1:]:
-            np.copyto(arena.param, master)
+        self.group = group
 
 
 class _LockstepRun:

@@ -175,8 +175,9 @@ class Campaign:
         #: bit-identical under every backend, so stored results stay
         #: comparable.
         self.backend = backend
-        #: Experiments stepped together per batched program (the ``E``
-        #: of :mod:`repro.backend.batched`).  Only meaningful with
+        #: Experiments whose lanes step together (the ``E`` of
+        #: :mod:`repro.backend.batched`; 1 = each experiment's devices
+        #: alone, under either backend name).  ``E > 1`` needs
         #: ``backend="batched"``.
         self.experiment_batch = max(int(experiment_batch), 1)
         if self.experiment_batch > 1 and backend != "batched":

@@ -9,10 +9,11 @@ that was correct when it left the sender: here, the all-reduced mean
 gradient, perturbed exactly once, after the reduction and before any
 consumer (hooks, optimizer) sees it.
 
-Both execution backends expose the identical injection point
+There is one injection point
 (:meth:`repro.backend.base.ExecutionBackend.set_comm_fault_hook`,
-applied by ``reduce_fused`` after the central-server average), so a
-comm fault propagates bit-identically under either backend: the
+applied by ``reduce_fused`` after the central-server average, whether a
+lane step or the solo device loop produced the gradients), so a comm
+fault propagates bit-identically however the devices were stepped: the
 corrupted mean is applied by the master optimizer and broadcast to
 *every* replica, the defining difference from single-device faults,
 which are diluted by ``1/num_devices`` at the same point.

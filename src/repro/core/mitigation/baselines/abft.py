@@ -10,7 +10,10 @@ verified against a checksum identity computed from the layer's operands:
     for y = x @ W + b:   sum_j y[r, j]  ==  x[r, :] . (W @ 1) + sum(b)
 
 — one extra matrix-vector product and one reduction per layer per
-iteration, a few percent of the matmul cost.
+iteration, a few percent of the matmul cost.  The operands come from the
+model instance that ran the forward, which the execution backend names
+per device: the device's own replica on the solo loop, one lane of the
+program replica on the (default) lane step.
 
 What ABFT *cannot* see: faults that corrupt optimizer history values or
 BatchNorm moving statistics without corrupting a checked matmul output —
@@ -66,28 +69,28 @@ class ABFTChecker:
                 return float("inf")
             return float(diff.max() / scale)
 
-    def _verify_dense(self, module: Dense) -> float | None:
+    def _verify_dense(self, module: Dense, lane) -> float | None:
         if module._x is None or module._out is None:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            row_sum = module._out.sum(axis=-1)
-            checksum = module._x @ module.weight.data.sum(axis=1)
+            row_sum = module._out[lane].sum(axis=-1)
+            checksum = module._x[lane] @ module.weight.data[lane].sum(axis=1)
             if module.use_bias:
-                checksum = checksum + module.bias.data.sum()
+                checksum = checksum + module.bias.data[lane].sum()
         return self._relative_error(row_sum, checksum)
 
-    def _verify_conv(self, module: Conv2D) -> float | None:
+    def _verify_conv(self, module: Conv2D, lane) -> float | None:
         if module._col is None or module._out is None:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             # Output rows in im2col order: (N*OH*OW, Cout).
-            n, c, oh, ow = module._out.shape
-            rows = module._out.transpose(0, 2, 3, 1).reshape(-1, c)
+            out = module._out[lane]
+            rows = out.transpose(0, 2, 3, 1).reshape(-1, out.shape[1])
             row_sum = rows.sum(axis=-1)
-            w_row = module.weight.data.reshape(module.out_channels, -1)
-            checksum = module._col @ w_row.sum(axis=0)
+            w_row = module.weight.data[lane].reshape(module.out_channels, -1)
+            checksum = module._col[lane] @ w_row.sum(axis=0)
             if module.use_bias:
-                checksum = checksum + module.bias.data.sum()
+                checksum = checksum + module.bias.data[lane].sum()
         return self._relative_error(row_sum, checksum)
 
     def _verify_weight_grad(self, module) -> float | None:
@@ -100,20 +103,34 @@ class ABFTChecker:
     # Hook interface.  Checks run after the backward pass but BEFORE the
     # optimizer step: the checksum identity relates each layer's cached
     # operands to the weights used in that forward pass, and the step
-    # would move the weights out from under it.
+    # would move the weights out from under it.  The operands are read
+    # from the model instance that ran the forward
+    # (``ExecutionBackend.forward_caches``): the device's replica under
+    # the solo loop, its lane of the program replica under the lane step
+    # (``lane`` indexes every operand; ``...`` takes a replica's whole
+    # tensors).  Weight gradients are each replica's own ``param.grad``,
+    # the row the lane step wrote.
     # ------------------------------------------------------------------
     def after_backward(self, trainer, iteration: int) -> None:
-        compared = 0
-        for replica in trainer.replicas:
-            for name, module in replica.named_modules():
+        for device, replica in enumerate(trainer.replicas):
+            ran = trainer.backend.forward_caches(device)
+            if ran is None:
+                raise RuntimeError(
+                    f"ABFT has no forward operands for device {device} at "
+                    f"iteration {iteration} on the {trainer.backend.name!r} "
+                    "backend: the program replica keeps the last block of "
+                    "lanes only (run ABFT with experiment_batch=1)")
+            model, lane = ran
+            for (name, module), (_, operands) in zip(
+                    replica.named_modules(), model.named_modules()):
                 if isinstance(module, Dense):
-                    err = self._verify_dense(module)
+                    err = self._verify_dense(operands, lane)
                 elif isinstance(module, Conv2D):
-                    err = self._verify_conv(module)
+                    err = self._verify_conv(operands, lane)
                 else:
                     continue
                 if err is not None:
-                    compared += 1
+                    self.checks += 1
                     if not np.isfinite(err) or err > self.tolerance:
                         self.violations.append(ABFTViolation(iteration, name, err))
                 if self.check_weight_grads:
@@ -123,16 +140,6 @@ class ABFTChecker:
                         self.violations.append(
                             ABFTViolation(iteration, f"{name}.weight_grad", gerr)
                         )
-        if not compared:
-            # The operands come from the forward caches of
-            # ``trainer.replicas``; a backend that computes elsewhere
-            # (the batched backend's stacked lanes) never fills them.
-            raise RuntimeError(
-                f"ABFT compared no forward checksum at iteration {iteration} on "
-                f"the {trainer.backend.name!r} backend: no Dense/Conv2D module of "
-                "trainer.replicas ran a training forward (use backend='inprocess')"
-            )
-        self.checks += compared
 
     @property
     def fired(self) -> bool:

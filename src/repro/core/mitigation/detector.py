@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
-from repro.nn.normalization import batchnorm_layers
+from repro.nn.normalization import batchnorm_layers, peak_moving_statistic
 from repro.observe import DETECTOR_FIRED, counter
 from repro.optim.base import max_abs
 
@@ -89,13 +89,18 @@ class HardwareFailureDetector:
                                       max_abs([arr]), second_bound)
         if trainer.spec.has_batchnorm and self.bounds.mvar_bound > 0.0:
             mvar_bound = self.bounds.effective_mvar_bound
-            # The per-replica layer lists are memoised on each model root.
-            for layer in (bn for r in trainer.replicas for bn in batchnorm_layers(r)):
-                var = float(np.abs(layer.moving_var).max())
-                mean = float(np.abs(layer.moving_mean).max())
-                if self._violates(var, mvar_bound) or self._violates(mean, mvar_bound):
-                    return DetectionEvent(iteration, "mvar",
-                                          layer.history_magnitude(), mvar_bound)
+            # One-pass screen per replica (NaN propagates through the max
+            # and violates); the layers are walked only to name the first
+            # violating one.
+            for replica in trainer.replicas:
+                if not self._violates(peak_moving_statistic(replica), mvar_bound):
+                    continue
+                for layer in batchnorm_layers(replica):
+                    var = float(np.abs(layer.moving_var).max())
+                    mean = float(np.abs(layer.moving_mean).max())
+                    if self._violates(var, mvar_bound) or self._violates(mean, mvar_bound):
+                        return DetectionEvent(iteration, "mvar",
+                                              layer.history_magnitude(), mvar_bound)
         return None
 
     # ------------------------------------------------------------------

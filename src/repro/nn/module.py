@@ -26,11 +26,12 @@ and the hot path pays a single attribute check.
 
 Lanes
 -----
-The batched backend steps L (experiment, device) replicas through one
-extra model instance whose tensors carry one *leading lane axis*: inputs
-and gradients are ``(L,) + plain shape``, every parameter's ``data`` /
-``grad`` is ``(L,) + param.shape``, and persistent extra state (BatchNorm
-moving statistics) is ``(L,) + state shape``.  :attr:`Module.lanes` holds
+The execution backend steps L (experiment, device) replicas — by
+default the D devices of one trainer — through one extra model instance
+whose tensors carry one *leading lane axis*: inputs and gradients are
+``(L,) + plain shape``, every parameter's ``data`` / ``grad`` is
+``(L,) + param.shape``, and persistent extra state (BatchNorm moving
+statistics) is ``(L,) + state shape``.  :attr:`Module.lanes` holds
 that leading shape — ``()`` everywhere except on that one instance, where
 :class:`~repro.backend.batched.LaneGroup` (and nothing else) sets it to
 ``(L,)`` per block of lanes.  Lanes never mix arithmetic: slice ``l`` of
@@ -45,7 +46,7 @@ the same statements serve both cases, and its class body says
 ``lane_native = True``.  The declaration is read from the class's own
 namespace, never inherited — a subclass that overrides the math must
 declare (and be tested in ``tests/test_lane_native.py``) again.  A model
-containing any undeclared module type runs on the per-lane fallback.
+containing any undeclared module type steps device by device instead.
 """
 
 from __future__ import annotations

@@ -196,12 +196,28 @@ def batchnorm_layers(model: Module) -> list[BatchNorm]:
     return [m for _, m in model.instances_of(BatchNorm)]
 
 
+def peak_moving_statistic(model: Module) -> float:
+    """``max |moving statistic|`` over every BatchNorm layer of a model in
+    one pass — one concatenate and one reduction, where a walk costs a
+    handful of NumPy calls per layer.  A NaN statistic comes back as NaN;
+    0.0 for a model with no BatchNorm layers."""
+    layers = batchnorm_layers(model)
+    if not layers:
+        return 0.0
+    stats = np.concatenate([stat for bn in layers
+                            for stat in (bn.moving_var, bn.moving_mean)],
+                           axis=None)
+    return float(np.abs(stats).max())
+
+
 def max_moving_variance(model: Module) -> float:
-    """The largest |moving statistic| across all BatchNorm layers.
+    """The largest |moving statistic| across all BatchNorm layers
+    (``inf`` when any is not finite).
 
     This is the quantity the detection technique compares against the
     Algorithm 1 part-II bound each iteration.  Returns 0.0 for models with
     no BatchNorm layers (e.g. Resnet_NoBN, NFNet), for which the mvar
     necessary condition is structurally impossible.
     """
-    return max((bn.history_magnitude() for bn in batchnorm_layers(model)), default=0.0)
+    peak = peak_moving_statistic(model)
+    return peak if math.isfinite(peak) else float("inf")

@@ -124,7 +124,7 @@ class Optimizer:
         """Re-derive slot views after the bound arena's segments moved.
 
         :meth:`repro.state.StateArena.rebind_segment` repoints a segment
-        at caller-provided storage (the batched backend adopts arenas
+        at caller-provided storage (a backend's lane group adopts arenas
         into ``(E, ...)`` row stacks this way), which orphans the views
         and fused-segment references captured by :meth:`bind_arena`.
         Calling this re-reads the arena's current segments so the

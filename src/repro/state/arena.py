@@ -147,8 +147,8 @@ class StateArena:
         return np.empty(self.total, dtype=np.float32)
 
     def rebind_segment(self, name: str, buffer: np.ndarray) -> np.ndarray:
-        """Swap a segment's backing storage (e.g. into a row of the
-        batched backend's experiment stacks).
+        """Swap a segment's backing storage (e.g. into a row of a
+        lane group's experiment stacks).
 
         The current contents are copied into ``buffer``, the segment map
         is repointed, and — for the ``param``/``grad`` segments — every

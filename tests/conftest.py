@@ -7,10 +7,13 @@ each test gets fresh, mutable state.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.distributed import SyncDataParallelTrainer
+from repro.nn import Module
 from repro.workloads import build_workload
 
 
@@ -36,6 +39,25 @@ def make_trainer():
         )
 
     return factory
+
+
+@pytest.fixture
+def forced_solo():
+    """Context manager forcing the solo ``device_step`` loop — the
+    reference the lane step is pinned against — on every trainer built
+    inside it: no model then reports itself lane-native, which is the
+    only thing a backend asks when it is bound.  There is no ``src/``
+    switch for this on purpose.  ``force(False)`` changes nothing, so a
+    parametrised test can wrap both of its sides."""
+
+    @contextmanager
+    def force(active: bool = True):
+        with pytest.MonkeyPatch.context() as patch:
+            if active:
+                patch.setattr(Module, "is_lane_native", lambda self: False)
+            yield
+
+    return force
 
 
 def directional_gradcheck(model, x, loss_fn, y, rng, eps: float = 1e-2) -> float:

@@ -1,16 +1,18 @@
-"""Tests for :mod:`repro.backend`: two execution backends, one contract.
+"""Tests for :mod:`repro.backend`: one device-step program, one contract.
 
 Three contracts are pinned here:
 
 * **The reduction** — :meth:`ExecutionBackend.reduce_fused` is the
   central-server mean (ascending-rank sum, one multiply) written into
   the master gradient segment, which is also its rank-0 input, and the
-  comm-fault hook sees the reduced buffer exactly once — on both
-  backends.
-* **Cross-backend bit-identity** — training (fault-free, device faults,
-  comm faults) produces byte-equal convergence records and final state
-  under the in-process and batched backends, including the paper-scale
-  8-replica topology.
+  comm-fault hook sees the reduced buffer exactly once — under both
+  backend names.
+* **Lane step == solo loop** — training (fault-free, device faults, comm
+  faults) produces byte-equal convergence records and final state under
+  ``inprocess``, ``batched`` and the forced solo loop
+  (``conftest.forced_solo``), including the paper-scale 8-replica
+  topology, a D-sweep over the lane-native ``resnet*`` / ``yolo``
+  workloads, and the benchmark harness's own campaign.
 * **Lifecycle** — accumulators are allocated once, unknown backend
   names are rejected, and trainer state stays readable after ``close``.
 """
@@ -29,6 +31,8 @@ from repro.core.faults import (
     OpSite,
 )
 from repro.distributed import SyncDataParallelTrainer
+from repro.observe import Tracer
+from repro.replay import normalize_events
 from repro.state import training_state_digest as state_digest
 from repro.workloads import build_workload
 
@@ -110,76 +114,130 @@ class TestAllReduceMeanProperty:
 
 
 # ----------------------------------------------------------------------
-# Cross-backend bit-identity
+# Lane step == solo loop, under every name
 # ----------------------------------------------------------------------
+#: What a trainer can be asked for: the two backend names (both take the
+#: lane step for a lane-native model) and the solo loop forced on the
+#: default backend, which is the reference.
+PATHS = (*BACKEND_NAMES, "forced-solo")
+
+
+def _train(forced_solo, path, workload="resnet", num_devices=2, iterations=6,
+           test_every=3, hook=None):
+    solo = path == "forced-solo"
+    with forced_solo(solo):
+        trainer = make_trainer(workload, num_devices=num_devices,
+                               backend="inprocess" if solo else path,
+                               test_every=test_every, stop_on_nonfinite=False)
+    assert trainer.backend.group.vectorized == (not solo)
+    if hook is not None:
+        trainer.add_hook(hook)
+    with trainer:
+        trainer.train(iterations)
+    return trainer
+
+
 class TestCrossBackendIdentity:
-    def _train_both(self, workload="resnet", num_devices=2, iterations=6,
-                    test_every=3, hook_factory=None):
+    def _train_all(self, forced_solo, hook_factory=None, **kwargs):
         results = {}
-        for backend in BACKEND_NAMES:
-            trainer = make_trainer(workload, num_devices=num_devices,
-                                   backend=backend, test_every=test_every,
-                                   stop_on_nonfinite=False)
+        for path in PATHS:
             hook = hook_factory() if hook_factory is not None else None
-            if hook is not None:
-                trainer.add_hook(hook)
-            try:
-                trainer.train(iterations)
-            finally:
-                trainer.close()
-            results[backend] = (trainer, hook)
+            results[path] = (_train(forced_solo, path, hook=hook, **kwargs), hook)
         return results
 
-    def test_training_is_bit_identical(self):
-        results = self._train_both()
-        inproc, _ = results["inprocess"]
-        batched, _ = results["batched"]
-        assert record_hex(inproc.record) == record_hex(batched.record)
-        assert state_digest(inproc) == state_digest(batched)
+    @staticmethod
+    def _assert_identical(results):
+        solo, _ = results["forced-solo"]
+        for name in BACKEND_NAMES:
+            trainer, _ = results[name]
+            assert record_hex(trainer.record) == record_hex(solo.record), name
+            assert state_digest(trainer) == state_digest(solo), name
 
-    def test_eight_replica_topology_is_bit_identical(self):
+    def test_training_is_bit_identical(self, forced_solo):
+        self._assert_identical(self._train_all(forced_solo))
+
+    def test_eight_replica_topology_is_bit_identical(self, forced_solo):
         """The paper-scale topology: 8 replicas."""
-        results = self._train_both(num_devices=8, iterations=3, test_every=0)
-        inproc, _ = results["inprocess"]
-        batched, _ = results["batched"]
-        assert record_hex(inproc.record) == record_hex(batched.record)
-        assert state_digest(inproc) == state_digest(batched)
+        self._assert_identical(self._train_all(
+            forced_solo, num_devices=8, iterations=3, test_every=0))
 
-    def test_device_fault_is_bit_identical(self):
+    def test_device_fault_is_bit_identical(self, forced_solo):
         """The injector armed on a lane replica must make the exact
-        draws the in-process injector makes."""
+        draws it makes on the solo loop."""
         def fault_hook():
             ff = FFDescriptor("global_control", group=1, has_feedback=True)
             fault = HardwareFault(ff=ff, site=OpSite("1.conv1", "weight_grad"),
                                   iteration=2, device=1, seed=3)
             return FaultInjector(fault)
 
-        results = self._train_both(iterations=5, test_every=0,
-                                   hook_factory=fault_hook)
-        inproc, hook_in = results["inprocess"]
-        batched, hook_b = results["batched"]
-        assert hook_in.fired and hook_b.fired
-        assert hook_in.record.num_faulty == hook_b.record.num_faulty
-        assert hook_in.record.max_abs_faulty() == hook_b.record.max_abs_faulty()
-        assert record_hex(inproc.record) == record_hex(batched.record)
+        results = self._train_all(forced_solo, iterations=5, test_every=0,
+                                  hook_factory=fault_hook)
+        _, hook_solo = results["forced-solo"]
+        for name in BACKEND_NAMES:
+            _, hook = results[name]
+            assert hook.fired and hook_solo.fired
+            assert hook.record.num_faulty == hook_solo.record.num_faulty
+            assert hook.record.max_abs_faulty() == hook_solo.record.max_abs_faulty()
+        self._assert_identical(results)
 
-    def test_comm_fault_is_bit_identical(self):
-        """Link faults hit the identical point of the reduction under
-        both backends (the in-flight mean, pre-optimizer)."""
+    def test_comm_fault_is_bit_identical(self, forced_solo):
+        """Link faults hit the identical point of the reduction after a
+        lane step and after the solo loop (the in-flight mean,
+        pre-optimizer)."""
         def fault_hook():
             ff = FFDescriptor("datapath", bit=30)
             fault = HardwareFault(ff=ff, site=OpSite(LINK_SITE, COMM),
                                   iteration=2, device=0, seed=7)
             return CommFaultInjector(fault)
 
-        results = self._train_both(iterations=5, test_every=0,
-                                   hook_factory=fault_hook)
-        inproc, hook_in = results["inprocess"]
-        batched, hook_b = results["batched"]
-        assert hook_in.fired and hook_b.fired
-        assert hook_in.record.num_faulty == hook_b.record.num_faulty
-        assert record_hex(inproc.record) == record_hex(batched.record)
-        assert state_digest(inproc) == state_digest(batched)
+        results = self._train_all(forced_solo, iterations=5, test_every=0,
+                                  hook_factory=fault_hook)
+        _, hook_solo = results["forced-solo"]
+        for name in BACKEND_NAMES:
+            _, hook = results[name]
+            assert hook.fired and hook_solo.fired
+            assert hook.record.num_faulty == hook_solo.record.num_faulty
+        self._assert_identical(results)
+
+    @pytest.mark.parametrize("devices", [1, 2, 4, 8])
+    @pytest.mark.parametrize("workload",
+                             ["resnet", "resnet_nobn", "resnet_sgd", "yolo"])
+    def test_default_equals_forced_solo_at_every_device_count(
+            self, forced_solo, workload, devices):
+        """No threshold on D selects the lane step, so it must equal the
+        solo loop from one lane up."""
+        default, solo = (
+            _train(forced_solo, path, workload, num_devices=devices,
+                   iterations=3, test_every=2)
+            for path in ("inprocess", "forced-solo"))
+        assert record_hex(default.record) == record_hex(solo.record)
+        assert state_digest(default) == state_digest(solo)
+
+    def test_harness_campaign_equals_forced_solo(self, forced_solo):
+        """``benchmarks/perf``'s ``campaign_inprocess`` configuration,
+        default vs forced-solo from the warm-up on: same final arena
+        bytes, outcome and canonical event stream per experiment."""
+        from repro.core.faults import Campaign
+
+        def run():
+            campaign = Campaign(
+                build_workload("resnet", size="tiny"), num_devices=8,
+                warmup_iterations=8, horizon=16, inject_window=6,
+                test_every=8, detect=True)
+            stories = []
+            for seed in (1, 2):
+                for fault in campaign.sample_faults(4, seed=seed):
+                    tracer = Tracer()
+                    result = campaign.run_experiment(fault, tracer=tracer)
+                    stories.append((result.arena_sha256, result.outcome,
+                                    normalize_events(tracer.events())))
+            return stories
+
+        default = run()
+        with forced_solo():
+            solo = run()
+        assert all(sha and events for sha, _outcome, events in default)
+        assert default == solo
 
     def test_unknown_backend_name_rejected(self):
         spec = build_workload("resnet", size="tiny", seed=0)

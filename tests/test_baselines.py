@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator.ffs import FFDescriptor
+from repro.backend import BatchedBackend, LaneGroup, run_lockstep
 from repro.core.faults import FaultInjector, HardwareFault, OpSite
 from repro.nn import Conv2D, Dense
 from repro.core.mitigation.baselines import (
@@ -41,13 +42,49 @@ class TestABFT:
 
     @pytest.mark.parametrize("backend", ["batched"])
     def test_raises_where_replicas_run_no_forward(self, make_trainer, backend):
-        """Off the in-process backend the replica modules ABFT reads never
-        run a training forward; it must say so, not report checks of
+        """The program replica keeps the operands of the last block of
+        lanes only, so in a shared group of more lanes than one block an
+        earlier experiment's ABFT must say so, not report checks of
         nothing."""
-        with make_trainer(num_devices=2, backend=backend) as trainer:
-            trainer.add_hook(ABFTChecker())
+        experiments = LaneGroup.lane_chunk // 2 + 1  # two blocks of lanes
+        group = LaneGroup(capacity=experiments)
+        trainers = [make_trainer(num_devices=2,
+                                 backend=BatchedBackend(group=group))
+                    for _ in range(experiments)]
+        trainers[0].add_hook(ABFTChecker())
+        try:
             with pytest.raises(RuntimeError, match=backend):
-                trainer.train(1)
+                run_lockstep(group, trainers, [1] * experiments)
+        finally:
+            for trainer in trainers:
+                trainer.close()
+
+    @pytest.mark.parametrize("backend", ["inprocess", "batched"])
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    def test_lane_step_checks_equal_the_solo_loop(self, make_trainer, forced_solo,
+                                                  backend, devices):
+        """ABFT verifies the instances that ran the forward — lanes of
+        the program replica by default, the replicas on the solo loop —
+        and reports the same checks and violations either way."""
+        def run():
+            trainer = make_trainer(num_devices=devices, backend=backend,
+                                   stop_on_nonfinite=False, test_every=2)
+            checker = ABFTChecker()
+            trainer.add_hook(FaultInjector(forward_fault(iteration=2)))
+            trainer.add_hook(checker)
+            with trainer:
+                vectorized = trainer.backend.group.vectorized
+                trainer.train(5)
+            return vectorized, checker
+
+        lanes, default = run()
+        with forced_solo():
+            solo_lanes, solo = run()
+        assert lanes and not solo_lanes
+        assert default.fired and default.fired_at() == solo.fired_at() == 2
+        assert default.checks == solo.checks
+        assert [(v.iteration, v.layer) for v in default.violations] == \
+            [(v.iteration, v.layer) for v in solo.violations]
 
     def test_detects_forward_output_corruption(self, make_trainer):
         """ABFT's strength: a corrupted matmul output breaks the checksum

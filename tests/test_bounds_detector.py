@@ -136,6 +136,26 @@ class TestDetector:
         trainer.train(5)
         assert detector.fired
 
+    @pytest.mark.parametrize("first, magnitude", [(2.0 ** 70, 2.0 ** 70), (np.nan, np.inf)])
+    def test_mvar_event_names_the_first_violating_layer(self, make_trainer,
+                                                        first, magnitude):
+        """The one-pass screen only decides whether to walk: the event is
+        still the first violating layer's, in replica-then-layer order,
+        and a NaN statistic still violates."""
+        from repro.nn.normalization import batchnorm_layers
+
+        trainer = make_trainer(num_devices=2)
+        trainer.train(2)
+        detector = HardwareFailureDetector()
+        assert detector.check(trainer, 2) is None
+        layers = batchnorm_layers(trainer.replicas[1])
+        layers[1].moving_mean[0] = -first
+        layers[3].moving_var[:] = 3e30
+        event = detector.check(trainer, 3)
+        assert (event.iteration, event.condition) == (3, "mvar")
+        assert event.magnitude == magnitude
+        assert event.bound == detector.bounds.effective_mvar_bound
+
     def test_no_mvar_check_without_bn(self, make_trainer):
         trainer = make_trainer(workload="nfnet", num_devices=2)
         detector = HardwareFailureDetector()

@@ -36,20 +36,24 @@ def load_cases():
     return golden["cases"]
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "batched"])
+@pytest.mark.parametrize("backend", ["inprocess", "batched", "forced-solo"])
 @pytest.mark.parametrize("case", load_cases(), ids=lambda c: c["workload"])
-def test_training_is_bit_identical_to_golden_trace(case, backend):
-    """Both execution backends must reproduce the pre-refactor traces:
-    the batched backend's lanes run the same kernels and the same
-    central-server reduction these goldens were recorded with."""
+def test_training_is_bit_identical_to_golden_trace(case, backend, forced_solo):
+    """Both backend names and the forced solo loop must reproduce the
+    pre-refactor traces: the lanes run the same kernels and the same
+    central-server reduction these goldens were recorded with (on the
+    sequential loop, which ``forced-solo`` still is)."""
     spec = build_workload(case["workload"], size="tiny", seed=0)
-    trainer = SyncDataParallelTrainer(
-        spec,
-        num_devices=case["num_devices"],
-        seed=0,
-        test_every=case["test_every"],
-        backend=backend,
-    )
+    solo = backend == "forced-solo"
+    with forced_solo(solo):
+        trainer = SyncDataParallelTrainer(
+            spec,
+            num_devices=case["num_devices"],
+            seed=0,
+            test_every=case["test_every"],
+            backend="inprocess" if solo else backend,
+        )
+    assert not (solo and trainer.backend.group.vectorized)
     # The golden traces were recorded pre-refactor; this run must take
     # the fused path to prove the fused path is numerically invisible.
     assert trainer.arenas is not None, "state arena was not built"

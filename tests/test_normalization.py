@@ -128,6 +128,23 @@ class TestModelHelpers:
         model.layers[1].moving_var[:] = 42.0
         assert max_moving_variance(model) == 42.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_max_moving_variance_is_the_per_layer_walk(self, rng, bad):
+        """The one-pass probe equals the max over each layer's
+        ``history_magnitude``: sign dropped, any non-finite -> inf."""
+        model = nn.Sequential(nn.BatchNorm(3), nn.BatchNorm(5), nn.BatchNorm(2))
+        for bn in batchnorm_layers(model):
+            bn.moving_mean[:] = rng.normal(size=bn.moving_mean.shape)
+            bn.moving_var[:] = rng.uniform(0.5, 2.0, bn.moving_var.shape)
+        model.layers[1].moving_mean[3] = -9.5
+
+        def walk():
+            return max(bn.history_magnitude() for bn in batchnorm_layers(model))
+
+        assert max_moving_variance(model) == walk() == 9.5
+        model.layers[2].moving_mean[0] = bad
+        assert max_moving_variance(model) == walk() == float("inf")
+
 
 class TestLayerNorm:
     def test_normalizes_last_dim(self, rng):
