@@ -12,6 +12,11 @@ scale:
 3. classify the outcome against the fault-free reference run and collect
    the necessary-condition magnitudes (Table 4).
 
+The fault-free (*golden*) iterations of step 2 are computed once, by the
+reference run of step 1, and never again (DESIGN.md decision 9): an
+experiment starts from the reference run's state at its fault iteration,
+and stops once its state equals the reference run's to the byte.
+
 An :class:`InferenceCampaign` applies the same faults to inference only,
 for the training-vs-inference comparison of Table 5.
 """
@@ -19,6 +24,7 @@ for the training-vs-inference comparison of Table 5.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +40,18 @@ from repro.core.analysis.classify import (
     inference_breakdown,
     outcome_breakdown,
 )
-from repro.core.analysis.propagation import PropagationTracer
+from repro.core.analysis.propagation import (
+    PropagationTrace,
+    condition_magnitude_in_window,
+)
 from repro.core.analysis.stats import ProportionEstimate, wilson_interval
 from repro.core.faults.comm import COMM, CommFaultInjector
 from repro.core.faults.hardware import SITE_KINDS, HardwareFault, sample_fault
 from repro.core.faults.injector import FaultInjector
+from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
+from repro.core.mitigation.detector import HardwareFailureDetector
 from repro.distributed.sync import SyncDataParallelTrainer
+from repro.nn.module import Sequential
 from repro.state import training_state_digest
 from repro.training.checkpoints import Checkpoint
 from repro.training.metrics import ConvergenceRecord
@@ -147,6 +159,29 @@ class CampaignResult:
         return ranges
 
 
+class _Rung(NamedTuple):
+    """The reference run's training state at one iteration boundary."""
+
+    checkpoint: Checkpoint
+    #: ``training_state_digest`` of that state: what "the fault is masked
+    #: to the byte" is checked against.
+    digest: str
+
+
+@dataclass
+class _Experiment:
+    """One experiment in flight (solo or as a member of a batch)."""
+
+    fault: HardwareFault
+    trainer: SyncDataParallelTrainer
+    injector: object
+    detector: HardwareFailureDetector | None
+    #: Boundary right after the fault iteration when the reference run's
+    #: digest there is known, else ``None`` (train to the horizon).
+    check: int | None
+    arena_sha256: str | None = None
+
+
 class Campaign:
     """Statistical FI campaign over one workload."""
 
@@ -198,11 +233,25 @@ class Campaign:
         self.keep_records = bool(keep_records)
         #: Attach a Sec. 5.1 :class:`HardwareFailureDetector` to every
         #: experiment.  The detector only *reads* trainer state, so
-        #: outcomes are unchanged; with tracing on, its firings land in
-        #: the campaign trace as ``detector_fired`` events.
+        #: outcomes and final state bytes are unchanged; with tracing on,
+        #: its firings land in the campaign trace as ``detector_fired``
+        #: events.
         self.detect = bool(detect)
+        #: The warm-up rung's checkpoint; set last by :meth:`prepare`.
         self._snapshot: Checkpoint | None = None
-        self._warmup_record: ConvergenceRecord | None = None
+        #: boundary iteration -> golden state there, kept for every
+        #: boundary an experiment may start from or be checked against
+        #: (warm-up .. warm-up + ``inject_window``) and every boundary
+        #: that follows a test point.
+        self._rungs: dict[int, _Rung] = {}
+        #: Final-state digest of the reference run.
+        self._golden_sha256: str | None = None
+        #: (test iteration, device) -> the reference run's test score on
+        #: that device's replica; filled on first use (the reference run
+        #: itself evaluates device 0 only).
+        self._golden_test: dict[tuple[int, int], float] = {}
+        #: Algorithm 1 bounds shared by every experiment's detector.
+        self._bounds: DetectionBounds | None = None
         self._site_model = None
         self.reference: ConvergenceRecord | None = None
 
@@ -297,20 +346,64 @@ class Campaign:
             self._site_model = self.spec.build_model(self.seed)
 
     def prepare(self) -> None:
-        """Train the fault-free baseline and reference (idempotent)."""
+        """Train the fault-free baseline and reference (idempotent).
+
+        The reference continuation over the horizon is the only place
+        golden iterations are computed: it leaves a rung at every
+        boundary :attr:`_rungs` names.  With ``detect`` it carries the
+        detector the experiments carry, so a firing on fault-free state
+        (an Algorithm 1 false positive) is seen here."""
         if self._snapshot is not None:
             return
         self._ensure_site_model()
+        warm, end = self.warmup_iterations, self._end
         trainer = self._new_trainer()
+        keep = set(range(warm, warm + self.inject_window + 1))
+        keep.update(t + 1 for t in range(warm, end) if trainer.test_due(t))
         try:
-            trainer.train(self.warmup_iterations)
-            self._snapshot = Checkpoint.capture(trainer)
-            self._warmup_record = trainer.record
-            # Fault-free reference continuation over the full horizon.
-            trainer.train(self.horizon)
+            trainer.train(warm)
+            if self.detect:
+                self._bounds = derive_bounds_for_trainer(trainer)
+                trainer.add_hook(HardwareFailureDetector(self._bounds))
+            for boundary in range(warm, end + 1):
+                if boundary in keep:
+                    self._rungs[boundary] = _Rung(
+                        Checkpoint.capture(trainer),
+                        training_state_digest(trainer))
+                if boundary == end or trainer.halted:
+                    break
+                trainer.train(1)
+            self._golden_sha256 = training_state_digest(trainer)
             self.reference = trainer.record
         finally:
             trainer.close()
+        self._snapshot = self._rungs[warm].checkpoint
+
+    def _golden_reuse(self) -> bool:
+        """Whether experiments may take fault-free iterations from the
+        reference run instead of training them.  Not when the reference
+        run fired the detector — each experiment must then surface that
+        firing itself, on its own trainer — or did not reach the horizon.
+        Everything else about reuse is exact and needs no setting; tests
+        pin it against the full-horizon path by patching this predicate
+        (``tests/conftest.py::full_horizon``)."""
+        return (self.reference.nonfinite_at is None
+                and not self.reference.detections)
+
+    def _golden_test_score(self, trainer: SyncDataParallelTrainer,
+                           t: int) -> float:
+        """The reference run's test score at test point ``t`` on
+        ``trainer``'s ``eval_device``.  A score not seen before is
+        computed by putting the rung after ``t`` into ``trainer`` — the
+        caller is about to overwrite that state, or is done with it —
+        and calling its ordinary ``evaluate()``: one replica's eval
+        caches at a time, where evaluating every device while the
+        reference trains would hold all D at once."""
+        key = (t, trainer.eval_device)
+        if key not in self._golden_test:
+            self._rungs[t + 1].checkpoint.restore(trainer)
+            self._golden_test[key] = trainer.evaluate()
+        return self._golden_test[key]
 
     # ------------------------------------------------------------------
     # One experiment
@@ -337,6 +430,82 @@ class Campaign:
             return CommFaultInjector(fault)
         return FaultInjector(fault)
 
+    def _launch(self, fault: HardwareFault, tracer,
+                backend=None) -> _Experiment:
+        """Build one experiment's trainer at the latest golden boundary
+        not after its fault iteration ``t``: rung ``t`` itself when reuse
+        is allowed and the rung exists, else the warm-up rung.  Record
+        and tracer receive the reference run's rows for the iterations
+        skipped — before the rung goes in, because a test point among
+        them is scored through this trainer."""
+        warm, t = self.warmup_iterations, fault.iteration
+        reuse = self._golden_reuse()
+        start = t if reuse and t in self._rungs else warm
+        trainer = self._new_trainer(eval_device=fault.device, tracer=tracer,
+                                    backend=backend)
+        trainer.adopt_iterations(
+            self.reference, warm, start,
+            lambda at: self._golden_test_score(trainer, at))
+        self._rungs[start].checkpoint.restore(trainer)
+        injector = self._injector_for(fault)
+        trainer.add_hook(injector)
+        detector = None
+        if self.detect:
+            detector = HardwareFailureDetector(self._bounds)
+            trainer.add_hook(detector)
+        check = t + 1 if reuse and start == t and t + 1 in self._rungs else None
+        return _Experiment(fault, trainer, injector, detector, check)
+
+    @property
+    def _end(self) -> int:
+        """The boundary every run ends at unless it stops non-finite."""
+        return self.warmup_iterations + self.horizon
+
+    def _first_budget(self, exp: _Experiment) -> int:
+        """Iterations up to the boundary the experiment is checked at
+        (the fault iteration alone), or the whole run without a check."""
+        return (self._end if exp.check is None else exp.check) \
+            - exp.trainer.iteration
+
+    def _splice(self, exp: _Experiment) -> bool:
+        """After the fault iteration: if the experiment's state equals the
+        reference run's at the same boundary to the byte (one digest, not
+        value equality: -0.0 == +0.0), the rest of its run *is* the
+        reference run's — the injector is disarmed for good, the detector
+        only reads, and a step from a boundary is a function of the
+        digest-covered state and the iteration number alone.  Adopt it
+        and return ``True``.  Later reconvergence is not searched for."""
+        trainer = exp.trainer
+        if exp.check is None or trainer.halted:
+            return False
+        if training_state_digest(trainer) != self._rungs[exp.check].digest:
+            return False
+        trainer.adopt_iterations(
+            self.reference, exp.check, self._end,
+            lambda at: self._golden_test_score(trainer, at))
+        exp.arena_sha256 = self._golden_sha256
+        return True
+
+    def _result(self, exp: _Experiment,
+                report: OutcomeReport) -> ExperimentResult:
+        record = exp.trainer.record
+        injected = exp.injector.record
+        # Table 4's magnitudes are the record's own condition columns:
+        # the values a PropagationTracer hook would read a second time.
+        conditions = PropagationTrace(iterations=record.iterations,
+                                      max_history=record.history_magnitude,
+                                      max_mvar=record.mvar_magnitude)
+        return ExperimentResult(
+            fault=exp.fault,
+            report=report,
+            num_faulty_elements=injected.num_faulty if injected else 0,
+            max_abs_faulty=injected.max_abs_faulty() if injected else 0.0,
+            condition_window=condition_magnitude_in_window(
+                conditions, exp.fault.iteration),
+            record=record if self.keep_records else None,
+            arena_sha256=exp.arena_sha256,
+        )
+
     def run_experiment(self, fault: HardwareFault,
                        tracer=None) -> ExperimentResult:
         """Restore the baseline, inject, train to the horizon, classify.
@@ -346,47 +515,30 @@ class Campaign:
         is how engine workers capture every experiment into their shard
         without the payload-agnostic engine threading a tracer through.
         """
-        from repro.core.mitigation.detector import HardwareFailureDetector
         from repro.observe import current_tracer, histogram
 
         self.prepare()
         if tracer is None:
             tracer = current_tracer()
-        trainer = self._new_trainer(eval_device=fault.device, tracer=tracer)
-        self._snapshot.restore(trainer)
-        injector = self._injector_for(fault)
-        ptracer = PropagationTracer()
-        trainer.add_hook(injector)
-        trainer.add_hook(ptracer)
-        detector = None
-        if self.detect:
-            detector = HardwareFailureDetector()
-            trainer.add_hook(detector)
-        remaining = self.warmup_iterations + self.horizon - trainer.iteration
-        arena_sha256 = None
+        exp = self._launch(fault, tracer)
+        trainer = exp.trainer
         try:
-            trainer.train(remaining)
-            arena_sha256 = training_state_digest(trainer)
+            trainer.train(self._first_budget(exp))
+            if not self._splice(exp):
+                if not trainer.halted:
+                    trainer.train(self._end - trainer.iteration)
+                exp.arena_sha256 = training_state_digest(trainer)
         finally:
             trainer.close()
-        if detector is not None:
-            latency = detector.detection_latency(fault.iteration)
+        if exp.detector is not None:
+            latency = exp.detector.detection_latency(fault.iteration)
             if latency is not None:
                 histogram("detector.latency_iterations").observe(
                     float(latency))
         report = classify_outcome(
             trainer.record, self.reference, fault.iteration, self.thresholds
         )
-        record = injector.record
-        return ExperimentResult(
-            fault=fault,
-            report=report,
-            num_faulty_elements=record.num_faulty if record else 0,
-            max_abs_faulty=record.max_abs_faulty() if record else 0.0,
-            condition_window=ptracer.condition_magnitude_in_window(fault.iteration),
-            record=trainer.record if self.keep_records else None,
-            arena_sha256=arena_sha256,
-        )
+        return self._result(exp, report)
 
     def run_experiment_batch(self, faults: list[HardwareFault],
                              tracer=None) -> list[ExperimentResult]:
@@ -400,7 +552,6 @@ class Campaign:
         (masked injection and rollback isolation are pinned by tests).
         """
         from repro.backend.batched import BatchedBackend, LaneGroup, run_lockstep
-        from repro.core.mitigation.detector import HardwareFailureDetector
         from repro.observe import current_tracer
 
         if len(faults) == 1:
@@ -409,49 +560,26 @@ class Campaign:
         if tracer is None:
             tracer = current_tracer()
         group = LaneGroup(capacity=len(faults))
-        trainers: list[SyncDataParallelTrainer] = []
-        injectors: list[FaultInjector] = []
-        ptracers: list[PropagationTracer] = []
-        for fault in faults:
-            trainer = self._new_trainer(
-                eval_device=fault.device, tracer=tracer,
-                backend=BatchedBackend(group=group))
-            self._snapshot.restore(trainer)
-            injector = self._injector_for(fault)
-            ptracer = PropagationTracer()
-            trainer.add_hook(injector)
-            trainer.add_hook(ptracer)
-            if self.detect:
-                trainer.add_hook(HardwareFailureDetector())
-            trainers.append(trainer)
-            injectors.append(injector)
-            ptracers.append(ptracer)
-        budgets = [self.warmup_iterations + self.horizon - t.iteration
-                   for t in trainers]
+        exps = [self._launch(fault, tracer, BatchedBackend(group=group))
+                for fault in faults]
         try:
-            run_lockstep(group, trainers, budgets)
-            digests = [training_state_digest(t) for t in trainers]
+            run_lockstep(group, [exp.trainer for exp in exps],
+                         [self._first_budget(exp) for exp in exps])
+            unmasked = [exp for exp in exps if not self._splice(exp)]
+            live = [exp.trainer for exp in unmasked if not exp.trainer.halted]
+            if live:
+                run_lockstep(group, live,
+                             [self._end - t.iteration for t in live])
+            for exp in unmasked:
+                exp.arena_sha256 = training_state_digest(exp.trainer)
         finally:
-            for trainer in trainers:
-                trainer.close()
+            for exp in exps:
+                exp.trainer.close()
         reports = classify_outcomes(
-            [t.record for t in trainers], self.reference,
+            [exp.trainer.record for exp in exps], self.reference,
             [f.iteration for f in faults], self.thresholds)
-        results = []
-        for fault, trainer, injector, ptracer, report, digest in zip(
-                faults, trainers, injectors, ptracers, reports, digests):
-            record = injector.record
-            results.append(ExperimentResult(
-                fault=fault,
-                report=report,
-                num_faulty_elements=record.num_faulty if record else 0,
-                max_abs_faulty=record.max_abs_faulty() if record else 0.0,
-                condition_window=ptracer.condition_magnitude_in_window(
-                    fault.iteration),
-                record=trainer.record if self.keep_records else None,
-                arena_sha256=digest,
-            ))
-        return results
+        return [self._result(exp, report)
+                for exp, report in zip(exps, reports)]
 
     # ------------------------------------------------------------------
     # Full campaign (thin front-end over repro.engine)
@@ -605,20 +733,41 @@ class InferenceCampaign:
         self.model = trainer.master
         self.inventory = FFInventory()
 
+    def _site_layers(self) -> dict[str, int]:
+        """Module path -> index of the top-level layer holding it.  Every
+        registry model is a ``Sequential`` chain; any other model is a
+        chain of one.  (Tests map every site to layer 0 here to get the
+        whole-model forward as the oracle.)"""
+        if not isinstance(self.model, Sequential):
+            return {name: 0 for name, _ in self.model.named_modules()}
+        return {name: index
+                for index, layer in enumerate(self.model.layers)
+                for name, _ in layer.named_modules(f"{index}.")}
+
     def _engine_runner(self):
-        """Runner factory: one forward-pass injection per work unit."""
+        """Runner factory: one forward-pass injection per work unit.
+
+        Layers upstream of the fault site would compute the golden
+        activations again, so a unit forwards from the top-level layer
+        that holds its site, on that layer's golden input kept by
+        :meth:`run`."""
         from repro.core.faults.serialization import fault_from_dict
+
+        modules = dict(self.model.named_modules())
+        site_layers = self._site_layers()
 
         def run_unit(payload: dict) -> dict:
             fault = fault_from_dict(payload["fault"])
             injector = FaultInjector(fault)
-            modules = dict(self.model.named_modules())
             module = modules[fault.site.module_name]
+            start = site_layers[fault.site.module_name]
             module.set_fault_hook("forward", injector._fault_hook)
             try:
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
-                    faulty = self.model.forward(self._inputs)
+                    faulty = self.model.forward(
+                        self._golden_inputs[start], start) if start \
+                        else self.model.forward(self._inputs)
             finally:
                 module.set_fault_hook("forward", None)
             nonfinite = not bool(np.all(np.isfinite(faulty)))
@@ -655,8 +804,16 @@ class InferenceCampaign:
         self._inputs = self.spec.test_data.inputs[:batch]
         self.model.eval()
         try:
+            # The golden forward, layer by layer: each top-level layer's
+            # input is what a unit whose fault sits in it starts from.
+            self._golden_inputs = []
+            golden = self._inputs
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                golden = self.model.forward(self._inputs)
+                for layer in (self.model.layers
+                              if isinstance(self.model, Sequential)
+                              else [self.model]):
+                    self._golden_inputs.append(golden)
+                    golden = layer.forward(golden)
             self._golden_pred = np.argmax(
                 np.nan_to_num(golden, nan=-np.inf), axis=-1)
             units = []

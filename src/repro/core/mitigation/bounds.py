@@ -90,12 +90,21 @@ def derive_history_bound(model: Module, example_input: np.ndarray, batch_size: i
 
     Runs one forward pass with ``example_input`` so every layer caches its
     shapes, then takes the worst (largest) ``n_l`` over all MAC layers.
+    The pass runs in eval mode and puts every module's mode back: a
+    training-mode forward would update BatchNorm moving statistics and
+    draw from Dropout streams, and deriving a bound must leave the
+    training state it bounds untouched (Sec. 5.1: the detector reads).
     """
     if batch_size <= 0:
         raise ValueError(f"batch size must be positive: {batch_size}")
-    model.train()
-    with np.errstate(over="ignore", invalid="ignore"):
-        model.forward(example_input)
+    modes = [(module, module.training) for module in model.modules()]
+    model.eval()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            model.forward(example_input)
+    finally:
+        for module, training in modes:
+            module.training = training
     worst = 1
     for module in model.modules():
         n_l = _gradient_partial_sums(module, example_input.shape[0])

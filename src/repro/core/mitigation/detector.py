@@ -51,7 +51,10 @@ class HardwareFailureDetector:
 
     def __init__(self, bounds: DetectionBounds | None = None):
         """``bounds=None`` derives them from the trainer on first use
-        (Algorithm 1 needs one forward pass to read layer shapes)."""
+        (Algorithm 1 needs one forward pass to read layer shapes; it runs
+        in eval mode and leaves the training state alone).  A campaign
+        derives them once and hands every experiment's detector the
+        same object."""
         self.bounds = bounds
         self.events: list[DetectionEvent] = []
         #: Total number of bound checks performed (overhead accounting).

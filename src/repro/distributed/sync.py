@@ -173,6 +173,12 @@ class SyncDataParallelTrainer:
             return 0.0
         return max(max_moving_variance(replica) for replica in self.replicas)
 
+    @property
+    def halted(self) -> bool:
+        """Whether a non-finite state has ended training
+        (``stop_on_nonfinite``): such a run must not be trained on."""
+        return self.stop_on_nonfinite and self.record.nonfinite_at is not None
+
     def signal_recovered(self) -> None:
         """Called by a recovery hook after it rewinds training state: the
         just-recorded iteration has been rolled back, so the training loop
@@ -199,12 +205,44 @@ class SyncDataParallelTrainer:
         (the caller evaluates, so lockstep drivers can batch it)."""
         hist = self.history_magnitude() if self.track_conditions else None
         mvar = self.mvar_magnitude() if self.track_conditions else None
+        self._log_iteration(t, loss, acc, hist, mvar)
+        return self.test_due(t)
+
+    def test_due(self, t: int) -> bool:
+        """Whether iteration ``t`` ends with a test evaluation."""
+        return bool(self.test_every) and (t + 1) % self.test_every == 0
+
+    def _log_iteration(self, t: int, loss: float, acc: float,
+                       hist: float | None, mvar: float | None) -> None:
         self.record.record_train(t, loss, acc, hist, mvar)
         if self.tracer.enabled:  # skip argument marshalling when off
             self.tracer.emit(ITERATION_STATS, iteration=t,
                              loss=float(loss), acc=float(acc),
                              history_magnitude=hist, mvar_magnitude=mvar)
-        return bool(self.test_every) and (t + 1) % self.test_every == 0
+
+    def adopt_iterations(self, source: ConvergenceRecord, start: int,
+                         stop: int, test_score) -> None:
+        """Take iterations ``[start, stop)`` from ``source`` instead of
+        training them: the caller has shown that this trainer's run and
+        the run ``source`` recorded are in the same training state over
+        that span (golden-run reuse, DESIGN.md decision 9).  Record and
+        tracer receive what :meth:`record_iteration` and
+        :meth:`finish_iteration` would have given them; ``test_score(t)``
+        supplies this trainer's ``eval_device`` score at a test point,
+        which ``source`` (evaluated on its own device) cannot.  No hook
+        runs, so a hook that keeps memory of past iterations rules this
+        out; the counter ends at ``stop``."""
+        row = source.iterations.index(start) if start < stop else 0
+        tracked = self.track_conditions
+        for t in range(start, stop):
+            self._log_iteration(
+                t, source.train_loss[row], source.train_acc[row],
+                source.history_magnitude[row] if tracked else None,
+                source.mvar_magnitude[row] if tracked else None)
+            if self.test_due(t):
+                self.record.record_test(t, test_score(t))
+            row += 1
+        self.iteration = stop
 
     def finish_iteration(self, t: int, loss: float, acc: float,
                          test_score: float | None = None) -> bool:

@@ -317,8 +317,11 @@ class Sequential(Module):
         self.layers.append(layer)
         return self
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
+    def forward(self, x: np.ndarray, start: int = 0) -> np.ndarray:
+        """Apply layers ``start..`` to ``x``, the input of layer
+        ``start`` (a caller that kept it from an earlier pass skips the
+        layers before; forward only — backward needs every cache)."""
+        for layer in self.layers[start:] if start else self.layers:
             x = layer.forward(x)
         return x
 

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.core.faults import Campaign
 from repro.distributed import SyncDataParallelTrainer
 from repro.nn import Module
 from repro.workloads import build_workload
@@ -55,6 +56,26 @@ def forced_solo():
         with pytest.MonkeyPatch.context() as patch:
             if active:
                 patch.setattr(Module, "is_lane_native", lambda self: False)
+            yield
+
+    return force
+
+
+@pytest.fixture
+def full_horizon():
+    """Context manager sending every campaign experiment run inside it
+    down the full-horizon path — restore the warm-up rung, train every
+    iteration — which golden-run reuse (DESIGN.md decision 9) is pinned
+    against.  It patches the one predicate that allows reuse; as with
+    ``forced_solo`` there is no ``src/`` switch for this on purpose.
+    Preparation is the same either way, so one prepared campaign serves
+    both sides.  ``force(False)`` changes nothing."""
+
+    @contextmanager
+    def force(active: bool = True):
+        with pytest.MonkeyPatch.context() as patch:
+            if active:
+                patch.setattr(Campaign, "_golden_reuse", lambda self: False)
             yield
 
     return force

@@ -69,6 +69,25 @@ class TestBoundsSeparation:
         assert bounds.effective_history_bound < 2.7e8 / 100
         assert bounds.effective_mvar_bound < 6.5e16 / 100
 
+    @pytest.mark.parametrize("workload", ["resnet", "transformer"])
+    def test_deriving_bounds_leaves_training_state_alone(self, make_trainer,
+                                                         workload):
+        """Sec. 5.1's detector reads: the shape-reading forward must not
+        update BatchNorm moving statistics, draw from Dropout streams or
+        leave the model in another mode."""
+        from repro.state import training_state_digest
+
+        trainer = make_trainer(workload=workload, num_devices=2)
+        trainer.train(2)
+        trainer.master.eval()
+        next(trainer.master.modules()).training = True  # a mixed mode
+        modes = [m.training for m in trainer.master.modules()]
+        digest = training_state_digest(trainer)
+        bounds = derive_bounds_for_trainer(trainer)
+        assert bounds.history_bound > 0
+        assert training_state_digest(trainer) == digest
+        assert [m.training for m in trainer.master.modules()] == modes
+
     def test_effective_bounds(self):
         bounds = DetectionBounds(history_bound=10.0, mvar_bound=2.0, slack=5.0)
         assert bounds.effective_history_bound == 50.0
