@@ -52,9 +52,8 @@ BACKEND_REGISTRY: dict[str, BackendInfo] = {
             summary="the same program; E experiments x D devices share "
                     "its lanes",
             tradeoff="a few percent more campaign throughput with "
-                     "--experiment-batch E, at E times the memory and "
-                     "marker-only per-experiment traces; identical to "
-                     "inprocess at E=1",
+                     "--experiment-batch E, at E times the memory; "
+                     "identical to inprocess at E=1",
         ),
     )
 }

@@ -43,8 +43,10 @@ from repro.backend import BACKEND_NAMES, backend_choices_help
 from repro.core.analysis.classify import classify_outcome
 from repro.core.analysis.report import (
     campaign_report_dict,
+    inference_report_dict,
     render_campaign,
     render_convergence,
+    render_inference,
     render_trace_analysis,
     stable_floats,
 )
@@ -249,15 +251,14 @@ def cmd_campaign(args) -> int:
             telemetry.stop()
     print(render_campaign(result))
     report = result.engine_report
-    if report is not None:
-        print(f"engine: {report.executed} executed, {report.skipped} resumed, "
-              f"{len(report.quarantined)} quarantined, {report.retries} "
-              f"retries in {report.elapsed:.1f}s "
-              f"({report.snapshot.throughput:.2f} exp/s, "
-              f"{args.parallel} worker{'s' if args.parallel != 1 else ''})")
+    print(f"engine: {report.executed} executed, {report.skipped} resumed, "
+          f"{len(report.quarantined)} quarantined, {report.retries} "
+          f"retries in {report.elapsed:.1f}s "
+          f"({report.snapshot.throughput:.2f} exp/s, "
+          f"{args.parallel} worker{'s' if args.parallel != 1 else ''})")
     if args.store:
         print(f"result store: {args.store}")
-    if report is not None and report.trace_path is not None:
+    if report.trace_path is not None:
         print(f"campaign trace: {report.trace_path}")
     if telemetry is not None:
         print(f"telemetry series: {telemetry.series_path} "
@@ -269,24 +270,6 @@ def cmd_campaign(args) -> int:
                   + ", ".join(breached), file=sys.stderr)
             return 1
     return 0
-
-
-def _inference_store_breakdown(experiments: list[dict]) -> dict[str, int]:
-    """Masked/SDC/nonfinite counts for a ``kind="inference"`` store.
-
-    Records written before the taxonomy landed lack ``outcome``; the
-    experiment-level flags they do carry reconstruct it exactly.
-    """
-    from repro.core.analysis.classify import (
-        classify_inference_experiment,
-        inference_breakdown,
-    )
-
-    return inference_breakdown([
-        r["payload"].get("outcome") or classify_inference_experiment(
-            sdc=bool(r["payload"].get("sdc")),
-            nonfinite=bool(r["payload"].get("nonfinite"))).value
-        for r in experiments])
 
 
 def cmd_report(args) -> int:
@@ -315,16 +298,8 @@ def cmd_report(args) -> int:
             payload["report"] = campaign_report_dict(
                 store_to_campaign(args.store))
         elif kind == "inference":
-            n = max(len(experiments), 1)
-            breakdown = _inference_store_breakdown(experiments)
-            payload["report"] = {
-                "sdc_rate": sum(bool(r["payload"].get("sdc"))
-                                for r in experiments) / n,
-                "nonfinite_rate": sum(bool(r["payload"].get("nonfinite"))
-                                      for r in experiments) / n,
-                "masked_rate": breakdown.get("masked", 0) / n,
-                "breakdown": breakdown,
-            }
+            payload["report"] = inference_report_dict(
+                [r["payload"] for r in experiments])
         print(json.dumps(stable_floats(payload), indent=2, sort_keys=True))
         return 0
     print(f"# store: {args.store}")
@@ -336,11 +311,8 @@ def cmd_report(args) -> int:
         print()
         print(render_campaign(store_to_campaign(args.store)))
     elif kind == "inference":
-        n = max(len(experiments), 1)
-        breakdown = _inference_store_breakdown(experiments)
-        print("outcome breakdown (Table 5 taxonomy):")
-        for name, count in sorted(breakdown.items()):
-            print(f"  {name:<10} {count:>6}  ({count / n:.2%})")
+        print(render_inference(inference_report_dict(
+            [r["payload"] for r in experiments])))
     if quarantined:
         print("quarantined experiments:")
         for record in quarantined:

@@ -27,8 +27,10 @@ from repro.core.analysis.propagation import (
 from repro.core.analysis.report import (
     campaign_report_dict,
     convergence_report_dict,
+    inference_report_dict,
     render_campaign,
     render_convergence,
+    render_inference,
     render_propagation_report,
     render_trace_analysis,
     stable_floats,
@@ -55,6 +57,7 @@ __all__ = [
     "classify_inference_rows",
     "classify_outcome",
     "inference_breakdown",
+    "inference_report_dict",
     "condition_magnitude_in_window",
     "condition_onsets",
     "convergence_report_dict",
@@ -65,6 +68,7 @@ __all__ = [
     "outcome_breakdown",
     "render_campaign",
     "render_convergence",
+    "render_inference",
     "render_propagation_report",
     "render_trace_analysis",
     "stable_floats",

@@ -206,41 +206,11 @@ def classify_outcomes(
     injection_iterations: list[int],
     thresholds: ClassifierThresholds | None = None,
 ) -> list[OutcomeReport]:
-    """Classify a batch of faulty runs against one shared reference.
-
-    The INF/NaN latency rule — the outcome of most batched-campaign
-    experiments that end early — is evaluated as one vectorized pass
-    over the batch.  Runs needing trend analysis (smoothed curves,
-    sharp-drop windows) fall through to :func:`classify_outcome`, whose
-    convolution-based smoothing is kept scalar so batch classifications
-    stay bit-identical to solo ones.
-    """
-    th = thresholds or ClassifierThresholds()
-    reports: list[OutcomeReport | None] = [None] * len(records)
-    nonfinite_idx = [
-        i for i, record in enumerate(records)
-        if record.nonfinite_at is not None
-    ]
-    if nonfinite_idx:
-        at = np.array([records[i].nonfinite_at for i in nonfinite_idx])
-        t = np.array([int(injection_iterations[i]) for i in nonfinite_idx])
-        latency = at - t
-        # Select by index: routing the enum members themselves through
-        # np.where would coerce them to numpy strings.
-        tiers = (Outcome.IMMEDIATE_INF_NAN, Outcome.SHORT_TERM_INF_NAN,
-                 Outcome.LATENT_INF_NAN)
-        tier = np.where(
-            latency <= th.immediate_latency, 0,
-            np.where(latency <= th.short_term_latency, 1, 2))
-        for j, i in enumerate(nonfinite_idx):
-            reports[i] = OutcomeReport(
-                tiers[int(tier[j])], int(t[j]), 0.0, 0.0, False,
-                {"nonfinite_at": int(at[j]), "latency": int(latency[j])})
-    for i, record in enumerate(records):
-        if reports[i] is None:
-            reports[i] = classify_outcome(
-                record, reference, injection_iterations[i], th)
-    return reports
+    """Classify a batch of faulty runs against one shared reference:
+    :func:`classify_outcome` per run, so a batch classifies exactly as
+    its members would alone."""
+    return [classify_outcome(record, reference, t, thresholds)
+            for record, t in zip(records, injection_iterations)]
 
 
 def outcome_breakdown(reports: list[OutcomeReport]) -> dict[str, float]:

@@ -19,6 +19,11 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from repro.core.analysis.classify import (
+    InferenceOutcome,
+    classify_inference_experiment,
+    inference_breakdown,
+)
 from repro.training.metrics import ConvergenceRecord
 
 if TYPE_CHECKING:  # import cycle: campaign.py imports sibling modules
@@ -127,6 +132,36 @@ def campaign_report_dict(result: CampaignResult) -> dict:
                              for k, (lo, hi) in
                              result.condition_ranges().items()},
     }
+
+
+def inference_report_dict(payloads: list[dict]) -> dict:
+    """Table 5's inference summary from ``kind="inference"`` store
+    payloads; rates are over the experiments that completed.  Records
+    written before the outcome taxonomy landed lack ``outcome``; the
+    ``sdc`` / ``nonfinite`` flags they do carry reconstruct it exactly.
+    (SDC takes precedence, so ``nonfinite_rate`` — every non-finite
+    output — can exceed the ``nonfinite`` share of the breakdown.)"""
+    n = max(len(payloads), 1)
+    breakdown = inference_breakdown([
+        p.get("outcome") or classify_inference_experiment(
+            sdc=bool(p.get("sdc")), nonfinite=bool(p.get("nonfinite"))).value
+        for p in payloads])
+    return {
+        "num_experiments": len(payloads),
+        "sdc_rate": sum(bool(p.get("sdc")) for p in payloads) / n,
+        "nonfinite_rate": sum(bool(p.get("nonfinite")) for p in payloads) / n,
+        "masked_rate": breakdown[InferenceOutcome.MASKED.value] / n,
+        "breakdown": breakdown,
+    }
+
+
+def render_inference(report: dict) -> str:
+    """:func:`inference_report_dict` as text (Table 5 taxonomy)."""
+    n = max(report["num_experiments"], 1)
+    return "\n".join(
+        ["outcome breakdown (Table 5 taxonomy):"]
+        + [f"  {name:<10} {count:>6}  ({count / n:.2%})"
+           for name, count in sorted(report["breakdown"].items())])
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ from repro.core.faults.software_models import (
     all_model_names,
     model_for_ff,
 )
-from repro.core.faults.sweep import SweepAxis, SweepResult, run_sweep
 from repro.core.faults.validation import ValidationSummary, run_validation
 
 __all__ = [
@@ -58,15 +57,12 @@ __all__ = [
     "OpSite",
     "PrecisionConfigFault",
     "SoftwareFaultModel",
-    "SweepAxis",
-    "SweepResult",
     "UpdateFaultInjector",
     "ValidationSummary",
     "all_model_names",
     "enumerate_sites",
     "expected_faults_per_run",
     "model_for_ff",
-    "run_sweep",
     "run_validation",
     "sample_spread_faults",
     "sample_fault",

@@ -29,21 +29,20 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.accelerator.ffs import FFInventory
+from repro.backend.batched import BatchedBackend, LaneGroup, run_lockstep
 from repro.core.analysis.classify import (
     ClassifierThresholds,
-    InferenceOutcome,
     Outcome,
     OutcomeReport,
     classify_inference_experiment,
-    classify_outcome,
     classify_outcomes,
-    inference_breakdown,
     outcome_breakdown,
 )
 from repro.core.analysis.propagation import (
     PropagationTrace,
     condition_magnitude_in_window,
 )
+from repro.core.analysis.report import inference_report_dict
 from repro.core.analysis.stats import ProportionEstimate, wilson_interval
 from repro.core.faults.comm import COMM, CommFaultInjector
 from repro.core.faults.hardware import SITE_KINDS, HardwareFault, sample_fault
@@ -51,7 +50,15 @@ from repro.core.faults.injector import FaultInjector
 from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
 from repro.core.mitigation.detector import HardwareFailureDetector
 from repro.distributed.sync import SyncDataParallelTrainer
+from repro.engine import (
+    CampaignEngine,
+    EngineConfig,
+    ResultStore,
+    WorkUnit,
+    experiment_key,
+)
 from repro.nn.module import Sequential
+from repro.observe import current_tracer, histogram
 from repro.state import training_state_digest
 from repro.training.checkpoints import Checkpoint
 from repro.training.metrics import ConvergenceRecord
@@ -506,80 +513,88 @@ class Campaign:
             arena_sha256=exp.arena_sha256,
         )
 
+    @staticmethod
+    def _sinks(tracer, count: int) -> list:
+        """The event sink of each of ``count`` experiments run together:
+        the caller's ``tracer`` for all of them when given; else, inside
+        an engine lease, unit *i*'s stamped view of the worker's shard
+        tracer (the engine opened one per unit of the lease, in payload
+        order) — that is how every experiment lands in the shard under
+        its own key without the payload-agnostic engine threading a
+        tracer through; else the process-wide
+        :func:`~repro.observe.current_tracer`."""
+        if tracer is None:
+            tracer = current_tracer()
+            if len(tracer.views) == count:
+                return list(tracer.views)
+        return [tracer] * count
+
+    def _run(self, faults: list[HardwareFault],
+             tracer) -> list[ExperimentResult]:
+        """Restore, inject, train to the horizon, classify — the one
+        body behind :meth:`run_experiment` and
+        :meth:`run_experiment_batch`.  Only how the trainers advance
+        depends on how many there are."""
+        self.prepare()
+        # One experiment steps its own devices on the campaign's backend;
+        # several share a LaneGroup and advance in lockstep.
+        group = LaneGroup(capacity=len(faults)) if len(faults) > 1 else None
+
+        def advance(trainers, budgets) -> None:
+            if group is None:
+                trainers[0].train(budgets[0])
+            else:
+                run_lockstep(group, trainers, budgets)
+
+        exps = [self._launch(fault, sink, None if group is None
+                             else BatchedBackend(group=group))
+                for fault, sink in zip(faults,
+                                       self._sinks(tracer, len(faults)))]
+        try:
+            advance([exp.trainer for exp in exps],
+                    [self._first_budget(exp) for exp in exps])
+            unmasked = [exp for exp in exps if not self._splice(exp)]
+            live = [exp.trainer for exp in unmasked if not exp.trainer.halted]
+            if live:
+                advance(live, [self._end - t.iteration for t in live])
+            for exp in unmasked:
+                exp.arena_sha256 = training_state_digest(exp.trainer)
+        finally:
+            for exp in exps:
+                exp.trainer.close()
+        for exp in exps:
+            if exp.detector is not None:
+                latency = exp.detector.detection_latency(exp.fault.iteration)
+                if latency is not None:
+                    histogram("detector.latency_iterations").observe(
+                        float(latency))
+        reports = classify_outcomes(
+            [exp.trainer.record for exp in exps], self.reference,
+            [fault.iteration for fault in faults], self.thresholds)
+        return [self._result(exp, report)
+                for exp, report in zip(exps, reports)]
+
     def run_experiment(self, fault: HardwareFault,
                        tracer=None) -> ExperimentResult:
         """Restore the baseline, inject, train to the horizon, classify.
 
-        ``tracer`` is the experiment's event sink; when omitted, the
-        process-wide :func:`~repro.observe.current_tracer` is used — that
-        is how engine workers capture every experiment into their shard
-        without the payload-agnostic engine threading a tracer through.
-        """
-        from repro.observe import current_tracer, histogram
-
-        self.prepare()
-        if tracer is None:
-            tracer = current_tracer()
-        exp = self._launch(fault, tracer)
-        trainer = exp.trainer
-        try:
-            trainer.train(self._first_budget(exp))
-            if not self._splice(exp):
-                if not trainer.halted:
-                    trainer.train(self._end - trainer.iteration)
-                exp.arena_sha256 = training_state_digest(trainer)
-        finally:
-            trainer.close()
-        if exp.detector is not None:
-            latency = exp.detector.detection_latency(fault.iteration)
-            if latency is not None:
-                histogram("detector.latency_iterations").observe(
-                    float(latency))
-        report = classify_outcome(
-            trainer.record, self.reference, fault.iteration, self.thresholds
-        )
-        return self._result(exp, report)
+        ``tracer`` is the experiment's event sink; see :meth:`_sinks`
+        for where events go without one."""
+        return self._run([fault], tracer)[0]
 
     def run_experiment_batch(self, faults: list[HardwareFault],
                              tracer=None) -> list[ExperimentResult]:
         """Run E experiments concurrently through one batched program.
 
         Every experiment gets its own trainer, injector hooks, records,
-        and classification — exactly as :meth:`run_experiment` — but all
-        E trainers share one :class:`~repro.backend.batched.LaneGroup`
-        and advance in lockstep, so the NumPy work is E-wide vectorized
-        ops.  Per-experiment results are bit-identical to solo runs
-        (masked injection and rollback isolation are pinned by tests).
+        event sink and classification — exactly as
+        :meth:`run_experiment` — but all E trainers share one
+        :class:`~repro.backend.batched.LaneGroup` and advance in
+        lockstep, so the NumPy work is E-wide vectorized ops.
+        Per-experiment results are bit-identical to solo runs (masked
+        injection and rollback isolation are pinned by tests).
         """
-        from repro.backend.batched import BatchedBackend, LaneGroup, run_lockstep
-        from repro.observe import current_tracer
-
-        if len(faults) == 1:
-            return [self.run_experiment(faults[0], tracer=tracer)]
-        self.prepare()
-        if tracer is None:
-            tracer = current_tracer()
-        group = LaneGroup(capacity=len(faults))
-        exps = [self._launch(fault, tracer, BatchedBackend(group=group))
-                for fault in faults]
-        try:
-            run_lockstep(group, [exp.trainer for exp in exps],
-                         [self._first_budget(exp) for exp in exps])
-            unmasked = [exp for exp in exps if not self._splice(exp)]
-            live = [exp.trainer for exp in unmasked if not exp.trainer.halted]
-            if live:
-                run_lockstep(group, live,
-                             [self._end - t.iteration for t in live])
-            for exp in unmasked:
-                exp.arena_sha256 = training_state_digest(exp.trainer)
-        finally:
-            for exp in exps:
-                exp.trainer.close()
-        reports = classify_outcomes(
-            [exp.trainer.record for exp in exps], self.reference,
-            [f.iteration for f in faults], self.thresholds)
-        return [self._result(exp, report)
-                for exp, report in zip(exps, reports)]
+        return self._run(faults, tracer)
 
     # ------------------------------------------------------------------
     # Full campaign (thin front-end over repro.engine)
@@ -593,19 +608,9 @@ class Campaign:
         rng = np.random.default_rng(seed)
         return [self.sample_experiment(rng) for _ in range(int(num_experiments))]
 
-    def _work_units(self, faults: list[HardwareFault]) -> list:
-        from repro.core.faults.serialization import fault_to_dict
-        from repro.engine import WorkUnit, experiment_key
-
-        units = []
-        for index, fault in enumerate(faults):
-            desc = fault_to_dict(fault)
-            units.append(WorkUnit(key=experiment_key(index, desc),
-                                  payload={"index": index, "fault": desc}))
-        return units
-
     def _engine_runner(self):
-        """Runner factory for the engine (invoked once per worker)."""
+        """Runner factory for the engine (invoked once per worker): one
+        lease of payloads in, their results out, in order."""
         from repro.core.faults.serialization import (
             experiment_to_dict,
             fault_from_dict,
@@ -613,32 +618,23 @@ class Campaign:
 
         self.prepare()
 
-        def run_unit(payload):
-            # A list payload is an E-sized block leased by the engine's
-            # block scheduler: run it through one batched program and
-            # return the per-unit results in order.
-            if isinstance(payload, list):
-                results = self.run_experiment_batch(
-                    [fault_from_dict(p["fault"]) for p in payload])
-                outs = []
-                for p, result in zip(payload, results):
-                    out = experiment_to_dict(result)
-                    out["index"] = p["index"]
-                    outs.append(out)
-                return outs
-            result = self.run_experiment(fault_from_dict(payload["fault"]))
-            out = experiment_to_dict(result)
-            out["index"] = payload["index"]
-            return out
+        def run_lease(payloads: list[dict]) -> list[dict]:
+            results = self.run_experiment_batch(
+                [fault_from_dict(p["fault"]) for p in payloads])
+            return [dict(experiment_to_dict(result), index=p["index"])
+                    for p, result in zip(payloads, results)]
 
-        return run_unit
+        return run_lease
 
-    def run(self, num_experiments: int, seed: int = 1234, *,
+    def run(self, num_experiments: int | None = None, seed: int = 1234, *,
+            faults: list[HardwareFault] | None = None,
             parallel: int = 1, store=None, resume: bool = False,
             timeout: float | None = None, max_retries: int = 2,
             on_progress=None, tracer=None, on_engine=None,
             trace: bool = False) -> CampaignResult:
-        """Run ``num_experiments`` seeded experiments and aggregate.
+        """Run ``num_experiments`` seeded experiments — or exactly the
+        experiments in ``faults``, a directed battery in place of the
+        sample — and aggregate.
 
         Execution is delegated to :class:`repro.engine.CampaignEngine`:
         ``parallel`` fans experiments out over that many forked workers,
@@ -655,59 +651,72 @@ class Campaign:
         worker count.
         """
         from repro.core.faults.serialization import experiment_from_dict
-        from repro.engine import CampaignEngine, EngineConfig, ResultStore
 
-        faults = self.sample_faults(num_experiments, seed)
         if self.keep_records:
-            if parallel > 1 or store is not None:
-                raise ValueError(
-                    "keep_records campaigns retain full convergence records, "
-                    "which the engine does not serialize; run with "
-                    "parallel=1 and no store")
-            result = CampaignResult(workload=self.spec.name)
-            step = self.experiment_batch
-            for start in range(0, len(faults), step):
-                block = faults[start:start + step]
-                if len(block) == 1:
-                    result.results.append(self.run_experiment(block[0]))
-                else:
-                    result.results.extend(self.run_experiment_batch(block))
-            return result
-
+            raise ValueError(
+                "keep_records campaigns retain full convergence records, "
+                "which the engine does not serialize; call run_experiment "
+                "or run_experiment_batch")
+        sampled = faults is None
+        if sampled:
+            faults = self.sample_faults(num_experiments, seed)
         if parallel > 1:
             # Prepare in the parent so forked workers inherit the trained
             # baseline snapshot instead of each retraining it.
             self.prepare()
-        owns_store = store is not None and not isinstance(store, ResultStore)
-        store_obj = store
-        if owns_store:
-            store_obj = ResultStore(
-                store, kind="campaign",
-                meta={"workload": self.spec.name, "seed": int(seed),
-                      "num_experiments": int(num_experiments),
-                      # Full reconstruction record: repro replay rebuilds
-                      # the campaign from this (via the merged trace).
-                      "config": self.config_dict()},
-                resume=resume)
-        engine = CampaignEngine(
-            self._engine_runner,
-            EngineConfig(parallel=int(parallel), timeout=timeout,
-                         max_retries=int(max_retries), trace=trace,
-                         block_size=self.experiment_batch),
-            store=store_obj, on_progress=on_progress, tracer=tracer)
-        if on_engine is not None:
-            on_engine(engine)
-        try:
-            report = engine.run(self._work_units(faults))
-        finally:
-            if owns_store:
-                store_obj.close()
+        report = _submit(
+            self._engine_runner, faults, kind="campaign",
+            meta={"workload": self.spec.name,
+                  "seed": int(seed) if sampled else None,
+                  "num_experiments": len(faults),
+                  # Full reconstruction record: repro replay rebuilds
+                  # the campaign from this (via the merged trace).
+                  "config": self.config_dict()},
+            block_size=self.experiment_batch, parallel=parallel, store=store,
+            resume=resume, timeout=timeout, max_retries=max_retries,
+            on_progress=on_progress, tracer=tracer, on_engine=on_engine,
+            trace=trace)
         payloads = sorted(report.results.values(), key=lambda p: p["index"])
         result = CampaignResult(
             workload=self.spec.name,
             results=[experiment_from_dict(p) for p in payloads])
         result.engine_report = report
         return result
+
+
+def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
+            meta: dict, block_size: int = 1, parallel: int = 1, store=None,
+            resume: bool = False, timeout: float | None = None,
+            max_retries: int = 2, on_progress=None, tracer=None,
+            on_engine=None, trace: bool = False):
+    """Run one work unit per fault through the engine; returns its
+    :class:`~repro.engine.EngineReport`.  The one place a campaign meets
+    the engine: unit ``index`` is the fault's position in ``faults``, its
+    key the content hash of (index, fault); a ``store`` given as a path
+    is opened with ``kind``/``meta`` in its header and closed again."""
+    from repro.core.faults.serialization import fault_to_dict
+
+    units = []
+    for index, fault in enumerate(faults):
+        desc = fault_to_dict(fault)
+        units.append(WorkUnit(key=experiment_key(index, desc),
+                              payload={"index": index, "fault": desc}))
+    owns_store = store is not None and not isinstance(store, ResultStore)
+    if owns_store:
+        store = ResultStore(store, kind=kind, meta=meta, resume=resume)
+    engine = CampaignEngine(
+        runner_factory,
+        EngineConfig(parallel=int(parallel), timeout=timeout,
+                     max_retries=int(max_retries), trace=trace,
+                     block_size=block_size),
+        store=store, on_progress=on_progress, tracer=tracer)
+    if on_engine is not None:
+        on_engine(engine)
+    try:
+        return engine.run(units)
+    finally:
+        if owns_store:
+            store.close()
 
 
 class InferenceCampaign:
@@ -778,7 +787,7 @@ class InferenceCampaign:
                     "sdc": sdc, "nonfinite": nonfinite,
                     "outcome": outcome.value}
 
-        return run_unit
+        return lambda payloads: [run_unit(payload) for payload in payloads]
 
     def run(self, num_experiments: int, seed: int = 99, batch: int = 32, *,
             parallel: int = 1, store=None, resume: bool = False,
@@ -786,15 +795,6 @@ class InferenceCampaign:
             on_progress=None) -> dict[str, float]:
         """Inject ``num_experiments`` forward-pass faults and report SDC
         rates; engine keywords behave as in :meth:`Campaign.run`."""
-        from repro.core.faults.serialization import fault_to_dict
-        from repro.engine import (
-            CampaignEngine,
-            EngineConfig,
-            ResultStore,
-            WorkUnit,
-            experiment_key,
-        )
-
         rng = np.random.default_rng(seed)
         faults = [
             sample_fault(self.model, rng, max_iteration=1, num_devices=1,
@@ -816,39 +816,13 @@ class InferenceCampaign:
                     golden = layer.forward(golden)
             self._golden_pred = np.argmax(
                 np.nan_to_num(golden, nan=-np.inf), axis=-1)
-            units = []
-            for index, fault in enumerate(faults):
-                desc = fault_to_dict(fault)
-                units.append(WorkUnit(key=experiment_key(index, desc),
-                                      payload={"index": index, "fault": desc}))
-            owns_store = store is not None and not isinstance(store, ResultStore)
-            store_obj = store
-            if owns_store:
-                store_obj = ResultStore(
-                    store, kind="inference",
-                    meta={"workload": self.spec.name, "seed": int(seed),
-                          "num_experiments": int(num_experiments)},
-                    resume=resume)
-            engine = CampaignEngine(
-                self._engine_runner,
-                EngineConfig(parallel=int(parallel), timeout=timeout,
-                             max_retries=int(max_retries)),
-                store=store_obj, on_progress=on_progress)
-            try:
-                report = engine.run(units)
-            finally:
-                if owns_store:
-                    store_obj.close()
+            report = _submit(
+                self._engine_runner, faults, kind="inference",
+                meta={"workload": self.spec.name, "seed": int(seed),
+                      "num_experiments": int(num_experiments)},
+                parallel=parallel, store=store, resume=resume,
+                timeout=timeout, max_retries=max_retries,
+                on_progress=on_progress)
         finally:
             self.model.train()
-        n = max(int(num_experiments), 1)
-        payloads = list(report.results.values())
-        breakdown = inference_breakdown(
-            [p.get("outcome") or classify_inference_experiment(
-                sdc=bool(p["sdc"]), nonfinite=bool(p["nonfinite"])).value
-             for p in payloads])
-        return {"sdc_rate": sum(p["sdc"] for p in payloads) / n,
-                "nonfinite_rate": sum(p["nonfinite"] for p in payloads) / n,
-                "masked_rate": breakdown[InferenceOutcome.MASKED.value] / n,
-                "breakdown": breakdown,
-                "num_experiments": len(payloads)}
+        return inference_report_dict(list(report.results.values()))

@@ -1,28 +1,21 @@
-"""JSON serialization for fault descriptors and campaign results.
+"""JSON serialization for fault descriptors and experiment results.
 
 Campaigns at paper scale run for node-years; results must be stored and
 merged across machines.  This module round-trips
-:class:`HardwareFault` / :class:`ExperimentResult` / :class:`CampaignResult`
-through plain JSON (no pickle — results may be exchanged between
-untrusted machines).
+:class:`HardwareFault` / :class:`ExperimentResult` through plain JSON
+(no pickle — results may be exchanged between untrusted machines); the
+one on-disk format holding them is the
+:class:`~repro.engine.store.ResultStore`.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.analysis.classify import Outcome, OutcomeReport
-from repro.core.faults.campaign import CampaignResult, ExperimentResult
+from repro.core.faults.campaign import ExperimentResult
 from repro.core.faults.hardware import HardwareFault, OpSite
-
-
-#: Schema version written into serialized campaign documents.  Bump on
-#: any incompatible change; readers reject versions they do not know.
-CAMPAIGN_SCHEMA_VERSION = 1
 
 
 def _json_safe(value):
@@ -88,7 +81,7 @@ def fault_from_dict(data: dict) -> HardwareFault:
 
 
 # ----------------------------------------------------------------------
-# Experiment and campaign results
+# Experiment results
 # ----------------------------------------------------------------------
 def experiment_to_dict(result: ExperimentResult) -> dict:
     out = {
@@ -126,45 +119,3 @@ def experiment_from_dict(data: dict) -> ExperimentResult:
                           for k, v in data["condition_window"].items()},
         arena_sha256=data.get("arena_sha256"),
     )
-
-
-def campaign_to_dict(result: CampaignResult) -> dict:
-    return {
-        "schema": CAMPAIGN_SCHEMA_VERSION,
-        "workload": result.workload,
-        "results": [experiment_to_dict(r) for r in result.results],
-    }
-
-
-def campaign_from_dict(data: dict) -> CampaignResult:
-    schema = data.get("schema")
-    # ``None`` is accepted for documents written before versioning.
-    if schema is not None and schema != CAMPAIGN_SCHEMA_VERSION:
-        raise ValueError(
-            f"campaign document schema version {schema!r} is not supported "
-            f"(this build reads version {CAMPAIGN_SCHEMA_VERSION})")
-    return CampaignResult(
-        workload=data["workload"],
-        results=[experiment_from_dict(r) for r in data["results"]],
-    )
-
-
-def save_campaign(result: CampaignResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(campaign_to_dict(result), indent=1))
-
-
-def load_campaign(path: str | Path) -> CampaignResult:
-    return campaign_from_dict(json.loads(Path(path).read_text()))
-
-
-def merge_campaigns(results: list[CampaignResult]) -> CampaignResult:
-    """Merge same-workload campaign shards (distributed execution)."""
-    if not results:
-        raise ValueError("nothing to merge")
-    workloads = {r.workload for r in results}
-    if len(workloads) != 1:
-        raise ValueError(f"cannot merge different workloads: {sorted(workloads)}")
-    merged = CampaignResult(workload=results[0].workload)
-    for result in results:
-        merged.results.extend(result.results)
-    return merged

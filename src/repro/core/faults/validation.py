@@ -51,11 +51,6 @@ class ValidationSummary:
         return self.matched / checked if checked else 1.0
 
 
-def _arch_cycle_positions(flow: DataflowMap, arch_cycle: int, n_cycles: int) -> np.ndarray:
-    coords = flow.elements_for_cycles(arch_cycle, n_cycles)
-    return np.sort(flow.flat_indices(coords))
-
-
 def predicted_positions_for(
     fault: RTLFault,
     sim: MACArraySimulator,

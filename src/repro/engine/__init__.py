@@ -8,8 +8,11 @@ per-experiment timeout/retry/quarantine, a persistent append-only
 :class:`ResultStore` that makes runs resumable and mergeable, and
 progress telemetry (throughput, outcome breakdown, ETA, worker health).
 
-``Campaign``, ``InferenceCampaign`` and ``run_sweep`` submit work units
-here; the engine itself is payload-agnostic.
+``Campaign`` and ``InferenceCampaign`` submit work units here through
+one helper; the engine itself is payload-agnostic.  It leases units to a
+runner in lists of one or more (``EngineConfig.block_size``) and one
+function, :func:`~repro.engine.worker.run_lease`, executes a lease on
+the worker and the in-process path alike.
 """
 
 from repro.engine.monitor import (

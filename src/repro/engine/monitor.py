@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine.store import EXPERIMENT, QUARANTINE, read_records
+from repro.engine.worker import OUTCOME_FIELD
 from repro.observe import (
     DETECTOR_FIRED,
     EXPERIMENT_FINISHED,
@@ -203,7 +204,6 @@ def collect(store_path: str | Path, stall_after: float | None = None,
     state.total = int(total) if isinstance(total, (int, float)) else None
 
     stamps: list[float] = []
-    outcome_field = "outcome"
     for record in records[1:]:
         ts = record.get("ts")
         if isinstance(ts, (int, float)):
@@ -211,7 +211,7 @@ def collect(store_path: str | Path, stall_after: float | None = None,
         if record.get("record") == EXPERIMENT:
             state.completed += 1
             payload = record.get("payload")
-            outcome = (payload.get(outcome_field)
+            outcome = (payload.get(OUTCOME_FIELD)
                        if isinstance(payload, dict) else None)
             if outcome is not None:
                 state.breakdown[outcome] = state.breakdown.get(outcome, 0) + 1

@@ -33,7 +33,13 @@ from pathlib import Path
 from repro.engine import worker as worker_proto
 from repro.engine.store import ResultStore
 from repro.engine.telemetry import ProgressSnapshot, ProgressTracker
-from repro.engine.worker import UnitCapture, WorkUnit, worker_main
+from repro.engine.worker import (
+    OUTCOME_FIELD,
+    UnitCapture,
+    WorkUnit,
+    run_lease,
+    worker_main,
+)
 from repro.observe import (
     EXPERIMENT_COMPLETED,
     EXPERIMENT_QUARANTINED,
@@ -62,14 +68,12 @@ class EngineConfig:
     retry_backoff: float = 0.1
     #: Parent poll interval while waiting on workers, in seconds.
     poll_interval: float = 0.05
-    #: How the result payload maps to an outcome label for telemetry.
-    outcome_field: str = "outcome"
-    #: Lease fresh units to runners in blocks of up to this many: the
-    #: runner receives a *list* of payloads and must return an
-    #: equal-length list of results (the batched backend steps the whole
-    #: block through one vectorized program).  Only never-attempted
-    #: units are blocked together — retries always lease solo, so one
-    #: poisoned unit cannot repeatedly sink its block-mates.  A block
+    #: A lease holds up to this many fresh units: the runner receives
+    #: the *list* of their payloads and must return an equal-length list
+    #: of results (the batched backend steps the whole lease through one
+    #: vectorized program).  Only never-attempted units are leased
+    #: together — retries always lease alone, so one poisoned unit
+    #: cannot repeatedly sink its lease-mates.  A lease's
     #: failure/timeout/crash fails every unit in it (each gets a retry).
     block_size: int = 1
     #: Flight recorder: every worker streams its events into a private
@@ -113,18 +117,17 @@ class _WorkerHandle:
     """Parent-side state for one worker process."""
 
     def __init__(self, worker_id: int, ctx, runner_factory, result_queue,
-                 trace_path: Path | None = None,
-                 outcome_field: str = "outcome"):
+                 trace_path: Path | None = None):
         self.id = worker_id
         self.queue = ctx.Queue()
         self.ready = False
-        #: The in-flight lease: a single-unit list, or an E-sized block.
+        #: The in-flight lease (1 .. ``block_size`` tasks).
         self.block: list[_Task] | None = None
         self.deadline: float | None = None
         self.process = ctx.Process(
             target=worker_main,
             args=(worker_id, runner_factory, self.queue, result_queue,
-                  trace_path, outcome_field),
+                  trace_path),
             daemon=True,  # workers never outlive a killed parent
         )
         self.process.start()
@@ -143,8 +146,10 @@ class CampaignEngine:
     """Executes work units through a runner, robustly and resumably.
 
     ``runner_factory`` is a zero-argument callable returning
-    ``runner(payload) -> result-payload``; it is invoked once per worker
-    (in the worker, after fork) or once in-process for serial runs.
+    ``runner(payloads) -> result-payloads``, list in, equal-length list
+    out (one lease; see :func:`~repro.engine.worker.run_lease`); it is
+    invoked once per worker (in the worker, after fork) or once
+    in-process for serial runs.
     ``store``, when given, receives every result as it completes and
     seeds the resume set.
     """
@@ -202,10 +207,9 @@ class CampaignEngine:
         tracker = ProgressTracker(total=len(units), skipped=report.skipped,
                                   stall_timeout=self.config.timeout)
         self._tracker = tracker
-        field_name = self.config.outcome_field
         tracker.preload_breakdown([
-            payload[field_name] for payload in report.results.values()
-            if isinstance(payload, dict) and field_name in payload
+            payload[OUTCOME_FIELD] for payload in report.results.values()
+            if isinstance(payload, dict) and OUTCOME_FIELD in payload
         ])
 
         try:
@@ -228,9 +232,10 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Shared completion/failure paths
     # ------------------------------------------------------------------
-    def _outcome(self, payload) -> str | None:
+    @staticmethod
+    def _outcome(payload) -> str | None:
         if isinstance(payload, dict):
-            return payload.get(self.config.outcome_field)
+            return payload.get(OUTCOME_FIELD)
         return None
 
     def _complete(self, task: _Task, payload: dict, report: EngineReport,
@@ -290,38 +295,20 @@ class CampaignEngine:
             shard_tracer = Tracer(stream=shard_path(self._trace_dir, 0),
                                   meta={"worker": 0})
             previous_tracer = set_current_tracer(shard_tracer)
-            capture = UnitCapture(shard_tracer, 0, self.config.outcome_field)
+            capture = UnitCapture(shard_tracer, 0)
         try:
             runner = self.runner_factory()
             while pending:
-                task = pending.popleft()
-                wait = task.not_before - time.monotonic()
+                block = [pending.popleft()]
+                wait = block[0].not_before - time.monotonic()
                 if wait > 0:
                     time.sleep(wait)
-                block = [task]
                 self._extend_block(block, pending)
-                if len(block) > 1:
-                    self._run_serial_block(block, runner, pending, report,
-                                           tracker, capture)
-                    continue
-                tracker.task_started(0, task.unit.key)
-                task.leased_at = time.monotonic()
-                if capture is not None:
-                    capture.start(task.unit.key, task.unit.payload)
-                try:
-                    payload = runner(task.unit.payload)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - retry policy owns this
-                    error = f"{type(exc).__name__}: {exc}"
-                    if capture is not None:
-                        capture.error(error)
-                    self._fail(task, error, pending, report, tracker,
-                               worker_id=0)
-                    continue
-                if capture is not None:
-                    capture.done(payload)
-                self._complete(task, payload, report, tracker, worker_id=0)
+                self._lease(block, 0, time.monotonic(), tracker)
+                tag, body = run_lease(
+                    runner, [task.unit.key for task in block],
+                    [task.unit.payload for task in block], capture)
+                self._settle(block, tag, body, pending, report, tracker, 0)
         finally:
             if shard_tracer is not None:
                 set_current_tracer(previous_tracer)
@@ -344,37 +331,23 @@ class CampaignEngine:
             else:
                 pending.append(candidate)
 
-    def _run_serial_block(self, block: list[_Task], runner, pending,
-                          report, tracker, capture) -> None:
-        """Run one leased block through the runner's list protocol in
-        process.  Shard capture brackets each unit after the block runs
-        (events emitted *during* a block are not attributable to a
-        single experiment; the markers still give the merge its per-key
-        dedup anchors)."""
+    @staticmethod
+    def _lease(block: list[_Task], worker_id: int, now: float,
+               tracker: ProgressTracker) -> None:
         for task in block:
-            tracker.task_started(0, task.unit.key)
-            task.leased_at = time.monotonic()
-        try:
-            payloads = runner([task.unit.payload for task in block])
-            if not isinstance(payloads, list) or len(payloads) != len(block):
-                raise RuntimeError(
-                    f"block runner returned {payloads!r:.80} for "
-                    f"{len(block)} units")
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:  # noqa: BLE001 - retry policy owns this
-            error = f"{type(exc).__name__}: {exc}"
+            tracker.task_started(worker_id, task.unit.key)
+            task.leased_at = now
+
+    def _settle(self, block: list[_Task], tag: str, body, pending, report,
+                tracker, worker_id: int) -> None:
+        """Resolve a lease the runner returned from: ``body`` is the
+        result list (``DONE``), or the error every unit fails with."""
+        if tag == worker_proto.DONE:
+            for task, result in zip(block, body):
+                self._complete(task, result, report, tracker, worker_id)
+        else:
             for task in block:
-                if capture is not None:
-                    capture.start(task.unit.key, task.unit.payload)
-                    capture.error(error)
-                self._fail(task, error, pending, report, tracker, worker_id=0)
-            return
-        for task, payload in zip(block, payloads):
-            if capture is not None:
-                capture.start(task.unit.key, task.unit.payload)
-                capture.done(payload)
-            self._complete(task, payload, report, tracker, worker_id=0)
+                self._fail(task, body, pending, report, tracker, worker_id)
 
     # ------------------------------------------------------------------
     # Parallel execution
@@ -401,8 +374,7 @@ class CampaignEngine:
             trace_path = (shard_path(self._trace_dir, next_worker_id)
                           if self._trace_dir is not None else None)
             handle = _WorkerHandle(next_worker_id, ctx, self.runner_factory,
-                                   result_queue, trace_path=trace_path,
-                                   outcome_field=self.config.outcome_field)
+                                   result_queue, trace_path=trace_path)
             workers[handle.id] = handle
             next_worker_id += 1
 
@@ -429,20 +401,14 @@ class CampaignEngine:
                     block = [task]
                     self._extend_block(block, pending, now)
                     handle.block = block
-                    # Deadline scales with the lease: a block is
-                    # len(block) experiments of work.
+                    # Deadline scales with the lease: it is len(block)
+                    # experiments of work.
                     handle.deadline = (
                         now + self.config.timeout * len(block)
                         if self.config.timeout is not None else None)
-                    for leased in block:
-                        tracker.task_started(handle.id, leased.unit.key)
-                        leased.leased_at = now
-                    if len(block) == 1:
-                        handle.queue.put((task.unit.key, task.unit.payload))
-                    else:
-                        handle.queue.put((
-                            [leased.unit.key for leased in block],
-                            [leased.unit.payload for leased in block]))
+                    self._lease(block, handle.id, now, tracker)
+                    handle.queue.put(([t.unit.key for t in block],
+                                      [t.unit.payload for t in block]))
 
                 self._drain_results(result_queue, workers, pending, report,
                                     tracker)
@@ -507,27 +473,11 @@ class CampaignEngine:
                 handle.deadline = None
                 if block is None:
                     continue  # late message for a lease already resolved
-                key, payload = body
-                if isinstance(key, list):
-                    if key != [task.unit.key for task in block]:
-                        continue
-                    if tag == worker_proto.DONE:
-                        for task, result in zip(block, payload):
-                            self._complete(task, result, report, tracker,
-                                           worker_id)
-                    else:
-                        for task in block:
-                            self._fail(task, payload, pending, report,
-                                       tracker, worker_id)
+                keys, results = body
+                if keys != [task.unit.key for task in block]:
                     continue
-                if len(block) != 1 or key != block[0].unit.key:
-                    continue
-                task = block[0]
-                if tag == worker_proto.DONE:
-                    self._complete(task, payload, report, tracker, worker_id)
-                else:
-                    self._fail(task, payload, pending, report, tracker,
-                               worker_id)
+                self._settle(block, tag, results, pending, report, tracker,
+                             worker_id)
 
     def _check_deadlines_and_liveness(self, workers, pending, report,
                                       tracker, respawn) -> None:
@@ -537,9 +487,8 @@ class CampaignEngine:
             if block is not None and handle.deadline is not None \
                     and now > handle.deadline:
                 handle.block = None
-                error = f"timeout after {self.config.timeout:.1f}s"
-                if len(block) > 1:
-                    error += f" (block of {len(block)})"
+                error = ("timeout after "
+                         f"{self.config.timeout * len(block):.1f}s")
                 for task in block:
                     self._fail(task, error, pending, report, tracker,
                                handle.id)

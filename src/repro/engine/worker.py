@@ -1,11 +1,14 @@
 """Worker-process side of the campaign engine.
 
 Each worker builds its runner once (for campaigns this trains/restores
-the fault-free baseline — the expensive part), then executes work units
-from its private task queue until it receives the ``None`` sentinel.
-The parent dispatches one unit at a time, which is what makes
-per-experiment deadlines and crash attribution possible: a busy worker
-maps to exactly one in-flight experiment.
+the fault-free baseline — the expensive part), then executes leases from
+its private task queue until it receives the ``None`` sentinel.  A lease
+is a list of one or more work units, and :func:`run_lease` — the same
+function the engine's in-process path calls — hands the runner all of
+their payloads at once.  A worker holds one lease at a time and the
+parent remembers which, so a deadline (scaled by the lease's length) or
+a crash is attributed to exactly the units of that lease, each of which
+then gets its own retry.
 
 Workers are forked, so the runner factory may close over live objects
 (e.g. an already-prepared :class:`~repro.core.faults.campaign.Campaign`
@@ -14,11 +17,14 @@ being retrained per worker).
 
 With tracing on (``EngineConfig.trace``) each worker is a flight
 recorder: it streams every event into a private shard file next to the
-result store, stamped with the experiment key / worker id / attempt it
-belongs to, and installs itself as the process-wide current tracer so
-code deep inside the runner (the trainer, the injector, the detector)
-emits into the same shard without the payload-agnostic engine threading
-a tracer through.
+result store and installs that tracer process-wide.  Every unit of a
+lease is opened — ``experiment_started`` written, a view of the shard
+tracer stamped with the unit's key / worker id / attempt created —
+before the runner is called, so code deep inside the runner (the
+trainer, the injector, the detector) emits through its own unit's view
+without the payload-agnostic engine threading a tracer through, and a
+worker killed mid-lease leaves every unit of the lease an open attempt
+for the shard merge to deduplicate against the retry.
 """
 
 from __future__ import annotations
@@ -28,9 +34,14 @@ from dataclasses import dataclass
 from repro.observe import (
     EXPERIMENT_FINISHED,
     EXPERIMENT_STARTED,
+    StampedView,
     Tracer,
     set_current_tracer,
 )
+
+#: The result-payload field telemetry and the shard markers read the
+#: outcome label from.
+OUTCOME_FIELD = "outcome"
 
 #: Message tags on the worker -> parent result queue.
 READY = "ready"
@@ -50,82 +61,81 @@ class WorkUnit:
 class UnitCapture:
     """Per-unit shard-capture bookkeeping (worker and serial paths).
 
-    Stamps the tracer's context with ``key``/``worker``/``attempt``
-    around each unit and brackets the unit's events with
-    ``experiment_started`` / ``experiment_finished`` markers — the
+    Brackets each unit's events with ``experiment_started`` /
+    ``experiment_finished`` markers and gives the unit a view of the
+    shard tracer stamped with ``key``/``worker``/``attempt`` — the
     attribution the shard merge needs to deduplicate retried units.
     The attempt counter is shard-local (each worker writes its own
     file), which keeps attempt ids unique per (shard, key).
     """
 
-    def __init__(self, tracer: Tracer, worker_id: int,
-                 outcome_field: str = "outcome"):
+    def __init__(self, tracer: Tracer, worker_id: int):
         self.tracer = tracer
         self.worker_id = worker_id
-        self.outcome_field = outcome_field
         self._attempts: dict[str, int] = {}
 
-    def start(self, key: str, payload=None) -> None:
+    def start(self, key: str, payload=None) -> StampedView:
+        """Open a unit; everything it emits goes through the returned
+        view, which stays on ``tracer.views`` until the unit is closed."""
         attempt = self._attempts.get(key, 0)
         self._attempts[key] = attempt + 1
-        self.tracer.set_context(key=key, worker=self.worker_id,
-                                attempt=attempt)
+        view = StampedView(self.tracer, key=key, worker=self.worker_id,
+                           attempt=attempt)
+        self.tracer.views.append(view)
         # The unit payload makes the trace self-contained: replay can
         # reconstruct the exact fault descriptor from this event alone.
         if payload is not None:
-            self.tracer.emit(EXPERIMENT_STARTED, unit=payload)
+            view.emit(EXPERIMENT_STARTED, unit=payload)
         else:
-            self.tracer.emit(EXPERIMENT_STARTED)
+            view.emit(EXPERIMENT_STARTED)
+        return view
 
-    def done(self, result) -> None:
-        outcome = (result.get(self.outcome_field)
-                   if isinstance(result, dict) else None)
-        arena = (result.get("arena_sha256")
-                 if isinstance(result, dict) else None)
-        if arena is not None:
-            self.tracer.emit(EXPERIMENT_FINISHED, status="done",
-                             outcome=outcome, arena_sha256=arena)
-        else:
-            self.tracer.emit(EXPERIMENT_FINISHED, status="done",
-                             outcome=outcome)
-        self.tracer.clear_context()
+    def done(self, view: StampedView, result) -> None:
+        fields = result if isinstance(result, dict) else {}
+        arena = fields.get("arena_sha256")
+        view.emit(EXPERIMENT_FINISHED, status="done",
+                  outcome=fields.get(OUTCOME_FIELD),
+                  **({} if arena is None else {"arena_sha256": arena}))
+        self.tracer.views.remove(view)
 
-    def error(self, error: str) -> None:
-        self.tracer.emit(EXPERIMENT_FINISHED, status="error", error=error)
-        self.tracer.clear_context()
+    def error(self, view: StampedView, error: str) -> None:
+        view.emit(EXPERIMENT_FINISHED, status="error", error=error)
+        self.tracer.views.remove(view)
 
 
-def _run_block(runner, keys: list, payloads: list, worker_id: int,
-               result_queue, capture: UnitCapture | None) -> None:
-    """Execute one E-sized block lease (``keys`` is a list, the block
-    protocol marker).  The runner gets every payload at once and must
-    return an equal-length result list; success reports ``DONE`` with
-    ``(keys, results)``, any failure fails the whole block (the parent
-    retries each unit solo).  Shard capture brackets each unit after the
-    block: events emitted while the block runs are interleaved across
-    its experiments and are not attributed to a single one."""
+def run_lease(runner, keys: list, payloads: list,
+              capture: UnitCapture | None) -> tuple:
+    """Execute one lease — the only place a runner is called.
+
+    The runner gets every payload at once and must return an
+    equal-length result list.  Returns ``(DONE, results)``, or
+    ``(ERROR, message)`` when the runner raised or broke that contract:
+    the lease fails as a whole and the parent retries each unit alone.
+    With ``capture`` every unit is opened before the call and closed
+    after it.  Anything that is not an ``Exception`` (an interrupt, an
+    exit) is not a unit failure and propagates, leaving the units open
+    in the shard exactly as a kill would.
+    """
+    views = [capture.start(key, payload)
+             for key, payload in zip(keys, payloads)] \
+        if capture is not None else ()
     try:
         results = runner(payloads)
-        if not isinstance(results, list) or len(results) != len(keys):
+        if not isinstance(results, list) or len(results) != len(payloads):
             raise RuntimeError(
-                f"block runner returned {results!r:.80} for "
-                f"{len(keys)} units")
-        if capture is not None:
-            for key, payload, result in zip(keys, payloads, results):
-                capture.start(key, payload)
-                capture.done(result)
-        result_queue.put((DONE, worker_id, (keys, results)))
-    except BaseException as exc:  # noqa: BLE001 - one bad block must not kill the pool
+                f"runner returned {results!r:.80} for {len(payloads)} units")
+    except Exception as exc:  # noqa: BLE001 - the retry policy owns this
         error = f"{type(exc).__name__}: {exc}"
-        if capture is not None:
-            for key, payload in zip(keys, payloads):
-                capture.start(key, payload)
-                capture.error(error)
-        result_queue.put((ERROR, worker_id, (keys, error)))
+        for view in views:
+            capture.error(view, error)
+        return ERROR, error
+    for view, result in zip(views, results):
+        capture.done(view, result)
+    return DONE, results
 
 
 def worker_main(worker_id: int, runner_factory, task_queue, result_queue,
-                trace_path=None, outcome_field: str = "outcome") -> None:
+                trace_path=None) -> None:
     """Worker process entry point (see module docstring).
 
     ``trace_path``, when given, turns on flight recording: a streaming
@@ -137,7 +147,7 @@ def worker_main(worker_id: int, runner_factory, task_queue, result_queue,
     if trace_path is not None:
         tracer = Tracer(stream=trace_path, meta={"worker": worker_id})
         set_current_tracer(tracer)
-        capture = UnitCapture(tracer, worker_id, outcome_field)
+        capture = UnitCapture(tracer, worker_id)
     try:
         runner = runner_factory()
     except BaseException as exc:  # noqa: BLE001 - report, never hang the parent
@@ -148,26 +158,12 @@ def worker_main(worker_id: int, runner_factory, task_queue, result_queue,
     result_queue.put((READY, worker_id, None))
     try:
         while True:
-            task = task_queue.get()
-            if task is None:
+            lease = task_queue.get()
+            if lease is None:
                 break
-            key, payload = task
-            if isinstance(key, list):
-                _run_block(runner, key, payload, worker_id, result_queue,
-                           capture)
-                continue
-            if capture is not None:
-                capture.start(key, payload)
-            try:
-                result = runner(payload)
-                if capture is not None:
-                    capture.done(result)
-                result_queue.put((DONE, worker_id, (key, result)))
-            except BaseException as exc:  # noqa: BLE001 - one bad unit must not kill the pool
-                error = f"{type(exc).__name__}: {exc}"
-                if capture is not None:
-                    capture.error(error)
-                result_queue.put((ERROR, worker_id, (key, error)))
+            keys, payloads = lease
+            tag, body = run_lease(runner, keys, payloads, capture)
+            result_queue.put((tag, worker_id, (keys, body)))
     finally:
         # The shard must be closed (and the process-wide tracer reset)
         # even if the task queue itself raises — e.g. the parent died

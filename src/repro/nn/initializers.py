@@ -22,14 +22,6 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> 
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def glorot_uniform(
-    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialization: U(-limit, limit)."""
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
 def orthogonal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Orthogonal initialization for recurrent kernels."""
     rows, cols = shape

@@ -89,6 +89,7 @@ from repro.observe.timeseries import (
 )
 from repro.observe.tracer import (
     NULL_TRACER,
+    StampedView,
     TraceFile,
     Tracer,
     current_tracer,
@@ -123,6 +124,7 @@ __all__ = [
     "SeriesBuffer",
     "SeriesFormatError",
     "SeriesWriter",
+    "StampedView",
     "TelemetrySample",
     "TelemetrySampler",
     "TraceEvent",

@@ -72,10 +72,10 @@ class Tracer:
         self._ring: deque[TraceEvent] = deque(maxlen=self.capacity)
         #: Total events emitted (including ones the ring has dropped).
         self.emitted = 0
-        #: Context stamp merged under every emitted event's data (the
-        #: engine workers stamp key/worker/attempt here so shard events
-        #: stay attributable after the merge).
-        self._context: dict = {}
+        #: The stamped views of the lease in flight, in unit order (the
+        #: engine's capture opens and closes them): a campaign running
+        #: that lease hands experiment *i* view *i* as its event sink.
+        self.views: list[StampedView] = []
         #: Streaming sink: when a path is given, the header is written
         #: immediately and every event is appended + flushed as it is
         #: emitted, so a killed process loses at most the line in flight
@@ -104,8 +104,6 @@ class Tracer:
             raise ValueError(
                 f"unknown trace event type {event_type!r}; known: "
                 f"{sorted(EVENT_TYPES)}")
-        if self._context:
-            data = {**self._context, **data}
         event = TraceEvent(type=event_type, seq=self.emitted,
                            t=self._clock() - self._start,
                            iteration=iteration, data=data)
@@ -117,20 +115,6 @@ class Tracer:
                            default=_json_default) + "\n")
             self._stream_fh.flush()
         return event
-
-    # ------------------------------------------------------------------
-    # Context stamping
-    # ------------------------------------------------------------------
-    def set_context(self, **context) -> None:
-        """Stamp ``context`` under every subsequent event's data.
-
-        Explicit ``emit`` keyword arguments win over the context on
-        collision.  Used by engine workers to tag events with the
-        experiment key / worker id / attempt they belong to."""
-        self._context = dict(context)
-
-    def clear_context(self) -> None:
-        self._context = {}
 
     # ------------------------------------------------------------------
     # Streaming lifecycle
@@ -213,6 +197,32 @@ class Tracer:
                 fh.flush()
                 count += 1
         return count
+
+
+class StampedView:
+    """One experiment's sink on a tracer it shares with others.
+
+    ``stamp`` (the engine's experiment key / worker id / attempt) is
+    merged under the data of every event emitted through the view,
+    explicit ``emit`` keywords winning on collision; the event itself is
+    the tracer's — one ring, one stream, one ``seq``.  ``enabled`` and
+    ``emit`` are all a trainer and its hooks use of a tracer, so each of
+    the experiments stepping through one lease holds its own view and
+    their interleaved events stay attributable after the shard merge.
+    """
+
+    def __init__(self, tracer: Tracer, **stamp):
+        self.tracer = tracer
+        self.stamp = stamp
+
+    @property
+    def enabled(self) -> bool:
+        return self.tracer.enabled
+
+    def emit(self, event_type: str, iteration: int | None = None,
+             **data) -> TraceEvent | None:
+        return self.tracer.emit(event_type, iteration,
+                                **{**self.stamp, **data})
 
 
 #: The shared always-disabled tracer every component defaults to, so the

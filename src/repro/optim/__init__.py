@@ -2,18 +2,13 @@
 
 from repro.optim.adam import Adam, AdamW, RMSProp
 from repro.optim.base import Optimizer, max_abs
-from repro.optim.schedules import ConstantSchedule, CosineSchedule, Schedule, WarmupSchedule
 from repro.optim.sgd import SGD
 
 __all__ = [
     "SGD",
     "Adam",
     "AdamW",
-    "ConstantSchedule",
-    "CosineSchedule",
     "Optimizer",
     "RMSProp",
-    "Schedule",
-    "WarmupSchedule",
     "max_abs",
 ]

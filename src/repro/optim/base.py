@@ -220,13 +220,6 @@ class Optimizer:
             for i, arr in enumerate(arrays):
                 target[i][...] = arr
 
-    def history_values(self) -> list[np.ndarray]:
-        """All history arrays, for fine-grained analysis (Table 4 ranges)."""
-        out: list[np.ndarray] = []
-        for slots in self._slot_arrays().values():
-            out.extend(slots)
-        return out
-
 
 def max_abs(values: list[np.ndarray]) -> float:
     """Largest absolute entry across arrays; inf/NaN map to inf."""

@@ -51,9 +51,9 @@ ENGINE_EVENT_TYPES = frozenset({
     EXPERIMENT_QUARANTINED,
 })
 
-#: Shard-capture attribution stamps merged under event data by engine
-#: workers.  A replay tracer has no such context, so they are stripped
-#: before comparison.
+#: Shard-capture attribution stamps merged under event data by each
+#: unit's view of the shard tracer.  A replay tracer carries no stamp, so
+#: they are stripped before comparison.
 CONTEXT_KEYS = ("key", "worker", "attempt")
 
 
@@ -74,8 +74,7 @@ class ReplayRecord:
     #: Final training-state digest recorded at completion.
     arena_sha256: str | None = None
     #: Canonicalized training-event lines (see :func:`normalize_events`);
-    #: empty for experiments whose events were not attributable (batched
-    #: block runs record marker-only stories).
+    #: empty for a corpus entry, which pins the digest alone.
     events: list[str] = field(default_factory=list)
     #: Digest over :attr:`events`; ``None`` when no events were stored.
     events_sha256: str | None = None

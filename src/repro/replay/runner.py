@@ -41,8 +41,7 @@ class ReplayReport:
     outcome_replayed: str
     arena_recorded: str | None
     arena_replayed: str | None
-    #: ``None`` when event verification was skipped (not requested, or
-    #: the record stored no attributable events).
+    #: ``None`` when event verification was not requested.
     events_match: bool | None = None
     events_recorded_sha256: str | None = None
     events_replayed_sha256: str | None = None
@@ -134,9 +133,11 @@ def replay(record: ReplayRecord, *, backend: str | None = None,
         report.events_replayed_sha256 = events_digest(replayed_lines)
         report.events_recorded_sha256 = record.events_sha256
         if record.events_sha256 is None:
-            # Batched block runs attribute only the scheduling markers;
-            # there is no stored per-experiment stream to compare.
-            report.events_match = None
+            report.events_match = False
+            report.mismatches.append(
+                "the record stores no training events to verify against "
+                "(its trace was written by a block lease before those "
+                "kept per-experiment events); re-record the campaign")
         elif record.events:
             report.events_match = record.events == replayed_lines
             if not report.events_match:

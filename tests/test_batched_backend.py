@@ -283,8 +283,11 @@ class TestCampaignBatch:
             gc.enable()
         assert leaked == []
 
-    def test_run_chunks_by_experiment_batch(self, campaigns):
-        _, batched = campaigns
+    def test_run_chunks_by_experiment_batch(self):
+        batched = Campaign(_spec(), num_devices=DEVICES, seed=0,
+                           warmup_iterations=WARMUP, horizon=HORIZON,
+                           inject_window=4, test_every=4, detect=True,
+                           backend="batched", experiment_batch=3)
         result = batched.run(num_experiments=5, seed=13)
         assert result.num_experiments == 5
         assert all(isinstance(r.outcome, Outcome) for r in result.results)
@@ -311,12 +314,10 @@ def _block_factory():
             raise RuntimeError("deliberate unit failure")
         return {"value": payload["x"] * 2, "outcome": "ok"}
 
-    def run(payload):
-        if isinstance(payload, list):
-            if any(p.get("fail_in_block") for p in payload) and len(payload) > 1:
-                raise RuntimeError("deliberate block failure")
-            return [run_one(p) for p in payload]
-        return run_one(payload)
+    def run(payloads):
+        if any(p.get("fail_in_block") for p in payloads) and len(payloads) > 1:
+            raise RuntimeError("deliberate block failure")
+        return [run_one(p) for p in payloads]
 
     return run
 

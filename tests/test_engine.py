@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.faults import Campaign
+from repro.accelerator.ffs import FFDescriptor
+from repro.core.faults import Campaign, HardwareFault, OpSite
 from repro.engine import (
     CampaignEngine,
     EngineConfig,
@@ -23,7 +24,7 @@ from repro.workloads import build_workload
 # scheduler's robustness policy can be exercised without training.
 # ----------------------------------------------------------------------
 def _toy_factory():
-    def run(payload):
+    def run_one(payload):
         if payload.get("marker"):
             with open(payload["marker"], "a") as fh:
                 fh.write(payload["key"] + "\n")
@@ -40,7 +41,7 @@ def _toy_factory():
                 raise RuntimeError("flaky first attempt")
         return {"value": payload["x"] * 2, "outcome": "ok"}
 
-    return run
+    return lambda payloads: [run_one(payload) for payload in payloads]
 
 
 def _units(payloads):
@@ -156,6 +157,16 @@ def serial_result(engine_campaign):
     return engine_campaign.run(5, seed=11)
 
 
+def _sweep(groups, iterations):
+    """A grid of fully specified control faults (what ``run_sweep`` used
+    to build from its axes)."""
+    return [HardwareFault(FFDescriptor("global_control", group=group,
+                                       has_feedback=True),
+                          OpSite("1.conv1", "weight_grad"), iteration,
+                          device=0, seed=0)
+            for group in groups for iteration in iterations]
+
+
 class TestCampaignThroughEngine:
     def test_parallel_breakdown_matches_serial(self, engine_campaign,
                                                serial_result, tmp_path):
@@ -195,49 +206,66 @@ class TestCampaignThroughEngine:
         from repro.engine import merge_stores
 
         faults = engine_campaign.sample_faults(5, seed=11)
-        units = engine_campaign._work_units(faults)
-        for name, chunk in (("a", units[:2]), ("b", units[2:])):
-            store = ResultStore(tmp_path / f"{name}.jsonl", kind="campaign",
-                                meta={"workload": "resnet"})
-            CampaignEngine(engine_campaign._engine_runner,
-                           EngineConfig(parallel=1), store=store).run(chunk)
-            store.close()
+        for name, chunk in (("a", faults[:2]), ("b", faults[2:])):
+            engine_campaign.run(faults=chunk, store=tmp_path / f"{name}.jsonl")
         merge_stores([tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
                      tmp_path / "m.jsonl").close()
         merged = store_to_campaign(tmp_path / "m.jsonl")
         assert merged.breakdown() == serial_result.breakdown()
 
     def test_sweep_parallel_matches_serial(self, engine_campaign):
-        from repro.core.faults import SweepAxis, run_sweep
+        """A directed battery — a fixed fault list in place of the
+        sample — gives the same results at any worker count."""
+        faults = _sweep(groups=[1, 2], iterations=[7, 9])
+        serial = engine_campaign.run(faults=faults)
+        parallel = engine_campaign.run(faults=faults, parallel=2)
+        assert [r.fault for r in serial.results] == faults
+        assert [(r.fault, r.outcome, r.arena_sha256)
+                for r in parallel.results] == \
+            [(r.fault, r.outcome, r.arena_sha256) for r in serial.results]
 
-        axes = [SweepAxis("group", [1, 2]), SweepAxis("iteration", [7, 9])]
-        serial = run_sweep(engine_campaign, axes)
-        parallel = run_sweep(engine_campaign, axes, parallel=2)
-        assert {k: v.outcome for k, v in serial.cells.items()} == \
-            {k: v.outcome for k, v in parallel.cells.items()}
+    def test_fixed_fault_list_store_resumes(self, engine_campaign, tmp_path):
+        """A store written from a fault list resumes like a sampled one:
+        completed keys are not run again, and the list's length is the
+        campaign's size."""
+        faults = _sweep(groups=[1, 2], iterations=[7, 9])
+        path = tmp_path / "s.jsonl"
+        engine_campaign.run(faults=faults[:3], store=path)
+        resumed = engine_campaign.run(faults=faults, store=path, resume=True)
+        assert resumed.engine_report.skipped == 3
+        assert resumed.engine_report.executed == 1
+        assert [r.fault for r in resumed.results] == faults
+        header, *records = read_records(path)
+        assert header["meta"]["num_experiments"] == 3
+        assert header["meta"]["seed"] is None
+        assert len({r["key"] for r in records}) == len(records) == 4
 
     def test_batched_sweep_workers_are_daemonic(self):
         """Engine workers die with a killed parent on every backend (a
         ``batched`` sweep used to run them non-daemonic)."""
         import multiprocessing
 
-        from repro.core.faults import SweepAxis, run_sweep
-
         spec = build_workload("resnet", size="tiny", seed=0)
         campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=4,
                             horizon=6, backend="batched")
         daemonic = []
-        run_sweep(campaign, [SweepAxis("group", [1, 2])], parallel=2,
-                  on_progress=lambda _snapshot: daemonic.extend(
-                      p.daemon for p in multiprocessing.active_children()))
+        campaign.run(faults=_sweep(groups=[1, 2], iterations=[4]),
+                     parallel=2,
+                     on_progress=lambda _snapshot: daemonic.extend(
+                         p.daemon for p in multiprocessing.active_children()))
         assert daemonic and all(daemonic)
 
     def test_keep_records_rejects_engine_options(self):
+        """The engine does not serialize convergence records, so ``run``
+        is not how a ``keep_records`` campaign runs — with or without
+        engine options."""
         spec = build_workload("resnet", size="tiny", seed=0)
         campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=4,
                             horizon=6, keep_records=True)
         with pytest.raises(ValueError, match="keep_records"):
             campaign.run(1, parallel=2)
+        with pytest.raises(ValueError, match="keep_records"):
+            campaign.run(1)
 
 
 class TestStallTelemetry:

@@ -49,10 +49,9 @@ def _busy_shard(directory, worker_id, key="key5", finished=1):
     with Tracer(stream=path, meta={"worker": worker_id}) as tracer:
         capture = UnitCapture(tracer, worker_id)
         for i in range(finished):
-            capture.start(f"done{worker_id}_{i}")
-            capture.done({"outcome": "ok"})
-        capture.start(key)
-        tracer.emit(ITERATION_STATS, iteration=0, loss=1.0)
+            capture.done(capture.start(f"done{worker_id}_{i}"),
+                         {"outcome": "ok"})
+        capture.start(key).emit(ITERATION_STATS, iteration=0, loss=1.0)
     return path
 
 
@@ -76,8 +75,7 @@ class TestCollect:
         _busy_shard(tmp_path, 0)
         with Tracer(stream=shard_path(tmp_path, 1)) as tracer:
             capture = UnitCapture(tracer, 1)
-            capture.start("done1")
-            capture.done({"outcome": "ok"})
+            capture.done(capture.start("done1"), {"outcome": "ok"})
         state = collect(store_path)
         assert [w.worker for w in state.workers] == [0, 1]
         busy, idle = state.workers
@@ -110,11 +108,11 @@ class TestCollect:
         path = shard_path(tmp_path, 0)
         with Tracer(stream=path) as tracer:
             capture = UnitCapture(tracer, 0)
-            capture.start("key0")
-            tracer.emit(DETECTOR_FIRED, iteration=7,
-                        condition="gradient_history", magnitude=1e9,
-                        bound=1.0)
-            capture.done({"outcome": "degraded"})
+            view = capture.start("key0")
+            view.emit(DETECTOR_FIRED, iteration=7,
+                      condition="gradient_history", magnitude=1e9,
+                      bound=1.0)
+            capture.done(view, {"outcome": "degraded"})
         state = collect(store_path)
         assert state.detections[-1]["key"] == "key0"
         assert state.detections[-1]["iteration"] == 7

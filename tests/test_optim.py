@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, AdamW, ConstantSchedule, CosineSchedule, RMSProp, WarmupSchedule
+from repro.optim import SGD, Adam, AdamW, RMSProp
 from repro.optim.base import max_abs
 
 
@@ -38,6 +38,10 @@ class TestSGD:
         assert SGD([p], momentum=0.0).first_moment_arrays() == []
         with_momentum = SGD([p], momentum=0.9)
         assert len(with_momentum.first_moment_arrays()) == 1
+
+    def test_empty_params_raises(self):
+        with pytest.raises(ValueError):
+            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -180,29 +184,3 @@ class TestMaxAbs:
 
     def test_normal(self):
         assert max_abs([np.array([-3.0, 2.0]), np.array([1.0])]) == 3.0
-
-
-class TestSchedules:
-    def test_constant(self):
-        assert ConstantSchedule(0.1).lr_at(1000) == 0.1
-
-    def test_cosine_endpoints(self):
-        sched = CosineSchedule(1.0, total_steps=100, min_lr=0.1)
-        assert sched.lr_at(0) == pytest.approx(1.0)
-        assert sched.lr_at(100) == pytest.approx(0.1)
-        assert sched.lr_at(200) == pytest.approx(0.1)
-
-    def test_warmup_rises_then_decays(self):
-        sched = WarmupSchedule(1.0, warmup_steps=10)
-        assert sched.lr_at(5) < sched.lr_at(10)
-        assert sched.lr_at(40) < sched.lr_at(10)
-
-    def test_apply_sets_lr(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0)
-        CosineSchedule(1.0, 10).apply(opt, 10)
-        assert opt.lr == pytest.approx(0.0)
-
-    def test_empty_params_raises(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)

@@ -78,13 +78,11 @@ def _synthetic_trace(path, *, config=CONFIG, key=None, unit="full",
                             status="done", outcome="masked_improved")
                 continue
             payload = {"index": 0, "fault": FAULT} if unit == "full" else None
-            capture.start(key, payload)
-            tracer.emit("iteration_stats", iteration=0, loss=1.0)
-            if finish:
-                capture.done({"outcome": "masked_improved",
-                              "arena_sha256": "ab" * 32})
-            else:
-                tracer.clear_context()  # attempt stays open
+            view = capture.start(key, payload)
+            view.emit("iteration_stats", iteration=0, loss=1.0)
+            if finish:  # else the attempt stays open
+                capture.done(view, {"outcome": "masked_improved",
+                                    "arena_sha256": "ab" * 32})
     return key
 
 
@@ -167,14 +165,9 @@ class TestRoundTrip:
             assert report.ok, report.mismatches
             assert report.outcome_match
             assert report.arena_match is True
-            if batch == 1:
-                # Solo runs store the full attributable event stream.
-                assert report.events_match is True
-            else:
-                # Block runs record marker-only stories; there is no
-                # per-experiment stream to verify against.
-                assert record.events == []
-                assert report.events_match is None
+            # Every lease, of one unit or several, stores each
+            # experiment's full attributable event stream.
+            assert report.events_match is True
 
     @pytest.mark.slow
     @pytest.mark.backend

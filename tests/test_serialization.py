@@ -1,4 +1,4 @@
-"""Tests for campaign result serialization."""
+"""Tests for fault and experiment-result serialization."""
 
 import json
 
@@ -6,14 +6,12 @@ import pytest
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults import Campaign, HardwareFault, OpSite
+from repro.core.faults.campaign import CampaignResult
 from repro.core.faults.serialization import (
-    campaign_from_dict,
-    campaign_to_dict,
+    experiment_from_dict,
+    experiment_to_dict,
     fault_from_dict,
     fault_to_dict,
-    load_campaign,
-    merge_campaigns,
-    save_campaign,
 )
 from repro.workloads import build_workload
 
@@ -48,63 +46,36 @@ class TestFaultRoundTrip:
         assert fault_from_dict(json.loads(text)).ff.bit == 5
 
 
+def _round_trip(result):
+    """Through the store's payload format and JSON text, as the
+    ``ResultStore`` writes and reads it."""
+    return experiment_from_dict(json.loads(json.dumps(
+        experiment_to_dict(result))))
+
+
 class TestCampaignRoundTrip:
     def test_preserves_statistics(self, small_result):
-        back = campaign_from_dict(campaign_to_dict(small_result))
-        assert back.workload == small_result.workload
+        back = CampaignResult(
+            workload=small_result.workload,
+            results=[_round_trip(r) for r in small_result.results])
         assert back.num_experiments == small_result.num_experiments
         assert back.breakdown() == small_result.breakdown()
         assert back.unexpected_fraction() == small_result.unexpected_fraction()
+        assert [r.fault for r in back.results] == \
+            [r.fault for r in small_result.results]
 
     def test_nonfinite_values_survive(self, small_result):
         # Force an inf condition value and round-trip it.
-        small_result.results[0].condition_window["max_mvar"] = float("inf")
-        back = campaign_from_dict(campaign_to_dict(small_result))
-        assert back.results[0].condition_window["max_mvar"] == float("inf")
-
-    def test_save_load(self, small_result, tmp_path):
-        path = tmp_path / "campaign.json"
-        save_campaign(small_result, path)
-        loaded = load_campaign(path)
-        assert loaded.num_experiments == small_result.num_experiments
-
-    def test_merge(self, small_result):
-        merged = merge_campaigns([small_result, small_result])
-        assert merged.num_experiments == 2 * small_result.num_experiments
-
-    def test_merge_rejects_mixed_workloads(self, small_result):
-        from repro.core.faults.campaign import CampaignResult
-
-        other = CampaignResult(workload="densenet")
-        with pytest.raises(ValueError):
-            merge_campaigns([small_result, other])
-        with pytest.raises(ValueError):
-            merge_campaigns([])
+        result = small_result.results[0]
+        result.condition_window["max_mvar"] = float("inf")
+        assert _round_trip(result).condition_window["max_mvar"] == float("inf")
 
 
 class TestSchemaVersion:
-    def test_written_documents_carry_version(self, small_result):
-        from repro.core.faults.serialization import CAMPAIGN_SCHEMA_VERSION
-
-        assert campaign_to_dict(small_result)["schema"] == \
-            CAMPAIGN_SCHEMA_VERSION
-
-    def test_unknown_version_rejected(self, small_result):
-        data = campaign_to_dict(small_result)
-        data["schema"] = 99
-        with pytest.raises(ValueError, match="schema version 99"):
-            campaign_from_dict(data)
-
-    def test_legacy_unversioned_documents_accepted(self, small_result):
-        data = campaign_to_dict(small_result)
-        del data["schema"]
-        assert campaign_from_dict(data).num_experiments == \
-            small_result.num_experiments
-
     def test_foreign_number_strings_rejected(self, small_result):
         """Strings the writer never emits (e.g. "NaN" from another tool)
         must raise instead of being silently coerced by float()."""
-        data = campaign_to_dict(small_result)
-        data["results"][0]["max_abs_faulty"] = "NaN"
+        data = experiment_to_dict(small_result.results[0])
+        data["max_abs_faulty"] = "NaN"
         with pytest.raises(ValueError, match="unrecognized serialized number"):
-            campaign_from_dict(data)
+            experiment_from_dict(data)

@@ -302,10 +302,10 @@ class TestEndpointsLoopHosted(EndpointSuite):
 # single scrape must parse.
 # ----------------------------------------------------------------------
 def _sleepy_factory():
-    def run(payload):
+    def run_one(payload):
         time.sleep(payload.get("sleep", 0.0))
         return {"value": payload["x"], "outcome": "ok"}
-    return run
+    return lambda payloads: [run_one(payload) for payload in payloads]
 
 
 class TestConcurrentScrape:

@@ -1,55 +1,7 @@
-"""Tests for the sweep driver and the on-chip buffer model."""
-
-import pytest
+"""Tests for the on-chip buffer model."""
 
 from repro.accelerator.buffers import BufferModel, conv_footprint
 from repro.accelerator.config import AcceleratorConfig
-from repro.core.faults import Campaign
-from repro.core.faults.sweep import SweepAxis, run_sweep
-from repro.workloads import build_workload
-
-
-class TestSweep:
-    @pytest.fixture(scope="class")
-    def campaign(self):
-        spec = build_workload("resnet", size="tiny", seed=0)
-        campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=6,
-                            horizon=12, inject_window=4, test_every=6)
-        campaign.prepare()
-        return campaign
-
-    def test_grid_cells(self, campaign):
-        result = run_sweep(campaign, [
-            SweepAxis("iteration", [7, 9]),
-            SweepAxis("seed", [1, 2, 3]),
-        ])
-        assert len(result.cells) == 6
-        assert (7, 1) in result.cells
-
-    def test_marginal_reduction(self, campaign):
-        result = run_sweep(campaign, [
-            SweepAxis("iteration", [7, 9]),
-            SweepAxis("seed", [1, 2]),
-        ])
-        rates = result.unexpected_rate_by("iteration")
-        assert set(rates) == {7, 9}
-        assert all(0.0 <= r <= 1.0 for r in rates.values())
-
-    def test_site_axis(self, campaign):
-        result = run_sweep(campaign, [
-            SweepAxis("site", [("1.conv1", "forward"), ("1.conv1", "weight_grad")]),
-        ])
-        assert len(result.cells) == 2
-
-    def test_bit_axis_overrides_group(self, campaign):
-        result = run_sweep(campaign, [SweepAxis("bit", [3, 30])])
-        for key, experiment in result.cells.items():
-            assert experiment.fault.ff.category == "datapath"
-            assert experiment.fault.ff.bit == key[0]
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            SweepAxis("iteration", [])
 
 
 class TestBufferModel:

@@ -7,6 +7,7 @@ from repro.core.analysis import render_propagation_report, render_trace_analysis
 from repro.core.faults import Campaign
 from repro.core.faults.serialization import fault_to_dict
 from repro.engine import experiment_key
+from repro.engine.worker import UnitCapture
 from repro.observe import (
     DETECTOR_FIRED,
     EXPERIMENT_FINISHED,
@@ -29,25 +30,24 @@ NUM_EXPERIMENTS = 4
 def _experiment(tracer, key, fault_iter, outcome, detect_at=None,
                 spike=1e6, total=12):
     """Emit one synthetic experiment's event story into ``tracer``."""
-    tracer.set_context(key=key, worker=0, attempt=0)
-    tracer.emit(EXPERIMENT_STARTED)
+    capture = UnitCapture(tracer, 0)
+    view = capture.start(key)
     for it in range(total):
         spiked = fault_iter is not None and it >= fault_iter
         magnitude = spike if spiked else 0.01
-        tracer.emit(ITERATION_STATS, iteration=it, loss=1.0 / (it + 1),
-                    acc=0.5, history_magnitude=magnitude,
-                    mvar_magnitude=magnitude / 2)
+        view.emit(ITERATION_STATS, iteration=it, loss=1.0 / (it + 1),
+                  acc=0.5, history_magnitude=magnitude,
+                  mvar_magnitude=magnitude / 2)
         if it == fault_iter:
-            tracer.emit(FAULT_INJECTED, iteration=it, device=1,
-                        site="2.conv1", kind="forward", op="conv",
-                        ff_category="transient", model="bitflip",
-                        num_faulty=3, max_abs_faulty=spike)
+            view.emit(FAULT_INJECTED, iteration=it, device=1,
+                      site="2.conv1", kind="forward", op="conv",
+                      ff_category="transient", model="bitflip",
+                      num_faulty=3, max_abs_faulty=spike)
         if detect_at is not None and it == detect_at:
-            tracer.emit(DETECTOR_FIRED, iteration=it,
-                        condition="gradient_history", magnitude=magnitude,
-                        bound=1.0)
-    tracer.emit(EXPERIMENT_FINISHED, status="done", outcome=outcome)
-    tracer.clear_context()
+            view.emit(DETECTOR_FIRED, iteration=it,
+                      condition="gradient_history", magnitude=magnitude,
+                      bound=1.0)
+    capture.done(view, {"outcome": outcome})
 
 
 @pytest.fixture

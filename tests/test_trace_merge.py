@@ -26,12 +26,12 @@ def _write_shard(path, worker_id, units, finish=True):
         for unit in units:
             key, iterations = unit[0], unit[1]
             outcome = unit[2] if len(unit) > 2 else "ok"
-            capture.start(key)
+            view = capture.start(key)
             for it in iterations:
-                tracer.emit(ITERATION_STATS, iteration=it, loss=0.1 * it,
-                            history_magnitude=1.0, mvar_magnitude=0.5)
+                view.emit(ITERATION_STATS, iteration=it, loss=0.1 * it,
+                          history_magnitude=1.0, mvar_magnitude=0.5)
             if finish:
-                capture.done({"outcome": outcome})
+                capture.done(view, {"outcome": outcome})
     return path
 
 
@@ -97,12 +97,12 @@ class TestDedup:
         path = shard_path(tmp_path, 0)
         with Tracer(stream=path) as tracer:
             capture = UnitCapture(tracer, 0)
-            capture.start("key0")  # attempt 0: failed
-            tracer.emit(ITERATION_STATS, iteration=0, loss=1.0)
-            capture.error("RuntimeError: flaky")
-            capture.start("key0")  # attempt 1: succeeded
-            tracer.emit(ITERATION_STATS, iteration=0, loss=0.5)
-            capture.done({"outcome": "ok"})
+            view = capture.start("key0")  # attempt 0: failed
+            view.emit(ITERATION_STATS, iteration=0, loss=1.0)
+            capture.error(view, "RuntimeError: flaky")
+            view = capture.start("key0")  # attempt 1: succeeded
+            view.emit(ITERATION_STATS, iteration=0, loss=0.5)
+            capture.done(view, {"outcome": "ok"})
         dest = tmp_path / "merged.jsonl"
         merge_traces([path], dest)
         trace = read_trace(dest)
@@ -147,11 +147,11 @@ class TestCrashArtifacts:
     def test_unkeyed_events_are_dropped_and_counted(self, tmp_path):
         path = shard_path(tmp_path, 0)
         with Tracer(stream=path) as tracer:
-            tracer.emit(ITERATION_STATS, iteration=0, loss=1.0)  # no context
+            tracer.emit(ITERATION_STATS, iteration=0, loss=1.0)  # no stamp
             capture = UnitCapture(tracer, 0)
-            capture.start("key0")
-            tracer.emit(ITERATION_STATS, iteration=0, loss=0.5)
-            capture.done({"outcome": "ok"})
+            view = capture.start("key0")
+            view.emit(ITERATION_STATS, iteration=0, loss=0.5)
+            capture.done(view, {"outcome": "ok"})
         dest = tmp_path / "merged.jsonl"
         result = merge_traces([path], dest)
         assert result.unkeyed_dropped == 1
@@ -200,12 +200,12 @@ class TestCampaignShards:
 # Engine integration: the toy runner, traced end to end.
 # ----------------------------------------------------------------------
 def _toy_factory():
-    def run(payload):
+    def run_one(payload):
         if payload.get("fail"):
             raise RuntimeError("deliberate failure")
         return {"value": payload["x"] * 2, "outcome": "ok"}
 
-    return run
+    return lambda payloads: [run_one(payload) for payload in payloads]
 
 
 def _units(n, **extra):
