@@ -71,7 +71,7 @@ def _scrape(url: str) -> None:
 
     status, alerts = _fetch(f"{url}/alerts")
     assert status == 200, f"/alerts returned {status}"
-    json.loads(alerts)
+    assert set(json.loads(alerts)) == {"slo", "firing"}, alerts
 
 
 def main() -> int:

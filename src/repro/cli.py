@@ -15,7 +15,7 @@ injection, evaluate the technique) as subcommands::
         --store results.jsonl --serve 9100 --slo slo_rules.json
     python -m repro report results.jsonl [--json]
     python -m repro monitor results.jsonl --follow
-    python -m repro monitor results.jsonl --once --max-quarantine-rate 0.1
+    python -m repro monitor results.jsonl --once --slo slo_rules.json
     python -m repro monitor results.jsonl --serve 9100 --slo slo_rules.json
     python -m repro serve-infer resnet --port 9200 --fault-rate 1e-3 \\
         --store serving.json
@@ -188,11 +188,21 @@ def _progress_printer(every: int):
     last = [0]
 
     def on_progress(snapshot):
-        if snapshot.done - last[0] >= every or snapshot.remaining == 0:
+        if snapshot.done - last[0] >= every or snapshot.complete:
             last[0] = snapshot.done
-            print(snapshot.render(), file=sys.stderr, flush=True)
+            print(snapshot.status_line(), file=sys.stderr, flush=True)
 
     return on_progress
+
+
+def _slo_exit(breached: list[str]) -> int:
+    """The one exit gate: 1, and one line on stderr, iff a critical SLO
+    rule fired at any point of the watch (``SLOEngine.breached()``)."""
+    if breached:
+        print("slo: sustained breach of critical rule"
+              f"{'s' if len(breached) > 1 else ''}: " + ", ".join(breached),
+              file=sys.stderr)
+    return 1 if breached else 0
 
 
 def cmd_campaign(args) -> int:
@@ -260,16 +270,11 @@ def cmd_campaign(args) -> int:
         print(f"result store: {args.store}")
     if report.trace_path is not None:
         print(f"campaign trace: {report.trace_path}")
-    if telemetry is not None:
-        print(f"telemetry series: {telemetry.series_path} "
-              f"({telemetry.sampler.samples_taken} samples)")
-        breached = telemetry.breached()
-        if breached:
-            print("slo: sustained breach of critical rule"
-                  f"{'s' if len(breached) > 1 else ''}: "
-                  + ", ".join(breached), file=sys.stderr)
-            return 1
-    return 0
+    if telemetry is None:
+        return 0
+    print(f"telemetry series: {telemetry.series_path} "
+          f"({telemetry.sampler.samples_taken} samples)")
+    return _slo_exit(telemetry.slo.breached())
 
 
 def cmd_report(args) -> int:
@@ -409,90 +414,44 @@ def cmd_trace(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    """``repro monitor``: live dashboard over a store + worker shards."""
+    """``repro monitor``: one watch over a store + worker shards."""
     import json
-    import time
     from pathlib import Path
 
     from repro.engine import (
-        collect,
-        render_alerts,
         render_html,
         render_markdown,
         render_text,
         snapshot_dict,
     )
-    from repro.observe.slo import evaluate_once, load_rules, threshold_rules
+    from repro.observe.slo import load_rules
+    from repro.serve import watch_store
 
-    rules = load_rules(args.slo) if args.slo else []
+    watching = args.follow or args.serve is not None
 
-    if args.serve is not None:
-        from repro.serve import serve_monitor
+    def show(state, statuses):
+        print(render_text(state, statuses),
+              end="\n\n" if watching else "\n", flush=True)
 
-        outcome = serve_monitor(
-            args.store, port=args.serve, interval=args.interval,
-            rules=rules, stall_after=args.stall_after,
-            max_quarantine_rate=args.max_quarantine_rate,
-            max_divergence_rate=args.max_divergence_rate,
-            on_start=lambda url: print(f"telemetry: serving on {url}",
-                                       flush=True),
-            on_poll=lambda state: print(render_text(state) + "\n",
-                                        flush=True))
-        failures = list(outcome["alerts"])
-        failures += [f"slo:{name}" for name in outcome["slo_breached"]]
-        if failures:
-            print("monitor: " + "; ".join(failures), file=sys.stderr)
-            return 1
-        return 0
-
-    flag_rules = threshold_rules(
-        max_quarantine_rate=args.max_quarantine_rate,
-        max_divergence_rate=args.max_divergence_rate)
-
-    def observe():
-        """One observation: the state (alerts filled from the compiled
-        flags) and the --slo statuses, from one pass over the sample."""
-        state = collect(args.store, stall_after=args.stall_after)
-        statuses = evaluate_once(flag_rules + rules, state.sample().flat())
-        render_alerts(state, statuses[:len(flag_rules)])
-        return state, statuses[len(flag_rules):]
-
-    state, statuses = observe()
+    state, slo = watch_store(
+        args.store, rules=load_rules(args.slo) if args.slo else None,
+        port=args.serve, interval=args.interval,
+        stall_after=args.stall_after, max_polls=None if watching else 1,
+        on_start=lambda url: print(f"telemetry: serving on {url}",
+                                   flush=True),
+        on_poll=None if args.json else show)
     if args.json:
-        snapshot = snapshot_dict(state)
-        if rules:
-            snapshot["slo"] = [s.to_dict() for s in statuses]
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 1 if state.alerts or any(s.firing for s in statuses) else 0
-    if args.follow:
-        try:
-            while True:
-                print(render_text(state), flush=True)
-                if state.total is not None \
-                        and state.attempted >= state.total:
-                    break
-                time.sleep(args.interval)
-                state, statuses = observe()
-                print(flush=True)
-        except KeyboardInterrupt:  # pragma: no cover - interactive exit
-            pass
-    else:
-        print(render_text(state))
+        print(json.dumps(snapshot_dict(state, slo.statuses), indent=2,
+                         sort_keys=True))
     if args.html:
-        Path(args.html).write_text(render_html(state), encoding="utf-8")
+        Path(args.html).write_text(render_html(state, slo.statuses),
+                                   encoding="utf-8")
         print(f"html dashboard -> {args.html}")
     if args.markdown:
-        Path(args.markdown).write_text(render_markdown(state),
+        Path(args.markdown).write_text(render_markdown(state, slo.statuses),
                                        encoding="utf-8")
         print(f"markdown snapshot -> {args.markdown}")
-    firing = [s for s in statuses if s.firing]
-    for status in firing:
-        print(f"  SLO        {status.message()}")
-    if state.alerts or firing:
-        print("monitor: " + "; ".join(
-            state.alerts + [s.message() for s in firing]), file=sys.stderr)
-        return 1
-    return 0
+    return _slo_exit(slo.breached())
 
 
 def _print_replay_report(report) -> None:
@@ -540,11 +499,7 @@ def cmd_serve_infer(args) -> int:
               file=sys.stderr)
         return 2
     print(json.dumps(stable_floats(summary), indent=2, sort_keys=True))
-    if summary["breached_critical"]:
-        print("critical SLO breached: "
-              + ", ".join(summary["breached_critical"]), file=sys.stderr)
-        return 1
-    return 0
+    return _slo_exit(summary["breached_critical"])
 
 
 def cmd_loadgen(args) -> int:
@@ -744,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print one deterministic JSON snapshot "
                            "(wall-clock fields excluded) and exit")
     monitor.add_argument("--interval", type=float, default=2.0,
-                         help="--follow refresh interval in seconds "
+                         help="--follow / --serve poll interval in seconds "
                               "(default: 2)")
     monitor.add_argument("--html", metavar="PATH",
                          help="also write a static HTML dashboard to PATH")
@@ -752,21 +707,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write a markdown snapshot to PATH")
     monitor.add_argument("--stall-after", type=float, metavar="S",
                          help="flag a worker as stalled after S seconds "
-                              "without a shard write while busy")
-    monitor.add_argument("--max-quarantine-rate", type=float, metavar="R",
-                         help="exit nonzero when quarantined/(attempted) "
-                              "exceeds R")
-    monitor.add_argument("--max-divergence-rate", type=float, metavar="R",
-                         help="exit nonzero when the INF/NaN outcome "
-                              "fraction exceeds R")
+                              "without a shard write while busy (the "
+                              "built-in rule, workers.stalled max 0, then "
+                              "fires unless --slo replaces it)")
     monitor.add_argument("--serve", type=int, metavar="PORT",
                          help="poll the store into a served telemetry "
                               "endpoint on 127.0.0.1:PORT until the "
                               "campaign completes (0 = ephemeral port)")
     monitor.add_argument("--slo", metavar="RULES.json",
-                         help="declarative SLO rules evaluated against "
-                              "each observation (embedded in --json, "
-                              "gates the exit code)")
+                         help="declarative SLO rules evaluated at every "
+                              "poll, in every mode: exit 1 iff a critical "
+                              "rule fired at any poll (warning rules only "
+                              "report); statuses are embedded in --json.  "
+                              "One observation (--once, --json) cannot "
+                              "sustain a for_seconds > 0 rule: it reports "
+                              "pending and exits 0")
     monitor.set_defaults(func=cmd_monitor)
 
     serve_infer = sub.add_parser(

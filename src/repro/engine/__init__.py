@@ -16,11 +16,7 @@ the worker and the in-process path alike.
 """
 
 from repro.engine.monitor import (
-    MonitorState,
-    WorkerShard,
     collect,
-    evaluate_alerts,
-    render_alerts,
     render_html,
     render_markdown,
     render_text,
@@ -40,7 +36,7 @@ from repro.engine.store import (
     read_records,
     store_to_campaign,
 )
-from repro.engine.telemetry import ProgressSnapshot, ProgressTracker, WorkerHealth
+from repro.engine.telemetry import CampaignState, ProgressTracker, WorkerState
 from repro.engine.worker import UnitCapture, WorkUnit
 
 __all__ = [
@@ -49,24 +45,20 @@ __all__ = [
     "QUARANTINE",
     "STORE_SCHEMA_VERSION",
     "CampaignEngine",
+    "CampaignState",
     "EngineConfig",
     "EngineReport",
-    "MonitorState",
-    "ProgressSnapshot",
     "ProgressTracker",
     "ResultStore",
     "StoreFormatError",
     "StoreSchemaError",
     "UnitCapture",
     "WorkUnit",
-    "WorkerHealth",
-    "WorkerShard",
+    "WorkerState",
     "collect",
-    "evaluate_alerts",
     "experiment_key",
     "merge_stores",
     "read_records",
-    "render_alerts",
     "render_html",
     "render_markdown",
     "render_text",

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.engine import worker as worker_proto
 from repro.engine.store import ResultStore
-from repro.engine.telemetry import ProgressSnapshot, ProgressTracker
+from repro.engine.telemetry import CampaignState, ProgressTracker
 from repro.engine.worker import (
     OUTCOME_FIELD,
     UnitCapture,
@@ -97,7 +97,7 @@ class EngineReport:
     #: Total retry attempts this session.
     retries: int = 0
     elapsed: float = 0.0
-    snapshot: ProgressSnapshot | None = None
+    snapshot: CampaignState | None = None
     #: Merged campaign trace (EngineConfig.trace runs only).
     trace_path: Path | None = None
 
@@ -168,7 +168,7 @@ class CampaignEngine:
         #: (the telemetry sampler thread).  None outside ``run``.
         self._tracker: ProgressTracker | None = None
 
-    def progress(self) -> ProgressSnapshot | None:
+    def progress(self) -> CampaignState | None:
         """A progress snapshot of the in-flight run (None when idle).
 
         Safe to call from another thread: the tracker copies its state
@@ -204,8 +204,7 @@ class CampaignEngine:
             else:
                 pending.append(_Task(unit))
 
-        tracker = ProgressTracker(total=len(units), skipped=report.skipped,
-                                  stall_timeout=self.config.timeout)
+        tracker = ProgressTracker(total=len(units), skipped=report.skipped)
         self._tracker = tracker
         tracker.preload_breakdown([
             payload[OUTCOME_FIELD] for payload in report.results.values()
@@ -333,9 +332,10 @@ class CampaignEngine:
 
     @staticmethod
     def _lease(block: list[_Task], worker_id: int, now: float,
-               tracker: ProgressTracker) -> None:
+               tracker: ProgressTracker,
+               deadline: float | None = None) -> None:
         for task in block:
-            tracker.task_started(worker_id, task.unit.key)
+            tracker.task_started(worker_id, task.unit.key, deadline)
             task.leased_at = now
 
     def _settle(self, block: list[_Task], tag: str, body, pending, report,
@@ -376,6 +376,7 @@ class CampaignEngine:
             handle = _WorkerHandle(next_worker_id, ctx, self.runner_factory,
                                    result_queue, trace_path=trace_path)
             workers[handle.id] = handle
+            tracker.worker_started(handle.id)
             next_worker_id += 1
 
         def respawn(handle: _WorkerHandle) -> None:
@@ -406,7 +407,8 @@ class CampaignEngine:
                     handle.deadline = (
                         now + self.config.timeout * len(block)
                         if self.config.timeout is not None else None)
-                    self._lease(block, handle.id, now, tracker)
+                    self._lease(block, handle.id, now, tracker,
+                                handle.deadline)
                     handle.queue.put(([t.unit.key for t in block],
                                       [t.unit.payload for t in block]))
 
@@ -464,6 +466,7 @@ class CampaignEngine:
             elif tag == worker_proto.INIT_ERROR:
                 handle.kill()
                 del workers[worker_id]
+                tracker.workers.pop(worker_id, None)
                 if not workers and pending:
                     raise RuntimeError(
                         f"engine worker failed to initialize: {body}")

@@ -69,14 +69,11 @@ from repro.observe.slo import (
     SLOEngine,
     SLORule,
     SLOStatus,
-    evaluate_once,
     load_rules,
-    threshold_rules,
 )
 from repro.observe.timeseries import (
     DIVERGENCE_OUTCOMES,
     SERIES_SCHEMA_VERSION,
-    SeriesBuffer,
     SeriesFormatError,
     SeriesWriter,
     TelemetrySample,
@@ -121,7 +118,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "SeriesBuffer",
     "SeriesFormatError",
     "SeriesWriter",
     "StampedView",
@@ -140,7 +136,6 @@ __all__ = [
     "current_tracer",
     "derive_rates",
     "dumps_json",
-    "evaluate_once",
     "histogram",
     "load_rules",
     "metric_name",
@@ -157,6 +152,5 @@ __all__ = [
     "set_metrics_enabled",
     "shard_path",
     "shard_paths",
-    "threshold_rules",
     "validate_exposition",
 ]

@@ -22,15 +22,22 @@ A rule file is JSON — either a list of rule objects or
 ``campaign.divergence_rate`` or ``workers.stalled``, counter rates like
 ``rate.engine.completed``, histogram quantiles like
 ``detector.latency_iterations.p99``).  Exactly one bound (``max`` or
-``min``) per rule.  This engine subsumes the monitor's original ad-hoc
-``--max-quarantine-rate``/``--max-divergence-rate`` flags, which are now
-compiled to instantaneous rules via :func:`threshold_rules`.
+``min``) per rule.
+
+:class:`SLOEngine` is the only thing that turns an observation into an
+exit code: ``repro monitor`` in every mode, ``repro campaign --serve``
+and ``repro serve-infer`` hold one engine across the polls of their
+watch and exit 1 iff :meth:`SLOEngine.breached` names a ``critical``
+rule that fired at any poll.  A threshold on one gauge is a one-rule
+file.  A watch of a single poll (``monitor --once``, ``--json``) cannot
+sustain a ``for_seconds > 0`` rule: such a rule reports ``pending``
+there and does not gate.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 #: Recognized rule severities, in increasing order of consequence:
@@ -199,21 +206,6 @@ def load_rules(path: str | Path) -> list[SLORule]:
     return rules
 
 
-def threshold_rules(max_quarantine_rate: float | None = None,
-                    max_divergence_rate: float | None = None) -> list[SLORule]:
-    """Compile the classic ad-hoc monitor flags into instantaneous rules."""
-    rules = []
-    if max_quarantine_rate is not None:
-        rules.append(SLORule(name="quarantine-rate",
-                             metric="campaign.quarantine_rate",
-                             max=max_quarantine_rate))
-    if max_divergence_rate is not None:
-        rules.append(SLORule(name="divergence-rate",
-                             metric="campaign.divergence_rate",
-                             max=max_divergence_rate))
-    return rules
-
-
 class SLOEngine:
     """Stateful rule evaluation over a stream of samples.
 
@@ -276,10 +268,6 @@ class SLOEngine:
         self.statuses = statuses
         return statuses
 
-    @property
-    def firing(self) -> list[SLOStatus]:
-        return [s for s in self.statuses if s.firing]
-
     def breached(self, severity: str = "critical") -> list[str]:
         """Names of rules of at least ``severity`` that ever fired."""
         floor = SEVERITIES.index(severity)
@@ -287,10 +275,3 @@ class SLOEngine:
         return sorted(
             name for name in self.ever_fired
             if SEVERITIES.index(by_name[name].severity) >= floor)
-
-
-def evaluate_once(rules: list[SLORule],
-                  flat: dict[str, float]) -> list[SLOStatus]:
-    """One-shot evaluation with no history: ``for_seconds`` is honored
-    as "fires immediately when 0, can only be pending otherwise"."""
-    return SLOEngine(rules).evaluate(flat, now=0.0)

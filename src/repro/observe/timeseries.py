@@ -14,19 +14,18 @@ requirement, not a luxury.  This module provides the substrate:
 * :func:`campaign_sample` — the one mapping from raw campaign counts to
   the ``campaign.*`` / ``workers.*`` gauges;
 * :func:`build_sample` — assemble a sample from the registry plus an
-  engine :class:`~repro.engine.telemetry.ProgressSnapshot`; everything
+  engine :class:`~repro.engine.telemetry.CampaignState`; everything
   is read from *snapshots*, never from live training state, so the
   sampler thread cannot perturb the measured system;
 * :func:`derive_rates` — per-second counter rates between consecutive
   samples (monotonic counters; a reset restarts the rate from zero);
-* :class:`SeriesBuffer` — a bounded deque of samples (the ring);
 * :class:`SeriesWriter` / :func:`read_series` — schema-versioned JSONL
   persistence next to the :class:`~repro.engine.store.ResultStore`,
   following the store/trace file conventions (header line, per-line
   flush, truncated-tail tolerance);
 * :class:`TelemetrySampler` — a daemon thread that samples on an
-  interval, derives rates, appends to the ring, persists, and feeds an
-  optional :class:`~repro.observe.slo.SLOEngine`.
+  interval, derives rates, appends to its bounded ring of samples,
+  persists, and feeds an optional :class:`~repro.observe.slo.SLOEngine`.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ SERIES_HEADER = "header"
 SERIES_SAMPLE = "sample"
 
 #: Outcome labels that count as training divergence (the INF/NaN
-#: classes of the Table 3 taxonomy).  Lives here so the monitor, the
-#: sampler, and the SLO rules share one definition.
+#: classes of the Table 3 taxonomy), summed by :func:`campaign_sample`.
 DIVERGENCE_OUTCOMES = frozenset({
     "immediate_inf_nan", "short_term_inf_nan", "latent_inf_nan"})
 
@@ -125,13 +123,19 @@ def campaign_sample(*, done: int, quarantined: int, breakdown: dict,
                     workers_stalled: int = 0,
                     extras: dict | None = None,
                     now: float | None = None) -> TelemetrySample:
-    """The one mapping from raw campaign counts to the flat namespace,
-    fed by a live ``ProgressSnapshot`` (:func:`build_sample`) and by a
-    store polled from disk (``MonitorState.sample``) alike.
+    """The one mapping from raw campaign counts to the flat namespace;
+    its one caller is ``CampaignState.sample``, whether the state came
+    from a live engine or from a store polled from disk.
 
     Always present: ``campaign.done``, ``campaign.quarantined``,
     ``workers.alive|busy|stalled`` and the source's ``extras`` (full
-    gauge names; ``None`` values dropped).  Once the total is known:
+    gauge names; ``None`` values dropped).  ``workers.alive`` is the
+    pool as it is now, not its history: live, the worker processes
+    spawned and not since respawned (a respawn retires the dead id and
+    counts in ``workers.restarts``); on disk, the shard files present.  ``workers.stalled`` counts the rows their source
+    flagged: live, a lease past the deadline the scheduler gave it
+    (``timeout x len(lease)``; never without a timeout); on disk, busy
+    with no shard write for ``stall_after``.  Once the total is known:
     ``campaign.total``, ``campaign.remaining``.  Only once defined — so
     a rule over them is ``no_data``, not trivially passing or breaching,
     before the campaign starts: ``campaign.quarantine_rate`` (first
@@ -171,27 +175,14 @@ def build_sample(progress=None, registry: MetricsRegistry | None = None,
                  now: float | None = None) -> TelemetrySample:
     """Assemble one sample from snapshots only (never live state).
 
-    ``progress`` is an engine :class:`ProgressSnapshot` (or ``None``
-    before the engine starts); ``registry`` defaults to the process
-    -global :data:`~repro.observe.counters.REGISTRY`.
+    ``progress`` is an engine ``CampaignState`` (or ``None`` when there
+    is no campaign, or before the engine starts); ``registry`` defaults
+    to the process-global :data:`~repro.observe.counters.REGISTRY`.
     """
     if progress is None:
         sample = TelemetrySample(t=time.time() if now is None else now)
     else:
-        workers = progress.workers.values()
-        sample = campaign_sample(
-            done=progress.done, quarantined=progress.quarantined,
-            breakdown=progress.breakdown, total=progress.total,
-            throughput=progress.throughput, eta=progress.eta,
-            workers_alive=len(workers),
-            workers_busy=sum(w.busy_key is not None for w in workers),
-            workers_stalled=len(progress.stalled_workers()),
-            extras={
-                "campaign.skipped": progress.skipped,
-                "campaign.retries": progress.retries,
-                "campaign.elapsed_seconds": progress.elapsed,
-                "workers.restarts": sum(w.restarts for w in workers),
-            }, now=now)
+        sample = progress.sample(now)
     registry = REGISTRY if registry is None else registry
     for name, summary in registry.snapshot().items():
         if summary.get("type") == "counter":
@@ -227,49 +218,6 @@ def derive_rates(previous: TelemetrySample | None,
             delta = value
         rates[name] = delta / dt
     return rates
-
-
-class SeriesBuffer:
-    """Bounded ring of :class:`TelemetrySample` (oldest evicted first)."""
-
-    def __init__(self, maxlen: int = 720):
-        if maxlen <= 0:
-            raise ValueError("SeriesBuffer needs maxlen >= 1")
-        self._samples: deque[TelemetrySample] = deque(maxlen=maxlen)
-
-    @property
-    def maxlen(self) -> int:
-        return self._samples.maxlen
-
-    def append(self, sample: TelemetrySample) -> None:
-        self._samples.append(sample)
-
-    def latest(self) -> TelemetrySample | None:
-        return self._samples[-1] if self._samples else None
-
-    def window(self, seconds: float,
-               now: float | None = None) -> list[TelemetrySample]:
-        """Samples no older than ``seconds`` before ``now``."""
-        if now is None:
-            latest = self.latest()
-            now = latest.t if latest is not None else time.time()
-        cutoff = now - seconds
-        return [s for s in self._samples if s.t >= cutoff]
-
-    def values(self, metric: str) -> list[tuple[float, float]]:
-        """``(t, value)`` points of one flat metric across the ring."""
-        points = []
-        for sample in self._samples:
-            value = sample.flat().get(metric)
-            if value is not None:
-                points.append((sample.t, value))
-        return points
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __iter__(self):
-        return iter(list(self._samples))
 
 
 class SeriesWriter:
@@ -361,7 +309,6 @@ class TelemetrySampler:
     """
 
     def __init__(self, provider, interval: float = 1.0,
-                 buffer: SeriesBuffer | None = None,
                  path: str | Path | None = None,
                  meta: dict | None = None,
                  slo_engine=None):
@@ -369,7 +316,8 @@ class TelemetrySampler:
             raise ValueError("sampler interval must be positive")
         self.provider = provider
         self.interval = float(interval)
-        self.buffer = buffer if buffer is not None else SeriesBuffer()
+        #: The ring: the newest 720 samples, oldest evicted first.
+        self.buffer: deque[TelemetrySample] = deque(maxlen=720)
         self.slo_engine = slo_engine
         self._writer = SeriesWriter(path, meta=meta) if path else None
         self._stop = threading.Event()
@@ -377,6 +325,9 @@ class TelemetrySampler:
         self.samples_taken = 0
         self.errors = 0
         self.last_error: str | None = None
+
+    def latest(self) -> TelemetrySample | None:
+        return self.buffer[-1] if self.buffer else None
 
     def sample_once(self) -> TelemetrySample | None:
         """Take one sample now; returns it (or ``None`` on error)."""
@@ -388,7 +339,7 @@ class TelemetrySampler:
             return None
         if sample is None:
             return None
-        sample.rates = derive_rates(self.buffer.latest(), sample)
+        sample.rates = derive_rates(self.latest(), sample)
         self.buffer.append(sample)
         self.samples_taken += 1
         if self._writer is not None:

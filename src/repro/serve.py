@@ -6,8 +6,8 @@ it runs, anything — a Prometheus scraper, a cron gate, an operator with
 answer for all three telemetry sources, which differ only in the
 zero-argument *provider* handed to it: ``lambda:
 build_sample(engine.progress())`` (``repro campaign --serve``),
-``lambda: collect(store).sample()`` (``repro monitor --serve``,
-:func:`serve_monitor`) and ``ServingEngine.sample`` (``repro
+``lambda: collect(store).sample()`` (every mode of ``repro monitor``,
+:func:`watch_store`) and ``ServingEngine.sample`` (``repro
 serve-infer``).
 
 The service owns the sampler (so the sample ring and the
@@ -16,10 +16,15 @@ The service owns the sampler (so the sample ring and the
 ``/healthz`` (503 while degraded), ``/progress``, ``/alerts`` — are
 mounted on next to the caller's extra ``routes``.  The latest sample
 *is* the newest entry of the sampler's ring; handlers (run on the HTTP
-core's loop thread, see :mod:`repro.httpcore`) read only that ring, the
-SLO engine's last statuses and ``alerts``, never training state, so a
-slow or hostile scraper cannot perturb the campaign.  The sample
-namespace is stated on :func:`repro.observe.timeseries.campaign_sample`.
+core's loop thread, see :mod:`repro.httpcore`) read only that ring and
+the SLO engine's last statuses, never training state, so a slow or
+hostile scraper cannot perturb the campaign.  The sample namespace is
+stated on :func:`repro.observe.timeseries.campaign_sample`.
+
+:func:`watch_store` is the one loop that watches a store on disk:
+``repro monitor --once | --json | --follow | --serve`` are its one-poll,
+unserved and served cases, so one rules file means one thing on all of
+them.
 """
 
 from __future__ import annotations
@@ -32,10 +37,15 @@ from repro.httpcore import DEFAULT_HOST, JSON, HTTPServer
 from repro.observe.export import dumps_json, render_prometheus
 from repro.observe.slo import SLOEngine, SLORule
 from repro.observe.timeseries import (
-    SeriesBuffer,
     TelemetrySample,
     TelemetrySampler,
     series_path,
+)
+
+#: SLO rules applied when `repro monitor` is given no --slo file (a file
+#: replaces them): a worker its source flagged as stalled.
+DEFAULT_MONITOR_RULES = (
+    SLORule("stalled-workers", "workers.stalled", max=0),
 )
 
 
@@ -59,25 +69,15 @@ class TelemetryService:
         self.sampler = TelemetrySampler(
             provider, interval=interval, path=self.series_path,
             meta=self.meta, slo_engine=self.slo)
-        #: Legacy alert strings (monitor-style), shown next to SLO states.
-        self.alerts: list[str] = []
         self.server = HTTPServer({**self.routes(), **(routes or {})},
                                  host=host, port=port, meta=self.meta)
-
-    @property
-    def buffer(self) -> SeriesBuffer:
-        return self.sampler.buffer
 
     @property
     def url(self) -> str:
         return self.server.url
 
     def latest(self) -> TelemetrySample | None:
-        return self.buffer.latest()
-
-    def breached(self, severity: str = "critical") -> list[str]:
-        """Rules of at least ``severity`` that fired at any point."""
-        return self.slo.breached(severity)
+        return self.sampler.latest()
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -105,20 +105,18 @@ class TelemetryService:
             "slo": statuses,
             "firing": [s["rule"] for s in statuses
                        if s["state"] == "firing"],
-            "alerts": list(self.alerts),
         }, indent=2, sort_keys=True)
 
     def health(self) -> tuple[bool, dict]:
         """``(healthy, payload)`` for ``/healthz``.
 
-        Degraded while any critical SLO rule fires, any legacy alert is
-        raised, or workers are stalled in the latest sample.
+        Degraded while any critical SLO rule fires or the latest sample
+        counts stalled workers (a gauge read, whatever the rules say).
         """
         sample = self.latest()
         stalled = int(sample.gauges.get("workers.stalled", 0)) if sample else 0
         reasons = [f"slo:{status.rule}" for status in self.slo.statuses
                    if status.firing and status.severity == "critical"]
-        reasons += [f"alert:{alert}" for alert in self.alerts]
         if stalled:
             reasons.append(f"stalled_workers:{stalled}")
         payload = {
@@ -146,24 +144,25 @@ class TelemetryService:
         self.stop()
 
 
-def serve_monitor(store_path: str | Path, port: int = 0,
-                  host: str = DEFAULT_HOST, interval: float = 2.0,
-                  rules: list[SLORule] | None = None,
-                  stall_after: float | None = None,
-                  max_quarantine_rate: float | None = None,
-                  max_divergence_rate: float | None = None,
-                  max_polls: int | None = None,
-                  on_poll=None, on_start=None) -> dict:
-    """Poll a store into a served telemetry endpoint until the campaign
-    completes (or ``max_polls`` observations).
+def watch_store(store_path: str | Path, *,
+                rules: list[SLORule] | None = None,
+                port: int | None = None, host: str = DEFAULT_HOST,
+                interval: float = 2.0, stall_after: float | None = None,
+                max_polls: int | None = None,
+                on_poll=None, on_start=None):
+    """Watch a campaign's store until it completes (or ``max_polls``
+    observations); returns ``(last CampaignState, SLOEngine)``.
 
-    The post-hoc twin of ``repro campaign --serve``: the provider is
-    :func:`repro.engine.monitor.collect` over the on-disk store +
-    shards, so it works from any machine that can read the filesystem —
-    including against a crashed or finished run.  Returns
-    ``{"polls", "alerts", "slo_breached", "url", "statuses"}``.
+    Each poll is :func:`repro.engine.monitor.collect` over the on-disk
+    store + shards — so it works from any machine that can read the
+    filesystem, and against a crashed or finished run — sampled through
+    one :class:`SLOEngine` held for the whole watch (``rules``, or
+    :data:`DEFAULT_MONITOR_RULES`), then ``on_poll(state, statuses)``.
+    A ``port`` also serves the observations (the post-hoc twin of
+    ``repro campaign --serve``; ``on_start(url)`` once bound).  The
+    caller's exit gate is ``SLOEngine.breached()``.
     """
-    from repro.engine.monitor import collect, evaluate_alerts
+    from repro.engine.monitor import collect
 
     store_path = Path(store_path)
     state = None
@@ -171,34 +170,35 @@ def serve_monitor(store_path: str | Path, port: int = 0,
     def provider() -> TelemetrySample:
         nonlocal state
         state = collect(store_path, stall_after=stall_after)
-        service.alerts = evaluate_alerts(
-            state, max_quarantine_rate=max_quarantine_rate,
-            max_divergence_rate=max_divergence_rate)
         return state.sample()
 
-    service = TelemetryService(provider, rules=rules, interval=interval,
-                               meta={"store": store_path.name},
-                               host=host, port=port)
+    service = TelemetryService(
+        provider, interval=interval, meta={"store": store_path.name},
+        rules=DEFAULT_MONITOR_RULES if rules is None else rules,
+        host=host, port=port or 0)
     sampler = service.sampler
     polls = 0
-    service.server.start_thread()
     try:
-        if on_start is not None:
-            on_start(service.url)
+        if port is not None:
+            service.server.start_thread()
+            if on_start is not None:
+                on_start(service.url)
         while True:
+            sample = sampler.sample_once()
+            if state is None:  # later failures keep the last good state
+                raise ValueError(
+                    f"monitor polling failed: {sampler.last_error}")
             # on_poll runs once the observation is scrapeable.
-            if sampler.sample_once() is not None and on_poll is not None:
-                on_poll(state)
+            if sample is not None and on_poll is not None:
+                on_poll(state, service.slo.statuses)
             polls += 1
-            complete = (state is not None and state.total is not None
-                        and state.attempted >= state.total)
-            if complete or (max_polls is not None and polls >= max_polls):
+            if state.complete or (max_polls is not None
+                                  and polls >= max_polls):
                 break
             time.sleep(interval)
+    except KeyboardInterrupt:  # pragma: no cover - interactive exit
+        if state is None:
+            raise
     finally:
         service.server.stop_thread()
-    if sampler.last_error is not None and sampler.samples_taken == 0:
-        raise RuntimeError(f"monitor polling failed: {sampler.last_error}")
-    return {"polls": polls, "alerts": list(service.alerts),
-            "slo_breached": service.breached(), "url": service.url,
-            "statuses": [s.to_dict() for s in service.slo.statuses]}
+    return state, service.slo

@@ -293,7 +293,7 @@ async def run_service(engine: ServingEngine, *, host: str = DEFAULT_HOST,
         service.sampler.stop()
         summary = engine.summary()
         summary["breached"] = sorted(service.slo.ever_fired)
-        summary["breached_critical"] = service.breached("critical")
+        summary["breached_critical"] = service.slo.breached("critical")
         if store is not None:
             Path(store).write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n",

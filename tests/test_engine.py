@@ -1,6 +1,7 @@
 """Tests for the parallel campaign-execution engine (repro.engine)."""
 
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from repro.engine import (
     ResultStore,
     WorkUnit,
     read_records,
+    render_text,
     store_to_campaign,
 )
 from repro.workloads import build_workload
@@ -102,15 +104,36 @@ class TestToyEngine:
         assert "timeout" in report.quarantined["key1"]
 
     def test_parallel_worker_crash_quarantined(self):
-        units = _units([{}, {"crash": True}, {}])
+        # The long sleeps keep both survivors leased, so the retry runs
+        # on (and kills) a worker other than the first casualty.  The
+        # short one lets the doomed worker's queue feeder thread finish
+        # its last send first: dying inside it would leave the result
+        # queue's shared write lock held and wedge every other worker.
+        units = _units([{"sleep": 0.3}, {"sleep": 0.05, "crash": True},
+                        {"sleep": 0.3}])
+        snapshots = []
         report = CampaignEngine(
             _toy_factory,
-            EngineConfig(parallel=2, max_retries=0, poll_interval=0.02),
+            EngineConfig(parallel=2, max_retries=1, retry_backoff=0.01,
+                         poll_interval=0.02),
+            on_progress=snapshots.append,
         ).run(units)
         assert sorted(report.results) == ["key0", "key2"]
         assert "crashed" in report.quarantined["key1"]
-        restarts = sum(w.restarts for w in report.snapshot.workers.values())
-        assert restarts >= 1
+        # Two attempts, two dead workers, two respawns — and the gauge
+        # is the pool, not its history: a respawn retires the dead id
+        # (at the parent the final snapshot held ids 0, 1, 2, read
+        # `workers.alive 3` and `workers 0/3 busy` for a pool of two).
+        snapshots.append(report.snapshot)
+        assert report.snapshot.restarts == 2
+        for snapshot in snapshots:
+            assert len(snapshot.workers) <= 2
+            assert snapshot.sample().gauges["workers.alive"] <= 2.0
+        final = report.snapshot.sample().gauges
+        assert final["workers.restarts"] == 2.0
+        alive = len(report.snapshot.workers)
+        assert f"workers 0/{alive} busy, 2 restarts" \
+            in report.snapshot.status_line()
 
     def test_interrupt_then_resume_executes_each_unit_once(self, tmp_path):
         marker = tmp_path / "executed.log"
@@ -268,40 +291,93 @@ class TestCampaignThroughEngine:
             campaign.run(1)
 
 
-class TestStallTelemetry:
-    def _snapshot(self, busy_elapsed, stall_timeout):
-        from repro.engine.telemetry import ProgressSnapshot, WorkerHealth
+def _slow_lease_factory():
+    def runner(payloads):
+        time.sleep(0.15 * len(payloads))
+        return [{"value": p["x"], "outcome": "ok"} for p in payloads]
+    return runner
 
-        workers = {
-            0: WorkerHealth(completed=2),
-            1: WorkerHealth(completed=1, busy_key="key7",
-                            busy_elapsed_s=busy_elapsed),
-        }
-        return ProgressSnapshot(total=6, done=3, skipped=0, quarantined=0,
-                                retries=0, elapsed=10.0, throughput=0.3,
-                                eta=10.0, breakdown={"ok": 3},
-                                workers=workers, stall_timeout=stall_timeout)
+
+class TestStallTelemetry:
+    def _snapshot(self, stalled):
+        from repro.engine import CampaignState, WorkerState
+
+        return CampaignState(
+            total=6, done=3, breakdown={"ok": 3}, throughput=0.3, eta=10.0,
+            workers=[WorkerState(0, finished=2),
+                     WorkerState(1, finished=1, busy_key="key7",
+                                 stalled=stalled)],
+            skipped=0, retries=0, restarts=0, elapsed=10.0)
 
     def test_stalled_workers_flagged_and_rendered(self):
-        snapshot = self._snapshot(busy_elapsed=45.0, stall_timeout=30.0)
-        assert snapshot.stalled_workers() == [1]
-        assert "STALLED: w1" in snapshot.render()
+        snapshot = self._snapshot(stalled=True)
+        assert snapshot.stalled_workers == [1]
+        assert snapshot.sample().gauges["workers.stalled"] == 1.0
+        assert "STALLED: w1" in snapshot.status_line()
+        # The live engine's observation goes through the monitor
+        # dashboard as it is.
+        dashboard = render_text(snapshot)
+        assert "3/6 done" in dashboard and "STALLED key=key7" in dashboard
 
     def test_fast_workers_not_flagged(self):
-        snapshot = self._snapshot(busy_elapsed=5.0, stall_timeout=30.0)
-        assert snapshot.stalled_workers() == []
-        assert "STALLED" not in snapshot.render()
+        snapshot = self._snapshot(stalled=False)
+        assert snapshot.stalled_workers == []
+        assert "STALLED" not in snapshot.status_line()
+        assert "STALLED" not in render_text(snapshot)
 
     def test_no_timeout_disables_stall_flagging(self):
-        snapshot = self._snapshot(busy_elapsed=1e9, stall_timeout=None)
-        assert snapshot.stalled_workers() == []
+        from repro.engine import ProgressTracker
 
-    def test_tracker_snapshot_carries_busy_elapsed(self):
-        from repro.engine.telemetry import ProgressTracker
+        now = [0.0]
+        tracker = ProgressTracker(total=2, clock=lambda: now[0])
+        tracker.task_started(0, "key0", deadline=None)
+        now[0] = 1e9
+        assert tracker.snapshot().stalled_workers == []
 
-        tracker = ProgressTracker(total=2, stall_timeout=0.01)
-        tracker.task_started(0, "key0")
-        time.sleep(0.03)
+    def test_tracker_snapshot_carries_stall_flag(self):
+        """The flag is the lease's own deadline (here 4 T for a lease of
+        four), not the bare per-experiment timeout T."""
+        from repro.engine import ProgressTracker
+
+        now, T = [100.0], 0.25
+        tracker = ProgressTracker(total=8, clock=lambda: now[0])
+        for key in ("key0", "key1", "key2", "key3"):
+            tracker.task_started(0, key, deadline=100.0 + 4 * T)
+        now[0] = 100.0 + 3 * T
+        assert tracker.snapshot().stalled_workers == []
+        now[0] = 100.0 + 5 * T
         snapshot = tracker.snapshot()
-        assert snapshot.workers[0].busy_elapsed_s > 0.01
-        assert snapshot.stalled_workers() == [0]
+        assert snapshot.workers[0].stalled
+        assert snapshot.stalled_workers == [0]
+        tracker.task_done(0, "ok")
+        assert tracker.snapshot().stalled_workers == []
+
+    def test_block_lease_inside_its_deadline_never_reads_stalled(self):
+        """Leases of four at 2.4 T each, deadline 4 T: a healthy
+        `--experiment-batch 4` campaign.  At the parent every sample from
+        T on read `workers.stalled 2` (and `/healthz` answered 503)."""
+        engine = CampaignEngine(
+            _slow_lease_factory,
+            EngineConfig(parallel=2, timeout=0.25, block_size=4,
+                         poll_interval=0.02))
+        stalled, stop = [], threading.Event()
+
+        def sampler():
+            while not stop.wait(0.02):
+                progress = engine.progress()
+                if progress is not None:
+                    stalled.append(
+                        progress.sample().gauges["workers.stalled"])
+
+        thread = threading.Thread(target=sampler)
+        thread.start()
+        try:
+            report = engine.run(_units([{} for _ in range(8)]))
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert (report.executed, report.retries, report.quarantined) \
+            == (8, 0, {})
+        assert len(stalled) >= 10, "the sampler never saw the run"
+        assert max(stalled) == 0.0

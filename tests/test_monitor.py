@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import threading
 import time
 import urllib.request
 
@@ -13,7 +14,6 @@ from repro.cli import main
 from repro.engine import (
     ResultStore,
     collect,
-    evaluate_alerts,
     render_html,
     render_markdown,
     render_text,
@@ -27,7 +27,8 @@ from repro.observe import (
     read_series,
     shard_path,
 )
-from repro.serve import serve_monitor
+from repro.observe.slo import SLOEngine, SLORule
+from repro.serve import watch_store
 
 
 def _fixture_store(path, outcomes=("ok", "ok", "latent_inf_nan"),
@@ -55,18 +56,25 @@ def _busy_shard(directory, worker_id, key="key5", finished=1):
     return path
 
 
+def _rules_file(directory, rules, name="rules.json"):
+    path = directory / name
+    path.write_text(json.dumps(rules), encoding="utf-8")
+    return str(path)
+
+
 class TestCollect:
     def test_store_progress_and_breakdown(self, tmp_path):
         store_path = _fixture_store(tmp_path / "r.jsonl")
         state = collect(store_path)
         assert state.kind == "campaign"
         assert state.total == 6
-        assert state.completed == 3
+        assert state.done == 3
         assert state.quarantined == 1
         assert state.attempted == 4
         assert state.breakdown == {"ok": 2, "latent_inf_nan": 1}
-        assert state.quarantine_rate == pytest.approx(0.25)
-        assert state.divergence_rate == pytest.approx(1 / 3)
+        gauges = state.sample().gauges
+        assert gauges["campaign.quarantine_rate"] == pytest.approx(0.25)
+        assert gauges["campaign.divergence_rate"] == pytest.approx(1 / 3)
         assert state.recent[-1]["outcome"] == "quarantined"
         assert state.last_result_age is not None
 
@@ -119,27 +127,60 @@ class TestCollect:
 
 
 class TestAlerts:
-    def test_quarantine_rate_alert(self, tmp_path):
-        state = collect(_fixture_store(tmp_path / "r.jsonl"))
-        assert evaluate_alerts(state, max_quarantine_rate=0.5) == []
-        alerts = evaluate_alerts(state, max_quarantine_rate=0.1)
-        assert len(alerts) == 1 and "quarantine rate" in alerts[0]
-        assert state.alerts == alerts
+    """Gating a gauge is a one-rule file (the thresholds and exit codes
+    the removed `--max-*-rate` flags had); the stalled-worker gate is the
+    built-in rule."""
 
-    def test_divergence_rate_alert(self, tmp_path):
-        state = collect(_fixture_store(tmp_path / "r.jsonl"))
-        assert evaluate_alerts(state, max_divergence_rate=0.5) == []
-        alerts = evaluate_alerts(state, max_divergence_rate=0.2)
-        assert len(alerts) == 1 and "divergence rate" in alerts[0]
+    def _gate(self, tmp_path, capsys, rule, *extra):
+        store_path = tmp_path / "r.jsonl"
+        if not store_path.exists():
+            _fixture_store(store_path)
+        rules = _rules_file(tmp_path, [{"name": "gate", **rule}])
+        rc = main(["monitor", str(store_path), "--once", "--slo", rules,
+                   *extra])
+        return rc, capsys.readouterr()
 
-    def test_stalled_worker_alert(self, tmp_path):
+    def test_quarantine_rate_alert(self, tmp_path, capsys):
+        metric = {"metric": "campaign.quarantine_rate"}
+        rc, _ = self._gate(tmp_path, capsys, {**metric, "max": 0.5})
+        assert rc == 0
+        rc, captured = self._gate(tmp_path, capsys, {**metric, "max": 0.1})
+        assert rc == 1
+        assert "gate: campaign.quarantine_rate=0.25 > 0.1 (firing)" \
+            in captured.out
+        assert captured.err == \
+            "slo: sustained breach of critical rule: gate\n"
+
+    def test_divergence_rate_alert(self, tmp_path, capsys):
+        metric = {"metric": "campaign.divergence_rate"}
+        rc, _ = self._gate(tmp_path, capsys, {**metric, "max": 0.5})
+        assert rc == 0
+        rc, captured = self._gate(tmp_path, capsys, {**metric, "max": 0.2})
+        assert rc == 1
+        assert "gate: campaign.divergence_rate=0.3333 > 0.2 (firing)" \
+            in captured.out
+
+    def test_stalled_worker_alert(self, tmp_path, capsys):
         store_path = _fixture_store(tmp_path / "r.jsonl")
         shard = _busy_shard(tmp_path, 2)
         stale = time.time() - 120
         os.utime(shard, (stale, stale))
-        state = collect(store_path, stall_after=30.0)
-        alerts = evaluate_alerts(state)
-        assert alerts == ["stalled workers: w2"]
+        args = ["monitor", str(store_path), "--once"]
+        # No --stall-after, no flag; the built-in rule is quiet.
+        assert main(args) == 0
+        assert "SLO" not in capsys.readouterr().out
+        assert main(args + ["--stall-after", "30"]) == 1
+        captured = capsys.readouterr()
+        assert "STALLED: w2" in captured.out
+        assert "stalled-workers: workers.stalled=1 > 0 (firing)" \
+            in captured.out
+        assert "critical rule: stalled-workers" in captured.err
+        # A rules file replaces the built-in set.
+        rc, captured = self._gate(
+            tmp_path, capsys,
+            {"metric": "campaign.quarantine_rate", "max": 0.5},
+            "--stall-after", "30")
+        assert rc == 0 and "STALLED: w2" in captured.out
 
 
 class TestRendering:
@@ -149,31 +190,42 @@ class TestRendering:
         shard = _busy_shard(tmp_path, 0)
         stale = time.time() - 120
         os.utime(shard, (stale, stale))
-        state = collect(store_path, stall_after=30.0)
-        evaluate_alerts(state, max_quarantine_rate=0.1)
-        return state
+        return collect(store_path, stall_after=30.0)
 
-    def test_render_text(self, state):
-        text = render_text(state)
+    @pytest.fixture
+    def statuses(self, state):
+        rules = [SLORule("qrate", "campaign.quarantine_rate", max=0.1),
+                 SLORule("quiet", "campaign.quarantine_rate", max=0.9)]
+        return SLOEngine(rules).evaluate(state.sample().flat(), now=0.0)
+
+    FIRING = "[critical] qrate: campaign.quarantine_rate=0.25 > 0.1 (firing)"
+
+    def test_render_text(self, state, statuses):
+        text = render_text(state, statuses)
         assert "3/6 done" in text
         assert "1 quarantined" in text
         assert "latent_inf_nan:1" in text
         assert "STALLED key=key5" in text
-        assert "ALERT" in text and "quarantine rate" in text
+        assert f"  SLO        {self.FIRING}" in text
+        assert "quiet" not in text and "SLO" not in render_text(state)
 
-    def test_render_markdown(self, state):
-        md = render_markdown(state)
+    def test_render_markdown(self, state, statuses):
+        md = render_markdown(state, statuses)
         assert "| latent_inf_nan | 1 |" in md
         assert "**STALLED** `key5`" in md
-        assert "> **ALERT**" in md
+        assert f"> **SLO**: {self.FIRING}" in md
+        assert "quiet" not in md
 
-    def test_render_html_escapes(self, state):
+    def test_render_html_escapes(self, state, statuses):
         state.meta["workload"] = "<resnet>"
-        page = render_html(state)
+        page = render_html(state, statuses)
         assert "<!DOCTYPE html>" in page
         assert "&lt;resnet&gt;" in page
         assert "<resnet>" not in page
         assert "STALLED key5" in page
+        assert "SLO: [critical] qrate: campaign.quarantine_rate=0.25 " \
+            "&gt; 0.1 (firing)" in page
+        assert "quiet" not in page
 
 
 class TestMonitorCli:
@@ -187,11 +239,13 @@ class TestMonitorCli:
 
     def test_once_alert_exit_nonzero(self, tmp_path, capsys):
         store_path = _fixture_store(tmp_path / "r.jsonl")
-        rc = main(["monitor", str(store_path), "--once",
-                   "--max-quarantine-rate", "0.1"])
+        rules = _rules_file(tmp_path, [
+            {"name": "quarantine-rate",
+             "metric": "campaign.quarantine_rate", "max": 0.1}])
+        rc = main(["monitor", str(store_path), "--once", "--slo", rules])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "quarantine rate" in captured.err
+        assert "quarantine-rate" in captured.err
 
     def test_html_and_markdown_exports(self, tmp_path, capsys):
         store_path = _fixture_store(tmp_path / "r.jsonl")
@@ -203,6 +257,14 @@ class TestMonitorCli:
         assert "<!DOCTYPE html>" in html_out.read_text(encoding="utf-8")
         assert "# Campaign monitor" in md_out.read_text(encoding="utf-8")
 
+    def test_unreadable_store_is_an_operator_error_in_every_mode(
+            self, tmp_path, capsys):
+        for mode in (["--once"], ["--json"], ["--follow"], ["--serve", "0"]):
+            assert main(["monitor", str(tmp_path / "missing.jsonl"),
+                         *mode]) == 2
+            assert "error: monitor polling failed: FileNotFoundError" \
+                in capsys.readouterr().err
+
     def test_follow_exits_when_campaign_complete(self, tmp_path, capsys):
         store_path = _fixture_store(
             tmp_path / "r.jsonl",
@@ -211,14 +273,14 @@ class TestMonitorCli:
         rc = main(["monitor", str(store_path), "--follow",
                    "--interval", "0.01"])
         assert rc == 0
-        assert "5/6 done" in capsys.readouterr().out
+        assert capsys.readouterr().out.count("5/6 done") == 1
 
 
 # ----------------------------------------------------------------------
 # One namespace, three sources: the same campaign observed live (the
 # samples `campaign --serve` builds from `engine.progress()`), from disk
-# (`collect` -> sample) and through `serve_monitor` must read the same
-# under every name a rule can address — so one rules file must gate
+# (`collect` -> sample) and through a served `watch_store` must read the
+# same under every name a rule can address — so one rules file must gate
 # every CLI path the same way.
 # ----------------------------------------------------------------------
 #: Gauges each source measures on its own clock; present once measured
@@ -228,19 +290,21 @@ WALL_CLOCK = {"campaign.throughput", "campaign.eta_seconds",
               "campaign.last_result_age_seconds"}
 UNDEFINED_AT_ZERO = WALL_CLOCK - {"campaign.elapsed_seconds"} | {
     "campaign.quarantine_rate", "campaign.divergence_rate"}
+#: Facts only the live tracker has.
+LIVE_ONLY = {"campaign.skipped", "campaign.retries"}
 
 
 def _served_sample(store_path) -> TelemetrySample:
     """What a scraper of `monitor --serve` reads for this store."""
     urls, bodies = [], []
 
-    def scrape(_state):
+    def scrape(_state, _statuses):
         with urllib.request.urlopen(urls[0] + "/progress",
                                     timeout=5) as response:
             bodies.append(json.loads(response.read()))
 
-    serve_monitor(store_path, port=0, interval=0.01, max_polls=1,
-                  on_start=urls.append, on_poll=scrape)
+    watch_store(store_path, port=0, interval=0.01, max_polls=1,
+                on_start=urls.append, on_poll=scrape)
     return TelemetrySample.from_dict(
         {"t": bodies[0]["t"], **bodies[0]["sample"]})
 
@@ -248,10 +312,43 @@ def _served_sample(store_path) -> TelemetrySample:
 def _shared(sample: TelemetrySample) -> dict[str, float]:
     return {name: value for name, value in sample.flat().items()
             if name.startswith(("campaign.", "outcome."))
-            and name not in WALL_CLOCK}
+            and name not in WALL_CLOCK | LIVE_ONLY}
+
+
+def _firing_lines(out: str) -> set[str]:
+    """Rule names the text dashboard(s) in ``out`` show as firing."""
+    return {line.split()[2].rstrip(":") for line in out.splitlines()
+            if line.startswith("  SLO ") and "(firing)" in line}
+
+
+def _gated(err: str) -> set[str]:
+    """Rule names on the one gate line (empty: the line is absent)."""
+    prefix = "slo: sustained breach of critical rule"
+    lines = [line for line in err.splitlines() if line.startswith(prefix)]
+    assert len(lines) <= 1
+    return set(lines[0].split(": ", 2)[2].split(", ")) if lines else set()
+
+
+def _monitor_gates(store, rules, capsys) -> dict:
+    """``mode -> (exit code, rules shown firing, rules on the gate
+    line)`` for every `repro monitor` mode over one finished store."""
+    gates = {}
+    rc = main(["monitor", store, "--json", "--slo", rules])
+    captured = capsys.readouterr()
+    gates["json"] = (rc, {s["rule"] for s in json.loads(captured.out)["slo"]
+                          if s["state"] == "firing"}, _gated(captured.err))
+    for mode in (["--once"], ["--follow"], ["--serve", "0"]):
+        rc = main(["monitor", store, *mode, "--interval", "0.01",
+                   "--slo", rules])
+        captured = capsys.readouterr()
+        gates[mode[0]] = (rc, _firing_lines(captured.out),
+                          _gated(captured.err))
+    return gates
 
 
 class TestOneNamespace:
+    WARNING = {"name": "warn-only", "metric": "campaign.done", "max": 1,
+               "severity": "warning"}
     RULES = [
         # Fires on any finished 3-experiment campaign; at the parent of
         # this test `monitor --json --slo` called the gauge
@@ -259,35 +356,44 @@ class TestOneNamespace:
         {"name": "done-floor", "metric": "campaign.done", "min": 100},
         {"name": "qrate-ceiling", "metric": "campaign.quarantine_rate",
          "max": 0.9},
+        # Fires too, and only reports: at the parent it made `--once`,
+        # `--json` and `--follow` exit 1 and `--serve` exit 0.
+        WARNING,
     ]
 
     @pytest.fixture(scope="class")
     def campaign(self, tmp_path_factory):
         """One small live campaign served with the rules file; the
-        series it leaves behind is the live source's own samples."""
+        series it leaves behind is the live source's own samples.  Then
+        the same store resumed (nothing left to run) under the
+        warning-only file."""
         tmp = tmp_path_factory.mktemp("one-namespace")
-        rules = tmp / "rules.json"
-        rules.write_text(json.dumps(self.RULES), encoding="utf-8")
+        rules = _rules_file(tmp, self.RULES)
+        warning = _rules_file(tmp, [self.WARNING], "warning.json")
         store = tmp / "camp.jsonl"
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            rc = main(["campaign", "resnet", "--experiments", "3",
-                       "--devices", "2", "--store", str(store),
-                       "--serve", "0", "--serve-interval", "0.05",
-                       "--slo", str(rules)])
+        served = []
+        for extra in (["--slo", rules], ["--resume", "--slo", warning]):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                rc = main(["campaign", "resnet", "--experiments", "3",
+                           "--devices", "2", "--store", str(store),
+                           "--serve", "0", "--serve-interval", "0.05",
+                           *extra])
+            served.append((rc, _gated(stderr.getvalue())))
+            if len(served) == 1:
+                _, live = read_series(store.with_name("camp.series.jsonl"))
         empty = ResultStore(tmp / "empty.jsonl", kind="campaign",
                             meta={"workload": "resnet",
                                   "num_experiments": 3})
         empty.close()
-        _, live = read_series(store.with_name("camp.series.jsonl"))
         return {"store": store, "empty": tmp / "empty.jsonl",
-                "rules": rules, "live": live,
-                "campaign-serve": (rc, stderr.getvalue())}
+                "rules": rules, "warning": warning, "live": live,
+                "campaign-serve": served}
 
     @pytest.mark.parametrize("source", ["live", "disk", "served"])
     def test_sources_agree_and_one_rules_file_gates_every_path(
             self, campaign, source, capsys):
-        store, rules = str(campaign["store"]), str(campaign["rules"])
+        store = str(campaign["store"])
         reference = collect(store).sample()
         if source == "live":
             unstarted = [s for s in campaign["live"]
@@ -308,11 +414,9 @@ class TestOneNamespace:
             assert sample.gauges["campaign.total"] == 3.0
             assert not UNDEFINED_AT_ZERO & set(sample.flat())
 
-        # Finished: every key both sources report reads the same as
-        # from disk, and the rates are now defined everywhere.
-        got, want = _shared(final), _shared(reference)
-        assert {k: got[k] for k in want} == want
-        assert want == {
+        # Finished: the sources report the same keys, every one reads
+        # the same as from disk, and the rates are defined everywhere.
+        assert _shared(final) == _shared(reference) == {
             "campaign.done": 3.0, "campaign.total": 3.0,
             "campaign.remaining": 0.0, "campaign.quarantined": 0.0,
             "campaign.quarantine_rate": 0.0,
@@ -322,32 +426,76 @@ class TestOneNamespace:
         assert sum(collect(store).breakdown.values()) == 3
         assert final.gauges["campaign.throughput"] > 0.0
 
-        # One rules file, the same firing set and exit code on every
-        # CLI path that reads this source.
-        gates = []
+        # One rules file: on every CLI path that reads this source the
+        # critical rule that fired gates, the warning rule that fired is
+        # shown and does not; the warning rule alone gates nothing.
         if source == "live":
-            rc, err = campaign["campaign-serve"]
-            assert "critical rule: done-floor" in err
-            gates.append((rc, {n for n in ("done-floor", "qrate-ceiling")
-                               if n in err}))
-        elif source == "disk":
-            rc = main(["monitor", store, "--json", "--slo", rules])
-            doc = json.loads(capsys.readouterr().out)
-            gates.append((rc, {s["rule"] for s in doc["slo"]
-                               if s["state"] == "firing"}))
-            rc = main(["monitor", store, "--once", "--slo", rules])
-            out = capsys.readouterr().out
-            gates.append((rc, {line.split()[2].rstrip(":")
-                               for line in out.splitlines()
-                               if line.startswith("  SLO ")}))
-        else:
-            rc = main(["monitor", store, "--serve", "0", "--interval",
-                       "0.01", "--slo", rules])
-            err = capsys.readouterr().err
-            gates.append((rc, {part.removeprefix("slo:")
-                               for part in err.strip().removeprefix(
-                                   "monitor: ").split("; ")}))
-        assert gates and all(gate == (1, {"done-floor"}) for gate in gates)
+            assert campaign["campaign-serve"] == [(1, {"done-floor"}),
+                                                  (0, set())]
+            return
+        modes = {"disk": ("json", "--once", "--follow"),
+                 "served": ("--serve",)}[source]
+        gates = _monitor_gates(store, campaign["rules"], capsys)
+        quiet = _monitor_gates(store, campaign["warning"], capsys)
+        for mode in modes:
+            assert gates[mode] == (1, {"done-floor", "warn-only"},
+                                   {"done-floor"}), mode
+            assert quiet[mode] == (0, {"warn-only"}, set()), mode
+
+    def _growing_store(self, path):
+        """2/4 done now, 3/4 after ~0.5 s, complete after ~1 s."""
+        store = ResultStore(path, kind="campaign",
+                            meta={"workload": "resnet",
+                                  "num_experiments": 4})
+        store.append("key0", {"outcome": "ok"})
+        store.append("key1", {"outcome": "ok"})
+
+        def finish():
+            for key in ("key2", "key3"):
+                time.sleep(0.5)
+                store.append(key, {"outcome": "ok"})
+            store.close()
+
+        writer = threading.Thread(target=finish)
+        writer.start()
+        return writer
+
+    @pytest.mark.parametrize("mode", [["--follow"], ["--serve", "0"]],
+                             ids=["follow", "serve"])
+    def test_a_watch_holds_one_engine_across_its_polls(
+            self, tmp_path, capsys, mode):
+        """A sustained rule needs history and a resolved rule needs
+        memory; at the parent `--follow` built a fresh engine per poll,
+        never printed either rule and exited 0."""
+        rules = _rules_file(tmp_path, [
+            # Breached throughout, fires once it held for 0.2 s.
+            {"name": "sustained", "metric": "campaign.done", "max": 1,
+             "for_seconds": 0.2},
+            # Fires at the first poll, resolves at 3/4 — before the
+            # store completes and the watch ends.
+            {"name": "resolved", "metric": "campaign.done", "min": 3}])
+        writer = self._growing_store(tmp_path / "grow.jsonl")
+        try:
+            rc = main(["monitor", str(tmp_path / "grow.jsonl"), *mode,
+                       "--interval", "0.05", "--slo", rules])
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert _gated(captured.err) == {"sustained", "resolved"}
+        dashboards = captured.out.split("== campaign monitor:")[1:]
+        assert "4/4 done" in dashboards[-1]
+        assert "sustained: campaign.done=2 > 1 (pending)" in dashboards[0]
+        assert _firing_lines(dashboards[-1]) == {"sustained"}
+        # One observation cannot sustain the rule: pending, no gate.
+        once = _rules_file(tmp_path, [
+            {"name": "sustained", "metric": "campaign.done", "max": 1,
+             "for_seconds": 0.2}], "once.json")
+        assert main(["monitor", str(tmp_path / "grow.jsonl"), "--once",
+                     "--slo", once]) == 0
+        assert "sustained: campaign.done=4 > 1 (pending)" \
+            in capsys.readouterr().out
 
 
 class TestMonitorSlo:

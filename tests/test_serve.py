@@ -23,7 +23,7 @@ from repro.observe.export import (
 )
 from repro.observe.slo import SLORule
 from repro.observe.timeseries import TelemetrySample
-from repro.serve import TelemetryService, serve_monitor
+from repro.serve import TelemetryService, watch_store
 
 
 def _get(url: str) -> tuple[int, str, str]:
@@ -211,7 +211,7 @@ class EndpointSuite:
 
         status, body, ctype = _get(f"{server.url}/alerts")
         assert ctype == "application/json"
-        assert json.loads(body)["firing"] == []
+        assert json.loads(body) == {"firing": [], "slo": []}
 
         status, body, _ = _get(f"{server.url}/")
         assert "/metrics" in json.loads(body)["endpoints"]
@@ -246,16 +246,14 @@ class EndpointSuite:
         status, body, _ = _get(f"{server.url}/alerts")
         assert json.loads(body)["firing"] == ["qrate"]
 
-    def test_healthz_degrades_on_stalled_workers_and_legacy_alerts(
-            self, host):
+    def test_healthz_degrades_on_stalled_workers(self, host):
+        """A gauge read, with no rule about it loaded."""
         service = TelemetryService(lambda: TelemetrySample(
             t=time.time(), gauges={"workers.stalled": 2.0}))
         service.sampler.sample_once()
-        service.alerts = ["stalled workers: w0, w1"]
         healthy, payload = service.health()
         assert not healthy
-        assert "stalled_workers:2" in payload["reasons"]
-        assert any(r.startswith("alert:") for r in payload["reasons"])
+        assert payload["reasons"] == ["stalled_workers:2"]
         host(service.server)
         status, body, _ = _get(f"{service.url}/healthz")
         assert status == 503
@@ -336,7 +334,7 @@ class TestConcurrentScrape:
         assert scrapes >= 3, f"only {scrapes} scrapes landed mid-run"
         assert report_box["report"].executed == 12
         # The final (post-stop) sample reflects the finished campaign.
-        final = telemetry.buffer.latest()
+        final = telemetry.latest()
         assert final.gauges["campaign.done"] == 12.0
 
     def test_campaign_telemetry_persists_series_and_gates_on_slo(
@@ -354,7 +352,7 @@ class TestConcurrentScrape:
         with telemetry:
             engine.run(units)
             time.sleep(0.05)  # let the sampler observe the breach
-        assert telemetry.breached() == ["done-ceiling"]
+        assert telemetry.slo.breached() == ["done-ceiling"]
         assert telemetry.series_path.exists()
         from repro.observe.timeseries import read_series
         _, samples = read_series(telemetry.series_path)
@@ -362,47 +360,69 @@ class TestConcurrentScrape:
 
 
 # ----------------------------------------------------------------------
-# Post-hoc twin: repro monitor --serve over an on-disk store
+# The one store watch: served (repro monitor --serve, the post-hoc twin
+# of campaign --serve) and unserved (--follow, --once)
 # ----------------------------------------------------------------------
+PORTS = (0, None)
+
+
 class TestServeMonitor:
-    def _store(self, path, total=3):
+    def _store(self, path, done=3, total=3):
         store = ResultStore(path, kind="campaign",
                             meta={"workload": "resnet",
                                   "num_experiments": total})
-        for i in range(total):
+        for i in range(done):
             store.append(f"key{i}", {"outcome": "ok", "index": i})
         store.close()
         return path
 
     def test_serves_until_complete_and_reports(self, tmp_path):
         store_path = self._store(tmp_path / "r.jsonl")
-        seen = {}
+        for port in PORTS:
+            seen, polls = {}, []
 
-        def on_start(url):
-            status, body, _ = _get(f"{url}/metrics")
-            seen["metrics"] = (status, body)
+            def on_start(url):
+                status, body, _ = _get(f"{url}/metrics")
+                seen["metrics"] = (status, body)
 
-        result = serve_monitor(store_path, port=0, interval=0.01,
-                               max_polls=5, on_start=on_start)
-        assert result["polls"] >= 1
-        assert result["alerts"] == []
-        assert result["slo_breached"] == []
-        # The campaign in the store is complete, so it exits on its own.
-        status, body = seen["metrics"]
-        assert status == 200
-        validate_exposition(body)
+            state, slo = watch_store(
+                store_path, port=port, interval=0.01, max_polls=5,
+                on_start=on_start,
+                on_poll=lambda state, statuses: polls.append(state.done))
+            # The campaign in the store is complete: one poll, not five.
+            assert polls == [3] and state.complete
+            # Nothing stalled: the built-in rule is loaded and quiet.
+            assert [s.rule for s in slo.statuses] == ["stalled-workers"]
+            assert slo.breached() == []
+            if port is None:
+                assert seen == {}
+            else:
+                status, body = seen["metrics"]
+                assert status == 200
+                validate_exposition(body)
+
+    def test_max_polls_ends_the_watch_of_an_unfinished_store(self, tmp_path):
+        store_path = self._store(tmp_path / "r.jsonl", done=1, total=9)
+        for port in PORTS:
+            polls = []
+            state, _ = watch_store(
+                store_path, port=port, interval=0.01, max_polls=3,
+                on_poll=lambda state, statuses: polls.append(state.done))
+            assert polls == [1, 1, 1] and not state.complete
 
     def test_slo_rules_evaluate_against_polled_state(self, tmp_path):
         store_path = self._store(tmp_path / "r.jsonl")
         rules = [SLORule(name="done-floor", metric="campaign.done",
                          min=100.0)]
-        result = serve_monitor(store_path, port=0, interval=0.01,
-                               max_polls=2, rules=rules)
-        assert result["slo_breached"] == ["done-floor"]
-        assert any(s["rule"] == "done-floor" and s["state"] == "firing"
-                   for s in result["statuses"])
+        for port in PORTS:
+            _, slo = watch_store(store_path, port=port, interval=0.01,
+                                 max_polls=2, rules=rules)
+            assert slo.breached() == ["done-floor"]
+            assert [(s.rule, s.state) for s in slo.statuses] \
+                == [("done-floor", "firing")]
 
     def test_unreadable_store_raises(self, tmp_path):
-        with pytest.raises(RuntimeError, match="monitor polling failed"):
-            serve_monitor(tmp_path / "missing.jsonl", port=0,
-                          interval=0.01, max_polls=1)
+        for port in PORTS:
+            with pytest.raises(ValueError, match="monitor polling failed"):
+                watch_store(tmp_path / "missing.jsonl", port=port,
+                            interval=0.01)

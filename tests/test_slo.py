@@ -12,9 +12,7 @@ from repro.observe.slo import (
     SLOConfigError,
     SLOEngine,
     SLORule,
-    evaluate_once,
     load_rules,
-    threshold_rules,
 )
 
 
@@ -175,29 +173,6 @@ class TestSeverityGate:
         text = status.message()
         assert "qrate" in text and "pending" in text
         assert "sustained-for=5s" in text
-        absent = evaluate_once([_rule()], {})[0]
+        absent = SLOEngine([_rule()]).evaluate({}, now=0.0)[0]
         assert "absent" in absent.message()
 
-
-# ----------------------------------------------------------------------
-# Compiled legacy thresholds and one-shot evaluation
-# ----------------------------------------------------------------------
-class TestThresholdRules:
-    def test_flags_compile_to_instantaneous_rules(self):
-        rules = threshold_rules(max_quarantine_rate=0.1,
-                                max_divergence_rate=0.2)
-        by_name = {r.name: r for r in rules}
-        assert set(by_name) == {"quarantine-rate", "divergence-rate"}
-        assert by_name["quarantine-rate"].max == 0.1
-        assert all(r.for_seconds == 0.0 for r in rules)
-
-    def test_no_flags_no_rules(self):
-        assert threshold_rules() == []
-
-    def test_evaluate_once_matches_flag_behaviour(self):
-        rules = threshold_rules(max_quarantine_rate=0.1)
-        flat = {"campaign.quarantine_rate": 0.25}
-        statuses = evaluate_once(rules, flat)
-        assert statuses[0].firing
-        assert not evaluate_once(rules,
-                                 {"campaign.quarantine_rate": 0.05})[0].firing

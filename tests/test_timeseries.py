@@ -11,7 +11,6 @@ from repro.observe import Histogram, MetricsRegistry
 from repro.observe.counters import DEFAULT_BOUNDS
 from repro.observe.timeseries import (
     SERIES_SCHEMA_VERSION,
-    SeriesBuffer,
     SeriesFormatError,
     SeriesWriter,
     TelemetrySample,
@@ -164,30 +163,16 @@ class TestBuildSample:
 # ----------------------------------------------------------------------
 class TestSeriesBuffer:
     def test_bounded_eviction(self):
-        buffer = SeriesBuffer(maxlen=3)
-        for t in range(5):
-            buffer.append(TelemetrySample(t=float(t)))
-        assert len(buffer) == 3
-        assert [s.t for s in buffer] == [2.0, 3.0, 4.0]
-        assert buffer.latest().t == 4.0
-
-    def test_window_selects_by_age(self):
-        buffer = SeriesBuffer(maxlen=10)
-        for t in (0.0, 5.0, 9.0, 10.0):
-            buffer.append(TelemetrySample(t=t))
-        window = buffer.window(seconds=5.0, now=10.0)
-        assert [s.t for s in window] == [5.0, 9.0, 10.0]
-
-    def test_values_extracts_one_metric(self):
-        buffer = SeriesBuffer(maxlen=10)
-        buffer.append(TelemetrySample(t=1.0, gauges={"m": 2.0}))
-        buffer.append(TelemetrySample(t=2.0))  # metric absent: skipped
-        buffer.append(TelemetrySample(t=3.0, gauges={"m": 4.0}))
-        assert buffer.values("m") == [(1.0, 2.0), (3.0, 4.0)]
-
-    def test_rejects_nonpositive_maxlen(self):
-        with pytest.raises(ValueError):
-            SeriesBuffer(maxlen=0)
+        """The sampler's ring keeps the newest 720 samples."""
+        sampler = TelemetrySampler(
+            lambda: TelemetrySample(t=float(sampler.samples_taken)),
+            interval=1.0)
+        assert sampler.latest() is None
+        for _ in range(725):
+            sampler.sample_once()
+        assert len(sampler.buffer) == 720
+        assert sampler.buffer[0].t == 5.0
+        assert sampler.latest().t == 724.0
 
 
 # ----------------------------------------------------------------------
