@@ -32,6 +32,7 @@ from repro.core.analysis.report import (
     render_convergence,
     render_inference,
     render_propagation_report,
+    render_rate,
     render_trace_analysis,
     stable_floats,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "render_convergence",
     "render_inference",
     "render_propagation_report",
+    "render_rate",
     "render_trace_analysis",
     "stable_floats",
     "unobserved_outcome_bound",

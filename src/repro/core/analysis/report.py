@@ -24,6 +24,7 @@ from repro.core.analysis.classify import (
     classify_inference_experiment,
     inference_breakdown,
 )
+from repro.core.analysis.stats import experiments_for_interval, wilson_interval
 from repro.training.metrics import ConvergenceRecord
 
 if TYPE_CHECKING:  # import cycle: campaign.py imports sibling modules
@@ -134,34 +135,80 @@ def campaign_report_dict(result: CampaignResult) -> dict:
     }
 
 
+#: The interval the minimum-n warning holds a rate report to: worst
+#: case (p = 0.5) half-width and confidence.
+INTERVAL_HALF_WIDTH = 0.02
+INTERVAL_CONFIDENCE = 0.99
+
+
 def inference_report_dict(payloads: list[dict]) -> dict:
     """Table 5's inference summary from ``kind="inference"`` store
-    payloads; rates are over the experiments that completed.  Records
-    written before the outcome taxonomy landed lack ``outcome``; the
-    ``sdc`` / ``nonfinite`` flags they do carry reconstruct it exactly.
-    (SDC takes precedence, so ``nonfinite_rate`` — every non-finite
-    output — can exceed the ``nonfinite`` share of the breakdown.)"""
-    n = max(len(payloads), 1)
+    payloads; rates are over the experiments that completed, each with
+    its Wilson interval and n under ``intervals``.  Records written
+    before the outcome taxonomy landed lack ``outcome``; the ``sdc`` /
+    ``nonfinite`` flags they do carry reconstruct it exactly.  (SDC
+    takes precedence, so ``nonfinite_rate`` — every non-finite output —
+    can exceed the ``nonfinite`` share of the breakdown.)
+    ``masked_at_site_rate`` is the share of units whose fault changed no
+    byte at its site, over the records that say (``rows_touched``).  A
+    rate over no records is None."""
     breakdown = inference_breakdown([
         p.get("outcome") or classify_inference_experiment(
             sdc=bool(p.get("sdc")), nonfinite=bool(p.get("nonfinite"))).value
         for p in payloads])
+    located = [p["rows_touched"] for p in payloads if "rows_touched" in p]
+    n = len(payloads)
+    counts = {
+        "sdc_rate": (sum(bool(p.get("sdc")) for p in payloads), n),
+        "nonfinite_rate": (sum(bool(p.get("nonfinite")) for p in payloads), n),
+        "masked_rate": (breakdown[InferenceOutcome.MASKED.value], n),
+        "masked_at_site_rate": (sum(rows == 0 for rows in located),
+                                len(located)),
+    }
+    intervals = {}
+    for name, (hits, trials) in counts.items():
+        if trials:
+            interval = wilson_interval(hits, trials, INTERVAL_CONFIDENCE)
+            intervals[name] = {"low": float(interval.low),
+                               "high": float(interval.high),
+                               "confidence": float(interval.confidence),
+                               "n": trials}
     return {
-        "num_experiments": len(payloads),
-        "sdc_rate": sum(bool(p.get("sdc")) for p in payloads) / n,
-        "nonfinite_rate": sum(bool(p.get("nonfinite")) for p in payloads) / n,
-        "masked_rate": breakdown[InferenceOutcome.MASKED.value] / n,
+        "num_experiments": n,
+        **{name: hits / trials if trials else None
+           for name, (hits, trials) in counts.items()},
+        "intervals": intervals,
+        "min_experiments": experiments_for_interval(
+            INTERVAL_HALF_WIDTH, INTERVAL_CONFIDENCE),
         "breakdown": breakdown,
     }
+
+
+def render_rate(report: dict, name: str) -> str:
+    """One rate of a ``*_report_dict`` as ``estimate [lo, hi] (n=...)``."""
+    interval = report["intervals"][name]
+    return (f"{report[name]:.2%} [{interval['low']:.2%}, "
+            f"{interval['high']:.2%}] (n={interval['n']})")
 
 
 def render_inference(report: dict) -> str:
     """:func:`inference_report_dict` as text (Table 5 taxonomy)."""
     n = max(report["num_experiments"], 1)
-    return "\n".join(
-        ["outcome breakdown (Table 5 taxonomy):"]
-        + [f"  {name:<10} {count:>6}  ({count / n:.2%})"
-           for name, count in sorted(report["breakdown"].items())])
+    lines = ["outcome breakdown (Table 5 taxonomy):"] + [
+        f"  {name:<10} {count:>6}  ({count / n:.2%})"
+        for name, count in sorted(report["breakdown"].items())]
+    intervals = report["intervals"]
+    if intervals:
+        lines.append(f"rates ({INTERVAL_CONFIDENCE:.0%} Wilson interval):")
+        lines += [f"  {name:<20} {render_rate(report, name)}"
+                  for name in intervals]
+    if report["num_experiments"] < report["min_experiments"]:
+        lines.append(
+            f"!! {report['num_experiments']} experiments < "
+            f"{report['min_experiments']}: too few for "
+            f"+-{INTERVAL_HALF_WIDTH:.0%} at {INTERVAL_CONFIDENCE:.0%} "
+            f"confidence on every rate")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,13 @@ from repro.core.analysis.propagation import (
 from repro.core.analysis.report import inference_report_dict
 from repro.core.analysis.stats import ProportionEstimate, wilson_interval
 from repro.core.faults.comm import COMM, CommFaultInjector
-from repro.core.faults.hardware import SITE_KINDS, HardwareFault, sample_fault
+from repro.core.faults.hardware import (
+    FORWARD,
+    SITE_KINDS,
+    HardwareFault,
+    enumerate_sites,
+    sample_fault,
+)
 from repro.core.faults.injector import FaultInjector
 from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
 from repro.core.mitigation.detector import HardwareFailureDetector
@@ -719,6 +725,10 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
             store.close()
 
 
+#: A faulty forward overflows and divides by zero on purpose.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 class InferenceCampaign:
     """Fault injection into *inference* of a trained model (Table 5).
 
@@ -727,6 +737,10 @@ class InferenceCampaign:
     SDC).  Contrasts with training: here there is no recovery mechanism,
     so control faults that flip many outputs almost always change the
     prediction.
+
+    In eval mode every layer is per-image, so the images a fault left
+    alone come out golden; a unit forwards only the images whose bytes
+    the fault changed at its site (DESIGN.md decision 12).
     """
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0, train_iterations: int | None = None,
@@ -753,69 +767,123 @@ class InferenceCampaign:
                 for index, layer in enumerate(self.model.layers)
                 for name, _ in layer.named_modules(f"{index}.")}
 
+    def _golden_pass(self, inputs: np.ndarray) -> None:
+        """The golden forward, layer by layer.  Keeps what a unit starts
+        from: each top-level layer's input, and each site module's
+        forward-hook tensor (what a fault at that site rewrites)."""
+        self._golden_inputs: list[np.ndarray] = []
+        self._golden_sites: dict[str, np.ndarray] = {}
+        self._reference_preds: dict[tuple[str, bytes], np.ndarray] = {}
+
+        def keep(name: str):
+            def hook(tensor: np.ndarray, info: dict) -> np.ndarray:
+                self._golden_sites[name] = tensor.copy()
+                return tensor
+            return hook
+
+        modules = dict(self.model.named_modules())
+        sites = [site.module_name
+                 for site in enumerate_sites(self.model, (FORWARD,))]
+        for name in sites:
+            modules[name].set_fault_hook(FORWARD, keep(name))
+        try:
+            golden = inputs
+            with np.errstate(**_QUIET):
+                for layer in (self.model.layers
+                              if isinstance(self.model, Sequential)
+                              else [self.model]):
+                    self._golden_inputs.append(golden)
+                    golden = layer.forward(golden)
+        finally:
+            for name in sites:
+                modules[name].set_fault_hook(FORWARD, None)
+
     def _engine_runner(self):
         """Runner factory: one forward-pass injection per work unit.
 
-        Layers upstream of the fault site would compute the golden
-        activations again, so a unit forwards from the top-level layer
-        that holds its site, on that layer's golden input kept by
-        :meth:`run`."""
+        What the fault left alone would come out golden again, so a unit
+        recomputes neither the layers before its site (it starts at the
+        top-level layer holding the site, on that layer's golden input)
+        nor the images beside its fault (it forwards the rows of the
+        batch whose bytes the fault changed at the site, and none at all
+        when the fault rewrote the values already there)."""
         from repro.core.faults.serialization import fault_from_dict
 
         modules = dict(self.model.named_modules())
         site_layers = self._site_layers()
 
+        def predict(name: str, rows: np.ndarray,
+                    site_rows: np.ndarray) -> tuple[np.ndarray, bool]:
+            """Top-1 of ``rows`` forwarded from the layer holding site
+            ``name``, the site's output replaced by ``site_rows``; and
+            whether every output value is finite."""
+            def substitute(tensor: np.ndarray, info: dict) -> np.ndarray:
+                if tensor.shape != site_rows.shape:
+                    raise ValueError(
+                        f"site {name!r} produced {tensor.shape} for "
+                        f"{len(rows)} rows, not {site_rows.shape}: its "
+                        f"forward hook does not see the batch on axis 0")
+                return site_rows
+
+            start = site_layers[name]
+            x = self._golden_inputs[start][rows]
+            modules[name].set_fault_hook(FORWARD, substitute)
+            try:
+                with np.errstate(**_QUIET):
+                    out = self.model.forward(x, start) if start \
+                        else self.model.forward(x)
+            finally:
+                modules[name].set_fault_hook(FORWARD, None)
+            return (np.argmax(np.nan_to_num(out, nan=-np.inf), axis=-1),
+                    bool(np.all(np.isfinite(out))))
+
         def run_unit(payload: dict) -> dict:
             fault = fault_from_dict(payload["fault"])
+            name = fault.site.module_name
+            golden = self._golden_sites[name]
             injector = FaultInjector(fault)
-            module = modules[fault.site.module_name]
-            start = site_layers[fault.site.module_name]
-            module.set_fault_hook("forward", injector._fault_hook)
-            try:
-                with np.errstate(over="ignore", invalid="ignore",
-                                 divide="ignore"):
-                    faulty = self.model.forward(
-                        self._golden_inputs[start], start) if start \
-                        else self.model.forward(self._inputs)
-            finally:
-                module.set_fault_hook("forward", None)
-            nonfinite = not bool(np.all(np.isfinite(faulty)))
-            pred = np.argmax(np.nan_to_num(faulty, nan=-np.inf), axis=-1)
-            sdc = bool(np.any(pred != self._golden_pred))
+            with np.errstate(**_QUIET):
+                faulty = injector._fault_hook(
+                    golden, {"module": modules[name], "kind": FORWARD})
+            rows = _rows_touched(faulty, golden)
+            sdc = nonfinite = False
+            if rows.size:
+                # A same-shape differential: a row forwarded beside other
+                # rows differs in bytes from the same row forwarded alone
+                # (BLAS blocks by M), so the reference is these rows
+                # forwarded the same way with the golden site rows.
+                cached = (name, rows.tobytes())
+                reference = self._reference_preds.get(cached)
+                if reference is None:
+                    reference, _ = predict(name, rows, golden[rows])
+                    self._reference_preds[cached] = reference
+                pred, finite = predict(name, rows, faulty[rows])
+                sdc = bool(np.any(pred != reference))
+                nonfinite = not finite
             outcome = classify_inference_experiment(sdc=sdc, nonfinite=nonfinite)
             return {"index": payload["index"], "fault": payload["fault"],
                     "sdc": sdc, "nonfinite": nonfinite,
-                    "outcome": outcome.value}
+                    "outcome": outcome.value,
+                    "rows_touched": int(rows.size),
+                    "num_faulty_elements": injector.record.num_faulty}
 
         return lambda payloads: [run_unit(payload) for payload in payloads]
 
     def run(self, num_experiments: int, seed: int = 99, batch: int = 32, *,
             parallel: int = 1, store=None, resume: bool = False,
             timeout: float | None = None, max_retries: int = 2,
-            on_progress=None) -> dict[str, float]:
+            on_progress=None) -> dict:
         """Inject ``num_experiments`` forward-pass faults and report SDC
         rates; engine keywords behave as in :meth:`Campaign.run`."""
         rng = np.random.default_rng(seed)
         faults = [
             sample_fault(self.model, rng, max_iteration=1, num_devices=1,
-                         inventory=self.inventory, kinds=("forward",))
+                         inventory=self.inventory, kinds=(FORWARD,))
             for _ in range(int(num_experiments))
         ]
-        self._inputs = self.spec.test_data.inputs[:batch]
         self.model.eval()
         try:
-            # The golden forward, layer by layer: each top-level layer's
-            # input is what a unit whose fault sits in it starts from.
-            self._golden_inputs = []
-            golden = self._inputs
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for layer in (self.model.layers
-                              if isinstance(self.model, Sequential)
-                              else [self.model]):
-                    self._golden_inputs.append(golden)
-                    golden = layer.forward(golden)
-            self._golden_pred = np.argmax(
-                np.nan_to_num(golden, nan=-np.inf), axis=-1)
+            self._golden_pass(self.spec.test_data.inputs[:batch])
             report = _submit(
                 self._engine_runner, faults, kind="inference",
                 meta={"workload": self.spec.name, "seed": int(seed),
@@ -826,3 +894,10 @@ class InferenceCampaign:
         finally:
             self.model.train()
         return inference_report_dict(list(report.results.values()))
+
+
+def _rows_touched(faulty: np.ndarray, golden: np.ndarray) -> np.ndarray:
+    """Indices along axis 0 (the batch) whose bytes differ; both are
+    float32, as every forward-hook tensor and fault model's output is."""
+    changed = faulty.view(np.uint32) != golden.view(np.uint32)
+    return np.flatnonzero(changed.reshape(len(golden), -1).any(axis=1))

@@ -1,0 +1,229 @@
+"""An inference unit forwards only the images its fault touched
+(DESIGN.md decision 12), and nothing about its verdict may show it.
+
+The oracle lives here, not in ``src/``: the whole-batch unit — arm the
+fault on its site module, forward every input through every layer,
+``argmax`` against the golden batch — which is what a unit was before.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.core.analysis import (
+    classify_inference_experiment,
+    inference_report_dict,
+    render_inference,
+)
+from repro.core.faults import InferenceCampaign
+from repro.core.faults.hardware import FORWARD, enumerate_sites
+from repro.core.faults.injector import FaultInjector
+from repro.core.faults.serialization import fault_from_dict
+from repro.engine import ResultStore
+from repro.workloads import build_workload, workload_names
+
+
+def _campaign(workload: str = "resnet") -> InferenceCampaign:
+    return InferenceCampaign(build_workload(workload, size="tiny"),
+                             train_iterations=4, num_devices=2)
+
+
+@pytest.fixture(scope="module")
+def resnet_campaign() -> InferenceCampaign:
+    return _campaign()
+
+
+def _payloads(campaign: InferenceCampaign, path, n: int, seed: int,
+              batch: int, **engine) -> list[dict]:
+    campaign.run(n, seed=seed, batch=batch, store=path, **engine)
+    with ResultStore(path, resume=True) as done:
+        return sorted(done.completed.values(), key=lambda p: p["index"])
+
+
+def _whole_batch_units(campaign: InferenceCampaign, payloads: list[dict],
+                       batch: int) -> list[tuple]:
+    """The oracle: ``(sdc, nonfinite, outcome, images flipped)`` per
+    payload's fault, from one armed forward of the whole batch each."""
+    model = campaign.model
+    inputs = campaign.spec.test_data.inputs[:batch]
+    verdicts = []
+    model.eval()
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            golden = np.argmax(model.forward(inputs), axis=-1)
+            for payload in payloads:
+                injector = FaultInjector(fault_from_dict(payload["fault"]))
+                injector.arm(None, model)
+                try:
+                    out = model.forward(inputs)
+                finally:
+                    injector.disarm()
+                assert injector.fired
+                flipped = np.argmax(np.nan_to_num(out, nan=-np.inf),
+                                    axis=-1) != golden
+                sdc = bool(flipped.any())
+                nonfinite = not bool(np.all(np.isfinite(out)))
+                verdicts.append((
+                    sdc, nonfinite,
+                    classify_inference_experiment(
+                        sdc=sdc, nonfinite=nonfinite).value,
+                    int(flipped.reshape(batch, -1).any(axis=1).sum())))
+    finally:
+        model.train()
+    return verdicts
+
+
+def _verdict(payload: dict) -> tuple:
+    return payload["sdc"], payload["nonfinite"], payload["outcome"]
+
+
+def test_rows_unit_equals_whole_batch_unit_resnet(resnet_campaign, tmp_path):
+    payloads = _payloads(resnet_campaign, tmp_path / "s.jsonl", 2000,
+                         seed=7, batch=32)
+    oracle = _whole_batch_units(resnet_campaign, payloads, 32)
+    assert [_verdict(p) for p in payloads] == [v[:3] for v in oracle]
+
+    outcomes = Counter(p["outcome"] for p in payloads)
+    assert outcomes["sdc"] >= 20 and outcomes["masked"] >= 1000
+    touched = Counter(p["rows_touched"] for p in payloads)
+    assert touched[0] >= 50 and touched[1] >= 1000
+    # A fault that left every image alone at its site cannot be seen.
+    assert all(p["outcome"] == "masked" for p in payloads
+               if p["rows_touched"] == 0)
+    # A fault across several images is judged on all of them: some unit
+    # flipped more than one image's prediction, and no unit flipped more
+    # images than it forwarded.
+    wide = [(p, v) for p, v in zip(payloads, oracle)
+            if p["rows_touched"] >= 2]
+    assert len(wide) >= 20
+    assert max(v[3] for _p, v in wide) >= 2
+    assert all(v[3] <= p["rows_touched"] for p, v in zip(payloads, oracle))
+    assert all(p["num_faulty_elements"] >= 1 for p in payloads
+               if p["rows_touched"])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", workload_names())
+def test_rows_unit_equals_whole_batch_unit_every_workload(workload, tmp_path):
+    campaign = _campaign(workload)
+    payloads = _payloads(campaign, tmp_path / "s.jsonl", 300, seed=5,
+                         batch=16)
+    oracle = _whole_batch_units(campaign, payloads, 16)
+    assert [_verdict(p) for p in payloads] == [v[:3] for v in oracle]
+    assert any(p["rows_touched"] for p in payloads)
+
+
+def test_forwards_per_unit(resnet_campaign, tmp_path, monkeypatch):
+    """No forward for a fault that rewrote no byte; otherwise the unit's
+    rows — and only them — once with the fault and, the first time this
+    (site, rows) is seen, once as the reference."""
+    payloads = _payloads(resnet_campaign, tmp_path / "s.jsonl", 300,
+                         seed=7, batch=32)
+    model = resnet_campaign.model
+    forwarded: list[int] = []
+    forward = model.forward
+
+    def counting(x, start=0):
+        forwarded.append(len(x))
+        return forward(x, start)
+
+    def run(payload: dict) -> list[int]:
+        del forwarded[:]
+        (result,) = runner([payload])
+        assert _verdict(result) == _verdict(payload)
+        return list(forwarded)
+
+    model.eval()
+    try:
+        resnet_campaign._golden_pass(resnet_campaign.spec.test_data.inputs[:32])
+        runner = resnet_campaign._engine_runner()
+        monkeypatch.setattr(model, "forward", counting, raising=False)
+        untouched = next(p for p in payloads if p["rows_touched"] == 0)
+        assert run(untouched) == []
+        for payload in ([p for p in payloads if p["rows_touched"] == 1][:5]
+                        + [p for p in payloads if p["rows_touched"] >= 2][:5]):
+            rows = payload["rows_touched"]
+            resnet_campaign._reference_preds.clear()
+            assert run(payload) == [rows, rows]
+            assert run(payload) == [rows]
+    finally:
+        model.train()
+
+
+def test_parallel_workers_give_the_same_payloads(resnet_campaign, tmp_path):
+    serial = _payloads(resnet_campaign, tmp_path / "p1.jsonl", 200, seed=3,
+                       batch=32)
+    forked = _payloads(resnet_campaign, tmp_path / "p2.jsonl", 200, seed=3,
+                       batch=32, parallel=2)
+    assert forked == serial
+
+
+@pytest.mark.parametrize("workload", workload_names())
+def test_site_hook_fires_once_per_forward_with_batch_on_axis_0(workload):
+    """What slicing rows at the site rests on."""
+    spec = build_workload(workload, size="tiny")
+    model = spec.build_model(0)
+    modules = dict(model.named_modules())
+    seen: list[tuple] = []
+    sites = [site.module_name for site in enumerate_sites(model, (FORWARD,))]
+    for name in sites:
+        modules[name].set_fault_hook(
+            FORWARD, lambda tensor, info, name=name:
+            seen.append((name, len(tensor))) or tensor)
+    model.eval()
+    for batch in (5, 1):
+        del seen[:]
+        model.forward(spec.test_data.inputs[:batch])
+        assert sorted(seen) == sorted((name, batch) for name in sites)
+
+
+class TestInferenceReport:
+    PAYLOADS = ([{"sdc": True, "nonfinite": False, "outcome": "sdc",
+                  "rows_touched": 1, "num_faulty_elements": 1}] * 5
+                + [{"sdc": False, "nonfinite": False, "outcome": "masked",
+                    "rows_touched": 1, "num_faulty_elements": 1}] * 85
+                + [{"sdc": False, "nonfinite": False, "outcome": "masked",
+                    "rows_touched": 0, "num_faulty_elements": 4}] * 10)
+
+    def test_every_rate_has_n_and_a_wilson_interval(self):
+        report = inference_report_dict(self.PAYLOADS)
+        assert report["sdc_rate"] == 0.05
+        assert report["masked_rate"] == 0.95
+        assert report["masked_at_site_rate"] == 0.10
+        for name in ("sdc_rate", "nonfinite_rate", "masked_rate",
+                     "masked_at_site_rate"):
+            interval = report["intervals"][name]
+            assert interval["n"] == 100 and interval["confidence"] == 0.99
+            assert interval["low"] <= report[name] <= interval["high"]
+        assert 0.01 < report["intervals"]["sdc_rate"]["low"] < 0.05
+        assert 0.05 < report["intervals"]["sdc_rate"]["high"] < 0.15
+        text = render_inference(report)
+        assert "sdc_rate             5.00% [1.6" in text
+        assert "masked_at_site_rate  10.00% [" in text and "(n=100)" in text
+        assert "!! 100 experiments < 4147" in text
+        assert "!!" not in render_inference(
+            inference_report_dict(self.PAYLOADS * 42))
+
+    def test_records_without_the_new_fields_still_read(self):
+        old = [{k: v for k, v in p.items()
+                if k not in ("rows_touched", "num_faulty_elements", "outcome")}
+               for p in self.PAYLOADS]
+        report = inference_report_dict(old)
+        assert report["sdc_rate"] == 0.05 and report["masked_rate"] == 0.95
+        assert report["masked_at_site_rate"] is None
+        assert "masked_at_site_rate" not in report["intervals"]
+        assert "masked_at_site_rate" not in render_inference(report)
+        # A merged store: the share is over the records that say.
+        mixed = inference_report_dict(old + self.PAYLOADS)
+        assert mixed["masked_at_site_rate"] == 0.10
+        assert mixed["intervals"]["masked_at_site_rate"]["n"] == 100
+        assert mixed["intervals"]["sdc_rate"]["n"] == 200
+
+    def test_empty_store(self):
+        report = inference_report_dict([])
+        assert report["num_experiments"] == 0 and report["intervals"] == {}
+        assert report["sdc_rate"] is None
+        assert render_inference(report).startswith("outcome breakdown")
