@@ -33,14 +33,11 @@ NOTICE_DELAY = 40   # iterations until a human notices the degradation
 
 
 def _history_is_clean(checkpoint) -> bool:
-    for name, arrays in checkpoint.optimizer_state.items():
-        if name in ("iteration", "lr"):
-            continue
-        for arr in arrays:
-            with np.errstate(invalid="ignore"):
-                magnitude = np.abs(arr).max() if arr.size else 0.0
-            if not np.isfinite(magnitude) or magnitude > 1e6:
-                return False
+    for buf in checkpoint.opt_slots.values():
+        with np.errstate(invalid="ignore"):
+            magnitude = np.abs(buf).max()
+        if not np.isfinite(magnitude) or magnitude > 1e6:
+            return False
     return True
 
 

@@ -50,14 +50,13 @@ def reseed_random_layers(model: Module, seed) -> None:
 
 def device_step(trainer, device: int, iteration: int) -> tuple[float, float]:
     """One device's share of a synchronous iteration: forward, loss,
-    backward.  Gradients land in the replica's arena ``grad`` segment
-    (or scattered ``param.grad`` arrays); returns ``(loss, acc)``.
+    backward.  Gradients land in the replica's arena ``grad`` segment;
+    returns ``(loss, acc)``.
 
     This is the unit of work :meth:`ExecutionBackend.step_devices` runs
     for every device sequentially: the solo loop, which models the lane
     program cannot take fall back to and which the lane program is tested
-    against.  The body is the historical loop body of
-    ``SyncDataParallelTrainer.run_iteration``, unchanged.
+    against.
     """
     model = trainer.replicas[device]
     model.train()
@@ -66,10 +65,7 @@ def device_step(trainer, device: int, iteration: int) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = model.forward(x)
         loss = trainer.losses[device].forward(out, y)
-        if trainer.arenas is not None:
-            trainer.arenas[device].grad.fill(0.0)
-        else:
-            model.zero_grad()
+        trainer.arenas[device].grad.fill(0.0)
         model.backward(trainer.losses[device].backward())
     return float(loss), float(trainer.spec.metric(out, y))
 

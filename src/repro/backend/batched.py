@@ -170,10 +170,6 @@ class LaneGroup:
     # Membership
     # ------------------------------------------------------------------
     def adopt(self, trainer) -> _Member:
-        if trainer.arenas is None:
-            raise RuntimeError(
-                "a shared lane group requires the fused state arena "
-                "(this workload's parameters could not be fused)")
         first = self.stacks.param is None
         exp = self.stacks.adopt(trainer.arenas, trainer.optimizer)
         member = _Member(

@@ -54,10 +54,9 @@ from repro.core.faults import (
     COMM,
     LINK_SITE,
     Campaign,
-    CommFaultInjector,
-    FaultInjector,
     HardwareFault,
     OpSite,
+    injector_for,
     run_validation,
 )
 from repro.core.mitigation import (
@@ -129,13 +128,6 @@ def _make_fault(args) -> HardwareFault:
                          seed=args.fault_seed)
 
 
-def _make_injector(fault: HardwareFault):
-    """The right injector hook for the fault's site kind."""
-    if fault.site.kind == COMM:
-        return CommFaultInjector(fault)
-    return FaultInjector(fault)
-
-
 # ----------------------------------------------------------------------
 # Subcommand implementations
 # ----------------------------------------------------------------------
@@ -161,7 +153,7 @@ def cmd_inject(args) -> int:
     reference = _make_trainer(args)
     reference.stop_on_nonfinite = True
     fault = _make_fault(args)
-    injector = _make_injector(fault)
+    injector = injector_for(fault)
     trainer.add_hook(injector)
     total = args.iterations
     try:
@@ -353,7 +345,7 @@ def cmd_mitigate(args) -> int:
                             stop_on_nonfinite=False, tracer=tracer)
     fault = _make_fault(args)
     detector = HardwareFailureDetector()
-    trainer.add_hook(_make_injector(fault))
+    trainer.add_hook(injector_for(fault))
     trainer.add_hook(MitigationHook(detector, RecoveryManager(strategy=args.strategy)))
     try:
         trainer.train(args.iterations)

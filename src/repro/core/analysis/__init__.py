@@ -26,7 +26,6 @@ from repro.core.analysis.propagation import (
 )
 from repro.core.analysis.report import (
     campaign_report_dict,
-    convergence_report_dict,
     inference_report_dict,
     render_campaign,
     render_convergence,
@@ -61,7 +60,6 @@ __all__ = [
     "inference_report_dict",
     "condition_magnitude_in_window",
     "condition_onsets",
-    "convergence_report_dict",
     "decompose_phases",
     "decompose_phases_vs_reference",
     "expected_stagnation_iterations",

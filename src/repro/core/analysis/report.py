@@ -103,20 +103,6 @@ def render_campaign(result: CampaignResult) -> str:
 # ----------------------------------------------------------------------
 # JSON mirrors of the text reports (the CLI's --json output)
 # ----------------------------------------------------------------------
-def convergence_report_dict(record: ConvergenceRecord) -> dict:
-    """:func:`render_convergence` as a JSON-safe dict."""
-    return {
-        "iterations": [int(i) for i in record.iterations],
-        "train_loss": [float(v) for v in record.train_loss],
-        "train_acc": [float(v) for v in record.train_acc],
-        "test_iterations": [int(i) for i in record.test_iterations],
-        "test_acc": [float(v) for v in record.test_acc],
-        "nonfinite_at": record.nonfinite_at,
-        "detections": [int(i) for i in record.detections],
-        "recoveries": [int(i) for i in record.recoveries],
-    }
-
-
 def campaign_report_dict(result: CampaignResult) -> dict:
     """:func:`render_campaign` as a JSON-safe dict."""
     interval = result.unexpected_interval()

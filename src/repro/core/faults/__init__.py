@@ -6,7 +6,12 @@ from repro.core.faults.campaign import (
     ExperimentResult,
     InferenceCampaign,
 )
-from repro.core.faults.comm import COMM, LINK_SITE, CommFaultInjector
+from repro.core.faults.comm import (
+    COMM,
+    LINK_SITE,
+    CommFaultInjector,
+    injector_for,
+)
 from repro.core.faults.hardware import (
     FORWARD,
     INPUT_GRAD,
@@ -62,6 +67,7 @@ __all__ = [
     "all_model_names",
     "enumerate_sites",
     "expected_faults_per_run",
+    "injector_for",
     "model_for_ff",
     "run_validation",
     "sample_spread_faults",

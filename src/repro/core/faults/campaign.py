@@ -44,7 +44,7 @@ from repro.core.analysis.propagation import (
 )
 from repro.core.analysis.report import inference_report_dict
 from repro.core.analysis.stats import ProportionEstimate, wilson_interval
-from repro.core.faults.comm import COMM, CommFaultInjector
+from repro.core.faults.comm import injector_for
 from repro.core.faults.hardware import (
     FORWARD,
     SITE_KINDS,
@@ -435,14 +435,6 @@ class Campaign:
         fault.iteration += self.warmup_iterations
         return fault
 
-    @staticmethod
-    def _injector_for(fault: HardwareFault):
-        """The injector hook matching a fault's site kind: link faults
-        corrupt the reduced gradient, everything else a device tensor."""
-        if fault.site.kind == COMM:
-            return CommFaultInjector(fault)
-        return FaultInjector(fault)
-
     def _launch(self, fault: HardwareFault, tracer,
                 backend=None) -> _Experiment:
         """Build one experiment's trainer at the latest golden boundary
@@ -460,7 +452,7 @@ class Campaign:
             self.reference, warm, start,
             lambda at: self._golden_test_score(trainer, at))
         self._rungs[start].checkpoint.restore(trainer)
-        injector = self._injector_for(fault)
+        injector = injector_for(fault)
         trainer.add_hook(injector)
         detector = None
         if self.detect:

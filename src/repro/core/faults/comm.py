@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.accelerator.config import DEFAULT_CONFIG, AcceleratorConfig
 from repro.core.faults.hardware import HardwareFault
-from repro.core.faults.injector import _emit_injection
+from repro.core.faults.injector import FaultInjector, _emit_injection
 from repro.core.faults.software_models import FaultRecord, model_for_ff
 
 #: The site kind used by comm faults (mirrors ``core.faults.hardware``'s
@@ -75,10 +75,6 @@ class CommFaultInjector:
     def before_iteration(self, trainer, iteration: int) -> None:
         if iteration != self.fault.iteration:
             return
-        if trainer.master_arena is None:
-            raise ValueError(
-                "comm faults need the fused reduction path (state arenas); "
-                "this model cannot be laid out as one")
         trainer.backend.set_comm_fault_hook(self._comm_hook)
         self._armed = True
 
@@ -89,3 +85,11 @@ class CommFaultInjector:
         if self.fired and not self._emitted:
             self._emitted = True
             _emit_injection(trainer, self.fault, self.record, op="comm")
+
+
+def injector_for(fault: HardwareFault):
+    """The injector hook matching a fault's site kind: link faults
+    corrupt the reduced gradient, everything else a device tensor."""
+    if fault.site.kind == COMM:
+        return CommFaultInjector(fault)
+    return FaultInjector(fault)

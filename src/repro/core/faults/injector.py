@@ -64,8 +64,7 @@ def resolve_site_module(trainer, replica, module_name: str):
         return modules[module_name]
     except KeyError:
         pass
-    arena = getattr(trainer, "master_arena", None)
-    if arena is not None and module_name in arena.index:
+    if module_name in trainer.master_arena.index:
         owner = StateArena.owner_module(module_name)
         if owner in modules:
             return modules[owner]
@@ -183,9 +182,9 @@ class UpdateFaultInjector:
         index, target it deterministically (stable across model
         refactors); otherwise sample one, as before.
         """
-        arena = getattr(trainer, "master_arena", None)
+        arena = trainer.master_arena
         site_name = self.fault.site.module_name
-        if arena is not None and site_name in arena.index:
+        if site_name in arena.index:
             return arena.index_of(site_name)
         return int(self._rng.integers(0, len(trainer.optimizer.params)))
 

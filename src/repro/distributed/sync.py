@@ -78,13 +78,12 @@ class SyncDataParallelTrainer:
         self.master = self.replicas[0]
         # Fused state layer: each replica's parameters/gradients are laid
         # out in one contiguous arena, enabling whole-buffer gradient
-        # averaging, broadcast, and snapshotting.  ``None`` (e.g. tied
-        # weights) falls back to the scattered per-parameter paths.
+        # averaging, broadcast, and snapshotting.  A model that cannot be
+        # laid out (e.g. tied weights) raises ``ArenaLayoutError`` here.
         self.arenas = build_arenas(self.replicas)
-        self.master_arena = self.arenas[0] if self.arenas else None
+        self.master_arena = self.arenas[0]
         self.optimizer: Optimizer = spec.build_optimizer(list(self.master.parameters()))
-        if self.master_arena is not None:
-            self.optimizer.bind_arena(self.master_arena)
+        self.optimizer.bind_arena(self.master_arena)
         self.losses = [spec.loss_fn() for _ in range(num_devices)]
         self.loader = BatchLoader(spec.train_data, spec.batch_size, base_seed=seed)
         self.record = ConvergenceRecord()
@@ -186,14 +185,8 @@ class SyncDataParallelTrainer:
         self._just_recovered = True
 
     def _state_is_finite(self, loss: float) -> bool:
-        if not np.isfinite(loss):
-            return False
-        if self.master_arena is not None:
-            return bool(np.isfinite(self.master_arena.param).all())
-        for param in self.master.parameters():
-            if not np.all(np.isfinite(param.data)):
-                return False
-        return True
+        return bool(np.isfinite(loss)
+                    and np.isfinite(self.master_arena.param).all())
 
     # ------------------------------------------------------------------
     # Driver

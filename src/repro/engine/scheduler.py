@@ -446,13 +446,15 @@ class CampaignEngine:
 
     def _drain_results(self, result_queue, workers, pending, report,
                        tracker) -> None:
-        block = True
+        # Wait up to poll_interval for the first message only; then take
+        # whatever else is already queued and go back to handing out work.
+        wait = True
         while True:
             try:
-                if block:
+                if wait:
                     message = result_queue.get(
                         timeout=self.config.poll_interval)
-                    block = False
+                    wait = False
                 else:
                     message = result_queue.get_nowait()
             except Exception:  # noqa: BLE001 - queue.Empty from any context
@@ -471,15 +473,15 @@ class CampaignEngine:
                     raise RuntimeError(
                         f"engine worker failed to initialize: {body}")
             elif tag in (worker_proto.DONE, worker_proto.ERROR):
-                block = handle.block
+                lease = handle.block
                 handle.block = None
                 handle.deadline = None
-                if block is None:
+                if lease is None:
                     continue  # late message for a lease already resolved
                 keys, results = body
-                if keys != [task.unit.key for task in block]:
+                if keys != [task.unit.key for task in lease]:
                     continue
-                self._settle(block, tag, results, pending, report, tracker,
+                self._settle(lease, tag, results, pending, report, tracker,
                              worker_id)
 
     def _check_deadlines_and_liveness(self, workers, pending, report,

@@ -266,14 +266,21 @@ def training_state_digest(trainer) -> str:
     return h.hexdigest()
 
 
-def build_arenas(replicas: list[Module]) -> list[StateArena] | None:
-    """Arenas for a set of replicas, or ``None`` if the model cannot be
-    laid out (the caller then falls back to scattered state)."""
-    try:
-        arenas = [StateArena(replica) for replica in replicas]
-    except ArenaLayoutError:
-        return None
-    for arena in arenas[1:]:
+def build_arenas(replicas: list[Module]) -> list[StateArena]:
+    """One arena per replica, all with the first one's layout.
+
+    Raises :class:`ArenaLayoutError` when a replica cannot be laid out
+    (tied weights, no parameters) or the replicas' layouts differ; the
+    message names the offending parameter.  There is no arena-less
+    trainer to fall back to.
+    """
+    arenas = [StateArena(replica) for replica in replicas]
+    first = arenas[0].index
+    for device, arena in enumerate(arenas[1:], start=1):
         if not arena.compatible_with(arenas[0]):
-            return None
+            name = next(n for n in (*arena.index, *first)
+                        if arena.index.get(n) != first.get(n))
+            raise ArenaLayoutError(
+                f"replica {device} lays out parameter {name!r} differently "
+                f"from replica 0 ({arena.index.get(name)} vs {first.get(name)})")
     return arenas

@@ -61,6 +61,19 @@ class TestToyEngine:
         assert parallel.snapshot.done == 6
         assert parallel.snapshot.breakdown == {"ok": 6}
 
+    def test_parallel_drain_does_not_idle_workers(self):
+        # A drain waits poll_interval (50 ms) for its first message only.
+        # Waiting again after every DONE left the other worker idle for
+        # most of the run: 200 trivial units took about 5 s.
+        units = _units([{} for _ in range(200)])
+        serial = CampaignEngine(_toy_factory, EngineConfig(parallel=1)).run(units)
+        start = time.monotonic()
+        parallel = CampaignEngine(_toy_factory, EngineConfig(parallel=2)).run(units)
+        elapsed = time.monotonic() - start
+        assert parallel.results == serial.results
+        assert parallel.executed == 200
+        assert elapsed < 2.0, f"200 trivial units took {elapsed:.2f}s"
+
     def test_retry_recovers_flaky_unit(self, tmp_path):
         units = _units([{}, {"flaky": str(tmp_path / "flag")}])
         report = CampaignEngine(

@@ -1,13 +1,17 @@
 """Tests for the fused training-state layer (repro.state)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn.module import Parameter
 from repro.optim import SGD, Adam, AdamW, RMSProp
+from repro.distributed import SyncDataParallelTrainer
 from repro.state import ArenaLayoutError, StateArena, build_arenas
 from repro.training.checkpoints import Checkpoint
+from repro.workloads import build_workload
 
 
 def build_model(seed: int = 0) -> nn.Sequential:
@@ -88,7 +92,20 @@ class TestLayout:
 
         with pytest.raises(ArenaLayoutError):
             StateArena(Tied())
-        assert build_arenas([Tied()]) is None
+        with pytest.raises(ArenaLayoutError, match="'b'.*tied weights"):
+            build_arenas([Tied()])
+        # A trainer over such a model fails at construction: there is no
+        # arena-less trainer for it to become.
+        spec = dataclasses.replace(build_workload("resnet", size="tiny"),
+                                   model_fn=lambda seed: Tied())
+        with pytest.raises(ArenaLayoutError, match="'b'.*tied weights"):
+            SyncDataParallelTrainer(spec, num_devices=2)
+
+    def test_replicas_with_different_layouts_rejected(self):
+        wider = nn.Sequential(nn.Dense(6, 12, np.random.default_rng(0)))
+        with pytest.raises(ArenaLayoutError, match="replica 1.*'0.weight'"):
+            build_arenas([nn.Sequential(nn.Dense(6, 10, np.random.default_rng(0))),
+                          wider])
 
     def test_empty_model_rejected(self):
         with pytest.raises(ArenaLayoutError):
@@ -224,7 +241,6 @@ class TestTrainerArena:
         trainer = make_trainer(num_devices=2)
         trainer.train(3)
         ckpt = Checkpoint.capture(trainer)
-        assert ckpt._fused is not None
         before = trainer.master_arena.param.copy()
         trainer.train(3)
         ckpt.restore(trainer)
@@ -232,24 +248,36 @@ class TestTrainerArena:
         assert np.array_equal(trainer.master_arena.param, before)
 
     def test_fused_and_scattered_checkpoints_agree(self, make_trainer):
+        """The fused capture against the per-array ``state_dict()`` walk
+        of the same trainer (the oracle)."""
         trainer = make_trainer(num_devices=2)
         trainer.train(3)
         fused = Checkpoint.capture(trainer)
-        scattered = Checkpoint.capture_scattered(trainer)
-        for d in range(2):
-            f_state, s_state = fused.replica_states[d], scattered.replica_states[d]
+
+        def views(buf):
+            return dict(zip(fused.layout, trainer.optimizer.index_views(buf)))
+
+        oracle_bytes = 0
+        for d, replica in enumerate(trainer.replicas):
+            f_state = {f"param:{name}": view
+                       for name, view in views(fused.param_bufs[d]).items()}
+            for mod_name, state in fused.extra[d]:
+                for key, value in state.items():
+                    f_state[f"state:{mod_name}:{key}"] = value
+            s_state = replica.state_dict()
             assert set(f_state) == set(s_state)
             for key in f_state:
                 assert np.array_equal(f_state[key], s_state[key]), key
-        f_opt, s_opt = fused.optimizer_state, scattered.optimizer_state
-        assert set(f_opt) == set(s_opt)
-        for key in f_opt:
-            if key in ("iteration", "lr"):
-                assert f_opt[key] == s_opt[key]
-            else:
-                for f_arr, s_arr in zip(f_opt[key], s_opt[key]):
-                    assert np.array_equal(f_arr, s_arr)
-        assert fused.nbytes() == scattered.nbytes()
+            oracle_bytes += sum(v.nbytes for v in s_state.values())
+        s_opt = trainer.optimizer.state_dict()
+        assert set(fused.opt_slots) | {"iteration", "lr"} == set(s_opt)
+        assert fused.opt_iteration == s_opt["iteration"]
+        assert fused.opt_lr == s_opt["lr"]
+        for key, buf in fused.opt_slots.items():
+            for f_arr, s_arr in zip(views(buf).values(), s_opt[key]):
+                assert np.array_equal(f_arr, s_arr)
+            oracle_bytes += sum(arr.nbytes for arr in s_opt[key])
+        assert fused.nbytes() == oracle_bytes
 
     def test_fused_checkpoint_restores_into_fresh_trainer(self, make_trainer):
         donor = make_trainer(num_devices=2)
@@ -261,16 +289,25 @@ class TestTrainerArena:
         assert np.array_equal(fresh.master_arena.param, donor.master_arena.param)
         assert fresh.optimizer.iteration == donor.optimizer.iteration
 
-    def test_scattered_checkpoint_restores_into_arena_trainer(self, make_trainer):
+    def test_restore_into_another_layout_raises(self, make_trainer):
+        ckpt = Checkpoint.capture(make_trainer(num_devices=2))
+        with pytest.raises(ValueError, match="lay their state out differently"):
+            ckpt.restore(make_trainer(workload="densenet", num_devices=2))
+        with pytest.raises(ValueError, match="replicas"):
+            ckpt.restore(make_trainer(num_devices=3))
+
+    def test_restore_into_other_slot_names_raises(self, make_trainer):
         donor = make_trainer(num_devices=2)
-        donor.train(4)
-        ckpt = Checkpoint.capture_scattered(donor)
-        fresh = make_trainer(num_devices=2, seed=9)
-        ckpt.restore(fresh)
-        assert np.array_equal(fresh.master_arena.param, donor.master_arena.param)
-        # The restore must have gone through the views, not rebound them.
-        first = next(iter(fresh.master.parameters()))
-        assert np.shares_memory(first.data, fresh.master_arena.param)
+        ckpt = Checkpoint.capture(donor)
+        spec = dataclasses.replace(
+            donor.spec, optimizer_fn=lambda params: RMSProp(params, lr=0.01))
+        other = SyncDataParallelTrainer(spec, num_devices=2)
+        assert set(other.optimizer._fused_slots) != set(ckpt.opt_slots)
+        before = other.master_arena.param.copy()
+        with pytest.raises(ValueError, match="optimizer slots"):
+            ckpt.restore(other)
+        # Rejected before anything was written.
+        assert np.array_equal(other.master_arena.param, before)
 
 
 class TestArenaNameInjection:

@@ -40,6 +40,19 @@ class TestEveryWorkload:
         assert np.isfinite(loss)
         assert 0.0 <= acc <= 1.0
 
+    @pytest.mark.parametrize("size", ["tiny", "small"])
+    def test_builds_arenas_and_an_arena_bound_optimizer(self, name, size):
+        # Every trainer is an arena trainer: no registry workload may need
+        # another state representation (ArenaLayoutError otherwise).
+        spec = build_workload(name, size=size, seed=0)
+        trainer = SyncDataParallelTrainer(spec, num_devices=2, seed=0, test_every=0)
+        assert len(trainer.arenas) == 2
+        assert trainer.master_arena is trainer.arenas[0]
+        assert trainer.optimizer.arena is trainer.master_arena
+        assert trainer.master_arena.total == trainer.master.num_parameters()
+        for param in trainer.master.parameters():
+            assert np.shares_memory(param.data, trainer.master_arena.param)
+
     def test_model_construction_deterministic(self, name):
         spec = build_workload(name, size="tiny", seed=0)
         m1, m2 = spec.build_model(7), spec.build_model(7)
