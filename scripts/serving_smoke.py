@@ -25,6 +25,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.observe.export import validate_exposition  # noqa: E402
+from repro.observe.timeseries import read_series  # noqa: E402
 
 POLL_TIMEOUT_S = 120.0
 
@@ -125,13 +126,10 @@ def main() -> int:
     candidates = list(tmp.glob("*.series.jsonl"))
     assert candidates, f"no telemetry series next to {store}"
     series = candidates[0]
-    with series.open(encoding="utf-8") as handle:
-        lines = [json.loads(line) for line in handle]
-    assert lines and lines[0]["record"] == "header"
     keys = set()
-    for line in lines[1:]:
-        keys.update(line.get("gauges", {}))
-        keys.update(line.get("histograms", {}))
+    for sample in read_series(series)[1]:
+        keys.update(sample.gauges)
+        keys.update(sample.histograms)
     assert "serving.shed_rate" in keys, "no shed-rate series persisted"
     assert "serving.latency_seconds" in keys, "no latency series persisted"
     print(f"smoke: loadgen {report['completed']} ok / "

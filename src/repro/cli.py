@@ -864,9 +864,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, FileExistsError, FileNotFoundError) as exc:
         # Predictable operator errors (clobbering a store without
-        # --resume, unknown schema versions, missing files) get a clean
-        # message instead of a traceback.  StoreSchemaError and
-        # StoreFormatError are ValueError subclasses.
+        # --resume, unknown schema versions, a file of the wrong kind,
+        # missing files) get a clean message instead of a traceback.
+        # repro.jsonl.LogFormatError is a ValueError subclass.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

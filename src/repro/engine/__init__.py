@@ -25,12 +25,9 @@ from repro.engine.monitor import (
 from repro.engine.scheduler import CampaignEngine, EngineConfig, EngineReport
 from repro.engine.store import (
     EXPERIMENT,
-    HEADER,
     QUARANTINE,
     STORE_SCHEMA_VERSION,
     ResultStore,
-    StoreFormatError,
-    StoreSchemaError,
     experiment_key,
     merge_stores,
     read_records,
@@ -41,7 +38,6 @@ from repro.engine.worker import UnitCapture, WorkUnit
 
 __all__ = [
     "EXPERIMENT",
-    "HEADER",
     "QUARANTINE",
     "STORE_SCHEMA_VERSION",
     "CampaignEngine",
@@ -50,8 +46,6 @@ __all__ = [
     "EngineReport",
     "ProgressTracker",
     "ResultStore",
-    "StoreFormatError",
-    "StoreSchemaError",
     "UnitCapture",
     "WorkUnit",
     "WorkerState",

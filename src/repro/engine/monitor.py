@@ -30,6 +30,7 @@ import html
 import time
 from pathlib import Path
 
+from repro import jsonl
 from repro.engine.store import EXPERIMENT, QUARANTINE, read_records
 from repro.engine.telemetry import CampaignState, WorkerState
 from repro.engine.worker import OUTCOME_FIELD
@@ -37,7 +38,7 @@ from repro.observe import (
     DETECTOR_FIRED,
     EXPERIMENT_FINISHED,
     EXPERIMENT_STARTED,
-    TraceFormatError,
+    TraceEvent,
     campaign_trace_path,
     read_trace,
     shard_paths,
@@ -53,19 +54,16 @@ def _shard_worker_id(path: Path) -> int:
     return int(digits) if digits else -1
 
 
-def _read_shard(path: Path, now: float,
-                stall_after: float | None) -> WorkerState:
+def _read_shard(path: Path, now: float, stall_after: float | None
+                ) -> tuple[WorkerState, list[TraceEvent]]:
+    """One worker's row, plus the shard's events (none if unreadable)."""
     shard = WorkerState(worker=_shard_worker_id(path))
     try:
         shard.last_write_age = max(now - path.stat().st_mtime, 0.0)
-    except OSError:
-        shard.unreadable = True
-        return shard
-    try:
         trace = read_trace(path)
-    except TraceFormatError:
+    except (OSError, jsonl.LogFormatError):
         shard.unreadable = True
-        return shard
+        return shard, []
     shard.events = len(trace.events)
     shard.truncated = trace.truncated
     open_attempts: dict[tuple, str] = {}
@@ -81,25 +79,15 @@ def _read_shard(path: Path, now: float,
     if stall_after is not None and shard.busy_key is not None \
             and shard.last_write_age > stall_after:
         shard.stalled = True
-    return shard
+    return shard, trace.events
 
 
-def _collect_detections(paths: list[Path]) -> list[dict]:
-    detections: list[dict] = []
-    for path in paths:
-        try:
-            trace = read_trace(path)
-        except (TraceFormatError, OSError):
-            continue
-        for event in trace.events:
-            if event.type == DETECTOR_FIRED:
-                detections.append({
-                    "key": event.data.get("key"),
-                    "iteration": event.iteration,
-                    "condition": event.data.get("condition"),
-                    "magnitude": event.data.get("magnitude"),
-                })
-    return detections[-RECENT:]
+def _detections(events: list[TraceEvent]) -> list[dict]:
+    return [{"key": event.data.get("key"),
+             "iteration": event.iteration,
+             "condition": event.data.get("condition"),
+             "magnitude": event.data.get("magnitude")}
+            for event in events if event.type == DETECTOR_FIRED][-RECENT:]
 
 
 def collect(store_path: str | Path, stall_after: float | None = None,
@@ -150,13 +138,21 @@ def collect(store_path: str | Path, stall_after: float | None = None,
         remaining = max(state.total - state.attempted, 0)
         state.eta = remaining / state.throughput
 
-    shards = shard_paths(store_path.parent)
-    state.workers = [_read_shard(p, now, stall_after) for p in shards]
+    # Each file is read once per call: detections come from the merged
+    # trace, then from the parse that gave each shard its worker row.
+    events: list[TraceEvent] = []
     trace = campaign_trace_path(store_path)
     if trace.exists():
         state.trace_path = trace
-    state.detections = _collect_detections(
-        ([state.trace_path] if state.trace_path else []) + shards)
+        try:
+            events += read_trace(trace).events
+        except (OSError, jsonl.LogFormatError):
+            pass
+    for path in shard_paths(store_path.parent):
+        worker, shard_events = _read_shard(path, now, stall_after)
+        state.workers.append(worker)
+        events += shard_events
+    state.detections = _detections(events)
     return state
 
 

@@ -11,36 +11,27 @@ restart from scratch after a crash.  The store is a JSONL file:
   **quarantine** record (an experiment that repeatedly crashed or timed
   out, kept so a resume does not retry it forever).
 
-Records are flushed per line, so a killed run loses at most the line
-being written; a truncated trailing line is detected and ignored on
-resume.  Keys are content hashes of ``(index, fault descriptor)``, which
-makes stores idempotent under resume and mergeable across machines.
+The file is a :mod:`repro.jsonl` record log: each record is fsynced
+before ``append`` returns, so a killed run loses at most the line being
+written, and a resume cuts that torn line off before appending.  Keys
+are content hashes of ``(index, fault descriptor)``, which makes stores
+idempotent under resume and mergeable across machines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from pathlib import Path
 
-#: Current on-disk schema version.  Bump on any incompatible change to
-#: the record layout; readers reject versions they do not understand.
-STORE_SCHEMA_VERSION = 1
+from repro import jsonl
+
+STORE_SCHEMA_VERSION = jsonl.SCHEMA[jsonl.STORE]
 
 #: Record type tags.
-HEADER = "header"
 EXPERIMENT = "experiment"
 QUARANTINE = "quarantine"
-
-
-class StoreSchemaError(ValueError):
-    """Raised for stores written with an unknown or missing schema."""
-
-
-class StoreFormatError(ValueError):
-    """Raised for structurally invalid store files (not schema drift)."""
 
 
 def experiment_key(index: int, payload: dict) -> str:
@@ -55,30 +46,21 @@ def experiment_key(index: int, payload: dict) -> str:
     return hashlib.sha1(canon.encode()).hexdigest()[:16]
 
 
-def _check_schema(header: dict, path: Path) -> None:
-    if header.get("record") != HEADER:
-        raise StoreFormatError(
-            f"{path}: first record is not a store header "
-            f"(got {header.get('record')!r})")
-    schema = header.get("schema")
-    if schema != STORE_SCHEMA_VERSION:
-        raise StoreSchemaError(
-            f"{path}: store schema version {schema!r} is not supported "
-            f"(this build reads version {STORE_SCHEMA_VERSION}); "
-            f"re-run the campaign or convert the store")
-
-
 class ResultStore:
     """Append-only JSONL result store with resume support.
 
     Open with ``resume=False`` (the default) to create a fresh store —
     refusing to clobber an existing non-empty one — or ``resume=True``
     to load completed/quarantined keys from an existing file and append
-    to it.
+    to it.  ``kind`` names the runner; the two non-store log kinds
+    (``trace``, ``telemetry_series``) are refused.
     """
 
     def __init__(self, path: str | Path, kind: str = "campaign",
                  meta: dict | None = None, resume: bool = False):
+        if jsonl.log_of(kind) != jsonl.STORE:
+            raise ValueError(f"{kind!r} is a {jsonl.log_of(kind)} log "
+                             f"kind, not a result-store kind")
         self.path = Path(path)
         self.kind = kind
         self.meta = dict(meta or {})
@@ -95,36 +77,19 @@ class ResultStore:
                     f"{self.path} already holds campaign results; pass "
                     f"resume=True (CLI: --resume) to continue it, or "
                     f"choose a new store path")
-            self._load()
-            self._fh = open(self.path, "a", encoding="utf-8")
+            log = jsonl.read(self.path, jsonl.STORE)
+            self.kind = log.header.get("kind", self.kind)
+            self.meta = log.header.get("meta", {}) or self.meta
+            for record in log.records:
+                if record["record"] == EXPERIMENT:
+                    self.completed[record["key"]] = record["payload"]
+                elif record["record"] == QUARANTINE:
+                    self.quarantined[record["key"]] = record.get("error", "")
+                    self.quarantine_payloads[record["key"]] = \
+                        record.get("payload")
+            self._log = jsonl.reopen(log)
         else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "w", encoding="utf-8")
-            self._write({"record": HEADER, "schema": STORE_SCHEMA_VERSION,
-                         "kind": self.kind, "meta": self.meta})
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        records = read_records(self.path)
-        header = records[0]
-        self.kind = header.get("kind", self.kind)
-        self.meta = header.get("meta", {}) or self.meta
-        for record in records[1:]:
-            if record["record"] == EXPERIMENT:
-                self.completed[record["key"]] = record["payload"]
-            elif record["record"] == QUARANTINE:
-                self.quarantined[record["key"]] = record.get("error", "")
-                self.quarantine_payloads[record["key"]] = record.get("payload")
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
-    def _write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+            self._log = jsonl.create(self.path, self.kind, self.meta)
 
     def append(self, key: str, payload: dict) -> None:
         """Persist one completed experiment (idempotent per key).
@@ -133,8 +98,8 @@ class ResultStore:
         older stores) so monitors can compute session throughput."""
         if key in self.completed:
             return
-        self._write({"record": EXPERIMENT, "key": key, "payload": payload,
-                     "ts": time.time()})
+        self._log.append({"record": EXPERIMENT, "key": key,
+                          "payload": payload, "ts": time.time()})
         self.completed[key] = payload
 
     def quarantine(self, key: str, error: str,
@@ -142,8 +107,9 @@ class ResultStore:
         """Persist a pathological experiment so resumes skip it."""
         if key in self.quarantined:
             return
-        self._write({"record": QUARANTINE, "key": key, "error": error,
-                     "payload": payload, "ts": time.time()})
+        self._log.append({"record": QUARANTINE, "key": key,
+                          "error": error, "payload": payload,
+                          "ts": time.time()})
         self.quarantined[key] = error
         self.quarantine_payloads[key] = payload
 
@@ -157,8 +123,7 @@ class ResultStore:
         return len(self.completed)
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        self._log.close()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -168,30 +133,10 @@ class ResultStore:
 
 
 def read_records(path: str | Path) -> list[dict]:
-    """Parse a store file, validating the header schema.
-
-    A truncated final line (a run killed mid-write) is silently
-    dropped; a malformed line anywhere else is a hard error.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise StoreFormatError(f"{path}: empty store file")
-    records: list[dict] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if lineno == len(lines):
-                break  # partial trailing write from a killed run
-            raise StoreFormatError(
-                f"{path}:{lineno}: corrupt store record") from None
-    if not records:
-        raise StoreFormatError(f"{path}: no parseable records")
-    _check_schema(records[0], path)
-    return records
+    """A store file's header followed by its records (see
+    :func:`repro.jsonl.read`: a torn final line is dropped)."""
+    log = jsonl.read(path, jsonl.STORE)
+    return [log.header, *log.records]
 
 
 def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
@@ -233,7 +178,7 @@ def store_to_campaign(path: str | Path):
     records = read_records(path)
     header = records[0]
     if header.get("kind") != "campaign":
-        raise StoreFormatError(
+        raise jsonl.LogFormatError(
             f"{path}: store kind {header.get('kind')!r} is not a campaign "
             f"store")
     experiments = [r for r in records[1:] if r["record"] == EXPERIMENT]

@@ -45,8 +45,6 @@ from repro.observe.events import (
     ROLLBACK,
     TRACE_SCHEMA_VERSION,
     TraceEvent,
-    TraceFormatError,
-    TraceSchemaError,
 )
 from repro.observe.export import (
     dumps_json,
@@ -74,8 +72,6 @@ from repro.observe.slo import (
 from repro.observe.timeseries import (
     DIVERGENCE_OUTCOMES,
     SERIES_SCHEMA_VERSION,
-    SeriesFormatError,
-    SeriesWriter,
     TelemetrySample,
     TelemetrySampler,
     build_sample,
@@ -118,16 +114,12 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "SeriesFormatError",
-    "SeriesWriter",
     "StampedView",
     "TelemetrySample",
     "TelemetrySampler",
     "TraceEvent",
     "TraceFile",
-    "TraceFormatError",
     "TraceMergeResult",
-    "TraceSchemaError",
     "Tracer",
     "build_sample",
     "campaign_sample",

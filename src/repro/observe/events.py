@@ -10,21 +10,19 @@ types so a single trace can cover a whole campaign.
 
 Events are plain records (type + iteration + payload dict) so emitting
 one costs a single small allocation and exporting one is a single
-``json.dumps``.  The on-disk format mirrors the engine's
-:class:`~repro.engine.store.ResultStore` conventions: a schema-versioned
-header line followed by one record per line.
+encode.  On disk a trace is a :mod:`repro.jsonl` record log of kind
+``trace``: the header line, then one event record per line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Current trace schema version.  Bump on any incompatible change to the
-#: event record layout; readers reject versions they do not understand.
-TRACE_SCHEMA_VERSION = 1
+from repro import jsonl
 
-#: Record type tags (header matches the ResultStore convention).
-HEADER = "header"
+TRACE_SCHEMA_VERSION = jsonl.SCHEMA[jsonl.TRACE]
+
+#: Record type tag of an event line.
 EVENT = "event"
 
 # ----------------------------------------------------------------------
@@ -72,14 +70,6 @@ EVENT_TYPES = frozenset({
 })
 
 
-class TraceSchemaError(ValueError):
-    """Raised for traces written with an unknown or missing schema."""
-
-
-class TraceFormatError(ValueError):
-    """Raised for structurally invalid trace files (not schema drift)."""
-
-
 @dataclass
 class TraceEvent:
     """One structured observation.
@@ -112,7 +102,8 @@ class TraceEvent:
         """Rebuild an event from a parsed JSONL record."""
         event_type = record.get("type")
         if not isinstance(event_type, str):
-            raise TraceFormatError(f"event record without a type: {record!r}")
+            raise jsonl.LogFormatError(
+                f"event record without a type: {record!r}")
         return cls(
             type=event_type,
             seq=int(record.get("seq", 0)),

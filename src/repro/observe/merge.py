@@ -24,19 +24,13 @@ one ordered, schema-versioned campaign trace:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.observe.events import (
-    EXPERIMENT_FINISHED,
-    HEADER,
-    TRACE_SCHEMA_VERSION,
-    TraceEvent,
-    TraceFormatError,
-)
-from repro.observe.tracer import _json_default, read_trace
+from repro import jsonl
+from repro.observe.events import EXPERIMENT_FINISHED, TraceEvent
+from repro.observe.tracer import read_trace
 
 #: Filename prefix of per-worker shard files (next to the result store).
 SHARD_PREFIX = "trace-worker"
@@ -107,7 +101,7 @@ def merge_traces(sources: list[str | Path], dest: str | Path,
     for source_index, source in enumerate(sources):
         try:
             trace = read_trace(source)
-        except TraceFormatError:
+        except jsonl.LogFormatError:
             result.skipped_sources.append(Path(source))
             continue
         per_key: dict[tuple[str, object], _Attempt] = {}
@@ -142,40 +136,20 @@ def merge_traces(sources: list[str | Path], dest: str | Path,
                    "experiments": len(ordered_keys), **(meta or {})}
     total_events = sum(len(winners[k].events) for k in ordered_keys)
     tmp = dest.with_name(dest.name + ".tmp")
-    tmp.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        header = {"record": HEADER, "schema": TRACE_SCHEMA_VERSION,
-                  "kind": "trace", "meta": merged_meta,
-                  "emitted": total_events, "dropped": 0}
-        fh.write(json.dumps(header, separators=(",", ":"),
-                            default=_json_default) + "\n")
+    with jsonl.create(tmp, jsonl.TRACE, merged_meta, emitted=total_events,
+                      dropped=0) as log:
         seq = 0
         for key in ordered_keys:
             for event in winners[key].events:
                 record = event.to_record()
                 record["seq"] = seq
                 seq += 1
-                fh.write(json.dumps(record, separators=(",", ":"),
-                                    default=_json_default) + "\n")
+                log.append(record)
     os.replace(tmp, dest)
     result.experiments = len(ordered_keys)
     result.events = total_events
     result.incomplete.sort()
     return result
-
-
-def _store_header_meta(store_path: Path) -> dict | None:
-    """The result store's header ``meta``, read without importing the
-    engine (observe must stay importable below it).  ``None`` when the
-    store is missing or its header is unreadable."""
-    try:
-        with open(store_path, encoding="utf-8") as fh:
-            first = fh.readline()
-        header = json.loads(first)
-    except (OSError, ValueError):
-        return None
-    meta = header.get("meta") if isinstance(header, dict) else None
-    return meta if isinstance(meta, dict) else None
 
 
 def merge_campaign_shards(store_path: str | Path,
@@ -198,8 +172,11 @@ def merge_campaign_shards(store_path: str | Path,
     if not sources:
         return None
     meta: dict = {"store": store_path.name}
-    store_meta = _store_header_meta(store_path)
-    if store_meta is not None:
+    try:
+        store_meta = jsonl.read(store_path, jsonl.STORE).header.get("meta")
+    except (OSError, jsonl.LogFormatError):
+        store_meta = None  # no store yet, or one without a readable header
+    if isinstance(store_meta, dict):
         meta["store_meta"] = store_meta
     result = merge_traces(sources, dest, meta=meta)
     if remove_shards:

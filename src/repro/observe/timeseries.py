@@ -19,10 +19,9 @@ requirement, not a luxury.  This module provides the substrate:
   sampler thread cannot perturb the measured system;
 * :func:`derive_rates` — per-second counter rates between consecutive
   samples (monotonic counters; a reset restarts the rate from zero);
-* :class:`SeriesWriter` / :func:`read_series` — schema-versioned JSONL
-  persistence next to the :class:`~repro.engine.store.ResultStore`,
-  following the store/trace file conventions (header line, per-line
-  flush, truncated-tail tolerance);
+* :func:`read_series` — the series file next to the result store is a
+  :mod:`repro.jsonl` record log of kind ``telemetry_series``, one
+  sample per line;
 * :class:`TelemetrySampler` — a daemon thread that samples on an
   interval, derives rates, appends to its bounded ring of samples,
   persists, and feeds an optional :class:`~repro.observe.slo.SLOEngine`.
@@ -30,32 +29,24 @@ requirement, not a luxury.  This module provides the substrate:
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro import jsonl
 from repro.observe.counters import REGISTRY, MetricsRegistry
 
-#: On-disk schema version of the series file.  Bump on incompatible
-#: changes to the sample layout; readers reject unknown versions.
-SERIES_SCHEMA_VERSION = 1
+SERIES_SCHEMA_VERSION = jsonl.SCHEMA[jsonl.SERIES]
 
-#: Record type tags (mirroring the store/trace conventions).
-SERIES_HEADER = "header"
+#: Record type tag of a sample line.
 SERIES_SAMPLE = "sample"
 
 #: Outcome labels that count as training divergence (the INF/NaN
 #: classes of the Table 3 taxonomy), summed by :func:`campaign_sample`.
 DIVERGENCE_OUTCOMES = frozenset({
     "immediate_inf_nan", "short_term_inf_nan", "latent_inf_nan"})
-
-
-class SeriesFormatError(ValueError):
-    """Raised for structurally invalid series files."""
 
 
 def series_path(store_path: str | Path) -> Path:
@@ -220,81 +211,13 @@ def derive_rates(previous: TelemetrySample | None,
     return rates
 
 
-class SeriesWriter:
-    """Append-only JSONL persistence for a telemetry series.
-
-    Follows the result-store conventions: a schema-versioned header
-    line, one flushed line per sample, and an existing file is replaced
-    (a series is an observation log of *this* run, not a resumable
-    artifact — the previous run's series is superseded).
-    """
-
-    def __init__(self, path: str | Path, meta: dict | None = None):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._write({"record": SERIES_HEADER,
-                     "schema": SERIES_SCHEMA_VERSION,
-                     "kind": "telemetry_series",
-                     "meta": dict(meta or {})})
-
-    def _write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, separators=(",", ":"),
-                                  sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def append(self, sample: TelemetrySample) -> None:
-        self._write({"record": SERIES_SAMPLE, **sample.to_dict()})
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "SeriesWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def read_series(path: str | Path) -> tuple[dict, list[TelemetrySample]]:
-    """Parse a series file into ``(header, samples)``.
-
-    A truncated final line (sampler killed mid-write) is silently
-    dropped; malformed lines elsewhere are hard errors, and unknown
-    schema versions are rejected.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise SeriesFormatError(f"{path}: empty series file")
-    records: list[dict] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if lineno == len(lines):
-                break  # partial trailing write from a killed sampler
-            raise SeriesFormatError(
-                f"{path}:{lineno}: corrupt series record") from None
-    if not records:
-        raise SeriesFormatError(f"{path}: no parseable records")
-    header = records[0]
-    if header.get("record") != SERIES_HEADER:
-        raise SeriesFormatError(
-            f"{path}: first record is not a series header "
-            f"(got {header.get('record')!r})")
-    if header.get("schema") != SERIES_SCHEMA_VERSION:
-        raise SeriesFormatError(
-            f"{path}: series schema version {header.get('schema')!r} is "
-            f"not supported (this build reads version "
-            f"{SERIES_SCHEMA_VERSION})")
-    samples = [TelemetrySample.from_dict(r) for r in records[1:]
-               if r.get("record") == SERIES_SAMPLE]
-    return header, samples
+    """Parse a series log into ``(header, samples)``
+    (:func:`repro.jsonl.read`: a torn final line is dropped)."""
+    log = jsonl.read(path, jsonl.SERIES)
+    return log.header, [TelemetrySample.from_dict(record)
+                        for record in log.records
+                        if record.get("record") == SERIES_SAMPLE]
 
 
 class TelemetrySampler:
@@ -319,7 +242,9 @@ class TelemetrySampler:
         #: The ring: the newest 720 samples, oldest evicted first.
         self.buffer: deque[TelemetrySample] = deque(maxlen=720)
         self.slo_engine = slo_engine
-        self._writer = SeriesWriter(path, meta=meta) if path else None
+        # A series observes this run only: an existing file is replaced.
+        self._writer = (jsonl.create(path, jsonl.SERIES, meta)
+                        if path else None)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self.samples_taken = 0
@@ -344,7 +269,8 @@ class TelemetrySampler:
         self.samples_taken += 1
         if self._writer is not None:
             try:
-                self._writer.append(sample)
+                self._writer.append({"record": SERIES_SAMPLE,
+                                     **sample.to_dict()})
             except (OSError, ValueError) as exc:
                 self.errors += 1
                 self.last_error = f"{type(exc).__name__}: {exc}"

@@ -12,40 +12,20 @@ Design constraints, in order:
    by ``benchmarks/bench_observe_overhead.py`` (<=5% per iteration on
    the 8-device trainer; the committed full-size run is
    ``BENCH_observe_overhead.json``).
-3. **Durable** — :meth:`export` writes the ring as schema-versioned
-   JSONL following the :class:`~repro.engine.store.ResultStore`
-   conventions (header line, one record per line, flush per line), and
-   :func:`read_trace` recovers every complete event from a file whose
-   writer was killed mid-line, reporting the truncation.
+3. **Durable** — :meth:`export` and the streaming sink write a
+   :mod:`repro.jsonl` record log of kind ``trace`` (flushed per line),
+   and :func:`read_trace` recovers every complete event from a file
+   whose writer was killed mid-line, reporting the truncation.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from pathlib import Path
 
-import numpy as np
-
-from repro.observe.events import (
-    EVENT,
-    EVENT_TYPES,
-    HEADER,
-    TRACE_SCHEMA_VERSION,
-    TraceEvent,
-    TraceFormatError,
-    TraceSchemaError,
-)
-
-
-def _json_default(value):
-    """Make numpy scalars/arrays JSON-safe without touching the hot path."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value).__name__}")
+from repro import jsonl
+from repro.observe.events import EVENT, EVENT_TYPES, TraceEvent
 
 
 class Tracer:
@@ -80,17 +60,8 @@ class Tracer:
         #: immediately and every event is appended + flushed as it is
         #: emitted, so a killed process loses at most the line in flight
         #: (the shard files of the campaign flight recorder).
-        self.stream_path = Path(stream) if stream is not None else None
-        self._stream_fh = None
-        if self.stream_path is not None:
-            self.stream_path.parent.mkdir(parents=True, exist_ok=True)
-            self._stream_fh = open(self.stream_path, "w", encoding="utf-8")
-            header = {"record": HEADER, "schema": TRACE_SCHEMA_VERSION,
-                      "kind": "trace", "meta": self.meta}
-            self._stream_fh.write(
-                json.dumps(header, separators=(",", ":"),
-                           default=_json_default) + "\n")
-            self._stream_fh.flush()
+        self._stream = (jsonl.create(stream, jsonl.TRACE, self.meta)
+                        if stream is not None else None)
 
     # ------------------------------------------------------------------
     # Emission (the hot path)
@@ -109,11 +80,8 @@ class Tracer:
                            iteration=iteration, data=data)
         self.emitted += 1
         self._ring.append(event)
-        if self._stream_fh is not None:
-            self._stream_fh.write(
-                json.dumps(event.to_record(), separators=(",", ":"),
-                           default=_json_default) + "\n")
-            self._stream_fh.flush()
+        if self._stream is not None:
+            self._stream.append(event.to_record())
         return event
 
     # ------------------------------------------------------------------
@@ -121,8 +89,8 @@ class Tracer:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the streaming sink, if any (buffered events remain)."""
-        if self._stream_fh is not None and not self._stream_fh.closed:
-            self._stream_fh.close()
+        if self._stream is not None:
+            self._stream.close()
 
     def __enter__(self) -> "Tracer":
         return self
@@ -174,29 +142,14 @@ class Tracer:
     # Export
     # ------------------------------------------------------------------
     def export(self, path: str | Path, meta: dict | None = None) -> int:
-        """Write the buffered events as JSONL; returns the event count.
-
-        Line 1 is a header record carrying the schema version and
-        metadata (tracer meta merged with ``meta``, plus emitted/dropped
-        accounting); each following line is one event record, flushed
-        per line so a killed writer loses at most the line in flight.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        merged_meta = {**self.meta, **(meta or {})}
-        count = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            header = {"record": HEADER, "schema": TRACE_SCHEMA_VERSION,
-                      "kind": "trace", "meta": merged_meta,
-                      "emitted": self.emitted, "dropped": self.dropped}
-            fh.write(json.dumps(header, separators=(",", ":"),
-                                default=_json_default) + "\n")
+        """Write the buffered events as a trace log; returns the event
+        count.  The header's meta is the tracer meta merged with
+        ``meta``, plus emitted/dropped accounting."""
+        with jsonl.create(path, jsonl.TRACE, {**self.meta, **(meta or {})},
+                          emitted=self.emitted, dropped=self.dropped) as log:
             for event in self._ring:
-                fh.write(json.dumps(event.to_record(), separators=(",", ":"),
-                                    default=_json_default) + "\n")
-                fh.flush()
-                count += 1
-        return count
+                log.append(event.to_record())
+        return len(self._ring)
 
 
 class StampedView:
@@ -277,47 +230,15 @@ class TraceFile:
 
 
 def read_trace(path: str | Path) -> TraceFile:
-    """Parse a trace file, validating the header schema.
-
-    Mirrors :func:`repro.engine.store.read_records`: a truncated final
-    line (a writer killed mid-stream) is recovered *around* — all
-    complete events are returned and :attr:`TraceFile.truncated` is set
-    — while a malformed line anywhere else is a hard error.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise TraceFormatError(f"{path}: empty trace file")
-    records: list[dict] = []
-    truncated = False
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if lineno == len(lines):
-                truncated = True
-                break  # partial trailing write from a killed run
-            raise TraceFormatError(
-                f"{path}:{lineno}: corrupt trace record") from None
-    if not records:
-        raise TraceFormatError(f"{path}: no parseable records")
-    header = records[0]
-    if header.get("record") != HEADER or header.get("kind") != "trace":
-        raise TraceFormatError(
-            f"{path}: first record is not a trace header "
-            f"(got record={header.get('record')!r} kind={header.get('kind')!r})")
-    schema = header.get("schema")
-    if schema != TRACE_SCHEMA_VERSION:
-        raise TraceSchemaError(
-            f"{path}: trace schema version {schema!r} is not supported "
-            f"(this build reads version {TRACE_SCHEMA_VERSION})")
-    events = []
-    for record in records[1:]:
-        if record.get("record") == EVENT:
-            events.append(TraceEvent.from_record(record))
-    return TraceFile(path=path, meta=header.get("meta") or {}, events=events,
+    """Parse a trace log (:func:`repro.jsonl.read`): a final line cut by
+    a killed writer is recovered *around* — all complete events are
+    returned and :attr:`TraceFile.truncated` is set."""
+    log = jsonl.read(path, jsonl.TRACE)
+    events = [TraceEvent.from_record(record) for record in log.records
+              if record.get("record") == EVENT]
+    header = log.header
+    return TraceFile(path=log.path, meta=header.get("meta") or {},
+                     events=events,
                      emitted=int(header.get("emitted", len(events))),
                      dropped=int(header.get("dropped", 0)),
-                     truncated=truncated)
+                     truncated=log.torn)

@@ -26,15 +26,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import jsonl
 from repro.observe.events import (
     EXPERIMENT_COMPLETED,
     EXPERIMENT_FINISHED,
     EXPERIMENT_QUARANTINED,
     EXPERIMENT_STARTED,
     TraceEvent,
-    TraceFormatError,
 )
-from repro.observe.tracer import _json_default, read_trace
+from repro.observe.tracer import read_trace
 
 
 class ReplayError(ValueError):
@@ -90,7 +90,7 @@ def canonical_event(event: TraceEvent) -> str:
     """
     data = {k: v for k, v in event.data.items() if k not in CONTEXT_KEYS}
     payload = {"type": event.type, "iteration": event.iteration,
-               "data": json.loads(json.dumps(data, default=_json_default))}
+               "data": json.loads(jsonl.dumps(data))}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -160,7 +160,7 @@ def replay_record(trace_path: str | Path, key: str) -> ReplayRecord:
     trace_path = Path(trace_path)
     try:
         trace = read_trace(trace_path)
-    except TraceFormatError as exc:
+    except jsonl.LogFormatError as exc:
         raise ReplayError(f"unreadable trace: {exc}") from exc
     config = _campaign_config(trace.meta, trace_path)
     events = _experiment_events(trace, key, trace_path)
@@ -199,7 +199,7 @@ def replay_keys(trace_path: str | Path) -> list[str]:
     trace_path = Path(trace_path)
     try:
         trace = read_trace(trace_path)
-    except TraceFormatError as exc:
+    except jsonl.LogFormatError as exc:
         raise ReplayError(f"unreadable trace: {exc}") from exc
     seen: dict[str, None] = {}
     for event in trace.events:

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.observe import Tracer
 
 
 class TestParser:
@@ -166,3 +168,25 @@ class TestEngineCommands:
         capsys.readouterr()
         assert main(argv + ["--resume"]) == 0
         assert "engine: 0 executed, 2 resumed" in capsys.readouterr().out
+
+    def test_campaign_resume_after_torn_record(self, capsys, tmp_path):
+        """A campaign killed mid-write leaves its last record torn; the
+        resume re-runs that experiment and the store reads back whole."""
+        store = tmp_path / "r.jsonl"
+        argv = ["campaign", "resnet", "--experiments", "2", "--devices", "2",
+                "--store", str(store)]
+        assert main(argv) == 0
+        with open(store, "r+b") as fh:
+            fh.truncate(store.stat().st_size - 20)
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        assert "engine: 1 executed, 1 resumed" in capsys.readouterr().out
+        assert main(["report", str(store), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["experiments"] == 2
+
+    @pytest.mark.parametrize("command", [["report"], ["monitor", "--once"]])
+    def test_a_trace_is_not_a_store(self, capsys, tmp_path, command):
+        trace = tmp_path / "r.trace.jsonl"
+        Tracer().export(trace)
+        assert main([command[0], str(trace), *command[1:]]) == 2
+        assert "not a store header" in capsys.readouterr().err

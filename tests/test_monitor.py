@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main
 from repro.engine import (
     ResultStore,
+    monitor,
     collect,
     render_html,
     render_markdown,
@@ -24,6 +25,7 @@ from repro.observe import (
     ITERATION_STATS,
     TelemetrySample,
     Tracer,
+    campaign_trace_path,
     read_series,
     shard_path,
 )
@@ -124,6 +126,19 @@ class TestCollect:
         state = collect(store_path)
         assert state.detections[-1]["key"] == "key0"
         assert state.detections[-1]["iteration"] == 7
+
+    def test_each_trace_file_is_read_once_per_collect(self, tmp_path,
+                                                      monkeypatch):
+        store_path = _fixture_store(tmp_path / "r.jsonl")
+        shards = [_busy_shard(tmp_path, 0), _busy_shard(tmp_path, 1)]
+        merged = campaign_trace_path(store_path)
+        Tracer().export(merged)
+        reads = []
+        real = monitor.read_trace
+        monkeypatch.setattr(monitor, "read_trace",
+                            lambda path: reads.append(path) or real(path))
+        collect(store_path)
+        assert sorted(reads) == sorted([merged, *shards])
 
 
 class TestAlerts:

@@ -1,14 +1,11 @@
-"""Tests for the persistent result store (repro.engine.store)."""
-
-import json
+"""Tests for the persistent result store (repro.engine.store).  The
+file-format cases every log shares are in tests/test_jsonl.py."""
 
 import pytest
 
 from repro.engine import (
     STORE_SCHEMA_VERSION,
     ResultStore,
-    StoreFormatError,
-    StoreSchemaError,
     experiment_key,
     merge_stores,
     read_records,
@@ -71,22 +68,6 @@ class TestSchema:
         header = read_records(path)[0]
         assert header["schema"] == STORE_SCHEMA_VERSION
 
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text(json.dumps(
-            {"record": "header", "schema": 99, "kind": "campaign"}) + "\n")
-        with pytest.raises(StoreSchemaError, match="99"):
-            read_records(path)
-        with pytest.raises(StoreSchemaError):
-            ResultStore(path, resume=True)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text(json.dumps(
-            {"record": "experiment", "key": "k", "payload": {}}) + "\n")
-        with pytest.raises(StoreFormatError, match="header"):
-            read_records(path)
-
 
 class TestCrashTolerance:
     def test_truncated_trailing_line_ignored(self, tmp_path):
@@ -102,14 +83,22 @@ class TestCrashTolerance:
             # The reopened store stays appendable.
             store.append("k3", {"outcome": "sdc"})
 
-    def test_mid_file_corruption_is_a_hard_error(self, tmp_path):
+    def test_resume_after_torn_record_never_glues_onto_it(self, tmp_path):
+        """A resume cuts the torn line off before appending: the store
+        reads back whole, and resumes again."""
         path = tmp_path / "s.jsonl"
         with ResultStore(path) as store:
-            store.append("k1", {"outcome": "masked"})
-        content = path.read_text()
-        path.write_text(content.replace('"k1"', '"k1') + "\n")
-        with pytest.raises(StoreFormatError, match="corrupt"):
-            read_records(path)
+            store.append("a", {"outcome": "masked"})
+            store.append("b", {"outcome": "sdc"})
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 20)
+        with ResultStore(path, resume=True) as store:
+            assert set(store.completed) == {"a"}
+            store.append("b", {"outcome": "sdc"})
+            store.append("c", {"outcome": "masked"})
+        assert [r["key"] for r in read_records(path)[1:]] == ["a", "b", "c"]
+        with ResultStore(path, resume=True) as store:
+            assert set(store.completed) == {"a", "b", "c"}
 
 
 class TestMerge:

@@ -1,7 +1,6 @@
 """Tests for the telemetry time-series layer (repro.observe.timeseries)
 plus the Histogram edge cases its samples depend on."""
 
-import json
 import time
 
 import pytest
@@ -11,8 +10,6 @@ from repro.observe import Histogram, MetricsRegistry
 from repro.observe.counters import DEFAULT_BOUNDS
 from repro.observe.timeseries import (
     SERIES_SCHEMA_VERSION,
-    SeriesFormatError,
-    SeriesWriter,
     TelemetrySample,
     TelemetrySampler,
     build_sample,
@@ -176,7 +173,7 @@ class TestSeriesBuffer:
 
 
 # ----------------------------------------------------------------------
-# Persistence
+# Persistence (the format cases every log shares: tests/test_jsonl.py)
 # ----------------------------------------------------------------------
 class TestSeriesPersistence:
     def test_series_path_next_to_store(self, tmp_path):
@@ -185,48 +182,19 @@ class TestSeriesPersistence:
 
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "camp.series.jsonl"
-        with SeriesWriter(path, meta={"workload": "resnet"}) as writer:
-            writer.append(TelemetrySample(t=1.0, gauges={"g": 1.5}))
-            writer.append(TelemetrySample(t=2.0, counters={"c": 3.0}))
+        written = iter([TelemetrySample(t=1.0, gauges={"g": 1.5}),
+                        TelemetrySample(t=2.0, counters={"c": 3.0})])
+        sampler = TelemetrySampler(lambda: next(written), interval=1.0,
+                                   path=path, meta={"workload": "resnet"})
+        sampler.sample_once()
+        sampler.sample_once()
+        sampler.stop(final_sample=False)
         header, samples = read_series(path)
         assert header["schema"] == SERIES_SCHEMA_VERSION
         assert header["meta"] == {"workload": "resnet"}
         assert [s.t for s in samples] == [1.0, 2.0]
         assert samples[0].gauges == {"g": 1.5}
         assert samples[1].counters == {"c": 3.0}
-
-    def test_truncated_final_line_is_dropped(self, tmp_path):
-        path = tmp_path / "camp.series.jsonl"
-        with SeriesWriter(path) as writer:
-            writer.append(TelemetrySample(t=1.0))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"record":"sample","t":2.0,"gau')  # killed mid-write
-        _, samples = read_series(path)
-        assert [s.t for s in samples] == [1.0]
-
-    def test_corrupt_interior_line_is_fatal(self, tmp_path):
-        path = tmp_path / "camp.series.jsonl"
-        with SeriesWriter(path) as writer:
-            writer.append(TelemetrySample(t=1.0))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines.insert(1, "not json")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(SeriesFormatError):
-            read_series(path)
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "camp.series.jsonl"
-        path.write_text(json.dumps(
-            {"record": "header", "schema": 999,
-             "kind": "telemetry_series"}) + "\n", encoding="utf-8")
-        with pytest.raises(SeriesFormatError):
-            read_series(path)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "camp.series.jsonl"
-        path.write_text('{"record":"sample","t":1.0}\n', encoding="utf-8")
-        with pytest.raises(SeriesFormatError):
-            read_series(path)
 
 
 # ----------------------------------------------------------------------
