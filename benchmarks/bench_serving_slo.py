@@ -3,8 +3,10 @@
 Sweeps the fault plane's Poisson rate over the live request path —
 dynamic batcher, vectorized forward, full shadow detection, batch
 recovery — and records what each rate costs in correctness terms:
-silent corruptions per million requests, faults fired, shadow
-re-executions, recovered batches and the shed rate.  The zero-fault row
+detected silent corruptions over responses (estimate, 99 % Wilson
+interval and n, printed as ``estimate [lo, hi] (n=...)``) and per
+million requests, faults fired, shadow re-executions, recovered batches
+and the shed rate.  The zero-fault row
 is the control and must show **zero** SDCs.  Latency and throughput
 under the same fault plane are measured by the repo benchmark's
 ``serve_clean`` / ``serve_faulty`` workloads (``benchmarks/perf/run.py``),
@@ -22,6 +24,7 @@ from __future__ import annotations
 import asyncio
 
 from _report import emit, header, paper_vs_measured, table, write_artifact
+from repro.core.analysis import rate_interval, render_rate
 from repro.serving import InferenceSession, ServingEngine
 from repro.workloads import build_workload
 
@@ -63,11 +66,16 @@ def _sweep(rates, requests: int, rps: float,
                                max_batch=MAX_BATCH, max_wait_s=0.002,
                                shadow_rate=1.0, recover=True)
         summary = asyncio.run(_drive(engine, requests, rps))
+        sdc, responses = summary["outcomes"]["sdc"], summary["responses"]
         rows.append({
             "fault_rate": rate,
             "requests": summary["requests"],
-            "responses": summary["responses"],
+            "responses": responses,
             "shed": summary["shed"],
+            # Detected SDCs over responses, with n and a Wilson interval
+            # (shaped like a report dict, so render_rate prints it).
+            "sdc_rate": sdc / responses,
+            "intervals": {"sdc_rate": rate_interval(sdc, responses)},
             "sdc_per_million": summary["sdc_per_million"],
             "shed_rate": summary["shed_rate"],
             "faults_fired": summary["faults_fired"],
@@ -83,8 +91,10 @@ def _report_and_check(rows: list[dict], requests: int, rps: float,
     header(f"repro.serving — SDC/recovery vs fault rate "
            f"({requests} requests @ {rps:g} rps, resnet/tiny, "
            f"max-batch {MAX_BATCH}, full shadow, recovery on)")
-    table(rows, columns=["fault_rate", "sdc_per_million", "faults_fired",
-                         "shadow_execs", "recovered_batches", "shed_rate"])
+    table([{**row, "sdc_rate": render_rate(row, "sdc_rate")} for row in rows],
+          columns=["fault_rate", "sdc_rate", "sdc_per_million",
+                   "faults_fired", "shadow_execs", "recovered_batches",
+                   "shed_rate"])
     emit()
     control = rows[0]
     faulty = [r for r in rows if r["fault_rate"] > 0]
@@ -95,7 +105,7 @@ def _report_and_check(rows: list[dict], requests: int, rps: float,
         "faults surface directly in responses (Table 5)",
         "fault-free serving is corruption-free; faulty serving needs "
         "detection + re-execution to stay so",
-        f"0 faults -> {control['sdc_per_million']:.0f} SDC/M; swept rates "
+        f"0 faults -> SDC rate {render_rate(control, 'sdc_rate')}; swept rates "
         f"detected {detected} corrupt rows and recovered "
         f"{sum(r['recovered_batches'] for r in faulty)} batches",
         control["sdc_per_million"] == 0.0,
@@ -115,6 +125,9 @@ def _report_and_check(rows: list[dict], requests: int, rps: float,
     assert control["outcomes"] == {"masked": 0, "sdc": 0, "nonfinite": 0}
     assert all(r["responses"] + r["shed"] == r["requests"] for r in rows), (
         "requests leaked: responses + shed != submitted")
+    assert all(r["intervals"]["sdc_rate"]["n"] == r["responses"]
+               and r["intervals"]["sdc_rate"]["low"] <= r["sdc_rate"]
+               <= r["intervals"]["sdc_rate"]["high"] for r in rows)
     assert any(r["faults_fired"] > 0 for r in faulty), (
         "the sweep never fired a fault; rates are too low for the "
         "request volume")

@@ -27,6 +27,7 @@ from repro.core.analysis.propagation import (
 from repro.core.analysis.report import (
     campaign_report_dict,
     inference_report_dict,
+    rate_interval,
     render_campaign,
     render_convergence,
     render_inference,
@@ -65,6 +66,7 @@ __all__ = [
     "expected_stagnation_iterations",
     "experiments_for_interval",
     "outcome_breakdown",
+    "rate_interval",
     "render_campaign",
     "render_convergence",
     "render_inference",

@@ -151,23 +151,24 @@ def inference_report_dict(payloads: list[dict]) -> dict:
         "masked_at_site_rate": (sum(rows == 0 for rows in located),
                                 len(located)),
     }
-    intervals = {}
-    for name, (hits, trials) in counts.items():
-        if trials:
-            interval = wilson_interval(hits, trials, INTERVAL_CONFIDENCE)
-            intervals[name] = {"low": float(interval.low),
-                               "high": float(interval.high),
-                               "confidence": float(interval.confidence),
-                               "n": trials}
     return {
         "num_experiments": n,
         **{name: hits / trials if trials else None
            for name, (hits, trials) in counts.items()},
-        "intervals": intervals,
+        "intervals": {name: rate_interval(hits, trials)
+                      for name, (hits, trials) in counts.items() if trials},
         "min_experiments": experiments_for_interval(
             INTERVAL_HALF_WIDTH, INTERVAL_CONFIDENCE),
         "breakdown": breakdown,
     }
+
+
+def rate_interval(hits: int, trials: int) -> dict:
+    """``hits / trials``'s Wilson interval and n, as a report's
+    ``intervals`` entry holds them (what :func:`render_rate` prints)."""
+    interval = wilson_interval(hits, trials, INTERVAL_CONFIDENCE)
+    return {"low": float(interval.low), "high": float(interval.high),
+            "confidence": float(interval.confidence), "n": trials}
 
 
 def render_rate(report: dict, name: str) -> str:

@@ -50,7 +50,10 @@ from repro.core.faults.hardware import (
     SITE_KINDS,
     HardwareFault,
     enumerate_sites,
+    forward_by_layer,
+    module_at,
     sample_fault,
+    site_layers,
 )
 from repro.core.faults.injector import FaultInjector
 from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
@@ -63,7 +66,6 @@ from repro.engine import (
     WorkUnit,
     experiment_key,
 )
-from repro.nn.module import Sequential
 from repro.observe import current_tracer, histogram
 from repro.state import training_state_digest
 from repro.training.checkpoints import Checkpoint
@@ -748,22 +750,10 @@ class InferenceCampaign:
         self.model = trainer.master
         self.inventory = FFInventory()
 
-    def _site_layers(self) -> dict[str, int]:
-        """Module path -> index of the top-level layer holding it.  Every
-        registry model is a ``Sequential`` chain; any other model is a
-        chain of one.  (Tests map every site to layer 0 here to get the
-        whole-model forward as the oracle.)"""
-        if not isinstance(self.model, Sequential):
-            return {name: 0 for name, _ in self.model.named_modules()}
-        return {name: index
-                for index, layer in enumerate(self.model.layers)
-                for name, _ in layer.named_modules(f"{index}.")}
-
     def _golden_pass(self, inputs: np.ndarray) -> None:
         """The golden forward, layer by layer.  Keeps what a unit starts
         from: each top-level layer's input, and each site module's
         forward-hook tensor (what a fault at that site rewrites)."""
-        self._golden_inputs: list[np.ndarray] = []
         self._golden_sites: dict[str, np.ndarray] = {}
         self._reference_preds: dict[tuple[str, bytes], np.ndarray] = {}
 
@@ -773,22 +763,16 @@ class InferenceCampaign:
                 return tensor
             return hook
 
-        modules = dict(self.model.named_modules())
         sites = [site.module_name
                  for site in enumerate_sites(self.model, (FORWARD,))]
         for name in sites:
-            modules[name].set_fault_hook(FORWARD, keep(name))
+            module_at(self.model, name).set_fault_hook(FORWARD, keep(name))
         try:
-            golden = inputs
             with np.errstate(**_QUIET):
-                for layer in (self.model.layers
-                              if isinstance(self.model, Sequential)
-                              else [self.model]):
-                    self._golden_inputs.append(golden)
-                    golden = layer.forward(golden)
+                _, self._golden_inputs = forward_by_layer(self.model, inputs)
         finally:
             for name in sites:
-                modules[name].set_fault_hook(FORWARD, None)
+                module_at(self.model, name).set_fault_hook(FORWARD, None)
 
     def _engine_runner(self):
         """Runner factory: one forward-pass injection per work unit.
@@ -801,8 +785,9 @@ class InferenceCampaign:
         when the fault rewrote the values already there)."""
         from repro.core.faults.serialization import fault_from_dict
 
-        modules = dict(self.model.named_modules())
-        site_layers = self._site_layers()
+        # Tests map every site to layer 0 here (patching ``site_layers``)
+        # to get the whole-model forward as the oracle.
+        layer_of = site_layers(self.model)
 
         def predict(name: str, rows: np.ndarray,
                     site_rows: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -817,15 +802,15 @@ class InferenceCampaign:
                         f"forward hook does not see the batch on axis 0")
                 return site_rows
 
-            start = site_layers[name]
+            start = layer_of[name]
             x = self._golden_inputs[start][rows]
-            modules[name].set_fault_hook(FORWARD, substitute)
+            module_at(self.model, name).set_fault_hook(FORWARD, substitute)
             try:
                 with np.errstate(**_QUIET):
                     out = self.model.forward(x, start) if start \
                         else self.model.forward(x)
             finally:
-                modules[name].set_fault_hook(FORWARD, None)
+                module_at(self.model, name).set_fault_hook(FORWARD, None)
             return (np.argmax(np.nan_to_num(out, nan=-np.inf), axis=-1),
                     bool(np.all(np.isfinite(out))))
 
@@ -835,8 +820,8 @@ class InferenceCampaign:
             golden = self._golden_sites[name]
             injector = FaultInjector(fault)
             with np.errstate(**_QUIET):
-                faulty = injector._fault_hook(
-                    golden, {"module": modules[name], "kind": FORWARD})
+                faulty = injector._fault_hook(golden, {
+                    "module": module_at(self.model, name), "kind": FORWARD})
             rows = _rows_touched(faulty, golden)
             sdc = nonfinite = False
             if rows.size:

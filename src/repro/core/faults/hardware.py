@@ -11,7 +11,10 @@ Each fault-injection experiment follows the paper's protocol (Sec. 3.3):
 4. continue training and observe the outcome.
 
 This module defines the experiment descriptor (:class:`HardwareFault`)
-and op-site enumeration over a model.
+and the site helpers over a model: op-site enumeration, the module at a
+path, and which top-level layer holds it — each memoised per model
+structure (:meth:`~repro.nn.Module.memoised`), so a serving fault plane
+arming faults per batch walks the model once.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.nn import (
     LayerNorm,
     Module,
     MultiHeadSelfAttention,
+    Sequential,
 )
 
 #: Module types whose operations are injectable op sites.  These are the
@@ -82,24 +86,74 @@ class HardwareFault:
 
 
 def enumerate_sites(model: Module, kinds: tuple[str, ...] = SITE_KINDS) -> list[OpSite]:
-    """All injectable op sites of a model.
+    """All injectable op sites of a model, memoised per model structure
+    (the list is shared: do not mutate it).
 
     ``weight_grad`` sites are only listed for modules with parameters;
     ``input_grad`` is skipped for Embedding (tokens have no gradient).
     """
-    sites: list[OpSite] = []
-    for name, module in model.named_modules():
-        if not isinstance(module, INJECTABLE_TYPES):
-            continue
-        for kind in kinds:
-            if kind == WEIGHT_GRAD and not any(True for _ in module._params):
+    kinds = tuple(kinds)
+
+    def build(model: Module) -> list[OpSite]:
+        sites: list[OpSite] = []
+        for name, module in model.named_modules():
+            if not isinstance(module, INJECTABLE_TYPES):
                 continue
-            if kind == INPUT_GRAD and isinstance(module, Embedding):
-                continue
-            sites.append(OpSite(name, kind))
-    if not sites:
-        raise ValueError("model has no injectable op sites")
-    return sites
+            for kind in kinds:
+                if kind == WEIGHT_GRAD and not any(True for _ in module._params):
+                    continue
+                if kind == INPUT_GRAD and isinstance(module, Embedding):
+                    continue
+                sites.append(OpSite(name, kind))
+        if not sites:
+            raise ValueError("model has no injectable op sites")
+        return sites
+
+    return model.memoised(("sites", kinds), build)
+
+
+def module_at(model: Module, path: str) -> Module:
+    """The module at qualified ``path`` (``""`` is ``model`` itself);
+    ``KeyError`` if there is none.  The path map is memoised per model
+    structure and leaves the root out, so it holds no cycle."""
+    if not path:
+        return model
+    return model.memoised("modules", lambda model: {
+        name: module for name, module in model.named_modules() if name})[path]
+
+
+def layer_chain(model: Module) -> list[Module]:
+    """The top-level layers a forward runs in order: a ``Sequential``'s
+    layers (every registry model is one); any other model is a chain of
+    one."""
+    return model.layers if isinstance(model, Sequential) else [model]
+
+
+def site_layers(model: Module) -> dict[str, int]:
+    """Module path -> index in :func:`layer_chain` of the top-level layer
+    holding it, memoised per model structure."""
+    def build(model: Module) -> dict[str, int]:
+        if not isinstance(model, Sequential):
+            return {name: 0 for name, _ in model.named_modules()}
+        return {name: index
+                for index, layer in enumerate(model.layers)
+                for name, _ in layer.named_modules(f"{index}.")}
+
+    return model.memoised("site_layers", build)
+
+
+def forward_by_layer(model: Module, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward ``x`` one top-level layer at a time; returns the output and
+    each layer's input.  The inputs are references, not copies: a layer's
+    output is a fresh array and no layer writes into its input, so each
+    stays what that layer read — the golden starting point of a forward
+    from that layer (``Sequential.forward(x, start)``) once a fault has
+    fired further down."""
+    inputs = []
+    for layer in layer_chain(model):
+        inputs.append(x)
+        x = layer.forward(x)
+    return x, inputs
 
 
 def sample_fault(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelerator.config import DEFAULT_CONFIG, AcceleratorConfig
-from repro.core.faults.hardware import HardwareFault
+from repro.core.faults.hardware import HardwareFault, module_at
 from repro.core.faults.software_models import (
     FaultRecord,
     Group7ZeroInput1,
@@ -59,19 +59,19 @@ def resolve_site_module(trainer, replica, module_name: str):
     parameter name from the trainer's fused state index), in which case
     the parameter's owning module is returned.
     """
-    modules = dict(replica.named_modules())
     try:
-        return modules[module_name]
+        return module_at(replica, module_name)
     except KeyError:
         pass
     if module_name in trainer.master_arena.index:
-        owner = StateArena.owner_module(module_name)
-        if owner in modules:
-            return modules[owner]
+        try:
+            return module_at(replica, StateArena.owner_module(module_name))
+        except KeyError:
+            pass
+    modules = sorted(name for name, _ in replica.named_modules())
     raise KeyError(
         f"op site {module_name!r} not found in model (neither a module "
-        f"path nor an arena name); available modules: "
-        f"{sorted(modules)[:10]}..."
+        f"path nor an arena name); available modules: {modules[:10]}..."
     )
 
 

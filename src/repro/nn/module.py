@@ -60,7 +60,7 @@ HOOK_KINDS = ("forward", "weight_grad", "input_grad")
 HookFn = Callable[[np.ndarray, dict], np.ndarray]
 
 #: Replaced by every :meth:`Module.add_module` call; its identity stamps
-#: the :meth:`Module.instances_of` memos, so any structural change anywhere
+#: the :meth:`Module.memoised` values, so any structural change anywhere
 #: (and any copy or unpickling of a memo) sends the next lookup back to
 #: the tree.
 _structure = object()
@@ -110,7 +110,7 @@ class Module:
         self._params: dict[str, Parameter] = {}
         self._modules: dict[str, Module] = {}
         self._fault_hooks: dict[str, HookFn | None] = {k: None for k in HOOK_KINDS}
-        self._instances: dict[type, tuple[object, list]] = {}
+        self._memos: dict[object, tuple[object, object]] = {}
         self.name = type(self).__name__
         self.training = True
         #: Leading lane shape of this instance's tensors: ``()`` or ``(L,)``.
@@ -151,16 +151,24 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
+    def memoised(self, key, build: Callable[["Module"], object]):
+        """``build(self)``, memoised on this module under ``key`` until the
+        next :meth:`add_module` call anywhere.  What ``build`` returns must
+        not hold this module: the memo would make a reference cycle, and
+        the module would outlive its last user until a cycle collection."""
+        stamp, value = self._memos.get(key, (None, None))
+        if stamp is not _structure:
+            value = build(self)
+            self._memos[key] = (_structure, value)
+        return value
+
     def instances_of(self, cls: type) -> list[tuple[int, "Module"]]:
         """``(traversal index, module)`` for every ``cls`` instance in
-        :meth:`modules` order, memoised on this module until the next
-        :meth:`add_module` call — the per-iteration probes (moving-variance
-        bound, dropout reseed) ask for the same list every step."""
-        stamp, found = self._instances.get(cls, (None, None))
-        if stamp is not _structure:
-            found = [(i, m) for i, m in enumerate(self.modules()) if isinstance(m, cls)]
-            self._instances[cls] = (_structure, found)
-        return found
+        :meth:`modules` order, memoised — the per-iteration probes
+        (moving-variance bound, dropout reseed) ask for the same list
+        every step."""
+        return self.memoised(cls, lambda model: [
+            (i, m) for i, m in enumerate(model.modules()) if isinstance(m, cls)])
 
     def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
         yield (prefix.rstrip("."), self)

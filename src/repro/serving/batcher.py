@@ -14,11 +14,17 @@ run in the default thread-pool executor, so the event loop keeps
 accepting and coalescing the *next* batch while the current one computes
 — the same pipelining that makes dynamic batching pay off on real
 hardware.
+
+Coalescing costs per batch, not per request: the collector takes what is
+already queued without waiting, and sleeps — on one future that a submit
+or :meth:`DynamicBatcher.stop` resolves, plus one timer while a batch
+has ``max_wait_s`` left — only when the queue is empty.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 
 
 class ShedError(RuntimeError):
@@ -64,7 +70,9 @@ class DynamicBatcher:
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_s)
         self.queue_cap = int(queue_cap)
-        self._queue: asyncio.Queue[_Request] = asyncio.Queue(maxsize=queue_cap)
+        self._queue: deque[_Request] = deque()
+        #: What the idle collector sleeps on; a submit or stop() wakes it.
+        self._wakeup: asyncio.Future | None = None
         self._stopping = False
         #: Lifetime stats, read by the serving engine's sampler.
         self.submitted = 0
@@ -75,80 +83,110 @@ class DynamicBatcher:
     @property
     def depth(self) -> int:
         """Requests queued but not yet claimed by a batch."""
-        return self._queue.qsize()
+        return len(self._queue)
 
     async def submit(self, payload):
         """Enqueue one payload; resolves to its result from ``execute``.
 
-        Raises :class:`ShedError` when the queue is full or the batcher
-        is stopping — the caller turns that into an HTTP 503.
+        Raises :class:`ShedError` when the queue is full, the batcher is
+        stopping, or its collector exited before serving the request —
+        the caller turns that into an HTTP 503.
         """
         if self._stopping:
             self.shed += 1
             raise ShedError("batcher is stopping")
-        future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait(_Request(payload, future))
-        except asyncio.QueueFull:
+        if len(self._queue) >= self.queue_cap:
             self.shed += 1
-            raise ShedError(
-                f"queue full ({self.queue_cap} waiting)") from None
+            raise ShedError(f"queue full ({self.queue_cap} waiting)")
+        future = asyncio.get_running_loop().create_future()
+        self._queue.append(_Request(payload, future))
         self.submitted += 1
+        self._wake()
         return await future
+
+    def _wake(self) -> None:
+        if self._wakeup is not None and not self._wakeup.done():
+            self._wakeup.set_result(None)
+
+    async def _sleep(self, timeout: float | None) -> None:
+        """Until a submit or :meth:`stop` wakes the collector, or
+        ``timeout`` seconds pass."""
+        loop = asyncio.get_running_loop()
+        self._wakeup = loop.create_future()
+        timer = None if timeout is None else loop.call_later(
+            timeout, self._wake)
+        try:
+            await self._wakeup
+        finally:
+            self._wakeup = None
+            if timer is not None:
+                timer.cancel()
 
     async def _collect(self) -> list[_Request] | None:
         """Gather one batch, or ``None`` when stopping and drained."""
-        while True:
-            try:
-                first = await asyncio.wait_for(self._queue.get(), timeout=0.05)
-                break
-            except asyncio.TimeoutError:
-                if self._stopping:
-                    return None
-        batch = [first]
+        queue = self._queue
+        while not queue:
+            if self._stopping:
+                return None
+            await self._sleep(None)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.max_wait_s
-        while len(batch) < self.max_batch:
+        batch: list[_Request] = []
+        while True:
+            while queue and len(batch) < self.max_batch:
+                batch.append(queue.popleft())
+            # Stopping: no request can arrive to join this batch.
+            if len(batch) == self.max_batch or self._stopping:
+                return batch
             remaining = deadline - loop.time()
             if remaining <= 0:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            else:
-                try:
-                    batch.append(await asyncio.wait_for(
-                        self._queue.get(), timeout=remaining))
-                except asyncio.TimeoutError:
-                    break
-        return batch
+                return batch
+            await self._sleep(remaining)
 
     async def run(self) -> None:
-        """Collector loop: drive until :meth:`stop` and the queue drains."""
+        """Collector loop: drive until :meth:`stop` and the queue drains.
+
+        However it exits — cancelled, or on an error of its own — the
+        batch in flight and every queued request fail with
+        :class:`ShedError`, and later submits shed: no request waits on
+        a collector that is gone.
+        """
         loop = asyncio.get_running_loop()
-        while True:
-            batch = await self._collect()
-            if batch is None:
-                return
-            payloads = [request.payload for request in batch]
-            try:
-                results = await loop.run_in_executor(
-                    None, self.execute, payloads)
-                if len(results) != len(batch):
-                    raise RuntimeError(
-                        f"execute returned {len(results)} results for "
-                        f"{len(batch)} payloads")
-            except Exception as exc:  # noqa: BLE001 - fail the batch, not the loop
-                for request in batch:
+        batch: list[_Request] = []
+        try:
+            while True:
+                batch = await self._collect()
+                if batch is None:
+                    return
+                payloads = [request.payload for request in batch]
+                try:
+                    results = await loop.run_in_executor(
+                        None, self.execute, payloads)
+                    if len(results) != len(batch):
+                        raise RuntimeError(
+                            f"execute returned {len(results)} results for "
+                            f"{len(batch)} payloads")
+                except Exception as exc:  # noqa: BLE001 - fail the batch, not the loop
+                    for request in batch:
+                        if not request.future.done():
+                            request.future.set_exception(exc)
+                    continue
+                self.batches += 1
+                self.batch_sizes.append(len(batch))
+                for request, result in zip(batch, results):
                     if not request.future.done():
-                        request.future.set_exception(exc)
-                continue
-            self.batches += 1
-            self.batch_sizes.append(len(batch))
-            for request, result in zip(batch, results):
+                        request.future.set_result(result)
+        finally:
+            self._stopping = True
+            stranded = (batch or []) + list(self._queue)
+            self._queue.clear()
+            for request in stranded:
                 if not request.future.done():
-                    request.future.set_result(result)
+                    self.shed += 1
+                    request.future.set_exception(
+                        ShedError("batcher stopped before serving it"))
 
     def stop(self) -> None:
         """Stop accepting; :meth:`run` exits after draining the queue."""
         self._stopping = True
+        self._wake()

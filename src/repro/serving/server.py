@@ -24,8 +24,10 @@ Three layers, separable for tests:
 Detection semantics: with ``fault_rate == 0`` nothing is armed and the
 response bytes are bit-identical to a direct ``model.forward`` of the
 same batch.  When a fault fires, the nonfinite screen always runs; a
-full golden shadow re-execution of the *same batch* additionally runs
-with probability ``shadow_rate`` (and always when the screen trips).
+golden shadow re-execution of the *same batch*, from the first top-level
+layer a fault fired in, additionally runs with probability
+``shadow_rate`` (and always when the screen trips); its bytes equal a
+full fault-free forward's.
 Only a shadowed batch can observe SDCs — the ``serving.sdc`` counter is
 therefore *detected* silent corruptions, a lower bound that tightens as
 ``shadow_rate`` -> 1.
@@ -41,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.analysis.classify import InferenceOutcome, classify_inference_rows
+from repro.core.faults.hardware import site_layers
 from repro.observe.counters import MetricsRegistry
 from repro.httpcore import DEFAULT_HOST, JSON, error
 from repro.observe.slo import SLORule
@@ -112,11 +115,11 @@ class ServingEngine:
             outputs = self.session.forward(batch)
         finally:
             FaultPlane.disarm(injectors)
-        fired = sum(injector.fired for injector in injectors)
+        fired = [injector for injector in injectors if injector.fired]
         self.c_batches.inc()
         self.h_batch_size.observe(float(len(payloads)))
         self.c_faults_armed.inc(len(injectors))
-        self.c_faults_fired.inc(fired)
+        self.c_faults_fired.inc(len(fired))
 
         outcomes: list[InferenceOutcome | None] = [None] * len(payloads)
         recovered = False
@@ -133,8 +136,15 @@ class ServingEngine:
                 # Same batch, injectors disarmed: this re-execution IS
                 # the golden output for these requests — per-row
                 # bit-identity holds because the batch composition (and
-                # so every BLAS reduction order) is unchanged.
-                golden = self.session.forward(batch)
+                # so every BLAS reduction order) is unchanged.  It starts
+                # at the first top-level layer a fault fired in: every
+                # layer before computed golden values, so its input is
+                # the one the primary forward kept (DESIGN.md decision 15).
+                layer_of = site_layers(self.session.model)
+                start = min(layer_of[injector.fault.site.module_name]
+                            for injector in fired)
+                golden = self.session.forward(
+                    self.session.layer_inputs[start], start)
                 golden_pred = np.argmax(
                     np.nan_to_num(golden, nan=-np.inf), axis=-1)
                 outcomes = list(classify_inference_rows(outputs, golden_pred))
@@ -147,18 +157,18 @@ class ServingEngine:
                     self.c_recovered.inc()
 
         preds = np.argmax(np.nan_to_num(outputs, nan=-np.inf), axis=-1)
-        responses = []
-        for row, payload in enumerate(payloads):
-            responses.append({
-                "index": indices[row],
-                "pred": int(preds[row]),
-                "output": np.asarray(outputs[row]).ravel().tolist(),
-                "outcome": outcomes[row].value if outcomes[row] else None,
-                "screened": screened,
-                "recovered": recovered,
-                "batch_size": len(payloads),
-                "faults_fired": int(fired),
-            })
+        rows = outputs.reshape(len(payloads), -1).tolist()
+        responses = [{
+            "index": index,
+            "pred": pred,
+            "output": row,
+            "outcome": outcome.value if outcome else None,
+            "screened": screened,
+            "recovered": recovered,
+            "batch_size": len(payloads),
+            "faults_fired": len(fired),
+        } for index, pred, row, outcome in zip(
+            indices, preds.tolist(), rows, outcomes)]
         self.c_responses.inc(len(payloads))
         return responses
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelerator.ffs import FFInventory
-from repro.core.faults.hardware import sample_fault
+from repro.core.faults.hardware import forward_by_layer, sample_fault
 from repro.core.faults.injector import FaultInjector
 from repro.distributed.sync import SyncDataParallelTrainer
 from repro.workloads.base import WorkloadSpec
@@ -43,11 +43,20 @@ class InferenceSession:
         self.model.eval()
         self.inputs = spec.test_data.inputs
         self.num_samples = int(len(self.inputs))
+        #: Each top-level layer's input in the last forward from layer 0.
+        self.layer_inputs: list[np.ndarray] = []
 
-    def forward(self, batch: np.ndarray) -> np.ndarray:
-        """Batched forward; faulty activations may legitimately overflow."""
+    def forward(self, batch: np.ndarray, start: int = 0) -> np.ndarray:
+        """Batched forward of ``batch``, the input of top-level layer
+        ``start`` (see :func:`~repro.core.faults.hardware.layer_chain`);
+        faulty activations may legitimately overflow.  A forward from
+        layer 0 keeps every top-level layer's input in
+        :attr:`layer_inputs`: a shadow re-execution starts from there."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.model.forward(batch)
+            if start:
+                return self.model.forward(batch, start)
+            out, self.layer_inputs = forward_by_layer(self.model, batch)
+            return out
 
     def gather(self, indices) -> np.ndarray:
         """Stack the requested sample rows into one contiguous batch."""

@@ -17,7 +17,13 @@ import pytest
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults import Campaign, InferenceCampaign
-from repro.core.faults.hardware import HardwareFault, OpSite, enumerate_sites
+from repro.core.faults import campaign as campaign_module
+from repro.core.faults.hardware import (
+    HardwareFault,
+    OpSite,
+    enumerate_sites,
+    site_layers,
+)
 from repro.core.faults.serialization import experiment_to_dict
 from repro.distributed import SyncDataParallelTrainer
 from repro.engine import ResultStore
@@ -257,8 +263,8 @@ def test_inference_unit_from_its_fault_layer_equals_from_layer_0(
                           for p in done.completed.values())
 
     from_site = units("site")
-    layers = campaign._site_layers()
+    layers = site_layers(campaign.model)
     assert sum(layers[site] > 0 for _i, site, *_rest in from_site) >= 10
-    monkeypatch.setattr(InferenceCampaign, "_site_layers",
-                        lambda self: defaultdict(int))
+    monkeypatch.setattr(campaign_module, "site_layers",
+                        lambda model: defaultdict(int))
     assert units("layer0") == from_site

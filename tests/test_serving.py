@@ -3,24 +3,38 @@ and the HTTP front-end (no pytest-asyncio — coroutines run under
 ``asyncio.run``)."""
 
 import asyncio
+import hashlib
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.accelerator.ffs import FFDescriptor
 from repro.core.analysis.classify import (
     InferenceOutcome,
     classify_inference_experiment,
     classify_inference_rows,
     inference_breakdown,
 )
+from repro.core.faults.hardware import (
+    FORWARD,
+    HardwareFault,
+    OpSite,
+    enumerate_sites,
+    layer_chain,
+    site_layers,
+)
+from repro.core.faults.injector import FaultInjector
 from repro.observe.export import validate_exposition
 from repro.observe.slo import SLORule
 from repro.serving import (
     DynamicBatcher,
+    FaultPlane,
     InferenceSession,
     ServingEngine,
     ShedError,
@@ -159,6 +173,235 @@ class TestDynamicBatcher:
             return result
 
         assert asyncio.run(main())["value"] == 1
+
+    def test_queued_requests_coalesce_without_a_task_each(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            batcher = DynamicBatcher(_echo, max_batch=8, max_wait_s=0.05)
+            submits = [asyncio.ensure_future(batcher.submit({"value": i}))
+                       for i in range(8)]
+            await asyncio.sleep(0)  # all eight queued
+            created = []
+
+            def factory(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            loop.set_task_factory(factory)
+            try:
+                task = asyncio.ensure_future(batcher.run())
+                results = await asyncio.gather(*submits)
+                batcher.stop()
+                await task
+            finally:
+                loop.set_task_factory(None)
+            return results, batcher.batch_sizes, created
+
+        results, sizes, created = asyncio.run(main())
+        assert [r["value"] for r in results] == list(range(8))
+        assert sizes == [8]
+        assert created == ["DynamicBatcher.run"]
+
+    def test_cancelled_run_sheds_the_batch_in_flight_and_the_queue(self):
+        def slow(payloads):
+            time.sleep(0.05)
+            return _echo(payloads)
+
+        async def main():
+            batcher = DynamicBatcher(slow, max_batch=2, max_wait_s=0.001)
+            submits = [asyncio.ensure_future(batcher.submit({"value": i}))
+                       for i in range(5)]
+            task = asyncio.ensure_future(batcher.run())
+            await asyncio.sleep(0.01)  # one batch executing, three queued
+            task.cancel()
+            done, pending = await asyncio.wait(submits, timeout=0.5)
+            assert not pending, f"{len(pending)} requests stranded"
+            assert all(isinstance(f.exception(), ShedError) for f in done)
+            assert batcher.depth == 0 and batcher.shed == 5
+            with pytest.raises(ShedError):
+                await batcher.submit({"value": 5})
+
+        asyncio.run(main())
+
+    def test_stop_wakes_an_idle_collector_at_once(self):
+        async def main():
+            batcher = DynamicBatcher(_echo, max_batch=4, max_wait_s=0.05)
+            task = asyncio.ensure_future(batcher.run())
+            await asyncio.sleep(0.02)  # asleep on an empty queue
+            started = time.perf_counter()
+            batcher.stop()
+            await task
+            return time.perf_counter() - started
+
+        assert asyncio.run(main()) < 0.005
+
+    def test_requests_queued_before_stop_still_drain(self):
+        async def main():
+            batcher = DynamicBatcher(_echo, max_batch=2, max_wait_s=0.05)
+            submits = [asyncio.ensure_future(batcher.submit({"value": i}))
+                       for i in range(5)]
+            await asyncio.sleep(0)  # all five queued
+            batcher.stop()
+            task = asyncio.ensure_future(batcher.run())
+            results = await asyncio.gather(*submits)
+            await task
+            return results, batcher
+
+        results, batcher = asyncio.run(main())
+        assert [r["value"] for r in results] == list(range(5))
+        assert batcher.batch_sizes == [2, 2, 1] and batcher.shed == 0
+
+
+# ----------------------------------------------------------------------
+# Fault plane: arming draws as it always did and walks the model once
+# ----------------------------------------------------------------------
+class TestFaultPlaneArming:
+    #: 50 batches of 8 at rate 0.5, seed 3, on an untrained resnet/tiny:
+    #: (site, FF category, group, bit, feedback, seed) of every armed
+    #: fault, recorded before arming stopped walking the model.
+    PINNED_COUNT = 171
+    PINNED_HEAD = [
+        ("2.bn2", "datapath", None, 18, False, 1334076656),
+        ("1.proj", "datapath", None, 1, False, 244108803),
+        ("1.bn1", "datapath", None, 20, True, 2015972703)]
+    PINNED_SHA256 = (
+        "c9c3377ab48c8a820e13c3ac97fbf8d6acf9716a3d25fd7bb1647f785cc53088")
+
+    def test_seeded_plane_arms_the_pinned_faults(self):
+        model = build_workload("resnet", size="tiny").build_model(0)
+        plane = FaultPlane(model, 0.5, seed=3)
+        armed = []
+        for _ in range(50):
+            injectors = plane.arm(8)
+            armed += [(i.fault.site.module_name, i.fault.ff.category,
+                       i.fault.ff.group, i.fault.ff.bit,
+                       i.fault.ff.has_feedback, i.fault.seed)
+                      for i in injectors]
+            FaultPlane.disarm(injectors)
+        assert len(armed) == self.PINNED_COUNT
+        assert armed[:3] == self.PINNED_HEAD
+        assert hashlib.sha256(
+            repr(armed).encode()).hexdigest() == self.PINNED_SHA256
+
+    def test_arming_walks_the_model_only_the_first_time(self, monkeypatch):
+        model = build_workload("resnet", size="tiny").build_model(0)
+        plane = FaultPlane(model, 2.0, seed=1)
+        FaultPlane.disarm(plane.arm(8))
+        walks = []
+        named_modules = nn.Module.named_modules
+
+        def counting(self, prefix=""):
+            walks.append(prefix)
+            return named_modules(self, prefix)
+
+        monkeypatch.setattr(nn.Module, "named_modules", counting)
+        armed = 0
+        for _ in range(20):
+            injectors = plane.arm(8)
+            armed += len(injectors)
+            FaultPlane.disarm(injectors)
+        assert armed > 20
+        assert walks == []
+
+
+# ----------------------------------------------------------------------
+# Shadow re-execution from the first layer a fault fired in
+# ----------------------------------------------------------------------
+class _Wrapper(nn.Module):
+    """A model that is not a ``Sequential``: a serving chain of one."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.add_module("net", inner)
+
+    def forward(self, x):
+        return self.net.forward(x)
+
+
+def _fault_at(site: str) -> FaultInjector:
+    """A fault that flips the top exponent bit at ``site``'s output."""
+    return FaultInjector(HardwareFault(
+        ff=FFDescriptor("datapath", bit=30), site=OpSite(site, FORWARD),
+        iteration=0, device=0, seed=1))
+
+
+class TestShadowFromFirstFiredLayer:
+    def _serve(self, session, sites, monkeypatch):
+        """One batch with a fault armed at each of ``sites``: returns the
+        ``(start, top-level layers run, output)`` of each session forward,
+        the responses, and the batch's fault-free forward."""
+        model = session.model
+        chain = layer_chain(model)
+        ran: list[int] = []
+        for index, layer in enumerate(chain):
+            monkeypatch.setattr(
+                layer, "forward",
+                lambda x, _forward=layer.forward, _index=index:
+                ran.append(_index) or _forward(x))
+        forwards = []
+        session_forward = session.forward
+
+        def recording(batch, start=0):
+            del ran[:]
+            out = session_forward(batch, start)
+            forwards.append((start, list(ran), out))
+            return out
+
+        engine = ServingEngine(session, fault_rate=1.0, max_batch=8,
+                               shadow_rate=1.0, recover=True)
+        indices = list(range(8))
+        golden = session_forward(session.gather(indices))
+
+        def arm(_batch_size):
+            injectors = [_fault_at(site) for site in sites]
+            for injector in injectors:
+                injector.arm(None, model)
+            return injectors
+
+        monkeypatch.setattr(engine.plane, "arm", arm)
+        monkeypatch.setattr(session, "forward", recording)
+        responses = engine._execute_batch([{"index": i} for i in indices])
+        return forwards, responses, golden, len(chain)
+
+    def _check(self, session, sites, start, monkeypatch):
+        forwards, responses, golden, layers = self._serve(
+            session, sites, monkeypatch)
+        (primary_start, primary_ran, _), (shadow_start, shadow_ran,
+                                          shadow) = forwards
+        assert all(r["faults_fired"] == len(sites) for r in responses)
+        assert primary_start == 0 and primary_ran == list(range(layers))
+        assert shadow_start == start
+        assert shadow_ran == list(range(start, layers))
+        assert shadow.tobytes() == golden.tobytes()
+        assert [r["output"] for r in responses] == \
+            golden.reshape(len(golden), -1).tolist()
+
+    def test_one_fault_in_each_top_level_layer(self, session, monkeypatch):
+        layer_of = site_layers(session.model)
+        first_site = {}
+        for site in enumerate_sites(session.model, (FORWARD,)):
+            first_site.setdefault(layer_of[site.module_name], site.module_name)
+        assert len(first_site) >= 3
+        for start, site in sorted(first_site.items()):
+            with monkeypatch.context() as patch:
+                self._check(session, [site], start, patch)
+
+    def test_two_faults_start_at_the_earlier_layer(self, session,
+                                                  monkeypatch):
+        layer_of = site_layers(session.model)
+        sites = [s.module_name
+                 for s in enumerate_sites(session.model, (FORWARD,))]
+        late = next(s for s in reversed(sites) if layer_of[s] >= 2)
+        early = next(s for s in sites if 0 < layer_of[s] < layer_of[late])
+        self._check(session, [late, early], layer_of[early], monkeypatch)
+
+    def test_a_model_that_is_not_sequential_shadows_from_layer_0(
+            self, session, monkeypatch):
+        model = _Wrapper(build_workload("resnet", size="tiny").build_model(0))
+        monkeypatch.setattr(session, "model", model.eval())
+        sites = [s.module_name for s in enumerate_sites(model, (FORWARD,))]
+        assert site_layers(model)[sites[-1]] == 0
+        self._check(session, [sites[-1]], 0, monkeypatch)
 
 
 # ----------------------------------------------------------------------
