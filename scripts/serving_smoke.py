@@ -4,8 +4,10 @@ Launches ``repro serve-infer`` on an ephemeral port with a nonzero
 fault rate as a subprocess, drives a short ``repro loadgen`` burst
 against it, validates the Prometheus exposition (SDC and shed counters
 must be present, and with full shadowing + this fault rate the SDC
-counter must be nonzero), and then re-serves with an impossible SLO
-rule to assert ``/healthz`` degrades to 503 under an induced breach.
+counter must be nonzero), checks batch invariance over HTTP (a request's
+``output`` is the same whether it was served alone or beside others,
+faults and recovery included), and then re-serves with an impossible
+SLO rule to assert ``/healthz`` degrades to 503 under an induced breach.
 
 Run from the repository root::
 
@@ -20,6 +22,7 @@ import sys
 import tempfile
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -28,6 +31,9 @@ from repro.observe.export import validate_exposition  # noqa: E402
 from repro.observe.timeseries import read_series  # noqa: E402
 
 POLL_TIMEOUT_S = 120.0
+
+#: Inputs posted once alone and then, many times over, concurrently.
+INVARIANCE_INDICES = list(range(12))
 
 
 def _fetch(url: str) -> tuple[int, str]:
@@ -48,6 +54,34 @@ def _wait_for_url(process) -> str:
         if time.monotonic() > deadline:
             break
     raise RuntimeError("serve-infer never announced its endpoint")
+
+
+def _predict(url: str, index: int) -> dict:
+    request = urllib.request.Request(
+        f"{url}/predict", data=json.dumps({"index": index}).encode("utf-8"),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return json.loads(response.read().decode("utf-8"))
+
+
+def _check_batch_invariance(url: str) -> int:
+    """Every concurrent response's ``output`` equals the one its index
+    got alone; returns how many of them shared a batch."""
+    alone = {}
+    for index in INVARIANCE_INDICES:
+        response = _predict(url, index)
+        assert response["batch_size"] == 1, response["batch_size"]
+        alone[index] = response["output"]
+    with ThreadPoolExecutor(max_workers=16) as pool:
+        shared = list(pool.map(lambda index: _predict(url, index),
+                               INVARIANCE_INDICES * 8))
+    for response in shared:
+        assert response["output"] == alone[response["index"]], \
+            f"index {response['index']} served in a batch of " \
+            f"{response['batch_size']} differs from its output alone"
+    mixed = sum(response["batch_size"] > 1 for response in shared)
+    assert mixed, "no concurrent request shared a batch"
+    return mixed
 
 
 def _serve(tmp: Path, *extra: str, duration: float):
@@ -108,6 +142,11 @@ def main() -> int:
         status, health = _fetch(f"{url}/healthz")
         assert status in (200, 503), f"/healthz returned {status}"
         json.loads(health)
+
+        mixed = _check_batch_invariance(url)
+        print(f"smoke: batch invariance held; {mixed} of "
+              f"{8 * len(INVARIANCE_INDICES)} concurrent requests shared "
+              f"a batch")
 
         # Let --duration elapse so the summary store + series land; at
         # this fault rate the default sdc-per-million SLO is expected

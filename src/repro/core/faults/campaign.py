@@ -732,9 +732,11 @@ class InferenceCampaign:
     so control faults that flip many outputs almost always change the
     prediction.
 
-    In eval mode every layer is per-image, so the images a fault left
-    alone come out golden; a unit forwards only the images whose bytes
-    the fault changed at its site (DESIGN.md decision 12).
+    In eval mode every layer is per-image and an image's output bytes do
+    not depend on its batch-mates (DESIGN.md decision 16), so the images
+    a fault left alone come out golden; a unit forwards only the images
+    whose bytes the fault changed at its site and judges them against
+    their golden top-1 (decision 12).
     """
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0, train_iterations: int | None = None,
@@ -753,9 +755,9 @@ class InferenceCampaign:
     def _golden_pass(self, inputs: np.ndarray) -> None:
         """The golden forward, layer by layer.  Keeps what a unit starts
         from: each top-level layer's input, and each site module's
-        forward-hook tensor (what a fault at that site rewrites)."""
+        forward-hook tensor (what a fault at that site rewrites); and
+        what it is judged against: each image's golden top-1."""
         self._golden_sites: dict[str, np.ndarray] = {}
-        self._reference_preds: dict[tuple[str, bytes], np.ndarray] = {}
 
         def keep(name: str):
             def hook(tensor: np.ndarray, info: dict) -> np.ndarray:
@@ -769,7 +771,8 @@ class InferenceCampaign:
             module_at(self.model, name).set_fault_hook(FORWARD, keep(name))
         try:
             with np.errstate(**_QUIET):
-                _, self._golden_inputs = forward_by_layer(self.model, inputs)
+                out, self._golden_inputs = forward_by_layer(self.model, inputs)
+            self._golden_top1 = _top1(out)
         finally:
             for name in sites:
                 module_at(self.model, name).set_fault_hook(FORWARD, None)
@@ -782,7 +785,10 @@ class InferenceCampaign:
         top-level layer holding the site, on that layer's golden input)
         nor the images beside its fault (it forwards the rows of the
         batch whose bytes the fault changed at the site, and none at all
-        when the fault rewrote the values already there)."""
+        when the fault rewrote the values already there).  A forwarded
+        row's top-1 is compared with the same image's golden top-1: with
+        batch-invariant eval kernels that *is* the row forwarded alone
+        with the golden site rows."""
         from repro.core.faults.serialization import fault_from_dict
 
         # Tests map every site to layer 0 here (patching ``site_layers``)
@@ -811,31 +817,20 @@ class InferenceCampaign:
                         else self.model.forward(x)
             finally:
                 module_at(self.model, name).set_fault_hook(FORWARD, None)
-            return (np.argmax(np.nan_to_num(out, nan=-np.inf), axis=-1),
-                    bool(np.all(np.isfinite(out))))
+            return _top1(out), bool(np.all(np.isfinite(out)))
 
         def run_unit(payload: dict) -> dict:
             fault = fault_from_dict(payload["fault"])
             name = fault.site.module_name
-            golden = self._golden_sites[name]
             injector = FaultInjector(fault)
             with np.errstate(**_QUIET):
-                faulty = injector._fault_hook(golden, {
+                faulty = injector._fault_hook(self._golden_sites[name], {
                     "module": module_at(self.model, name), "kind": FORWARD})
-            rows = _rows_touched(faulty, golden)
+            rows = injector.rows
             sdc = nonfinite = False
             if rows.size:
-                # A same-shape differential: a row forwarded beside other
-                # rows differs in bytes from the same row forwarded alone
-                # (BLAS blocks by M), so the reference is these rows
-                # forwarded the same way with the golden site rows.
-                cached = (name, rows.tobytes())
-                reference = self._reference_preds.get(cached)
-                if reference is None:
-                    reference, _ = predict(name, rows, golden[rows])
-                    self._reference_preds[cached] = reference
                 pred, finite = predict(name, rows, faulty[rows])
-                sdc = bool(np.any(pred != reference))
+                sdc = bool(np.any(pred != self._golden_top1[rows]))
                 nonfinite = not finite
             outcome = classify_inference_experiment(sdc=sdc, nonfinite=nonfinite)
             return {"index": payload["index"], "fault": payload["fault"],
@@ -873,8 +868,6 @@ class InferenceCampaign:
         return inference_report_dict(list(report.results.values()))
 
 
-def _rows_touched(faulty: np.ndarray, golden: np.ndarray) -> np.ndarray:
-    """Indices along axis 0 (the batch) whose bytes differ; both are
-    float32, as every forward-hook tensor and fault model's output is."""
-    changed = faulty.view(np.uint32) != golden.view(np.uint32)
-    return np.flatnonzero(changed.reshape(len(golden), -1).any(axis=1))
+def _top1(out: np.ndarray) -> np.ndarray:
+    """Per-position top-1 of a forward's output; a NaN never wins."""
+    return np.argmax(np.nan_to_num(out, nan=-np.inf), axis=-1)

@@ -52,6 +52,14 @@ def _emit_injection(trainer, fault, record: FaultRecord | None,
         max_abs_faulty=record.max_abs_faulty())
 
 
+def rows_touched(faulty: np.ndarray, original: np.ndarray) -> np.ndarray:
+    """Indices along axis 0 (the batch, for an eval-mode forward site)
+    whose bytes differ; both are float32, as every fault model's output
+    is."""
+    changed = faulty.view(np.uint32) != original.view(np.uint32)
+    return np.flatnonzero(changed.reshape(len(original), -1).any(axis=1))
+
+
 def resolve_site_module(trainer, replica, module_name: str):
     """Resolve an injection target to a module of ``replica``.
 
@@ -85,6 +93,9 @@ class FaultInjector:
         self._rng = np.random.default_rng(fault.seed)
         self._armed_module = None
         self.fired = False
+        #: Axis-0 indices of the hooked tensor whose bytes the fault
+        #: changed; set when the hook fires.
+        self.rows: np.ndarray | None = None
         self._emitted = False
 
     # ------------------------------------------------------------------
@@ -101,6 +112,7 @@ class FaultInjector:
         else:
             faulty, record = model.apply(tensor, self._rng, self.fault.ff)
         self.record = record
+        self.rows = rows_touched(faulty, np.asarray(tensor, dtype=np.float32))
         return faulty
 
     # ------------------------------------------------------------------

@@ -171,7 +171,15 @@ class Conv2D(Module):
         self._input_shape = x.shape
         self._folded_shape = folded.shape
         w_row = self.weight.data.reshape(*lanes, self.out_channels, -1)
-        out = config.matmul(col, w_row.swapaxes(-1, -2))
+        if self.training:
+            out = config.matmul(col, w_row.swapaxes(-1, -2))
+        else:
+            # One GEMM per image (M = oh*ow, not n*oh*ow): BLAS picks its
+            # kernel by M, so only then is an image's output independent
+            # of its batch-mates (DESIGN.md decision 16).
+            out = config.matmul(col.reshape(*lanes, n, oh * ow, -1),
+                                w_row.swapaxes(-1, -2)[..., None, :, :])
+            out = out.reshape(*lanes, -1, self.out_channels)
         if self.use_bias:
             out = out + self.bias.data[..., None, :]
         # (..., oh, ow, Cout) -> (..., Cout, oh, ow) as two swaps, a tenth

@@ -44,7 +44,14 @@ class Dense(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        out = config.matmul(x, self.weight.data)
+        if self.training or x.ndim != len(self.lanes) + 2:
+            out = config.matmul(x, self.weight.data)
+        else:
+            # One GEMM per row, as a wider input already gets one per
+            # sample: an image's output bytes do not depend on its batch
+            # (DESIGN.md decision 16).
+            out = config.matmul(x[..., None, :],
+                                self.weight.data[..., None, :, :])[..., 0, :]
         if self.use_bias:
             out = out + self.bias.data[..., None, :]
         out = out.astype(np.float32, copy=False)

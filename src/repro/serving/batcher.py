@@ -10,10 +10,12 @@ two knobs.  A full queue sheds instead of buffering unboundedly
 
 The batcher is policy-free: it knows nothing about models or faults.
 ``execute`` is a synchronous callable ``list[payload] -> list[result]``
-run in the default thread-pool executor, so the event loop keeps
+run on one worker thread the batcher owns, so the event loop keeps
 accepting and coalescing the *next* batch while the current one computes
 — the same pipelining that makes dynamic batching pay off on real
-hardware.
+hardware.  Batches run one at a time, so one thread is all they need; the
+loop's default pool would spread consecutive batches over up to
+``min(32, cpu + 4)`` threads, each with its own malloc arena.
 
 Coalescing costs per batch, not per request: the collector takes what is
 already queued without waiting, and sleeps — on one future that a submit
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 
 class ShedError(RuntimeError):
@@ -46,7 +49,7 @@ class DynamicBatcher:
     ----------
     execute:
         Synchronous ``list[payload] -> list[result]`` (one result per
-        payload, same order).  Runs in the default executor.
+        payload, same order).  Runs on the batcher's one worker thread.
     max_batch:
         Hard cap on batch size; a batch is released immediately when it
         fills.
@@ -148,10 +151,12 @@ class DynamicBatcher:
 
         However it exits — cancelled, or on an error of its own — the
         batch in flight and every queued request fail with
-        :class:`ShedError`, and later submits shed: no request waits on
-        a collector that is gone.
+        :class:`ShedError`, later submits shed, and the worker thread is
+        shut down: no request waits on a collector that is gone.
         """
         loop = asyncio.get_running_loop()
+        worker = ThreadPoolExecutor(max_workers=1,
+                                    thread_name_prefix="batcher")
         batch: list[_Request] = []
         try:
             while True:
@@ -161,7 +166,7 @@ class DynamicBatcher:
                 payloads = [request.payload for request in batch]
                 try:
                     results = await loop.run_in_executor(
-                        None, self.execute, payloads)
+                        worker, self.execute, payloads)
                     if len(results) != len(batch):
                         raise RuntimeError(
                             f"execute returned {len(results)} results for "
@@ -177,6 +182,9 @@ class DynamicBatcher:
                     if not request.future.done():
                         request.future.set_result(result)
         finally:
+            # A cancelled batch may still be computing: the thread exits
+            # once it is done, without blocking the loop.
+            worker.shutdown(wait=False)
             self._stopping = True
             stranded = (batch or []) + list(self._queue)
             self._queue.clear()

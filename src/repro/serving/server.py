@@ -23,11 +23,12 @@ Three layers, separable for tests:
 
 Detection semantics: with ``fault_rate == 0`` nothing is armed and the
 response bytes are bit-identical to a direct ``model.forward`` of the
-same batch.  When a fault fires, the nonfinite screen always runs; a
-golden shadow re-execution of the *same batch*, from the first top-level
-layer a fault fired in, additionally runs with probability
-``shadow_rate`` (and always when the screen trips); its bytes equal a
-full fault-free forward's.
+same batch, or of any request alone.  When a fault fires, the nonfinite
+screen always runs; a golden shadow re-execution of the rows the fired
+faults touched, from the first top-level layer a fault fired in,
+additionally runs with probability ``shadow_rate`` (and always when the
+screen trips); those rows spliced into the primary output equal a full
+fault-free forward's bytes.
 Only a shadowed batch can observe SDCs — the ``serving.sdc`` counter is
 therefore *detected* silent corruptions, a lower bound that tightens as
 ``shadow_rate`` -> 1.
@@ -132,19 +133,25 @@ class ServingEngine:
                       or float(self._shadow_rng.random()) < self.shadow_rate)
             if shadow:
                 screened = True
-                self.c_shadow.inc()
-                # Same batch, injectors disarmed: this re-execution IS
-                # the golden output for these requests — per-row
-                # bit-identity holds because the batch composition (and
-                # so every BLAS reduction order) is unchanged.  It starts
-                # at the first top-level layer a fault fired in: every
-                # layer before computed golden values, so its input is
-                # the one the primary forward kept (DESIGN.md decision 15).
-                layer_of = site_layers(self.session.model)
-                start = min(layer_of[injector.fault.site.module_name]
-                            for injector in fired)
-                golden = self.session.forward(
-                    self.session.layer_inputs[start], start)
+                golden = outputs
+                # Only the rows a fault changed can differ from golden:
+                # eval layers are per-image and batch-invariant, so the
+                # rest of the primary output is golden already, and the
+                # shadow re-executes the touched rows alone, injectors
+                # disarmed.  It starts at the first top-level layer a
+                # fault fired in: every layer before computed golden
+                # values, so its input is the one the primary forward
+                # kept (DESIGN.md decisions 15 and 16).
+                touched = np.unique(np.concatenate(
+                    [injector.rows for injector in fired]))
+                if touched.size:
+                    self.c_shadow.inc()
+                    layer_of = site_layers(self.session.model)
+                    start = min(layer_of[injector.fault.site.module_name]
+                                for injector in fired)
+                    golden = outputs.copy()
+                    golden[touched] = self.session.forward(
+                        self.session.layer_inputs[start][touched], start)
                 golden_pred = np.argmax(
                     np.nan_to_num(golden, nan=-np.inf), axis=-1)
                 outcomes = list(classify_inference_rows(outputs, golden_pred))
@@ -176,11 +183,18 @@ class ServingEngine:
     # Front-end entry points
     # ------------------------------------------------------------------
     async def predict(self, index: int) -> dict:
-        """Submit one request; raises :class:`ShedError` on overload."""
+        """Submit one request; raises :class:`ShedError` on overload and
+        ``IndexError`` — before queueing, so no batch-mate fails with it
+        — for an index outside ``[0, num_samples)``."""
         self.c_requests.inc()
+        index = int(index)
+        if not 0 <= index < self.session.num_samples:
+            self.c_errors.inc()
+            raise IndexError(
+                f"index {index} out of range [0, {self.session.num_samples})")
         started = time.perf_counter()
         try:
-            result = await self.batcher.submit({"index": int(index)})
+            result = await self.batcher.submit({"index": index})
         except ShedError:
             self.c_shed.inc()
             raise
@@ -247,11 +261,10 @@ def serving_routes(engine: ServingEngine) -> dict:
             index = int(json.loads(body.decode("utf-8") or "{}")["index"])
         except (ValueError, KeyError, TypeError):
             return error(400, "body must be JSON with an integer 'index'")
-        if not 0 <= index < session.num_samples:
-            return error(
-                400, f"index out of range [0, {session.num_samples})")
         try:
             return 200, json.dumps(await engine.predict(index)), JSON
+        except IndexError as exc:
+            return error(400, str(exc))
         except ShedError as exc:
             return error(503, "shed", detail=str(exc))
 

@@ -1,9 +1,12 @@
 """An inference unit forwards only the images its fault touched
-(DESIGN.md decision 12), and nothing about its verdict may show it.
+(DESIGN.md decision 12), and nothing about its verdict or its logits
+may show it.
 
 The oracle lives here, not in ``src/``: the whole-batch unit — arm the
 fault on its site module, forward every input through every layer,
 ``argmax`` against the golden batch — which is what a unit was before.
+With batch-invariant eval kernels (decision 16) the unit's logits are
+the oracle's rows byte for byte, not just its verdict.
 """
 
 from __future__ import annotations
@@ -43,15 +46,50 @@ def _payloads(campaign: InferenceCampaign, path, n: int, seed: int,
         return sorted(done.completed.values(), key=lambda p: p["index"])
 
 
+def _unit_forwards(campaign: InferenceCampaign, runner,
+                   payload: dict) -> list[np.ndarray]:
+    """The outputs of every model forward ``runner`` makes for one unit."""
+    model = campaign.model
+    forward = model.forward
+    outputs: list[np.ndarray] = []
+
+    def recording(x, start=0):
+        outputs.append(forward(x, start))
+        return outputs[-1]
+
+    model.forward = recording
+    try:
+        (result,) = runner([payload])
+    finally:
+        del model.forward
+    assert _verdict(result) == _verdict(payload)
+    return outputs
+
+
+def _same_logits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Byte equality, except that any NaN equals any NaN: which payload
+    survives a NaN + NaN depends on loop length (DESIGN.md decision 6),
+    and an elementwise layer loops over the whole batch tensor."""
+    if a.shape != b.shape:
+        return False
+    same = a.view(np.uint32) == b.view(np.uint32)
+    return bool(np.all(same | (np.isnan(a) & np.isnan(b))))
+
+
 def _whole_batch_units(campaign: InferenceCampaign, payloads: list[dict],
                        batch: int) -> list[tuple]:
     """The oracle: ``(sdc, nonfinite, outcome, images flipped)`` per
-    payload's fault, from one armed forward of the whole batch each."""
+    payload's fault, from one armed forward of the whole batch each.
+    Along the way, each unit's one forward (none for a fault that
+    touched no image) must give the logits of the oracle's touched
+    rows."""
     model = campaign.model
     inputs = campaign.spec.test_data.inputs[:batch]
     verdicts = []
     model.eval()
     try:
+        campaign._golden_pass(inputs)
+        runner = campaign._engine_runner()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             golden = np.argmax(model.forward(inputs), axis=-1)
             for payload in payloads:
@@ -62,6 +100,13 @@ def _whole_batch_units(campaign: InferenceCampaign, payloads: list[dict],
                 finally:
                     injector.disarm()
                 assert injector.fired
+                assert len(injector.rows) == payload["rows_touched"]
+                unit = _unit_forwards(campaign, runner, payload)
+                if injector.rows.size:
+                    assert len(unit) == 1
+                    assert _same_logits(unit[0], out[injector.rows])
+                else:
+                    assert unit == []
                 flipped = np.argmax(np.nan_to_num(out, nan=-np.inf),
                                     axis=-1) != golden
                 sdc = bool(flipped.any())
@@ -116,39 +161,29 @@ def test_rows_unit_equals_whole_batch_unit_every_workload(workload, tmp_path):
     assert any(p["rows_touched"] for p in payloads)
 
 
-def test_forwards_per_unit(resnet_campaign, tmp_path, monkeypatch):
-    """No forward for a fault that rewrote no byte; otherwise the unit's
-    rows — and only them — once with the fault and, the first time this
-    (site, rows) is seen, once as the reference."""
+def test_forwards_per_unit(resnet_campaign, tmp_path):
+    """No forward for a fault that rewrote no byte; otherwise exactly one,
+    of the unit's rows and only them — every time, with no reference
+    forward beside it."""
     payloads = _payloads(resnet_campaign, tmp_path / "s.jsonl", 300,
                          seed=7, batch=32)
     model = resnet_campaign.model
-    forwarded: list[int] = []
-    forward = model.forward
-
-    def counting(x, start=0):
-        forwarded.append(len(x))
-        return forward(x, start)
-
-    def run(payload: dict) -> list[int]:
-        del forwarded[:]
-        (result,) = runner([payload])
-        assert _verdict(result) == _verdict(payload)
-        return list(forwarded)
-
     model.eval()
     try:
         resnet_campaign._golden_pass(resnet_campaign.spec.test_data.inputs[:32])
         runner = resnet_campaign._engine_runner()
-        monkeypatch.setattr(model, "forward", counting, raising=False)
+
+        def forwarded(payload: dict) -> list[int]:
+            return [len(out) for out in
+                    _unit_forwards(resnet_campaign, runner, payload)]
+
         untouched = next(p for p in payloads if p["rows_touched"] == 0)
-        assert run(untouched) == []
+        assert forwarded(untouched) == []
         for payload in ([p for p in payloads if p["rows_touched"] == 1][:5]
                         + [p for p in payloads if p["rows_touched"] >= 2][:5]):
             rows = payload["rows_touched"]
-            resnet_campaign._reference_preds.clear()
-            assert run(payload) == [rows, rows]
-            assert run(payload) == [rows]
+            assert forwarded(payload) == [rows]
+            assert forwarded(payload) == [rows]
     finally:
         model.train()
 

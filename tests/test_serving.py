@@ -9,6 +9,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.core.faults.hardware import (
     HardwareFault,
     OpSite,
     enumerate_sites,
+    forward_by_layer,
     layer_chain,
     site_layers,
 )
@@ -223,6 +225,51 @@ class TestDynamicBatcher:
 
         asyncio.run(main())
 
+    def test_batches_run_on_one_thread_of_its_own(self):
+        """Back-to-back batches share one worker thread, never the loop's
+        default pool, and the thread goes when ``run()`` does — cancelled
+        included."""
+        ran_on = []
+
+        def execute(payloads):
+            ran_on.append(threading.current_thread())
+            time.sleep(0.001)
+            return _echo(payloads)
+
+        class Watched(ThreadPoolExecutor):
+            submits = 0
+
+            def submit(self, *args, **kwargs):
+                Watched.submits += 1
+                return super().submit(*args, **kwargs)
+
+        async def main(cancel: bool):
+            asyncio.get_running_loop().set_default_executor(Watched())
+            batcher = DynamicBatcher(execute, max_batch=2, max_wait_s=0.001)
+            task = asyncio.ensure_future(batcher.run())
+            submits = [asyncio.ensure_future(batcher.submit({"value": i}))
+                       for i in range(40)]
+            await asyncio.sleep(0)  # all forty queued
+            if cancel:
+                await asyncio.sleep(0.01)
+                task.cancel()
+            else:
+                batcher.stop()
+            await asyncio.wait([task, *submits])
+            return [f.result()["value"] for f in submits if not f.exception()]
+
+        assert asyncio.run(main(cancel=False)) == list(range(40))
+        assert len(ran_on) == 20
+        for cancel in (False, True):
+            if cancel:
+                del ran_on[:]
+                asyncio.run(main(cancel=True))
+            (worker,) = set(ran_on)
+            assert worker is not threading.main_thread()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+        assert Watched.submits == 0
+
     def test_stop_wakes_an_idle_collector_at_once(self):
         async def main():
             batcher = DynamicBatcher(_echo, max_batch=4, max_wait_s=0.05)
@@ -318,20 +365,41 @@ class _Wrapper(nn.Module):
         return self.net.forward(x)
 
 
-def _fault_at(site: str) -> FaultInjector:
+_BATCH = list(range(8))
+
+
+def _fault_at(site: str, seed: int) -> FaultInjector:
     """A fault that flips the top exponent bit at ``site``'s output."""
     return FaultInjector(HardwareFault(
         ff=FFDescriptor("datapath", bit=30), site=OpSite(site, FORWARD),
-        iteration=0, device=0, seed=1))
+        iteration=0, device=0, seed=seed))
+
+
+def _seed_at(session, site: str, touching: bool) -> int:
+    """The first seed whose :func:`_fault_at` changes some image of
+    :data:`_BATCH` (``touching``) or none."""
+    for seed in range(100):
+        injector = _fault_at(site, seed)
+        injector.arm(None, session.model)
+        try:
+            session.forward(session.gather(_BATCH))
+        finally:
+            injector.disarm()
+        if bool(injector.rows.size) == touching:
+            return seed
+    raise AssertionError(f"no seed under 100 fits site {site!r}")
 
 
 class TestShadowFromFirstFiredLayer:
-    def _serve(self, session, sites, monkeypatch):
-        """One batch with a fault armed at each of ``sites``: returns the
-        ``(start, top-level layers run, output)`` of each session forward,
-        the responses, and the batch's fault-free forward."""
+    def _serve(self, session, sites, monkeypatch, touching=True):
+        """One batch of :data:`_BATCH` with a fault armed at each of
+        ``sites``: returns the ``(start, top-level layers run, input,
+        output)`` of each session forward, the injectors, the responses,
+        and the batch's fault-free forward with each layer's input."""
         model = session.model
+        seeds = [_seed_at(session, site, touching) for site in sites]
         chain = layer_chain(model)
+        golden, golden_inputs = forward_by_layer(model, session.gather(_BATCH))
         ran: list[int] = []
         for index, layer in enumerate(chain):
             monkeypatch.setattr(
@@ -344,35 +412,40 @@ class TestShadowFromFirstFiredLayer:
         def recording(batch, start=0):
             del ran[:]
             out = session_forward(batch, start)
-            forwards.append((start, list(ran), out))
+            forwards.append((start, list(ran), batch, out))
             return out
 
         engine = ServingEngine(session, fault_rate=1.0, max_batch=8,
                                shadow_rate=1.0, recover=True)
-        indices = list(range(8))
-        golden = session_forward(session.gather(indices))
+        injectors = []
 
         def arm(_batch_size):
-            injectors = [_fault_at(site) for site in sites]
+            injectors[:] = [_fault_at(site, seed)
+                            for site, seed in zip(sites, seeds)]
             for injector in injectors:
                 injector.arm(None, model)
-            return injectors
+            return list(injectors)
 
         monkeypatch.setattr(engine.plane, "arm", arm)
         monkeypatch.setattr(session, "forward", recording)
-        responses = engine._execute_batch([{"index": i} for i in indices])
-        return forwards, responses, golden, len(chain)
+        responses = engine._execute_batch([{"index": i} for i in _BATCH])
+        return (forwards, injectors, responses, golden, golden_inputs,
+                len(chain))
 
     def _check(self, session, sites, start, monkeypatch):
-        forwards, responses, golden, layers = self._serve(
-            session, sites, monkeypatch)
-        (primary_start, primary_ran, _), (shadow_start, shadow_ran,
-                                          shadow) = forwards
+        forwards, injectors, responses, golden, inputs, layers = \
+            self._serve(session, sites, monkeypatch)
+        (primary_start, primary_ran, _, _), \
+            (shadow_start, shadow_ran, shadow_batch, shadow) = forwards
+        rows = np.unique(np.concatenate([i.rows for i in injectors]))
         assert all(r["faults_fired"] == len(sites) for r in responses)
         assert primary_start == 0 and primary_ran == list(range(layers))
         assert shadow_start == start
         assert shadow_ran == list(range(start, layers))
-        assert shadow.tobytes() == golden.tobytes()
+        # The shadow batch is exactly the touched rows, from the layer
+        # input the primary kept (golden: no fault fired before it).
+        assert shadow_batch.tobytes() == inputs[start][rows].tobytes()
+        assert shadow.tobytes() == golden[rows].tobytes()
         assert [r["output"] for r in responses] == \
             golden.reshape(len(golden), -1).tolist()
 
@@ -403,6 +476,19 @@ class TestShadowFromFirstFiredLayer:
         assert site_layers(model)[sites[-1]] == 0
         self._check(session, [sites[-1]], 0, monkeypatch)
 
+    def test_faults_that_touched_no_row_run_no_shadow(self, session,
+                                                       monkeypatch):
+        sites = [s.module_name
+                 for s in enumerate_sites(session.model, (FORWARD,))]
+        forwards, injectors, responses, golden, _, _ = self._serve(
+            session, [sites[0], sites[-1]], monkeypatch, touching=False)
+        assert all(i.fired and i.rows.size == 0 for i in injectors)
+        assert len(forwards) == 1  # the primary alone
+        assert all(r["screened"] and r["outcome"] == "masked"
+                   and not r["recovered"] for r in responses)
+        assert [r["output"] for r in responses] == \
+            golden.reshape(len(golden), -1).tolist()
+
 
 # ----------------------------------------------------------------------
 # Serving engine: zero-fault bit-identity, detection, batch recovery
@@ -418,6 +504,26 @@ class TestServingEngine:
             assert not response["recovered"]
         assert engine.c_outcome[InferenceOutcome.SDC].value == 0
         assert engine.c_faults_armed.value == 0
+
+    def test_a_bad_index_fails_alone_before_it_is_queued(self, session):
+        async def main():
+            engine = ServingEngine(session, max_batch=8, max_wait_s=0.05)
+            task = asyncio.ensure_future(engine.batcher.run())
+            indices = list(range(7)) + [session.num_samples + 5, -1]
+            results = await asyncio.gather(
+                *(engine.predict(i) for i in indices), return_exceptions=True)
+            engine.batcher.stop()
+            await task
+            return results, engine
+
+        results, engine = asyncio.run(main())
+        assert [r["index"] for r in results[:7]] == list(range(7))
+        golden = session.forward(session.gather(range(7)))
+        assert [r["output"] for r in results[:7]] == \
+            golden.reshape(7, -1).tolist()
+        assert all(isinstance(r, IndexError) for r in results[7:])
+        assert engine.batcher.batch_sizes == [7]
+        assert engine.c_requests.value == 9 and engine.c_errors.value == 2
 
     def test_recovery_re_execution_is_golden_identical(self, session):
         # Always-faulty regime with full shadowing: every corrupted
@@ -583,6 +689,8 @@ class TestInferenceServerHTTP:
             report["bad_json"] = await asyncio.to_thread(post, "not json")
             report["bad_index"] = await asyncio.to_thread(
                 post, json.dumps({"index": 10 ** 9}))
+            report["negative"] = await asyncio.to_thread(
+                post, json.dumps({"index": -1}))
             report["good"] = await asyncio.to_thread(
                 post, json.dumps({"index": 0}))
             await hub_service
@@ -590,6 +698,7 @@ class TestInferenceServerHTTP:
         asyncio.run(main())
         assert report["bad_json"][0] == 400
         assert report["bad_index"][0] == 400
+        assert report["negative"][0] == 400
         status, body = report["good"]
         assert status == 200
         assert json.loads(body)["index"] == 0
