@@ -7,7 +7,8 @@ exponent-bit datapath FFs (5.5% of all FFs) contribute 31.9%-44.3%.
 This bench reports the same stratification over the campaign results,
 plus a *stratified* comparison of unexpected rates per class with equal
 sample counts (the per-class rates expose the effect even when the
-uniform-sample counts are small).
+uniform-sample counts are small).  Every rate prints as estimate [99 %
+Wilson interval] (n), and the verdict needs the intervals to separate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from _report import emit, header, paper_vs_measured, table
-from repro.accelerator.ffs import FFDescriptor
+from repro.accelerator.ffs import FF_CLASSES, FFDescriptor
+from repro.core.analysis import (
+    campaign_report_dict,
+    rates_with_intervals,
+    render_rate,
+)
 from repro.core.faults import Campaign, HardwareFault
 from repro.workloads import build_workload
 
@@ -24,14 +30,16 @@ def bench_sec431_ff_contributions(benchmark, campaign_results):
     # Uniform-campaign stratification (the paper's accounting).
     rows = []
     for name, result in campaign_results.items():
-        stats = result.by_ff_category()
-        for category, values in stats.items():
+        report = campaign_report_dict(result.payloads)
+        for category in FF_CLASSES:
             rows.append({
                 "workload": name,
                 "ff class": category,
-                "population share": values["population_fraction"],
-                "share of unexpected": values["unexpected_share"],
-                "unexpected rate": values["unexpected_rate"],
+                "population share": render_rate(report, f"{category}_share"),
+                "share of unexpected": render_rate(
+                    report, f"{category}_unexpected_share"),
+                "unexpected rate": render_rate(
+                    report, f"{category}_unexpected_rate"),
             })
     header("Sec. 4.3.1 — unexpected-outcome contributions by FF class "
            "(uniform campaign)")
@@ -60,8 +68,8 @@ def bench_sec431_ff_contributions(benchmark, campaign_results):
                                     has_feedback=False)
         return fault
 
-    strat_rows = []
-    for category in ("critical_control", "upper_exponent", "other"):
+    rates = {}
+    for category in FF_CLASSES:
         unexpected = 0
         conditions_fired = 0
         for _ in range(per_class):
@@ -71,28 +79,33 @@ def bench_sec431_ff_contributions(benchmark, campaign_results):
             window = result.condition_window
             if max(window.get("max_history", 0), window.get("max_mvar", 0)) > 1e6:
                 conditions_fired += 1
-        strat_rows.append({
-            "ff class": category,
-            "experiments": per_class,
-            "unexpected rate": unexpected / per_class,
-            "condition-fired rate": conditions_fired / per_class,
-        })
+        rates[category] = rates_with_intervals({
+            "unexpected_rate": (unexpected, per_class),
+            "condition_fired_rate": (conditions_fired, per_class)})
     emit("Stratified injection (equal counts per class, resnet):")
-    table(strat_rows)
+    table([{"ff class": category,
+            "unexpected rate": render_rate(report, "unexpected_rate"),
+            "condition-fired rate": render_rate(report,
+                                                "condition_fired_rate")}
+           for category, report in rates.items()])
     emit()
 
-    crit = strat_rows[0]
-    upper = strat_rows[1]
-    other = strat_rows[2]
-    danger = max(crit["condition-fired rate"], crit["unexpected rate"])
-    upper_danger = max(upper["condition-fired rate"], upper["unexpected rate"])
-    other_danger = max(other["condition-fired rate"], other["unexpected rate"])
+    def above_other(category: str) -> bool:
+        """Some rate of ``category`` sits above the same rate of "other"
+        at 99 % confidence (the intervals do not overlap)."""
+        return any(rates[category]["intervals"][name]["low"]
+                   > rates["other"]["intervals"][name]["high"]
+                   for name in ("unexpected_rate", "condition_fired_rate"))
+
     paper_vs_measured(
         "critical control FFs and upper exponent bits dominate the risk",
         "9.8% of FFs -> 55.7-68.5% of unexpected; 5.5% -> 31.9-44.3%",
-        f"rate(critical)={danger:.2f}, rate(upper_exp)={upper_danger:.2f}, "
-        f"rate(other mantissa/low-exp bits)={other_danger:.2f}",
-        danger >= other_danger and upper_danger >= other_danger,
+        "; ".join(f"{category}: unexpected "
+                  f"{render_rate(rates[category], 'unexpected_rate')}, "
+                  f"condition fired "
+                  f"{render_rate(rates[category], 'condition_fired_rate')}"
+                  for category in FF_CLASSES),
+        above_other("critical_control") and above_other("upper_exponent"),
     )
 
     benchmark.pedantic(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 
 from _report import emit, header, paper_vs_measured, table, write_artifact
-from repro.core.analysis import rate_interval, render_rate
+from repro.core.analysis import rates_with_intervals, render_rate
 from repro.serving import InferenceSession, ServingEngine
 from repro.workloads import build_workload
 
@@ -74,8 +74,7 @@ def _sweep(rates, requests: int, rps: float,
             "shed": summary["shed"],
             # Detected SDCs over responses, with n and a Wilson interval
             # (shaped like a report dict, so render_rate prints it).
-            "sdc_rate": sdc / responses,
-            "intervals": {"sdc_rate": rate_interval(sdc, responses)},
+            **rates_with_intervals({"sdc_rate": (sdc, responses)}),
             "sdc_per_million": summary["sdc_per_million"],
             "shed_rate": summary["shed_rate"],
             "faults_fired": summary["faults_fired"],

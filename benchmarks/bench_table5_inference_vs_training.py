@@ -12,7 +12,12 @@ model and (b) the training process, and contrasts the outcome profiles:
 from __future__ import annotations
 
 from _report import emit, header, paper_vs_measured, table
-from repro.core.analysis import render_inference, render_rate
+from repro.core.analysis import (
+    campaign_report_dict,
+    rates_with_intervals,
+    render_inference,
+    render_rate,
+)
 from repro.core.faults import InferenceCampaign
 from repro.workloads import build_workload
 
@@ -26,26 +31,20 @@ def bench_table5_inference_vs_training(benchmark, campaign_results):
     inference = InferenceCampaign(spec, seed=0, num_devices=2)
     inference_stats = inference.run(EXPERIMENTS, seed=11)
 
-    training = campaign_results["resnet"]
-    training_unexpected = training.unexpected_fraction()
-    training_interval = training.unexpected_interval()
-    training_rate = (f"unexpected rate {training_unexpected:.2%} "
-                     f"[{training_interval.low:.2%}, "
-                     f"{training_interval.high:.2%}] "
-                     f"(n={training.num_experiments})")
-    breakdown = training.breakdown()
-    inf_nan_fraction = sum(
-        fraction for outcome, fraction in breakdown.items()
-        if "inf_nan" in outcome
-    )
+    training = campaign_report_dict(campaign_results["resnet"].payloads)
+    training_rate = "unexpected rate " + render_rate(training,
+                                                     "unexpected_rate")
+    n = training["num_experiments"]
+    inf_nan = sum(count for outcome, count in training["breakdown"].items()
+                  if "inf_nan" in outcome)
+    inf_nan_rate = rates_with_intervals({"inf_nan_rate": (inf_nan, n)})
 
     # The claim holds only if the data can tell the two rates apart.
     separated = (inference_stats["intervals"]["sdc_rate"]["low"]
-                 > training_interval.high)
+                 > training["intervals"]["unexpected_rate"]["high"])
 
     header("Table 5 — inference vs. training resilience "
-           f"({EXPERIMENTS} inference faults, "
-           f"{training.num_experiments} training faults; resnet)")
+           f"({EXPERIMENTS} inference faults, {n} training faults; resnet)")
     table([
         {"property": "fault changes the outcome",
          "inference": "SDC rate "
@@ -54,7 +53,8 @@ def bench_table5_inference_vs_training(benchmark, campaign_results):
         {"property": "non-finite values observed",
          "inference": render_rate(inference_stats, "nonfinite_rate")
                       + " of runs",
-         "training": f"{inf_nan_fraction:.2%} of runs reach INFs/NaNs"},
+         "training": render_rate(inf_nan_rate, "inf_nan_rate")
+                     + " of runs reach INFs/NaNs"},
     ])
     emit()
     emit(render_inference(inference_stats))

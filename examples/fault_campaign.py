@@ -5,8 +5,9 @@ experiments).
 Samples random hardware faults — FF from the inventory (Table 1
 populations), op site, training iteration, device — injects each into a
 fresh copy of the workload resumed from a shared baseline, and prints the
-Fig. 3-style outcome breakdown with confidence intervals, the Sec. 4.3.1
-FF-class stratification, and the Table 4 condition ranges.
+campaign summary ``repro report`` prints: the Fig. 3 outcome breakdown,
+every rate with its 99 % interval and n (including the Sec. 4.3.1 FF
+classes), and the Table 4 condition ranges.
 
 Run:  python examples/fault_campaign.py [num_experiments]
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.core.analysis import campaign_report_dict, render_campaign
 from repro.core.analysis.stats import unobserved_outcome_bound
 from repro.core.faults import Campaign
 from repro.workloads import build_workload
@@ -31,33 +33,12 @@ def main(num_experiments: int = 40) -> None:
     print(f"running {num_experiments} fault-injection experiments...")
     result = campaign.run(num_experiments, seed=77)
 
-    print("\noutcome breakdown (normalized to total experiments, Fig. 3):")
-    for outcome, fraction in sorted(result.breakdown().items(),
-                                    key=lambda kv: -kv[1]):
-        if fraction > 0:
-            print(f"  {outcome:<24s} {fraction:6.1%}")
-
-    interval = result.unexpected_interval()
-    print(f"\nunexpected-outcome rate: {result.unexpected_fraction():.1%} "
-          f"(99% CI [{interval.low:.1%}, {interval.high:.1%}]; "
-          f"paper: 9.7%-17.7% at >100K experiments per workload)")
-    print(f"probability of an unseen outcome class: "
+    print()
+    print(render_campaign(campaign_report_dict(result.payloads), spec.name))
+    print("\npaper: unexpected rate 9.7%-17.7% at >100K experiments per "
+          "workload; probability of an unseen outcome class here: "
           f"< {unobserved_outcome_bound(result.num_experiments):.1%} "
           "(99.5% confidence)")
-
-    print("\ncontribution by FF class (Sec. 4.3.1):")
-    for category, stats in result.by_ff_category().items():
-        print(f"  {category:<18s} population {stats['population_fraction']:5.1%}  "
-              f"share of unexpected {stats['unexpected_share']:5.1%}")
-
-    ranges = result.condition_ranges()
-    if ranges:
-        print("\nnecessary-condition ranges observed (Table 4):")
-        for outcome, (lo, hi) in ranges.items():
-            print(f"  {outcome:<24s} {lo:.2e} .. {hi:.2e}")
-    else:
-        print("\nno latent outcomes in this sample (they are a few percent "
-              "of experiments; increase num_experiments)")
 
 
 if __name__ == "__main__":

@@ -45,6 +45,9 @@ DATAPATH_FRACTION = 1.0 - sum(GLOBAL_GROUP_FRACTIONS.values()) - LOCAL_CONTROL_F
 #: Bits per datapath register (FP32 accumulators dominate the datapath).
 DATAPATH_REGISTER_BITS = 32
 
+#: The Sec. 4.3.1 FF classes, as :attr:`FFDescriptor.ff_class` names them.
+FF_CLASSES = ("critical_control", "upper_exponent", "other")
+
 
 @dataclass(frozen=True)
 class FFDescriptor:
@@ -68,6 +71,18 @@ class FFDescriptor:
         if self.category != "datapath" or self.bit is None:
             return False
         return self.bit in range(31 - count, 31)
+
+    @property
+    def ff_class(self) -> str:
+        """The Sec. 4.3.1 class: "critical_control" (global groups 1 and
+        3 plus local control FFs, 9.8 % of FFs), "upper_exponent" (the
+        top two exponent bits of a datapath register) or "other"."""
+        if self.category == "local_control" or (
+                self.category == "global_control" and self.group in (1, 3)):
+            return "critical_control"
+        if self.is_upper_exponent():
+            return "upper_exponent"
+        return "other"
 
 
 class FFInventory:

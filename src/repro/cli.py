@@ -251,7 +251,7 @@ def cmd_campaign(args) -> int:
     finally:
         if telemetry is not None:
             telemetry.stop()
-    print(render_campaign(result))
+    print(render_campaign(campaign_report_dict(result.payloads), args.workload))
     report = result.engine_report
     print(f"engine: {report.executed} executed, {report.skipped} resumed, "
           f"{len(report.quarantined)} quarantined, {report.retries} "
@@ -273,7 +273,7 @@ def cmd_report(args) -> int:
     """``repro report``: summarize a persistent result store."""
     import json
 
-    from repro.engine import EXPERIMENT, QUARANTINE, read_records, store_to_campaign
+    from repro.engine import EXPERIMENT, QUARANTINE, read_records
 
     records = read_records(args.store)
     header = records[0]
@@ -281,6 +281,10 @@ def cmd_report(args) -> int:
     experiments = [r for r in records[1:] if r["record"] == EXPERIMENT]
     quarantined = [r for r in records[1:] if r["record"] == QUARANTINE]
     meta = header.get("meta") or {}
+    summarise = {"campaign": campaign_report_dict,
+                 "inference": inference_report_dict}.get(kind)
+    report = summarise([r["payload"] for r in experiments]) if summarise \
+        else None
     if args.json:
         payload = {
             "store": str(args.store),
@@ -291,12 +295,8 @@ def cmd_report(args) -> int:
             "quarantined": {r["key"]: r.get("error", "")
                             for r in quarantined},
         }
-        if kind == "campaign":
-            payload["report"] = campaign_report_dict(
-                store_to_campaign(args.store))
-        elif kind == "inference":
-            payload["report"] = inference_report_dict(
-                [r["payload"] for r in experiments])
+        if report is not None:
+            payload["report"] = report
         print(json.dumps(stable_floats(payload), indent=2, sort_keys=True))
         return 0
     print(f"# store: {args.store}")
@@ -306,10 +306,9 @@ def cmd_report(args) -> int:
         print("meta: " + ", ".join(f"{k}={v}" for k, v in meta.items()))
     if kind == "campaign":
         print()
-        print(render_campaign(store_to_campaign(args.store)))
+        print(render_campaign(report, meta.get("workload", "unknown")))
     elif kind == "inference":
-        print(render_inference(inference_report_dict(
-            [r["payload"] for r in experiments])))
+        print(render_inference(report))
     if quarantined:
         print("quarantined experiments:")
         for record in quarantined:

@@ -9,7 +9,6 @@ from repro.core.analysis.classify import (
     classify_inference_rows,
     classify_outcome,
     inference_breakdown,
-    outcome_breakdown,
 )
 from repro.core.analysis.phases import (
     PhaseAnalysis,
@@ -28,6 +27,7 @@ from repro.core.analysis.report import (
     campaign_report_dict,
     inference_report_dict,
     rate_interval,
+    rates_with_intervals,
     render_campaign,
     render_convergence,
     render_inference,
@@ -65,8 +65,8 @@ __all__ = [
     "decompose_phases_vs_reference",
     "expected_stagnation_iterations",
     "experiments_for_interval",
-    "outcome_breakdown",
     "rate_interval",
+    "rates_with_intervals",
     "render_campaign",
     "render_convergence",
     "render_inference",

@@ -213,18 +213,6 @@ def classify_outcomes(
             for record, t in zip(records, injection_iterations)]
 
 
-def outcome_breakdown(reports: list[OutcomeReport]) -> dict[str, float]:
-    """Fraction of experiments per outcome, normalized to the total —
-    the quantity plotted in the paper's Fig. 3."""
-    if not reports:
-        return {}
-    counts: dict[str, int] = {}
-    for report in reports:
-        counts[report.outcome.value] = counts.get(report.outcome.value, 0) + 1
-    total = len(reports)
-    return {name: counts.get(name, 0) / total for name in [o.value for o in Outcome]}
-
-
 class InferenceOutcome(str, Enum):
     """Per-request outcome of a fault during inference (Table 5 axis).
 

@@ -2,13 +2,13 @@
 
 The paper's artifact emits ``replay_inj_*.txt`` files recording training
 loss/accuracy per iteration and flagged anomalies.  This module renders
-equivalent human-readable summaries for :class:`ConvergenceRecord` and
-:class:`CampaignResult` objects, so examples and operators can inspect
+equivalent human-readable summaries of a :class:`ConvergenceRecord` and
+of a campaign's store payloads, so examples and operators can inspect
 experiments without plotting.
 
-Each text renderer has a ``*_dict`` twin returning the same content as
-a JSON-safe dict (the CLI's ``--json`` output), and the trace-analysis
-renderers work on the plain dicts produced by
+A campaign summary is a JSON-safe ``*_report_dict`` over store payloads
+(the CLI's ``--json`` output) with a ``render_*`` text twin, and the
+trace-analysis renderers work on the plain dicts produced by
 :mod:`repro.observe.analysis`, so a single merged campaign trace can be
 turned into Fig. 4-style propagation stories and Table 4 tallies
 without re-running anything.
@@ -17,18 +17,16 @@ without re-running anything.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
+from repro.accelerator.ffs import FF_CLASSES, FFDescriptor
 from repro.core.analysis.classify import (
     InferenceOutcome,
+    Outcome,
     classify_inference_experiment,
     inference_breakdown,
 )
 from repro.core.analysis.stats import experiments_for_interval, wilson_interval
 from repro.training.metrics import ConvergenceRecord
-
-if TYPE_CHECKING:  # import cycle: campaign.py imports sibling modules
-    from repro.core.faults.campaign import CampaignResult
 
 
 def render_convergence(record: ConvergenceRecord, every: int = 1,
@@ -72,59 +70,72 @@ def stable_floats(value, digits: int = 12):
     return value
 
 
-def render_campaign(result: CampaignResult) -> str:
-    """Render a campaign's aggregate statistics (Fig. 3 / Table 4 style)."""
-    lines = [f"# campaign: {result.workload} "
-             f"({result.num_experiments} experiments)"]
-    lines.append("## outcome breakdown (normalized to total)")
-    for outcome, fraction in sorted(result.breakdown().items(),
-                                    key=lambda kv: -kv[1]):
-        if fraction > 0:
-            lines.append(f"  {outcome:<24s} {fraction:7.2%}")
-    interval = result.unexpected_interval()
-    lines.append(
-        f"## unexpected rate {result.unexpected_fraction():.2%} "
-        f"(99% CI [{interval.low:.2%}, {interval.high:.2%}])"
-    )
-    lines.append("## contribution by FF class (Sec. 4.3.1)")
-    for category, stats in result.by_ff_category().items():
-        lines.append(
-            f"  {category:<18s} population {stats['population_fraction']:6.2%}  "
-            f"share of unexpected {stats['unexpected_share']:6.2%}"
-        )
-    ranges = result.condition_ranges()
-    if ranges:
-        lines.append("## necessary-condition ranges (Table 4)")
-        for outcome, (lo, hi) in ranges.items():
-            lines.append(f"  {outcome:<24s} {lo:.3e} .. {hi:.3e}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# JSON mirrors of the text reports (the CLI's --json output)
-# ----------------------------------------------------------------------
-def campaign_report_dict(result: CampaignResult) -> dict:
-    """:func:`render_campaign` as a JSON-safe dict."""
-    interval = result.unexpected_interval()
-    return {
-        "workload": result.workload,
-        "num_experiments": result.num_experiments,
-        "breakdown": {k: float(v) for k, v in result.breakdown().items()},
-        "unexpected_rate": float(result.unexpected_fraction()),
-        "unexpected_interval": {"low": float(interval.low),
-                                "high": float(interval.high),
-                                "confidence": float(interval.confidence)},
-        "by_ff_category": result.by_ff_category(),
-        "condition_ranges": {k: [float(lo), float(hi)]
-                             for k, (lo, hi) in
-                             result.condition_ranges().items()},
-    }
-
-
 #: The interval the minimum-n warning holds a rate report to: worst
 #: case (p = 0.5) half-width and confidence.
 INTERVAL_HALF_WIDTH = 0.02
 INTERVAL_CONFIDENCE = 0.99
+
+
+def rates_with_intervals(counts: dict[str, tuple[int, int]]) -> dict:
+    """Rates from ``name -> (hits, trials)``: one float per rate (None
+    over no trials) and, under ``intervals``, the Wilson interval and n
+    of each rate that has trials — what :func:`render_rate` prints."""
+    return {
+        **{name: hits / trials if trials else None
+           for name, (hits, trials) in counts.items()},
+        "intervals": {name: rate_interval(hits, trials)
+                      for name, (hits, trials) in counts.items() if trials},
+    }
+
+
+def _report(n: int, counts: dict[str, tuple[int, int]]) -> dict:
+    """The fields every ``*_report_dict`` shares: n, the rates and the
+    n the minimum-n warning asks for."""
+    return {"num_experiments": n, **rates_with_intervals(counts),
+            "min_experiments": experiments_for_interval(
+                INTERVAL_HALF_WIDTH, INTERVAL_CONFIDENCE)}
+
+
+def campaign_report_dict(payloads: list[dict]) -> dict:
+    """The training summary (Fig. 3, Sec. 4.3.1, Table 4) from
+    ``kind="campaign"`` store payloads.
+
+    ``breakdown`` counts experiments per :class:`Outcome`.  The rates are
+    the unexpected rate and, per Sec. 4.3.1 FF class (``FF_CLASSES``),
+    its unexpected rate, its share of the experiments and its share of
+    the unexpected outcomes; each carries its Wilson interval and n under
+    ``intervals``, and a rate over no records is None.
+    ``condition_ranges`` holds Table 4's observed [min, max] magnitude
+    per latent (and short-term INF/NaN) outcome, read from each payload's
+    ``condition_window``: optimizer history for the SlowDegrade family,
+    mvar for the rest."""
+    # Imported here: repro.core.faults.campaign imports this module.
+    from repro.core.faults.serialization import _from_json_number
+
+    outcomes = [Outcome(p["outcome"]) for p in payloads]
+    unexpected = [o.is_unexpected for o in outcomes]
+    classes = [FFDescriptor(**p["fault"]["ff"]).ff_class for p in payloads]
+    n, hits = len(payloads), sum(unexpected)
+    counts = {"unexpected_rate": (hits, n)}
+    for name in FF_CLASSES:
+        members = [u for u, c in zip(unexpected, classes) if c == name]
+        counts[f"{name}_share"] = (len(members), n)
+        counts[f"{name}_unexpected_share"] = (sum(members), hits)
+        counts[f"{name}_unexpected_rate"] = (sum(members), len(members))
+    ranges: dict[str, list[float]] = {}
+    for outcome, payload in zip(outcomes, payloads):
+        if not (outcome.is_latent or outcome == Outcome.SHORT_TERM_INF_NAN):
+            continue
+        field = ("max_history" if outcome in (
+            Outcome.SLOW_DEGRADE, Outcome.SHARP_SLOW_DEGRADE) else "max_mvar")
+        value = _from_json_number(payload["condition_window"].get(field, 0.0))
+        if value <= 0.0:
+            continue
+        lo, hi = ranges.get(outcome.value, (value, value))
+        ranges[outcome.value] = [min(lo, value), max(hi, value)]
+    return {**_report(n, counts),
+            "breakdown": {o.value: outcomes.count(o) for o in Outcome},
+            "condition_ranges": ranges}
 
 
 def inference_report_dict(payloads: list[dict]) -> dict:
@@ -151,16 +162,7 @@ def inference_report_dict(payloads: list[dict]) -> dict:
         "masked_at_site_rate": (sum(rows == 0 for rows in located),
                                 len(located)),
     }
-    return {
-        "num_experiments": n,
-        **{name: hits / trials if trials else None
-           for name, (hits, trials) in counts.items()},
-        "intervals": {name: rate_interval(hits, trials)
-                      for name, (hits, trials) in counts.items() if trials},
-        "min_experiments": experiments_for_interval(
-            INTERVAL_HALF_WIDTH, INTERVAL_CONFIDENCE),
-        "breakdown": breakdown,
-    }
+    return {**_report(n, counts), "breakdown": breakdown}
 
 
 def rate_interval(hits: int, trials: int) -> dict:
@@ -172,29 +174,52 @@ def rate_interval(hits: int, trials: int) -> dict:
 
 
 def render_rate(report: dict, name: str) -> str:
-    """One rate of a ``*_report_dict`` as ``estimate [lo, hi] (n=...)``."""
+    """One rate of a ``*_report_dict`` as ``estimate [lo, hi] (n=...)``;
+    a rate over no records as ``n/a (n=0)``."""
+    if report[name] is None:
+        return "n/a (n=0)"
     interval = report["intervals"][name]
     return (f"{report[name]:.2%} [{interval['low']:.2%}, "
             f"{interval['high']:.2%}] (n={interval['n']})")
 
 
-def render_inference(report: dict) -> str:
-    """:func:`inference_report_dict` as text (Table 5 taxonomy)."""
-    n = max(report["num_experiments"], 1)
-    lines = ["outcome breakdown (Table 5 taxonomy):"] + [
-        f"  {name:<10} {count:>6}  ({count / n:.2%})"
+def _render_summary(report: dict, taxonomy: str) -> list[str]:
+    """What every ``*_report_dict`` renders alike: the outcome counts,
+    each rate that has an interval, and the minimum-n warning."""
+    n = report["num_experiments"]
+    width = max(map(len, report["breakdown"])) + 1
+    lines = [f"outcome breakdown ({taxonomy}):"] + [
+        f"  {name:<{width}} {count:>6}  ({count / max(n, 1):.2%})"
         for name, count in sorted(report["breakdown"].items())]
     intervals = report["intervals"]
     if intervals:
+        width = max(map(len, intervals)) + 1
         lines.append(f"rates ({INTERVAL_CONFIDENCE:.0%} Wilson interval):")
-        lines += [f"  {name:<20} {render_rate(report, name)}"
+        lines += [f"  {name:<{width}} {render_rate(report, name)}"
                   for name in intervals]
-    if report["num_experiments"] < report["min_experiments"]:
+    if n < report["min_experiments"]:
         lines.append(
-            f"!! {report['num_experiments']} experiments < "
-            f"{report['min_experiments']}: too few for "
+            f"!! {n} experiments < {report['min_experiments']}: too few for "
             f"+-{INTERVAL_HALF_WIDTH:.0%} at {INTERVAL_CONFIDENCE:.0%} "
             f"confidence on every rate")
+    return lines
+
+
+def render_inference(report: dict) -> str:
+    """:func:`inference_report_dict` as text (Table 5 taxonomy)."""
+    return "\n".join(_render_summary(report, "Table 5 taxonomy"))
+
+
+def render_campaign(report: dict, workload: str) -> str:
+    """:func:`campaign_report_dict` as text (Fig. 3, Sec. 4.3.1 and
+    Table 4)."""
+    lines = [f"# campaign: {workload} ({report['num_experiments']} "
+             f"experiments)"]
+    lines += _render_summary(report, "Table 3 taxonomy")
+    if report["condition_ranges"]:
+        lines.append("necessary-condition ranges (Table 4):")
+        lines += [f"  {outcome:<24s} {lo:.3e} .. {hi:.3e}"
+                  for outcome, (lo, hi) in report["condition_ranges"].items()]
     return "\n".join(lines)
 
 
@@ -261,7 +286,9 @@ def render_trace_analysis(summary: dict) -> str:
     """Campaign-level analytics of a merged trace, artifact-style.
 
     ``summary`` is a :func:`repro.observe.analysis.campaign_summary`
-    dict (detection latencies, Table 4 tallies, phase vulnerability).
+    dict (detection coverage and latencies, Table 4 condition onsets,
+    phase vulnerability); its rates print as ``estimate [lo, hi] (n=...)``.
+    Table 4's magnitude ranges are the store's (:func:`render_campaign`).
     """
     lines = [f"# campaign trace analysis: {summary['experiments']} "
              f"experiments ({summary['with_fault']} with fault)"]
@@ -274,6 +301,7 @@ def render_trace_analysis(summary: dict) -> str:
     lines.append(
         f"## detection: {summary['detected']}/{summary['with_fault']} "
         f"faults detected"
+        f", coverage {render_rate(summary, 'detection_coverage')}"
         + (f", mean latency {mean:.2f} iterations" if mean is not None
            else ""))
     if summary["latency_histogram"]:
@@ -287,25 +315,18 @@ def render_trace_analysis(summary: dict) -> str:
         f"  onsets: {tallies['onset_any']}/{tallies['experiments']} "
         f"experiments, {tallies['onset_within_window']} within "
         f"{tallies['window']} iterations of the fault")
-    for outcome, tally in tallies["by_outcome"].items():
-        line = (f"  {outcome:<24s} count {tally['count']:>4}  "
-                f"fired {tally['condition_fired']:>4}")
-        if tally["history_range"] is not None:
-            lo, hi = tally["history_range"]
-            line += f"  |history| {lo:.3e} .. {hi:.3e}"
-        if tally["mvar_range"] is not None:
-            lo, hi = tally["mvar_range"]
-            line += f"  |mvar| {lo:.3e} .. {hi:.3e}"
-        lines.append(line)
+    lines += [f"  {outcome:<24s} count {tally['count']:>4}  "
+              f"fired {tally['condition_fired']:>4}"
+              for outcome, tally in tallies["by_outcome"].items()]
     lines.append("## vulnerability by training phase")
     for bucket in summary["phase_vulnerability"]:
         lines.append(
             f"  phase {bucket['phase']} "
             f"[{bucket['start']:>4}, {bucket['end']:>4})  "
             f"{bucket['experiments']:>4} experiments  "
-            f"{bucket['unexpected']:>4} unexpected "
-            f"({bucket['unexpected_rate']:.0%})  "
-            f"{bucket['detected']:>4} detected")
+            f"{bucket['unexpected']:>4} unexpected  "
+            f"{bucket['detected']:>4} detected  "
+            f"unexpected rate {render_rate(bucket, 'unexpected_rate')}")
     if summary["divergences"]:
         lines.append(f"## divergences observed: {summary['divergences']}")
     return "\n".join(lines)

@@ -57,9 +57,11 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> Pr
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     margin = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    # At 0 or all successes the bound and the estimate are equal in exact
+    # arithmetic; rounding can leave the bound an ulp on the wrong side.
     return ProportionEstimate(
         successes, trials, confidence, p,
-        max(0.0, center - margin), min(1.0, center + margin),
+        max(0.0, min(center - margin, p)), min(1.0, max(center + margin, p)),
     )
 
 

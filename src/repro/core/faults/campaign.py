@@ -24,6 +24,7 @@ for the training-vs-inference comparison of Table 5.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -36,14 +37,12 @@ from repro.core.analysis.classify import (
     OutcomeReport,
     classify_inference_experiment,
     classify_outcomes,
-    outcome_breakdown,
 )
 from repro.core.analysis.propagation import (
     PropagationTrace,
     condition_magnitude_in_window,
 )
 from repro.core.analysis.report import inference_report_dict
-from repro.core.analysis.stats import ProportionEstimate, wilson_interval
 from repro.core.faults.comm import injector_for
 from repro.core.faults.hardware import (
     FORWARD,
@@ -98,80 +97,26 @@ class ExperimentResult:
 
 @dataclass
 class CampaignResult:
-    """Aggregated campaign statistics."""
+    """One campaign run: its store payloads, ordered by experiment index
+    (summarise them with :func:`repro.core.analysis.campaign_report_dict`)."""
 
     workload: str
-    results: list[ExperimentResult] = field(default_factory=list)
+    payloads: list[dict]
     #: The :class:`repro.engine.EngineReport` of the run that produced
-    #: this result, when it was executed through the engine.
+    #: this result.
     engine_report: object = field(default=None, repr=False, compare=False)
 
     @property
     def num_experiments(self) -> int:
         """Number of experiments aggregated in this result."""
-        return len(self.results)
+        return len(self.payloads)
 
-    def breakdown(self) -> dict[str, float]:
-        """Outcome fractions normalized to total experiments (Fig. 3)."""
-        return outcome_breakdown([r.report for r in self.results])
+    @cached_property
+    def results(self) -> list[ExperimentResult]:
+        """The payloads decoded, in the same order."""
+        from repro.core.faults.serialization import experiment_from_dict
 
-    def unexpected_fraction(self) -> float:
-        """Fraction of experiments with unexpected outcomes."""
-        if not self.results:
-            return 0.0
-        return sum(r.report.is_unexpected for r in self.results) / len(self.results)
-
-    def unexpected_interval(self, confidence: float = 0.99) -> ProportionEstimate:
-        """Wilson interval for the unexpected-outcome fraction."""
-        hits = sum(r.report.is_unexpected for r in self.results)
-        return wilson_interval(hits, max(len(self.results), 1), confidence)
-
-    def by_ff_category(self) -> dict[str, dict[str, float]]:
-        """Unexpected-outcome contribution per FF class (Sec. 4.3.1).
-
-        Categories: "critical_control" (global groups 1 and 3 plus local
-        control FFs), "upper_exponent" (datapath flips in the top two
-        exponent bits), and "other".
-        """
-        def category(result: ExperimentResult) -> str:
-            ff = result.fault.ff
-            if ff.category == "local_control" or (
-                ff.category == "global_control" and ff.group in (1, 3)
-            ):
-                return "critical_control"
-            if ff.category == "datapath" and ff.is_upper_exponent():
-                return "upper_exponent"
-            return "other"
-
-        stats: dict[str, dict[str, float]] = {}
-        total_unexpected = sum(r.report.is_unexpected for r in self.results)
-        for name in ("critical_control", "upper_exponent", "other"):
-            members = [r for r in self.results if category(r) == name]
-            unexpected = sum(r.report.is_unexpected for r in members)
-            stats[name] = {
-                "population_fraction": len(members) / max(len(self.results), 1),
-                "unexpected_share": unexpected / max(total_unexpected, 1),
-                "unexpected_rate": unexpected / max(len(members), 1),
-            }
-        return stats
-
-    def condition_ranges(self) -> dict[str, tuple[float, float]]:
-        """Observed [min, max] necessary-condition magnitudes per latent
-        outcome (the paper's Table 4)."""
-        ranges: dict[str, tuple[float, float]] = {}
-        for result in self.results:
-            outcome = result.outcome
-            if not (outcome.is_latent or outcome == Outcome.SHORT_TERM_INF_NAN):
-                continue
-            if outcome in (Outcome.SLOW_DEGRADE, Outcome.SHARP_SLOW_DEGRADE):
-                value = result.condition_window.get("max_history", 0.0)
-            else:
-                value = result.condition_window.get("max_mvar", 0.0)
-            if value <= 0.0:
-                continue
-            lo, hi = ranges.get(outcome.value, (value, value))
-            ranges[outcome.value] = (min(lo, value), max(hi, value))
-        return ranges
+        return [experiment_from_dict(p) for p in self.payloads]
 
 
 class _Rung(NamedTuple):
@@ -650,8 +595,6 @@ class Campaign:
         seeded, so the aggregate outcome breakdown is identical at any
         worker count.
         """
-        from repro.core.faults.serialization import experiment_from_dict
-
         if self.keep_records:
             raise ValueError(
                 "keep_records campaigns retain full convergence records, "
@@ -676,12 +619,10 @@ class Campaign:
             resume=resume, timeout=timeout, max_retries=max_retries,
             on_progress=on_progress, tracer=tracer, on_engine=on_engine,
             trace=trace)
-        payloads = sorted(report.results.values(), key=lambda p: p["index"])
-        result = CampaignResult(
+        return CampaignResult(
             workload=self.spec.name,
-            results=[experiment_from_dict(p) for p in payloads])
-        result.engine_report = report
-        return result
+            payloads=sorted(report.results.values(), key=lambda p: p["index"]),
+            engine_report=report)
 
 
 def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,

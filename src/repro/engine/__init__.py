@@ -31,7 +31,6 @@ from repro.engine.store import (
     experiment_key,
     merge_stores,
     read_records,
-    store_to_campaign,
 )
 from repro.engine.telemetry import CampaignState, ProgressTracker, WorkerState
 from repro.engine.worker import UnitCapture, WorkUnit
@@ -57,5 +56,4 @@ __all__ = [
     "render_markdown",
     "render_text",
     "snapshot_dict",
-    "store_to_campaign",
 ]

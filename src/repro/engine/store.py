@@ -169,21 +169,3 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
             merged.quarantine(key, record.get("error", ""), record.get("payload"))
     return merged
 
-
-def store_to_campaign(path: str | Path):
-    """Reconstruct a :class:`CampaignResult` from a campaign-kind store."""
-    from repro.core.faults.campaign import CampaignResult
-    from repro.core.faults.serialization import experiment_from_dict
-
-    records = read_records(path)
-    header = records[0]
-    if header.get("kind") != "campaign":
-        raise jsonl.LogFormatError(
-            f"{path}: store kind {header.get('kind')!r} is not a campaign "
-            f"store")
-    experiments = [r for r in records[1:] if r["record"] == EXPERIMENT]
-    experiments.sort(key=lambda r: r["payload"].get("index", 0))
-    return CampaignResult(
-        workload=header.get("meta", {}).get("workload", "unknown"),
-        results=[experiment_from_dict(r["payload"]) for r in experiments],
-    )

@@ -11,8 +11,9 @@ per-benchmark reruns:
   analytics of :mod:`repro.core.analysis.propagation`;
 * :func:`detection_latencies` / :func:`detection_latency_histogram` —
   Sec. 5.1 fault-to-detection latencies;
-* :func:`condition_tallies` — Table 4 necessary-condition incidence and
-  magnitude ranges per outcome;
+* :func:`condition_tallies` — Table 4 necessary-condition incidence per
+  outcome (the magnitude ranges are the store's: every payload carries
+  its ``condition_window``, and a trace is optional);
 * :func:`phase_vulnerability` — per-phase vulnerability breakdown (which
   third of training the fault hit vs. how it ended);
 * :func:`campaign_summary` — everything above in one dict, the payload
@@ -31,6 +32,7 @@ from repro.core.analysis.propagation import (
     condition_magnitude_in_window,
     condition_onsets,
 )
+from repro.core.analysis.report import rates_with_intervals
 from repro.observe.events import (
     DETECTOR_FIRED,
     DIVERGENCE,
@@ -183,13 +185,12 @@ def detection_latency_histogram(trace) -> dict[int, int]:
 
 
 def condition_tallies(trace, window: int = 2) -> dict:
-    """Table 4: necessary-condition incidence and magnitude ranges.
+    """Table 4: necessary-condition incidence.
 
-    For every experiment with a fault, the optimizer-history and mvar
-    extrema within ``window`` iterations of the injection are tallied
-    per outcome label, along with how many experiments had a condition
-    onset inside that window (the paper's "within two training
-    iterations" claim)."""
+    For every experiment with a fault, how many per outcome label had a
+    condition onset, and how many had one within ``window`` iterations
+    of the injection (the paper's "within two training iterations"
+    claim)."""
     by_outcome: dict[str, dict] = {}
     experiments_with_fault = 0
     onset_within_window = 0
@@ -204,19 +205,11 @@ def condition_tallies(trace, window: int = 2) -> dict:
                    for o in summary["onsets"]):
                 onset_within_window += 1
         outcome = summary["outcome"] or "unknown"
-        tally = by_outcome.setdefault(outcome, {
-            "count": 0, "condition_fired": 0,
-            "history_range": None, "mvar_range": None})
+        tally = by_outcome.setdefault(outcome,
+                                      {"count": 0, "condition_fired": 0})
         tally["count"] += 1
         if summary["onsets"]:
             tally["condition_fired"] += 1
-        for field, name in (("max_history", "history_range"),
-                            ("max_mvar", "mvar_range")):
-            value = summary["condition_window"].get(field, 0.0)
-            if value <= 0.0:
-                continue
-            lo, hi = tally[name] or (value, value)
-            tally[name] = (min(lo, value), max(hi, value))
     return {
         "window": int(window),
         "experiments": experiments_with_fault,
@@ -232,7 +225,9 @@ def phase_vulnerability(trace, phases: int = 3) -> list[dict]:
     The observed iteration range is split into ``phases`` equal spans;
     each experiment is bucketed by its fault iteration, and the bucket
     tallies outcomes (benign vs. unexpected, per
-    :data:`BENIGN_OUTCOMES`) and detections."""
+    :data:`BENIGN_OUTCOMES`) and detections; its ``unexpected_rate`` is
+    None when no fault landed in it, else carries its interval and n
+    under ``intervals``."""
     if phases < 1:
         raise ValueError(f"phases must be >= 1: {phases}")
     summaries = [s for s in propagation_summaries(trace).values()
@@ -247,8 +242,7 @@ def phase_vulnerability(trace, phases: int = 3) -> list[dict]:
         start = p * span // phases
         end = (p + 1) * span // phases if p < phases - 1 else span
         buckets.append({"phase": p, "start": start, "end": end,
-                        "experiments": 0, "unexpected": 0, "detected": 0,
-                        "unexpected_rate": 0.0})
+                        "experiments": 0, "unexpected": 0, "detected": 0})
     for summary in summaries:
         it = summary["fault"]["iteration"]
         index = min(it * phases // span, phases - 1)
@@ -259,15 +253,18 @@ def phase_vulnerability(trace, phases: int = 3) -> list[dict]:
         if summary["detections"]:
             bucket["detected"] += 1
     for bucket in buckets:
-        if bucket["experiments"]:
-            bucket["unexpected_rate"] = \
-                bucket["unexpected"] / bucket["experiments"]
+        bucket.update(rates_with_intervals({"unexpected_rate": (
+            bucket["unexpected"], bucket["experiments"])}))
     return buckets
 
 
 def campaign_summary(trace, condition_window: int = 2,
                      phases: int = 3) -> dict:
-    """Everything the trace can tell about a campaign, in one dict."""
+    """Everything the trace can tell about a campaign, in one dict.
+
+    ``detection_coverage`` is the share of faulted experiments the
+    detector caught (None with no fault), with its interval and n under
+    ``intervals``."""
     groups = experiments(trace)
     latencies = detection_latencies(trace)
     detected = [r for r in latencies if r["latency"] is not None]
@@ -286,6 +283,8 @@ def campaign_summary(trace, condition_window: int = 2,
         "experiments": len(groups),
         "with_fault": len(latencies),
         "detected": len(detected),
+        **rates_with_intervals(
+            {"detection_coverage": (len(detected), len(latencies))}),
         "mean_detection_latency": mean_latency,
         "latency_histogram": detection_latency_histogram(trace),
         "outcomes": dict(sorted(outcomes.items())),

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.accelerator.ffs import FF_CLASSES
+from repro.core.analysis import campaign_report_dict
 from repro.core.analysis.classify import Outcome
 from repro.core.faults import Campaign, InferenceCampaign
 from repro.workloads import build_workload
@@ -58,17 +60,22 @@ class TestExperiments:
     def test_run_aggregates(self, small_campaign):
         result = small_campaign.run(num_experiments=6, seed=5)
         assert result.num_experiments == 6
-        breakdown = result.breakdown()
-        assert sum(breakdown.values()) == pytest.approx(1.0)
-        interval = result.unexpected_interval()
-        assert 0.0 <= interval.low <= interval.high <= 1.0
+        assert [p["index"] for p in result.payloads] == list(range(6))
+        assert [r.outcome.value for r in result.results] == \
+            [p["outcome"] for p in result.payloads]
+        report = campaign_report_dict(result.payloads)
+        assert sum(report["breakdown"].values()) == 6
+        interval = report["intervals"]["unexpected_rate"]
+        assert interval["n"] == 6
+        assert interval["low"] <= report["unexpected_rate"] <= interval["high"]
 
-    def test_by_ff_category_structure(self, small_campaign):
+    def test_ff_class_shares_sum_to_one(self, small_campaign):
         result = small_campaign.run(num_experiments=5, seed=6)
-        cats = result.by_ff_category()
-        assert set(cats) == {"critical_control", "upper_exponent", "other"}
-        total = sum(c["population_fraction"] for c in cats.values())
-        assert total == pytest.approx(1.0)
+        report = campaign_report_dict(result.payloads)
+        shares = [report[f"{name}_share"] for name in FF_CLASSES]
+        assert sum(shares) == pytest.approx(1.0)
+        assert [r.fault.ff.ff_class for r in result.results].count(
+            "other") == round(report["other_share"] * 5)
 
 
 class TestInferenceCampaign:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.analysis import campaign_report_dict
 from repro.core.analysis.classify import (
     ClassifierThresholds,
     Outcome,
     classify_outcome,
-    outcome_breakdown,
 )
 from repro.training.metrics import ConvergenceRecord
 
@@ -148,15 +148,21 @@ class TestTaxonomyProperties:
         assert not Outcome.MASKED_IMPROVED.is_latent
 
     def test_breakdown_sums_to_one(self, reference):
-        reports = []
+        ff = {"category": "datapath", "group": None, "bit": 3,
+              "has_feedback": False}
+        payloads = []
         for nf in [T, T + 2, None]:
             faulty = make_record(np.full(150, 0.95), nonfinite_at=nf)
-            reports.append(classify_outcome(faulty, reference, T))
-        breakdown = outcome_breakdown(reports)
-        assert sum(breakdown.values()) == pytest.approx(1.0)
+            outcome = classify_outcome(faulty, reference, T).outcome
+            payloads.append({"outcome": outcome.value, "fault": {"ff": ff},
+                             "condition_window": {}})
+        breakdown = campaign_report_dict(payloads)["breakdown"]
+        assert set(breakdown) == {o.value for o in Outcome}
+        assert sum(breakdown.values()) == 3
 
     def test_breakdown_empty(self):
-        assert outcome_breakdown([]) == {}
+        breakdown = campaign_report_dict([])["breakdown"]
+        assert breakdown == {o.value: 0 for o in Outcome}
 
     def test_custom_thresholds(self, reference):
         th = ClassifierThresholds(slight_degrade=0.5)

@@ -79,7 +79,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "# campaign: resnet (3 experiments)" in out
-        assert "unexpected rate" in out
+        assert "unexpected_rate " in out and "(n=3)" in out
 
     def test_validate(self, capsys):
         rc = main(["validate", "--experiments", "60"])

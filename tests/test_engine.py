@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.accelerator.ffs import FFDescriptor
+from repro.core.analysis import campaign_report_dict
 from repro.core.faults import Campaign, HardwareFault, OpSite
 from repro.engine import (
     CampaignEngine,
@@ -16,7 +17,6 @@ from repro.engine import (
     WorkUnit,
     read_records,
     render_text,
-    store_to_campaign,
 )
 from repro.workloads import build_workload
 
@@ -193,6 +193,12 @@ def serial_result(engine_campaign):
     return engine_campaign.run(5, seed=11)
 
 
+def _store_report(path) -> dict:
+    """The training summary over a store file's payloads."""
+    return campaign_report_dict([r["payload"] for r in read_records(path)[1:]
+                                 if r["record"] == "experiment"])
+
+
 def _sweep(groups, iterations):
     """A grid of fully specified control faults (what ``run_sweep`` used
     to build from its axes)."""
@@ -208,7 +214,9 @@ class TestCampaignThroughEngine:
                                                serial_result, tmp_path):
         parallel = engine_campaign.run(
             5, seed=11, parallel=2, store=tmp_path / "s.jsonl")
-        assert parallel.breakdown() == serial_result.breakdown()
+        serial_report = campaign_report_dict(serial_result.payloads)
+        assert campaign_report_dict(parallel.payloads) == serial_report
+        assert _store_report(tmp_path / "s.jsonl") == serial_report
         assert parallel.engine_report.executed == 5
         keys = [r["key"] for r in read_records(tmp_path / "s.jsonl")[1:]]
         assert len(keys) == len(set(keys)) == 5
@@ -234,7 +242,9 @@ class TestCampaignThroughEngine:
         assert resumed.engine_report.executed == 3
         keys = [r["key"] for r in read_records(path)[1:]]
         assert len(keys) == len(set(keys)) == 5
-        assert resumed.breakdown() == serial_result.breakdown()
+        serial_report = campaign_report_dict(serial_result.payloads)
+        assert campaign_report_dict(resumed.payloads) == serial_report
+        assert _store_report(path) == serial_report
 
     def test_store_merge_matches_serial(self, engine_campaign,
                                         serial_result, tmp_path):
@@ -246,8 +256,8 @@ class TestCampaignThroughEngine:
             engine_campaign.run(faults=chunk, store=tmp_path / f"{name}.jsonl")
         merge_stores([tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
                      tmp_path / "m.jsonl").close()
-        merged = store_to_campaign(tmp_path / "m.jsonl")
-        assert merged.breakdown() == serial_result.breakdown()
+        assert _store_report(tmp_path / "m.jsonl") == \
+            campaign_report_dict(serial_result.payloads)
 
     def test_sweep_parallel_matches_serial(self, engine_campaign):
         """A directed battery — a fixed fault list in place of the

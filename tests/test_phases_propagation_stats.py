@@ -127,7 +127,7 @@ class TestWilsonInterval:
         if successes > trials:
             return
         est = wilson_interval(successes, trials)
-        assert 0.0 <= est.low <= est.high <= 1.0
+        assert 0.0 <= est.low <= est.point <= est.high <= 1.0
 
     def test_interval_shrinks_with_trials(self):
         small = wilson_interval(10, 100)

@@ -11,7 +11,11 @@ from repro.accelerator.config import (
     AcceleratorConfig,
 )
 from repro.accelerator.dataflow import DataflowMap
-from repro.core.analysis.report import render_campaign, render_convergence
+from repro.core.analysis.report import (
+    campaign_report_dict,
+    render_campaign,
+    render_convergence,
+)
 from repro.training.metrics import ConvergenceRecord
 
 
@@ -84,9 +88,14 @@ class TestCampaignReport:
         spec = build_workload("resnet", size="tiny", seed=0)
         campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=6,
                             horizon=12, inject_window=4, test_every=6)
-        result = campaign.run(num_experiments=3, seed=1)
-        text = render_campaign(result)
+        report = campaign_report_dict(
+            campaign.run(num_experiments=3, seed=1).payloads)
+        text = render_campaign(report, "resnet")
         assert "# campaign: resnet (3 experiments)" in text
         assert "outcome breakdown" in text
-        assert "unexpected rate" in text
-        assert "FF class" in text
+        # Every rate with an interval prints as estimate [lo, hi] (n=...).
+        assert report["intervals"]
+        for name, interval in report["intervals"].items():
+            assert f"  {name} " in text
+            assert f"] (n={interval['n']})" in text
+        assert "!! 3 experiments < 4147" in text

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.accelerator.ffs import FFDescriptor
+from repro.core.analysis import campaign_report_dict
 from repro.core.faults import Campaign, HardwareFault, OpSite
-from repro.core.faults.campaign import CampaignResult
 from repro.core.faults.serialization import (
     experiment_from_dict,
     experiment_to_dict,
@@ -55,14 +55,12 @@ def _round_trip(result):
 
 class TestCampaignRoundTrip:
     def test_preserves_statistics(self, small_result):
-        back = CampaignResult(
-            workload=small_result.workload,
-            results=[_round_trip(r) for r in small_result.results])
-        assert back.num_experiments == small_result.num_experiments
-        assert back.breakdown() == small_result.breakdown()
-        assert back.unexpected_fraction() == small_result.unexpected_fraction()
-        assert [r.fault for r in back.results] == \
-            [r.fault for r in small_result.results]
+        back = [experiment_to_dict(experiment_from_dict(json.loads(
+            json.dumps(p)))) for p in small_result.payloads]
+        assert campaign_report_dict(back) == \
+            campaign_report_dict(small_result.payloads)
+        assert [p["fault"] for p in back] == \
+            [p["fault"] for p in small_result.payloads]
 
     def test_nonfinite_values_survive(self, small_result):
         # Force an inf condition value and round-trip it.

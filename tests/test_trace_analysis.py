@@ -106,8 +106,6 @@ class TestAnalysisSemantics:
         by_outcome = tallies["by_outcome"]
         assert by_outcome["latent_inf_nan"]["count"] == 1
         assert by_outcome["masked_improved"]["count"] == 2
-        lo, hi = by_outcome["latent_inf_nan"]["history_range"]
-        assert lo == hi == 1e6
 
     def test_phase_vulnerability(self, synthetic_trace):
         buckets = analysis.phase_vulnerability(synthetic_trace, phases=3)
@@ -115,6 +113,8 @@ class TestAnalysisSemantics:
         # exp0 (fault @ 2) is unexpected and detected; exp1/exp2 are benign.
         assert [b["unexpected"] for b in buckets] == [1, 0, 0]
         assert buckets[0]["unexpected_rate"] == 1.0
+        assert [b["intervals"]["unexpected_rate"]["n"] for b in buckets] == \
+            [1, 1, 1]
         assert [b["detected"] for b in buckets] == [1, 1, 0]
 
     def test_phase_vulnerability_rejects_bad_phases(self, synthetic_trace):
@@ -127,11 +127,15 @@ class TestAnalysisSemantics:
         assert summary["with_fault"] == 3
         assert summary["detected"] == 2
         assert summary["mean_detection_latency"] == 1.0
+        assert summary["detection_coverage"] == 2 / 3
+        assert summary["intervals"]["detection_coverage"]["n"] == 3
         assert summary["outcomes"] == {"latent_inf_nan": 1,
                                        "masked_improved": 3}
         rendered = render_trace_analysis(summary)
         assert "4 experiments (3 with fault)" in rendered
-        assert "detection: 2/3" in rendered
+        assert "detection: 2/3 faults detected, coverage 66.67% [" in rendered
+        assert "] (n=3), mean latency 1.00 iterations" in rendered
+        assert "unexpected rate 100.00% [" in rendered
         assert "Table 4" in rendered
 
 
