@@ -663,6 +663,11 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
 #: A faulty forward overflows and divides by zero on purpose.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
+#: Units per lease of an :class:`InferenceCampaign`: a lease forwards
+#: once per top-level layer its units start at and reaches the store with
+#: one ``fsync`` (DESIGN.md decision 18).
+INFERENCE_LEASE = 64
+
 
 class InferenceCampaign:
     """Fault injection into *inference* of a trained model (Table 5).
@@ -677,7 +682,8 @@ class InferenceCampaign:
     not depend on its batch-mates (DESIGN.md decision 16), so the images
     a fault left alone come out golden; a unit forwards only the images
     whose bytes the fault changed at its site and judges them against
-    their golden top-1 (decision 12).
+    their golden top-1 (decision 12), in one forward with the rest of its
+    lease that starts at the same layer (decision 18).
     """
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0, train_iterations: int | None = None,
@@ -719,68 +725,108 @@ class InferenceCampaign:
                 module_at(self.model, name).set_fault_hook(FORWARD, None)
 
     def _engine_runner(self):
-        """Runner factory: one forward-pass injection per work unit.
+        """Runner factory: one lease of forward-pass injections per call.
 
         What the fault left alone would come out golden again, so a unit
         recomputes neither the layers before its site (it starts at the
         top-level layer holding the site, on that layer's golden input)
         nor the images beside its fault (it forwards the rows of the
         batch whose bytes the fault changed at the site, and none at all
-        when the fault rewrote the values already there).  A forwarded
-        row's top-1 is compared with the same image's golden top-1: with
-        batch-invariant eval kernels that *is* the row forwarded alone
-        with the golden site rows."""
+        when the fault rewrote the values already there).  The lease's
+        units share the forwards: one per top-level layer some unit
+        starts at, over those units' rows stacked one unit after another,
+        each site's hook writing the faulty rows of the units at that
+        site.  A forwarded row's top-1 is compared with the same image's
+        golden top-1: with batch-invariant eval kernels that *is* the row
+        forwarded alone with the golden site rows (DESIGN.md decision
+        18)."""
         from repro.core.faults.serialization import fault_from_dict
 
         # Tests map every site to layer 0 here (patching ``site_layers``)
         # to get the whole-model forward as the oracle.
         layer_of = site_layers(self.model)
 
-        def predict(name: str, rows: np.ndarray,
-                    site_rows: np.ndarray) -> tuple[np.ndarray, bool]:
-            """Top-1 of ``rows`` forwarded from the layer holding site
-            ``name``, the site's output replaced by ``site_rows``; and
-            whether every output value is finite."""
-            def substitute(tensor: np.ndarray, info: dict) -> np.ndarray:
-                if tensor.shape != site_rows.shape:
-                    raise ValueError(
-                        f"site {name!r} produced {tensor.shape} for "
-                        f"{len(rows)} rows, not {site_rows.shape}: its "
-                        f"forward hook does not see the batch on axis 0")
-                return site_rows
-
-            start = layer_of[name]
-            x = self._golden_inputs[start][rows]
-            module_at(self.model, name).set_fault_hook(FORWARD, substitute)
-            try:
-                with np.errstate(**_QUIET):
-                    out = self.model.forward(x, start) if start \
-                        else self.model.forward(x)
-            finally:
-                module_at(self.model, name).set_fault_hook(FORWARD, None)
-            return _top1(out), bool(np.all(np.isfinite(out)))
-
-        def run_unit(payload: dict) -> dict:
+        def inject(payload: dict) -> tuple[str, FaultInjector, np.ndarray]:
+            """The fault applied to its site's golden tensor: the site,
+            the injector (``rows`` = the rows it changed) and those rows'
+            faulty values."""
             fault = fault_from_dict(payload["fault"])
             name = fault.site.module_name
             injector = FaultInjector(fault)
+            faulty = injector._fault_hook(self._golden_sites[name], {
+                "module": module_at(self.model, name), "kind": FORWARD})
+            return name, injector, faulty[injector.rows]
+
+        def substitute(name: str, count: int, parts: list) -> object:
+            """Site ``name``'s hook in a forward of ``count`` stacked rows:
+            each ``(slice, values)`` of ``parts`` replaces those rows."""
+            shape = (count, *self._golden_sites[name].shape[1:])
+
+            def hook(tensor: np.ndarray, info: dict) -> np.ndarray:
+                if tensor.shape != shape:
+                    raise ValueError(
+                        f"site {name!r} produced {tensor.shape} for {count} "
+                        f"rows, not {shape}: its forward hook does not see "
+                        f"the batch on axis 0")
+                out = tensor.copy()
+                for where, values in parts:
+                    out[where] = values
+                return out
+            return hook
+
+        def judge(start: int, units: list) -> list[tuple[bool, bool]]:
+            """Forward the rows of ``units`` (:func:`inject` triples),
+            stacked, from top-level layer ``start``; per unit, whether the
+            top-1 of one of its rows moved off the golden one (an SDC)
+            and whether one of their outputs is not finite."""
+            ends = np.cumsum([len(injector.rows) for _n, injector, _v in units])
+            where = [slice(end - len(injector.rows), end)
+                     for end, (_n, injector, _v) in zip(ends, units)]
+            parts: dict[str, list] = {}
+            for (name, _injector, values), rows in zip(units, where):
+                parts.setdefault(name, []).append((rows, values))
+            images = np.concatenate([injector.rows for _n, injector, _v in units])
+            x = self._golden_inputs[start][images]
+            for name, at_site in parts.items():
+                module_at(self.model, name).set_fault_hook(
+                    FORWARD, substitute(name, len(x), at_site))
+            try:
+                out = self.model.forward(x, start) if start \
+                    else self.model.forward(x)
+            finally:
+                for name in parts:
+                    module_at(self.model, name).set_fault_hook(FORWARD, None)
+            flipped = _top1(out) != self._golden_top1[images]
+            finite = np.isfinite(out).reshape(len(out), -1).all(axis=1)
+            return [(bool(flipped[rows].any()), not bool(finite[rows].all()))
+                    for rows in where]
+
+        def run_lease(payloads: list[dict]) -> list[dict]:
             with np.errstate(**_QUIET):
-                faulty = injector._fault_hook(self._golden_sites[name], {
-                    "module": module_at(self.model, name), "kind": FORWARD})
-            rows = injector.rows
-            sdc = nonfinite = False
-            if rows.size:
-                pred, finite = predict(name, rows, faulty[rows])
-                sdc = bool(np.any(pred != self._golden_top1[rows]))
-                nonfinite = not finite
-            outcome = classify_inference_experiment(sdc=sdc, nonfinite=nonfinite)
-            return {"index": payload["index"], "fault": payload["fault"],
+                units = [inject(payload) for payload in payloads]
+                by_start: dict[int, list[int]] = {}
+                for i, (name, injector, _values) in enumerate(units):
+                    if injector.rows.size:
+                        by_start.setdefault(layer_of[name], []).append(i)
+                verdicts = {}
+                for start, members in by_start.items():
+                    verdicts.update(zip(members, judge(
+                        start, [units[i] for i in members])))
+            results = []
+            for i, (payload, (_name, injector, _values)) in enumerate(
+                    zip(payloads, units)):
+                sdc, nonfinite = verdicts.get(i, (False, False))
+                outcome = classify_inference_experiment(sdc=sdc,
+                                                        nonfinite=nonfinite)
+                results.append({
+                    "index": payload["index"], "fault": payload["fault"],
                     "sdc": sdc, "nonfinite": nonfinite,
                     "outcome": outcome.value,
-                    "rows_touched": int(rows.size),
-                    "num_faulty_elements": injector.record.num_faulty}
+                    "rows_touched": int(injector.rows.size),
+                    "num_faulty_elements": injector.record.num_faulty})
+            return results
 
-        return lambda payloads: [run_unit(payload) for payload in payloads]
+        return run_lease
 
     def run(self, num_experiments: int, seed: int = 99, batch: int = 32, *,
             parallel: int = 1, store=None, resume: bool = False,
@@ -801,7 +847,8 @@ class InferenceCampaign:
                 self._engine_runner, faults, kind="inference",
                 meta={"workload": self.spec.name, "seed": int(seed),
                       "num_experiments": int(num_experiments)},
-                parallel=parallel, store=store, resume=resume,
+                block_size=INFERENCE_LEASE, parallel=parallel, store=store,
+                resume=resume,
                 timeout=timeout, max_retries=max_retries,
                 on_progress=on_progress)
         finally:

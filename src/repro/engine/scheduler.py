@@ -27,6 +27,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -341,10 +342,13 @@ class CampaignEngine:
     def _settle(self, block: list[_Task], tag: str, body, pending, report,
                 tracker, worker_id: int) -> None:
         """Resolve a lease the runner returned from: ``body`` is the
-        result list (``DONE``), or the error every unit fails with."""
+        result list (``DONE``), stored with one ``fsync`` for the lease,
+        or the error every unit fails with."""
         if tag == worker_proto.DONE:
-            for task, result in zip(block, body):
-                self._complete(task, result, report, tracker, worker_id)
+            with self.store.group() if self.store is not None \
+                    else nullcontext():
+                for task, result in zip(block, body):
+                    self._complete(task, result, report, tracker, worker_id)
         else:
             for task in block:
                 self._fail(task, body, pending, report, tracker, worker_id)

@@ -12,8 +12,9 @@ restart from scratch after a crash.  The store is a JSONL file:
   out, kept so a resume does not retry it forever).
 
 The file is a :mod:`repro.jsonl` record log: each record is fsynced
-before ``append`` returns, so a killed run loses at most the line being
-written, and a resume cuts that torn line off before appending.  Keys
+before ``append`` returns, or with the rest of its :meth:`ResultStore.group`
+(one lease's results), so a killed run loses at most the lease being
+written, and a resume cuts a torn line off before appending.  Keys
 are content hashes of ``(index, fault descriptor)``, which makes stores
 idempotent under resume and mergeable across machines.
 """
@@ -102,6 +103,12 @@ class ResultStore:
                           "payload": payload, "ts": time.time()})
         self.completed[key] = payload
 
+    def group(self):
+        """Context in which appends share one ``fsync``, taken when it
+        exits (:meth:`repro.jsonl.LogWriter.group`): the engine stores a
+        lease's results through one, a merge its whole output."""
+        return self._log.group()
+
     def quarantine(self, key: str, error: str,
                    payload: dict | None = None) -> None:
         """Persist a pathological experiment so resumes skip it."""
@@ -158,14 +165,16 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
     merged = ResultStore(dest, kind=kinds.pop(),
                          meta=loaded[0][1][0].get("meta") or {})
     quarantines: dict[str, dict] = {}
-    for _, records in loaded:
-        for record in records[1:]:
-            if record["record"] == EXPERIMENT:
-                merged.append(record["key"], record["payload"])
-            elif record["record"] == QUARANTINE:
-                quarantines[record["key"]] = record
-    for key, record in quarantines.items():
-        if key not in merged.completed:
-            merged.quarantine(key, record.get("error", ""), record.get("payload"))
+    with merged.group():
+        for _, records in loaded:
+            for record in records[1:]:
+                if record["record"] == EXPERIMENT:
+                    merged.append(record["key"], record["payload"])
+                elif record["record"] == QUARANTINE:
+                    quarantines[record["key"]] = record
+        for key, record in quarantines.items():
+            if key not in merged.completed:
+                merged.quarantine(key, record.get("error", ""),
+                                  record.get("payload"))
     return merged
 

@@ -19,15 +19,18 @@ traces) and telemetry series are one format, written by
   parse anywhere else is a hard error.
 
 Durability follows the log's kind: every store and series record is
-``fsync``-ed before :meth:`LogWriter.append` returns; trace lines are
-only flushed, because worker shards sit on the campaign's hot path and a
-lost trace tail costs a story, not a result.
+``fsync``-ed before :meth:`LogWriter.append` returns, or when the
+:meth:`LogWriter.group` it was appended in ends (the engine writes a
+lease's results as one group); trace lines are only flushed, because
+worker shards sit on the campaign's hot path and a lost trace tail costs
+a story, not a result.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,16 +140,34 @@ def read(path: str | Path, kind: str) -> Log:
 
 class LogWriter:
     """Appends records to one log, a line each, flushed as written (and
-    ``fsync``-ed unless the log is a trace).  Open one with
-    :func:`create` or :func:`reopen`."""
+    ``fsync``-ed unless the log is a trace) — or, inside :meth:`group`,
+    when the group ends.  Open one with :func:`create` or
+    :func:`reopen`."""
 
     def __init__(self, path: Path, mode: str, kind):
         self.path = path
         self._fh = open(path, mode, encoding="utf-8")
         self._durable = log_of(kind) != TRACE
+        self._grouped = False
 
     def append(self, record: dict) -> None:
         self._fh.write(dumps(record) + "\n")
+        if not self._grouped:
+            self._sync()
+
+    @contextmanager
+    def group(self):
+        """Append the block's records with one flush (and one ``fsync``)
+        when it exits, raising or not.  A writer killed inside the block
+        loses its records, leaving at most a torn tail on disk."""
+        self._grouped = True
+        try:
+            yield
+        finally:
+            self._grouped = False
+            self._sync()
+
+    def _sync(self) -> None:
         self._fh.flush()
         if self._durable:
             os.fsync(self._fh.fileno())

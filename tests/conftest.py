@@ -7,6 +7,7 @@ each test gets fresh, mutable state.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -79,6 +80,16 @@ def full_horizon():
             yield
 
     return force
+
+
+@pytest.fixture
+def fsyncs(monkeypatch) -> list[int]:
+    """The file descriptor of every ``fsync`` taken while the test runs
+    (the record log's durability point, ``repro.jsonl``)."""
+    calls: list[int] = []
+    real = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real(fd))
+    return calls
 
 
 def directional_gradcheck(model, x, loss_fn, y, rng, eps: float = 1e-2) -> float:

@@ -148,6 +148,21 @@ class TestToyEngine:
         assert f"workers 0/{alive} busy, 2 restarts" \
             in report.snapshot.status_line()
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_one_store_fsync_per_lease(self, parallel, tmp_path, fsyncs):
+        """A lease's results reach the store together: one ``fsync`` per
+        lease after the header's, and every record is there."""
+        units = _units([{} for _ in range(7)])
+        with ResultStore(tmp_path / "s.jsonl", kind="toy") as store:
+            report = CampaignEngine(
+                _toy_factory,
+                EngineConfig(parallel=parallel, block_size=3,
+                             poll_interval=0.02),
+                store=store).run(units)
+        assert len(fsyncs) == 1 + 3
+        assert [r["key"] for r in read_records(tmp_path / "s.jsonl")[1:]] \
+            == [u.key for u in units] == sorted(report.results)
+
     def test_interrupt_then_resume_executes_each_unit_once(self, tmp_path):
         marker = tmp_path / "executed.log"
         units = _units([{"marker": str(marker)} for _ in range(6)])

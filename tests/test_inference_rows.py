@@ -22,7 +22,8 @@ from repro.core.analysis import (
     render_inference,
 )
 from repro.core.faults import InferenceCampaign
-from repro.core.faults.hardware import FORWARD, enumerate_sites
+from repro.core.faults.campaign import INFERENCE_LEASE
+from repro.core.faults.hardware import FORWARD, enumerate_sites, site_layers
 from repro.core.faults.injector import FaultInjector
 from repro.core.faults.serialization import fault_from_dict
 from repro.engine import ResultStore
@@ -186,6 +187,56 @@ def test_forwards_per_unit(resnet_campaign, tmp_path):
             assert forwarded(payload) == [rows]
     finally:
         model.train()
+
+
+def test_a_lease_forwards_once_per_start_layer(resnet_campaign, tmp_path):
+    """A lease's units share their forwards: one per top-level layer some
+    touched unit starts at, over all those units' rows; each unit's
+    verdict, and its rows' logits, are the ones it gets in a lease of its
+    own."""
+    payloads = _payloads(resnet_campaign, tmp_path / "s.jsonl",
+                         INFERENCE_LEASE, seed=11, batch=32)
+    model = resnet_campaign.model
+    layer_of = site_layers(model)
+    forward = model.forward
+    calls: list[tuple[int, np.ndarray]] = []
+
+    def recording(x, start=0):
+        calls.append((start, forward(x, start)))
+        return calls[-1][1]
+
+    model.eval()
+    try:
+        resnet_campaign._golden_pass(resnet_campaign.spec.test_data.inputs[:32])
+        runner = resnet_campaign._engine_runner()
+        model.forward = recording
+        try:
+            results = runner(payloads)
+        finally:
+            del model.forward
+        assert [_verdict(r) for r in results] == [_verdict(p) for p in payloads]
+        touched = [p for p in payloads if p["rows_touched"]]
+        start_of = [layer_of[p["fault"]["site"]["module_name"]] for p in touched]
+        assert sorted(start for start, _out in calls) == sorted(set(start_of))
+        assert len(calls) >= 3 and len(touched) >= 4 * len(calls)
+        assert sum(len(out) for _start, out in calls) == \
+            sum(p["rows_touched"] for p in payloads)
+        stacked = dict(calls)
+        used = dict.fromkeys(stacked, 0)
+        for payload, start in zip(touched, start_of):
+            rows = stacked[start][used[start]:used[start] + payload["rows_touched"]]
+            used[start] += payload["rows_touched"]
+            (alone,) = _unit_forwards(resnet_campaign, runner, payload)
+            assert _same_logits(rows, alone)
+    finally:
+        model.train()
+
+
+def test_one_store_fsync_per_lease(resnet_campaign, tmp_path, fsyncs):
+    n = 3 * INFERENCE_LEASE + 1
+    assert len(_payloads(resnet_campaign, tmp_path / "s.jsonl", n, seed=2,
+                         batch=32)) == n
+    assert len(fsyncs) == 1 + 4  # the header, then one per lease
 
 
 def test_parallel_workers_give_the_same_payloads(resnet_campaign, tmp_path):

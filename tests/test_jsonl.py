@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro import jsonl
-from repro.engine import ResultStore, read_records
+from repro.engine import ResultStore, merge_stores, read_records
 from repro.observe import (
     ITERATION_STATS,
     TelemetrySample,
@@ -165,6 +165,44 @@ def test_torn_tail(log, newline):
         assert read_trace(path).truncated
     path.write_bytes(data)
     assert not jsonl.read(path, kind).torn
+
+
+@pytest.mark.parametrize("kind,durable", [("campaign", True),
+                                          (jsonl.TRACE, False)])
+def test_group_syncs_once_when_it_ends(kind, durable, tmp_path, fsyncs):
+    """A group's records are written as appended and synced together at
+    its end, also when the block raises; a trace is flushed, never
+    fsynced, grouped or not."""
+    path = tmp_path / "log.jsonl"
+    writer = jsonl.create(path, kind)
+    header = len(fsyncs)
+    assert header == int(durable)
+    with writer.group():
+        writer.append({"i": 0})
+        writer.append({"i": 1})
+        assert len(fsyncs) == header
+    assert len(fsyncs) == 2 * header
+    assert [r["i"] for r in jsonl.read(path, jsonl.log_of(kind)).records] \
+        == [0, 1]
+    with pytest.raises(RuntimeError), writer.group():
+        writer.append({"i": 2})
+        raise RuntimeError("lease failed after its first record")
+    assert len(fsyncs) == 3 * header
+    writer.append({"i": 3})  # ungrouped again: synced on its own
+    assert len(fsyncs) == 4 * header
+    writer.close()
+    assert [r["i"] for r in jsonl.read(path, jsonl.log_of(kind)).records] \
+        == [0, 1, 2, 3]
+
+
+def test_store_merge_syncs_once(tmp_path, fsyncs):
+    for name in ("a", "b"):
+        _write_store(tmp_path / f"{name}.jsonl")
+    del fsyncs[:]
+    merge_stores([tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
+                 tmp_path / "out.jsonl").close()
+    assert len(fsyncs) == 2  # the header, then every record at once
+    assert _read_store(tmp_path / "out.jsonl") == list(range(N))
 
 
 def test_append_after_torn_tail(log):
