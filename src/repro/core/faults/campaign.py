@@ -603,10 +603,6 @@ class Campaign:
         sampled = faults is None
         if sampled:
             faults = self.sample_faults(num_experiments, seed)
-        if parallel > 1:
-            # Prepare in the parent so forked workers inherit the trained
-            # baseline snapshot instead of each retraining it.
-            self.prepare()
         report = _submit(
             self._engine_runner, faults, kind="campaign",
             meta={"workload": self.spec.name,
@@ -618,7 +614,10 @@ class Campaign:
             block_size=self.experiment_batch, parallel=parallel, store=store,
             resume=resume, timeout=timeout, max_retries=max_retries,
             on_progress=on_progress, tracer=tracer, on_engine=on_engine,
-            trace=trace)
+            trace=trace,
+            # Prepare in the parent so forked workers inherit the trained
+            # baseline snapshot instead of each retraining it.
+            before_fork=self.prepare if parallel > 1 else None)
         return CampaignResult(
             workload=self.spec.name,
             payloads=sorted(report.results.values(), key=lambda p: p["index"]),
@@ -629,12 +628,14 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
             meta: dict, block_size: int = 1, parallel: int = 1, store=None,
             resume: bool = False, timeout: float | None = None,
             max_retries: int = 2, on_progress=None, tracer=None,
-            on_engine=None, trace: bool = False):
+            on_engine=None, trace: bool = False, before_fork=None):
     """Run one work unit per fault through the engine; returns its
     :class:`~repro.engine.EngineReport`.  The one place a campaign meets
     the engine: unit ``index`` is the fault's position in ``faults``, its
     key the content hash of (index, fault); a ``store`` given as a path
-    is opened with ``kind``/``meta`` in its header and closed again."""
+    is opened with ``kind``/``meta`` in its header and closed again.
+    ``before_fork`` runs first, unless the store already holds every
+    unit (a fully resumed run does no work)."""
     from repro.core.faults.serialization import fault_to_dict
 
     units = []
@@ -654,6 +655,9 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
     if on_engine is not None:
         on_engine(engine)
     try:
+        if before_fork is not None and (
+                store is None or any(u.key not in store for u in units)):
+            before_fork()
         return engine.run(units)
     finally:
         if owns_store:

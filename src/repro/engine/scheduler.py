@@ -9,6 +9,10 @@ It owns the robustness policy a multi-day campaign needs:
   re-executed; their stored payloads are folded into the report;
 * **timeout** — an experiment past its deadline gets its worker killed
   and is retried (parallel mode; in-process execution cannot preempt);
+* **crash** — a worker that dies mid-lease fails exactly that lease:
+  each worker talks to the parent over a pipe of its own, so its death
+  reads as end-of-file there and blocks no other worker (DESIGN.md
+  decision 19);
 * **retry with backoff** — failed/timed-out/crashed units are requeued
   with exponential backoff up to ``max_retries`` extra attempts;
 * **quarantine** — units that exhaust their retries are recorded in the
@@ -29,6 +33,9 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import count
+from multiprocessing.connection import Connection, wait
+from multiprocessing.util import register_after_fork
 from pathlib import Path
 
 from repro.engine import worker as worker_proto
@@ -36,21 +43,19 @@ from repro.engine.store import ResultStore
 from repro.engine.telemetry import CampaignState, ProgressTracker
 from repro.engine.worker import (
     OUTCOME_FIELD,
-    UnitCapture,
     WorkUnit,
     run_lease,
+    shard_recorder,
     worker_main,
 )
 from repro.observe import (
     EXPERIMENT_COMPLETED,
     EXPERIMENT_QUARANTINED,
     NULL_TRACER,
-    Tracer,
     campaign_trace_path,
     counter,
     histogram,
     merge_campaign_shards,
-    set_current_tracer,
     shard_path,
 )
 
@@ -67,8 +72,6 @@ class EngineConfig:
     max_retries: int = 2
     #: Base of the exponential retry backoff, in seconds.
     retry_backoff: float = 0.1
-    #: Parent poll interval while waiting on workers, in seconds.
-    poll_interval: float = 0.05
     #: A lease holds up to this many fresh units: the runner receives
     #: the *list* of their payloads and must return an equal-length list
     #: of results (the batched backend steps the whole lease through one
@@ -115,31 +118,38 @@ class _Task:
 
 
 class _WorkerHandle:
-    """Parent-side state for one worker process."""
+    """Parent-side state for one worker process: the parent's end of
+    the worker's pipe and the lease in flight on it."""
 
-    def __init__(self, worker_id: int, ctx, runner_factory, result_queue,
+    def __init__(self, worker_id: int, ctx, runner_factory,
                  trace_path: Path | None = None):
         self.id = worker_id
-        self.queue = ctx.Queue()
+        self.conn, child = ctx.Pipe()
+        # No forked process keeps a copy of the parent's end (neither
+        # this worker nor a later one), so a worker whose parent is gone
+        # reads end-of-file and exits.
+        register_after_fork(self.conn, Connection.close)
         self.ready = False
         #: The in-flight lease (1 .. ``block_size`` tasks).
         self.block: list[_Task] | None = None
         self.deadline: float | None = None
         self.process = ctx.Process(
             target=worker_main,
-            args=(worker_id, runner_factory, self.queue, result_queue,
-                  trace_path),
-            daemon=True,  # workers never outlive a killed parent
+            args=(worker_id, runner_factory, child, trace_path),
+            daemon=True,  # ended by a parent that exits cleanly
         )
         self.process.start()
+        # The worker now holds the only other end, so its death reads as
+        # end-of-file on ``conn``.
+        child.close()
 
     @property
     def idle(self) -> bool:
         return self.ready and self.block is None
 
     def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
+        self.conn.close()
+        self.process.terminate()
         self.process.join(timeout=2.0)
 
 
@@ -150,7 +160,8 @@ class CampaignEngine:
     ``runner(payloads) -> result-payloads``, list in, equal-length list
     out (one lease; see :func:`~repro.engine.worker.run_lease`); it is
     invoked once per worker (in the worker, after fork) or once
-    in-process for serial runs.
+    in-process for serial runs, and not at all when the store already
+    holds every unit.
     ``store``, when given, receives every result as it completes and
     seeds the resume set.
     """
@@ -213,7 +224,9 @@ class CampaignEngine:
         ])
 
         try:
-            if self.config.parallel <= 1:
+            if not pending:
+                pass  # fully resumed: build no runner, fork no worker
+            elif self.config.parallel <= 1:
                 self._run_serial(pending, report, tracker)
             else:
                 self._run_parallel(pending, report, tracker)
@@ -288,31 +301,21 @@ class CampaignEngine:
         experiment cannot be preempted without a worker process), but
         retry/quarantine/resume and flight-recorder semantics match the
         parallel path (the in-process runner records as worker 0)."""
-        shard_tracer: Tracer | None = None
-        capture: UnitCapture | None = None
-        previous_tracer = None
-        if self._trace_dir is not None:
-            shard_tracer = Tracer(stream=shard_path(self._trace_dir, 0),
-                                  meta={"worker": 0})
-            previous_tracer = set_current_tracer(shard_tracer)
-            capture = UnitCapture(shard_tracer, 0)
-        try:
+        trace_path = (shard_path(self._trace_dir, 0)
+                      if self._trace_dir is not None else None)
+        with shard_recorder(trace_path, 0) as capture:
             runner = self.runner_factory()
             while pending:
                 block = [pending.popleft()]
-                wait = block[0].not_before - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
+                wait_s = block[0].not_before - time.monotonic()
+                if wait_s > 0:
+                    time.sleep(wait_s)
                 self._extend_block(block, pending)
                 self._lease(block, 0, time.monotonic(), tracker)
                 tag, body = run_lease(
                     runner, [task.unit.key for task in block],
                     [task.unit.payload for task in block], capture)
                 self._settle(block, tag, body, pending, report, tracker, 0)
-        finally:
-            if shard_tracer is not None:
-                set_current_tracer(previous_tracer)
-                shard_tracer.close()
 
     def _extend_block(self, block: list[_Task], pending: deque[_Task],
                       now: float | None = None) -> None:
@@ -368,75 +371,115 @@ class CampaignEngine:
     def _run_parallel(self, pending: deque[_Task], report: EngineReport,
                       tracker: ProgressTracker) -> None:
         ctx = self._make_context()
-        result_queue = ctx.Queue()
-        num_workers = max(1, min(self.config.parallel, len(pending)))
         workers: dict[int, _WorkerHandle] = {}
-        next_worker_id = 0
+        worker_ids = count()
+
+        def busy() -> bool:
+            return any(w.block is not None for w in workers.values())
 
         def spawn() -> None:
-            nonlocal next_worker_id
-            trace_path = (shard_path(self._trace_dir, next_worker_id)
+            worker_id = next(worker_ids)
+            trace_path = (shard_path(self._trace_dir, worker_id)
                           if self._trace_dir is not None else None)
-            handle = _WorkerHandle(next_worker_id, ctx, self.runner_factory,
-                                   result_queue, trace_path=trace_path)
-            workers[handle.id] = handle
-            tracker.worker_started(handle.id)
-            next_worker_id += 1
+            workers[worker_id] = _WorkerHandle(
+                worker_id, ctx, self.runner_factory, trace_path=trace_path)
+            tracker.worker_started(worker_id)
 
-        def respawn(handle: _WorkerHandle) -> None:
+        def replace(handle: _WorkerHandle, error: str | None = None) -> None:
+            """Kill the worker, fail its lease with ``error`` (default:
+            its crash) and start a successor while work remains."""
             handle.kill()
             del workers[handle.id]
+            error = error or \
+                f"worker crashed (exit code {handle.process.exitcode})"
+            for task in handle.block or ():
+                self._fail(task, error, pending, report, tracker, handle.id)
             tracker.worker_restarted(handle.id)
-            if pending or any(w.block is not None for w in workers.values()):
+            if pending or busy():
                 spawn()
 
-        for _ in range(num_workers):
+        def serve(handle: _WorkerHandle, exited: bool) -> None:
+            """Act on everything the worker sent, then on its death: one
+            that sent DONE and then exited finished its lease."""
+            messages, open_ = self._receive(handle)
+            for tag, body in messages:
+                if tag == worker_proto.READY:
+                    handle.ready = True
+                elif tag == worker_proto.INIT_ERROR:
+                    handle.kill()
+                    del workers[handle.id]
+                    tracker.workers.pop(handle.id, None)
+                    if not workers and pending:
+                        raise RuntimeError(
+                            f"engine worker failed to initialize: {body}")
+                    return
+                else:
+                    lease, handle.block = handle.block, None
+                    handle.deadline = None
+                    self._settle(lease, tag, body, pending, report, tracker,
+                                 handle.id)
+            if exited or not open_:
+                replace(handle)
+
+        for _ in range(min(self.config.parallel, len(pending))):
             spawn()
 
         try:
-            while pending or any(w.block is not None for w in workers.values()):
+            while pending or busy():
+                wake = self._dispatch(workers, pending, tracker,
+                                      time.monotonic())
+                owners = {waitable: handle for handle in workers.values()
+                          for waitable in (handle.conn,
+                                           handle.process.sentinel)}
+                ready = wait(list(owners), timeout=None if wake is None
+                             else max(wake - time.monotonic(), 0.0))
+                for handle in dict.fromkeys(owners[r] for r in ready):
+                    serve(handle, handle.process.sentinel in ready)
                 now = time.monotonic()
-                # Dispatch to idle workers (skip tasks still in backoff).
                 for handle in list(workers.values()):
-                    if not handle.idle or not pending:
-                        continue
-                    task = self._next_due(pending, now)
-                    if task is None:
-                        break
-                    block = [task]
-                    self._extend_block(block, pending, now)
-                    handle.block = block
-                    # Deadline scales with the lease: it is len(block)
-                    # experiments of work.
-                    handle.deadline = (
-                        now + self.config.timeout * len(block)
-                        if self.config.timeout is not None else None)
-                    self._lease(block, handle.id, now, tracker,
-                                handle.deadline)
-                    handle.queue.put(([t.unit.key for t in block],
-                                      [t.unit.payload for t in block]))
-
-                self._drain_results(result_queue, workers, pending, report,
-                                    tracker)
-                self._check_deadlines_and_liveness(workers, pending, report,
-                                                   tracker, respawn)
-
-                if not workers and pending:
-                    raise RuntimeError(
-                        "all engine workers died during startup; last "
-                        f"pending unit: {pending[0].unit.key}")
+                    if handle.deadline is not None and now > handle.deadline:
+                        budget = self.config.timeout * len(handle.block)
+                        replace(handle, f"timeout after {budget:.1f}s")
         finally:
             for handle in workers.values():
-                if handle.process.is_alive():
-                    try:
-                        handle.queue.put(None)
-                    except (ValueError, OSError):
-                        pass
+                try:
+                    handle.conn.send(None)
+                except OSError:
+                    pass  # already gone
             for handle in workers.values():
                 handle.process.join(timeout=2.0)
-                if handle.process.is_alive():
-                    handle.kill()
-            result_queue.close()
+                handle.kill()
+
+    def _dispatch(self, workers: dict[int, _WorkerHandle],
+                  pending: deque[_Task], tracker: ProgressTracker,
+                  now: float) -> float | None:
+        """Lease due tasks to idle workers; returns when the parent must
+        wake without a message: the earliest lease deadline, or the end
+        of a backoff an idle worker waits for (None: neither exists)."""
+        wake = []
+        for handle in workers.values():
+            if not handle.idle or not pending:
+                continue
+            task = self._next_due(pending, now)
+            if task is None:
+                wake.append(min(t.not_before for t in pending))
+                break
+            block = [task]
+            self._extend_block(block, pending, now)
+            handle.block = block
+            # Deadline scales with the lease: it is len(block)
+            # experiments of work.
+            handle.deadline = (now + self.config.timeout * len(block)
+                               if self.config.timeout is not None else None)
+            self._lease(block, handle.id, now, tracker, handle.deadline)
+            try:
+                handle.conn.send(([t.unit.key for t in block],
+                                  [t.unit.payload for t in block]))
+            except OSError:
+                pass  # the worker is dead: its end-of-file fails the lease
+        wake += [w.deadline for w in workers.values()
+                 if w.deadline is not None]
+        return min(wake, default=None)
 
     @staticmethod
     def _next_due(pending: deque[_Task], now: float) -> _Task | None:
@@ -448,67 +491,15 @@ class CampaignEngine:
             pending.append(task)
         return None
 
-    def _drain_results(self, result_queue, workers, pending, report,
-                       tracker) -> None:
-        # Wait up to poll_interval for the first message only; then take
-        # whatever else is already queued and go back to handing out work.
-        wait = True
-        while True:
-            try:
-                if wait:
-                    message = result_queue.get(
-                        timeout=self.config.poll_interval)
-                    wait = False
-                else:
-                    message = result_queue.get_nowait()
-            except Exception:  # noqa: BLE001 - queue.Empty from any context
-                return
-            tag, worker_id, body = message
-            handle = workers.get(worker_id)
-            if handle is None:
-                continue  # message from a worker we already killed
-            if tag == worker_proto.READY:
-                handle.ready = True
-            elif tag == worker_proto.INIT_ERROR:
-                handle.kill()
-                del workers[worker_id]
-                tracker.workers.pop(worker_id, None)
-                if not workers and pending:
-                    raise RuntimeError(
-                        f"engine worker failed to initialize: {body}")
-            elif tag in (worker_proto.DONE, worker_proto.ERROR):
-                lease = handle.block
-                handle.block = None
-                handle.deadline = None
-                if lease is None:
-                    continue  # late message for a lease already resolved
-                keys, results = body
-                if keys != [task.unit.key for task in lease]:
-                    continue
-                self._settle(lease, tag, results, pending, report, tracker,
-                             worker_id)
-
-    def _check_deadlines_and_liveness(self, workers, pending, report,
-                                      tracker, respawn) -> None:
-        now = time.monotonic()
-        for handle in list(workers.values()):
-            block = handle.block
-            if block is not None and handle.deadline is not None \
-                    and now > handle.deadline:
-                handle.block = None
-                error = ("timeout after "
-                         f"{self.config.timeout * len(block):.1f}s")
-                for task in block:
-                    self._fail(task, error, pending, report, tracker,
-                               handle.id)
-                respawn(handle)
-            elif not handle.process.is_alive():
-                handle.block = None
-                if block is not None:
-                    for task in block:
-                        self._fail(
-                            task,
-                            f"worker crashed (exit code "
-                            f"{handle.process.exitcode})",
-                            pending, report, tracker, handle.id)
-                respawn(handle)
+    @staticmethod
+    def _receive(handle: _WorkerHandle) -> tuple[list, bool]:
+        """Every complete message the worker has sent, and whether its
+        pipe is still open (end-of-file, or a message torn by the
+        worker's death, closes it)."""
+        messages = []
+        try:
+            while handle.conn.poll():
+                messages.append(handle.conn.recv())
+        except (EOFError, OSError):
+            return messages, False
+        return messages, True

@@ -1,14 +1,16 @@
 """Worker-process side of the campaign engine.
 
 Each worker builds its runner once (for campaigns this trains/restores
-the fault-free baseline — the expensive part), then executes leases from
-its private task queue until it receives the ``None`` sentinel.  A lease
-is a list of one or more work units, and :func:`run_lease` — the same
-function the engine's in-process path calls — hands the runner all of
-their payloads at once.  A worker holds one lease at a time and the
-parent remembers which, so a deadline (scaled by the lease's length) or
-a crash is attributed to exactly the units of that lease, each of which
-then gets its own retry.
+the fault-free baseline — the expensive part), then executes leases it
+receives on its end of a pipe to the parent until it receives ``None``
+or the pipe reads end-of-file (the parent is gone).  Every reply goes
+back on the same pipe, so one worker's death can never block another's
+(DESIGN.md decision 19).  A lease is a list of one or more work units,
+and :func:`run_lease` — the same function the engine's in-process path
+calls — hands the runner all of their payloads at once.  A worker holds
+one lease at a time and the parent remembers which, so a deadline
+(scaled by the lease's length) or a crash is attributed to exactly the
+units of that lease, each of which then gets its own retry.
 
 Workers are forked, so the runner factory may close over live objects
 (e.g. an already-prepared :class:`~repro.core.faults.campaign.Campaign`
@@ -16,19 +18,20 @@ whose baseline snapshot is then inherited copy-on-write instead of
 being retrained per worker).
 
 With tracing on (``EngineConfig.trace``) each worker is a flight
-recorder: it streams every event into a private shard file next to the
-result store and installs that tracer process-wide.  Every unit of a
-lease is opened — ``experiment_started`` written, a view of the shard
-tracer stamped with the unit's key / worker id / attempt created —
-before the runner is called, so code deep inside the runner (the
-trainer, the injector, the detector) emits through its own unit's view
-without the payload-agnostic engine threading a tracer through, and a
-worker killed mid-lease leaves every unit of the lease an open attempt
-for the shard merge to deduplicate against the retry.
+recorder (:func:`shard_recorder`): it streams every event into a private
+shard file next to the result store and installs that tracer
+process-wide.  Every unit of a lease is opened — ``experiment_started``
+written, a view of the shard tracer stamped with the unit's key / worker
+id / attempt created — before the runner is called, so code deep inside
+the runner (the trainer, the injector, the detector) emits through its
+own unit's view without the payload-agnostic engine threading a tracer
+through, and a worker killed mid-lease leaves every unit of the lease an
+open attempt for the shard merge to deduplicate against the retry.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.observe import (
@@ -43,7 +46,7 @@ from repro.observe import (
 #: outcome label from.
 OUTCOME_FIELD = "outcome"
 
-#: Message tags on the worker -> parent result queue.
+#: Message tags on the worker -> parent side of a worker's pipe.
 READY = "ready"
 DONE = "done"
 ERROR = "error"
@@ -134,41 +137,42 @@ def run_lease(runner, keys: list, payloads: list,
     return DONE, results
 
 
-def worker_main(worker_id: int, runner_factory, task_queue, result_queue,
-                trace_path=None) -> None:
+@contextmanager
+def shard_recorder(trace_path, worker_id: int):
+    """Flight recording for one worker (the in-process path is worker
+    0): a streaming shard tracer at ``trace_path``, installed
+    process-wide, yields the :class:`UnitCapture` that brackets each
+    unit — or ``None`` when ``trace_path`` is ``None``.  The shard is
+    closed and the previous tracer restored however the block ends, so a
+    shard stays readable up to the last completed unit."""
+    if trace_path is None:
+        yield None
+        return
+    tracer = Tracer(stream=trace_path, meta={"worker": worker_id})
+    previous = set_current_tracer(tracer)
+    try:
+        yield UnitCapture(tracer, worker_id)
+    finally:
+        set_current_tracer(previous)
+        tracer.close()
+
+
+def worker_main(worker_id: int, runner_factory, conn, trace_path=None) -> None:
     """Worker process entry point (see module docstring).
 
-    ``trace_path``, when given, turns on flight recording: a streaming
-    shard tracer is opened there and installed process-wide for the
-    worker's lifetime.
+    ``conn`` is the worker's end of its pipe: leases ``(keys,
+    payloads)`` come in, ``(tag, body)`` messages go out.  ``trace_path``,
+    when given, turns on flight recording for the worker's lifetime.
     """
-    tracer: Tracer | None = None
-    capture: UnitCapture | None = None
-    if trace_path is not None:
-        tracer = Tracer(stream=trace_path, meta={"worker": worker_id})
-        set_current_tracer(tracer)
-        capture = UnitCapture(tracer, worker_id)
-    try:
-        runner = runner_factory()
-    except BaseException as exc:  # noqa: BLE001 - report, never hang the parent
-        result_queue.put((INIT_ERROR, worker_id, f"{type(exc).__name__}: {exc}"))
-        if tracer is not None:
-            tracer.close()
-        return
-    result_queue.put((READY, worker_id, None))
-    try:
-        while True:
-            lease = task_queue.get()
-            if lease is None:
-                break
-            keys, payloads = lease
-            tag, body = run_lease(runner, keys, payloads, capture)
-            result_queue.put((tag, worker_id, (keys, body)))
-    finally:
-        # The shard must be closed (and the process-wide tracer reset)
-        # even if the task queue itself raises — e.g. the parent died
-        # and the queue pipe broke — so the flight-recorder shard stays
-        # readable up to the last completed unit.
-        if tracer is not None:
-            set_current_tracer(None)
-            tracer.close()
+    with shard_recorder(trace_path, worker_id) as capture:
+        try:
+            runner = runner_factory()
+        except BaseException as exc:  # noqa: BLE001 - report, never hang the parent
+            conn.send((INIT_ERROR, f"{type(exc).__name__}: {exc}"))
+            return
+        try:
+            conn.send((READY, None))
+            for keys, payloads in iter(conn.recv, None):
+                conn.send(run_lease(runner, keys, payloads, capture))
+        except (EOFError, OSError):
+            pass  # the parent is gone: nobody is left to report to

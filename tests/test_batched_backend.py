@@ -341,7 +341,7 @@ class TestBlockLeases:
         plain = CampaignEngine(_block_factory, EngineConfig(parallel=1)).run(units)
         blocked = CampaignEngine(
             _block_factory,
-            EngineConfig(parallel=2, block_size=2, poll_interval=0.02),
+            EngineConfig(parallel=2, block_size=2),
         ).run(units)
         assert blocked.results == plain.results
 

@@ -1,6 +1,7 @@
 """Tests for the parallel campaign-execution engine (repro.engine)."""
 
 import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -32,6 +33,10 @@ def _toy_factory():
                 fh.write(payload["key"] + "\n")
         if payload.get("sleep"):
             time.sleep(payload["sleep"])
+        if payload.get("after"):
+            _wait_for(Path(payload["after"]).exists)
+        if payload.get("die_sending"):
+            return _die_sending(Path(payload["die_sending"]))
         if payload.get("crash"):
             os._exit(3)
         if payload.get("fail"):
@@ -44,6 +49,23 @@ def _toy_factory():
         return {"value": payload["x"] * 2, "outcome": "ok"}
 
     return lambda payloads: [run_one(payload) for payload in payloads]
+
+
+def _die_sending(directory: Path) -> dict:
+    """Publish this worker's pid, wait until the parent has stopped
+    reading (it writes ``go``), then die by SIGKILL while the result —
+    far larger than a pipe buffer — is being sent."""
+    (directory / "pid.tmp").write_text(str(os.getpid()))
+    os.replace(directory / "pid.tmp", directory / "doomed.pid")
+    _wait_for((directory / "go").exists)
+    threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGKILL)).start()
+    return {"blob": "x" * (8 << 20), "outcome": "ok"}
+
+
+def _wait_for(condition, limit: float = 30.0) -> None:
+    deadline = time.monotonic() + limit
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def _units(payloads):
@@ -62,9 +84,10 @@ class TestToyEngine:
         assert parallel.snapshot.breakdown == {"ok": 6}
 
     def test_parallel_drain_does_not_idle_workers(self):
-        # A drain waits poll_interval (50 ms) for its first message only.
-        # Waiting again after every DONE left the other worker idle for
-        # most of the run: 200 trivial units took about 5 s.
+        # The parent must hand a worker its next lease as soon as the
+        # worker reports: waiting a poll interval after every DONE left
+        # the other worker idle for most of the run (200 trivial units
+        # took about 5 s).
         units = _units([{} for _ in range(200)])
         serial = CampaignEngine(_toy_factory, EngineConfig(parallel=1)).run(units)
         start = time.monotonic()
@@ -110,25 +133,19 @@ class TestToyEngine:
         units = _units([{}, {"sleep": 60}, {}])
         report = CampaignEngine(
             _toy_factory,
-            EngineConfig(parallel=2, timeout=1.0, max_retries=0,
-                         poll_interval=0.02),
+            EngineConfig(parallel=2, timeout=1.0, max_retries=0),
         ).run(units)
         assert sorted(report.results) == ["key0", "key2"]
         assert "timeout" in report.quarantined["key1"]
 
     def test_parallel_worker_crash_quarantined(self):
         # The long sleeps keep both survivors leased, so the retry runs
-        # on (and kills) a worker other than the first casualty.  The
-        # short one lets the doomed worker's queue feeder thread finish
-        # its last send first: dying inside it would leave the result
-        # queue's shared write lock held and wedge every other worker.
-        units = _units([{"sleep": 0.3}, {"sleep": 0.05, "crash": True},
-                        {"sleep": 0.3}])
+        # on (and kills) a worker other than the first casualty.
+        units = _units([{"sleep": 0.3}, {"crash": True}, {"sleep": 0.3}])
         snapshots = []
         report = CampaignEngine(
             _toy_factory,
-            EngineConfig(parallel=2, max_retries=1, retry_backoff=0.01,
-                         poll_interval=0.02),
+            EngineConfig(parallel=2, max_retries=1, retry_backoff=0.01),
             on_progress=snapshots.append,
         ).run(units)
         assert sorted(report.results) == ["key0", "key2"]
@@ -148,20 +165,98 @@ class TestToyEngine:
         assert f"workers 0/{alive} busy, 2 restarts" \
             in report.snapshot.status_line()
 
+    def test_worker_killed_mid_send_does_not_wedge_the_run(self, tmp_path):
+        """A worker SIGKILLed while sending a multi-megabyte result to a
+        parent that is not reading costs its own unit only.  With one
+        result queue shared by every worker the kill left the queue's
+        write lock held, and the run never finished."""
+        pid_file, go = tmp_path / "doomed.pid", tmp_path / "go"
+        # Every other unit waits until the doomed one runs, so the
+        # parent's stall always catches it.
+        units = _units([{"die_sending": str(tmp_path)}]
+                       + [{"after": str(pid_file)}] * 4)
+
+        def stall(_snapshot):
+            """On the first completion: stop reading until the doomed
+            worker, released by ``go``, has died mid-send."""
+            if go.exists():
+                return
+            pid = int(pid_file.read_text())
+            go.write_text("go")
+            _wait_for(lambda: os.waitid(
+                os.P_PID, pid,
+                os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None)
+
+        outcome = {}
+
+        def run():
+            try:
+                outcome["report"] = CampaignEngine(
+                    _toy_factory, EngineConfig(parallel=2, max_retries=0),
+                    on_progress=stall).run(units)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the engine wedged after the kill"
+        assert "error" not in outcome, outcome.get("error")
+        report = outcome["report"]
+        assert list(report.quarantined) == ["key0"]
+        assert "crashed (exit code -9)" in report.quarantined["key0"]
+        assert sorted(report.results) == ["key1", "key2", "key3", "key4"]
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_fully_resumed_run_builds_no_runner(self, parallel, tmp_path):
+        """Resuming a store that holds every unit runs nothing: no
+        runner is built (for a campaign that is a retrained warm-up and
+        reference run) and no worker is forked."""
+        calls = tmp_path / "factory_calls"
+
+        def counting_factory():
+            with open(calls, "a") as fh:
+                fh.write("call\n")
+            return _toy_factory()
+
+        units = _units([{} for _ in range(3)])
+        with ResultStore(tmp_path / "s.jsonl", kind="toy") as store:
+            CampaignEngine(_toy_factory, store=store).run(units)
+        with ResultStore(tmp_path / "s.jsonl", resume=True) as store:
+            report = CampaignEngine(
+                counting_factory, EngineConfig(parallel=parallel),
+                store=store).run(units)
+        assert (report.executed, report.skipped) == (0, 3)
+        assert not calls.exists()
+        assert report.snapshot.workers == []
+
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_one_store_fsync_per_lease(self, parallel, tmp_path, fsyncs):
         """A lease's results reach the store together: one ``fsync`` per
-        lease after the header's, and every record is there."""
+        lease after the header's, and the records are whole leases, each
+        contiguous and in unit order."""
         units = _units([{} for _ in range(7)])
         with ResultStore(tmp_path / "s.jsonl", kind="toy") as store:
             report = CampaignEngine(
                 _toy_factory,
-                EngineConfig(parallel=parallel, block_size=3,
-                             poll_interval=0.02),
+                EngineConfig(parallel=parallel, block_size=3),
                 store=store).run(units)
         assert len(fsyncs) == 1 + 3
-        assert [r["key"] for r in read_records(tmp_path / "s.jsonl")[1:]] \
-            == [u.key for u in units] == sorted(report.results)
+        keys = [r["key"] for r in read_records(tmp_path / "s.jsonl")[1:]]
+        assert sorted(keys) == [u.key for u in units] == sorted(report.results)
+        leases = [[u.key for u in units[i:i + 3]] for i in range(0, 7, 3)]
+        if parallel == 1:
+            assert keys == sum(leases, [])
+            return
+        # Two workers finish their leases in either order, so cut the
+        # records where each lease must start.
+        runs, i = [], 0
+        while i < len(keys):
+            size = next((len(lease) for lease in leases
+                         if lease[0] == keys[i]), 1)
+            runs.append(keys[i:i + size])
+            i += size
+        assert sorted(runs) == sorted(leases)
 
     def test_interrupt_then_resume_executes_each_unit_once(self, tmp_path):
         marker = tmp_path / "executed.log"
@@ -301,6 +396,25 @@ class TestCampaignThroughEngine:
         assert header["meta"]["seed"] is None
         assert len({r["key"] for r in records}) == len(records) == 4
 
+    def test_fully_resumed_parallel_campaign_does_not_prepare(
+            self, engine_campaign, tmp_path, monkeypatch):
+        """Resuming a finished store at ``parallel > 1`` retrains
+        nothing: the parent prepares for its forked workers only when
+        some experiment is pending."""
+        faults = _sweep(groups=[1], iterations=[7, 9])
+        path = tmp_path / "s.jsonl"
+        engine_campaign.run(faults=faults, store=path)
+        fresh = Campaign(engine_campaign.spec, num_devices=2, seed=0,
+                         warmup_iterations=6, horizon=10, inject_window=4,
+                         test_every=5)
+        prepared = []
+        monkeypatch.setattr(fresh, "prepare", lambda: prepared.append(1))
+        resumed = fresh.run(faults=faults, store=path, resume=True,
+                            parallel=2)
+        assert (resumed.engine_report.executed,
+                resumed.engine_report.skipped) == (0, 2)
+        assert prepared == []
+
     def test_batched_sweep_workers_are_daemonic(self):
         """Engine workers die with a killed parent on every backend (a
         ``batched`` sweep used to run them non-daemonic)."""
@@ -396,8 +510,7 @@ class TestStallTelemetry:
         T on read `workers.stalled 2` (and `/healthz` answered 503)."""
         engine = CampaignEngine(
             _slow_lease_factory,
-            EngineConfig(parallel=2, timeout=0.25, block_size=4,
-                         poll_interval=0.02))
+            EngineConfig(parallel=2, timeout=0.25, block_size=4))
         stalled, stop = [], threading.Event()
 
         def sampler():
