@@ -15,9 +15,13 @@ masking-dominance claims are the testable shape here.
 
 from __future__ import annotations
 
+import numpy as np
+
 from _report import emit, header, paper_vs_measured, table
 from conftest import CAMPAIGN_EXPERIMENTS
 from repro.core.analysis import campaign_report_dict, render_rate
+from repro.core.faults import Campaign
+from repro.workloads import build_workload
 
 #: The paper's unexpected band across workloads (Fig. 3).
 PAPER_UNEXPECTED = (0.097, 0.177)
@@ -61,12 +65,8 @@ def bench_fig3_breakdown(benchmark, campaign_results):
     emit("networks recover from almost all single-site faults, so the")
     emit("unexpected fraction sits at or below the paper's 9.7%-17.7% band.")
 
-    # Benchmark one full FI experiment (restore + inject + train + classify).
-    import numpy as np
-
-    from repro.core.faults import Campaign
-    from repro.workloads import build_workload
-
+    # Benchmark one full FI experiment (restore + inject + train +
+    # classify) through the campaign engine.
     spec = build_workload("resnet", size="tiny", seed=0)
     campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=8,
                         horizon=16, inject_window=4, test_every=8)
@@ -74,6 +74,6 @@ def bench_fig3_breakdown(benchmark, campaign_results):
     rng = np.random.default_rng(5)
 
     def one_experiment():
-        campaign.run_experiment(campaign.sample_experiment(rng))
+        campaign.run(faults=[campaign.sample_experiment(rng)])
 
     benchmark.pedantic(one_experiment, rounds=3, iterations=1)

@@ -7,8 +7,10 @@ exponent-bit datapath FFs (5.5% of all FFs) contribute 31.9%-44.3%.
 This bench reports the same stratification over the campaign results,
 plus a *stratified* comparison of unexpected rates per class with equal
 sample counts (the per-class rates expose the effect even when the
-uniform-sample counts are small).  Every rate prints as estimate [99 %
-Wilson interval] (n), and the verdict needs the intervals to separate.
+uniform-sample counts are small).  The stratified faults are one fault
+list through ``Campaign.run``, and each class's unexpected rate is
+``campaign_report_dict``'s.  Every rate prints as estimate [99 % Wilson
+interval] (n), and the verdict needs the intervals to separate.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ def bench_sec431_ff_contributions(benchmark, campaign_results):
     spec = build_workload("resnet", size="tiny", seed=0)
     campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=10,
                         horizon=30, inject_window=8, test_every=10)
-    campaign.prepare()
     rng = np.random.default_rng(9)
     per_class = 16
 
@@ -68,42 +69,43 @@ def bench_sec431_ff_contributions(benchmark, campaign_results):
                                     has_feedback=False)
         return fault
 
-    rates = {}
-    for category in FF_CLASSES:
-        unexpected = 0
-        conditions_fired = 0
-        for _ in range(per_class):
-            result = campaign.run_experiment(classed_fault(category))
-            if result.report.is_unexpected:
-                unexpected += 1
-            window = result.condition_window
-            if max(window.get("max_history", 0), window.get("max_mvar", 0)) > 1e6:
-                conditions_fired += 1
-        rates[category] = rates_with_intervals({
-            "unexpected_rate": (unexpected, per_class),
-            "condition_fired_rate": (conditions_fired, per_class)})
+    faults = [classed_fault(category) for category in FF_CLASSES
+              for _ in range(per_class)]
+    stratified = campaign.run(faults=faults)
+    unexpected = campaign_report_dict(stratified.payloads)
+    fired = rates_with_intervals({
+        f"{category}_condition_fired_rate": (sum(
+            max(r.condition_window.get("max_history", 0),
+                r.condition_window.get("max_mvar", 0)) > 1e6
+            for r in stratified.results if r.fault.ff.ff_class == category),
+            per_class)
+        for category in FF_CLASSES})
+    rates = {**unexpected, **fired, "intervals": {
+        **unexpected["intervals"], **fired["intervals"]}}
     emit("Stratified injection (equal counts per class, resnet):")
     table([{"ff class": category,
-            "unexpected rate": render_rate(report, "unexpected_rate"),
-            "condition-fired rate": render_rate(report,
-                                                "condition_fired_rate")}
-           for category, report in rates.items()])
+            "unexpected rate": render_rate(
+                rates, f"{category}_unexpected_rate"),
+            "condition-fired rate": render_rate(
+                rates, f"{category}_condition_fired_rate")}
+           for category in FF_CLASSES])
     emit()
 
     def above_other(category: str) -> bool:
         """Some rate of ``category`` sits above the same rate of "other"
         at 99 % confidence (the intervals do not overlap)."""
-        return any(rates[category]["intervals"][name]["low"]
-                   > rates["other"]["intervals"][name]["high"]
+        intervals = rates["intervals"]
+        return any(intervals[f"{category}_{name}"]["low"]
+                   > intervals[f"other_{name}"]["high"]
                    for name in ("unexpected_rate", "condition_fired_rate"))
 
     paper_vs_measured(
         "critical control FFs and upper exponent bits dominate the risk",
         "9.8% of FFs -> 55.7-68.5% of unexpected; 5.5% -> 31.9-44.3%",
         "; ".join(f"{category}: unexpected "
-                  f"{render_rate(rates[category], 'unexpected_rate')}, "
+                  f"{render_rate(rates, f'{category}_unexpected_rate')}, "
                   f"condition fired "
-                  f"{render_rate(rates[category], 'condition_fired_rate')}"
+                  f"{render_rate(rates, f'{category}_condition_fired_rate')}"
                   for category in FF_CLASSES),
         above_other("critical_control") and above_other("upper_exponent"),
     )

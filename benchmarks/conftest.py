@@ -40,15 +40,18 @@ def trained_resnet():
 
 
 @pytest.fixture(scope="session")
-def campaign_results():
-    """Statistical FI campaigns for the Fig. 3 workload set (cached)."""
+def campaign_results(tmp_path_factory):
+    """Statistical FI campaigns for the Fig. 3 workload set (cached), each
+    with a store and a merged trace (``engine_report.trace_path``)."""
+    out = tmp_path_factory.mktemp("campaigns")
     results = {}
     for name in ("resnet", "resnet_nobn", "resnet_sgd", "resnet_largedecay"):
         spec = build_workload(name, size="tiny", seed=0)
         campaign = Campaign(spec, num_devices=NUM_DEVICES, seed=0,
                             warmup_iterations=15, horizon=45,
                             inject_window=10, test_every=10)
-        results[name] = campaign.run(CAMPAIGN_EXPERIMENTS, seed=77)
+        results[name] = campaign.run(CAMPAIGN_EXPERIMENTS, seed=77,
+                                     store=out / f"{name}.jsonl", trace=True)
     return results
 
 

@@ -22,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from repro.nn.losses import top1
 from repro.training.metrics import ConvergenceRecord
 
 
@@ -245,8 +246,7 @@ def classify_inference_rows(
     detectable does not undo it).
     """
     faulty = np.asarray(faulty)
-    pred = np.argmax(np.nan_to_num(faulty, nan=-np.inf), axis=-1)
-    sdc = pred != np.asarray(golden_pred)
+    sdc = top1(faulty) != np.asarray(golden_pred)
     finite = np.all(np.isfinite(faulty), axis=tuple(range(1, faulty.ndim)))
     out: list[InferenceOutcome] = []
     for flipped, ok in zip(sdc, finite):

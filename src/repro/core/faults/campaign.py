@@ -65,11 +65,15 @@ from repro.engine import (
     WorkUnit,
     experiment_key,
 )
+from repro.nn.losses import top1
 from repro.observe import current_tracer, histogram
 from repro.state import training_state_digest
 from repro.training.checkpoints import Checkpoint
 from repro.training.metrics import ConvergenceRecord
 from repro.workloads.base import WorkloadSpec
+
+#: The modeled design's FF population every campaign samples from.
+_INVENTORY = FFInventory()
 
 
 @dataclass
@@ -155,7 +159,6 @@ class Campaign:
         inject_window: int | None = None,
         test_every: int = 10,
         thresholds: ClassifierThresholds | None = None,
-        inventory: FFInventory | None = None,
         site_kinds: tuple[str, ...] = SITE_KINDS,
         keep_records: bool = False,
         detect: bool = False,
@@ -188,7 +191,6 @@ class Campaign:
         )
         self.test_every = int(test_every)
         self.thresholds = thresholds or ClassifierThresholds()
-        self.inventory = inventory or FFInventory()
         self.site_kinds = site_kinds
         self.keep_records = bool(keep_records)
         #: Attach a Sec. 5.1 :class:`HardwareFailureDetector` to every
@@ -376,7 +378,7 @@ class Campaign:
             self._site_model, rng,
             max_iteration=self.inject_window,
             num_devices=self.num_devices,
-            inventory=self.inventory,
+            inventory=_INVENTORY,
             kinds=self.site_kinds,
         )
         fault.iteration += self.warmup_iterations
@@ -701,7 +703,6 @@ class InferenceCampaign:
         finally:
             trainer.close()
         self.model = trainer.master
-        self.inventory = FFInventory()
 
     def _golden_pass(self, inputs: np.ndarray) -> None:
         """The golden forward, layer by layer.  Keeps what a unit starts
@@ -723,7 +724,7 @@ class InferenceCampaign:
         try:
             with np.errstate(**_QUIET):
                 out, self._golden_inputs = forward_by_layer(self.model, inputs)
-            self._golden_top1 = _top1(out)
+            self._golden_top1 = top1(out)
         finally:
             for name in sites:
                 module_at(self.model, name).set_fault_hook(FORWARD, None)
@@ -800,7 +801,7 @@ class InferenceCampaign:
             finally:
                 for name in parts:
                     module_at(self.model, name).set_fault_hook(FORWARD, None)
-            flipped = _top1(out) != self._golden_top1[images]
+            flipped = top1(out) != self._golden_top1[images]
             finite = np.isfinite(out).reshape(len(out), -1).all(axis=1)
             return [(bool(flipped[rows].any()), not bool(finite[rows].all()))
                     for rows in where]
@@ -841,7 +842,7 @@ class InferenceCampaign:
         rng = np.random.default_rng(seed)
         faults = [
             sample_fault(self.model, rng, max_iteration=1, num_devices=1,
-                         inventory=self.inventory, kinds=(FORWARD,))
+                         inventory=_INVENTORY, kinds=(FORWARD,))
             for _ in range(int(num_experiments))
         ]
         self.model.eval()
@@ -858,8 +859,3 @@ class InferenceCampaign:
         finally:
             self.model.train()
         return inference_report_dict(list(report.results.values()))
-
-
-def _top1(out: np.ndarray) -> np.ndarray:
-    """Per-position top-1 of a forward's output; a NaN never wins."""
-    return np.argmax(np.nan_to_num(out, nan=-np.inf), axis=-1)

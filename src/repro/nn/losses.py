@@ -180,15 +180,19 @@ class DetectionLoss(Loss):
         return (grad / n).astype(np.float32)
 
 
+def top1(logits: np.ndarray) -> np.ndarray:
+    """Per-position top-1 over the last axis; a NaN logit never wins."""
+    return np.argmax(np.nan_to_num(logits, nan=-np.inf), axis=-1)
+
+
 def accuracy(logits: np.ndarray, target: np.ndarray) -> float:
     """Top-1 classification accuracy; NaN logits never count as correct."""
-    pred = np.argmax(np.nan_to_num(logits, nan=-np.inf), axis=-1)
-    return float(np.mean(pred == target))
+    return float(np.mean(top1(logits) == target))
 
 
 def sequence_accuracy(logits: np.ndarray, target: np.ndarray, pad_id: int = -1) -> float:
     """Per-token accuracy over non-padding positions."""
-    pred = np.argmax(np.nan_to_num(logits, nan=-np.inf), axis=-1)
+    pred = top1(logits)
     mask = target != pad_id
     denom = max(int(mask.sum()), 1)
     return float(((pred == target) & mask).sum() / denom)

@@ -47,6 +47,7 @@ from repro.core.analysis.classify import InferenceOutcome, classify_inference_ro
 from repro.core.faults.hardware import site_layers
 from repro.observe.counters import MetricsRegistry
 from repro.httpcore import DEFAULT_HOST, JSON, error
+from repro.nn.losses import top1
 from repro.observe.slo import SLORule
 from repro.observe.timeseries import build_sample
 from repro.serve import TelemetryService
@@ -152,9 +153,7 @@ class ServingEngine:
                     golden = outputs.copy()
                     golden[touched] = self.session.forward(
                         self.session.layer_inputs[start][touched], start)
-                golden_pred = np.argmax(
-                    np.nan_to_num(golden, nan=-np.inf), axis=-1)
-                outcomes = list(classify_inference_rows(outputs, golden_pred))
+                outcomes = list(classify_inference_rows(outputs, top1(golden)))
                 for outcome in outcomes:
                     self.c_outcome[outcome].inc()
                 if self.recover and not np.array_equal(
@@ -163,7 +162,7 @@ class ServingEngine:
                     recovered = True
                     self.c_recovered.inc()
 
-        preds = np.argmax(np.nan_to_num(outputs, nan=-np.inf), axis=-1)
+        preds = top1(outputs)
         rows = outputs.reshape(len(payloads), -1).tolist()
         responses = [{
             "index": index,
