@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults import (
+    FaultInjector,
     HardwareFault,
-    MultiFaultInjector,
     OpSite,
     expected_faults_per_run,
 )
@@ -64,13 +64,14 @@ def main() -> None:
         HardwareFault(ff=ff, site=OpSite("1.conv2", "weight_grad"),
                       iteration=50, device=0, seed=3),
     ]
-    multi = MultiFaultInjector(faults)
+    injectors = [FaultInjector(fault) for fault in faults]
     detector = HardwareFailureDetector()
-    trainer.add_hook(multi)
+    for injector in injectors:
+        trainer.add_hook(injector)
     trainer.add_hook(MitigationHook(detector, RecoveryManager(max_recoveries=10)))
     trainer.train(70)
 
-    print(f"faults fired: {multi.fired_count}/3")
+    print(f"faults fired: {sum(i.fired for i in injectors)}/3")
     print(f"detections at iterations: {trainer.record.detections}")
     print(f"re-executions from iterations: {trainer.record.recoveries}")
     print(f"history state after the run: "

@@ -54,9 +54,9 @@ from repro.core.faults import (
     COMM,
     LINK_SITE,
     Campaign,
+    FaultInjector,
     HardwareFault,
     OpSite,
-    injector_for,
     run_validation,
 )
 from repro.core.mitigation import (
@@ -153,7 +153,7 @@ def cmd_inject(args) -> int:
     reference = _make_trainer(args)
     reference.stop_on_nonfinite = True
     fault = _make_fault(args)
-    injector = injector_for(fault)
+    injector = FaultInjector(fault)
     trainer.add_hook(injector)
     total = args.iterations
     try:
@@ -344,7 +344,7 @@ def cmd_mitigate(args) -> int:
                             stop_on_nonfinite=False, tracer=tracer)
     fault = _make_fault(args)
     detector = HardwareFailureDetector()
-    trainer.add_hook(injector_for(fault))
+    trainer.add_hook(FaultInjector(fault))
     trainer.add_hook(MitigationHook(detector, RecoveryManager(strategy=args.strategy)))
     try:
         trainer.train(args.iterations)

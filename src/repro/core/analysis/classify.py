@@ -82,7 +82,9 @@ class ClassifierThresholds:
     short_term_latency: int = 3
 
 
-def _smooth(values: np.ndarray, window: int) -> np.ndarray:
+def moving_average(values: np.ndarray, window: int) -> np.ndarray:
+    """``values`` smoothed over ``window`` points, same length (the
+    outcome classifier's and the Fig. 5 phase split's curve)."""
     if values.size == 0 or window <= 1:
         return np.asarray(values, dtype=np.float64)
     w = min(window, values.size)
@@ -145,14 +147,17 @@ def classify_outcome(
     test_delta = faulty.final_test_accuracy() - ref_test
 
     raw = faulty.train_accuracy_array()
-    acc = _smooth(raw, th.smooth)
+    acc = moving_average(raw, th.smooth)
+    # The curves are indexed by record position, not iteration: a
+    # campaign record starts at the warm-up boundary, not at 0.
+    at = int(np.searchsorted(faulty.iterations, t))
     # Pre-injection level: smoothed accuracy just before the fault.
-    pre_lo = max(t - th.smooth, 0)
-    pre = float(np.mean(acc[pre_lo : t + 1])) if acc.size > t else float(acc[-1]) if acc.size else 0.0
+    pre_lo = max(at - th.smooth, 0)
+    pre = float(np.mean(acc[pre_lo : at + 1])) if acc.size > at else float(acc[-1]) if acc.size else 0.0
     # Sharp-drop detection runs on the raw curve, including iteration t
     # itself: the drop at the fault iteration comes from the faulty
     # device's shard predictions collapsing in that very iteration.
-    post_window = raw[t : t + th.sharp_window + 1]
+    post_window = raw[at : at + th.sharp_window + 1]
     sharp = bool(post_window.size and (pre - post_window.min()) >= th.sharp_drop)
 
     details = {
@@ -172,7 +177,7 @@ def classify_outcome(
             # Sharp drop at injection: did degradation continue afterwards?
             # The smoothed level right after the drop window is the
             # reference; further decline below it marks the slow component.
-            settle = t + th.sharp_window
+            settle = at + th.sharp_window
             after_drop = acc[settle : settle + th.smooth]
             later = acc[settle + th.smooth :]
             continued = bool(

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.analysis.classify import moving_average
+
 
 @dataclass
 class PhaseAnalysis:
@@ -43,16 +45,6 @@ class PhaseAnalysis:
         )
 
 
-def _smooth(values: np.ndarray, window: int) -> np.ndarray:
-    if values.size == 0 or window <= 1:
-        return np.asarray(values, dtype=np.float64)
-    w = min(window, values.size)
-    # Edge-padded moving average (zero padding would bend the boundaries).
-    padded = np.pad(np.asarray(values, dtype=np.float64), (w // 2, w - 1 - w // 2),
-                    mode="edge")
-    return np.convolve(padded, np.ones(w) / w, mode="valid")
-
-
 def decompose_phases(
     accuracy: np.ndarray,
     injection_iteration: int,
@@ -71,7 +63,7 @@ def decompose_phases(
     of the reference before the end.
     """
     t = int(injection_iteration)
-    acc = _smooth(np.asarray(accuracy, dtype=np.float64), smooth)
+    acc = moving_average(np.asarray(accuracy, dtype=np.float64), smooth)
     post = acc[t:]
     if post.size < 5:
         return PhaseAnalysis(t, None, None, None, False, {"reason": "trace too short"})

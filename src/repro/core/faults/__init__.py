@@ -6,25 +6,21 @@ from repro.core.faults.campaign import (
     ExperimentResult,
     InferenceCampaign,
 )
-from repro.core.faults.comm import (
-    COMM,
-    LINK_SITE,
-    CommFaultInjector,
-    injector_for,
-)
 from repro.core.faults.hardware import (
+    COMM,
     FORWARD,
     INPUT_GRAD,
+    LINK_SITE,
     SITE_KINDS,
     WEIGHT_GRAD,
+    WEIGHT_UPDATE,
     HardwareFault,
     OpSite,
     enumerate_sites,
     sample_fault,
 )
-from repro.core.faults.injector import FaultInjector, UpdateFaultInjector
+from repro.core.faults.injector import FaultInjector
 from repro.core.faults.multi import (
-    MultiFaultInjector,
     expected_faults_per_run,
     sample_spread_faults,
 )
@@ -48,9 +44,9 @@ __all__ = [
     "LINK_SITE",
     "SITE_KINDS",
     "WEIGHT_GRAD",
+    "WEIGHT_UPDATE",
     "Campaign",
     "CampaignResult",
-    "CommFaultInjector",
     "DatapathBitFlip",
     "ExperimentResult",
     "FaultInjector",
@@ -58,16 +54,13 @@ __all__ = [
     "HardwareFault",
     "InferenceCampaign",
     "LocalControlFault",
-    "MultiFaultInjector",
     "OpSite",
     "PrecisionConfigFault",
     "SoftwareFaultModel",
-    "UpdateFaultInjector",
     "ValidationSummary",
     "all_model_names",
     "enumerate_sites",
     "expected_faults_per_run",
-    "injector_for",
     "model_for_ff",
     "run_validation",
     "sample_spread_faults",

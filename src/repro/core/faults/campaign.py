@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.accelerator.ffs import FFInventory
 from repro.backend.batched import BatchedBackend, LaneGroup, run_lockstep
 from repro.core.analysis.classify import (
     ClassifierThresholds,
@@ -43,7 +42,6 @@ from repro.core.analysis.propagation import (
     condition_magnitude_in_window,
 )
 from repro.core.analysis.report import inference_report_dict
-from repro.core.faults.comm import injector_for
 from repro.core.faults.hardware import (
     FORWARD,
     SITE_KINDS,
@@ -71,9 +69,6 @@ from repro.state import training_state_digest
 from repro.training.checkpoints import Checkpoint
 from repro.training.metrics import ConvergenceRecord
 from repro.workloads.base import WorkloadSpec
-
-#: The modeled design's FF population every campaign samples from.
-_INVENTORY = FFInventory()
 
 
 @dataclass
@@ -378,7 +373,6 @@ class Campaign:
             self._site_model, rng,
             max_iteration=self.inject_window,
             num_devices=self.num_devices,
-            inventory=_INVENTORY,
             kinds=self.site_kinds,
         )
         fault.iteration += self.warmup_iterations
@@ -401,7 +395,7 @@ class Campaign:
             self.reference, warm, start,
             lambda at: self._golden_test_score(trainer, at))
         self._rungs[start].checkpoint.restore(trainer)
-        injector = injector_for(fault)
+        injector = FaultInjector(fault)
         trainer.add_hook(injector)
         detector = None
         if self.detect:
@@ -758,8 +752,8 @@ class InferenceCampaign:
             fault = fault_from_dict(payload["fault"])
             name = fault.site.module_name
             injector = FaultInjector(fault)
-            faulty = injector._fault_hook(self._golden_sites[name], {
-                "module": module_at(self.model, name), "kind": FORWARD})
+            faulty = injector.apply(self._golden_sites[name],
+                                    module_at(self.model, name))
             return name, injector, faulty[injector.rows]
 
         def substitute(name: str, count: int, parts: list) -> object:
@@ -842,7 +836,7 @@ class InferenceCampaign:
         rng = np.random.default_rng(seed)
         faults = [
             sample_fault(self.model, rng, max_iteration=1, num_devices=1,
-                         inventory=_INVENTORY, kinds=(FORWARD,))
+                         kinds=(FORWARD,))
             for _ in range(int(num_experiments))
         ]
         self.model.eval()

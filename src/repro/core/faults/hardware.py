@@ -48,6 +48,21 @@ WEIGHT_GRAD = "weight_grad"
 INPUT_GRAD = "input_grad"
 SITE_KINDS = (FORWARD, WEIGHT_GRAD, INPUT_GRAD)
 
+#: Link faults: the all-reduced mean gradient, corrupted after the
+#: reduction and before any consumer sees it.  There is one logical
+#: reduction link in the simulated topology, not a per-layer site, so
+#: a comm fault's module name is :data:`LINK_SITE`.
+COMM = "comm"
+LINK_SITE = "link"
+
+#: The optimizer's weight-update operation (Sec. 4.2.2: "the operation
+#: that adds gradients to current weight values").  The site's module
+#: name is a parameter's arena name, or anything else to sample one.
+WEIGHT_UPDATE = "weight_update"
+
+#: The modeled design's FF population every fault is drawn from.
+FF_POPULATION = FFInventory()
+
 
 @dataclass(frozen=True)
 class OpSite:
@@ -161,15 +176,13 @@ def sample_fault(
     rng: np.random.Generator,
     max_iteration: int,
     num_devices: int,
-    inventory: FFInventory | None = None,
     kinds: tuple[str, ...] = SITE_KINDS,
 ) -> HardwareFault:
     """Draw one random experiment per the paper's step (1)."""
-    inventory = inventory or FFInventory()
     sites = enumerate_sites(model, kinds)
     site = sites[int(rng.integers(0, len(sites)))]
     return HardwareFault(
-        ff=inventory.sample(rng),
+        ff=FF_POPULATION.sample(rng),
         site=site,
         iteration=int(rng.integers(0, max_iteration)),
         device=int(rng.integers(0, num_devices)),

@@ -1,13 +1,25 @@
-"""Fault injection engine: attaches a software fault to one op site of
-one device's replica at one training iteration.
+"""Fault injection engine: applies one software fault, once, to one
+tensor of one training iteration.
 
 The injector is a trainer hook (see
-:class:`repro.distributed.sync.SyncDataParallelTrainer`): it arms the
-target module's fault hook at the start of the chosen iteration, the hook
-fires exactly once (first matching op execution on the chosen device),
-and everything is disarmed at the end of the iteration.  The resulting
-:class:`~repro.core.faults.software_models.FaultRecord` is kept for
-analysis (faulty element counts/positions/values — Table 4's ranges).
+:class:`repro.distributed.sync.SyncDataParallelTrainer`): it arms a
+one-shot hook at the start of the chosen iteration, the hook fires
+exactly once (the first tensor it sees), and it is disarmed at the end
+of the iteration.  Where the hook goes follows from the fault's site
+kind (DESIGN.md decision 20):
+
+* an op site (``forward`` / ``weight_grad`` / ``input_grad``) — the
+  target module's fault hook on the chosen device's replica;
+* ``comm`` — the backend's reduced gradient
+  (:meth:`~repro.backend.base.ExecutionBackend.set_comm_fault_hook`),
+  which reaches every replica: ``fault.device`` is recorded but selects
+  nothing;
+* ``weight_update`` — one parameter's update tensor in the optimizer
+  (:meth:`~repro.optim.base.Optimizer.set_update_hook`).
+
+The resulting :class:`~repro.core.faults.software_models.FaultRecord` is
+kept for analysis (faulty element counts/positions/values — Table 4's
+ranges).
 
 Stable arena addressing
 -----------------------
@@ -16,11 +28,11 @@ Injection targets can be named two ways:
 * by qualified **module** path (``"1.conv1"``) — the historical form; or
 * by stable **arena name** (``"1.conv1.weight"``), a key of the trainer's
   :class:`~repro.state.StateArena` index.  The injector resolves the
-  owning module from the arena layout, and
-  :class:`UpdateFaultInjector` targets exactly that parameter's update
-  slot instead of sampling one.  Because arena names survive model-code
-  refactors as long as the registered leaves keep their names,
-  propagation reports keyed this way stay comparable across versions.
+  owning module from the arena layout, and a ``weight_update`` fault
+  targets exactly that parameter's update slot instead of sampling one.
+  Because arena names survive model-code refactors as long as the
+  registered leaves keep their names, propagation reports keyed this
+  way stay comparable across versions.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelerator.config import DEFAULT_CONFIG, AcceleratorConfig
-from repro.core.faults.hardware import HardwareFault, module_at
+from repro.core.faults.hardware import COMM, WEIGHT_UPDATE, HardwareFault, module_at
 from repro.core.faults.software_models import (
     FaultRecord,
     Group7ZeroInput1,
@@ -36,20 +48,6 @@ from repro.core.faults.software_models import (
 )
 from repro.observe import FAULT_INJECTED
 from repro.state import StateArena
-
-
-def _emit_injection(trainer, fault, record: FaultRecord | None,
-                    op: str) -> None:
-    """Publish a ``fault_injected`` event through the trainer's tracer."""
-    tracer = getattr(trainer, "tracer", None)
-    if tracer is None or not tracer.enabled or record is None:
-        return
-    tracer.emit(
-        FAULT_INJECTED, iteration=fault.iteration, device=fault.device,
-        site=fault.site.module_name, kind=fault.site.kind, op=op,
-        ff_category=fault.ff.category, model=record.model,
-        num_faulty=record.num_faulty,
-        max_abs_faulty=record.max_abs_faulty())
 
 
 def rows_touched(faulty: np.ndarray, original: np.ndarray) -> np.ndarray:
@@ -91,44 +89,70 @@ class FaultInjector:
         self.config = config
         self.record: FaultRecord | None = None
         self._rng = np.random.default_rng(fault.seed)
-        self._armed_module = None
         self.fired = False
-        #: Axis-0 indices of the hooked tensor whose bytes the fault
-        #: changed; set when the hook fires.
+        #: Axis-0 indices of an op site's tensor whose bytes the fault
+        #: changed; set when a module-site fault fires.
         self.rows: np.ndarray | None = None
         self._emitted = False
+        #: The setter of the armed hook slot (called with ``None`` to
+        #: disarm), or ``None`` when nothing is armed.
+        self._slot = None
 
-    # ------------------------------------------------------------------
-    # The hook that perturbs the tensor
-    # ------------------------------------------------------------------
-    def _fault_hook(self, tensor: np.ndarray, info: dict) -> np.ndarray:
+    def apply(self, tensor: np.ndarray, module=None) -> np.ndarray:
+        """The fault applied to ``tensor``, the first time only; later
+        calls return ``tensor`` as is.  ``module`` is an op site's
+        module: its ``fan_in`` scales a Group 7 fault, and the rows the
+        fault changed are kept in :attr:`rows`."""
         if self.fired:
             return tensor
         self.fired = True
         model = model_for_ff(self.fault.ff, self.config)
         if isinstance(model, Group7ZeroInput1):
-            fan_in = getattr(info.get("module"), "fan_in", None)
-            faulty, record = model.apply(tensor, self._rng, self.fault.ff, fan_in=fan_in)
+            faulty, self.record = model.apply(
+                tensor, self._rng, self.fault.ff,
+                fan_in=getattr(module, "fan_in", None))
         else:
-            faulty, record = model.apply(tensor, self._rng, self.fault.ff)
-        self.record = record
-        self.rows = rows_touched(faulty, np.asarray(tensor, dtype=np.float32))
+            faulty, self.record = model.apply(tensor, self._rng, self.fault.ff)
+        if module is not None:
+            self.rows = rows_touched(faulty, np.asarray(tensor, dtype=np.float32))
         return faulty
 
     # ------------------------------------------------------------------
     # Arming (shared by the trainer-hook path and the serving fault
     # plane)
     # ------------------------------------------------------------------
-    def arm(self, trainer, replica) -> None:
-        """Arm the fault hook on ``replica``'s target module."""
-        module = resolve_site_module(trainer, replica, self.fault.site.module_name)
-        module.set_fault_hook(self.fault.site.kind, self._fault_hook)
-        self._armed_module = module
+    def arm(self, trainer, replica=None) -> None:
+        """Arm the hook the fault's site kind names: the reduced gradient
+        of ``trainer``'s backend, one parameter update of its optimizer,
+        or the target module of ``replica`` (op sites)."""
+        kind = self.fault.site.kind
+        if kind == COMM:
+            self._slot = trainer.backend.set_comm_fault_hook
+            self._slot(self.apply)
+        elif kind == WEIGHT_UPDATE:
+            target = self._update_target(trainer)
+            self._slot = trainer.optimizer.set_update_hook
+            self._slot(lambda update, info: self.apply(update)
+                       if info["index"] == target else update)
+        else:
+            module = resolve_site_module(trainer, replica, self.fault.site.module_name)
+            self._slot = lambda hook: module.set_fault_hook(kind, hook)
+            self._slot(lambda tensor, info: self.apply(tensor, module))
+
+    def _update_target(self, trainer) -> int:
+        """The parameter index whose update is perturbed: the parameter
+        the site names in the trainer's fused state index (stable across
+        model refactors), else a sampled one."""
+        arena = trainer.master_arena
+        site_name = self.fault.site.module_name
+        if site_name in arena.index:
+            return arena.index_of(site_name)
+        return int(self._rng.integers(0, len(trainer.optimizer.params)))
 
     def disarm(self) -> None:
-        if self._armed_module is not None:
-            self._armed_module.set_fault_hook(self.fault.site.kind, None)
-            self._armed_module = None
+        if self._slot is not None:
+            self._slot(None)
+            self._slot = None
 
     # ------------------------------------------------------------------
     # Trainer hook interface
@@ -145,64 +169,26 @@ class FaultInjector:
         self.arm(trainer, trainer.replicas[self.fault.device])
 
     def after_iteration(self, trainer, iteration: int, loss: float, acc: float) -> None:
-        """Trainer hook: disarm after the iteration completes."""
+        """Trainer hook: disarm after the iteration completes, and
+        publish ``fault_injected`` once per actual injection: a recovery
+        rewind re-arms this hook for the re-executed iteration, but the
+        transient fault does not recur (``fired`` stays set)."""
         self.disarm()
-        # Emit once per actual injection: a recovery rewind re-arms
-        # this hook for the re-executed iteration, but the transient
-        # fault does not recur (self.fired stays set).
         if self.fired and not self._emitted:
             self._emitted = True
-            _emit_injection(trainer, self.fault, self.record, op="site")
+            self._emit(trainer)
 
-
-class UpdateFaultInjector:
-    """Injects a fault into the optimizer's weight-update operation.
-
-    Models the Sec. 4.2.2 case: with SGD, large faulty weights can only be
-    created "if a fault occurs during the weight update operation (i.e.,
-    the operation that adds gradients to current weight values)".  The
-    hook perturbs one parameter's update tensor with the sampled fault
-    model, once.
-    """
-
-    def __init__(self, fault: HardwareFault, config: AcceleratorConfig = DEFAULT_CONFIG):
-        self.fault = fault
-        self.config = config
-        self.record: FaultRecord | None = None
-        self._rng = np.random.default_rng(fault.seed)
-        self.fired = False
-        self._target_index: int | None = None
-
-    def _update_hook(self, update: np.ndarray, info: dict) -> np.ndarray:
-        if self.fired or info["index"] != self._target_index:
-            return update
-        self.fired = True
-        model = model_for_ff(self.fault.ff, self.config)
-        faulty, record = model.apply(update, self._rng, self.fault.ff)
-        self.record = record
-        return faulty
-
-    def before_iteration(self, trainer, iteration: int) -> None:
-        if iteration == self.fault.iteration:
-            self._target_index = self._resolve_target(trainer)
-            trainer.optimizer.set_update_hook(self._update_hook)
-
-    def _resolve_target(self, trainer) -> int:
-        """The parameter index whose update is perturbed.
-
-        If the fault site names a parameter in the trainer's fused state
-        index, target it deterministically (stable across model
-        refactors); otherwise sample one, as before.
-        """
-        arena = trainer.master_arena
-        site_name = self.fault.site.module_name
-        if site_name in arena.index:
-            return arena.index_of(site_name)
-        return int(self._rng.integers(0, len(trainer.optimizer.params)))
-
-    def after_iteration(self, trainer, iteration: int, loss: float, acc: float) -> None:
-        if iteration == self.fault.iteration:
-            trainer.optimizer.set_update_hook(None)
-            if self.fired:
-                _emit_injection(trainer, self.fault, self.record,
-                                op="weight_update")
+    def _emit(self, trainer) -> None:
+        """Publish ``fault_injected`` through the trainer's tracer; ``op``
+        names the hook point (``site``, ``comm`` or ``weight_update``)."""
+        tracer = getattr(trainer, "tracer", None)
+        if tracer is None or not tracer.enabled or self.record is None:
+            return
+        fault, record = self.fault, self.record
+        op = fault.site.kind if fault.site.kind in (COMM, WEIGHT_UPDATE) else "site"
+        tracer.emit(
+            FAULT_INJECTED, iteration=fault.iteration, device=fault.device,
+            site=fault.site.module_name, kind=fault.site.kind, op=op,
+            ff_category=fault.ff.category, model=record.model,
+            num_faulty=record.num_faulty,
+            max_abs_faulty=record.max_abs_faulty())

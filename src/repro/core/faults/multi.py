@@ -4,56 +4,19 @@ The paper argues its necessary conditions extend to multiple hardware
 failures: at the reported datacenter failure rates, failures during one
 training run "are expected to occur far enough apart such that their
 effects are largely independent".  This module provides the machinery to
-test that claim directly: a :class:`MultiFaultInjector` arms several
-independent one-shot faults, and :func:`expected_faults_per_run` computes
-how many failures a training run of a given length would see under a
-given per-device failure rate.
+test that claim directly: :func:`sample_spread_faults` draws several
+faults far apart, each armed by its own one-shot
+:class:`~repro.core.faults.injector.FaultInjector` on the same trainer
+(hooks run in the order they were added), and
+:func:`expected_faults_per_run` computes how many failures a training
+run of a given length would see under a given per-device failure rate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.accelerator.config import DEFAULT_CONFIG, AcceleratorConfig
 from repro.core.faults.hardware import HardwareFault
-from repro.core.faults.injector import FaultInjector
-
-
-class MultiFaultInjector:
-    """Injects several independent transient faults during one run.
-
-    Each fault gets its own one-shot :class:`FaultInjector`; they may
-    target different iterations, devices, and op sites.  Faults at the
-    same iteration are legal (the paper's worst case of coinciding
-    failures).
-    """
-
-    def __init__(self, faults: list[HardwareFault],
-                 config: AcceleratorConfig = DEFAULT_CONFIG):
-        if not faults:
-            raise ValueError("need at least one fault")
-        self.injectors = [FaultInjector(fault, config) for fault in faults]
-
-    @property
-    def records(self):
-        """Fault records of the injectors that fired, in fault order."""
-        return [inj.record for inj in self.injectors if inj.record is not None]
-
-    @property
-    def fired_count(self) -> int:
-        """Number of faults that have fired so far."""
-        return sum(inj.fired for inj in self.injectors)
-
-    # Trainer hook interface: fan out to every injector.
-    def before_iteration(self, trainer, iteration: int) -> None:
-        """Trainer hook: fan out to every per-fault injector."""
-        for injector in self.injectors:
-            injector.before_iteration(trainer, iteration)
-
-    def after_iteration(self, trainer, iteration: int, loss: float, acc: float) -> None:
-        """Trainer hook: fan out the disarm step."""
-        for injector in self.injectors:
-            injector.after_iteration(trainer, iteration, loss, acc)
 
 
 def expected_faults_per_run(

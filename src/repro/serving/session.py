@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accelerator.ffs import FFInventory
 from repro.core.faults.hardware import forward_by_layer, sample_fault
 from repro.core.faults.injector import FaultInjector
 from repro.distributed.sync import SyncDataParallelTrainer
@@ -72,14 +71,12 @@ class FaultPlane:
     and benchmarks can push into the always-faulty regime.
     """
 
-    def __init__(self, model, rate: float, seed: int = 0,
-                 inventory: FFInventory | None = None):
+    def __init__(self, model, rate: float, seed: int = 0):
         if rate < 0:
             raise ValueError("fault rate must be >= 0")
         self.model = model
         self.rate = float(rate)
         self.rng = np.random.default_rng(seed)
-        self.inventory = inventory if inventory is not None else FFInventory()
         self.armed_total = 0
 
     def arm(self, batch_size: int) -> list[FaultInjector]:
@@ -99,7 +96,7 @@ class FaultPlane:
         for _ in range(k):
             fault = sample_fault(
                 self.model, self.rng, max_iteration=1, num_devices=1,
-                inventory=self.inventory, kinds=("forward",))
+                kinds=("forward",))
             if fault.site.module_name in armed_modules:
                 continue
             armed_modules.add(fault.site.module_name)

@@ -25,7 +25,6 @@ from repro.backend import BACKEND_NAMES
 from repro.core.faults import (
     COMM,
     LINK_SITE,
-    CommFaultInjector,
     FaultInjector,
     HardwareFault,
     OpSite,
@@ -188,7 +187,7 @@ class TestCrossBackendIdentity:
             ff = FFDescriptor("datapath", bit=30)
             fault = HardwareFault(ff=ff, site=OpSite(LINK_SITE, COMM),
                                   iteration=2, device=0, seed=7)
-            return CommFaultInjector(fault)
+            return FaultInjector(fault)
 
         results = self._train_all(forced_solo, iterations=5, test_every=0,
                                   hook_factory=fault_hook)

@@ -28,7 +28,6 @@ from repro.core.analysis.classify import (
     classify_outcomes,
 )
 from repro.core.faults import Campaign
-from repro.core.faults.comm import CommFaultInjector
 from repro.core.faults.hardware import sample_fault
 from repro.core.faults.injector import FaultInjector
 from repro.core.mitigation.detector import HardwareFailureDetector
@@ -172,7 +171,7 @@ class TestCrossExperimentIsolation:
         fault = sample_fault(model, np.random.default_rng(2), max_iteration=1,
                              num_devices=DEVICES, kinds=("comm",))
         fault.iteration = WARMUP + 2
-        injector = CommFaultInjector(fault)
+        injector = FaultInjector(fault)
         self._assert_bystanders_untouched(warm_checkpoint, injector)
         assert injector.fired
 

@@ -101,10 +101,6 @@ class TestLatentOutcomes:
         assert report.outcome == Outcome.LOW_TEST_ACCURACY
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "classify_outcome indexes the faulty curve with the absolute "
-    "injection iteration, but a campaign record starts at the warm-up "
-    "iteration W: ROADMAP item 1c (needs its own replay-corpus review)"))
 def test_classification_does_not_depend_on_where_the_record_starts(reference):
     """The same drop at absolute iteration 25, in a record that starts at
     iteration 0 and in one that starts at iteration 20."""

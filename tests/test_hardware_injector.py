@@ -4,13 +4,18 @@ import pytest
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults import (
+    COMM,
+    FORWARD,
+    LINK_SITE,
+    WEIGHT_UPDATE,
     FaultInjector,
     HardwareFault,
     OpSite,
-    UpdateFaultInjector,
     enumerate_sites,
     sample_fault,
 )
+from repro.core.mitigation import RecoveryManager
+from repro.observe import FAULT_INJECTED, Tracer
 from repro.workloads import build_workload
 
 
@@ -123,13 +128,13 @@ class TestFaultInjector:
             trainer.train(3)
 
 
-class TestUpdateFaultInjector:
+class TestWeightUpdateFault:
     def test_perturbs_weight_update(self, make_trainer):
         trainer = make_trainer(num_devices=2, workload="resnet_sgd")
         ff = FFDescriptor("global_control", group=1, has_feedback=True)
         fault = HardwareFault(ff=ff, site=OpSite("optimizer", "weight_update"),
                               iteration=2, device=0, seed=11)
-        injector = UpdateFaultInjector(fault)
+        injector = FaultInjector(fault)
         trainer.add_hook(injector)
         trainer.train(4)
         assert injector.fired
@@ -140,7 +145,46 @@ class TestUpdateFaultInjector:
         ff = FFDescriptor("global_control", group=2, has_feedback=False)
         fault = HardwareFault(ff=ff, site=OpSite("optimizer", "weight_update"),
                               iteration=1, device=0, seed=0)
-        injector = UpdateFaultInjector(fault)
+        injector = FaultInjector(fault)
         trainer.add_hook(injector)
         trainer.train(3)
         assert trainer.optimizer._update_hook is None
+
+
+class _RewindOnce:
+    """Trainer hook: snapshots every iteration and, once, at iteration
+    ``at``, rewinds so the two most recent iterations re-execute."""
+
+    def __init__(self, at: int):
+        self.at = at
+        self.recovery = RecoveryManager()
+
+    def before_iteration(self, trainer, iteration):
+        self.recovery.before_iteration(trainer, iteration)
+
+    def after_iteration(self, trainer, iteration, loss, acc):
+        if iteration == self.at and not self.recovery.recoveries:
+            resume = self.recovery.rewind(trainer, detected_at=iteration)
+            trainer.iteration = resume - 1
+            trainer.signal_recovered()
+
+
+@pytest.mark.parametrize("site", [OpSite("1.conv1", FORWARD),
+                                  OpSite(LINK_SITE, COMM),
+                                  OpSite("optimizer", WEIGHT_UPDATE)],
+                         ids=lambda site: site.kind)
+def test_one_fault_injected_event_across_a_rewind(make_trainer, site):
+    """The fault iteration re-executes after a rewind; the transient
+    fault does not recur, and it is reported once, whatever the hook
+    point."""
+    tracer = Tracer()
+    trainer = make_trainer(num_devices=2, tracer=tracer, stop_on_nonfinite=False)
+    fault = HardwareFault(ff=FFDescriptor("datapath", bit=3), site=site,
+                          iteration=5, device=1, seed=3)
+    injector = FaultInjector(fault)
+    trainer.add_hook(injector)
+    trainer.add_hook(_RewindOnce(at=6))
+    trainer.train(9)
+    assert trainer.record.recoveries == [5]
+    assert injector.fired
+    assert len(tracer.events(FAULT_INJECTED)) == 1

@@ -106,7 +106,7 @@ class TestOutcomeMechanisms:
     def test_sgd_weight_update_fault_creates_large_weights(self):
         """Sec. 4.2.2: with SGD (no gradient normalization), a fault in
         the weight-update operation creates large absolute weights."""
-        from repro.core.faults import UpdateFaultInjector
+        from repro.core.faults import FaultInjector
 
         spec = build_workload("resnet_sgd", size="tiny", seed=0)
         trainer = SyncDataParallelTrainer(spec, num_devices=2, seed=0, test_every=0,
@@ -116,7 +116,7 @@ class TestOutcomeMechanisms:
         ff = FFDescriptor("global_control", group=1, has_feedback=True)
         fault = HardwareFault(ff=ff, site=OpSite("optimizer", "weight_update"),
                               iteration=8, device=0, seed=12)
-        injector = UpdateFaultInjector(fault)
+        injector = FaultInjector(fault)
         trainer.add_hook(injector)
         trainer.train(2)
         if injector.record and injector.record.max_abs_faulty() > 1e6:

@@ -5,8 +5,8 @@ import pytest
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults import (
+    FaultInjector,
     HardwareFault,
-    MultiFaultInjector,
     OpSite,
     expected_faults_per_run,
     sample_fault,
@@ -25,28 +25,30 @@ def _fault(iteration, device=0, seed=3, site="1.conv1", kind="weight_grad"):
                          device=device, seed=seed)
 
 
-class TestMultiFaultInjector:
+def _add_injectors(trainer, faults):
+    """One injector per fault, in fault order."""
+    injectors = [FaultInjector(fault) for fault in faults]
+    for injector in injectors:
+        trainer.add_hook(injector)
+    return injectors
+
+
+class TestMultipleFaults:
     def test_all_faults_fire(self, make_trainer):
         trainer = make_trainer(num_devices=2, stop_on_nonfinite=False)
-        multi = MultiFaultInjector([_fault(2), _fault(6, seed=4)])
-        trainer.add_hook(multi)
+        injectors = _add_injectors(trainer, [_fault(2), _fault(6, seed=4)])
         trainer.train(10)
-        assert multi.fired_count == 2
-        assert len(multi.records) == 2
+        assert all(injector.fired for injector in injectors)
+        assert all(injector.record is not None for injector in injectors)
 
     def test_same_iteration_faults(self, make_trainer):
         trainer = make_trainer(num_devices=2, stop_on_nonfinite=False)
-        multi = MultiFaultInjector([
+        injectors = _add_injectors(trainer, [
             _fault(3, device=0, seed=1),
             _fault(3, device=1, seed=2, site="2.conv1"),
         ])
-        trainer.add_hook(multi)
         trainer.train(6)
-        assert multi.fired_count == 2
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            MultiFaultInjector([])
+        assert all(injector.fired for injector in injectors)
 
     def test_mitigation_recovers_each_fault_independently(self, make_trainer):
         """The paper's claim: spread-out failures have independent effects,
@@ -54,8 +56,7 @@ class TestMultiFaultInjector:
         trainer = make_trainer(num_devices=2, stop_on_nonfinite=False)
         detector = HardwareFailureDetector()
         mitigation = MitigationHook(detector, RecoveryManager(max_recoveries=8))
-        multi = MultiFaultInjector([_fault(6, seed=3), _fault(20, seed=3)])
-        trainer.add_hook(multi)
+        _add_injectors(trainer, [_fault(6, seed=3), _fault(20, seed=3)])
         trainer.add_hook(mitigation)
         trainer.train(40)
         assert len(trainer.record.detections) >= 2

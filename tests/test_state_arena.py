@@ -332,21 +332,26 @@ class TestArenaNameInjection:
     def test_update_injector_targets_named_parameter(self, make_trainer):
         from repro.accelerator.ffs import FFInventory
         from repro.core.faults.hardware import HardwareFault, OpSite
-        from repro.core.faults.injector import UpdateFaultInjector
+        from repro.core.faults.injector import FaultInjector
 
-        trainer = make_trainer(num_devices=2)
+        clean, trainer = make_trainer(num_devices=2), make_trainer(num_devices=2)
         param_name = trainer.master_arena.names()[2]
-        expected_index = trainer.master_arena.index_of(param_name)
         ff = FFInventory().sample(np.random.default_rng(0))
         fault = HardwareFault(
-            ff=ff, site=OpSite(param_name, "forward"),
+            ff=ff, site=OpSite(param_name, "weight_update"),
             iteration=1, device=0, seed=3,
         )
-        injector = UpdateFaultInjector(fault)
+        injector = FaultInjector(fault)
         trainer.add_hook(injector)
-        trainer.train(3)
+        trainer.train(2)
+        clean.train(2)
         assert injector.fired
-        assert injector._target_index == expected_index
+        # The fault iteration's update is the last step: only the named
+        # parameter differs from the clean run.
+        changed = [name for name in trainer.master_arena.names()
+                   if not np.array_equal(trainer.master_arena.view("param", name),
+                                         clean.master_arena.view("param", name))]
+        assert changed == [param_name]
 
     def test_unknown_site_still_raises(self, make_trainer):
         from repro.accelerator.ffs import FFInventory
