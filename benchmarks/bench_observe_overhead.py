@@ -14,7 +14,7 @@ iteration of training.  Measured here, on the 8-device trainer:
   stack must fit inside the same <=5% budget;
 * micro-costs of the primitives themselves: one enabled ``emit``, one
   disabled ``emit`` (the campaign-default fast path), and one counter
-  increment each way.
+  increment (what a serving engine pays per request).
 
 Run under pytest (``pytest benchmarks/bench_observe_overhead.py``) or as
 a script; ``--smoke`` shrinks the run for CI while still exercising the
@@ -29,14 +29,8 @@ import time
 
 from _report import emit, header, paper_vs_measured, table, write_artifact
 from repro.distributed import SyncDataParallelTrainer
-from repro.observe import (
-    NULL_TRACER,
-    Counter,
-    TelemetrySampler,
-    Tracer,
-    build_sample,
-    set_metrics_enabled,
-)
+from repro.engine import ProgressTracker
+from repro.observe import NULL_TRACER, Counter, TelemetrySampler, Tracer
 from repro.workloads import build_workload
 
 NUM_DEVICES = 8
@@ -79,11 +73,13 @@ def _end_to_end(num_devices: int = NUM_DEVICES, warmup: int = WARMUP_ITERATIONS,
         untraced_ips = max(untraced_ips,
                            _run_ips(spec, None, num_devices, warmup, iterations))
         # The --serve configuration: live tracer plus the telemetry
-        # sampler thread snapshotting the registry at a fast interval
-        # (10x faster than the CLI default, so the budget holds with
-        # margin).
+        # sampler thread snapshotting a campaign's state at a fast
+        # interval (10x faster than the CLI default, so the budget holds
+        # with margin).
         tracer.clear()
-        sampler = TelemetrySampler(lambda: build_sample(), interval=0.1)
+        tracker = ProgressTracker(total=iterations)
+        sampler = TelemetrySampler(lambda: tracker.snapshot().sample(),
+                                   interval=0.1)
         sampler.start()
         try:
             sampled_ips = max(
@@ -110,8 +106,8 @@ def _per_call(fn, calls: int = 20000, repeats: int = 5) -> float:
 
 def _micro_costs() -> list[dict]:
     tracer = Tracer()
-    live_counter = Counter("bench.live")
-    rows = [
+    counter = Counter("bench.counter")
+    return [
         {"primitive": "Tracer.emit (enabled)",
          "ns_per_call": _per_call(
              lambda: tracer.emit("iteration_stats", iteration=1,
@@ -120,16 +116,9 @@ def _micro_costs() -> list[dict]:
          "ns_per_call": _per_call(
              lambda: NULL_TRACER.emit("iteration_stats", iteration=1,
                                       loss=0.5, acc=0.9)) * 1e9},
-        {"primitive": "Counter.inc (enabled)",
-         "ns_per_call": _per_call(live_counter.inc) * 1e9},
+        {"primitive": "Counter.inc",
+         "ns_per_call": _per_call(counter.inc) * 1e9},
     ]
-    set_metrics_enabled(False)
-    try:
-        rows.append({"primitive": "Counter.inc (metrics disabled)",
-                     "ns_per_call": _per_call(live_counter.inc) * 1e9})
-    finally:
-        set_metrics_enabled(True)
-    return rows
 
 
 def _report_and_check(traced_ips, untraced_ips, overhead, events,

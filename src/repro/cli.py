@@ -222,12 +222,17 @@ def cmd_campaign(args) -> int:
     telemetry = None
     engines = []  # filled by Campaign.run once the engine exists
     if args.serve is not None:
-        from repro.observe import build_sample
+        from repro.engine import CampaignState
         from repro.observe.slo import load_rules
         from repro.serve import TelemetryService
 
+        def sample():
+            """The live engine's state; an empty one until it runs."""
+            state = engines[0].progress() if engines else None
+            return (state or CampaignState(total=None)).sample()
+
         telemetry = TelemetryService(
-            lambda: build_sample(engines[0].progress() if engines else None),
+            sample,
             rules=load_rules(args.slo) if args.slo else [],
             store_path=args.store, port=args.serve,
             interval=args.serve_interval,

@@ -64,7 +64,7 @@ from repro.engine import (
     experiment_key,
 )
 from repro.nn.losses import top1
-from repro.observe import current_tracer, histogram
+from repro.observe import current_tracer
 from repro.state import training_state_digest
 from repro.training.checkpoints import Checkpoint
 from repro.training.metrics import ConvergenceRecord
@@ -503,12 +503,6 @@ class Campaign:
         finally:
             for exp in exps:
                 exp.trainer.close()
-        for exp in exps:
-            if exp.detector is not None:
-                latency = exp.detector.detection_latency(exp.fault.iteration)
-                if latency is not None:
-                    histogram("detector.latency_iterations").observe(
-                        float(latency))
         reports = classify_outcomes(
             [exp.trainer.record for exp in exps], self.reference,
             [fault.iteration for fault in faults], self.thresholds)

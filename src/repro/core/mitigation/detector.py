@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
 from repro.nn.normalization import batchnorm_layers, peak_moving_statistic
-from repro.observe import DETECTOR_FIRED, counter
+from repro.observe import DETECTOR_FIRED
 from repro.optim.base import max_abs
 
 
@@ -116,7 +116,6 @@ class HardwareFailureDetector:
             self.events.append(event)
             trainer.record.detections.append(iteration)
             self._fired_this_iteration = True
-            counter("detector.detections").inc()
             tracer = getattr(trainer, "tracer", None)
             if tracer is not None:
                 tracer.emit(

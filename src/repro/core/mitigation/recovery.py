@@ -26,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.observe import ROLLBACK, counter
+from repro.observe import ROLLBACK
 from repro.optim.adam import Adam, RMSProp
 from repro.optim.sgd import SGD
 from repro.training.checkpoints import Checkpoint
@@ -253,7 +253,6 @@ class MitigationHook:
         if not self.detector._fired_this_iteration:
             return
         resume = self.recovery.rewind(trainer, detected_at=iteration)
-        counter("recovery.rollbacks").inc()
         tracer = getattr(trainer, "tracer", None)
         if tracer is not None:
             tracer.emit(ROLLBACK, iteration=iteration,

@@ -131,7 +131,7 @@ class SyncDataParallelTrainer:
         self._dispatch("after_step", iteration)
         self.backend.broadcast()
 
-    def evaluate(self, device: int | None = None, max_batches: int | None = None) -> float:
+    def evaluate(self, device: int | None = None) -> float:
         """Test metric on the chosen device's replica (eval mode).
 
         Eval mode makes BatchNorm use its *moving* statistics — the path
@@ -146,8 +146,6 @@ class SyncDataParallelTrainer:
         metrics = []
         weights = []
         for start in range(0, len(data), batch):
-            if max_batches is not None and len(metrics) >= max_batches:
-                break
             x = data.inputs[start : start + batch]
             y = data.targets[start : start + batch]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

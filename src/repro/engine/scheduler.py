@@ -53,8 +53,6 @@ from repro.observe import (
     EXPERIMENT_QUARANTINED,
     NULL_TRACER,
     campaign_trace_path,
-    counter,
-    histogram,
     merge_campaign_shards,
     shard_path,
 )
@@ -112,9 +110,6 @@ class _Task:
     attempts: int = 0
     not_before: float = 0.0
     last_error: str = ""
-    #: ``time.monotonic()`` when the current lease started (0 = never
-    #: leased); feeds the ``engine.experiment_seconds`` histogram.
-    leased_at: float = 0.0
 
 
 class _WorkerHandle:
@@ -257,10 +252,6 @@ class CampaignEngine:
         report.executed += 1
         if self.store is not None:
             self.store.append(task.unit.key, payload)
-        counter("engine.completed").inc()
-        if task.leased_at:
-            histogram("engine.experiment_seconds").observe(
-                max(time.monotonic() - task.leased_at, 0.0))
         self.tracer.emit(EXPERIMENT_COMPLETED, key=task.unit.key,
                          outcome=self._outcome(payload))
         tracker.task_done(worker_id, self._outcome(payload))
@@ -275,13 +266,11 @@ class CampaignEngine:
         tracker.task_failed(worker_id, retried=retry)
         if retry:
             report.retries += 1
-            counter("engine.retries").inc()
             task.not_before = time.monotonic() + (
                 self.config.retry_backoff * (2 ** (task.attempts - 1)))
             pending.append(task)
         else:
             report.quarantined[task.unit.key] = error
-            counter("engine.quarantined").inc()
             self.tracer.emit(EXPERIMENT_QUARANTINED, key=task.unit.key,
                              error=error)
             if self.store is not None:
@@ -311,7 +300,7 @@ class CampaignEngine:
                 if wait_s > 0:
                     time.sleep(wait_s)
                 self._extend_block(block, pending)
-                self._lease(block, 0, time.monotonic(), tracker)
+                self._lease(block, 0, tracker)
                 tag, body = run_lease(
                     runner, [task.unit.key for task in block],
                     [task.unit.payload for task in block], capture)
@@ -335,12 +324,10 @@ class CampaignEngine:
                 pending.append(candidate)
 
     @staticmethod
-    def _lease(block: list[_Task], worker_id: int, now: float,
-               tracker: ProgressTracker,
+    def _lease(block: list[_Task], worker_id: int, tracker: ProgressTracker,
                deadline: float | None = None) -> None:
         for task in block:
             tracker.task_started(worker_id, task.unit.key, deadline)
-            task.leased_at = now
 
     def _settle(self, block: list[_Task], tag: str, body, pending, report,
                 tracker, worker_id: int) -> None:
@@ -471,7 +458,7 @@ class CampaignEngine:
             # experiments of work.
             handle.deadline = (now + self.config.timeout * len(block)
                                if self.config.timeout is not None else None)
-            self._lease(block, handle.id, now, tracker, handle.deadline)
+            self._lease(block, handle.id, tracker, handle.deadline)
             try:
                 handle.conn.send(([t.unit.key for t in block],
                                   [t.unit.payload for t in block]))

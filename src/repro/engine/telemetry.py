@@ -11,7 +11,10 @@ own events (published through ``on_progress`` and
 shards on disk.  What only one source knows is optional; everything
 downstream — the :meth:`~CampaignState.sample` every SLO rule and
 ``/metrics`` scrape reads, the status line, the monitor dashboard — takes
-either.
+either.  It is the only source of a campaign's numbers: a count made
+where an experiment runs would stay in a forked worker, so a new
+campaign metric is a field here, counted by the parent's tracker and
+read back from disk by ``collect``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ plumbing:
   ``detector_fired``, ``rollback``, ``iteration_stats``, ``divergence``,
   plus two engine-level types) in a bounded ring buffer with
   schema-versioned JSONL export and a crash-tolerant reader;
-* :mod:`~repro.observe.counters` — numpy-backed counters/histograms in a
-  global registry, with a single-flag disabled fast path.
+* :mod:`~repro.observe.counters` — numpy-backed counters/histograms in
+  a :class:`MetricsRegistry` its owner holds (a serving engine); there
+  is no process-global registry, because a campaign's numbers are its
+  ``CampaignState`` (workers are forked processes).
 
 Where the wall-clock went is not answered here: ``benchmarks/perf/run.py
 --trace`` attributes it from outside the package (DESIGN.md decision 8).
@@ -25,12 +27,6 @@ from repro.observe.counters import (
     Counter,
     Histogram,
     MetricsRegistry,
-    REGISTRY,
-    counter,
-    histogram,
-    metrics_enabled,
-    metrics_snapshot,
-    set_metrics_enabled,
 )
 from repro.observe.events import (
     DETECTOR_FIRED,
@@ -74,7 +70,6 @@ from repro.observe.timeseries import (
     SERIES_SCHEMA_VERSION,
     TelemetrySample,
     TelemetrySampler,
-    build_sample,
     campaign_sample,
     derive_rates,
     read_series,
@@ -102,7 +97,6 @@ __all__ = [
     "FAULT_INJECTED",
     "ITERATION_STATS",
     "NULL_TRACER",
-    "REGISTRY",
     "ROLLBACK",
     "SERIES_SCHEMA_VERSION",
     "SHARD_PREFIX",
@@ -121,27 +115,21 @@ __all__ = [
     "TraceFile",
     "TraceMergeResult",
     "Tracer",
-    "build_sample",
     "campaign_sample",
     "campaign_trace_path",
-    "counter",
     "current_tracer",
     "derive_rates",
     "dumps_json",
-    "histogram",
     "load_rules",
     "metric_name",
     "merge_campaign_shards",
     "merge_traces",
-    "metrics_enabled",
-    "metrics_snapshot",
     "read_series",
     "read_trace",
     "render_json",
     "render_prometheus",
     "series_path",
     "set_current_tracer",
-    "set_metrics_enabled",
     "shard_path",
     "shard_paths",
     "validate_exposition",

@@ -1,42 +1,25 @@
-"""Low-overhead counters and histograms with a global registry.
+"""Low-overhead counters and histograms in a per-owner registry.
 
-The large-scale fault-injection literature (PyTorchFI at scale,
-TensorFlow FI studies) converges on the same requirement: per-injection
-instrumentation must be cheap enough to leave on for millions of
-experiments.  These metrics are built accordingly:
+A serving engine counts every request, batch and injected fault, so
+its instrumentation must be cheap enough to leave on for millions of
+requests.  These metrics are built accordingly:
 
 * a :class:`Counter` increment is one float add on a ``__slots__``
   instance;
 * a :class:`Histogram` observation is one ``np.searchsorted`` into a
   precomputed bound array plus one integer bucket increment — no
-  per-event allocation, ever (the buckets are a fixed ``int64`` array);
-* the **disabled fast path**: :func:`set_metrics_enabled(False)` makes
-  both operations a single module-flag check and return, so code can
-  instrument unconditionally.
+  per-event allocation, ever (the buckets are a fixed ``int64`` array).
 
-Metrics live in a process-global :class:`MetricsRegistry` so any layer
-(engine scheduler, detector, recovery) can publish without plumbing; the
-telemetry sampler reads the registry and tests read
-:func:`metrics_snapshot`.
+There is no process-global registry: a :class:`MetricsRegistry` is owned
+by the one object that updates it (a ``ServingEngine``, whose batcher
+thread and request handlers share its process).  A campaign's numbers
+come from its ``CampaignState`` instead, because campaign code runs in
+forked workers, where an increment never reaches the parent's registry.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Module-level kill switch: the single check on every hot-path call.
-_ENABLED = True
-
-
-def set_metrics_enabled(enabled: bool) -> None:
-    """Globally enable/disable counter and histogram updates."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-def metrics_enabled() -> bool:
-    return _ENABLED
-
 
 #: Default histogram bounds: geometric decades from 1us to 100s, the
 #: range of everything this codebase times (bucket edges in seconds).
@@ -53,8 +36,6 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _ENABLED:
-            return
         self.value += amount
 
     def reset(self) -> None:
@@ -84,8 +65,6 @@ class Histogram:
         self._max = 0.0
 
     def observe(self, value: float) -> None:
-        if not _ENABLED:
-            return
         self.counts[int(np.searchsorted(self._bounds, value))] += 1
         self._sum += value
         if value > self._max:
@@ -167,21 +146,3 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-
-#: The process-global registry all convenience accessors use.
-REGISTRY = MetricsRegistry()
-
-
-def counter(name: str) -> Counter:
-    """Get-or-create a counter in the global registry."""
-    return REGISTRY.counter(name)
-
-
-def histogram(name: str, bounds: tuple[float, ...] = DEFAULT_BOUNDS) -> Histogram:
-    """Get-or-create a histogram in the global registry."""
-    return REGISTRY.histogram(name, bounds)
-
-
-def metrics_snapshot() -> dict[str, dict]:
-    """Summaries of every metric in the global registry."""
-    return REGISTRY.snapshot()

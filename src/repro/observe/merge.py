@@ -152,13 +152,12 @@ def merge_traces(sources: list[str | Path], dest: str | Path,
     return result
 
 
-def merge_campaign_shards(store_path: str | Path,
-                          remove_shards: bool = True) -> TraceMergeResult | None:
+def merge_campaign_shards(store_path: str | Path) -> TraceMergeResult | None:
     """Fold worker shards next to ``store_path`` into the campaign trace.
 
     Sources are the existing campaign trace (if any) followed by every
     ``trace-worker*.jsonl`` shard in the store's directory; consumed
-    shards are deleted afterwards unless ``remove_shards`` is False.
+    shards are deleted afterwards.
     Returns ``None`` when there is nothing to merge (no shards and no
     existing trace).  The store's header meta (workload, seed, campaign
     config) is embedded as ``store_meta`` so the merged trace is a
@@ -179,10 +178,9 @@ def merge_campaign_shards(store_path: str | Path,
     if isinstance(store_meta, dict):
         meta["store_meta"] = store_meta
     result = merge_traces(sources, dest, meta=meta)
-    if remove_shards:
-        for shard in shards:
-            try:
-                shard.unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+    for shard in shards:
+        try:
+            shard.unlink()
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
     return result

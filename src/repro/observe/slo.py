@@ -19,9 +19,10 @@ A rule file is JSON — either a list of rule objects or
 
 ``metric`` addresses the flat namespace of
 :meth:`~repro.observe.timeseries.TelemetrySample.flat` (gauges like
-``campaign.divergence_rate`` or ``workers.stalled``, counter rates like
-``rate.engine.completed``, histogram quantiles like
-``detector.latency_iterations.p99``).  Exactly one bound (``max`` or
+``campaign.divergence_rate`` or ``workers.stalled``, outcome tallies
+like ``outcome.latent_inf_nan``; on a serving engine also counter rates
+like ``rate.serving.requests`` and histogram quantiles like
+``serving.latency_seconds.p99``).  Exactly one bound (``max`` or
 ``min``) per rule.
 
 :class:`SLOEngine` is the only thing that turns an observation into an

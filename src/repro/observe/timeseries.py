@@ -7,16 +7,17 @@ large-scale FI literature (PyTorchFI at scale, the TF injector studies)
 treats continuous campaign monitoring as a validation-efficiency
 requirement, not a luxury.  This module provides the substrate:
 
-* :class:`TelemetrySample` — one timestamped observation: campaign
-  gauges (progress, throughput, ETA, rates), raw counter values from
-  the :class:`~repro.observe.counters.MetricsRegistry`, histogram
-  summaries (count/sum/mean/max/p50/p99), and the outcome tally;
+* :class:`TelemetrySample` — one timestamped observation: gauges
+  (progress, throughput, ETA, rates), the outcome tally, and — for a
+  serving engine, the one owner of a
+  :class:`~repro.observe.counters.MetricsRegistry` — raw counter values
+  and histogram summaries (count/sum/mean/max/p50/p99);
 * :func:`campaign_sample` — the one mapping from raw campaign counts to
-  the ``campaign.*`` / ``workers.*`` gauges;
-* :func:`build_sample` — assemble a sample from the registry plus an
-  engine :class:`~repro.engine.telemetry.CampaignState`; everything
-  is read from *snapshots*, never from live training state, so the
-  sampler thread cannot perturb the measured system;
+  the ``campaign.*`` / ``workers.*`` gauges, called only by
+  ``CampaignState.sample``: a campaign's telemetry is its
+  :class:`~repro.engine.telemetry.CampaignState` and nothing else, so
+  it reads the same at any ``--parallel`` and from a live engine or a
+  store on disk;
 * :func:`derive_rates` — per-second counter rates between consecutive
   samples (monotonic counters; a reset restarts the rate from zero);
 * :func:`read_series` — the series file next to the result store is a
@@ -36,7 +37,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro import jsonl
-from repro.observe.counters import REGISTRY, MetricsRegistry
 
 SERIES_SCHEMA_VERSION = jsonl.SCHEMA[jsonl.SERIES]
 
@@ -63,9 +63,10 @@ class TelemetrySample:
     t: float
     #: Instantaneous values: progress, throughput, rates, worker tallies.
     gauges: dict[str, float] = field(default_factory=dict)
-    #: Raw cumulative values of every registry counter.
+    #: Raw cumulative values of every registry counter (serving only).
     counters: dict[str, float] = field(default_factory=dict)
-    #: Registry histogram summaries (count/sum/mean/max/p50/p99).
+    #: Registry histogram summaries (count/sum/mean/max/p50/p99;
+    #: serving only).
     histograms: dict[str, dict] = field(default_factory=dict)
     #: Outcome label -> completed-experiment count.
     outcomes: dict[str, int] = field(default_factory=dict)
@@ -162,28 +163,6 @@ def campaign_sample(*, done: int, quarantined: int, breakdown: dict,
         outcomes={k: int(v) for k, v in sorted(breakdown.items())})
 
 
-def build_sample(progress=None, registry: MetricsRegistry | None = None,
-                 now: float | None = None) -> TelemetrySample:
-    """Assemble one sample from snapshots only (never live state).
-
-    ``progress`` is an engine ``CampaignState`` (or ``None`` when there
-    is no campaign, or before the engine starts); ``registry`` defaults
-    to the process-global :data:`~repro.observe.counters.REGISTRY`.
-    """
-    if progress is None:
-        sample = TelemetrySample(t=time.time() if now is None else now)
-    else:
-        sample = progress.sample(now)
-    registry = REGISTRY if registry is None else registry
-    for name, summary in registry.snapshot().items():
-        if summary.get("type") == "counter":
-            sample.counters[name] = float(summary["value"])
-        elif summary.get("type") == "histogram":
-            sample.histograms[name] = {
-                k: v for k, v in summary.items() if k != "type"}
-    return sample
-
-
 def derive_rates(previous: TelemetrySample | None,
                  current: TelemetrySample) -> dict[str, float]:
     """Per-second rates of every counter between two samples.
@@ -225,8 +204,8 @@ class TelemetrySampler:
 
     ``provider`` is a zero-argument callable returning a fresh
     :class:`TelemetrySample`; it must only read snapshots (the engine's
-    :meth:`~repro.engine.scheduler.CampaignEngine.progress`, the metric
-    registry) so a slow scrape can never block training.  Provider
+    :meth:`~repro.engine.scheduler.CampaignEngine.progress`, a serving
+    engine's registry) so a slow scrape can never block training.  Provider
     errors are swallowed and counted (``errors``/``last_error``) — a
     telemetry hiccup must not sink a multi-day campaign.
     """

@@ -5,10 +5,12 @@ it runs, anything — a Prometheus scraper, a cron gate, an operator with
 ``curl`` — can ask how it is doing.  :class:`TelemetryService` is that
 answer for all three telemetry sources, which differ only in the
 zero-argument *provider* handed to it: ``lambda:
-build_sample(engine.progress())`` (``repro campaign --serve``),
-``lambda: collect(store).sample()`` (every mode of ``repro monitor``,
+engine.progress().sample()`` (``repro campaign --serve``), ``lambda:
+collect(store).sample()`` (every mode of ``repro monitor``,
 :func:`watch_store`) and ``ServingEngine.sample`` (``repro
-serve-infer``).
+serve-infer``).  The two campaign providers sample one type,
+:class:`~repro.engine.telemetry.CampaignState`, so a rules file reads
+the same names live and from disk.
 
 The service owns the sampler (so the sample ring and the
 ``<store>.series.jsonl`` file), the SLO engine, and the

@@ -49,7 +49,7 @@ from repro.observe.counters import MetricsRegistry
 from repro.httpcore import DEFAULT_HOST, JSON, error
 from repro.nn.losses import top1
 from repro.observe.slo import SLORule
-from repro.observe.timeseries import build_sample
+from repro.observe.timeseries import TelemetrySample
 from repro.serve import TelemetryService
 from repro.serving.batcher import DynamicBatcher, ShedError
 from repro.serving.session import FaultPlane, InferenceSession
@@ -76,8 +76,7 @@ class ServingEngine:
     def __init__(self, session: InferenceSession, fault_rate: float = 0.0,
                  seed: int = 0, max_batch: int = 32,
                  max_wait_s: float = 0.005, queue_cap: int = 256,
-                 shadow_rate: float = 0.25, recover: bool = True,
-                 registry: MetricsRegistry | None = None):
+                 shadow_rate: float = 0.25, recover: bool = True):
         if not 0.0 <= shadow_rate <= 1.0:
             raise ValueError("shadow_rate must be in [0, 1]")
         self.session = session
@@ -85,7 +84,7 @@ class ServingEngine:
         self.shadow_rate = float(shadow_rate)
         self.recover = bool(recover)
         self._shadow_rng = np.random.default_rng(seed + 0x5AD0)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.batcher = DynamicBatcher(
             self._execute_batch, max_batch=max_batch,
             max_wait_s=max_wait_s, queue_cap=queue_cap)
@@ -205,7 +204,13 @@ class ServingEngine:
 
     def sample(self):
         """One telemetry sample: registry snapshot + serving gauges."""
-        sample = build_sample(progress=None, registry=self.registry)
+        sample = TelemetrySample(t=time.time())
+        for name, summary in self.registry.snapshot().items():
+            if summary["type"] == "counter":
+                sample.counters[name] = float(summary["value"])
+            else:
+                sample.histograms[name] = {
+                    k: v for k, v in summary.items() if k != "type"}
         requests = self.c_requests.value
         responses = self.c_responses.value
         sample.gauges.update({

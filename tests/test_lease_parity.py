@@ -2,7 +2,7 @@
 
 A lease is a list of one or more work units and one function executes
 it, so what an experiment leaves behind — its events in the merged
-campaign trace, its observations on ``/metrics`` — must not depend on
+campaign trace, its detections in its record — must not depend on
 how many units shared its lease or on how many workers ran the leases.
 """
 
@@ -11,7 +11,14 @@ import pytest
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults import Campaign, HardwareFault, OpSite
 from repro.engine import scheduler
-from repro.observe import FAULT_INJECTED, analysis, histogram, read_trace
+from repro.observe import (
+    FAULT_INJECTED,
+    StampedView,
+    Tracer,
+    analysis,
+    read_trace,
+    set_current_tracer,
+)
 from repro.replay import CampaignCache, normalize_events, replay, replay_record
 from repro.workloads import build_workload
 
@@ -112,15 +119,26 @@ def test_record_without_events_fails_verification_cleanly(traced_runs):
 
 @pytest.mark.parametrize("method", ["run_experiment", "run_experiment_batch"])
 def test_detection_latency_is_observed_on_either_path(method):
-    """One body runs one experiment or several, so the
-    ``detector.latency_iterations`` histogram fills the same way (a
-    batch used to add nothing)."""
+    """One body runs one experiment or several, so every experiment's
+    detection latency is in its record and in its trace the same way
+    (a batch used to observe nothing)."""
     campaign = _campaign(2, keep_records=True)
-    latencies = histogram("detector.latency_iterations")
-    before = latencies.count
+    tracer = Tracer()
+    views = [StampedView(tracer, key=f"k{i}") for i in range(len(LOUD))]
     if method == "run_experiment":
-        results = [campaign.run_experiment(fault) for fault in LOUD]
+        results = [campaign.run_experiment(fault, view)
+                   for fault, view in zip(LOUD, views)]
     else:
-        results = campaign.run_experiment_batch(LOUD)
-    assert all(result.record.detections for result in results)
-    assert latencies.count - before == len(LOUD)
+        tracer.views = views
+        previous = set_current_tracer(tracer)
+        try:
+            results = campaign.run_experiment_batch(LOUD)
+        finally:
+            set_current_tracer(previous)
+    from_records = [result.record.detections[0] - fault.iteration
+                    for result, fault in zip(results, LOUD)]
+    from_trace = {row["key"]: row["latency"]
+                  for row in analysis.detection_latencies(tracer.events())}
+    assert all(latency >= 0 for latency in from_records)
+    assert from_trace == {f"k{i}": latency
+                          for i, latency in enumerate(from_records)}

@@ -513,6 +513,52 @@ class TestOneNamespace:
             in capsys.readouterr().out
 
 
+class TestParallelInvariance:
+    """A campaign's telemetry is its state alone: the same fault list
+    read live at any ``--parallel`` has one set of names, and every one
+    of them that is not a live-only extra reads from the store too.  At
+    the parent of this test the live samples also folded in a
+    process-global registry whose detector counters were bumped in the
+    forked workers, so they read differently at ``--parallel 2``, and
+    `monitor` had none of its names."""
+
+    #: What only the live tracker knows.
+    LIVE_EXTRAS = LIVE_ONLY | {"campaign.elapsed_seconds", "workers.restarts"}
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """parallel -> (final live sample, store) of one seeded
+        ``--detect`` campaign served at that worker count."""
+        runs = {}
+        # Parallel first: a process-wide metric the serial run filled
+        # would otherwise carry its names into the parallel run's samples.
+        for parallel in (2, 1):
+            store = tmp_path_factory.mktemp(f"parallel{parallel}") / "c.jsonl"
+            with contextlib.redirect_stderr(io.StringIO()):
+                rc = main(["campaign", "resnet", "--experiments", "4",
+                           "--devices", "2", "--detect",
+                           "--parallel", str(parallel), "--store", str(store),
+                           "--serve", "0", "--serve-interval", "0.05"])
+            assert rc == 0
+            _, live = read_series(store.with_name("c.series.jsonl"))
+            runs[parallel] = (live[-1].flat(), store)
+        return runs
+
+    def test_same_names_and_counts_at_any_parallel(self, runs):
+        (serial, _), (parallel, _) = runs[1], runs[2]
+        assert set(serial) == set(parallel)
+        counted = [name for name in serial if name.startswith("outcome.")
+                   or name in ("campaign.done", "campaign.quarantined")]
+        assert {name: serial[name] for name in counted} == \
+            {name: parallel[name] for name in counted}
+        assert serial["campaign.done"] == 4.0
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_every_live_name_reads_from_the_store(self, runs, parallel):
+        live, store = runs[parallel]
+        assert set(live) - self.LIVE_EXTRAS <= set(collect(store).sample().flat())
+
+
 class TestMonitorSlo:
     def _rules(self, tmp_path, rules):
         path = tmp_path / "rules.json"

@@ -1,5 +1,7 @@
 """Tests for two-iteration re-execution recovery (Sec. 5.2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from repro.core.mitigation import (
     RecoveryError,
     RecoveryManager,
 )
+from repro.distributed import SyncDataParallelTrainer
+from repro.optim import SGD, RMSProp
+from repro.workloads import build_workload
 
 
 def history_fault(iteration=5, seed=3):
@@ -86,22 +91,47 @@ class TestSnapshotRewind:
             RecoveryManager(strategy="magic")
 
 
+def _assert_inverts_one_step(spec) -> None:
+    """Train 4 iterations, invert the last one arithmetically, and
+    compare parameters and optimizer slots with a run of 3."""
+    trainer = SyncDataParallelTrainer(spec, num_devices=2, test_every=0)
+    recovery = RecoveryManager(strategy="arithmetic")
+    trainer.add_hook(recovery)
+    trainer.train(4)
+    reference = SyncDataParallelTrainer(spec, num_devices=2, test_every=0)
+    reference.train(3)
+    resume = recovery.rewind(trainer, iterations=1, detected_at=3)
+    assert resume == 3
+
+    def close(a, b, what):
+        scale = np.abs(b).max() + 1e-6
+        assert np.abs(a - b).max() / scale < 1e-5, what
+
+    now, ref = trainer.master.state_dict(), reference.master.state_dict()
+    for key in ref:
+        close(now[key], ref[key], key)
+    now, ref = trainer.optimizer.state_dict(), reference.optimizer.state_dict()
+    assert now["iteration"] == ref["iteration"] == 3
+    slots = [name for name in ref if name not in ("iteration", "lr")]
+    assert slots, "the optimizer keeps no slots to invert"
+    for name in slots:
+        assert any(np.abs(b).max() > 0 for b in ref[name]), name
+        for i, (a, b) in enumerate(zip(now[name], ref[name])):
+            close(a, b, f"{name}[{i}]")
+
+
 class TestArithmeticRewind:
-    def test_inverts_adam_step_closely(self, make_trainer):
-        trainer = make_trainer(num_devices=2)
-        recovery = RecoveryManager(strategy="arithmetic")
-        trainer.add_hook(recovery)
-        trainer.train(4)
-        reference = make_trainer(num_devices=2)
-        reference.train(3)
-        ref_state = reference.master.state_dict()
-        resume = recovery.rewind(trainer, iterations=1, detected_at=3)
-        assert resume == 3
-        now = trainer.master.state_dict()
-        for key in ref_state:
-            a, b = now[key], ref_state[key]
-            scale = np.abs(b).max() + 1e-6
-            assert np.abs(a - b).max() / scale < 1e-3, key
+    def test_inverts_adam_step_closely(self):
+        _assert_inverts_one_step(build_workload("resnet", size="tiny"))
+
+    @pytest.mark.parametrize("optimizer_fn", [
+        lambda params: SGD(params, lr=0.05, momentum=0.9),
+        lambda params: RMSProp(params, lr=1e-3),
+    ], ids=["sgd_momentum", "rmsprop"])
+    def test_inverts_step_closely(self, optimizer_fn):
+        spec = replace(build_workload("resnet", size="tiny"),
+                       optimizer_fn=optimizer_fn)
+        _assert_inverts_one_step(spec)
 
     def test_overflowed_state_not_invertible(self, make_trainer):
         trainer = make_trainer(num_devices=2)

@@ -13,8 +13,13 @@ import urllib.request
 import pytest
 
 from repro import httpcore
-from repro.engine import CampaignEngine, EngineConfig, ResultStore, WorkUnit
-from repro.observe import build_sample
+from repro.engine import (
+    CampaignEngine,
+    CampaignState,
+    EngineConfig,
+    ResultStore,
+    WorkUnit,
+)
 from repro.observe.export import (
     dumps_json,
     metric_name,
@@ -40,9 +45,9 @@ def _get(url: str) -> tuple[int, str, str]:
 def _sample(**gauges) -> TelemetrySample:
     return TelemetrySample(
         t=100.0, gauges=gauges or {"campaign.done": 3.0},
-        counters={"engine.completed": 3.0},
-        rates={"engine.completed": 0.5},
-        histograms={"engine.experiment_seconds": {
+        counters={"serving.requests": 3.0},
+        rates={"serving.requests": 0.5},
+        histograms={"serving.latency_seconds": {
             "count": 3, "sum": 0.6, "mean": 0.2, "max": 0.3,
             "p50": 0.2, "p99": 0.3}},
         outcomes={"ok": 2, "latent_inf_nan": 1})
@@ -61,9 +66,9 @@ class TestExposition:
                    if not labels}
         assert by_name["repro_up"] == 1.0
         assert by_name["repro_campaign_done"] == 3.0
-        assert by_name["repro_engine_completed_total"] == 3.0
-        assert by_name["repro_engine_completed_rate"] == 0.5
-        assert by_name["repro_engine_experiment_seconds_count"] == 3.0
+        assert by_name["repro_serving_requests_total"] == 3.0
+        assert by_name["repro_serving_requests_rate"] == 0.5
+        assert by_name["repro_serving_latency_seconds_count"] == 3.0
 
     def test_outcomes_and_quantiles_are_labelled(self):
         parsed = validate_exposition(render_prometheus(_sample()))
@@ -71,7 +76,7 @@ class TestExposition:
                     for name, labels, value in parsed if labels}
         assert labelled[("repro_campaign_outcome_total",
                          (("outcome", "latent_inf_nan"),))] == 1.0
-        assert labelled[("repro_engine_experiment_seconds",
+        assert labelled[("repro_serving_latency_seconds",
                          (("quantile", "0.99"),))] == 0.3
 
     def test_none_sample_still_exposes_up(self):
@@ -306,6 +311,12 @@ def _sleepy_factory():
     return lambda payloads: [run_one(payload) for payload in payloads]
 
 
+def _live_sample(engine):
+    """What ``repro campaign --serve`` samples: the engine's state, an
+    empty one while it is idle."""
+    return (engine.progress() or CampaignState(total=None)).sample()
+
+
 class TestConcurrentScrape:
     def test_every_scrape_parses_during_live_parallel_run(self):
         units = [WorkUnit(key=f"key{i}",
@@ -313,7 +324,7 @@ class TestConcurrentScrape:
                  for i in range(12)]
         engine = CampaignEngine(_sleepy_factory, EngineConfig(parallel=2))
         telemetry = TelemetryService(
-            lambda: build_sample(engine.progress()), port=0, interval=0.01)
+            lambda: _live_sample(engine), port=0, interval=0.01)
         report_box = {}
 
         def run_engine():
@@ -344,7 +355,7 @@ class TestConcurrentScrape:
                          max=0.5)]
         engine = CampaignEngine(_sleepy_factory, EngineConfig(parallel=1))
         telemetry = TelemetryService(
-            lambda: build_sample(engine.progress()), store_path=store_path,
+            lambda: _live_sample(engine), store_path=store_path,
             port=0, interval=0.01, rules=rules)
         units = [WorkUnit(key=f"k{i}",
                           payload={"key": f"k{i}", "x": i, "sleep": 0.02})

@@ -5,14 +5,13 @@ import time
 
 import pytest
 
-from repro.engine.telemetry import ProgressTracker
-from repro.observe import Histogram, MetricsRegistry
+from repro.engine.telemetry import CampaignState, ProgressTracker
+from repro.observe import Histogram
 from repro.observe.counters import DEFAULT_BOUNDS
 from repro.observe.timeseries import (
     SERIES_SCHEMA_VERSION,
     TelemetrySample,
     TelemetrySampler,
-    build_sample,
     derive_rates,
     read_series,
     series_path,
@@ -106,14 +105,26 @@ class TestDeriveRates:
 # ----------------------------------------------------------------------
 class TestBuildSample:
     def test_registry_counters_and_histograms(self):
-        registry = MetricsRegistry()
-        registry.counter("engine.completed").inc(7)
-        registry.histogram("engine.experiment_seconds").observe(0.5)
-        sample = build_sample(registry=registry, now=123.0)
-        assert sample.t == 123.0
-        assert sample.counters == {"engine.completed": 7.0}
-        hist = sample.histograms["engine.experiment_seconds"]
+        """Only a serving engine owns a registry: its counters and
+        histograms are in its sample, and a campaign sample has none."""
+        from repro.serving import InferenceSession, ServingEngine
+        from repro.workloads import build_workload
+
+        session = InferenceSession(build_workload("resnet", size="tiny"),
+                                   train_iterations=1)
+        engine = ServingEngine(session)
+        engine.c_requests.inc(7)
+        engine.h_latency.observe(0.5)
+        sample = engine.sample()
+        assert sample.counters["serving.requests"] == 7.0
+        hist = sample.histograms["serving.latency_seconds"]
         assert hist["count"] == 1 and "p99" in hist
+        assert set(sample.counters) == {
+            name for name, summary in engine.registry.snapshot().items()
+            if summary["type"] == "counter"}
+        empty = CampaignState(total=None).sample(now=123.0)
+        assert empty.t == 123.0
+        assert empty.counters == {} and empty.histograms == {}
 
     def test_progress_snapshot_gauges_and_outcomes(self):
         tracker = ProgressTracker(total=4, clock=lambda: 100.0)
@@ -122,8 +133,7 @@ class TestBuildSample:
         tracker.task_done(0, "ok")
         tracker.task_started(1, "k1")
         tracker.task_done(1, "latent_inf_nan")
-        sample = build_sample(progress=tracker.snapshot(),
-                              registry=MetricsRegistry(), now=1.0)
+        sample = tracker.snapshot().sample(now=1.0)
         g = sample.gauges
         assert g["campaign.total"] == 4.0
         assert g["campaign.done"] == 2.0
@@ -136,15 +146,15 @@ class TestBuildSample:
         sample = TelemetrySample(
             t=1.0,
             gauges={"campaign.done": 3.0},
-            counters={"engine.completed": 3.0},
-            rates={"engine.completed": 0.5},
+            counters={"serving.requests": 3.0},
+            rates={"serving.requests": 0.5},
             histograms={"lat": {"count": 2, "sum": 1.0, "mean": 0.5,
                                 "max": 0.9, "p50": 0.4, "p99": 0.9}},
             outcomes={"ok": 3})
         flat = sample.flat()
         assert flat["campaign.done"] == 3.0
-        assert flat["counter.engine.completed"] == 3.0
-        assert flat["rate.engine.completed"] == 0.5
+        assert flat["counter.serving.requests"] == 3.0
+        assert flat["rate.serving.requests"] == 0.5
         assert flat["lat.p99"] == 0.9
         assert flat["outcome.ok"] == 3.0
 
