@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from _report import emit, header, paper_vs_measured, table
-from conftest import NUM_DEVICES
-from bench_fig2_latent_outcomes import ControlledFault
+from conftest import NUM_DEVICES, pinned_fault
+from repro.core.faults import FaultInjector
 from repro.distributed import SyncDataParallelTrainer
 from repro.optim import SGD, Adam, RMSProp
 from repro.workloads import build_workload
@@ -35,9 +35,9 @@ def _run(optimizer_factory, label):
     spec.optimizer_fn = optimizer_factory
     trainer = SyncDataParallelTrainer(spec, num_devices=NUM_DEVICES, seed=0,
                                       test_every=0, stop_on_nonfinite=False)
-    trainer.add_hook(ControlledFault("1.conv1", "weight_grad", INJECT_AT,
-                                     device=0, magnitude=MAGNITUDE,
-                                     elements=64, seed=7))
+    trainer.add_hook(FaultInjector(pinned_fault(
+        "1.conv1", "weight_grad", INJECT_AT, magnitude=MAGNITUDE,
+        elements=64, seed=7)))
     trainer.train(INJECT_AT + 5)
     max_weight = max(
         float(np.abs(np.nan_to_num(p.data, nan=3e38, posinf=3e38,

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from _report import emit, header, paper_vs_measured, table
-from conftest import NUM_DEVICES
-from bench_fig2_latent_outcomes import ControlledFault
+from conftest import NUM_DEVICES, pinned_fault
+from repro.core.faults import FaultInjector
 from repro.core.mitigation import HardwareFailureDetector
 from repro.distributed import SyncDataParallelTrainer
 from repro.training.checkpoints import CheckpointStore
@@ -47,8 +47,9 @@ def bench_checkpoint_corruption(benchmark):
                                       test_every=0, stop_on_nonfinite=False)
     store = CheckpointStore(every=EPOCH, keep=KEEP)
     detector = HardwareFailureDetector()
-    fault = ControlledFault("1.conv1", "weight_grad", INJECT_AT, device=1,
-                            magnitude=1e12, elements=64, seed=7)
+    fault = FaultInjector(pinned_fault("1.conv1", "weight_grad", INJECT_AT,
+                                       device=1, magnitude=1e12, elements=64,
+                                       seed=7))
     trainer.add_hook(store)
     trainer.add_hook(fault)
     trainer.add_hook(detector)

@@ -23,16 +23,17 @@ in the band below overflow, which is exactly the paper's point).  The
                        variance under BatchNorm decay 0.99: training
                        accuracy is intact, that device's test accuracy is
                        destroyed (Table 4 band 7.3e17-7.1e37).
+
+Each instance is a magnitude-pinned fault run through ``Campaign.run``
+with the flight recorder on: the outcome and the test-accuracy delta
+come from the store, the training-accuracy curve from the merged trace.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from _report import emit, header, table
-from conftest import NUM_DEVICES
-from repro.core.analysis.classify import Outcome, classify_outcome
-from repro.distributed import SyncDataParallelTrainer
+from conftest import directed_campaign, pinned_fault, traced
+from repro.core.analysis.classify import Outcome
 from repro.workloads import build_workload
 
 TOTAL = 160
@@ -41,161 +42,54 @@ SLOW_TOTAL = 120  # SlowDegrade horizon: long enough to show the low phase,
 EARLY, LATE = 20, 60  # injection points for early- vs converged-phase faults
 
 
-class ControlledFault:
-    """One-shot hook writing a fixed-magnitude block fault into one op
-    site of one device — a Table 1 group-1 fault with its values pinned
-    inside a chosen magnitude band.
+def _curve(summary, lo, hi, step=2):
+    acc = dict(zip(summary["iterations"], summary["acc"]))
+    return " ".join(f"{acc[i]:.2f}" for i in range(lo, hi, step))
 
-    ``coherent=True`` writes a single sign (the structure a rank-1
-    backward-pass fault imposes on upstream weight gradients).
-    """
 
-    def __init__(self, site: str, kind: str, iteration: int, device: int,
-                 magnitude: float, elements: int = 16, seed: int = 0,
-                 coherent: bool = False):
-        self.site, self.kind = site, kind
-        self.iteration, self.device = iteration, device
-        self.magnitude, self.elements = magnitude, elements
-        self.coherent = coherent
-        self.rng = np.random.default_rng(seed)
-        self.fired = False
-        self._module = None
-
-    def _hook(self, tensor, info):
-        if self.fired:
-            return tensor
-        self.fired = True
-        out = np.array(tensor, dtype=np.float32, copy=True, order="C")
-        flat = out.reshape(-1)
-        count = min(self.elements, flat.size)
-        idx = self.rng.choice(flat.size, size=count, replace=False)
-        if self.coherent:
-            flat[idx] = np.float32(self.magnitude)
+def bench_fig2_latent_outcomes(benchmark, tmp_path):
+    sgd_model = build_workload("resnet_sgd", size="tiny", seed=0).build_model(0)
+    classifier = dict(sgd_model.named_parameters())["4.weight"]
+    instances = [
+        ("SlowDegrade", "backward input-grad fault, Adam history ~1e12",
+         "resnet_nobn", SLOW_TOTAL,
+         pinned_fault("2.conv1", "input_grad", EARLY, device=1,
+                      magnitude=1e12, elements=1024, seed=1, coherent=True)),
+        ("SharpSlowDegrade", "forward fault, NoBN, after convergence",
+         "resnet_nobn", TOTAL,
+         pinned_fault("1.conv1", "forward", LATE, magnitude=1e6,
+                      elements=1000, seed=2)),
+        ("SharpDegrade", "weight-update fault, SGD, |w|~100",
+         "resnet_sgd", TOTAL,
+         pinned_fault("4.weight", "weight_update", LATE, magnitude=100.0,
+                      elements=classifier.data.size)),
+        ("LowTestAccuracy", "forward fault -> mvar, decay 0.99",
+         "resnet_largedecay", TOTAL,
+         pinned_fault("1.conv1", "forward", LATE, device=1, magnitude=1e18,
+                      elements=64, seed=3)),
+    ]
+    rows, outcomes, campaigns = [], {}, {}
+    for label, mechanism, workload, total, fault in instances:
+        # The warm-up snapshot sits two iterations before the fault, so
+        # the curve's first points are in the experiment's trace.
+        t = fault.iteration
+        campaign = directed_campaign(workload, t - 2, total)
+        result = campaign.run(faults=[fault], store=tmp_path / f"{label}.jsonl",
+                              trace=True)
+        payload, = result.payloads
+        outcomes[label] = Outcome(payload["outcome"])
+        campaigns[label] = campaign
+        if label == "LowTestAccuracy":
+            # Test accuracy is not traced per test point; the store keeps
+            # the faulty device's final test-accuracy delta.
+            mechanism += (f" (ref test "
+                          f"{campaign.reference.final_test_accuracy():.2f})")
+            curve = f"final test-acc delta: {payload['final_test_delta']:+.2f}"
         else:
-            signs = self.rng.choice([-1.0, 1.0], size=count)
-            flat[idx] = (signs * self.magnitude).astype(np.float32)
-        return out
-
-    def before_iteration(self, trainer, iteration):
-        if iteration != self.iteration:
-            return
-        module = dict(trainer.replicas[self.device].named_modules())[self.site]
-        module.set_fault_hook(self.kind, self._hook)
-        self._module = module
-
-    def after_iteration(self, trainer, iteration, loss, acc):
-        if self._module is not None:
-            self._module.set_fault_hook(self.kind, None)
-            self._module = None
-
-
-class ControlledUpdateFault:
-    """One-shot weight-update fault: random-sign values of fixed
-    magnitude replace one parameter's update tensor (the SGD path of
-    Sec. 4.2.2)."""
-
-    def __init__(self, iteration: int, magnitude: float, param_index: int):
-        self.iteration = iteration
-        self.magnitude = magnitude
-        self.param_index = param_index
-        self.fired = False
-        self.rng = np.random.default_rng(0)
-
-    def _hook(self, update, info):
-        if self.fired or info["index"] != self.param_index:
-            return update
-        self.fired = True
-        out = np.array(update, copy=True)
-        signs = self.rng.choice([-1.0, 1.0], size=out.shape)
-        out[...] = (signs * self.magnitude).astype(np.float32)
-        return out
-
-    def before_iteration(self, trainer, iteration):
-        if iteration == self.iteration:
-            trainer.optimizer.set_update_hook(self._hook)
-
-    def after_iteration(self, trainer, iteration, loss, acc):
-        if iteration == self.iteration:
-            trainer.optimizer.set_update_hook(None)
-
-
-def _trainer(workload, eval_device=0):
-    spec = build_workload(workload, size="tiny", seed=0)
-    return SyncDataParallelTrainer(spec, num_devices=NUM_DEVICES, seed=0,
-                                   test_every=10, eval_device=eval_device,
-                                   stop_on_nonfinite=False)
-
-
-def _reference(workload, total=TOTAL):
-    trainer = _trainer(workload)
-    trainer.train(total)
-    return trainer.record
-
-
-def _curve(record, lo, hi, step=2):
-    acc = record.train_accuracy_array()
-    return " ".join(f"{a:.2f}" for a in acc[lo:hi:step])
-
-
-def bench_fig2_latent_outcomes(benchmark):
-    rows = []
-    references = {w: _reference(w) for w in
-                  ("resnet_nobn", "resnet_sgd", "resnet_largedecay")}
-    reference_slow = _reference("resnet_nobn", total=SLOW_TOTAL)
-
-    # --- SlowDegrade --------------------------------------------------------
-    trainer = _trainer("resnet_nobn", eval_device=1)
-    trainer.add_hook(ControlledFault("2.conv1", "input_grad", EARLY, device=1,
-                                     magnitude=1e12, elements=1024, seed=1,
-                                     coherent=True))
-    trainer.train(SLOW_TOTAL)
-    rec_slow = trainer.record
-    out_slow = classify_outcome(rec_slow, reference_slow, EARLY).outcome
-    rows.append({"outcome": "SlowDegrade",
-                 "mechanism": "backward input-grad fault, Adam history ~1e12",
-                 "classified": out_slow.value,
-                 "train-acc every 2 iters":
-                     _curve(rec_slow, EARLY - 2, EARLY + 40)})
-
-    # --- SharpSlowDegrade ---------------------------------------------------
-    trainer = _trainer("resnet_nobn")
-    trainer.add_hook(ControlledFault("1.conv1", "forward", LATE, device=0,
-                                     magnitude=1e6, elements=1000, seed=2))
-    trainer.train(TOTAL)
-    rec_ss = trainer.record
-    out_ss = classify_outcome(rec_ss, references["resnet_nobn"], LATE).outcome
-    rows.append({"outcome": "SharpSlowDegrade",
-                 "mechanism": "forward fault, NoBN, after convergence",
-                 "classified": out_ss.value,
-                 "train-acc every 2 iters": _curve(rec_ss, LATE - 2, LATE + 40)})
-
-    # --- SharpDegrade -------------------------------------------------------
-    probe = _trainer("resnet_sgd")
-    clf_index = [n for n, _ in probe.master.named_parameters()].index("4.weight")
-    trainer = _trainer("resnet_sgd")
-    trainer.add_hook(ControlledUpdateFault(LATE, magnitude=100.0,
-                                           param_index=clf_index))
-    trainer.train(TOTAL)
-    rec_sharp = trainer.record
-    out_sharp = classify_outcome(rec_sharp, references["resnet_sgd"], LATE).outcome
-    rows.append({"outcome": "SharpDegrade",
-                 "mechanism": "weight-update fault, SGD, |w|~100",
-                 "classified": out_sharp.value,
-                 "train-acc every 2 iters": _curve(rec_sharp, LATE - 2, LATE + 40)})
-
-    # --- LowTestAccuracy -----------------------------------------------------
-    trainer = _trainer("resnet_largedecay", eval_device=1)
-    trainer.add_hook(ControlledFault("1.conv1", "forward", LATE, device=1,
-                                     magnitude=1e18, elements=64, seed=3))
-    trainer.train(TOTAL)
-    rec_low = trainer.record
-    out_low = classify_outcome(rec_low, references["resnet_largedecay"], LATE).outcome
-    test_curve = " ".join(f"{a:.2f}" for a in rec_low.test_acc)
-    ref_test = references["resnet_largedecay"].final_test_accuracy()
-    rows.append({"outcome": "LowTestAccuracy",
-                 "mechanism": f"forward fault -> mvar, decay 0.99 (ref test {ref_test:.2f})",
-                 "classified": out_low.value,
-                 "train-acc every 2 iters": "test acc: " + test_curve})
+            curve = _curve(traced(result)[0], t - 2, t + 40)
+        rows.append({"outcome": label, "mechanism": mechanism,
+                     "classified": outcomes[label].value,
+                     "train-acc every 2 iters": curve})
 
     header("Fig. 2 — the four latent unexpected outcomes (directed "
            "instances within Table 4 magnitude bands)")
@@ -207,15 +101,10 @@ def bench_fig2_latent_outcomes(benchmark):
     emit("optimizer; LowTestAccuracy leaves training accuracy intact while")
     emit("the faulty device's test accuracy collapses under slow mvar decay.")
 
-    latent = [out_slow, out_ss, out_sharp, out_low]
-    assert all(o.is_latent for o in latent), [o.value for o in latent]
-    assert out_low == Outcome.LOW_TEST_ACCURACY
+    assert all(o.is_latent for o in outcomes.values()), \
+        {label: o.value for label, o in outcomes.items()}
+    assert outcomes["LowTestAccuracy"] == Outcome.LOW_TEST_ACCURACY
 
-    def one_instance():
-        t = _trainer("resnet_nobn", eval_device=1)
-        t.add_hook(ControlledFault("2.conv1", "input_grad", 5, device=1,
-                                   magnitude=1e12, elements=1024, seed=1,
-                                   coherent=True))
-        t.train(12)
-
-    benchmark.pedantic(one_instance, rounds=2, iterations=1)
+    campaign, fault = campaigns["SlowDegrade"], instances[0][-1]
+    benchmark.pedantic(lambda: campaign.run_experiment(fault),
+                       rounds=2, iterations=1)

@@ -15,37 +15,30 @@ iterations — "may require millions of iterations to fully recover".
 
 from __future__ import annotations
 
+import numpy as np
+
 from _report import emit, header, paper_vs_measured, table
-from conftest import NUM_DEVICES
-from bench_fig2_latent_outcomes import ControlledFault
+from conftest import directed_campaign, pinned_fault, traced
 from repro.core.analysis.phases import (
     decompose_phases_vs_reference,
     expected_stagnation_iterations,
 )
-from repro.distributed import SyncDataParallelTrainer
-from repro.workloads import build_workload
 
 INJECT_AT = 20
 TOTAL = 220
 
 
-def _trainer():
-    spec = build_workload("resnet_nobn", size="tiny", seed=0)
-    return SyncDataParallelTrainer(spec, num_devices=NUM_DEVICES, seed=0,
-                                   test_every=0, stop_on_nonfinite=False)
-
-
-def bench_fig5_phases(benchmark):
-    reference = _trainer()
-    reference.train(TOTAL)
-    ref_acc = reference.record.train_accuracy_array()
-
-    trainer = _trainer()
-    trainer.add_hook(ControlledFault("2.conv1", "input_grad", INJECT_AT, device=1,
-                                     magnitude=1e12, elements=1024, seed=1,
-                                     coherent=True))
-    trainer.train(TOTAL)
-    acc = trainer.record.train_accuracy_array()
+def bench_fig5_phases(benchmark, tmp_path):
+    # Fig. 2's SlowDegrade fault, through Campaign.run with the warm-up
+    # snapshot at the fault iteration: the faulty run's earlier
+    # iterations are the reference run's.
+    campaign = directed_campaign("resnet_nobn", INJECT_AT, TOTAL, test_every=0)
+    fault = pinned_fault("2.conv1", "input_grad", INJECT_AT, device=1,
+                         magnitude=1e12, elements=1024, seed=1, coherent=True)
+    result = campaign.run(faults=[fault], store=tmp_path / "fig5.jsonl",
+                          trace=True)
+    ref_acc = campaign.reference.train_accuracy_array()
+    acc = np.concatenate([ref_acc[:INJECT_AT], traced(result)[0]["acc"]])
     analysis = decompose_phases_vs_reference(acc, ref_acc, INJECT_AT)
 
     header("Fig. 5 — three phases of SlowDegrade (accuracy deficit vs the "

@@ -16,8 +16,8 @@ faults rather than detecting them; cannot see history/mvar corruption).
 from __future__ import annotations
 
 from _report import emit, header, paper_vs_measured, table
-from conftest import NUM_DEVICES
-from bench_fig2_latent_outcomes import ControlledFault
+from conftest import NUM_DEVICES, pinned_fault
+from repro.core.faults import FaultInjector
 from repro.core.mitigation import HardwareFailureDetector
 from repro.core.mitigation.baselines import ABFTChecker, GradientClipper, RangerGuard
 from repro.distributed import SyncDataParallelTrainer
@@ -42,9 +42,9 @@ def _run_with(technique_factory, label, workload, site, kind, magnitude):
     trainer = SyncDataParallelTrainer(spec, num_devices=NUM_DEVICES, seed=0,
                                       test_every=0, stop_on_nonfinite=False)
     technique = technique_factory(trainer)
-    fault = ControlledFault(site, kind, INJECT_AT, device=1,
-                            magnitude=magnitude, elements=64, seed=7)
-    trainer.add_hook(fault)
+    trainer.add_hook(FaultInjector(pinned_fault(
+        site, kind, INJECT_AT, device=1, magnitude=magnitude, elements=64,
+        seed=7)))
     if technique is not None:
         trainer.add_hook(technique)
     trainer.train(TOTAL)

@@ -3,99 +3,75 @@
 Mirrors the paper artifact's reproducible examples: three directed
 injections that produce a Masked outcome, an immediate INFs/NaNs outcome,
 and a latent degradation, plus classification of each by the outcome
-classifier.
+classifier.  Each workload's injections are one fault list through
+``Campaign.run``: outcomes come from the store, the non-finite iteration
+and the final training accuracy from the merged trace.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from _report import emit, header, table
-from conftest import NUM_DEVICES
+from conftest import GROUP1, directed_campaign, traced
 from repro.accelerator.ffs import FFDescriptor
-from repro.core.analysis.classify import classify_outcome
-from repro.core.faults import FaultInjector, HardwareFault, OpSite
-from repro.distributed import SyncDataParallelTrainer
-from repro.workloads import build_workload
+from repro.core.faults import HardwareFault, OpSite
+
+INJECT_AT, TOTAL = 20, 60
+#: Ten iterations before the fault: the final training accuracy is the
+#: mean of a run's last ten, which a run stopping at the fault reaches
+#: back to.
+WARMUP = 10
 
 
-def _run(workload, ff, site, kind, inject_at, total, seed, eval_device=0):
-    spec = build_workload(workload, size="tiny", seed=0)
-    trainer = SyncDataParallelTrainer(spec, num_devices=NUM_DEVICES, seed=0,
-                                      test_every=10, eval_device=eval_device)
-    fault = HardwareFault(ff=ff, site=OpSite(site, kind), iteration=inject_at,
-                          device=eval_device, seed=seed)
-    injector = FaultInjector(fault)
-    trainer.add_hook(injector)
-    trainer.train(total)
-    return trainer.record, injector
+def _examples(workload, faults, tmp_path):
+    """One row per fault: its classified outcome, non-finite iteration
+    and final training accuracy."""
+    campaign = directed_campaign(workload, WARMUP, TOTAL)
+    result = campaign.run(faults=faults, store=tmp_path / f"{workload}.jsonl",
+                          trace=True)
+    rows = [{"classified": payload["outcome"],
+             "nonfinite_at": summary["divergence_at"],
+             "final_train": float(np.mean(summary["acc"][-10:]))}
+            for payload, summary in zip(result.payloads, traced(result))]
+    return campaign, rows
 
 
-def _reference(workload, total):
-    spec = build_workload(workload, size="tiny", seed=0)
-    trainer = SyncDataParallelTrainer(spec, num_devices=NUM_DEVICES, seed=0,
-                                      test_every=10)
-    trainer.train(total)
-    return trainer.record
-
-
-def bench_table3_outcome_examples(benchmark):
-    total = 60
-    reference = _reference("resnet", total)
-    rows = []
-
+def bench_table3_outcome_examples(benchmark, tmp_path):
     # Example 1 (artifact's inj_masked): a low-order datapath mantissa
     # flip — the training process absorbs it.
-    rec, inj = _run("resnet", FFDescriptor("datapath", bit=3), "1.conv2",
-                    "forward", 20, total, seed=5)
-    rows.append({
-        "example": "masked (datapath mantissa flip)",
-        "classified": classify_outcome(rec, reference, 20).outcome.value,
-        "nonfinite_at": rec.nonfinite_at,
-        "final_train": rec.final_train_accuracy(),
-    })
+    # Example 3 (inj_slow_degrade): a backward-pass group-1 fault whose
+    # huge values land in the optimizer's gradient history.
+    masked = HardwareFault(ff=FFDescriptor("datapath", bit=3),
+                           site=OpSite("1.conv2", "forward"),
+                           iteration=INJECT_AT, device=0, seed=5)
+    history = HardwareFault(ff=GROUP1, site=OpSite("1.conv1", "weight_grad"),
+                            iteration=INJECT_AT, device=0, seed=3)
+    campaign, (masked_row, history_row) = _examples(
+        "resnet", [masked, history], tmp_path)
 
     # Example 2 (inj_immediate_infs_nans): corrupt a forward activation
     # with full-dynamic-range values on the NoBN model, where no
-    # normalization can squash them before the loss.
-    found = None
-    for seed in range(20):
-        rec, inj = _run("resnet_nobn",
-                        FFDescriptor("global_control", group=1, has_feedback=True),
-                        "1.conv1", "forward", 20, total, seed=seed)
-        if rec.nonfinite_at is not None and rec.nonfinite_at - 20 <= 1:
-            found = rec
-            break
+    # normalization can squash them before the loss; the first seed
+    # that goes non-finite within one iteration of the fault.
+    _, candidates = _examples("resnet_nobn", [
+        HardwareFault(ff=GROUP1, site=OpSite("1.conv1", "forward"),
+                      iteration=INJECT_AT, device=0, seed=seed)
+        for seed in range(20)], tmp_path)
+    found = next((row for row in candidates if row["nonfinite_at"] is not None
+                  and row["nonfinite_at"] - INJECT_AT <= 1), None)
     assert found is not None, "no immediate INF/NaN example found"
-    ref_nobn = _reference("resnet_nobn", total)
-    rows.append({
-        "example": "immediate INFs/NaNs (group 1, forward, NoBN)",
-        "classified": classify_outcome(found, ref_nobn, 20).outcome.value,
-        "nonfinite_at": found.nonfinite_at,
-        "final_train": found.final_train_accuracy(),
-    })
-
-    # Example 3 (inj_slow_degrade): a backward-pass group-1 fault whose
-    # huge values land in the optimizer's gradient history.
-    rec, inj = _run("resnet", FFDescriptor("global_control", group=1,
-                                           has_feedback=True),
-                    "1.conv1", "weight_grad", 20, total, seed=3)
-    rows.append({
-        "example": "history corruption (group 1, backward)",
-        "classified": classify_outcome(rec, reference, 20).outcome.value,
-        "nonfinite_at": rec.nonfinite_at,
-        "final_train": rec.final_train_accuracy(),
-    })
 
     header("Table 3 / Fig. 1 — directed outcome examples "
            "(paper artifact's three reproducible injections)")
-    table(rows)
+    table([{"example": "masked (datapath mantissa flip)", **masked_row},
+           {"example": "immediate INFs/NaNs (group 1, forward, NoBN)", **found},
+           {"example": "history corruption (group 1, backward)",
+            **history_row}])
     emit()
     emit("Manifestation latencies observed: immediate INFs/NaNs at the")
     emit("injection iteration; masked faults leave convergence untouched;")
     emit("backward-pass faults corrupt history state (see Table 4 bench).")
 
-    # Benchmark: the full masked-example experiment.
-    def masked_example():
-        _run("resnet", FFDescriptor("datapath", bit=3), "1.conv2", "forward",
-             5, 8, seed=5)
-
-    benchmark.pedantic(masked_example, rounds=3, iterations=1)
+    benchmark.pedantic(lambda: campaign.run_experiment(masked),
+                       rounds=3, iterations=1)

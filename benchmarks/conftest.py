@@ -16,8 +16,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.core.faults import Campaign
+from repro.accelerator.ffs import FFDescriptor
+from repro.core.faults import Campaign, HardwareFault, OpSite, PinnedMagnitude
 from repro.distributed import SyncDataParallelTrainer
+from repro.observe import read_trace
+from repro.observe.analysis import propagation_summaries
 from repro.workloads import build_workload
 
 #: Device count used throughout the benches (the paper uses 8).
@@ -27,6 +30,41 @@ NUM_DEVICES = 4
 #: >100K per workload; these counts keep the full harness under an hour
 #: while still exposing every outcome class.
 CAMPAIGN_EXPERIMENTS = 60
+
+#: The FF a directed fault names: Table 1 group 1 (random Layer_Outputs).
+GROUP1 = FFDescriptor("global_control", group=1, has_feedback=True)
+
+
+def pinned_fault(site: str, kind: str, iteration: int, device: int = 0, *,
+                 magnitude: float, elements: int = 16, seed: int = 0,
+                 coherent: bool = False) -> HardwareFault:
+    """A group-1 fault whose values are pinned at ±``magnitude`` inside a
+    Table 4 band (:class:`~repro.core.faults.PinnedMagnitude`)."""
+    return HardwareFault(ff=GROUP1, site=OpSite(site, kind),
+                         iteration=iteration, device=device, seed=seed,
+                         pinned=PinnedMagnitude(magnitude, elements, coherent))
+
+
+def directed_campaign(workload: str, warmup: int, total: int,
+                      test_every: int = 10) -> Campaign:
+    """A campaign for a directed fault list: warm-up snapshot at
+    ``warmup``, every run (and the fault-free reference) ends at
+    ``total``."""
+    spec = build_workload(workload, size="tiny", seed=0)
+    return Campaign(spec, num_devices=NUM_DEVICES, seed=0,
+                    warmup_iterations=warmup, horizon=total - warmup,
+                    test_every=test_every)
+
+
+def traced(result) -> list[dict]:
+    """Each experiment's story from a traced ``Campaign.run``'s merged
+    trace (:func:`~repro.observe.analysis.experiment_summary`: the
+    per-iteration ``loss`` / ``acc`` / condition series, onsets and
+    ``divergence_at``), in fault-list order."""
+    report = result.engine_report
+    summaries = propagation_summaries(read_trace(report.trace_path))
+    keys = {payload["index"]: key for key, payload in report.results.items()}
+    return [summaries[keys[index]] for index in range(len(keys))]
 
 
 @pytest.fixture(scope="session")

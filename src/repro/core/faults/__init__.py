@@ -29,6 +29,7 @@ from repro.core.faults.software_models import (
     DatapathBitFlip,
     FaultRecord,
     LocalControlFault,
+    PinnedMagnitude,
     PrecisionConfigFault,
     SoftwareFaultModel,
     all_model_names,
@@ -55,6 +56,7 @@ __all__ = [
     "InferenceCampaign",
     "LocalControlFault",
     "OpSite",
+    "PinnedMagnitude",
     "PrecisionConfigFault",
     "SoftwareFaultModel",
     "ValidationSummary",

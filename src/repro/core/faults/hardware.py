@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accelerator.ffs import FFDescriptor, FFInventory
+from repro.core.faults.software_models import PinnedMagnitude
 from repro.nn import (
     LSTM,
     BatchNorm,
@@ -86,6 +87,9 @@ class HardwareFault:
     iteration: int
     device: int
     seed: int
+    #: A directed fault's pinned values, applied in place of the model
+    #: ``ff`` selects; ``None`` for every sampled fault.
+    pinned: PinnedMagnitude | None = None
 
     def describe(self) -> dict:
         """Flat summary of the experiment (for logs and reports)."""

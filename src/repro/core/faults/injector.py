@@ -17,9 +17,10 @@ kind (DESIGN.md decision 20):
 * ``weight_update`` — one parameter's update tensor in the optimizer
   (:meth:`~repro.optim.base.Optimizer.set_update_hook`).
 
-The resulting :class:`~repro.core.faults.software_models.FaultRecord` is
-kept for analysis (faulty element counts/positions/values — Table 4's
-ranges).
+The software fault model is the one the fault's FF selects, or the
+fault's ``pinned`` magnitude model for a directed fault.  The resulting
+:class:`~repro.core.faults.software_models.FaultRecord` is kept for
+analysis (faulty element counts/positions/values — Table 4's ranges).
 
 Stable arena addressing
 -----------------------
@@ -106,7 +107,7 @@ class FaultInjector:
         if self.fired:
             return tensor
         self.fired = True
-        model = model_for_ff(self.fault.ff, self.config)
+        model = self.fault.pinned or model_for_ff(self.fault.ff, self.config)
         if isinstance(model, Group7ZeroInput1):
             faulty, self.record = model.apply(
                 tensor, self._rng, self.fault.ff,

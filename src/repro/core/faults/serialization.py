@@ -16,6 +16,7 @@ from repro.accelerator.ffs import FFDescriptor
 from repro.core.analysis.classify import Outcome, OutcomeReport
 from repro.core.faults.campaign import ExperimentResult
 from repro.core.faults.hardware import HardwareFault, OpSite
+from repro.core.faults.software_models import PinnedMagnitude
 
 
 def _json_safe(value):
@@ -54,7 +55,7 @@ def _from_json_number(value):
 # Fault descriptors
 # ----------------------------------------------------------------------
 def fault_to_dict(fault: HardwareFault) -> dict:
-    return {
+    out = {
         "ff": {
             "category": fault.ff.category,
             "group": fault.ff.group,
@@ -66,6 +67,13 @@ def fault_to_dict(fault: HardwareFault) -> dict:
         "device": fault.device,
         "seed": fault.seed,
     }
+    # Additive: a sampled fault's dict, and so its experiment key, is
+    # what it was before pinned faults existed.
+    if fault.pinned is not None:
+        out["pinned"] = {"magnitude": float(fault.pinned.magnitude),
+                         "elements": int(fault.pinned.elements),
+                         "coherent": bool(fault.pinned.coherent)}
+    return out
 
 
 def fault_from_dict(data: dict) -> HardwareFault:
@@ -76,8 +84,14 @@ def fault_from_dict(data: dict) -> HardwareFault:
         has_feedback=bool(data["ff"]["has_feedback"]),
     )
     site = OpSite(data["site"]["module_name"], data["site"]["kind"])
+    pinned = data.get("pinned")
+    if pinned is not None:
+        pinned = PinnedMagnitude(magnitude=float(pinned["magnitude"]),
+                                 elements=int(pinned["elements"]),
+                                 coherent=bool(pinned["coherent"]))
     return HardwareFault(ff=ff, site=site, iteration=int(data["iteration"]),
-                         device=int(data["device"]), seed=int(data["seed"]))
+                         device=int(data["device"]), seed=int(data["seed"]),
+                         pinned=pinned)
 
 
 # ----------------------------------------------------------------------

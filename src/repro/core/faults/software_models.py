@@ -373,6 +373,41 @@ class PrecisionConfigFault(SoftwareFaultModel):
         return self._finish(canonical, tensor.shape, record)
 
 
+@dataclass(frozen=True)
+class PinnedMagnitude:
+    """A directed fault's values, pinned inside a chosen magnitude band
+    (the Table 4 bands the latent outcomes live in, below the overflow a
+    full-range random value usually reaches): ``elements`` positions of
+    the tensor, drawn row-major without replacement, become
+    ±``magnitude``.  ``coherent`` writes one sign, ``+magnitude`` — the
+    structure a rank-1 backward-pass fault imposes on upstream weight
+    gradients.  When ``elements`` covers the whole tensor every element
+    is written and no positions are drawn.
+
+    A :class:`~repro.core.faults.hardware.HardwareFault` carrying one
+    (``fault.pinned``) is applied by this model in place of the one its
+    FF selects; it draws from the same per-fault generator."""
+
+    magnitude: float
+    elements: int = 16
+    coherent: bool = False
+
+    name = "pinned"
+
+    def apply(self, tensor: np.ndarray, rng: np.random.Generator,
+              ff: FFDescriptor | None = None) -> tuple[np.ndarray, FaultRecord]:
+        out = np.array(tensor, dtype=np.float32, copy=True, order="C")
+        size = out.size
+        count = min(self.elements, size)
+        flat_idx = (np.arange(size) if count == size
+                    else rng.choice(size, size=count, replace=False))
+        signs = (np.ones(count) if self.coherent
+                 else rng.choice([-1.0, 1.0], size=count))
+        record = FaultRecord(self.name, ff, 0, 1)
+        _set_positions(out, flat_idx, signs * self.magnitude, record)
+        return out, record
+
+
 #: Global-control group number -> model class (Table 1).
 GLOBAL_GROUP_MODELS: dict[int, type[SoftwareFaultModel]] = {
     1: Group1RandomOutputs,

@@ -107,6 +107,8 @@ def experiment_summary(events: list[TraceEvent],
         "iterations": [int(i) for i in ptrace.iterations],
         "loss": [float(e.data.get("loss", 0.0)) for e in events
                  if e.type == ITERATION_STATS],
+        "acc": [float(e.data.get("acc", 0.0)) for e in events
+                if e.type == ITERATION_STATS],
         "max_history": [float(v) for v in ptrace.max_history],
         "max_mvar": [float(v) for v in ptrace.max_mvar],
         "fault": None,

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.analysis.propagation import PropagationTracer
-from repro.core.faults import FaultInjector, HardwareFault, OpSite
+from repro.core.faults import FaultInjector, HardwareFault, OpSite, PinnedMagnitude
 from repro.core.mitigation import (
     HardwareFailureDetector,
     MitigationHook,
@@ -191,18 +191,14 @@ class TestLossObservability:
 
     @staticmethod
     def _loss_spike_ratio(workload, kind, seed, magnitude=1e8):
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
-        from bench_fig2_latent_outcomes import ControlledFault
-
         spec = build_workload(workload, size="tiny", seed=0)
         trainer = SyncDataParallelTrainer(spec, num_devices=2, seed=0,
                                           test_every=0, stop_on_nonfinite=False)
-        trainer.add_hook(ControlledFault("1.conv1", kind, 8, device=0,
-                                         magnitude=magnitude, elements=64,
-                                         seed=seed))
+        fault = HardwareFault(ff=FFDescriptor("global_control", group=1),
+                              site=OpSite("1.conv1", kind), iteration=8,
+                              device=0, seed=seed,
+                              pinned=PinnedMagnitude(magnitude, elements=64))
+        trainer.add_hook(FaultInjector(fault))
         trainer.train(12)
         losses = trainer.record.loss_array()
         baseline = float(np.median(losses[4:8]))

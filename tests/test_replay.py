@@ -6,10 +6,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.accelerator.ffs import FFDescriptor
+from repro.core.faults import HardwareFault, OpSite, PinnedMagnitude
 from repro.core.faults.campaign import Campaign
 from repro.engine import experiment_key, read_records
 from repro.engine.worker import UnitCapture
-from repro.observe import EXPERIMENT_FINISHED, EXPERIMENT_STARTED, Tracer
+from repro.observe import (
+    EXPERIMENT_FINISHED,
+    EXPERIMENT_STARTED,
+    FAULT_INJECTED,
+    Tracer,
+)
 from repro.observe.tracer import read_trace
 from repro.replay import (
     CampaignCache,
@@ -187,6 +194,34 @@ class TestRoundTrip:
         record.fault = dict(record.fault, iteration=record.fault["iteration"] + 1)
         with pytest.raises(ReplayError, match="does not match"):
             replay(record)
+
+    def test_pinned_faults_replay_from_the_trace(self, tmp_path):
+        """A directed battery of magnitude-pinned faults — one op site,
+        one weight update — is as replayable as a sampled campaign."""
+        group1 = FFDescriptor("global_control", group=1)
+        faults = [
+            HardwareFault(ff=group1, site=OpSite("1.conv1", "forward"),
+                          iteration=3, device=1, seed=2,
+                          pinned=PinnedMagnitude(1e6, elements=16)),
+            HardwareFault(ff=group1, site=OpSite("4.weight", "weight_update"),
+                          iteration=3, device=0, seed=0,
+                          pinned=PinnedMagnitude(100.0, elements=10**6)),
+        ]
+        result = _campaign().run(faults=faults, store=tmp_path / "pinned.jsonl",
+                                 trace=True)
+        trace_path = result.engine_report.trace_path
+        injected = [e.data for e in read_trace(trace_path).events
+                    if e.type == FAULT_INJECTED]
+        assert [e["model"] for e in injected] == ["pinned", "pinned"]
+        assert [e["max_abs_faulty"] for e in injected] == [1e6, 100.0]
+        keys = replay_keys(trace_path)
+        assert len(keys) == 2
+        cache = CampaignCache()
+        for key in keys:
+            report = replay(replay_record(trace_path, key), verify_trace=True,
+                            cache=cache)
+            assert report.ok, report.mismatches
+            assert report.events_match is True
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,23 @@
 """Tests for fault and experiment-result serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.analysis import campaign_report_dict
-from repro.core.faults import Campaign, HardwareFault, OpSite
+from repro.core.faults import Campaign, HardwareFault, OpSite, PinnedMagnitude
 from repro.core.faults.serialization import (
     experiment_from_dict,
     experiment_to_dict,
     fault_from_dict,
     fault_to_dict,
 )
+from repro.engine import experiment_key
 from repro.workloads import build_workload
+
+CORPUS_PATH = Path(__file__).parent / "data" / "replay_corpus.json"
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +48,35 @@ class TestFaultRoundTrip:
                               device=0, seed=2)
         text = json.dumps(fault_to_dict(fault))
         assert fault_from_dict(json.loads(text)).ff.bit == 5
+
+    def test_pinned_round_trip(self):
+        fault = HardwareFault(ff=FFDescriptor("global_control", group=1),
+                              site=OpSite("4.weight", "weight_update"),
+                              iteration=7, device=1, seed=4,
+                              pinned=PinnedMagnitude(1e12, 512, coherent=True))
+        data = json.loads(json.dumps(fault_to_dict(fault)))
+        assert data["pinned"] == {"magnitude": 1e12, "elements": 512,
+                                  "coherent": True}
+        assert fault_from_dict(data) == fault
+
+    def test_sampled_fault_dict_has_no_pinned_key(self):
+        """The field is additive: a sampled fault's dict — and so every
+        stored experiment key — is what it was without it."""
+        fault = HardwareFault(ff=FFDescriptor("datapath", bit=5),
+                              site=OpSite("x", "forward"), iteration=1,
+                              device=0, seed=2)
+        assert fault_to_dict(fault) == {
+            "ff": {"category": "datapath", "group": None, "bit": 5,
+                   "has_feedback": False},
+            "site": {"module_name": "x", "kind": "forward"},
+            "iteration": 1, "device": 0, "seed": 2}
+        assert fault_from_dict(fault_to_dict(fault)).pinned is None
+
+    def test_corpus_keys_unchanged(self):
+        for entry in json.loads(CORPUS_PATH.read_text())["entries"]:
+            fault = fault_from_dict(entry["fault"])
+            assert experiment_key(entry["index"], fault_to_dict(fault)) \
+                == entry["key"]
 
 
 def _round_trip(result):

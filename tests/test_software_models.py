@@ -17,6 +17,7 @@ from repro.core.faults.software_models import (
     Group7ZeroInput1,
     Group9StaleInput1,
     LocalControlFault,
+    PinnedMagnitude,
     all_model_names,
     model_for_ff,
 )
@@ -203,6 +204,35 @@ class TestDeterminism:
         if record.num_faulty:
             assert record.positions.min() >= 0
             assert record.positions.max() < tensor.size
+
+
+class TestPinnedMagnitude:
+    def test_writes_count_elements_at_plus_minus_magnitude(self, tensor):
+        faulty, record = PinnedMagnitude(1e12, elements=40).apply(
+            tensor, np.random.default_rng(3), global_ff(1))
+        changed = np.flatnonzero(faulty.reshape(-1) != tensor.reshape(-1))
+        assert record.model == "pinned"
+        assert record.num_faulty == changed.size == 40
+        assert np.array_equal(np.sort(record.positions), changed)
+        assert set(np.abs(record.faulty_values).tolist()) == {np.float32(1e12)}
+        assert len(set(np.sign(record.faulty_values).tolist())) == 2
+
+    def test_coherent_writes_one_sign(self, tensor):
+        faulty, record = PinnedMagnitude(1e6, elements=40, coherent=True).apply(
+            tensor, np.random.default_rng(3))
+        assert set(faulty.reshape(-1)[record.positions].tolist()) == {1e6}
+
+    def test_whole_tensor_draws_no_positions(self, tensor):
+        """Covering every element, the model draws only the signs: the
+        generator ends where a sign draw alone leaves it."""
+        rng, signs_only = np.random.default_rng(5), np.random.default_rng(5)
+        faulty, record = PinnedMagnitude(100.0, elements=tensor.size + 1).apply(
+            tensor, rng)
+        signs = signs_only.choice([-1.0, 1.0], size=tensor.size)
+        assert np.array_equal(faulty, (signs * 100.0).astype(np.float32)
+                              .reshape(tensor.shape))
+        assert np.array_equal(record.positions, np.arange(tensor.size))
+        assert rng.random() == signs_only.random()
 
 
 class TestPrecisionConfigFault:
