@@ -182,8 +182,8 @@ class FaultInjector:
     def _emit(self, trainer) -> None:
         """Publish ``fault_injected`` through the trainer's tracer; ``op``
         names the hook point (``site``, ``comm`` or ``weight_update``)."""
-        tracer = getattr(trainer, "tracer", None)
-        if tracer is None or not tracer.enabled or self.record is None:
+        tracer = trainer.tracer
+        if not tracer.enabled or self.record is None:
             return
         fault, record = self.fault, self.record
         op = fault.site.kind if fault.site.kind in (COMM, WEIGHT_UPDATE) else "site"

@@ -7,7 +7,8 @@ from repro.core.mitigation.bounds import (
     derive_history_bound,
     derive_mvar_bound,
 )
-from repro.core.mitigation.detector import DetectionEvent, HardwareFailureDetector
+from repro.core.mitigation.detector import HardwareFailureDetector
+from repro.core.mitigation.guard import Detection, Guard
 from repro.core.mitigation.recovery import (
     REEXECUTE_ITERATIONS,
     MitigationHook,
@@ -18,8 +19,9 @@ from repro.core.mitigation.recovery import (
 __all__ = [
     "REEXECUTE_ITERATIONS",
     "SIGMA_MULTIPLIER",
+    "Detection",
     "DetectionBounds",
-    "DetectionEvent",
+    "Guard",
     "HardwareFailureDetector",
     "MitigationHook",
     "RecoveryError",

@@ -1,19 +1,17 @@
 """Baseline mitigation techniques compared against in Sec. 5.3 / Sec. 6."""
 
-from repro.core.mitigation.baselines.abft import ABFTChecker, ABFTViolation
+from repro.core.mitigation.baselines.abft import ABFTChecker
 from repro.core.mitigation.baselines.checkpointing import (
     CheckpointRecovery,
     CheckpointRecoveryCost,
 )
 from repro.core.mitigation.baselines.clipping import GradientClipper
-from repro.core.mitigation.baselines.ranger import RangerGuard, RangeViolation
+from repro.core.mitigation.baselines.ranger import RangerGuard
 
 __all__ = [
     "ABFTChecker",
-    "ABFTViolation",
     "CheckpointRecovery",
     "CheckpointRecoveryCost",
     "GradientClipper",
-    "RangeViolation",
     "RangerGuard",
 ]

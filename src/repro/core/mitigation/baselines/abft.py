@@ -25,35 +25,27 @@ mirroring the partial coverage the paper describes for training ABFT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.core.mitigation.guard import Detection, Guard
 from repro.nn.conv import Conv2D
 from repro.nn.linear import Dense
 
 
-@dataclass
-class ABFTViolation:
-    iteration: int
-    layer: str
-    relative_error: float
+class ABFTChecker(Guard):
+    """Trainer hook verifying per-layer forward checksums each iteration;
+    every violating layer fires, with its relative checksum error."""
 
-
-class ABFTChecker:
-    """Trainer hook verifying per-layer forward checksums each iteration."""
+    technique = "abft"
 
     def __init__(self, tolerance: float = 1e-2, check_weight_grads: bool = True):
+        super().__init__()
         self.tolerance = float(tolerance)
         self.check_weight_grads = bool(check_weight_grads)
-        self.violations: list[ABFTViolation] = []
         #: Verifications actually performed: forward checksums compared
         #: plus weight-gradient finiteness checks.
         self.checks = 0
 
-    # ------------------------------------------------------------------
-    # Checksum verifications
-    # ------------------------------------------------------------------
     @staticmethod
     def _relative_error(row_sum: np.ndarray, checksum: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -93,24 +85,15 @@ class ABFTChecker:
                 checksum = checksum + module.bias.data[lane].sum()
         return self._relative_error(row_sum, checksum)
 
-    def _verify_weight_grad(self, module) -> float | None:
-        grad = module.weight.grad
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.abs(grad).sum())
-        return 0.0 if np.isfinite(total) else float("inf")
-
-    # ------------------------------------------------------------------
-    # Hook interface.  Checks run after the backward pass but BEFORE the
-    # optimizer step: the checksum identity relates each layer's cached
-    # operands to the weights used in that forward pass, and the step
-    # would move the weights out from under it.  The operands are read
-    # from the model instance that ran the forward
-    # (``ExecutionBackend.forward_caches``): the device's replica under
-    # the solo loop, its lane of the program replica under the lane step
-    # (``lane`` indexes every operand; ``...`` takes a replica's whole
-    # tensors).  Weight gradients are each replica's own ``param.grad``,
-    # the row the lane step wrote.
-    # ------------------------------------------------------------------
+    # Checks run after the backward pass but BEFORE the optimizer step:
+    # the checksum identity relates each layer's cached operands to the
+    # weights used in that forward pass, and the step would move the
+    # weights out from under it.  The operands are read from the model
+    # instance that ran the forward (``ExecutionBackend.forward_caches``):
+    # the device's replica under the solo loop, its lane of the program
+    # replica under the lane step (``lane`` indexes every operand; ``...``
+    # takes a replica's whole tensors).  Weight gradients are each
+    # replica's own ``param.grad``, the row the lane step wrote.
     def after_backward(self, trainer, iteration: int) -> None:
         for device, replica in enumerate(trainer.replicas):
             ran = trainer.backend.forward_caches(device)
@@ -132,20 +115,13 @@ class ABFTChecker:
                 if err is not None:
                     self.checks += 1
                     if not np.isfinite(err) or err > self.tolerance:
-                        self.violations.append(ABFTViolation(iteration, name, err))
+                        self.fire(trainer, Detection(
+                            iteration, self.technique, name, err, self.tolerance))
                 if self.check_weight_grads:
-                    gerr = self._verify_weight_grad(module)
                     self.checks += 1
-                    if gerr is not None and not np.isfinite(gerr):
-                        self.violations.append(
-                            ABFTViolation(iteration, f"{name}.weight_grad", gerr)
-                        )
-
-    @property
-    def fired(self) -> bool:
-        """True once any checksum violation has been recorded."""
-        return bool(self.violations)
-
-    def fired_at(self) -> int | None:
-        """Iteration of the first violation, if any."""
-        return self.violations[0].iteration if self.violations else None
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        total = float(np.abs(module.weight.grad).sum())
+                    if not np.isfinite(total):
+                        self.fire(trainer, Detection(
+                            iteration, self.technique, f"{name}.weight_grad",
+                            float("inf"), self.tolerance))

@@ -11,10 +11,9 @@ backward-pass faults (activation bounds only see the forward pass).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.core.mitigation.guard import Detection, Guard
 from repro.nn.activations import GELU, LeakyReLU, ReLU, ScaledReLU, SiLU
 from repro.nn.module import Module
 
@@ -22,35 +21,29 @@ from repro.nn.module import Module
 GUARDED_TYPES = (ReLU, LeakyReLU, SiLU, GELU, ScaledReLU)
 
 
-@dataclass
-class RangeViolation:
-    iteration: int
-    layer: str
-    magnitude: float
-    bound: float
-
-
-class RangerGuard:
+class RangerGuard(Guard):
     """Two-phase activation guard: profile, then monitor (trainer hook).
 
     During the first ``profile_iterations`` of its life the guard records
     the max |activation| of each guarded layer; afterwards it checks every
     forward output against ``margin x`` the profiled bound on the device
-    replicas, optionally clamping.
+    replicas, optionally clamping.  A firing is stamped with the
+    iteration the trainer is running, whenever the guard was installed.
     """
+
+    technique = "ranger"
 
     def __init__(self, profile_iterations: int = 20, margin: float = 2.0,
                  clamp: bool = False):
+        super().__init__()
         self.profile_iterations = int(profile_iterations)
         self.margin = float(margin)
         self.clamp = bool(clamp)
         self.bounds: dict[str, float] = {}
-        self.violations: list[RangeViolation] = []
         self._seen_iterations = 0
-        self._installed: list[tuple[Module, str]] = []
+        self._installed: list[Module] = []
 
-    # ------------------------------------------------------------------
-    def _guard_hook(self, layer_name: str):
+    def _guard_hook(self, trainer, layer_name: str):
         def hook(tensor: np.ndarray, info: dict) -> np.ndarray:
             with np.errstate(invalid="ignore"):
                 mag = np.abs(tensor).max() if tensor.size else 0.0
@@ -61,9 +54,8 @@ class RangerGuard:
                 return tensor
             bound = self.bounds.get(layer_name, 0.0) * self.margin
             if bound > 0.0 and mag > bound:
-                self.violations.append(
-                    RangeViolation(self._seen_iterations, layer_name, mag, bound)
-                )
+                self.fire(trainer, Detection(trainer.iteration, self.technique,
+                                             layer_name, mag, bound))
                 if self.clamp:
                     return np.clip(np.nan_to_num(tensor, nan=0.0), -bound, bound).astype(
                         np.float32
@@ -72,11 +64,9 @@ class RangerGuard:
 
         return hook
 
-    # ------------------------------------------------------------------
-    # Hook interface
-    # ------------------------------------------------------------------
     def before_iteration(self, trainer, iteration: int) -> None:
         """Trainer hook: install the guard hooks once."""
+        super().before_iteration(trainer, iteration)
         if self._installed:
             return
         for d, replica in enumerate(trainer.replicas):
@@ -84,24 +74,16 @@ class RangerGuard:
                 if isinstance(module, GUARDED_TYPES):
                     # Chain-friendly: Ranger owns the forward hook slot for
                     # activation layers (fault models target MAC layers).
-                    module.set_fault_hook("forward", self._guard_hook(f"dev{d}.{name}"))
-                    self._installed.append((module, "forward"))
+                    module.set_fault_hook(
+                        "forward", self._guard_hook(trainer, f"dev{d}.{name}"))
+                    self._installed.append(module)
 
     def after_iteration(self, trainer, iteration: int, loss: float, acc: float) -> None:
-        """Trainer hook: advance the profiling/monitoring clock."""
+        """Trainer hook: advance the profiling clock."""
         self._seen_iterations += 1
 
     def uninstall(self) -> None:
         """Remove the guard hooks from every guarded layer."""
-        for module, kind in self._installed:
-            module.set_fault_hook(kind, None)
+        for module in self._installed:
+            module.set_fault_hook("forward", None)
         self._installed.clear()
-
-    @property
-    def fired(self) -> bool:
-        """True once any range violation has been recorded."""
-        return bool(self.violations)
-
-    def fired_at(self) -> int | None:
-        """Iteration of the first violation, if any."""
-        return self.violations[0].iteration if self.violations else None

@@ -65,7 +65,7 @@ class DetectionBounds:
         return self.mvar_bound * self.slack
 
 
-def _gradient_partial_sums(module: Module, example_input_rows: int) -> int | None:
+def _gradient_partial_sums(module: Module) -> int | None:
     """``n_l``: partial sums per weight-gradient value for one layer.
 
     For a Dense layer, ``dW = x^T @ dy`` accumulates one term per row of
@@ -107,7 +107,7 @@ def derive_history_bound(model: Module, example_input: np.ndarray, batch_size: i
             module.training = training
     worst = 1
     for module in model.modules():
-        n_l = _gradient_partial_sums(module, example_input.shape[0])
+        n_l = _gradient_partial_sums(module)
         if n_l is not None:
             worst = max(worst, n_l)
     return SIGMA_MULTIPLIER * float(np.sqrt(worst)) / float(batch_size)
@@ -130,14 +130,11 @@ def derive_mvar_bound(
     """
     t = max(int(iteration), 1)
     k = float(np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t))
-    depth = 0
     bound = 1.0
     deepest_bn_bound = 0.0
     for module in model.modules():
         if isinstance(module, (Dense, Conv2D)):
-            depth += 1
-            n_l = module.fan_in
-            bound *= 1.0 + n_l * (lr**2) * (k**2)
+            bound *= 1.0 + module.fan_in * (lr**2) * (k**2)
         elif isinstance(module, BatchNorm):
             deepest_bn_bound = bound
     return deepest_bn_bound

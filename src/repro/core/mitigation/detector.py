@@ -20,34 +20,18 @@ bench here is ``benchmarks/bench_sec5_overheads.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
+from repro.core.mitigation.guard import ALG1, Detection, Guard
 from repro.nn.normalization import batchnorm_layers, peak_moving_statistic
-from repro.observe import DETECTOR_FIRED
 from repro.optim.base import max_abs
 
 
-@dataclass
-class DetectionEvent:
-    """One bound violation."""
-
-    iteration: int
-    condition: str  # "first_moment", "second_moment", or "mvar"
-    magnitude: float
-    bound: float
-
-    def describe(self) -> str:
-        return (
-            f"iteration {self.iteration}: {self.condition} magnitude "
-            f"{self.magnitude:.3e} exceeds bound {self.bound:.3e}"
-        )
-
-
-class HardwareFailureDetector:
+class HardwareFailureDetector(Guard):
     """Trainer hook implementing the Sec. 5.1 detection technique."""
+
+    technique = ALG1
 
     def __init__(self, bounds: DetectionBounds | None = None):
         """``bounds=None`` derives them from the trainer on first use
@@ -55,11 +39,10 @@ class HardwareFailureDetector:
         in eval mode and leaves the training state alone).  A campaign
         derives them once and hands every experiment's detector the
         same object."""
+        super().__init__()
         self.bounds = bounds
-        self.events: list[DetectionEvent] = []
         #: Total number of bound checks performed (overhead accounting).
         self.checks = 0
-        self._fired_this_iteration = False
 
     @staticmethod
     def _violates(value: float, bound: float) -> bool:
@@ -67,29 +50,24 @@ class HardwareFailureDetector:
         as a violation (a NaN history value is maximally anomalous)."""
         return not (value <= bound)
 
-    # ------------------------------------------------------------------
-    # The per-iteration check
-    # ------------------------------------------------------------------
-    def check(self, trainer, iteration: int) -> DetectionEvent | None:
+    def check(self, trainer, iteration: int) -> Detection | None:
         """Run all bound checks once; returns the first violation if any."""
         if self.bounds is None:
             self.bounds = derive_bounds_for_trainer(trainer)
         self.checks += 1
         optimizer = trainer.optimizer
-        history_bound = self.bounds.effective_history_bound
-        for arr in optimizer.first_moment_arrays():
-            value = float(np.abs(arr).max()) if arr.size else 0.0
-            if self._violates(value, history_bound):
-                return DetectionEvent(iteration, "first_moment",
-                                      max_abs([arr]), history_bound)
-        second_bound = self.bounds.effective_second_moment_bound
-        for arr in optimizer.second_moment_arrays():
-            # abs() also flags corrupted *negative* second moments, which
-            # are as anomalous as huge ones (v is a sum of squares).
-            value = float(np.abs(arr).max()) if arr.size else 0.0
-            if self._violates(value, second_bound):
-                return DetectionEvent(iteration, "second_moment",
-                                      max_abs([arr]), second_bound)
+        # abs() also flags corrupted *negative* second moments, which are
+        # as anomalous as huge ones (v is a sum of squares).
+        for condition, arrays, bound in (
+                ("first_moment", optimizer.first_moment_arrays(),
+                 self.bounds.effective_history_bound),
+                ("second_moment", optimizer.second_moment_arrays(),
+                 self.bounds.effective_second_moment_bound)):
+            for arr in arrays:
+                value = float(np.abs(arr).max()) if arr.size else 0.0
+                if self._violates(value, bound):
+                    return Detection(iteration, ALG1, condition,
+                                     max_abs([arr]), bound)
         if trainer.spec.has_batchnorm and self.bounds.mvar_bound > 0.0:
             mvar_bound = self.bounds.effective_mvar_bound
             # One-pass screen per replica (NaN propagates through the max
@@ -102,37 +80,13 @@ class HardwareFailureDetector:
                     var = float(np.abs(layer.moving_var).max())
                     mean = float(np.abs(layer.moving_mean).max())
                     if self._violates(var, mvar_bound) or self._violates(mean, mvar_bound):
-                        return DetectionEvent(iteration, "mvar",
-                                              layer.history_magnitude(), mvar_bound)
+                        return Detection(iteration, ALG1, "mvar",
+                                         layer.history_magnitude(), mvar_bound)
         return None
 
-    # ------------------------------------------------------------------
-    # Trainer hook interface
-    # ------------------------------------------------------------------
     def after_step(self, trainer, iteration: int) -> None:
-        self._fired_this_iteration = False
+        """Trainer hook: check after the optimizer step, when this
+        iteration's history values and moving statistics exist."""
         event = self.check(trainer, iteration)
         if event is not None:
-            self.events.append(event)
-            trainer.record.detections.append(iteration)
-            self._fired_this_iteration = True
-            tracer = getattr(trainer, "tracer", None)
-            if tracer is not None:
-                tracer.emit(
-                    DETECTOR_FIRED, iteration=iteration,
-                    condition=event.condition, magnitude=event.magnitude,
-                    bound=event.bound)
-
-    @property
-    def fired(self) -> bool:
-        """True once any detection event has been recorded."""
-        return bool(self.events)
-
-    def fired_at(self) -> int | None:
-        """Iteration of the first detection event, if any."""
-        return self.events[0].iteration if self.events else None
-
-    def detection_latency(self, fault_iteration: int) -> int | None:
-        """Iterations between the fault and the first detection."""
-        at = self.fired_at()
-        return None if at is None else at - int(fault_iteration)
+            self.fire(trainer, event)

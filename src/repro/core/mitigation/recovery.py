@@ -54,7 +54,6 @@ class RecoveryManager:
         self._snapshots: deque[Checkpoint] = deque(maxlen=self.depth + 1)
         # arithmetic strategy: per-iteration inversion records.
         self._steps: deque[dict] = deque(maxlen=self.depth + 1)
-        self._capture_hooked = False
 
     # ------------------------------------------------------------------
     # State capture (hook: before every iteration)
@@ -91,7 +90,6 @@ class RecoveryManager:
             return update
 
         trainer.optimizer.set_update_hook(capture_hook)
-        self._pending_entry = entry
         self._previous_hook = previous_hook
 
     def after_step(self, trainer, iteration: int) -> None:
@@ -229,12 +227,13 @@ class RecoveryManager:
 
 
 class MitigationHook:
-    """Detector + recovery wired together: the deployable technique.
+    """A guard + recovery wired together: the deployable technique.
 
-    On a detection event, rewinds two iterations and lets the training
-    loop re-execute them.  The transient fault does not recur, the
-    re-executed iterations are clean, and training continues — total cost
-    is two re-executed iterations plus the per-iteration bound checks.
+    When the guard (Algorithm 1's detector, or any other ``Guard``) fires
+    in an iteration, rewinds two iterations and lets the training loop
+    re-execute them.  The transient fault does not recur, the re-executed
+    iterations are clean, and training continues — total cost is two
+    re-executed iterations plus the per-iteration checks.
     """
 
     def __init__(self, detector, recovery: RecoveryManager | None = None):
@@ -243,22 +242,25 @@ class MitigationHook:
 
     def before_iteration(self, trainer, iteration: int) -> None:
         self.recovery.before_iteration(trainer, iteration)
+        self.detector.before_iteration(trainer, iteration)
+
+    def after_backward(self, trainer, iteration: int) -> None:
+        self.detector.after_backward(trainer, iteration)
 
     def after_step(self, trainer, iteration: int) -> None:
         self.recovery.after_step(trainer, iteration)
         self.detector.after_step(trainer, iteration)
 
     def after_iteration(self, trainer, iteration: int, loss: float, acc: float) -> None:
-        """Trainer hook: on detection, rewind and resume cleanly."""
-        if not self.detector._fired_this_iteration:
+        """Trainer hook: on a firing, rewind and resume cleanly."""
+        self.detector.after_iteration(trainer, iteration, loss, acc)
+        if not self.detector.fired_in(iteration):
             return
         resume = self.recovery.rewind(trainer, detected_at=iteration)
-        tracer = getattr(trainer, "tracer", None)
-        if tracer is not None:
-            tracer.emit(ROLLBACK, iteration=iteration,
-                        resume_iteration=resume,
-                        strategy=self.recovery.strategy,
-                        recoveries=self.recovery.recoveries)
+        trainer.tracer.emit(ROLLBACK, iteration=iteration,
+                            resume_iteration=resume,
+                            strategy=self.recovery.strategy,
+                            recoveries=self.recovery.recoveries)
         # The training loop increments ``iteration`` after this hook; land
         # exactly on the resume point and tell the loop the non-finite
         # loss of the rolled-back iteration no longer applies.

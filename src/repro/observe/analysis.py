@@ -33,6 +33,7 @@ from repro.core.analysis.propagation import (
     condition_onsets,
 )
 from repro.core.analysis.report import rates_with_intervals
+from repro.core.mitigation.guard import first_detection
 from repro.observe.events import (
     DETECTOR_FIRED,
     DIVERGENCE,
@@ -142,9 +143,10 @@ def experiment_summary(events: list[TraceEvent],
             for o in condition_onsets(ptrace, fault_iteration)]
         summary["condition_window"] = condition_magnitude_in_window(
             ptrace, fault_iteration, window=condition_window)
-        if summary["detections"]:
-            summary["detection_latency"] = \
-                int(summary["detections"][0]["iteration"]) - fault_iteration
+        first = first_detection(
+            (e for e in events if e.type == DETECTOR_FIRED), fault_iteration)
+        if first is not None:
+            summary["detection_latency"] = int(first.iteration) - fault_iteration
     return summary
 
 
@@ -156,22 +158,26 @@ def propagation_summaries(trace, condition_window: int = 2) \
 
 
 def detection_latencies(trace) -> list[dict]:
-    """Fault-to-first-detection latency per experiment (Sec. 5.1).
+    """Fault-to-detection latency per experiment (Sec. 5.1).
 
-    Only experiments carrying a ``fault_injected`` event contribute; the
-    latency is ``None`` for faults the detector never caught."""
+    Only experiments carrying a ``fault_injected`` event contribute.  The
+    detection is the first ``detector_fired`` at or after the fault
+    iteration (a firing before the fault is not a detection of it,
+    :func:`~repro.core.mitigation.guard.first_detection`); the latency
+    is ``None`` for faults no guard caught."""
     out = []
     for key, events in experiments(trace).items():
         injected = next((e for e in events if e.type == FAULT_INJECTED), None)
         if injected is None:
             continue
-        fired = next((e for e in events if e.type == DETECTOR_FIRED), None)
+        t = int(injected.iteration)
+        fired = first_detection(
+            (e for e in events if e.type == DETECTOR_FIRED), t)
         out.append({
             "key": key,
-            "fault_iteration": int(injected.iteration),
+            "fault_iteration": t,
             "detected_at": None if fired is None else int(fired.iteration),
-            "latency": (None if fired is None
-                        else int(fired.iteration) - int(injected.iteration)),
+            "latency": None if fired is None else int(fired.iteration) - t,
             "condition": None if fired is None else fired.data.get("condition"),
         })
     return out

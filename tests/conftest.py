@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ def fsyncs(monkeypatch) -> list[int]:
     real = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real(fd))
     return calls
+
+
+def once(point: str, iteration: int, action) -> SimpleNamespace:
+    """A one-shot trainer hook: at hook point ``point``
+    (``before_iteration``, ``after_backward``, ``after_step``, ...) of
+    ``iteration`` it calls ``action(trainer)``, the first time only.  A
+    transient fault does not recur when a recovery rewind re-executes
+    the iteration, so a synthetic one must not either."""
+    fired = []
+
+    def hook(trainer, at, *_):
+        if at == iteration and not fired:
+            fired.append(at)
+            action(trainer)
+
+    return SimpleNamespace(**{point: hook})
 
 
 def directional_gradcheck(model, x, loss_fn, y, rng, eps: float = 1e-2) -> float:

@@ -13,6 +13,14 @@ from repro.core.mitigation.baselines import (
     GradientClipper,
     RangerGuard,
 )
+from tests.conftest import once
+
+
+def blow_up_stem(trainer):
+    """Scale device 0's stem convolution by 1e8: every activation after
+    it leaves its profiled range."""
+    conv = dict(trainer.replicas[0].named_modules())["0.0"]
+    conv.weight.data *= 1e8
 
 
 def forward_fault(iteration=3, seed=3, site="1.conv1"):
@@ -83,8 +91,8 @@ class TestABFT:
         assert lanes and not solo_lanes
         assert default.fired and default.fired_at() == solo.fired_at() == 2
         assert default.checks == solo.checks
-        assert [(v.iteration, v.layer) for v in default.violations] == \
-            [(v.iteration, v.layer) for v in solo.violations]
+        assert [(v.iteration, v.condition) for v in default.events] == \
+            [(v.iteration, v.condition) for v in solo.events]
 
     def test_detects_forward_output_corruption(self, make_trainer):
         """ABFT's strength: a corrupted matmul output breaks the checksum
@@ -105,15 +113,10 @@ class TestABFT:
         trainer = make_trainer(num_devices=2)
         checker = ABFTChecker()
 
-        class CorruptHistoryDirectly:
-            fired = False
+        def corrupt_history_directly(tr):
+            tr.optimizer.v[0][:] = 1e20  # faulty second moment
 
-            def after_step(self, tr, iteration):
-                if iteration == 3 and not self.fired:
-                    self.fired = True
-                    tr.optimizer.v[0][:] = 1e20  # faulty second moment
-
-        trainer.add_hook(CorruptHistoryDirectly())
+        trainer.add_hook(once("after_step", 3, corrupt_history_directly))
         trainer.add_hook(checker)
         trainer.train(6)
         assert not checker.fired
@@ -122,15 +125,10 @@ class TestABFT:
         trainer = make_trainer(num_devices=2, stop_on_nonfinite=False)
         checker = ABFTChecker(check_weight_grads=True)
 
-        class PoisonGrad:
-            fired = False
+        def poison_grad(tr):
+            next(iter(tr.master.parameters())).grad[:] = np.inf
 
-            def after_backward(self, tr, iteration):
-                if iteration == 2 and not self.fired:
-                    self.fired = True
-                    next(iter(tr.master.parameters())).grad[:] = np.inf
-
-        trainer.add_hook(PoisonGrad())
+        trainer.add_hook(once("after_backward", 2, poison_grad))
         trainer.add_hook(checker)
         trainer.train(4)
         assert checker.fired
@@ -150,18 +148,23 @@ class TestRanger:
         assert guard.bounds  # bounds learned
 
         # Corrupt an activation input hugely: the guard must flag it.
-        class BlowUpWeights:
-            fired = False
-
-            def before_iteration(self, tr, iteration):
-                if iteration == 7 and not self.fired:
-                    self.fired = True
-                    conv = dict(tr.replicas[0].named_modules())["0.0"]
-                    conv.weight.data *= 1e8
-
-        trainer.hooks.insert(0, BlowUpWeights())
+        trainer.hooks.insert(0, once("before_iteration", 7, blow_up_stem))
         trainer.train(4)
         assert guard.fired
+        guard.uninstall()
+
+    def test_stamps_the_trainer_iteration(self, make_trainer):
+        """A guard installed mid-run stamps the iteration the trainer is
+        running, not the iterations it has seen since it was installed."""
+        trainer = make_trainer(workload="resnet_nobn", num_devices=2,
+                               stop_on_nonfinite=False)
+        trainer.train(10)
+        guard = RangerGuard(profile_iterations=5, margin=2.0)
+        trainer.add_hook(guard)
+        trainer.hooks.insert(0, once("before_iteration", 16, blow_up_stem))
+        trainer.train(8)
+        assert guard.fired_at() == 16
+        assert guard.detection_latency(16) == 0
         guard.uninstall()
 
     def test_no_false_positives_fault_free(self, make_trainer):
@@ -179,16 +182,11 @@ class TestRanger:
         trainer = make_trainer(num_devices=2)
         guard = RangerGuard(profile_iterations=5, margin=2.0)
 
-        class CorruptHistory:
-            fired = False
-
-            def after_step(self, tr, iteration):
-                if iteration == 8 and not self.fired:
-                    self.fired = True
-                    tr.optimizer.v[0][:] = 1e19
+        def corrupt_history(tr):
+            tr.optimizer.v[0][:] = 1e19
 
         trainer.add_hook(guard)
-        trainer.add_hook(CorruptHistory())
+        trainer.add_hook(once("after_step", 8, corrupt_history))
         trainer.train(12)
         assert not guard.fired
         guard.uninstall()
@@ -200,16 +198,7 @@ class TestRanger:
         trainer.add_hook(guard)
         trainer.train(3)
 
-        class BlowUp:
-            fired = False
-
-            def before_iteration(self, tr, iteration):
-                if iteration == 4 and not self.fired:
-                    self.fired = True
-                    conv = dict(tr.replicas[0].named_modules())["0.0"]
-                    conv.weight.data *= 1e8
-
-        trainer.hooks.insert(0, BlowUp())
+        trainer.hooks.insert(0, once("before_iteration", 4, blow_up_stem))
         trainer.train(3)
         assert guard.fired
         guard.uninstall()
@@ -220,19 +209,14 @@ class TestGradientClipper:
         trainer = make_trainer(num_devices=2)
         clipper = GradientClipper(max_norm=1.0)
 
-        class BigGrad:
-            fired = False
+        def big_grad(tr):
+            next(iter(tr.master.parameters())).grad[:] = 100.0
 
-            def after_backward(self, tr, iteration):
-                if iteration == 2 and not self.fired:
-                    self.fired = True
-                    next(iter(tr.master.parameters())).grad[:] = 100.0
-
-        # BigGrad must run before the clipper.
-        trainer.add_hook(BigGrad())
+        # The big gradient must be written before the clipper runs.
+        trainer.add_hook(once("after_backward", 2, big_grad))
         trainer.add_hook(clipper)
         trainer.train(4)
-        assert 2 in clipper.clip_events
+        assert 2 in [event.iteration for event in clipper.events]
 
     def test_cannot_protect_history_state(self, make_trainer):
         """The paper's argument against clipping as a mitigation: faults
@@ -243,15 +227,10 @@ class TestGradientClipper:
         clipper = GradientClipper(max_norm=1.0)
         trainer.add_hook(clipper)
 
-        class CorruptMvar:
-            fired = False
+        def corrupt_mvar(tr):
+            batchnorm_layers(tr.replicas[0])[0].moving_var[:] = 1e20
 
-            def after_step(self, tr, iteration):
-                if iteration == 3 and not self.fired:
-                    self.fired = True
-                    batchnorm_layers(tr.replicas[0])[0].moving_var[:] = 1e20
-
-        trainer.add_hook(CorruptMvar())
+        trainer.add_hook(once("after_step", 3, corrupt_mvar))
         trainer.train(6)
         # Clipping neither detected nor repaired the corruption.
         assert trainer.mvar_magnitude() >= 1e19
@@ -260,15 +239,10 @@ class TestGradientClipper:
         trainer = make_trainer(num_devices=2)
         clipper = GradientClipper(max_norm=5.0)
 
-        class NaNGrad:
-            fired = False
+        def nan_grad(tr):
+            next(iter(tr.master.parameters())).grad[:] = np.nan
 
-            def after_backward(self, tr, iteration):
-                if iteration == 1 and not self.fired:
-                    self.fired = True
-                    next(iter(tr.master.parameters())).grad[:] = np.nan
-
-        trainer.add_hook(NaNGrad())
+        trainer.add_hook(once("after_backward", 1, nan_grad))
         trainer.add_hook(clipper)
         rec = trainer.train(4)
         assert rec.nonfinite_at is None  # NaN never reached the weights

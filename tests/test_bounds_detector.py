@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.accelerator.ffs import FFDescriptor
+from repro.core.faults import FaultInjector, HardwareFault, OpSite
 from repro.core.mitigation import (
     DetectionBounds,
     HardwareFailureDetector,
@@ -10,6 +12,7 @@ from repro.core.mitigation import (
     derive_history_bound,
     derive_mvar_bound,
 )
+from repro.observe import Tracer, analysis
 from repro.workloads import build_workload
 
 
@@ -183,9 +186,9 @@ class TestDetector:
         assert not detector.fired
 
     def test_event_describe(self):
-        from repro.core.mitigation.detector import DetectionEvent
+        from repro.core.mitigation import Detection
 
-        event = DetectionEvent(7, "mvar", 1e20, 100.0)
+        event = Detection(7, "alg1", "mvar", 1e20, 100.0)
         text = event.describe()
         assert "iteration 7" in text and "mvar" in text
 
@@ -202,3 +205,26 @@ class TestDetector:
         trainer.hooks.insert(0, Corrupt())
         trainer.train(4)
         assert 2 in trainer.record.detections
+
+    def test_a_firing_before_the_fault_is_no_detection_of_it(self, make_trainer):
+        """Bounds small enough to fire from iteration 0 on: the latency
+        of a fault at 5 counts from the first firing at or after 5, on
+        the detector and in the trace alike, never negative."""
+        tracer = Tracer()
+        trainer = make_trainer(num_devices=2, tracer=tracer,
+                               stop_on_nonfinite=False)
+        detector = HardwareFailureDetector(
+            DetectionBounds(history_bound=1e-12, mvar_bound=1e-12, slack=1.0))
+        fault = HardwareFault(
+            ff=FFDescriptor("global_control", group=1, has_feedback=True),
+            site=OpSite("1.conv1", "forward"), iteration=5, device=0, seed=3)
+        trainer.add_hook(FaultInjector(fault))
+        trainer.add_hook(detector)
+        trainer.train(8)
+        assert detector.fired_at() == 0
+        assert detector.detection_latency(5) == 0
+        assert detector.detection_latency(8) is None
+        [row] = analysis.detection_latencies(tracer.events())
+        assert (row["detected_at"], row["latency"]) == (5, 0)
+        [summary] = analysis.propagation_summaries(tracer.events()).values()
+        assert summary["detection_latency"] == 0

@@ -13,9 +13,12 @@ from repro.core.mitigation import (
     RecoveryError,
     RecoveryManager,
 )
+from repro.core.mitigation.baselines import ABFTChecker
 from repro.distributed import SyncDataParallelTrainer
 from repro.optim import SGD, RMSProp
+from repro.state import training_state_digest
 from repro.workloads import build_workload
+from tests.conftest import once
 
 
 def history_fault(iteration=5, seed=3):
@@ -25,23 +28,16 @@ def history_fault(iteration=5, seed=3):
                          iteration=iteration, device=1, seed=seed)
 
 
-class ModerateCorruption:
+def moderate_corruption(iteration: int, scale: float = 1e10):
     """Synthetic *transient* fault: corrupts one gradient once.
 
     One-shot by construction — a transient hardware fault does not recur
     when the iteration is re-executed, so the hook must not either.
     """
+    def corrupt(trainer):
+        next(iter(trainer.master.parameters())).grad[:] = scale
 
-    def __init__(self, iteration: int, scale: float = 1e10):
-        self.iteration = int(iteration)
-        self.scale = float(scale)
-        self.fired = False
-
-    def after_backward(self, trainer, iteration):
-        if iteration == self.iteration and not self.fired:
-            self.fired = True
-            param = next(iter(trainer.master.parameters()))
-            param.grad[:] = self.scale
+    return once("after_backward", iteration, corrupt)
 
 
 class TestSnapshotRewind:
@@ -137,7 +133,7 @@ class TestArithmeticRewind:
         trainer = make_trainer(num_devices=2)
         recovery = RecoveryManager(strategy="arithmetic")
         trainer.add_hook(recovery)
-        trainer.hooks.insert(0, ModerateCorruption(iteration=3, scale=1e30))
+        trainer.hooks.insert(0, moderate_corruption(iteration=3, scale=1e30))
         trainer.train(5)
         with pytest.raises(RecoveryError, match="not invertible"):
             recovery.rewind(trainer, detected_at=4)
@@ -174,7 +170,7 @@ class TestMitigationEndToEnd:
         trainer = make_trainer(num_devices=2)
         detector = HardwareFailureDetector()
         mitigation = MitigationHook(detector, RecoveryManager(strategy="snapshot"))
-        trainer.add_hook(ModerateCorruption(iteration=6, scale=1e12))
+        trainer.add_hook(moderate_corruption(iteration=6, scale=1e12))
         trainer.add_hook(mitigation)
         trainer.train(12)
 
@@ -189,7 +185,7 @@ class TestMitigationEndToEnd:
         trainer = make_trainer(num_devices=2)
         detector = HardwareFailureDetector()
         mitigation = MitigationHook(detector, RecoveryManager(strategy="arithmetic"))
-        trainer.add_hook(ModerateCorruption(iteration=6, scale=1e10))
+        trainer.add_hook(moderate_corruption(iteration=6, scale=1e10))
         trainer.add_hook(mitigation)
         trainer.train(15)
         assert detector.fired
@@ -203,9 +199,30 @@ class TestMitigationEndToEnd:
         trainer = make_trainer(num_devices=2)
         detector = HardwareFailureDetector()
         mitigation = MitigationHook(detector, RecoveryManager(strategy="snapshot"))
-        trainer.add_hook(ModerateCorruption(iteration=5, scale=1e38))
+        trainer.add_hook(moderate_corruption(iteration=5, scale=1e38))
         trainer.add_hook(mitigation)
         rec = trainer.train(12)
         assert rec.nonfinite_at is None
         assert rec.recoveries
         assert rec.num_iterations == 12
+
+    def test_any_guard_drives_the_rewind(self, make_trainer):
+        """The hook rewinds on a firing from any guard, not only
+        Algorithm 1's: ABFT catches a one-shot forward fault in its
+        iteration, two iterations re-execute clean, and the run ends in
+        the fault-free run's training state, byte for byte."""
+        ff = FFDescriptor("global_control", group=1, has_feedback=True)
+        fault = HardwareFault(ff=ff, site=OpSite("1.conv1", "forward"),
+                              iteration=6, device=0, seed=3)
+        trainer = make_trainer(num_devices=2, stop_on_nonfinite=False)
+        checker = ABFTChecker()
+        injector = FaultInjector(fault)
+        trainer.add_hook(injector)
+        trainer.add_hook(MitigationHook(checker, RecoveryManager("snapshot")))
+        trainer.train(12)
+
+        clean = make_trainer(num_devices=2)
+        clean.train(12)
+        assert injector.fired and checker.fired_at() == 6
+        assert trainer.record.recoveries == [5]
+        assert training_state_digest(trainer) == training_state_digest(clean)
