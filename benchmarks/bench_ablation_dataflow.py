@@ -18,7 +18,7 @@ import numpy as np
 
 from _report import emit, header, table
 from repro.accelerator.ffs import FFDescriptor
-from repro.core.faults.software_models import Group1RandomOutputs
+from repro.core.faults.software_models import model_for_ff
 from repro.distributed import SyncDataParallelTrainer
 from repro.workloads import build_workload
 
@@ -26,8 +26,8 @@ from repro.workloads import build_workload
 def bench_ablation_fault_geometry(benchmark):
     rng = np.random.default_rng(0)
     tensor = rng.normal(size=(8, 32, 16, 16)).astype(np.float32)
-    model = Group1RandomOutputs()
     ff = FFDescriptor("global_control", group=1, has_feedback=True)
+    model = model_for_ff(ff)
 
     # Dataflow-derived geometry: channel spread per fault.
     spreads_dataflow = []

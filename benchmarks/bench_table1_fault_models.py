@@ -3,7 +3,8 @@
 Regenerates Table 1's structure — every fault-model group with its FF
 population fraction and its observed behaviour (faulty-element counts and
 value character) when applied to a representative conv-layer output — and
-benchmarks the fault-application hot path.
+benchmarks the fault-application hot path.  Each row's behaviour text is
+its Table 1 row's (:data:`repro.core.faults.software_models.TABLE1`).
 """
 
 from __future__ import annotations
@@ -12,27 +13,10 @@ import numpy as np
 
 from _report import header, table
 from repro.accelerator.ffs import GLOBAL_GROUP_FRACTIONS, FFDescriptor
-from repro.core.faults.software_models import (
-    GLOBAL_GROUP_MODELS,
-    DatapathBitFlip,
-    LocalControlFault,
-)
+from repro.core.faults.software_models import model_for_ff
 
 #: A conv-activation-sized tensor: shard batch 8, 32 channels, 16x16.
 TENSOR_SHAPE = (8, 32, 16, 16)
-
-DESCRIPTIONS = {
-    1: "all lane outputs <- random values spanning dynamic range, n cycles",
-    2: "all lane outputs <- 0, n cycles",
-    3: "one MAC lane's output <- random value per cycle, n cycles",
-    4: "outputs written to wrong addresses (relative positions kept)",
-    5: "input-1 reads from wrong addresses -> wrong-but-plausible outputs",
-    6: "input-2 reads from wrong addresses -> wrong-but-plausible outputs",
-    7: "input-1 reads return zeros -> outputs lose partial sums",
-    8: "input-2 reads return zeros -> outputs lose partial sums",
-    9: "input-1 valid drops -> stale operand reuse",
-    10: "input-2 valid drops -> stale operand reuse",
-}
 
 
 def _characterize(model, ff, tensor, trials=40):
@@ -59,24 +43,19 @@ def bench_table1_inventory(benchmark):
     tensor = rng.normal(size=TENSOR_SHAPE).astype(np.float32)
 
     rows = []
-    for group in sorted(GLOBAL_GROUP_MODELS):
-        ff = FFDescriptor("global_control", group=group, has_feedback=True)
-        model = GLOBAL_GROUP_MODELS[group]()
-        stats = _characterize(model, ff, tensor)
+    for group, ff in [
+        *((g, FFDescriptor("global_control", group=g, has_feedback=True))
+          for g in sorted(GLOBAL_GROUP_FRACTIONS)),
+        ("datapath", FFDescriptor("datapath", bit=30)),
+        ("local_ctl", FFDescriptor("local_control", has_feedback=True)),
+    ]:
+        model = model_for_ff(ff)
         rows.append({
             "group": group,
-            "%FFs": 100 * GLOBAL_GROUP_FRACTIONS[group],
-            **stats,
-            "behaviour": DESCRIPTIONS[group],
+            "%FFs": 100 * GLOBAL_GROUP_FRACTIONS[group] if ff.group else "-",
+            **_characterize(model, ff, tensor),
+            "behaviour": model.behaviour,
         })
-    for name, model, ff in [
-        ("datapath", DatapathBitFlip(), FFDescriptor("datapath", bit=30)),
-        ("local_ctl", LocalControlFault(),
-         FFDescriptor("local_control", has_feedback=True)),
-    ]:
-        stats = _characterize(model, ff, tensor)
-        rows.append({"group": name, "%FFs": "-", **stats,
-                     "behaviour": "FIdelity-style single-register fault"})
 
     header("Table 1 — software fault models (tiny conv tensor "
            f"{TENSOR_SHAPE}, 40 seeded applications each)")
@@ -84,7 +63,7 @@ def bench_table1_inventory(benchmark):
 
     # Hot path: one group-1 application per call.
     ff1 = FFDescriptor("global_control", group=1, has_feedback=True)
-    model1 = GLOBAL_GROUP_MODELS[1]()
+    model1 = model_for_ff(ff1)
     seeds = iter(range(10_000_000))
 
     def apply_once():

@@ -25,12 +25,9 @@ from repro.core.faults.multi import (
     sample_spread_faults,
 )
 from repro.core.faults.software_models import (
-    GLOBAL_GROUP_MODELS,
-    DatapathBitFlip,
+    TABLE1,
     FaultRecord,
-    LocalControlFault,
     PinnedMagnitude,
-    PrecisionConfigFault,
     SoftwareFaultModel,
     all_model_names,
     model_for_ff,
@@ -40,24 +37,21 @@ from repro.core.faults.validation import ValidationSummary, run_validation
 __all__ = [
     "COMM",
     "FORWARD",
-    "GLOBAL_GROUP_MODELS",
     "INPUT_GRAD",
     "LINK_SITE",
     "SITE_KINDS",
+    "TABLE1",
     "WEIGHT_GRAD",
     "WEIGHT_UPDATE",
     "Campaign",
     "CampaignResult",
-    "DatapathBitFlip",
     "ExperimentResult",
     "FaultInjector",
     "FaultRecord",
     "HardwareFault",
     "InferenceCampaign",
-    "LocalControlFault",
     "OpSite",
     "PinnedMagnitude",
-    "PrecisionConfigFault",
     "SoftwareFaultModel",
     "ValidationSummary",
     "all_model_names",

@@ -42,11 +42,7 @@ import numpy as np
 
 from repro.accelerator.config import DEFAULT_CONFIG, AcceleratorConfig
 from repro.core.faults.hardware import COMM, WEIGHT_UPDATE, HardwareFault, module_at
-from repro.core.faults.software_models import (
-    FaultRecord,
-    Group7ZeroInput1,
-    model_for_ff,
-)
+from repro.core.faults.software_models import FaultRecord, model_for_ff
 from repro.observe import FAULT_INJECTED
 from repro.state import StateArena
 
@@ -102,18 +98,14 @@ class FaultInjector:
     def apply(self, tensor: np.ndarray, module=None) -> np.ndarray:
         """The fault applied to ``tensor``, the first time only; later
         calls return ``tensor`` as is.  ``module`` is an op site's
-        module: its ``fan_in`` scales a Group 7 fault, and the rows the
+        module: its ``fan_in`` scales a Group 7 or 8 fault, and the rows the
         fault changed are kept in :attr:`rows`."""
         if self.fired:
             return tensor
         self.fired = True
         model = self.fault.pinned or model_for_ff(self.fault.ff, self.config)
-        if isinstance(model, Group7ZeroInput1):
-            faulty, self.record = model.apply(
-                tensor, self._rng, self.fault.ff,
-                fan_in=getattr(module, "fan_in", None))
-        else:
-            faulty, self.record = model.apply(tensor, self._rng, self.fault.ff)
+        faulty, self.record = model.apply(tensor, self._rng, self.fault.ff,
+                                          fan_in=getattr(module, "fan_in", None))
         if module is not None:
             self.rows = rows_touched(faulty, np.asarray(tensor, dtype=np.float32))
         return faulty

@@ -7,7 +7,8 @@ properties the fault models rely on:
   exactly what the flipped IEEE-754 bit position dictates (sign flips
   negate, exponent-bit flips scale by ``2**(2**(bit-23))``, mantissa-bit
   flips stay within a factor of two);
-* every Table 1 fault model perturbs only the elements it records,
+* every Table 1 fault model (and the pinned-magnitude model of a
+  directed fault) perturbs only the elements it records,
   preserves shape/dtype, and keeps its faulty values inside the
   contract of its group (zeros for group 2, attenuation for group 7,
   in-range float32 for the random-value groups).
@@ -23,7 +24,9 @@ import pytest
 from repro.accelerator.dataflow import to_canonical
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults.software_models import (
+    TABLE1,
     FaultRecord,
+    PinnedMagnitude,
     all_model_names,
     model_for_ff,
 )
@@ -179,20 +182,31 @@ def descriptor_for(name: str) -> FFDescriptor:
         return FFDescriptor("datapath", bit=30)
     if name == "local_control":
         return FFDescriptor("local_control", has_feedback=True)
+    if name in ("precision_config", "pinned"):
+        # No sampled FF selects either model; a feedback config FF stands in.
+        return FFDescriptor("global_control", group=1, has_feedback=True)
     return FFDescriptor("global_control", group=int(name.removeprefix("group")),
                         has_feedback=True)
+
+
+def model_named(name: str):
+    if name == "pinned":
+        return PinnedMagnitude(1e6)
+    if name == "precision_config":
+        return TABLE1[name]
+    return model_for_ff(descriptor_for(name))
 
 
 SHAPES = [(4, 8, 6, 6), (16, 32), (128,)]
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
-@pytest.mark.parametrize("name", all_model_names())
+@pytest.mark.parametrize("name", all_model_names() + ["precision_config", "pinned"])
 class TestTable1ModelProperties:
     def _apply(self, name, shape, seed=0):
         rng = np.random.default_rng(seed)
         original = rng.standard_normal(shape).astype(np.float32)
-        model = model_for_ff(descriptor_for(name))
+        model = model_named(name)
         faulty, record = model.apply(original, rng, descriptor_for(name))
         return original, faulty, record
 

@@ -7,16 +7,8 @@ from hypothesis import strategies as st
 
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.faults.software_models import (
-    GLOBAL_GROUP_MODELS,
-    DatapathBitFlip,
-    Group1RandomOutputs,
-    Group2ZeroOutputs,
-    Group3SingleLaneRandom,
-    Group4WrongOutputAddress,
-    Group5WrongInput1Address,
-    Group7ZeroInput1,
-    Group9StaleInput1,
-    LocalControlFault,
+    INT16_SCALE,
+    TABLE1,
     PinnedMagnitude,
     all_model_names,
     model_for_ff,
@@ -29,15 +21,18 @@ def tensor(rng):
     return rng.normal(size=(2, 24, 4, 4)).astype(np.float32)
 
 
+GROUPS = range(1, 11)
+
+
 def global_ff(group, feedback=True):
     return FFDescriptor("global_control", group=group, has_feedback=feedback)
 
 
 class TestRecordConsistency:
-    @pytest.mark.parametrize("group", sorted(GLOBAL_GROUP_MODELS))
+    @pytest.mark.parametrize("group", GROUPS)
     def test_record_matches_tensor_change(self, group, tensor):
         rng = np.random.default_rng(group)
-        model = GLOBAL_GROUP_MODELS[group]()
+        model = model_for_ff(global_ff(group))
         faulty, record = model.apply(tensor, rng, global_ff(group))
         flat_faulty = faulty.reshape(-1)
         flat_orig = tensor.reshape(-1)
@@ -49,11 +44,11 @@ class TestRecordConsistency:
         got = flat_faulty[record.positions]
         assert np.array_equal(got, record.faulty_values, equal_nan=True)
 
-    @pytest.mark.parametrize("group", sorted(GLOBAL_GROUP_MODELS))
+    @pytest.mark.parametrize("group", GROUPS)
     def test_original_tensor_not_mutated(self, group, tensor):
         rng = np.random.default_rng(group)
         copy = tensor.copy()
-        GLOBAL_GROUP_MODELS[group]().apply(tensor, rng, global_ff(group))
+        model_for_ff(global_ff(group)).apply(tensor, rng, global_ff(group))
         assert np.array_equal(tensor, copy)
 
     def test_non_contiguous_input_handled(self, rng):
@@ -62,7 +57,7 @@ class TestRecordConsistency:
         base = rng.normal(size=(72, 16)).astype(np.float32)
         tensor = base.T.reshape(16, 8, 3, 3)
         assert not tensor.flags["C_CONTIGUOUS"]
-        model = Group1RandomOutputs()
+        model = model_for_ff(global_ff(1))
         faulty, record = model.apply(tensor, np.random.default_rng(3), global_ff(1))
         got = faulty.reshape(-1)[record.positions]
         assert np.array_equal(got, record.faulty_values, equal_nan=True)
@@ -72,7 +67,7 @@ class TestGroupSemantics:
     def test_group1_random_dynamic_range(self, tensor):
         hit_large = False
         for seed in range(20):
-            _, record = Group1RandomOutputs().apply(
+            _, record = model_for_ff(global_ff(1)).apply(
                 tensor, np.random.default_rng(seed), global_ff(1)
             )
             if record.max_abs_faulty() > 1e20:
@@ -80,21 +75,21 @@ class TestGroupSemantics:
         assert hit_large  # random patterns span the dynamic range
 
     def test_group2_zeros(self, tensor):
-        faulty, record = Group2ZeroOutputs().apply(
+        faulty, record = model_for_ff(global_ff(2)).apply(
             tensor, np.random.default_rng(1), global_ff(2)
         )
         assert np.all(record.faulty_values == 0.0)
         assert record.num_faulty >= 16
 
     def test_group3_single_lane(self, tensor):
-        _, record = Group3SingleLaneRandom().apply(
+        _, record = model_for_ff(global_ff(3)).apply(
             tensor, np.random.default_rng(2), global_ff(3)
         )
         # At most one element per cycle: n_cycles bounds the count.
         assert record.num_faulty <= record.n_cycles
 
     def test_group4_moves_block(self, tensor):
-        faulty, record = Group4WrongOutputAddress().apply(
+        faulty, record = model_for_ff(global_ff(4)).apply(
             tensor, np.random.default_rng(3), global_ff(4)
         )
         # Holes (zeros) plus destinations: record covers both.
@@ -105,14 +100,14 @@ class TestGroupSemantics:
         assert np.all(faulty.reshape(-1)[holes] == 0.0)
 
     def test_group5_values_from_same_tensor(self, tensor):
-        faulty, record = Group5WrongInput1Address().apply(
+        faulty, record = model_for_ff(global_ff(5)).apply(
             tensor, np.random.default_rng(4), global_ff(5)
         )
         values = set(tensor.reshape(-1).tolist())
         assert all(float(v) in values for v in record.faulty_values)
 
     def test_group7_attenuates_with_fan_in(self, tensor):
-        faulty, record = Group7ZeroInput1().apply(
+        faulty, record = model_for_ff(global_ff(7)).apply(
             tensor, np.random.default_rng(5), global_ff(7, feedback=False),
             fan_in=128,
         )
@@ -123,13 +118,13 @@ class TestGroupSemantics:
         assert np.all(ratios <= 1.0 + 1e-6)
 
     def test_group7_without_fan_in_zeroes(self, tensor):
-        _, record = Group7ZeroInput1().apply(
+        _, record = model_for_ff(global_ff(7)).apply(
             tensor, np.random.default_rng(6), global_ff(7), fan_in=None
         )
         assert np.all(record.faulty_values == 0.0)
 
     def test_group9_in_distribution(self, tensor):
-        _, record = Group9StaleInput1().apply(
+        _, record = model_for_ff(global_ff(9)).apply(
             tensor, np.random.default_rng(7), global_ff(9)
         )
         assert record.max_abs_faulty() <= np.abs(tensor).max() + 1e-6
@@ -138,7 +133,7 @@ class TestGroupSemantics:
 class TestDatapathAndLocal:
     def test_datapath_single_element_bit_flip(self, tensor):
         ff = FFDescriptor("datapath", bit=30)
-        faulty, record = DatapathBitFlip().apply(tensor, np.random.default_rng(1), ff)
+        faulty, record = model_for_ff(ff).apply(tensor, np.random.default_rng(1), ff)
         if record.num_faulty:  # lane may be masked
             assert record.num_faulty == 1
             orig_bits = float32_to_bits(record.original_values)
@@ -151,24 +146,23 @@ class TestDatapathAndLocal:
         tensor = np.ones((1, 4, 2, 2), dtype=np.float32)  # 4 channels < 16 lanes
         masked = 0
         for seed in range(40):
-            _, record = DatapathBitFlip().apply(
-                tensor, np.random.default_rng(seed), FFDescriptor("datapath", bit=5)
-            )
+            ff = FFDescriptor("datapath", bit=5)
+            _, record = model_for_ff(ff).apply(tensor, np.random.default_rng(seed), ff)
             if record.num_faulty == 0:
                 masked += 1
         assert masked > 0
 
     def test_local_control_random_value(self, tensor):
         ff = FFDescriptor("local_control", has_feedback=True)
-        _, record = LocalControlFault().apply(tensor, np.random.default_rng(3), ff)
+        _, record = model_for_ff(ff).apply(tensor, np.random.default_rng(3), ff)
         assert record.num_faulty <= record.n_cycles
 
 
 class TestDispatch:
     def test_model_for_ff(self):
-        assert isinstance(model_for_ff(FFDescriptor("datapath", bit=1)), DatapathBitFlip)
-        assert isinstance(model_for_ff(FFDescriptor("local_control")), LocalControlFault)
-        assert isinstance(model_for_ff(global_ff(2)), Group2ZeroOutputs)
+        assert model_for_ff(FFDescriptor("datapath", bit=1)) is TABLE1["datapath"]
+        assert model_for_ff(FFDescriptor("local_control")) is TABLE1["local_control"]
+        assert model_for_ff(global_ff(2)) is TABLE1["group2"]
         with pytest.raises(ValueError):
             model_for_ff(FFDescriptor("global_control", group=11))
         with pytest.raises(ValueError):
@@ -186,7 +180,7 @@ class TestDeterminism:
     def test_same_seed_same_fault(self, seed, group):
         rng_data = np.random.default_rng(99)
         tensor = rng_data.normal(size=(1, 20, 3, 3)).astype(np.float32)
-        model = GLOBAL_GROUP_MODELS[group]()
+        model = model_for_ff(global_ff(group))
         f1, r1 = model.apply(tensor, np.random.default_rng(seed), global_ff(group))
         f2, r2 = model.apply(tensor, np.random.default_rng(seed), global_ff(group))
         assert np.array_equal(f1, f2, equal_nan=True)
@@ -199,7 +193,7 @@ class TestDeterminism:
         shape = tuple(int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 5))))
         tensor = rng.normal(size=shape).astype(np.float32)
         group = int(rng.integers(1, 11))
-        model = GLOBAL_GROUP_MODELS[group]()
+        model = model_for_ff(global_ff(group))
         _, record = model.apply(tensor, rng, global_ff(group))
         if record.num_faulty:
             assert record.positions.min() >= 0
@@ -239,10 +233,8 @@ class TestPrecisionConfigFault:
     def test_small_values_quantized(self, rng):
         """Small activations pass through the int16 path distorted but
         finite (quantized to the fixed-point grid)."""
-        from repro.core.faults.software_models import PrecisionConfigFault
-
         tensor = rng.normal(size=(1, 16, 4, 4)).astype(np.float32) * 0.01
-        model = PrecisionConfigFault()
+        model = TABLE1["precision_config"]
         faulty, record = model.apply(
             tensor, np.random.default_rng(1),
             FFDescriptor("global_control", group=1, has_feedback=True),
@@ -256,15 +248,13 @@ class TestPrecisionConfigFault:
     def test_large_values_hit_the_rails(self, rng):
         """Pre-scaled large values saturate at +-32767 and the FP32
         rescale amplifies them — the overflow path of Sec. 4.2.1."""
-        from repro.core.faults.software_models import PrecisionConfigFault
-
         tensor = (rng.normal(size=(1, 16, 4, 4)) * 1e4).astype(np.float32)
-        model = PrecisionConfigFault()
+        model = TABLE1["precision_config"]
         _, record = model.apply(
             tensor, np.random.default_rng(2),
             FFDescriptor("global_control", group=1, has_feedback=True),
         )
-        rail = 32767.0 * PrecisionConfigFault.SCALE
+        rail = 32767.0 * INT16_SCALE
         assert np.abs(record.faulty_values).max() == pytest.approx(rail, rel=1e-4)
 
 
@@ -275,11 +265,9 @@ class TestConservationProperties:
         """Group 4 moves values to wrong addresses: every non-zero faulty
         value written somewhere was an original value somewhere else (the
         data is displaced, not fabricated)."""
-        from repro.core.faults.software_models import Group4WrongOutputAddress
-
         rng_data = np.random.default_rng(7)
         tensor = rng_data.normal(size=(1, 20, 3, 3)).astype(np.float32) + 5.0
-        faulty, record = Group4WrongOutputAddress().apply(
+        faulty, record = model_for_ff(global_ff(4)).apply(
             tensor, np.random.default_rng(seed), global_ff(4)
         )
         originals = set(tensor.reshape(-1).tolist())
@@ -292,11 +280,9 @@ class TestConservationProperties:
     def test_group2_faulty_count_matches_cycle_geometry(self, seed):
         """Group 2's zeroed-element count is always a whole number of
         lane bursts (full cycles), clipped at the schedule end."""
-        from repro.core.faults.software_models import Group2ZeroOutputs
-
         rng_data = np.random.default_rng(11)
         tensor = rng_data.normal(size=(2, 16, 3, 3)).astype(np.float32)
-        _, record = Group2ZeroOutputs().apply(
+        _, record = model_for_ff(global_ff(2)).apply(
             tensor, np.random.default_rng(seed), global_ff(2)
         )
         # 16 channels = exactly one full lane group per cycle.
