@@ -64,7 +64,6 @@ from repro.engine import (
     experiment_key,
 )
 from repro.nn.losses import top1
-from repro.observe import current_tracer
 from repro.state import training_state_digest
 from repro.training.checkpoints import Checkpoint
 from repro.training.metrics import ConvergenceRecord
@@ -454,27 +453,12 @@ class Campaign:
             arena_sha256=exp.arena_sha256,
         )
 
-    @staticmethod
-    def _sinks(tracer, count: int) -> list:
-        """The event sink of each of ``count`` experiments run together:
-        the caller's ``tracer`` for all of them when given; else, inside
-        an engine lease, unit *i*'s stamped view of the worker's shard
-        tracer (the engine opened one per unit of the lease, in payload
-        order) — that is how every experiment lands in the shard under
-        its own key without the payload-agnostic engine threading a
-        tracer through; else the process-wide
-        :func:`~repro.observe.current_tracer`."""
-        if tracer is None:
-            tracer = current_tracer()
-            if len(tracer.views) == count:
-                return list(tracer.views)
-        return [tracer] * count
-
     def _run(self, faults: list[HardwareFault],
-             tracer) -> list[ExperimentResult]:
+             sinks: list) -> list[ExperimentResult]:
         """Restore, inject, train to the horizon, classify — the one
         body behind :meth:`run_experiment` and
-        :meth:`run_experiment_batch`.  Only how the trainers advance
+        :meth:`run_experiment_batch`; ``sinks[i]`` is experiment *i*'s
+        event sink (``None``: untraced).  Only how the trainers advance
         depends on how many there are."""
         self.prepare()
         # One experiment steps its own devices on the campaign's backend;
@@ -489,8 +473,7 @@ class Campaign:
 
         exps = [self._launch(fault, sink, None if group is None
                              else BatchedBackend(group=group))
-                for fault, sink in zip(faults,
-                                       self._sinks(tracer, len(faults)))]
+                for fault, sink in zip(faults, sinks, strict=True)]
         try:
             advance([exp.trainer for exp in exps],
                     [self._first_budget(exp) for exp in exps])
@@ -513,23 +496,25 @@ class Campaign:
                        tracer=None) -> ExperimentResult:
         """Restore the baseline, inject, train to the horizon, classify.
 
-        ``tracer`` is the experiment's event sink; see :meth:`_sinks`
-        for where events go without one."""
-        return self._run([fault], tracer)[0]
+        ``tracer`` is the experiment's event sink (``None``: untraced)."""
+        return self._run([fault], [tracer])[0]
 
     def run_experiment_batch(self, faults: list[HardwareFault],
-                             tracer=None) -> list[ExperimentResult]:
+                             sinks: list | None = None
+                             ) -> list[ExperimentResult]:
         """Run E experiments concurrently through one batched program.
 
         Every experiment gets its own trainer, injector hooks, records,
-        event sink and classification — exactly as
+        event sink (``sinks[i]``, one per fault; ``None`` for the list or
+        an entry: untraced) and classification — exactly as
         :meth:`run_experiment` — but all E trainers share one
         :class:`~repro.backend.batched.LaneGroup` and advance in
         lockstep, so the NumPy work is E-wide vectorized ops.
         Per-experiment results are bit-identical to solo runs (masked
         injection and rollback isolation are pinned by tests).
         """
-        return self._run(faults, tracer)
+        return self._run(faults, [None] * len(faults) if sinks is None
+                         else sinks)
 
     # ------------------------------------------------------------------
     # Full campaign (thin front-end over repro.engine)
@@ -545,7 +530,8 @@ class Campaign:
 
     def _engine_runner(self):
         """Runner factory for the engine (invoked once per worker): one
-        lease of payloads in, their results out, in order."""
+        lease of payloads and their event sinks in, their results out,
+        in order."""
         from repro.core.faults.serialization import (
             experiment_to_dict,
             fault_from_dict,
@@ -553,9 +539,9 @@ class Campaign:
 
         self.prepare()
 
-        def run_lease(payloads: list[dict]) -> list[dict]:
+        def run_lease(payloads: list[dict], sinks: list) -> list[dict]:
             results = self.run_experiment_batch(
-                [fault_from_dict(p["fault"]) for p in payloads])
+                [fault_from_dict(p["fault"]) for p in payloads], sinks)
             return [dict(experiment_to_dict(result), index=p["index"])
                     for p, result in zip(payloads, results)]
 
@@ -565,7 +551,7 @@ class Campaign:
             faults: list[HardwareFault] | None = None,
             parallel: int = 1, store=None, resume: bool = False,
             timeout: float | None = None, max_retries: int = 2,
-            on_progress=None, tracer=None, on_engine=None,
+            on_progress=None, on_engine=None,
             trace: bool = False) -> CampaignResult:
         """Run ``num_experiments`` seeded experiments — or exactly the
         experiments in ``faults``, a directed battery in place of the
@@ -603,8 +589,7 @@ class Campaign:
                   "config": self.config_dict()},
             block_size=self.experiment_batch, parallel=parallel, store=store,
             resume=resume, timeout=timeout, max_retries=max_retries,
-            on_progress=on_progress, tracer=tracer, on_engine=on_engine,
-            trace=trace,
+            on_progress=on_progress, on_engine=on_engine, trace=trace,
             # Prepare in the parent so forked workers inherit the trained
             # baseline snapshot instead of each retraining it.
             before_fork=self.prepare if parallel > 1 else None)
@@ -617,13 +602,14 @@ class Campaign:
 def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
             meta: dict, block_size: int = 1, parallel: int = 1, store=None,
             resume: bool = False, timeout: float | None = None,
-            max_retries: int = 2, on_progress=None, tracer=None,
-            on_engine=None, trace: bool = False, before_fork=None):
+            max_retries: int = 2, on_progress=None, on_engine=None,
+            trace: bool = False, before_fork=None):
     """Run one work unit per fault through the engine; returns its
     :class:`~repro.engine.EngineReport`.  The one place a campaign meets
     the engine: unit ``index`` is the fault's position in ``faults``, its
     key the content hash of (index, fault); a ``store`` given as a path
-    is opened with ``kind``/``meta`` in its header and closed again.
+    is opened with ``kind``/``meta`` in its header (resuming one another
+    run wrote is refused; see :func:`_check_resume`) and closed again.
     ``before_fork`` runs first, unless the store already holds every
     unit (a fully resumed run does no work)."""
     from repro.core.faults.serialization import fault_to_dict
@@ -636,12 +622,17 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
     owns_store = store is not None and not isinstance(store, ResultStore)
     if owns_store:
         store = ResultStore(store, kind=kind, meta=meta, resume=resume)
+        try:
+            _check_resume(store, kind, meta)
+        except ValueError:
+            store.close()
+            raise
     engine = CampaignEngine(
         runner_factory,
         EngineConfig(parallel=int(parallel), timeout=timeout,
                      max_retries=int(max_retries), trace=trace,
                      block_size=block_size),
-        store=store, on_progress=on_progress, tracer=tracer)
+        store=store, on_progress=on_progress)
     if on_engine is not None:
         on_engine(engine)
     try:
@@ -652,6 +643,32 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
     finally:
         if owns_store:
             store.close()
+
+
+#: Config keys a resumed campaign may change: outcomes are bit-identical
+#: across backends and experiment batches (see :meth:`Campaign.from_config`).
+_RESUME_OVERRIDABLE = frozenset({"backend", "experiment_batch"})
+
+
+def _check_resume(store: ResultStore, kind: str, meta: dict) -> None:
+    """Refuse to continue a store another run wrote, whose results would
+    otherwise be returned as this run's: the header's ``kind`` must be
+    ``kind``, and when both the header and ``meta`` carry a ``config``
+    they must agree apart from :data:`_RESUME_OVERRIDABLE`.  Inference
+    stores record no ``config``, so only their kind is checked.  A fresh
+    store's header is ``kind``/``meta`` itself and always passes."""
+    if store.kind != kind:
+        raise ValueError(f"cannot resume {store.path}: it holds a "
+                         f"{store.kind!r} run, not a {kind!r} run")
+    ours, theirs = meta.get("config"), store.meta.get("config")
+    if ours is None or theirs is None:
+        return
+    differ = sorted(key for key in ours.keys() | theirs.keys()
+                    if key not in _RESUME_OVERRIDABLE
+                    and ours.get(key) != theirs.get(key))
+    if differ:
+        raise ValueError(f"cannot resume {store.path}: its campaign config "
+                         f"differs from this run's in {', '.join(differ)}")
 
 
 #: A faulty forward overflows and divides by zero on purpose.
@@ -732,7 +749,8 @@ class InferenceCampaign:
         site.  A forwarded row's top-1 is compared with the same image's
         golden top-1: with batch-invariant eval kernels that *is* the row
         forwarded alone with the golden site rows (DESIGN.md decision
-        18)."""
+        18).  An inference unit emits no events, so the runner ignores
+        its ``sinks``."""
         from repro.core.faults.serialization import fault_from_dict
 
         # Tests map every site to layer 0 here (patching ``site_layers``)
@@ -794,7 +812,7 @@ class InferenceCampaign:
             return [(bool(flipped[rows].any()), not bool(finite[rows].all()))
                     for rows in where]
 
-        def run_lease(payloads: list[dict]) -> list[dict]:
+        def run_lease(payloads: list[dict], sinks=None) -> list[dict]:
             with np.errstate(**_QUIET):
                 units = [inject(payload) for payload in payloads]
                 by_start: dict[int, list[int]] = {}

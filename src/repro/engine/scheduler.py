@@ -49,9 +49,6 @@ from repro.engine.worker import (
     worker_main,
 )
 from repro.observe import (
-    EXPERIMENT_COMPLETED,
-    EXPERIMENT_QUARANTINED,
-    NULL_TRACER,
     campaign_trace_path,
     merge_campaign_shards,
     shard_path,
@@ -152,8 +149,9 @@ class CampaignEngine:
     """Executes work units through a runner, robustly and resumably.
 
     ``runner_factory`` is a zero-argument callable returning
-    ``runner(payloads) -> result-payloads``, list in, equal-length list
-    out (one lease; see :func:`~repro.engine.worker.run_lease`); it is
+    ``runner(payloads, sinks) -> result-payloads``, lists in,
+    equal-length list out, ``sinks[i]`` the event sink of unit *i* (one
+    lease; see :func:`~repro.engine.worker.run_lease`); it is
     invoked once per worker (in the worker, after fork) or once
     in-process for serial runs, and not at all when the store already
     holds every unit.
@@ -162,15 +160,11 @@ class CampaignEngine:
     """
 
     def __init__(self, runner_factory, config: EngineConfig | None = None,
-                 store: ResultStore | None = None, on_progress=None,
-                 tracer=None):
+                 store: ResultStore | None = None, on_progress=None):
         self.runner_factory = runner_factory
         self.config = config or EngineConfig()
         self.store = store
         self.on_progress = on_progress
-        #: Event sink for scheduler-level events (completions and
-        #: quarantines); defaults to the disabled NULL_TRACER.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: The live tracker of the current run, for out-of-band readers
         #: (the telemetry sampler thread).  None outside ``run``.
         self._tracker: ProgressTracker | None = None
@@ -240,21 +234,14 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Shared completion/failure paths
     # ------------------------------------------------------------------
-    @staticmethod
-    def _outcome(payload) -> str | None:
-        if isinstance(payload, dict):
-            return payload.get(OUTCOME_FIELD)
-        return None
-
     def _complete(self, task: _Task, payload: dict, report: EngineReport,
                   tracker: ProgressTracker, worker_id: int) -> None:
         report.results[task.unit.key] = payload
         report.executed += 1
         if self.store is not None:
             self.store.append(task.unit.key, payload)
-        self.tracer.emit(EXPERIMENT_COMPLETED, key=task.unit.key,
-                         outcome=self._outcome(payload))
-        tracker.task_done(worker_id, self._outcome(payload))
+        tracker.task_done(worker_id, payload.get(OUTCOME_FIELD)
+                          if isinstance(payload, dict) else None)
         self._publish(tracker)
 
     def _fail(self, task: _Task, error: str, pending: deque[_Task],
@@ -271,8 +258,6 @@ class CampaignEngine:
             pending.append(task)
         else:
             report.quarantined[task.unit.key] = error
-            self.tracer.emit(EXPERIMENT_QUARANTINED, key=task.unit.key,
-                             error=error)
             if self.store is not None:
                 self.store.quarantine(task.unit.key, error, task.unit.payload)
         self._publish(tracker)

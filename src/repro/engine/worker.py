@@ -19,14 +19,16 @@ being retrained per worker).
 
 With tracing on (``EngineConfig.trace``) each worker is a flight
 recorder (:func:`shard_recorder`): it streams every event into a private
-shard file next to the result store and installs that tracer
-process-wide.  Every unit of a lease is opened — ``experiment_started``
-written, a view of the shard tracer stamped with the unit's key / worker
-id / attempt created — before the runner is called, so code deep inside
-the runner (the trainer, the injector, the detector) emits through its
-own unit's view without the payload-agnostic engine threading a tracer
-through, and a worker killed mid-lease leaves every unit of the lease an
-open attempt for the shard merge to deduplicate against the retry.
+shard file next to the result store.  Every unit of a lease is opened —
+``experiment_started`` written, a view of the shard tracer stamped with
+the unit's key / worker id / attempt created — before the runner is
+called as ``runner(payloads, sinks)``, where ``sinks[i]`` is unit *i*'s
+view (:data:`~repro.observe.NULL_TRACER` untraced).  A runner hands each
+experiment its own sink, so the trainer, the injector and the detector
+emit under their unit's key with no process-wide tracer (DESIGN.md
+decision 23), and a worker killed mid-lease leaves every unit of the
+lease an open attempt for the shard merge to deduplicate against the
+retry.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from dataclasses import dataclass
 from repro.observe import (
     EXPERIMENT_FINISHED,
     EXPERIMENT_STARTED,
+    NULL_TRACER,
     StampedView,
     Tracer,
-    set_current_tracer,
 )
 
 #: The result-payload field telemetry and the shard markers read the
@@ -79,12 +81,11 @@ class UnitCapture:
 
     def start(self, key: str, payload=None) -> StampedView:
         """Open a unit; everything it emits goes through the returned
-        view, which stays on ``tracer.views`` until the unit is closed."""
+        view."""
         attempt = self._attempts.get(key, 0)
         self._attempts[key] = attempt + 1
         view = StampedView(self.tracer, key=key, worker=self.worker_id,
                            attempt=attempt)
-        self.tracer.views.append(view)
         # The unit payload makes the trace self-contained: replay can
         # reconstruct the exact fault descriptor from this event alone.
         if payload is not None:
@@ -99,31 +100,31 @@ class UnitCapture:
         view.emit(EXPERIMENT_FINISHED, status="done",
                   outcome=fields.get(OUTCOME_FIELD),
                   **({} if arena is None else {"arena_sha256": arena}))
-        self.tracer.views.remove(view)
 
     def error(self, view: StampedView, error: str) -> None:
         view.emit(EXPERIMENT_FINISHED, status="error", error=error)
-        self.tracer.views.remove(view)
 
 
 def run_lease(runner, keys: list, payloads: list,
               capture: UnitCapture | None) -> tuple:
     """Execute one lease — the only place a runner is called.
 
-    The runner gets every payload at once and must return an
-    equal-length result list.  Returns ``(DONE, results)``, or
-    ``(ERROR, message)`` when the runner raised or broke that contract:
-    the lease fails as a whole and the parent retries each unit alone.
-    With ``capture`` every unit is opened before the call and closed
-    after it.  Anything that is not an ``Exception`` (an interrupt, an
-    exit) is not a unit failure and propagates, leaving the units open
-    in the shard exactly as a kill would.
+    The runner gets every payload at once, with one event sink per
+    payload, and must return an equal-length result list.  Returns
+    ``(DONE, results)``, or ``(ERROR, message)`` when the runner raised
+    or broke that contract: the lease fails as a whole and the parent
+    retries each unit alone.  With ``capture`` every unit is opened
+    before the call, its view is its sink, and it is closed after the
+    call; without, every sink is :data:`~repro.observe.NULL_TRACER`.
+    Anything that is not an ``Exception`` (an interrupt, an exit) is not
+    a unit failure and propagates, leaving the units open in the shard
+    exactly as a kill would.
     """
     views = [capture.start(key, payload)
              for key, payload in zip(keys, payloads)] \
         if capture is not None else ()
     try:
-        results = runner(payloads)
+        results = runner(payloads, views or [NULL_TRACER] * len(payloads))
         if not isinstance(results, list) or len(results) != len(payloads):
             raise RuntimeError(
                 f"runner returned {results!r:.80} for {len(payloads)} units")
@@ -140,21 +141,15 @@ def run_lease(runner, keys: list, payloads: list,
 @contextmanager
 def shard_recorder(trace_path, worker_id: int):
     """Flight recording for one worker (the in-process path is worker
-    0): a streaming shard tracer at ``trace_path``, installed
-    process-wide, yields the :class:`UnitCapture` that brackets each
-    unit — or ``None`` when ``trace_path`` is ``None``.  The shard is
-    closed and the previous tracer restored however the block ends, so a
-    shard stays readable up to the last completed unit."""
+    0): a streaming shard tracer at ``trace_path`` yields the
+    :class:`UnitCapture` that brackets each unit — or ``None`` when
+    ``trace_path`` is ``None``.  The shard is closed however the block
+    ends, so a shard stays readable up to the last completed unit."""
     if trace_path is None:
         yield None
         return
-    tracer = Tracer(stream=trace_path, meta={"worker": worker_id})
-    previous = set_current_tracer(tracer)
-    try:
+    with Tracer(stream=trace_path, meta={"worker": worker_id}) as tracer:
         yield UnitCapture(tracer, worker_id)
-    finally:
-        set_current_tracer(previous)
-        tracer.close()
 
 
 def worker_main(worker_id: int, runner_factory, conn, trace_path=None) -> None:

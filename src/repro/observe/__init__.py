@@ -8,12 +8,17 @@ plumbing:
 
 * :class:`Tracer` — typed, structured events (``fault_injected``,
   ``detector_fired``, ``rollback``, ``iteration_stats``, ``divergence``,
-  plus two engine-level types) in a bounded ring buffer with
-  schema-versioned JSONL export and a crash-tolerant reader;
-* :mod:`~repro.observe.counters` — numpy-backed counters/histograms in
-  a :class:`MetricsRegistry` its owner holds (a serving engine); there
-  is no process-global registry, because a campaign's numbers are its
-  ``CampaignState`` (workers are forked processes).
+  plus the engine's ``experiment_started`` / ``experiment_finished``
+  unit markers) in a bounded ring buffer with schema-versioned JSONL
+  export and a crash-tolerant reader.  A tracer is always passed, never
+  installed: each experiment emits into the sink it was handed, and the
+  campaign engine hands each unit of a lease a :class:`StampedView` of
+  its worker's shard tracer (DESIGN.md decision 23);
+* :mod:`~repro.observe.counters` — numpy-backed :class:`Counter` and
+  :class:`Histogram` metrics, held as attributes by the one object that
+  updates them (a serving engine); there is no registry, because a
+  campaign's numbers are its ``CampaignState`` (workers are forked
+  processes).
 
 Where the wall-clock went is not answered here: ``benchmarks/perf/run.py
 --trace`` attributes it from outside the package (DESIGN.md decision 8).
@@ -23,18 +28,12 @@ values; pinned by ``tests/test_golden_traces.py``) and cheap enough to
 leave on (pinned by ``benchmarks/bench_observe_overhead.py``).
 """
 
-from repro.observe.counters import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.observe.counters import Counter, Histogram
 from repro.observe.events import (
     DETECTOR_FIRED,
     DIVERGENCE,
     EVENT_TYPES,
-    EXPERIMENT_COMPLETED,
     EXPERIMENT_FINISHED,
-    EXPERIMENT_QUARANTINED,
     EXPERIMENT_STARTED,
     FAULT_INJECTED,
     ITERATION_STATS,
@@ -80,9 +79,7 @@ from repro.observe.tracer import (
     StampedView,
     TraceFile,
     Tracer,
-    current_tracer,
     read_trace,
-    set_current_tracer,
 )
 
 __all__ = [
@@ -90,9 +87,7 @@ __all__ = [
     "DIVERGENCE",
     "DIVERGENCE_OUTCOMES",
     "EVENT_TYPES",
-    "EXPERIMENT_COMPLETED",
     "EXPERIMENT_FINISHED",
-    "EXPERIMENT_QUARANTINED",
     "EXPERIMENT_STARTED",
     "FAULT_INJECTED",
     "ITERATION_STATS",
@@ -107,7 +102,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "Counter",
     "Histogram",
-    "MetricsRegistry",
     "StampedView",
     "TelemetrySample",
     "TelemetrySampler",
@@ -117,7 +111,6 @@ __all__ = [
     "Tracer",
     "campaign_sample",
     "campaign_trace_path",
-    "current_tracer",
     "derive_rates",
     "dumps_json",
     "load_rules",
@@ -129,7 +122,6 @@ __all__ = [
     "render_json",
     "render_prometheus",
     "series_path",
-    "set_current_tracer",
     "shard_path",
     "shard_paths",
     "validate_exposition",

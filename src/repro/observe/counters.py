@@ -1,4 +1,4 @@
-"""Low-overhead counters and histograms in a per-owner registry.
+"""Low-overhead counters and histograms.
 
 A serving engine counts every request, batch and injected fault, so
 its instrumentation must be cheap enough to leave on for millions of
@@ -10,11 +10,11 @@ requests.  These metrics are built accordingly:
   precomputed bound array plus one integer bucket increment — no
   per-event allocation, ever (the buckets are a fixed ``int64`` array).
 
-There is no process-global registry: a :class:`MetricsRegistry` is owned
-by the one object that updates it (a ``ServingEngine``, whose batcher
-thread and request handlers share its process).  A campaign's numbers
-come from its ``CampaignState`` instead, because campaign code runs in
-forked workers, where an increment never reaches the parent's registry.
+There is no registry: the one object that updates a metric (a
+``ServingEngine``, whose batcher thread and request handlers share its
+process) holds it as an attribute and samples it by name.  A campaign's
+numbers come from its ``CampaignState`` instead, because campaign code
+runs in forked workers, where an increment never reaches the parent.
 """
 
 from __future__ import annotations
@@ -103,46 +103,3 @@ class Histogram:
         return {"type": "histogram", "count": self.count,
                 "sum": self._sum, "mean": self.mean(), "max": self._max,
                 "p50": self.quantile(0.5), "p99": self.quantile(0.99)}
-
-
-class MetricsRegistry:
-    """Name -> metric mapping with get-or-create semantics."""
-
-    def __init__(self):
-        self._metrics: dict[str, Counter | Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Counter(name)
-        elif not isinstance(metric, Counter):
-            raise TypeError(f"metric {name!r} is a {type(metric).__name__}, "
-                            "not a Counter")
-        return metric
-
-    def histogram(self, name: str,
-                  bounds: tuple[float, ...] = DEFAULT_BOUNDS) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Histogram(name, bounds)
-        elif not isinstance(metric, Histogram):
-            raise TypeError(f"metric {name!r} is a {type(metric).__name__}, "
-                            "not a Histogram")
-        return metric
-
-    def snapshot(self) -> dict[str, dict]:
-        """Name -> summary dict for every registered metric."""
-        return {name: metric.summary()
-                for name, metric in sorted(self._metrics.items())}
-
-    def reset(self) -> None:
-        """Zero every metric (registrations are kept)."""
-        for metric in self._metrics.values():
-            metric.reset()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-

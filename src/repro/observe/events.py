@@ -5,8 +5,9 @@ relative to the fault: the injection itself, the iteration statistics
 that carry the necessary conditions (optimizer-history and BatchNorm
 moving-statistic extrema, Table 4), the detector firing (Sec. 5.1), the
 recovery rollback (Sec. 5.2), and divergence to INFs/NaNs.  Those are
-the canonical event types; the campaign engine adds two scheduler-level
-types so a single trace can cover a whole campaign.
+the canonical event types; the campaign engine's workers add two unit
+markers (an attempt started / finished) so a single trace can cover a
+whole campaign.
 
 Events are plain records (type + iteration + payload dict) so emitting
 one costs a single small allocation and exporting one is a single
@@ -42,11 +43,6 @@ ROLLBACK = "rollback"
 ITERATION_STATS = "iteration_stats"
 #: The training state became non-finite (data: loss).
 DIVERGENCE = "divergence"
-#: Engine scheduler: one experiment completed (data: key, outcome).
-EXPERIMENT_COMPLETED = "experiment_completed"
-#: Engine scheduler: one experiment exhausted its retries (data: key,
-#: error).
-EXPERIMENT_QUARANTINED = "experiment_quarantined"
 #: Engine worker: one attempt of an experiment began executing (data:
 #: key, worker, attempt — the shard-capture context stamp).
 EXPERIMENT_STARTED = "experiment_started"
@@ -63,8 +59,6 @@ EVENT_TYPES = frozenset({
     ROLLBACK,
     ITERATION_STATS,
     DIVERGENCE,
-    EXPERIMENT_COMPLETED,
-    EXPERIMENT_QUARANTINED,
     EXPERIMENT_STARTED,
     EXPERIMENT_FINISHED,
 })

@@ -4,7 +4,7 @@ A :class:`~repro.observe.timeseries.TelemetrySample` renders two ways:
 
 * :func:`render_prometheus` — Prometheus/OpenMetrics text exposition
   (the ``/metrics`` endpoint of :mod:`repro.serve`), with counters as
-  ``*_total``, gauges verbatim, registry histograms as summaries
+  ``*_total``, gauges verbatim, histograms as summaries
   (quantile-labelled series plus ``_sum``/``_count``), and the outcome
   taxonomy as one labelled counter family;
 * :func:`render_json` — a deterministic JSON document (sorted keys,

@@ -9,9 +9,9 @@ requirement, not a luxury.  This module provides the substrate:
 
 * :class:`TelemetrySample` — one timestamped observation: gauges
   (progress, throughput, ETA, rates), the outcome tally, and — for a
-  serving engine, the one owner of a
-  :class:`~repro.observe.counters.MetricsRegistry` — raw counter values
-  and histogram summaries (count/sum/mean/max/p50/p99);
+  serving engine, the one owner of :mod:`~repro.observe.counters`
+  metrics — raw counter values and histogram summaries
+  (count/sum/mean/max/p50/p99);
 * :func:`campaign_sample` — the one mapping from raw campaign counts to
   the ``campaign.*`` / ``workers.*`` gauges, called only by
   ``CampaignState.sample``: a campaign's telemetry is its
@@ -63,10 +63,9 @@ class TelemetrySample:
     t: float
     #: Instantaneous values: progress, throughput, rates, worker tallies.
     gauges: dict[str, float] = field(default_factory=dict)
-    #: Raw cumulative values of every registry counter (serving only).
+    #: Raw cumulative values of every counter (serving only).
     counters: dict[str, float] = field(default_factory=dict)
-    #: Registry histogram summaries (count/sum/mean/max/p50/p99;
-    #: serving only).
+    #: Histogram summaries (count/sum/mean/max/p50/p99; serving only).
     histograms: dict[str, dict] = field(default_factory=dict)
     #: Outcome label -> completed-experiment count.
     outcomes: dict[str, int] = field(default_factory=dict)
@@ -205,7 +204,7 @@ class TelemetrySampler:
     ``provider`` is a zero-argument callable returning a fresh
     :class:`TelemetrySample`; it must only read snapshots (the engine's
     :meth:`~repro.engine.scheduler.CampaignEngine.progress`, a serving
-    engine's registry) so a slow scrape can never block training.  Provider
+    engine's metrics) so a slow scrape can never block training.  Provider
     errors are swallowed and counted (``errors``/``last_error``) — a
     telemetry hiccup must not sink a multi-day campaign.
     """

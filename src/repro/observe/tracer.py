@@ -16,6 +16,11 @@ Design constraints, in order:
    :mod:`repro.jsonl` record log of kind ``trace`` (flushed per line),
    and :func:`read_trace` recovers every complete event from a file
    whose writer was killed mid-line, reporting the truncation.
+4. **Passed, never installed** — a component emits into the sink it was
+   handed (a :class:`Tracer`, a :class:`StampedView` of one, or
+   :data:`NULL_TRACER`); there is no process-wide current tracer.  The
+   campaign engine hands each unit of a lease its own stamped view
+   (DESIGN.md decision 23).
 """
 
 from __future__ import annotations
@@ -52,10 +57,6 @@ class Tracer:
         self._ring: deque[TraceEvent] = deque(maxlen=self.capacity)
         #: Total events emitted (including ones the ring has dropped).
         self.emitted = 0
-        #: The stamped views of the lease in flight, in unit order (the
-        #: engine's capture opens and closes them): a campaign running
-        #: that lease hands experiment *i* view *i* as its event sink.
-        self.views: list[StampedView] = []
         #: Streaming sink: when a path is given, the header is written
         #: immediately and every event is appended + flushed as it is
         #: emitted, so a killed process loses at most the line in flight
@@ -181,27 +182,6 @@ class StampedView:
 #: The shared always-disabled tracer every component defaults to, so the
 #: untraced hot path pays exactly one attribute check per emit call.
 NULL_TRACER = Tracer(capacity=1, enabled=False)
-
-#: Process-wide "current" tracer.  Engine workers install their shard
-#: tracer here after the fork; components that build their own trainers
-#: deep inside a worker (e.g. ``Campaign.run_experiment``) pick it up
-#: without the payload-agnostic engine having to thread it through.
-_CURRENT_TRACER: Tracer = NULL_TRACER
-
-
-def set_current_tracer(tracer: Tracer | None) -> Tracer:
-    """Install the process-wide current tracer; returns the previous one.
-
-    Passing ``None`` resets to :data:`NULL_TRACER`."""
-    global _CURRENT_TRACER
-    previous = _CURRENT_TRACER
-    _CURRENT_TRACER = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-def current_tracer() -> Tracer:
-    """The process-wide current tracer (default: :data:`NULL_TRACER`)."""
-    return _CURRENT_TRACER
 
 
 class TraceFile:

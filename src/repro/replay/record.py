@@ -28,9 +28,7 @@ from pathlib import Path
 
 from repro import jsonl
 from repro.observe.events import (
-    EXPERIMENT_COMPLETED,
     EXPERIMENT_FINISHED,
-    EXPERIMENT_QUARANTINED,
     EXPERIMENT_STARTED,
     TraceEvent,
 )
@@ -47,8 +45,6 @@ class ReplayError(ValueError):
 ENGINE_EVENT_TYPES = frozenset({
     EXPERIMENT_STARTED,
     EXPERIMENT_FINISHED,
-    EXPERIMENT_COMPLETED,
-    EXPERIMENT_QUARANTINED,
 })
 
 #: Shard-capture attribution stamps merged under event data by each

@@ -8,8 +8,8 @@ Three layers, separable for tests:
   screen on every armed batch, sampled golden shadow re-execution) ->
   per-request :class:`~repro.core.analysis.classify.InferenceOutcome`
   -> optional batch recovery (re-serve the fault-free re-execution, the
-  serving analogue of the paper's two-iteration rewind).  All metrics
-  land in a per-engine :class:`~repro.observe.counters.MetricsRegistry`.
+  serving analogue of the paper's two-iteration rewind).  Every metric
+  is a :mod:`~repro.observe.counters` attribute of the engine.
 * :func:`serving_routes` — ``POST /predict`` and ``GET /workload`` as
   route-table entries for the one HTTP core (:mod:`repro.httpcore`),
   mounted next to the telemetry surface (``/metrics``, ``/healthz``,
@@ -45,9 +45,9 @@ import numpy as np
 
 from repro.core.analysis.classify import InferenceOutcome, classify_inference_rows
 from repro.core.faults.hardware import site_layers
-from repro.observe.counters import MetricsRegistry
 from repro.httpcore import DEFAULT_HOST, JSON, error
 from repro.nn.losses import top1
+from repro.observe.counters import Counter, Histogram
 from repro.observe.slo import SLORule
 from repro.observe.timeseries import TelemetrySample
 from repro.serve import TelemetryService
@@ -84,26 +84,31 @@ class ServingEngine:
         self.shadow_rate = float(shadow_rate)
         self.recover = bool(recover)
         self._shadow_rng = np.random.default_rng(seed + 0x5AD0)
-        self.registry = MetricsRegistry()
         self.batcher = DynamicBatcher(
             self._execute_batch, max_batch=max_batch,
             max_wait_s=max_wait_s, queue_cap=queue_cap)
-        reg = self.registry
-        self.c_requests = reg.counter("serving.requests")
-        self.c_responses = reg.counter("serving.responses")
-        self.c_shed = reg.counter("serving.shed")
-        self.c_errors = reg.counter("serving.errors")
-        self.c_batches = reg.counter("serving.batches")
-        self.c_faults_armed = reg.counter("serving.faults_armed")
-        self.c_faults_fired = reg.counter("serving.faults_fired")
-        self.c_shadow = reg.counter("serving.shadow_execs")
-        self.c_recovered = reg.counter("serving.recovered_batches")
-        self.c_outcome = {
-            outcome: reg.counter(f"serving.{outcome.value}")
-            for outcome in InferenceOutcome}
-        self.h_latency = reg.histogram("serving.latency_seconds")
-        self.h_batch_size = reg.histogram("serving.batch_size",
-                                          bounds=_BATCH_BOUNDS)
+        self.c_requests = Counter("serving.requests")
+        self.c_responses = Counter("serving.responses")
+        self.c_shed = Counter("serving.shed")
+        self.c_errors = Counter("serving.errors")
+        self.c_batches = Counter("serving.batches")
+        self.c_faults_armed = Counter("serving.faults_armed")
+        self.c_faults_fired = Counter("serving.faults_fired")
+        self.c_shadow = Counter("serving.shadow_execs")
+        self.c_recovered = Counter("serving.recovered_batches")
+        self.c_outcome = {outcome: Counter(f"serving.{outcome.value}")
+                          for outcome in InferenceOutcome}
+        self.h_latency = Histogram("serving.latency_seconds")
+        self.h_batch_size = Histogram("serving.batch_size",
+                                      bounds=_BATCH_BOUNDS)
+        #: Every metric above, in name order: the order a sample lists
+        #: them in.
+        self.metrics = sorted(
+            [self.c_requests, self.c_responses, self.c_shed, self.c_errors,
+             self.c_batches, self.c_faults_armed, self.c_faults_fired,
+             self.c_shadow, self.c_recovered, *self.c_outcome.values(),
+             self.h_latency, self.h_batch_size],
+            key=lambda metric: metric.name)
 
     # ------------------------------------------------------------------
     # Hot path (runs in the batcher's executor thread)
@@ -203,14 +208,14 @@ class ServingEngine:
         return result
 
     def sample(self):
-        """One telemetry sample: registry snapshot + serving gauges."""
+        """One telemetry sample: every metric + serving gauges."""
         sample = TelemetrySample(t=time.time())
-        for name, summary in self.registry.snapshot().items():
-            if summary["type"] == "counter":
-                sample.counters[name] = float(summary["value"])
+        for metric in self.metrics:
+            if isinstance(metric, Counter):
+                sample.counters[metric.name] = float(metric.value)
             else:
-                sample.histograms[name] = {
-                    k: v for k, v in summary.items() if k != "type"}
+                sample.histograms[metric.name] = {
+                    k: v for k, v in metric.summary().items() if k != "type"}
         requests = self.c_requests.value
         responses = self.c_responses.value
         sample.gauges.update({

@@ -313,7 +313,7 @@ def _block_factory():
             raise RuntimeError("deliberate unit failure")
         return {"value": payload["x"] * 2, "outcome": "ok"}
 
-    def run(payloads):
+    def run(payloads, sinks):
         if any(p.get("fail_in_block") for p in payloads) and len(payloads) > 1:
             raise RuntimeError("deliberate block failure")
         return [run_one(p) for p in payloads]

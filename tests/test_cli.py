@@ -169,6 +169,18 @@ class TestEngineCommands:
         assert main(argv + ["--resume"]) == 0
         assert "engine: 0 executed, 2 resumed" in capsys.readouterr().out
 
+    def test_campaign_resume_refuses_another_seed(self, capsys, tmp_path):
+        """``--seed 1 --resume`` on a ``--seed 0`` store is an operator
+        error, not a run that reports the seed-0 results as its own."""
+        store = tmp_path / "r.jsonl"
+        argv = ["campaign", "resnet", "--experiments", "1", "--devices", "2",
+                "--store", str(store)]
+        assert main(argv + ["--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seed", "1", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot resume") and "seed" in err
+
     def test_campaign_resume_after_torn_record(self, capsys, tmp_path):
         """A campaign killed mid-write leaves its last record torn; the
         resume re-runs that experiment and the store reads back whole."""

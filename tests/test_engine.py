@@ -11,6 +11,7 @@ import pytest
 from repro.accelerator.ffs import FFDescriptor
 from repro.core.analysis import campaign_report_dict
 from repro.core.faults import Campaign, HardwareFault, OpSite
+from repro.core.faults.campaign import _submit
 from repro.engine import (
     CampaignEngine,
     EngineConfig,
@@ -18,7 +19,9 @@ from repro.engine import (
     WorkUnit,
     read_records,
     render_text,
+    scheduler,
 )
+from repro.observe import ITERATION_STATS, read_trace
 from repro.workloads import build_workload
 
 
@@ -48,7 +51,7 @@ def _toy_factory():
                 raise RuntimeError("flaky first attempt")
         return {"value": payload["x"] * 2, "outcome": "ok"}
 
-    return lambda payloads: [run_one(payload) for payload in payloads]
+    return lambda payloads, sinks: [run_one(payload) for payload in payloads]
 
 
 def _die_sending(directory: Path) -> dict:
@@ -287,6 +290,45 @@ class TestToyEngine:
 
 
 # ----------------------------------------------------------------------
+# The runner contract: runner(payloads, sinks), one sink per unit
+# ----------------------------------------------------------------------
+def _emitting_factory():
+    """Each unit emits one event through the sink it was handed; the
+    event names its payload's key so attribution can be checked."""
+    def runner(payloads, sinks):
+        for payload, sink in zip(payloads, sinks):
+            sink.emit(ITERATION_STATS, iteration=payload["x"],
+                      payload_key=payload["key"])
+        return [{"value": p["x"], "outcome": "ok"} for p in payloads]
+    return runner
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_each_unit_emits_through_its_own_sink(parallel, tmp_path,
+                                              monkeypatch):
+    """A lease of three units hands each its own stamped view: every
+    event reaches the merged trace under the key of the unit that
+    emitted it, and the merge drops nothing for want of a key."""
+    merges = []
+    real = scheduler.merge_campaign_shards
+    monkeypatch.setattr(scheduler, "merge_campaign_shards",
+                        lambda path: merges.append(real(path)) or merges[-1])
+    units = _units([{} for _ in range(7)])
+    with ResultStore(tmp_path / "s.jsonl", kind="toy") as store:
+        report = CampaignEngine(
+            _emitting_factory,
+            EngineConfig(parallel=parallel, block_size=3, trace=True),
+            store=store).run(units)
+    assert (report.executed, report.quarantined) == (7, {})
+    assert merges[-1].unkeyed_dropped == 0
+    stats = [event for event in read_trace(report.trace_path).events
+             if event.type == ITERATION_STATS]
+    assert sorted((e.data["key"], e.data["payload_key"], e.iteration)
+                  for e in stats) == \
+        sorted((u.key, u.key, u.payload["x"]) for u in units)
+
+
+# ----------------------------------------------------------------------
 # Integration with real campaigns
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -296,6 +338,22 @@ def engine_campaign():
                         horizon=10, inject_window=4, test_every=5)
     campaign.prepare()
     return campaign
+
+
+@pytest.fixture(scope="module")
+def resumable_store_file(engine_campaign, tmp_path_factory):
+    """A finished three-experiment store of ``engine_campaign``."""
+    path = tmp_path_factory.mktemp("resumable") / "s.jsonl"
+    engine_campaign.run(3, seed=5, store=path)
+    return path
+
+
+@pytest.fixture
+def resumable_store(resumable_store_file, tmp_path):
+    """A private copy of the finished store, for one test to resume."""
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(resumable_store_file.read_bytes())
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -415,6 +473,38 @@ class TestCampaignThroughEngine:
                 resumed.engine_report.skipped) == (0, 2)
         assert prepared == []
 
+    def test_resume_refuses_another_campaigns_store(self, engine_campaign,
+                                                    resumable_store):
+        """A campaign resuming a store another configuration wrote must
+        not return that campaign's results as its own: the seed-1
+        campaign used to skip all three seed-0 experiments."""
+        before = resumable_store.read_bytes()
+        other = Campaign(engine_campaign.spec, num_devices=2, seed=1,
+                         warmup_iterations=6, horizon=10, inject_window=4,
+                         test_every=5)
+        with pytest.raises(ValueError, match=r"differs .* in seed$"):
+            other.run(3, seed=5, store=resumable_store, resume=True)
+        assert resumable_store.read_bytes() == before
+        with ResultStore(resumable_store, resume=True) as store:
+            assert len(store) == 3
+        with pytest.raises(ValueError, match="'campaign' run, not a "
+                                             "'inference' run"):
+            _submit(None, [], kind="inference", meta={},
+                    store=resumable_store, resume=True)
+
+    def test_resume_may_change_backend_and_batch(self, engine_campaign,
+                                                 resumable_store):
+        """Outcomes are bit-identical across backends and experiment
+        batches, so a resume that changes only those continues the
+        store: everything is skipped."""
+        batched = Campaign(engine_campaign.spec, num_devices=2, seed=0,
+                           warmup_iterations=6, horizon=10, inject_window=4,
+                           test_every=5, backend="batched",
+                           experiment_batch=2)
+        resumed = batched.run(3, seed=5, store=resumable_store, resume=True)
+        assert (resumed.engine_report.executed,
+                resumed.engine_report.skipped) == (0, 3)
+
     def test_batched_sweep_workers_are_daemonic(self):
         """Engine workers die with a killed parent on every backend (a
         ``batched`` sweep used to run them non-daemonic)."""
@@ -444,7 +534,7 @@ class TestCampaignThroughEngine:
 
 
 def _slow_lease_factory():
-    def runner(payloads):
+    def runner(payloads, sinks):
         time.sleep(0.15 * len(payloads))
         return [{"value": p["x"], "outcome": "ok"} for p in payloads]
     return runner

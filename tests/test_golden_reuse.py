@@ -93,7 +93,7 @@ def _stories(campaign: Campaign, faults: list[HardwareFault],
             events = normalize_events(tracer.events())
         else:
             results = campaign.run_experiment_batch(
-                faults[start:start + block], tracer=tracer)
+                faults[start:start + block], [tracer] * block)
             events = sorted(normalize_events(tracer.events()))
         stories.append(([experiment_to_dict(r) for r in results],
                         [_record(r.record) for r in results], events))

@@ -17,7 +17,6 @@ from repro.observe import (
     Tracer,
     analysis,
     read_trace,
-    set_current_tracer,
 )
 from repro.replay import CampaignCache, normalize_events, replay, replay_record
 from repro.workloads import build_workload
@@ -129,12 +128,7 @@ def test_detection_latency_is_observed_on_either_path(method):
         results = [campaign.run_experiment(fault, view)
                    for fault, view in zip(LOUD, views)]
     else:
-        tracer.views = views
-        previous = set_current_tracer(tracer)
-        try:
-            results = campaign.run_experiment_batch(LOUD)
-        finally:
-            set_current_tracer(previous)
+        results = campaign.run_experiment_batch(LOUD, views)
     from_records = [result.record.detections[0] - fault.iteration
                     for result, fault in zip(results, LOUD)]
     from_trace = {row["key"]: row["latency"]

@@ -33,7 +33,6 @@ from repro.observe import (
     TRACE_SCHEMA_VERSION,
     Counter,
     Histogram,
-    MetricsRegistry,
     Tracer,
     read_trace,
 )
@@ -173,20 +172,6 @@ class TestMetrics:
     def test_histogram_bounds_must_increase(self):
         with pytest.raises(ValueError):
             Histogram("t.bad", bounds=(1.0, 1.0))
-
-    def test_registry_get_or_create_and_kind_mismatch(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x")
-        assert reg.counter("x") is c
-        with pytest.raises(TypeError):
-            reg.histogram("x")
-        reg.histogram("y").observe(1.0)
-        snap = reg.snapshot()
-        assert snap["x"]["type"] == "counter"
-        assert snap["y"]["type"] == "histogram"
-        reg.reset()
-        assert reg.counter("x").value == 0.0
-        assert "x" in reg and len(reg) == 2
 
 
 # ----------------------------------------------------------------------

@@ -308,7 +308,7 @@ def _sleepy_factory():
     def run_one(payload):
         time.sleep(payload.get("sleep", 0.0))
         return {"value": payload["x"], "outcome": "ok"}
-    return lambda payloads: [run_one(payload) for payload in payloads]
+    return lambda payloads, sinks: [run_one(payload) for payload in payloads]
 
 
 def _live_sample(engine):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.engine.telemetry import CampaignState, ProgressTracker
-from repro.observe import Histogram
+from repro.observe import Counter, Histogram
 from repro.observe.counters import DEFAULT_BOUNDS
 from repro.observe.timeseries import (
     SERIES_SCHEMA_VERSION,
@@ -105,8 +105,9 @@ class TestDeriveRates:
 # ----------------------------------------------------------------------
 class TestBuildSample:
     def test_registry_counters_and_histograms(self):
-        """Only a serving engine owns a registry: its counters and
-        histograms are in its sample, and a campaign sample has none."""
+        """Only a serving engine owns counters and histograms: each of
+        its metrics is in its sample, in name order, and a campaign
+        sample has none."""
         from repro.serving import InferenceSession, ServingEngine
         from repro.workloads import build_workload
 
@@ -119,9 +120,11 @@ class TestBuildSample:
         assert sample.counters["serving.requests"] == 7.0
         hist = sample.histograms["serving.latency_seconds"]
         assert hist["count"] == 1 and "p99" in hist
-        assert set(sample.counters) == {
-            name for name, summary in engine.registry.snapshot().items()
-            if summary["type"] == "counter"}
+        assert [*sample.counters] == sorted(
+            metric.name for metric in engine.metrics
+            if isinstance(metric, Counter))
+        assert [*sample.histograms] == ["serving.batch_size",
+                                        "serving.latency_seconds"]
         empty = CampaignState(total=None).sample(now=123.0)
         assert empty.t == 123.0
         assert empty.counters == {} and empty.histograms == {}

@@ -205,7 +205,7 @@ def _toy_factory():
             raise RuntimeError("deliberate failure")
         return {"value": payload["x"] * 2, "outcome": "ok"}
 
-    return lambda payloads: [run_one(payload) for payload in payloads]
+    return lambda payloads, sinks: [run_one(payload) for payload in payloads]
 
 
 def _units(n, **extra):
