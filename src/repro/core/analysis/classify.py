@@ -243,31 +243,22 @@ class InferenceOutcome(str, Enum):
 def classify_inference_rows(
     faulty: np.ndarray, golden_pred: np.ndarray
 ) -> list[InferenceOutcome]:
-    """Classify each row of a faulty batched forward against golden top-1.
-
-    Precedence per row is SDC > NONFINITE > MASKED: a flipped prediction
-    is an SDC even when the row also contains non-finite values (the
-    user-visible answer changed — that the corruption was *also*
-    detectable does not undo it).
-    """
+    """Classify each row of a faulty batched forward against golden top-1,
+    each as :func:`classify_inference_experiment` classifies its flags."""
     faulty = np.asarray(faulty)
     sdc = top1(faulty) != np.asarray(golden_pred)
     finite = np.all(np.isfinite(faulty), axis=tuple(range(1, faulty.ndim)))
-    out: list[InferenceOutcome] = []
-    for flipped, ok in zip(sdc, finite):
-        if flipped:
-            out.append(InferenceOutcome.SDC)
-        elif not ok:
-            out.append(InferenceOutcome.NONFINITE)
-        else:
-            out.append(InferenceOutcome.MASKED)
-    return out
+    return [classify_inference_experiment(sdc=bool(flipped), nonfinite=not ok)
+            for flipped, ok in zip(sdc, finite)]
 
 
 def classify_inference_experiment(
     *, sdc: bool, nonfinite: bool
 ) -> InferenceOutcome:
-    """Experiment-level outcome from batch-wide flags (same precedence)."""
+    """The one inference precedence, SDC > NONFINITE > MASKED: a flipped
+    prediction is an SDC even when non-finite values came with it (the
+    user-visible answer changed — that the corruption was *also*
+    detectable does not undo it)."""
     if sdc:
         return InferenceOutcome.SDC
     if nonfinite:

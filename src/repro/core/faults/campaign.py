@@ -47,12 +47,13 @@ from repro.core.faults.hardware import (
     SITE_KINDS,
     HardwareFault,
     enumerate_sites,
-    forward_by_layer,
     module_at,
     sample_fault,
+    sample_forward_fault,
     site_layers,
 )
 from repro.core.faults.injector import FaultInjector
+from repro.core.faults.session import QUIET, InferenceSession
 from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
 from repro.core.mitigation.detector import HardwareFailureDetector
 from repro.distributed.sync import SyncDataParallelTrainer
@@ -223,9 +224,7 @@ class Campaign:
         classifier from the trace alone.
         """
         return {
-            "workload": self.spec.name,
-            "size": self.spec.extra.get("size", "small"),
-            "workload_seed": int(self.spec.extra.get("seed", 0)),
+            **self.spec.config_dict(),
             "num_devices": self.num_devices,
             "seed": self.seed,
             "warmup_iterations": self.warmup_iterations,
@@ -623,7 +622,7 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
     if owns_store:
         store = ResultStore(store, kind=kind, meta=meta, resume=resume)
         try:
-            _check_resume(store, kind, meta)
+            _check_resume(store, kind, meta, {unit.key for unit in units})
         except ValueError:
             store.close()
             raise
@@ -650,29 +649,33 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
 _RESUME_OVERRIDABLE = frozenset({"backend", "experiment_batch"})
 
 
-def _check_resume(store: ResultStore, kind: str, meta: dict) -> None:
+def _check_resume(store: ResultStore, kind: str, meta: dict,
+                  keys: set[str]) -> None:
     """Refuse to continue a store another run wrote, whose results would
     otherwise be returned as this run's: the header's ``kind`` must be
-    ``kind``, and when both the header and ``meta`` carry a ``config``
-    they must agree apart from :data:`_RESUME_OVERRIDABLE`.  Inference
-    stores record no ``config``, so only their kind is checked.  A fresh
-    store's header is ``kind``/``meta`` itself and always passes."""
+    ``kind``, the two ``config`` records (when both exist) must agree
+    apart from :data:`_RESUME_OVERRIDABLE`, and every key the store
+    holds must be one of this run's ``keys``.  A key hashes (index,
+    fault), so that refuses another sample seed, a smaller sample and
+    another fault list; a larger sample with the same seed extends the
+    store.  A fresh store's header is ``kind``/``meta`` itself and
+    always passes."""
     if store.kind != kind:
         raise ValueError(f"cannot resume {store.path}: it holds a "
                          f"{store.kind!r} run, not a {kind!r} run")
-    ours, theirs = meta.get("config"), store.meta.get("config")
-    if ours is None or theirs is None:
-        return
+    ours, theirs = meta.get("config") or {}, store.meta.get("config") or {}
     differ = sorted(key for key in ours.keys() | theirs.keys()
-                    if key not in _RESUME_OVERRIDABLE
+                    if ours and theirs and key not in _RESUME_OVERRIDABLE
                     and ours.get(key) != theirs.get(key))
     if differ:
         raise ValueError(f"cannot resume {store.path}: its campaign config "
                          f"differs from this run's in {', '.join(differ)}")
+    foreign = (store.completed.keys() | store.quarantined.keys()) - keys
+    if foreign:
+        raise ValueError(f"cannot resume {store.path}: {len(foreign)} of its "
+                         f"experiments are not in this run (another seed, a "
+                         f"smaller sample or another fault list)")
 
-
-#: A faulty forward overflows and divides by zero on purpose.
-_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 #: Units per lease of an :class:`InferenceCampaign`: a lease forwards
 #: once per top-level layer its units start at and reaches the store with
@@ -694,26 +697,40 @@ class InferenceCampaign:
     a fault left alone come out golden; a unit forwards only the images
     whose bytes the fault changed at its site and judges them against
     their golden top-1 (decision 12), in one forward with the rest of its
-    lease that starts at the same layer (decision 18).
+    lease that starts at the same layer (decision 18).  The model, its
+    training run and its forwards are an :class:`InferenceSession`'s,
+    the one the inference server runs on too (decision 24).
     """
 
-    def __init__(self, spec: WorkloadSpec, seed: int = 0, train_iterations: int | None = None,
-                 num_devices: int = 4):
+    def __init__(self, spec: WorkloadSpec, seed: int = 0,
+                 train_iterations: int | None = None, num_devices: int = 2):
         self.spec = spec
-        self.seed = int(seed)
-        trainer = SyncDataParallelTrainer(spec, num_devices=num_devices, seed=seed,
-                                          test_every=0)
+        self.session = InferenceSession(spec, seed, train_iterations,
+                                        num_devices)
+
+    @property
+    def model(self):
+        """The session's trained model."""
+        return self.session.model
+
+    def _forward(self, hooks: dict, x: np.ndarray,
+                 start: int | None = None) -> np.ndarray:
+        """``session.forward(x, start)`` with ``hooks[name]`` as site
+        ``name``'s forward hook."""
+        for name, hook in hooks.items():
+            module_at(self.model, name).set_fault_hook(FORWARD, hook)
         try:
-            trainer.train(train_iterations or spec.iterations)
+            return self.session.forward(x, start)
         finally:
-            trainer.close()
-        self.model = trainer.master
+            for name in hooks:
+                module_at(self.model, name).set_fault_hook(FORWARD, None)
 
     def _golden_pass(self, inputs: np.ndarray) -> None:
         """The golden forward, layer by layer.  Keeps what a unit starts
-        from: each top-level layer's input, and each site module's
-        forward-hook tensor (what a fault at that site rewrites); and
-        what it is judged against: each image's golden top-1."""
+        from: each top-level layer's input (what the session's primary
+        forward keeps), and each site module's forward-hook tensor (what
+        a fault at that site rewrites); and what it is judged against:
+        each image's golden top-1."""
         self._golden_sites: dict[str, np.ndarray] = {}
 
         def keep(name: str):
@@ -722,35 +739,23 @@ class InferenceCampaign:
                 return tensor
             return hook
 
-        sites = [site.module_name
-                 for site in enumerate_sites(self.model, (FORWARD,))]
-        for name in sites:
-            module_at(self.model, name).set_fault_hook(FORWARD, keep(name))
-        try:
-            with np.errstate(**_QUIET):
-                out, self._golden_inputs = forward_by_layer(self.model, inputs)
-            self._golden_top1 = top1(out)
-        finally:
-            for name in sites:
-                module_at(self.model, name).set_fault_hook(FORWARD, None)
+        # The session keeps the model in eval mode; a caller may not have.
+        self.model.eval()
+        self._golden_top1 = top1(self._forward(
+            {site.module_name: keep(site.module_name)
+             for site in enumerate_sites(self.model, (FORWARD,))}, inputs))
+        self._golden_inputs = self.session.layer_inputs
 
     def _engine_runner(self):
         """Runner factory: one lease of forward-pass injections per call.
 
-        What the fault left alone would come out golden again, so a unit
-        recomputes neither the layers before its site (it starts at the
-        top-level layer holding the site, on that layer's golden input)
-        nor the images beside its fault (it forwards the rows of the
-        batch whose bytes the fault changed at the site, and none at all
-        when the fault rewrote the values already there).  The lease's
-        units share the forwards: one per top-level layer some unit
-        starts at, over those units' rows stacked one unit after another,
-        each site's hook writing the faulty rows of the units at that
-        site.  A forwarded row's top-1 is compared with the same image's
-        golden top-1: with batch-invariant eval kernels that *is* the row
-        forwarded alone with the golden site rows (DESIGN.md decision
-        18).  An inference unit emits no events, so the runner ignores
-        its ``sinks``."""
+        A unit starts at the top-level layer holding its site, on that
+        layer's golden input, and forwards only the rows whose bytes its
+        fault changed at the site (none when it changed none).  The
+        lease's units share one forward per start layer, over their rows
+        stacked, each site's hook writing its units' faulty rows
+        (DESIGN.md decision 18).  An inference unit emits no events, so
+        the runner ignores its ``sinks``."""
         from repro.core.faults.serialization import fault_from_dict
 
         # Tests map every site to layer 0 here (patching ``site_layers``)
@@ -798,22 +803,15 @@ class InferenceCampaign:
                 parts.setdefault(name, []).append((rows, values))
             images = np.concatenate([injector.rows for _n, injector, _v in units])
             x = self._golden_inputs[start][images]
-            for name, at_site in parts.items():
-                module_at(self.model, name).set_fault_hook(
-                    FORWARD, substitute(name, len(x), at_site))
-            try:
-                out = self.model.forward(x, start) if start \
-                    else self.model.forward(x)
-            finally:
-                for name in parts:
-                    module_at(self.model, name).set_fault_hook(FORWARD, None)
+            out = self._forward({name: substitute(name, len(x), at_site)
+                                 for name, at_site in parts.items()}, x, start)
             flipped = top1(out) != self._golden_top1[images]
             finite = np.isfinite(out).reshape(len(out), -1).all(axis=1)
             return [(bool(flipped[rows].any()), not bool(finite[rows].all()))
                     for rows in where]
 
         def run_lease(payloads: list[dict], sinks=None) -> list[dict]:
-            with np.errstate(**_QUIET):
+            with np.errstate(**QUIET):
                 units = [inject(payload) for payload in payloads]
                 by_start: dict[int, list[int]] = {}
                 for i, (name, injector, _values) in enumerate(units):
@@ -827,12 +825,11 @@ class InferenceCampaign:
             for i, (payload, (_name, injector, _values)) in enumerate(
                     zip(payloads, units)):
                 sdc, nonfinite = verdicts.get(i, (False, False))
-                outcome = classify_inference_experiment(sdc=sdc,
-                                                        nonfinite=nonfinite)
                 results.append({
                     "index": payload["index"], "fault": payload["fault"],
                     "sdc": sdc, "nonfinite": nonfinite,
-                    "outcome": outcome.value,
+                    "outcome": classify_inference_experiment(
+                        sdc=sdc, nonfinite=nonfinite).value,
                     "rows_touched": int(injector.rows.size),
                     "num_faulty_elements": injector.record.num_faulty})
             return results
@@ -846,22 +843,15 @@ class InferenceCampaign:
         """Inject ``num_experiments`` forward-pass faults and report SDC
         rates; engine keywords behave as in :meth:`Campaign.run`."""
         rng = np.random.default_rng(seed)
-        faults = [
-            sample_fault(self.model, rng, max_iteration=1, num_devices=1,
-                         kinds=(FORWARD,))
-            for _ in range(int(num_experiments))
-        ]
-        self.model.eval()
-        try:
-            self._golden_pass(self.spec.test_data.inputs[:batch])
-            report = _submit(
-                self._engine_runner, faults, kind="inference",
-                meta={"workload": self.spec.name, "seed": int(seed),
-                      "num_experiments": int(num_experiments)},
-                block_size=INFERENCE_LEASE, parallel=parallel, store=store,
-                resume=resume,
-                timeout=timeout, max_retries=max_retries,
-                on_progress=on_progress)
-        finally:
-            self.model.train()
+        faults = [sample_forward_fault(self.model, rng)
+                  for _ in range(int(num_experiments))]
+        self._golden_pass(self.session.inputs[:batch])
+        report = _submit(
+            self._engine_runner, faults, kind="inference",
+            meta={"workload": self.spec.name, "seed": int(seed),
+                  "num_experiments": int(num_experiments),
+                  "config": dict(self.session.config, batch=int(batch))},
+            block_size=INFERENCE_LEASE, parallel=parallel, store=store,
+            resume=resume, timeout=timeout, max_retries=max_retries,
+            on_progress=on_progress)
         return inference_report_dict(list(report.results.values()))

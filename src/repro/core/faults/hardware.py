@@ -192,3 +192,11 @@ def sample_fault(
         device=int(rng.integers(0, num_devices)),
         seed=int(rng.integers(0, 2**31 - 1)),
     )
+
+
+def sample_forward_fault(model: Module, rng: np.random.Generator) -> HardwareFault:
+    """Draw one inference fault: a forward op site of ``model``, at
+    iteration 0 on device 0.  The one sampler behind the inference
+    campaign and the serving fault plane."""
+    return sample_fault(model, rng, max_iteration=1, num_devices=1,
+                        kinds=(FORWARD,))

@@ -1,11 +1,11 @@
 """Fault-injected inference serving: the live-traffic request path.
 
-Where :class:`~repro.core.faults.campaign.InferenceCampaign` probes
-inference offline (one fault per controlled forward), this package
-serves a real request stream — queueing, dynamic batching, backpressure
-— while the fault plane arms forward-site faults in-flight at a Poisson
-rate, and reports what users would actually see: p50/p99 latency,
-shed rate, and silent corruptions per million requests.
+It runs on the model the offline
+:class:`~repro.core.faults.campaign.InferenceCampaign` probes (one
+:class:`~repro.core.faults.session.InferenceSession`) and serves a real
+request stream — queueing, dynamic batching, backpressure — while the
+fault plane arms forward-site faults in-flight at a Poisson rate; it
+reports p50/p99 latency, shed rate and silent corruptions per million.
 """
 
 from repro.serving.batcher import DynamicBatcher, ShedError

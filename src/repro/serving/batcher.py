@@ -77,10 +77,8 @@ class DynamicBatcher:
         #: What the idle collector sleeps on; a submit or stop() wakes it.
         self._wakeup: asyncio.Future | None = None
         self._stopping = False
-        #: Lifetime stats, read by the serving engine's sampler.
-        self.submitted = 0
+        #: Lifetime stats.
         self.shed = 0
-        self.batches = 0
         self.batch_sizes: list[int] = []
 
     @property
@@ -103,7 +101,6 @@ class DynamicBatcher:
             raise ShedError(f"queue full ({self.queue_cap} waiting)")
         future = asyncio.get_running_loop().create_future()
         self._queue.append(_Request(payload, future))
-        self.submitted += 1
         self._wake()
         return await future
 
@@ -176,7 +173,6 @@ class DynamicBatcher:
                         if not request.future.done():
                             request.future.set_exception(exc)
                     continue
-                self.batches += 1
                 self.batch_sizes.append(len(batch))
                 for request, result in zip(batch, results):
                     if not request.future.done():

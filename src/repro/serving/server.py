@@ -129,42 +129,36 @@ class ServingEngine:
 
         outcomes: list[InferenceOutcome | None] = [None] * len(payloads)
         recovered = False
-        screened = False
-        if fired:
-            finite_rows = np.all(
-                np.isfinite(outputs),
-                axis=tuple(range(1, outputs.ndim)))
-            shadow = (not bool(finite_rows.all())
-                      or float(self._shadow_rng.random()) < self.shadow_rate)
-            if shadow:
-                screened = True
-                golden = outputs
-                # Only the rows a fault changed can differ from golden:
-                # eval layers are per-image and batch-invariant, so the
-                # rest of the primary output is golden already, and the
-                # shadow re-executes the touched rows alone, injectors
-                # disarmed.  It starts at the first top-level layer a
-                # fault fired in: every layer before computed golden
-                # values, so its input is the one the primary forward
-                # kept (DESIGN.md decisions 15 and 16).
-                touched = np.unique(np.concatenate(
-                    [injector.rows for injector in fired]))
-                if touched.size:
-                    self.c_shadow.inc()
-                    layer_of = site_layers(self.session.model)
-                    start = min(layer_of[injector.fault.site.module_name]
-                                for injector in fired)
-                    golden = outputs.copy()
-                    golden[touched] = self.session.forward(
-                        self.session.layer_inputs[start][touched], start)
-                outcomes = list(classify_inference_rows(outputs, top1(golden)))
-                for outcome in outcomes:
-                    self.c_outcome[outcome].inc()
-                if self.recover and not np.array_equal(
-                        outputs, golden, equal_nan=True):
-                    outputs = golden
-                    recovered = True
-                    self.c_recovered.inc()
+        screened = bool(fired) and (
+            not bool(np.isfinite(outputs).all())
+            or float(self._shadow_rng.random()) < self.shadow_rate)
+        if screened:
+            golden = outputs
+            # Only the rows a fault changed can differ from golden: eval
+            # layers are per-image and batch-invariant, so the rest of the
+            # primary output is golden already, and the shadow re-executes
+            # the touched rows alone, injectors disarmed.  It starts at the
+            # first top-level layer a fault fired in: every layer before
+            # computed golden values, so its input is the one the primary
+            # forward kept (DESIGN.md decisions 15 and 16).
+            touched = np.unique(np.concatenate(
+                [injector.rows for injector in fired]))
+            if touched.size:
+                self.c_shadow.inc()
+                layer_of = site_layers(self.session.model)
+                start = min(layer_of[injector.fault.site.module_name]
+                            for injector in fired)
+                golden = outputs.copy()
+                golden[touched] = self.session.forward(
+                    self.session.layer_inputs[start][touched], start)
+            outcomes = classify_inference_rows(outputs, top1(golden))
+            for outcome in outcomes:
+                self.c_outcome[outcome].inc()
+            if self.recover and not np.array_equal(
+                    outputs, golden, equal_nan=True):
+                outputs = golden
+                recovered = True
+                self.c_recovered.inc()
 
         preds = top1(outputs)
         rows = outputs.reshape(len(payloads), -1).tolist()

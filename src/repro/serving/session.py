@@ -1,65 +1,24 @@
-"""Model session and in-flight fault plane for the inference server.
-
-:class:`InferenceSession` owns a trained model over a registry workload
-(same training path as the offline
-:class:`~repro.core.faults.campaign.InferenceCampaign`, so serving and
-campaign probe the identical network) plus its pool of test inputs.
+"""In-flight fault plane for the inference server.
 
 :class:`FaultPlane` arms forward-site faults on the live model at a
-Poisson rate per request: for a batch of size ``B`` it draws
-``k ~ Poisson(rate * B)`` independent faults from the paper's FF
-inventory via :func:`~repro.core.faults.hardware.sample_fault`, arms
-each with a one-shot :class:`~repro.core.faults.injector.FaultInjector`
-forward hook, and disarms after the batched forward.  This is the
-serving analogue of the campaign's one-fault-per-experiment design —
-except faults now land *in-flight*, racing real traffic.
+Poisson rate per request: a batch of ``B`` requests draws
+``k ~ Poisson(rate * B)`` faults with
+:func:`~repro.core.faults.hardware.sample_forward_fault` — the inference
+campaign's sampler — arms each as a one-shot
+:class:`~repro.core.faults.injector.FaultInjector` and disarms after the
+batched forward.  The model is an
+:class:`~repro.core.faults.session.InferenceSession`'s, re-exported here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.faults.hardware import forward_by_layer, sample_fault
+from repro.core.faults.hardware import sample_forward_fault
 from repro.core.faults.injector import FaultInjector
-from repro.distributed.sync import SyncDataParallelTrainer
-from repro.workloads.base import WorkloadSpec
+from repro.core.faults.session import InferenceSession
 
-
-class InferenceSession:
-    """A trained, eval-mode model plus the request-addressable inputs."""
-
-    def __init__(self, spec: WorkloadSpec, seed: int = 0,
-                 train_iterations: int | None = None, num_devices: int = 2):
-        self.spec = spec
-        self.seed = int(seed)
-        trainer = SyncDataParallelTrainer(
-            spec, num_devices=num_devices, seed=seed, test_every=0)
-        try:
-            trainer.train(train_iterations or spec.iterations)
-        finally:
-            trainer.close()
-        self.model = trainer.master
-        self.model.eval()
-        self.inputs = spec.test_data.inputs
-        self.num_samples = int(len(self.inputs))
-        #: Each top-level layer's input in the last forward from layer 0.
-        self.layer_inputs: list[np.ndarray] = []
-
-    def forward(self, batch: np.ndarray, start: int = 0) -> np.ndarray:
-        """Batched forward of ``batch``, the input of top-level layer
-        ``start`` (see :func:`~repro.core.faults.hardware.layer_chain`);
-        faulty activations may legitimately overflow.  A forward from
-        layer 0 keeps every top-level layer's input in
-        :attr:`layer_inputs`: a shadow re-execution starts from there."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if start:
-                return self.model.forward(batch, start)
-            out, self.layer_inputs = forward_by_layer(self.model, batch)
-            return out
-
-    def gather(self, indices) -> np.ndarray:
-        """Stack the requested sample rows into one contiguous batch."""
-        return self.inputs[np.asarray(indices, dtype=np.intp)]
+__all__ = ["FaultPlane", "InferenceSession"]
 
 
 class FaultPlane:
@@ -77,7 +36,6 @@ class FaultPlane:
         self.model = model
         self.rate = float(rate)
         self.rng = np.random.default_rng(seed)
-        self.armed_total = 0
 
     def arm(self, batch_size: int) -> list[FaultInjector]:
         """Arm ``k ~ Poisson(rate * batch_size)`` one-shot forward faults.
@@ -94,16 +52,13 @@ class FaultPlane:
         injectors: list[FaultInjector] = []
         armed_modules: set[str] = set()
         for _ in range(k):
-            fault = sample_fault(
-                self.model, self.rng, max_iteration=1, num_devices=1,
-                kinds=("forward",))
+            fault = sample_forward_fault(self.model, self.rng)
             if fault.site.module_name in armed_modules:
                 continue
             armed_modules.add(fault.site.module_name)
             injector = FaultInjector(fault)
             injector.arm(None, self.model)
             injectors.append(injector)
-        self.armed_total += len(injectors)
         return injectors
 
     @staticmethod

@@ -52,6 +52,14 @@ class WorkloadSpec:
     def build_optimizer(self, params: list[Parameter]) -> Optimizer:
         return self.optimizer_fn(params)
 
+    def config_dict(self) -> dict:
+        """What :func:`~repro.workloads.build_workload` rebuilds this spec
+        from, under the names a campaign or inference store's config
+        records them."""
+        return {"workload": self.name,
+                "size": self.extra.get("size", "small"),
+                "workload_seed": int(self.extra.get("seed", 0))}
+
     def describe(self) -> dict:
         """Table 2-style row for reports."""
         return {

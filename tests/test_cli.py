@@ -181,6 +181,22 @@ class TestEngineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot resume") and "seed" in err
 
+    def test_campaign_resume_refuses_another_campaign_seed(self, capsys,
+                                                           tmp_path):
+        """Another fault sample is another campaign: ``--campaign-seed 2
+        --resume`` on a ``--campaign-seed 1`` store used to append its
+        experiments next to the store's, at the same indexes."""
+        store = tmp_path / "r.jsonl"
+        argv = ["campaign", "resnet", "--experiments", "1", "--devices", "2",
+                "--store", str(store)]
+        assert main(argv + ["--campaign-seed", "1"]) == 0
+        before = store.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--campaign-seed", "2", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot resume") and "not in this run" in err
+        assert store.read_bytes() == before
+
     def test_campaign_resume_after_torn_record(self, capsys, tmp_path):
         """A campaign killed mid-write leaves its last record torn; the
         resume re-runs that experiment and the store reads back whole."""

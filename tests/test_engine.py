@@ -492,6 +492,30 @@ class TestCampaignThroughEngine:
             _submit(None, [], kind="inference", meta={},
                     store=resumable_store, resume=True)
 
+    @pytest.mark.parametrize("other", [
+        pytest.param({"num_experiments": 3, "seed": 6}, id="another-seed"),
+        pytest.param({"num_experiments": 2, "seed": 5}, id="smaller-sample"),
+        pytest.param({"faults": "swept"}, id="another-fault-list")])
+    def test_resume_refuses_experiments_this_run_does_not_have(
+            self, engine_campaign, resumable_store, other):
+        """A resume whose units do not cover every key the store holds
+        would leave two campaigns' experiments under one header: another
+        sample seed used to add three more records at indexes 0-2."""
+        before = resumable_store.read_bytes()
+        if other.get("faults") == "swept":
+            other = {"faults": _sweep(groups=[1], iterations=[7, 8, 9])}
+        with pytest.raises(ValueError, match="are not in this run"):
+            engine_campaign.run(**other, store=resumable_store, resume=True)
+        assert resumable_store.read_bytes() == before
+
+    def test_resume_with_a_larger_sample_extends_the_store(
+            self, engine_campaign, resumable_store):
+        resumed = engine_campaign.run(4, seed=5, store=resumable_store,
+                                      resume=True)
+        assert (resumed.engine_report.executed,
+                resumed.engine_report.skipped) == (1, 3)
+        assert [p["index"] for p in resumed.payloads] == [0, 1, 2, 3]
+
     def test_resume_may_change_backend_and_batch(self, engine_campaign,
                                                  resumable_store):
         """Outcomes are bit-identical across backends and experiment

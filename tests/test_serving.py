@@ -409,7 +409,7 @@ class TestShadowFromFirstFiredLayer:
         forwards = []
         session_forward = session.forward
 
-        def recording(batch, start=0):
+        def recording(batch, start=None):
             del ran[:]
             out = session_forward(batch, start)
             forwards.append((start, list(ran), batch, out))
@@ -439,7 +439,7 @@ class TestShadowFromFirstFiredLayer:
             (shadow_start, shadow_ran, shadow_batch, shadow) = forwards
         rows = np.unique(np.concatenate([i.rows for i in injectors]))
         assert all(r["faults_fired"] == len(sites) for r in responses)
-        assert primary_start == 0 and primary_ran == list(range(layers))
+        assert primary_start is None and primary_ran == list(range(layers))
         assert shadow_start == start
         assert shadow_ran == list(range(start, layers))
         # The shadow batch is exactly the touched rows, from the layer
