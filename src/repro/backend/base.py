@@ -23,12 +23,12 @@ quarantine) owns it.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.nn.linear import Dropout
-from repro.nn.module import Module
+from repro.nn.module import Module, input_grad_dropped
 
 #: Canonical backend names, in CLI order.
 BACKEND_NAMES = ("inprocess", "batched")
@@ -48,10 +48,26 @@ def reseed_random_layers(model: Module, seed) -> None:
         module.reseed((seed, index))
 
 
+class DeviceShare(NamedTuple):
+    """One device's share of a reference run's iteration, kept so that an
+    experiment in the same state need not compute it again (DESIGN.md
+    decision 9): what the device step leaves behind for the reduction."""
+
+    #: The device's gradient row after its step, before the reduction.
+    grad: np.ndarray
+    #: Its replica's extra state after the forward (BatchNorm moving
+    #: statistics), as ``Checkpoint.extra[device]`` holds it.
+    extra: list
+    loss: float
+    acc: float
+
+
 def device_step(trainer, device: int, iteration: int) -> tuple[float, float]:
     """One device's share of a synchronous iteration: forward, loss,
     backward.  Gradients land in the replica's arena ``grad`` segment;
-    returns ``(loss, acc)``.
+    returns ``(loss, acc)``.  The model's input gradient is discarded, so
+    its first layer computes none unless an ``input_grad`` hook is armed
+    there.
 
     This is the unit of work :meth:`ExecutionBackend.step_devices` runs
     for every device sequentially: the solo loop, which models the lane
@@ -66,7 +82,8 @@ def device_step(trainer, device: int, iteration: int) -> tuple[float, float]:
         out = model.forward(x)
         loss = trainer.losses[device].forward(out, y)
         trainer.arenas[device].grad.fill(0.0)
-        model.backward(trainer.losses[device].backward())
+        with input_grad_dropped(model, [model]):
+            model.backward(trainer.losses[device].backward())
     return float(loss), float(trainer.spec.metric(out, y))
 
 
@@ -86,6 +103,14 @@ class ExecutionBackend:
     def __init__(self):
         self.trainer = None
         self._comm_fault_hook: CommFaultHook | None = None
+        #: device -> :class:`DeviceShare` the next step takes instead of
+        #: stepping that device (its gradient row, extra state and
+        #: ``(loss, acc)`` are put in place as they are); the step that
+        #: takes them clears it.
+        self.given: dict[int, DeviceShare] = {}
+        #: When a list, every step appends its devices' shares (``extra``
+        #: ``None``), in device order, before reducing them.
+        self.kept: list | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -130,16 +155,45 @@ class ExecutionBackend:
         them.  Integrity checkers (ABFT) read operands through this."""
         return self.trainer.replicas[device], ...
 
+    def stepped_devices(self) -> list[int]:
+        """The devices the next step computes: those not :attr:`given`."""
+        return [d for d in range(self.trainer.num_devices)
+                if d not in self.given]
+
     def step_devices(self, iteration: int) -> tuple[float, float]:
-        """Run :func:`device_step` for every device in this process, in
-        device order; returns shard-averaged ``(loss, acc)``."""
+        """Run :func:`device_step` for every device the step computes, in
+        device order, then :meth:`settle` the step."""
+        results = {device: device_step(self.trainer, device, iteration)
+                   for device in self.stepped_devices()}
+        return self.settle(results)
+
+    def settle(self, results: dict[int, tuple[float, float]]
+               ) -> tuple[float, float]:
+        """The end of every step, once ``results`` (device -> ``(loss,
+        acc)``) holds each computed device's: put each :attr:`given`
+        share in place, keep the shares when :attr:`kept` asks,
+        :meth:`reduce_fused`, and return the shard-averaged ``(loss,
+        acc)``, summed in device order."""
         trainer = self.trainer
+        given, self.given = self.given, {}
+        for device, share in given.items():
+            np.copyto(trainer.arenas[device].grad, share.grad)
+            for (_, module), (_, state) in zip(
+                    trainer.arenas[device].stateful_modules, share.extra):
+                module.load_extra_state(
+                    {k: np.array(v, copy=True) for k, v in state.items()})
+            results[device] = (share.loss, share.acc)
         total_loss = 0.0
         total_acc = 0.0
         for device in range(trainer.num_devices):
-            loss, acc = device_step(trainer, device, iteration)
+            loss, acc = results[device]
             total_loss += loss
             total_acc += acc
+        if self.kept is not None:
+            self.kept.append([
+                DeviceShare(arena.grad.copy(), None, *results[device])
+                for device, arena in enumerate(trainer.arenas)])
+        self.reduce_fused()
         return total_loss / trainer.num_devices, total_acc / trainer.num_devices
 
     def reduce_fused(self) -> None:

@@ -54,7 +54,7 @@ import numpy as np
 from repro.backend.inprocess import InProcessBackend
 from repro.nn import config
 from repro.nn.config import Precision
-from repro.nn.module import HOOK_KINDS
+from repro.nn.module import HOOK_KINDS, input_grad_dropped
 from repro.state import ExperimentStacks
 
 
@@ -204,7 +204,7 @@ class LaneGroup:
         block: list[tuple] = []
         lanes = 0
         for entry in entries:
-            devices = entry[0].num_devices
+            devices = len(entry[0].backend.stepped_devices())
             if block and lanes + devices > self.lane_chunk:
                 results.extend(self.compute_block(block))
                 block, lanes = [], 0
@@ -217,45 +217,59 @@ class LaneGroup:
     def compute_block(self, entries: list[tuple]) -> list[tuple[float, float]]:
         """One lane step — forward, loss, backward, per-experiment
         reduction — for the entries' lanes as a single block (also the
-        whole device step of a lone trainer's backend)."""
+        whole device step of a lone trainer's backend).  An entry's lanes
+        are the devices its backend computes (not ``given``); the
+        backend's ``settle`` ends each entry's step."""
         lane_modules: list[dict] = []
         rows: list[int] = []
         losses: list = []
         xs: list[np.ndarray] = []
         ys: list[np.ndarray] = []
+        stepped = []
         for trainer, iteration in entries:
             member = self._members[id(trainer)]
-            lane_modules.extend(member.modules)
-            rows.extend(member.rows)
-            losses.extend(trainer.losses)
-            for d in range(trainer.num_devices):
+            devices = trainer.backend.stepped_devices()
+            stepped.append(devices)
+            for d in devices:
+                lane_modules.append(member.modules[d])
+                rows.append(member.rows[d])
+                losses.append(trainer.losses[d])
                 x, y = trainer.loader.shard_batch_at(
                     iteration, d, trainer.num_devices)
                 xs.append(x)
                 ys.append(y)
+        if lane_modules:
+            out, lane_losses = self._step_lanes(lane_modules, rows, losses, xs, ys)
+        # Metrics outside the errstate scope, mirroring device_step.
+        results = []
+        lane = 0
+        for (trainer, _iteration), devices in zip(entries, stepped):
+            computed = {}
+            for d in devices:
+                computed[d] = (float(lane_losses[lane]),
+                               float(trainer.spec.metric(out[lane], ys[lane])))
+                lane += 1
+            results.append(trainer.backend.settle(computed))
+        return results
+
+    def _step_lanes(self, lane_modules: list[dict], rows: list[int],
+                    losses: list, xs: list, ys: list) -> tuple:
+        """Forward, loss and backward of the bound lanes; their gradient
+        rows and extra state go back to the lanes.  Returns the stacked
+        output and the per-lane losses."""
         program = self._program
         grads = program.bind(lane_modules, self.stacks.param[rows], training=True)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = program.model.forward(np.stack(xs))
             lane_losses = [loss.forward(out[lane], ys[lane])
                            for lane, loss in enumerate(losses)]
-            program.model.backward(np.stack([loss.backward() for loss in losses]))
+            with input_grad_dropped(program.model,
+                                    [modules[""] for modules in lane_modules]):
+                program.model.backward(
+                    np.stack([loss.backward() for loss in losses]))
         self.stacks.grad[rows] = grads
         program.hand_back_extra_state()
-        # Metrics outside the errstate scope, mirroring device_step.
-        results = []
-        lane = 0
-        for trainer, _iteration in entries:
-            total_loss = 0.0
-            total_acc = 0.0
-            for _d in range(trainer.num_devices):
-                total_loss += float(lane_losses[lane])
-                total_acc += float(trainer.spec.metric(out[lane], ys[lane]))
-                lane += 1
-            trainer.backend.reduce_fused()
-            results.append((total_loss / trainer.num_devices,
-                            total_acc / trainer.num_devices))
-        return results
+        return out, lane_losses
 
     def forward_caches(self, trainer, device: int):
         """``(program model, lane)`` while the program replica still holds
@@ -272,8 +286,8 @@ class LaneGroup:
     # ------------------------------------------------------------------
     def evaluate_many(self, trainers: list) -> list[float]:
         """Lane form of ``SyncDataParallelTrainer.evaluate`` for the
-        trainers' eval-device lanes: same chunking, same per-chunk metric
-        and weight accumulation, one stacked forward per chunk."""
+        trainers' eval-device lanes: the same chunks, one stacked forward
+        per chunk, scored by each trainer's ``spec.test_score``."""
         if not self.vectorized:
             return [trainer.evaluate() for trainer in trainers]
         batch = trainers[0].spec.batch_size
@@ -292,21 +306,14 @@ class LaneGroup:
         self._program.bind(
             [m.modules[t.eval_device] for m, t in zip(members, trainers)],
             self.stacks.param[rows], training=False)
-        metrics: list[list] = [[] for _ in trainers]
-        weights: list[int] = []
+        outputs = []
         for start in range(0, n, batch):
             x_stack = np.stack([
                 t.spec.test_data.inputs[start:start + batch] for t in trainers])
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = self._program.model.forward(x_stack)
-            for lane, trainer in enumerate(trainers):
-                y = trainer.spec.test_data.targets[start:start + batch]
-                metrics[lane].append(trainer.spec.metric(out[lane], y))
-            weights.append(x_stack.shape[1])
-        return [
-            float(np.average(m, weights=weights)) if m else 0.0
-            for m in metrics
-        ]
+                outputs.append(self._program.model.forward(x_stack))
+        return [trainer.spec.test_score([out[lane] for out in outputs])
+                for lane, trainer in enumerate(trainers)]
 
 
 class BatchedBackend(InProcessBackend):

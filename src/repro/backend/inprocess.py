@@ -14,8 +14,10 @@ forward / loss / backward depends on the model, not on a setting:
   ``tests/conftest.py::forced_solo`` sends lane-native models down it to
   pin lane == solo bytes.
 
-The reduction after either is the same code (scratch pre-allocated):
-:meth:`reduce_fused` over the trainer's arenas.
+Either computes only the devices the backend was not ``given`` a
+reference share for, and ends in the same code (scratch pre-allocated):
+:meth:`settle`, whose :meth:`reduce_fused` runs over the trainer's
+arenas.
 """
 
 from __future__ import annotations
@@ -59,9 +61,7 @@ class InProcessBackend(ExecutionBackend):
     def step(self, iteration: int) -> tuple[float, float]:
         if self.group.vectorized:
             return self.group.compute_block([(self.trainer, iteration)])[0]
-        result = self.step_devices(iteration)
-        self.reduce_fused()
-        return result
+        return self.step_devices(iteration)
 
     def forward_caches(self, device: int):
         if self.group.vectorized:

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.backend.base import DeviceShare
 from repro.backend.batched import BatchedBackend, LaneGroup, run_lockstep
 from repro.core.analysis.classify import (
     ClassifierThresholds,
@@ -43,8 +44,10 @@ from repro.core.analysis.propagation import (
 )
 from repro.core.analysis.report import inference_report_dict
 from repro.core.faults.hardware import (
+    COMM,
     FORWARD,
     SITE_KINDS,
+    WEIGHT_UPDATE,
     HardwareFault,
     enumerate_sites,
     module_at,
@@ -207,10 +210,20 @@ class Campaign:
         #: that device's replica; filled on first use (the reference run
         #: itself evaluates device 0 only).
         self._golden_test: dict[tuple[int, int], float] = {}
+        #: Fault iteration t -> the reference run's per-device shares of
+        #: iteration t, kept for every t of the injection window: an
+        #: experiment that starts at rung t steps only the devices its
+        #: fault can change and takes the rest from here.
+        self._shares: dict[int, list[DeviceShare]] = {}
         #: Algorithm 1 bounds shared by every experiment's detector.
         self._bounds: DetectionBounds | None = None
         self._site_model = None
         self.reference: ConvergenceRecord | None = None
+        #: The trainers experiments run on, built once and restored into
+        #: per experiment (DESIGN.md decision 25): first the reference
+        #: run's own trainer, then a pool on one LaneGroup once a lease
+        #: of several experiments needs one.
+        self._trainers: list[SyncDataParallelTrainer] = []
 
     # ------------------------------------------------------------------
     # Config round-trip (replay)
@@ -282,15 +295,12 @@ class Campaign:
     # ------------------------------------------------------------------
     # Baseline preparation
     # ------------------------------------------------------------------
-    def _new_trainer(self, eval_device: int = 0, tracer=None,
-                     backend=None) -> SyncDataParallelTrainer:
+    def _new_trainer(self, backend=None) -> SyncDataParallelTrainer:
         return SyncDataParallelTrainer(
             self.spec,
             num_devices=self.num_devices,
             seed=self.seed,
             test_every=self.test_every,
-            eval_device=eval_device,
-            tracer=tracer,
             backend=self.backend if backend is None else backend,
         )
 
@@ -305,16 +315,21 @@ class Campaign:
 
         The reference continuation over the horizon is the only place
         golden iterations are computed: it leaves a rung at every
-        boundary :attr:`_rungs` names.  With ``detect`` it carries the
-        detector the experiments carry, so a firing on fault-free state
-        (an Algorithm 1 false positive) is seen here."""
+        boundary :attr:`_rungs` names, and each device's share of every
+        injection-window iteration (:attr:`_shares`).  With ``detect``
+        it carries the detector the experiments carry, so a firing on
+        fault-free state (an Algorithm 1 false positive) is seen here.
+        Its trainer is the one later experiments run on, until a lease of
+        several needs a pool."""
         if self._snapshot is not None:
             return
         self._ensure_site_model()
         warm, end = self.warmup_iterations, self._end
+        window = range(warm, warm + self.inject_window)
         trainer = self._new_trainer()
         keep = set(range(warm, warm + self.inject_window + 1))
         keep.update(t + 1 for t in range(warm, end) if trainer.test_due(t))
+        kept: dict[int, list[DeviceShare]] = {}
         try:
             trainer.train(warm)
             if self.detect:
@@ -327,11 +342,22 @@ class Campaign:
                         training_state_digest(trainer))
                 if boundary == end or trainer.halted:
                     break
+                trainer.backend.kept = kept.setdefault(boundary, []) \
+                    if boundary in window else None
                 trainer.train(1)
-            self._golden_sha256 = training_state_digest(trainer)
-            self.reference = trainer.record
-        finally:
+            trainer.backend.kept = None
+        except BaseException:
             trainer.close()
+            raise
+        self._golden_sha256 = training_state_digest(trainer)
+        self.reference = trainer.record
+        # The forward's BatchNorm statistics are the next rung's: one copy.
+        for t, (shares,) in kept.items():
+            if t + 1 in self._rungs:
+                extra = self._rungs[t + 1].checkpoint.extra
+                self._shares[t] = [share._replace(extra=extra[device])
+                                   for device, share in enumerate(shares)]
+        self._trainers = [trainer]
         self._snapshot = self._rungs[warm].checkpoint
 
     def _golden_reuse(self) -> bool:
@@ -351,9 +377,8 @@ class Campaign:
         ``trainer``'s ``eval_device``.  A score not seen before is
         computed by putting the rung after ``t`` into ``trainer`` — the
         caller is about to overwrite that state, or is done with it —
-        and calling its ordinary ``evaluate()``: one replica's eval
-        caches at a time, where evaluating every device while the
-        reference trains would hold all D at once."""
+        and calling its ordinary ``evaluate()``, where evaluating every
+        device while the reference trains would cost D forwards."""
         key = (t, trainer.eval_device)
         if key not in self._golden_test:
             self._rungs[t + 1].checkpoint.restore(trainer)
@@ -377,30 +402,62 @@ class Campaign:
         return fault
 
     def _launch(self, fault: HardwareFault, tracer,
-                backend=None) -> _Experiment:
-        """Build one experiment's trainer at the latest golden boundary
+                trainer: SyncDataParallelTrainer) -> _Experiment:
+        """Put one experiment on ``trainer`` at the latest golden boundary
         not after its fault iteration ``t``: rung ``t`` itself when reuse
         is allowed and the rung exists, else the warm-up rung.  Record
         and tracer receive the reference run's rows for the iterations
         skipped — before the rung goes in, because a test point among
-        them is scored through this trainer."""
+        them is scored through this trainer.  Started at rung ``t``, the
+        step of ``t`` computes only the fault's device — none for a
+        ``comm`` or ``weight_update`` fault, which strikes after the
+        device step — and takes every other device's share from the
+        reference run."""
         warm, t = self.warmup_iterations, fault.iteration
-        reuse = self._golden_reuse()
-        start = t if reuse and t in self._rungs else warm
-        trainer = self._new_trainer(eval_device=fault.device, tracer=tracer,
-                                    backend=backend)
+        reuse = self._golden_reuse() and t in self._rungs
+        start = t if reuse else warm
+        trainer.reset_run(eval_device=fault.device, tracer=tracer)
         trainer.adopt_iterations(
             self.reference, warm, start,
             lambda at: self._golden_test_score(trainer, at))
         self._rungs[start].checkpoint.restore(trainer)
+        if reuse and t in self._shares:
+            stepped = () if fault.site.kind in (COMM, WEIGHT_UPDATE) \
+                else (fault.device,)
+            trainer.backend.given = {
+                device: share for device, share in enumerate(self._shares[t])
+                if device not in stepped}
         injector = FaultInjector(fault)
         trainer.add_hook(injector)
         detector = None
         if self.detect:
             detector = HardwareFailureDetector(self._bounds)
             trainer.add_hook(detector)
-        check = t + 1 if reuse and start == t and t + 1 in self._rungs else None
+        check = t + 1 if reuse and t + 1 in self._rungs else None
         return _Experiment(fault, trainer, injector, detector, check)
+
+    def _trainers_for(self, count: int) -> list[SyncDataParallelTrainer]:
+        """``count`` trainers for one lease, built only when the campaign
+        has fewer: one on the campaign's backend, or a pool of at least
+        ``experiment_batch`` sharing one LaneGroup (rebuilt larger if a
+        lease outgrows it)."""
+        if len(self._trainers) < count:
+            self._discard()
+            if count == 1:
+                self._trainers = [self._new_trainer()]
+            else:
+                size = max(count, self.experiment_batch)
+                group = LaneGroup(capacity=size)
+                self._trainers = [
+                    self._new_trainer(backend=BatchedBackend(group=group))
+                    for _ in range(size)]
+        return self._trainers[:count]
+
+    def _discard(self) -> None:
+        """Close the campaign's trainers; the next lease builds new ones."""
+        for trainer in self._trainers:
+            trainer.close()
+        self._trainers = []
 
     @property
     def _end(self) -> int:
@@ -460,9 +517,10 @@ class Campaign:
         event sink (``None``: untraced).  Only how the trainers advance
         depends on how many there are."""
         self.prepare()
-        # One experiment steps its own devices on the campaign's backend;
-        # several share a LaneGroup and advance in lockstep.
-        group = LaneGroup(capacity=len(faults)) if len(faults) > 1 else None
+        trainers = self._trainers_for(len(faults))
+        # One experiment steps its own devices on its backend; several
+        # share a LaneGroup and advance in lockstep.
+        group = trainers[0].backend.group if len(faults) > 1 else None
 
         def advance(trainers, budgets) -> None:
             if group is None:
@@ -470,10 +528,9 @@ class Campaign:
             else:
                 run_lockstep(group, trainers, budgets)
 
-        exps = [self._launch(fault, sink, None if group is None
-                             else BatchedBackend(group=group))
-                for fault, sink in zip(faults, sinks, strict=True)]
         try:
+            exps = [self._launch(fault, sink, trainer) for fault, sink, trainer
+                    in zip(faults, sinks, trainers, strict=True)]
             advance([exp.trainer for exp in exps],
                     [self._first_budget(exp) for exp in exps])
             unmasked = [exp for exp in exps if not self._splice(exp)]
@@ -482,9 +539,10 @@ class Campaign:
                 advance(live, [self._end - t.iteration for t in live])
             for exp in unmasked:
                 exp.arena_sha256 = training_state_digest(exp.trainer)
-        finally:
-            for exp in exps:
-                exp.trainer.close()
+        except BaseException:
+            # Hooks may be left armed mid-iteration: never reuse these.
+            self._discard()
+            raise
         reports = classify_outcomes(
             [exp.trainer.record for exp in exps], self.reference,
             [fault.iteration for fault in faults], self.thresholds)
@@ -707,6 +765,9 @@ class InferenceCampaign:
         self.spec = spec
         self.session = InferenceSession(spec, seed, train_iterations,
                                         num_devices)
+        #: The ``batch`` the golden pass was taken over (``None``: none
+        #: yet, or one over other inputs).
+        self._golden_batch: int | None = None
 
     @property
     def model(self):
@@ -731,6 +792,7 @@ class InferenceCampaign:
         forward keeps), and each site module's forward-hook tensor (what
         a fault at that site rewrites); and what it is judged against:
         each image's golden top-1."""
+        self._golden_batch = None
         self._golden_sites: dict[str, np.ndarray] = {}
 
         def keep(name: str):
@@ -739,8 +801,6 @@ class InferenceCampaign:
                 return tensor
             return hook
 
-        # The session keeps the model in eval mode; a caller may not have.
-        self.model.eval()
         self._golden_top1 = top1(self._forward(
             {site.module_name: keep(site.module_name)
              for site in enumerate_sites(self.model, (FORWARD,))}, inputs))
@@ -840,12 +900,18 @@ class InferenceCampaign:
             parallel: int = 1, store=None, resume: bool = False,
             timeout: float | None = None, max_retries: int = 2,
             on_progress=None) -> dict:
-        """Inject ``num_experiments`` forward-pass faults and report SDC
-        rates; engine keywords behave as in :meth:`Campaign.run`."""
+        """Inject ``num_experiments`` forward-pass faults into the first
+        ``batch`` inputs and report SDC rates; engine keywords behave as
+        in :meth:`Campaign.run`.  The golden pass over those inputs is
+        taken once: a later run over the same ``batch`` reuses it."""
         rng = np.random.default_rng(seed)
         faults = [sample_forward_fault(self.model, rng)
                   for _ in range(int(num_experiments))]
-        self._golden_pass(self.session.inputs[:batch])
+        # The session keeps the model in eval mode; a caller may not have.
+        self.model.eval()
+        if self._golden_batch != batch:
+            self._golden_pass(self.session.inputs[:batch])
+            self._golden_batch = batch
         report = _submit(
             self._engine_runner, faults, kind="inference",
             meta={"workload": self.spec.name, "seed": int(seed),

@@ -100,6 +100,19 @@ class SyncDataParallelTrainer:
     def add_hook(self, hook) -> None:
         self.hooks.append(hook)
 
+    def reset_run(self, eval_device: int = 0, tracer=None) -> None:
+        """Start a new run on this trainer: no hooks, an empty record,
+        ``eval_device`` and ``tracer`` (``None``: untraced) — everything a
+        run keeps that :meth:`Checkpoint.restore
+        <repro.training.checkpoints.Checkpoint.restore>`, which the caller
+        does next, does not put back."""
+        self.eval_device = int(eval_device)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.hooks = []
+        self.record = ConvergenceRecord()
+        self._just_recovered = False
+        self.backend.given = {}
+
     def _dispatch(self, event: str, *args) -> None:
         for hook in self.hooks:
             fn = getattr(hook, event, None)
@@ -137,25 +150,30 @@ class SyncDataParallelTrainer:
         Eval mode makes BatchNorm use its *moving* statistics — the path
         through which a faulty mvar degrades test accuracy while training
         accuracy (batch statistics) looks normal (LowTestAccuracy).
+
+        The ``eval_device`` score of a trainer whose lanes step through a
+        program replica is computed there
+        (:meth:`~repro.backend.batched.LaneGroup.evaluate_many`, the same
+        bytes by DESIGN.md decision 16), so whichever device a campaign
+        evaluates, the eval caches are the program replica's one set.
         """
-        device = self.eval_device if device is None else device
+        group = getattr(self.backend, "group", None)
+        if (device is None or device == self.eval_device) \
+                and group is not None and group.vectorized:
+            return group.evaluate_many([self])[0]
+        return self._evaluate_replica(self.eval_device if device is None
+                                      else device)
+
+    def _evaluate_replica(self, device: int) -> float:
+        """:meth:`evaluate` on ``device``'s own replica instance."""
         model = self.replicas[device]
         model.eval()
-        data = self.spec.test_data
-        batch = self.spec.batch_size
-        metrics = []
-        weights = []
-        for start in range(0, len(data), batch):
-            x = data.inputs[start : start + batch]
-            y = data.targets[start : start + batch]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = model.forward(x)
-            metrics.append(self.spec.metric(out, y))
-            weights.append(len(x))
+        inputs, batch = self.spec.test_data.inputs, self.spec.batch_size
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            outputs = [model.forward(inputs[start:start + batch])
+                       for start in range(0, len(inputs), batch)]
         model.train()
-        if not metrics:
-            return 0.0
-        return float(np.average(metrics, weights=weights))
+        return self.spec.test_score(outputs)
 
     # ------------------------------------------------------------------
     # Condition probes (the quantities the detector bounds)

@@ -83,6 +83,16 @@ def col2im(
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
+    if kh == kw == 1:
+        # One tap: each patch value lands on a pixel of its own, so the
+        # fold is the values added onto +0.0 (which, as the tap-plane sum
+        # below does, turns a -0.0 into +0.0), placed at the stride.
+        img = np.zeros((n, c, oh, ow), dtype=np.float32)
+        img += col.reshape(n, oh, ow, c).astype(np.float32, copy=False).transpose(0, 3, 1, 2)
+        if (oh, ow) != (hp, wp):
+            block, img = img, np.zeros((n, c, hp, wp), dtype=np.float32)
+            img[:, :, : stride * oh : stride, : stride * ow : stride] = block
+        return img if padding == 0 else img[:, :, padding : padding + h, padding : padding + w]
     hr, wr = -(-hp // stride), -(-wp // stride)
     # Padded pixel (y, x) lives in phase (y % stride, x % stride) at
     # (y // stride, x // stride), so tap (i, j) of every patch lands in one
@@ -203,6 +213,8 @@ class Conv2D(Module):
         self.weight.grad += dw
         if self.use_bias:
             self.bias.grad += g2.sum(axis=-2).astype(np.float32, copy=False)
+        if not self.wants_input_grad:
+            return None
         w_row = self.weight.data.reshape(*lanes, self.out_channels, -1)
         dcol = config.matmul(g2, w_row).astype(np.float32, copy=False)
         dx = col2im(dcol.reshape(-1, dcol.shape[-1]), self._folded_shape,

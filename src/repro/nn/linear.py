@@ -72,6 +72,8 @@ class Dense(Module):
         if self.use_bias:
             db = g2.sum(axis=-2).astype(np.float32, copy=False)
             self.bias.grad += db
+        if not self.wants_input_grad:
+            return None
         dx = config.matmul(grad, self.weight.data.swapaxes(-1, -2)).astype(np.float32, copy=False)
         return self.apply_fault_hook("input_grad", dx)
 

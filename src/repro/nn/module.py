@@ -51,6 +51,7 @@ containing any undeclared module type steps device by device instead.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterator
 
 import numpy as np
@@ -105,6 +106,12 @@ class Module:
     #: Set to ``True`` in the class body of a layer whose kernels accept a
     #: leading lane axis (see the module docstring); not inherited.
     lane_native = False
+
+    #: Whether ``backward`` must return the input gradient.  Only
+    #: :func:`input_grad_dropped` clears it, on a model's input layer for
+    #: one backward whose result nobody reads; a layer may then return
+    #: ``None``.
+    wants_input_grad = True
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
@@ -306,6 +313,35 @@ class Module:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         children = ", ".join(self._modules)
         return f"{type(self).__name__}({children})"
+
+
+def input_layer(model: Module) -> Module:
+    """The layer that takes ``model``'s input and whose input gradient
+    ``model.backward`` returns: layer 0 of a plain :class:`Sequential`,
+    recursively, else ``model`` itself."""
+    while type(model) is Sequential and model.layers:
+        model = model.layers[0]
+    return model
+
+
+@contextmanager
+def input_grad_dropped(model: Module, replicas: list[Module]):
+    """Around a ``model.backward`` whose result the caller discards: the
+    model's input layer computes no input gradient, unless one of
+    ``replicas`` — the roots whose fault hooks apply to this backward
+    (``model`` itself, or the lane replicas a lane program runs for) —
+    has an ``input_grad`` hook armed on its input layer, which must then
+    see the tensor it always saw."""
+    if any(input_layer(replica)._fault_hooks["input_grad"] is not None
+           for replica in replicas):
+        yield
+        return
+    layer = input_layer(model)
+    layer.wants_input_grad = False
+    try:
+        yield
+    finally:
+        del layer.wants_input_grad
 
 
 class Sequential(Module):

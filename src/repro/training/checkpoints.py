@@ -40,8 +40,14 @@ class Checkpoint:
         #: The arena's ``name -> ArenaEntry`` index every buffer below is
         #: addressed by.
         self.layout = arenas[0].index
-        #: One fused parameter buffer per replica.
-        self.param_bufs = [arena.param.copy() for arena in arenas]
+        #: One fused parameter buffer per replica.  A replica whose bytes
+        #: are replica 0's — every replica at an iteration boundary, where
+        #: the broadcast made them so — shares replica 0's copy.
+        first = arenas[0].param.copy()
+        self.param_bufs = [first] + [
+            first if np.array_equal(arena.param.view(np.uint32),
+                                    first.view(np.uint32))
+            else arena.param.copy() for arena in arenas[1:]]
         # Per replica: [(module_name, {key: copy}), ...] over the arena's
         # cached stateful-module list — the hot path of per-iteration
         # capture, so no module-tree walk and no intermediate dicts.
@@ -98,7 +104,8 @@ class Checkpoint:
         trainer.iteration = self.iteration
 
     def nbytes(self) -> int:
-        """Snapshot size: every buffer and every extra-state array."""
+        """Snapshot size: every buffer (a shared one once per replica)
+        and every extra-state array."""
         total = sum(buf.nbytes for buf in self.param_bufs)
         total += sum(buf.nbytes for buf in self.opt_slots.values())
         total += sum(value.nbytes for replica in self.extra

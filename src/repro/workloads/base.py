@@ -52,6 +52,17 @@ class WorkloadSpec:
     def build_optimizer(self, params: list[Parameter]) -> Optimizer:
         return self.optimizer_fn(params)
 
+    def test_score(self, outputs: list[np.ndarray]) -> float:
+        """The test metric of an eval-mode pass over :attr:`test_data` in
+        ``batch_size`` chunks, given each chunk's output in order: the
+        chunks' metrics averaged, weighted by chunk size."""
+        batch, targets = self.batch_size, self.test_data.targets
+        metrics = [self.metric(out, targets[k * batch:k * batch + len(out)])
+                   for k, out in enumerate(outputs)]
+        if not metrics:
+            return 0.0
+        return float(np.average(metrics, weights=[len(out) for out in outputs]))
+
     def config_dict(self) -> dict:
         """What :func:`~repro.workloads.build_workload` rebuilds this spec
         from, under the names a campaign or inference store's config

@@ -69,6 +69,33 @@ def oracle_col2im(col, input_shape, kh, kw, stride, padding):
     return img[:, :, padding : padding + h, padding : padding + w]
 
 
+def oracle_tap_plane_col2im(col, input_shape, kh, kw, stride, padding):
+    """The tap-plane ``col2im`` body, which the one-tap (1x1) fold replaced."""
+    n, c, h, w = input_shape
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    hr, wr = -(-hp // stride), -(-wp // stride)
+    taps = np.zeros((kh * kw, n, c, hr, wr), dtype=np.float32)
+    taps[..., :oh, :ow] = col.reshape(n, oh, ow, c, kh * kw).transpose(4, 0, 3, 1, 2)
+    phases = np.zeros((min(stride, kh), min(stride, kw), n, c, hr, wr), dtype=np.float32)
+    flat = phases.reshape(*phases.shape[:2], -1)
+    for i in range(kh):
+        for j in range(kw):
+            block = flat[i % stride, j % stride, i // stride * wr + j // stride :]
+            block += taps[i * kw + j].reshape(-1)[: block.size]
+    if stride == 1:
+        img = phases[0, 0]
+    else:
+        img = np.zeros((n, c, hp, wp), dtype=np.float32)
+        for a, b in np.ndindex(phases.shape[:2]):
+            part = img[:, :, a::stride, b::stride]
+            part[...] = phases[a, b, :, :, : part.shape[2], : part.shape[3]]
+    if padding == 0:
+        return img
+    return img[:, :, padding : padding + h, padding : padding + w]
+
+
 class OracleConv2D(nn.Conv2D):
     def forward(self, x):
         lanes, (n, c, h, w) = x.shape[:-4], x.shape[-4:]
@@ -302,6 +329,21 @@ def test_col2im_matches_oracle(win, n, c, regime, seed):
         got = col2im(col, (n, c, h, w), k, k, stride, padding)
         expected = oracle_col2im(col, (n, c, h, w), k, k, stride, padding)
     assert_same(got, expected, "col2im", nan_payload=False)
+
+
+@FAST
+@given(stride=st.integers(1, 3), padding=st.integers(0, 2), n=st.integers(1, 9),
+       c=st.integers(1, 5), h=st.integers(1, 7), w=st.integers(1, 7),
+       regime=REGIMES, seed=st.integers(0, 2**16))
+def test_one_tap_col2im_matches_tap_plane(stride, padding, n, c, h, w, regime, seed):
+    """The 1x1 fold against the tap-plane body it replaced: raw bytes,
+    NaN payloads included (one tap, one add per pixel)."""
+    rows = n * conv_output_size(h, 1, stride, padding) * conv_output_size(w, 1, stride, padding)
+    col = values(np.random.default_rng(seed), (rows, c), regime)
+    with np.errstate(all="ignore"):
+        got = col2im(col, (n, c, h, w), 1, 1, stride, padding)
+        expected = oracle_tap_plane_col2im(col, (n, c, h, w), 1, 1, stride, padding)
+    assert_same(got, expected, "one-tap col2im")
 
 
 def test_pooling_layers_still_fold_through_im2col(rng):
