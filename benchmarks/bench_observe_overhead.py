@@ -8,10 +8,6 @@ iteration of training.  Measured here, on the 8-device trainer:
   attached vs the default :data:`~repro.observe.NULL_TRACER` — asserted
   to cost **<=5%** per iteration (interleaved best-of-N runs, so slow
   drift in machine load cancels);
-* the same comparison with the telemetry service's
-  :class:`~repro.observe.TelemetrySampler` thread *also* running at a
-  fast interval (the ``--serve`` configuration) — the whole telemetry
-  stack must fit inside the same <=5% budget;
 * micro-costs of the primitives themselves: one enabled ``emit``, one
   disabled ``emit`` (the campaign-default fast path), and one counter
   increment (what a serving engine pays per request).
@@ -29,8 +25,7 @@ import time
 
 from _report import emit, header, paper_vs_measured, table, write_artifact
 from repro.distributed import SyncDataParallelTrainer
-from repro.engine import ProgressTracker
-from repro.observe import NULL_TRACER, Counter, TelemetrySampler, Tracer
+from repro.observe import NULL_TRACER, Counter, Tracer
 from repro.workloads import build_workload
 
 NUM_DEVICES = 8
@@ -62,9 +57,9 @@ def _run_ips(spec, tracer, num_devices: int, warmup: int,
 
 def _end_to_end(num_devices: int = NUM_DEVICES, warmup: int = WARMUP_ITERATIONS,
                 iterations: int = MEASURED_ITERATIONS, repeats: int = REPEATS):
-    """Interleaved best-of-N traced vs untraced vs sampler-served runs."""
+    """Interleaved best-of-N traced vs untraced runs."""
     spec = build_workload("resnet", size="tiny", seed=0)
-    traced_ips, untraced_ips, sampled_ips = 0.0, 0.0, 0.0
+    traced_ips, untraced_ips = 0.0, 0.0
     tracer = Tracer()
     for _ in range(repeats):
         tracer.clear()
@@ -72,25 +67,8 @@ def _end_to_end(num_devices: int = NUM_DEVICES, warmup: int = WARMUP_ITERATIONS,
                          _run_ips(spec, tracer, num_devices, warmup, iterations))
         untraced_ips = max(untraced_ips,
                            _run_ips(spec, None, num_devices, warmup, iterations))
-        # The --serve configuration: live tracer plus the telemetry
-        # sampler thread snapshotting a campaign's state at a fast
-        # interval (10x faster than the CLI default, so the budget holds
-        # with margin).
-        tracer.clear()
-        tracker = ProgressTracker(total=iterations)
-        sampler = TelemetrySampler(lambda: tracker.snapshot().sample(),
-                                   interval=0.1)
-        sampler.start()
-        try:
-            sampled_ips = max(
-                sampled_ips,
-                _run_ips(spec, tracer, num_devices, warmup, iterations))
-        finally:
-            sampler.stop(final_sample=False)
     overhead = untraced_ips / traced_ips - 1.0
-    sampled_overhead = untraced_ips / sampled_ips - 1.0
-    return (traced_ips, untraced_ips, overhead, len(tracer),
-            sampled_ips, sampled_overhead)
+    return traced_ips, untraced_ips, overhead, len(tracer)
 
 
 def _per_call(fn, calls: int = 20000, repeats: int = 5) -> float:
@@ -122,7 +100,6 @@ def _micro_costs() -> list[dict]:
 
 
 def _report_and_check(traced_ips, untraced_ips, overhead, events,
-                      sampled_ips, sampled_overhead,
                       num_devices, iterations, repeats=REPEATS,
                       smoke=False) -> None:
     header(f"repro.observe — tracing overhead ({num_devices} devices, "
@@ -132,14 +109,9 @@ def _report_and_check(traced_ips, untraced_ips, overhead, events,
          "iterations_per_s": untraced_ips},
         {"configuration": f"live Tracer ({events} events buffered)",
          "iterations_per_s": traced_ips},
-        {"configuration": "live Tracer + telemetry sampler (--serve)",
-         "iterations_per_s": sampled_ips},
     ])
     emit()
     emit(f"per-iteration tracing overhead: {overhead * 100.0:+.2f}% "
-         f"(budget: <={OVERHEAD_CEILING * 100.0:.0f}%)")
-    emit(f"tracing + sampler overhead:     "
-         f"{sampled_overhead * 100.0:+.2f}% "
          f"(budget: <={OVERHEAD_CEILING * 100.0:.0f}%)")
     emit()
     table(_micro_costs(), floatfmt="{:.0f}")
@@ -148,10 +120,8 @@ def _report_and_check(traced_ips, untraced_ips, overhead, events,
         "observability must not perturb the measured system (the paper's "
         "per-iteration statistics are collected on every experiment)",
         "telemetry cost indistinguishable from run-to-run noise",
-        f"{overhead * 100.0:+.2f}% per iteration with a live tracer, "
-        f"{sampled_overhead * 100.0:+.2f}% with the telemetry service",
-        overhead <= OVERHEAD_CEILING
-        and sampled_overhead <= OVERHEAD_CEILING,
+        f"{overhead * 100.0:+.2f}% per iteration with a live tracer",
+        overhead <= OVERHEAD_CEILING,
     )
     write_artifact("observe_overhead", {
         "num_devices": num_devices,
@@ -159,19 +129,12 @@ def _report_and_check(traced_ips, untraced_ips, overhead, events,
         "repeats": repeats,
         "untraced_iterations_per_s": untraced_ips,
         "traced_iterations_per_s": traced_ips,
-        "sampled_iterations_per_s": sampled_ips,
         "overhead_fraction": overhead,
-        "sampler_overhead_fraction": sampled_overhead,
         "budget_fraction": OVERHEAD_CEILING,
         "events_buffered": events,
     }, smoke=smoke)
     assert overhead <= OVERHEAD_CEILING, (
         f"tracing overhead {overhead * 100.0:.2f}% exceeds the "
-        f"{OVERHEAD_CEILING * 100.0:.0f}% per-iteration budget"
-    )
-    assert sampled_overhead <= OVERHEAD_CEILING, (
-        f"tracing + telemetry-sampler overhead "
-        f"{sampled_overhead * 100.0:.2f}% exceeds the "
         f"{OVERHEAD_CEILING * 100.0:.0f}% per-iteration budget"
     )
 

@@ -10,9 +10,7 @@ injection, evaluate the technique) as subcommands::
     python -m repro inject resnet --kind comm --bit 30 --iteration 20
     python -m repro campaign resnet --experiments 40
     python -m repro campaign resnet --experiments 400 --parallel 4 \\
-        --store results.jsonl --resume --progress-every 20 --trace --detect
-    python -m repro campaign resnet --experiments 400 --parallel 4 \\
-        --store results.jsonl --serve 9100 --slo slo_rules.json
+        --store results.jsonl --resume --trace --detect
     python -m repro report results.jsonl [--json]
     python -m repro monitor results.jsonl --follow
     python -m repro monitor results.jsonl --once --slo slo_rules.json
@@ -173,20 +171,6 @@ def cmd_inject(args) -> int:
     return 0
 
 
-def _progress_printer(every: int):
-    """Progress callback printing a status line every ``every`` completions."""
-    if every <= 0:
-        return None
-    last = [0]
-
-    def on_progress(snapshot):
-        if snapshot.done - last[0] >= every or snapshot.complete:
-            last[0] = snapshot.done
-            print(snapshot.status_line(), file=sys.stderr, flush=True)
-
-    return on_progress
-
-
 def _slo_exit(breached: list[str]) -> int:
     """The one exit gate: 1, and one line on stderr, iff a critical SLO
     rule fired at any point of the watch (``SLOEngine.breached()``)."""
@@ -210,68 +194,28 @@ def cmd_campaign(args) -> int:
         print("--experiment-batch requires --backend batched",
               file=sys.stderr)
         return 2
-    if args.serve is not None and not args.store:
-        print("--serve requires --store (the telemetry series is "
-              "persisted next to it)", file=sys.stderr)
-        return 2
-    if args.slo and args.serve is None:
-        print("--slo requires --serve (rules evaluate over the live "
-              "telemetry series)", file=sys.stderr)
-        return 2
-
-    telemetry = None
-    engines = []  # filled by Campaign.run once the engine exists
-    if args.serve is not None:
-        from repro.engine import CampaignState
-        from repro.observe.slo import load_rules
-        from repro.serve import TelemetryService
-
-        def sample():
-            """The live engine's state; an empty one until it runs."""
-            state = engines[0].progress() if engines else None
-            return (state or CampaignState(total=None)).sample()
-
-        telemetry = TelemetryService(
-            sample,
-            rules=load_rules(args.slo) if args.slo else [],
-            store_path=args.store, port=args.serve,
-            interval=args.serve_interval,
-            meta={"workload": args.workload, "store": args.store})
-        telemetry.start()
-        print(f"telemetry: serving on {telemetry.url}", flush=True)
 
     spec = build_workload(args.workload, size=args.size, seed=args.seed)
     campaign = Campaign(spec, num_devices=args.devices, seed=args.seed,
                         test_every=max(spec.iterations // 6, 1),
                         detect=args.detect, backend=args.backend,
                         experiment_batch=args.experiment_batch)
-    try:
-        result = campaign.run(
-            args.experiments, seed=args.campaign_seed,
-            parallel=args.parallel, store=args.store, resume=args.resume,
-            timeout=args.timeout, max_retries=args.retries,
-            on_progress=_progress_printer(args.progress_every),
-            on_engine=engines.append,
-            trace=args.trace)
-    finally:
-        if telemetry is not None:
-            telemetry.stop()
+    result = campaign.run(
+        args.experiments, seed=args.campaign_seed, parallel=args.parallel,
+        store=args.store, resume=args.resume, timeout=args.timeout,
+        max_retries=args.retries, trace=args.trace)
     print(render_campaign(campaign_report_dict(result.payloads), args.workload))
     report = result.engine_report
+    rate = report.executed / report.elapsed if report.elapsed else 0.0
     print(f"engine: {report.executed} executed, {report.skipped} resumed, "
           f"{len(report.quarantined)} quarantined, {report.retries} "
-          f"retries in {report.elapsed:.1f}s "
-          f"({report.snapshot.throughput:.2f} exp/s, "
+          f"retries in {report.elapsed:.1f}s ({rate:.2f} exp/s, "
           f"{args.parallel} worker{'s' if args.parallel != 1 else ''})")
     if args.store:
         print(f"result store: {args.store}")
     if report.trace_path is not None:
         print(f"campaign trace: {report.trace_path}")
-    if telemetry is None:
-        return 0
-    print(f"telemetry series: {telemetry.series_path} "
-          f"({telemetry.sampler.samples_taken} samples)")
-    return _slo_exit(telemetry.slo.breached())
+    return 0
 
 
 def cmd_report(args) -> int:
@@ -646,10 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--retries", type=int, default=2,
                           help="retries before quarantining an experiment "
                                "(default: 2)")
-    campaign.add_argument("--progress-every", type=int, default=0,
-                          metavar="N",
-                          help="print a progress/telemetry line to stderr "
-                               "every N completed experiments (default: off)")
     campaign.add_argument("--trace", action="store_true",
                           help="flight recorder: stream every worker's "
                                "events into trace shards next to --store, "
@@ -658,20 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="attach the Sec. 5.1 detector (observe-only) "
                                "to every experiment so detector_fired "
                                "events land in the campaign trace")
-    campaign.add_argument("--serve", type=int, metavar="PORT",
-                          help="serve live telemetry (/metrics /healthz "
-                               "/progress /alerts) on 127.0.0.1:PORT while "
-                               "the campaign runs (0 = ephemeral port); "
-                               "requires --store")
-    campaign.add_argument("--serve-interval", type=float, default=1.0,
-                          metavar="S",
-                          help="telemetry sampling interval in seconds "
-                               "(default: 1)")
-    campaign.add_argument("--slo", metavar="RULES.json",
-                          help="declarative SLO rules evaluated over the "
-                               "live series; a sustained critical breach "
-                               "makes the campaign exit nonzero "
-                               "(requires --serve)")
     campaign.set_defaults(func=cmd_campaign)
 
     report = sub.add_parser("report",

@@ -67,6 +67,7 @@ from repro.engine import (
     WorkUnit,
     experiment_key,
 )
+from repro.engine.store import config_difference
 from repro.nn.losses import top1
 from repro.state import training_state_digest
 from repro.training.checkpoints import Checkpoint
@@ -608,8 +609,7 @@ class Campaign:
             faults: list[HardwareFault] | None = None,
             parallel: int = 1, store=None, resume: bool = False,
             timeout: float | None = None, max_retries: int = 2,
-            on_progress=None, on_engine=None,
-            trace: bool = False) -> CampaignResult:
+            on_progress=None, trace: bool = False) -> CampaignResult:
         """Run ``num_experiments`` seeded experiments — or exactly the
         experiments in ``faults``, a directed battery in place of the
         sample — and aggregate.
@@ -622,11 +622,10 @@ class Campaign:
         holds.  ``trace=True`` turns on the flight recorder: every
         worker streams its experiments' events into a shard next to the
         store, merged into one campaign trace at the end of the run
-        (``EngineReport.trace_path``).  ``on_engine`` receives the
-        engine right before execution starts — the telemetry service
-        hooks it to read live progress snapshots.  Experiments are fully
-        seeded, so the aggregate outcome breakdown is identical at any
-        worker count.
+        (``EngineReport.trace_path``).  ``on_progress(report)`` is called
+        with the :class:`~repro.engine.EngineReport` being built once per
+        settled experiment.  Experiments are fully seeded, so the
+        aggregate outcome breakdown is identical at any worker count.
         """
         if self.keep_records:
             raise ValueError(
@@ -646,7 +645,7 @@ class Campaign:
                   "config": self.config_dict()},
             block_size=self.experiment_batch, parallel=parallel, store=store,
             resume=resume, timeout=timeout, max_retries=max_retries,
-            on_progress=on_progress, on_engine=on_engine, trace=trace,
+            on_progress=on_progress, trace=trace,
             # Prepare in the parent so forked workers inherit the trained
             # baseline snapshot instead of each retraining it.
             before_fork=self.prepare if parallel > 1 else None)
@@ -659,7 +658,7 @@ class Campaign:
 def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
             meta: dict, block_size: int = 1, parallel: int = 1, store=None,
             resume: bool = False, timeout: float | None = None,
-            max_retries: int = 2, on_progress=None, on_engine=None,
+            max_retries: int = 2, on_progress=None,
             trace: bool = False, before_fork=None):
     """Run one work unit per fault through the engine; returns its
     :class:`~repro.engine.EngineReport`.  The one place a campaign meets
@@ -690,8 +689,6 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
                      max_retries=int(max_retries), trace=trace,
                      block_size=block_size),
         store=store, on_progress=on_progress)
-    if on_engine is not None:
-        on_engine(engine)
     try:
         if before_fork is not None and (
                 store is None or any(u.key not in store for u in units)):
@@ -702,18 +699,13 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
             store.close()
 
 
-#: Config keys a resumed campaign may change: outcomes are bit-identical
-#: across backends and experiment batches (see :meth:`Campaign.from_config`).
-_RESUME_OVERRIDABLE = frozenset({"backend", "experiment_batch"})
-
-
 def _check_resume(store: ResultStore, kind: str, meta: dict,
                   keys: set[str]) -> None:
     """Refuse to continue a store another run wrote, whose results would
     otherwise be returned as this run's: the header's ``kind`` must be
-    ``kind``, the two ``config`` records (when both exist) must agree
-    apart from :data:`_RESUME_OVERRIDABLE`, and every key the store
-    holds must be one of this run's ``keys``.  A key hashes (index,
+    ``kind``, the two ``config`` records must agree
+    (:func:`~repro.engine.store.config_difference`), and every key the
+    store holds must be one of this run's ``keys``.  A key hashes (index,
     fault), so that refuses another sample seed, a smaller sample and
     another fault list; a larger sample with the same seed extends the
     store.  A fresh store's header is ``kind``/``meta`` itself and
@@ -721,10 +713,7 @@ def _check_resume(store: ResultStore, kind: str, meta: dict,
     if store.kind != kind:
         raise ValueError(f"cannot resume {store.path}: it holds a "
                          f"{store.kind!r} run, not a {kind!r} run")
-    ours, theirs = meta.get("config") or {}, store.meta.get("config") or {}
-    differ = sorted(key for key in ours.keys() | theirs.keys()
-                    if ours and theirs and key not in _RESUME_OVERRIDABLE
-                    and ours.get(key) != theirs.get(key))
+    differ = config_difference(meta, store.meta)
     if differ:
         raise ValueError(f"cannot resume {store.path}: its campaign config "
                          f"differs from this run's in {', '.join(differ)}")

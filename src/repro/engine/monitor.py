@@ -1,23 +1,26 @@
 """Campaign monitor: a campaign observed from its files, and the dashboard.
 
 A paper-scale campaign runs for days with nothing watching but the
-operator.  :func:`collect` reads what the flight recorder leaves on disk
-— the append-only :class:`~repro.engine.store.ResultStore` plus the
-per-worker trace shards next to it — into the same
-:class:`~repro.engine.telemetry.CampaignState` a live engine publishes,
-without touching the running engine:
+operator.  :func:`collect` is the one producer of a
+:class:`~repro.engine.telemetry.CampaignState`: it reads what the
+campaign leaves on disk — the append-only
+:class:`~repro.engine.store.ResultStore` plus the per-worker trace
+shards next to it — without touching the running engine:
 
-* progress, throughput and ETA from the store's ``ts``-stamped records;
-* the Table 3 outcome taxonomy breakdown so far;
-* per-worker health straight from the shards (what each worker is
-  executing, how long ago it last wrote, the ``stall_after`` flag);
+* progress and the Table 3 outcome breakdown from the results;
+* the current session's size, resumed units, retries, restarts,
+  throughput and ETA from the scheduler's session, lease, retry and
+  restart records and the ``ts`` stamps;
+* per-worker health from the open leases (what each worker is
+  executing, stalled once past its lease's deadline) and the shards
+  (how long ago each last wrote, the ``stall_after`` flag);
 * recent detector firings.
 
 :func:`render_text`, :func:`render_markdown` and :func:`render_html`
-draw any ``CampaignState`` — collected or live — together with the SLO
-statuses the watch evaluated over it; whether a campaign that is eating
-itself stops a cron job or CI gate is decided by those rules alone
-(:mod:`repro.observe.slo`, :func:`repro.serve.watch_store`).
+draw a ``CampaignState`` together with the SLO statuses the watch
+evaluated over it; whether a campaign that is eating itself stops a cron
+job or CI gate is decided by those rules alone (:mod:`repro.observe.slo`,
+:func:`repro.serve.watch_store`).
 
 Everything is a pure function of the on-disk state, so the monitor can
 run on a different machine than the campaign (shared filesystem) and is
@@ -31,7 +34,15 @@ import time
 from pathlib import Path
 
 from repro import jsonl
-from repro.engine.store import EXPERIMENT, QUARANTINE, read_records
+from repro.engine.store import (
+    EXPERIMENT,
+    LEASE,
+    QUARANTINE,
+    RESTART,
+    RETRY,
+    SESSION,
+    read_records,
+)
 from repro.engine.telemetry import CampaignState, WorkerState
 from repro.engine.worker import OUTCOME_FIELD
 from repro.observe import (
@@ -90,13 +101,58 @@ def _detections(events: list[TraceEvent]) -> list[dict]:
             for event in events if event.type == DETECTOR_FIRED][-RECENT:]
 
 
+def _session(records: list[dict]) -> tuple[dict | None, list[dict]]:
+    """The last session record (None: the store has none) and every
+    record after it — the whole log when there is none."""
+    for i in range(len(records) - 1, -1, -1):
+        if records[i].get("record") == SESSION:
+            return records[i], records[i + 1:]
+    return None, records
+
+
+def _pool(records: list[dict], now: float) -> dict[int, WorkerState]:
+    """The session's workers by id from its lease, result and restart
+    records: a lease's keys stay open until a result or retry settles
+    them, and a restart retires the worker's id."""
+    pool: dict[int, WorkerState] = {}
+    #: key -> worker of every open lease; worker -> its lease deadline.
+    owner: dict[str, int] = {}
+    deadline: dict[int, float | None] = {}
+    for record in records:
+        tag = record.get("record")
+        if tag == LEASE:
+            worker = record.get("worker")
+            pool.setdefault(worker, WorkerState(worker))
+            owner.update(dict.fromkeys(record.get("keys") or (), worker))
+            deadline[worker] = record.get("deadline")
+        elif tag == RESTART:
+            pool.pop(record.get("worker"), None)
+            owner = {k: w for k, w in owner.items()
+                     if w != record.get("worker")}
+        elif tag in (EXPERIMENT, QUARANTINE, RETRY):
+            worker = owner.pop(record.get("key"), None)
+            if tag == EXPERIMENT and worker in pool:
+                pool[worker].finished += 1
+    for key, worker in owner.items():  # the last open key reads busy
+        pool[worker].busy_key = key
+    for worker in pool.values():
+        due = deadline.get(worker.worker)
+        worker.stalled = (worker.busy_key is not None and due is not None
+                          and now > due)
+    return pool
+
+
 def collect(store_path: str | Path, stall_after: float | None = None,
             now: float | None = None) -> CampaignState:
     """Read the store + shards into a :class:`CampaignState`.
 
-    ``stall_after`` flags a worker as stalled when its shard shows an
-    open experiment but no write for that many seconds (a sensible
-    value is the campaign's per-experiment timeout times its
+    Progress and the outcome breakdown count every result in the store;
+    ``total``, ``skipped``, retries, restarts, the worker pool and the
+    rate are the current session's (the last ``session`` record on;
+    the whole store when it has none).  A worker is stalled when it is
+    busy past its lease's deadline, or — ``stall_after`` — when its
+    shard shows it busy but has not been written for that many seconds
+    (a sensible value is the campaign's per-experiment timeout times its
     ``--experiment-batch``)."""
     store_path = Path(store_path)
     if now is None:
@@ -104,17 +160,21 @@ def collect(store_path: str | Path, stall_after: float | None = None,
     records = read_records(store_path)
     header = records[0]
     meta = header.get("meta") or {}
-    total = meta.get("num_experiments")
+    session, current = _session(records[1:])
+    total = meta.get("num_experiments") if session is None \
+        else session.get("total")
     state = CampaignState(
         total=int(total) if isinstance(total, (int, float)) else None,
         store_path=store_path, kind=header.get("kind", "campaign"),
         meta=meta)
+    if session is not None:
+        state.skipped = session.get("skipped")
+        state.retries = sum(r.get("record") == RETRY for r in current)
+        state.restarts = sum(r.get("record") == RESTART for r in current)
 
-    stamps: list[float] = []
+    last_result = None
     for record in records[1:]:
         ts = record.get("ts")
-        if isinstance(ts, (int, float)):
-            stamps.append(float(ts))
         if record.get("record") == EXPERIMENT:
             state.done += 1
             payload = record.get("payload")
@@ -129,17 +189,31 @@ def collect(store_path: str | Path, stall_after: float | None = None,
             state.recent.append({"key": record.get("key"),
                                  "outcome": "quarantined",
                                  "error": record.get("error"), "ts": ts})
+        else:
+            continue
+        if isinstance(ts, (int, float)):
+            last_result = float(ts)
     state.recent = state.recent[-RECENT:]
+    if last_result is not None:
+        state.last_result_age = max(now - last_result, 0.0)
+
+    # The session's rate: its results over the time since it began (at
+    # its first result when the store records no session).
+    timed = current if session is None else [session, *current]
+    if session is not None:
+        state.elapsed = timed[-1]["ts"] - session["ts"]
+    stamps = [float(r["ts"]) for r in timed
+              if r.get("record") in (SESSION, EXPERIMENT, QUARANTINE)
+              and isinstance(r.get("ts"), (int, float))]
     if len(stamps) >= 2 and stamps[-1] > stamps[0]:
         state.throughput = (len(stamps) - 1) / (stamps[-1] - stamps[0])
-    if stamps:
-        state.last_result_age = max(now - stamps[-1], 0.0)
     if state.throughput and state.total is not None:
         remaining = max(state.total - state.attempted, 0)
         state.eta = remaining / state.throughput
 
     # Each file is read once per call: detections come from the merged
     # trace, then from the parse that gave each shard its worker row.
+    pool = _pool(current, now)
     events: list[TraceEvent] = []
     trace = campaign_trace_path(store_path)
     if trace.exists():
@@ -149,9 +223,15 @@ def collect(store_path: str | Path, stall_after: float | None = None,
         except (OSError, jsonl.LogFormatError):
             pass
     for path in shard_paths(store_path.parent):
-        worker, shard_events = _read_shard(path, now, stall_after)
-        state.workers.append(worker)
+        shard, shard_events = _read_shard(path, now, stall_after)
+        row = pool.setdefault(shard.worker, shard)
+        if row is not shard:  # the store's row, plus what the shard says
+            row.events, row.unreadable = shard.events, shard.unreadable
+            row.truncated = shard.truncated
+            row.last_write_age = shard.last_write_age
+            row.stalled = row.stalled or shard.stalled
         events += shard_events
+    state.workers = [pool[wid] for wid in sorted(pool)]
     state.detections = _detections(events)
     return state
 
@@ -160,8 +240,8 @@ def snapshot_dict(state: CampaignState,
                   statuses: list[SLOStatus] = ()) -> dict:
     """A deterministic machine-readable snapshot of one observation.
 
-    Everything wall-clock-dependent (throughput, ETA, write ages, ``ts``
-    stamps, a rule's ``breach_since``) is excluded so two snapshots of
+    Everything wall-clock-dependent (throughput, ETA, elapsed time,
+    write ages, ``ts`` stamps, a rule's ``breach_since``) is excluded so two snapshots of
     the same on-disk state are byte-identical — the property ``repro
     monitor --json`` needs to be diffable in CI alongside
     ``diff-campaign``.  The two rates are the sample's gauges (``null``
@@ -181,6 +261,9 @@ def snapshot_dict(state: CampaignState,
         "total": state.total,
         "completed": state.done,
         "quarantined": state.quarantined,
+        "skipped": state.skipped,
+        "retries": state.retries,
+        "restarts": state.restarts,
         "quarantine_rate": gauges.get("campaign.quarantine_rate"),
         "divergence_rate": gauges.get("campaign.divergence_rate"),
         "breakdown": dict(sorted(state.breakdown.items())),
@@ -204,7 +287,7 @@ def snapshot_dict(state: CampaignState,
 # Rendering
 # ----------------------------------------------------------------------
 def _title(state: CampaignState) -> str:
-    return "live engine" if state.store_path is None else state.store_path.name
+    return "?" if state.store_path is None else state.store_path.name
 
 
 def _slo_lines(statuses: list[SLOStatus]) -> list[str]:

@@ -18,8 +18,9 @@ It owns the robustness policy a multi-day campaign needs:
 * **quarantine** — units that exhaust their retries are recorded in the
   store and skipped by future resumes, so one pathological fault cannot
   sink the campaign;
-* **telemetry** — progress snapshots (throughput, breakdown, ETA,
-  per-worker health) are published through ``on_progress``.
+* **observability** — the session, every lease (worker, keys,
+  deadline), retry and worker restart is a store record, so the store
+  alone tells how the run is going (:func:`repro.engine.monitor.collect`).
 
 Determinism: units are fully seeded descriptors, so the result of each
 unit is independent of scheduling — the same units yield the same
@@ -39,10 +40,8 @@ from multiprocessing.util import register_after_fork
 from pathlib import Path
 
 from repro.engine import worker as worker_proto
-from repro.engine.store import ResultStore
-from repro.engine.telemetry import CampaignState, ProgressTracker
+from repro.engine.store import LEASE, RESTART, RETRY, SESSION, ResultStore
 from repro.engine.worker import (
-    OUTCOME_FIELD,
     WorkUnit,
     run_lease,
     shard_recorder,
@@ -96,7 +95,6 @@ class EngineReport:
     #: Total retry attempts this session.
     retries: int = 0
     elapsed: float = 0.0
-    snapshot: CampaignState | None = None
     #: Merged campaign trace (EngineConfig.trace runs only).
     trace_path: Path | None = None
 
@@ -156,7 +154,9 @@ class CampaignEngine:
     in-process for serial runs, and not at all when the store already
     holds every unit.
     ``store``, when given, receives every result as it completes and
-    seeds the resume set.
+    seeds the resume set, and records the session, its leases, retries
+    and worker restarts.  ``on_progress(report)`` is called with the
+    :class:`EngineReport` being built once per settled unit.
     """
 
     def __init__(self, runner_factory, config: EngineConfig | None = None,
@@ -165,17 +165,6 @@ class CampaignEngine:
         self.config = config or EngineConfig()
         self.store = store
         self.on_progress = on_progress
-        #: The live tracker of the current run, for out-of-band readers
-        #: (the telemetry sampler thread).  None outside ``run``.
-        self._tracker: ProgressTracker | None = None
-
-    def progress(self) -> CampaignState | None:
-        """A progress snapshot of the in-flight run (None when idle).
-
-        Safe to call from another thread: the tracker copies its state
-        under snapshot, so the sampler never touches engine internals."""
-        tracker = self._tracker
-        return tracker.snapshot() if tracker is not None else None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -204,24 +193,17 @@ class CampaignEngine:
                 report.skipped += 1
             else:
                 pending.append(_Task(unit))
-
-        tracker = ProgressTracker(total=len(units), skipped=report.skipped)
-        self._tracker = tracker
-        tracker.preload_breakdown([
-            payload[OUTCOME_FIELD] for payload in report.results.values()
-            if isinstance(payload, dict) and OUTCOME_FIELD in payload
-        ])
+        self._note(SESSION, total=len(units), skipped=report.skipped)
 
         try:
             if not pending:
                 pass  # fully resumed: build no runner, fork no worker
             elif self.config.parallel <= 1:
-                self._run_serial(pending, report, tracker)
+                self._run_serial(pending, report)
             else:
-                self._run_parallel(pending, report, tracker)
+                self._run_parallel(pending, report)
         finally:
             report.elapsed = time.monotonic() - start
-            report.snapshot = tracker.snapshot()
             if self._trace_dir is not None:
                 merged = merge_campaign_shards(self.store.path)
                 if merged is not None:
@@ -234,25 +216,26 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Shared completion/failure paths
     # ------------------------------------------------------------------
-    def _complete(self, task: _Task, payload: dict, report: EngineReport,
-                  tracker: ProgressTracker, worker_id: int) -> None:
+    def _note(self, record: str, **fields) -> None:
+        if self.store is not None:
+            self.store.note(record, **fields)
+
+    def _complete(self, task: _Task, payload: dict,
+                  report: EngineReport) -> None:
         report.results[task.unit.key] = payload
         report.executed += 1
         if self.store is not None:
             self.store.append(task.unit.key, payload)
-        tracker.task_done(worker_id, payload.get(OUTCOME_FIELD)
-                          if isinstance(payload, dict) else None)
-        self._publish(tracker)
+        self._publish(report)
 
     def _fail(self, task: _Task, error: str, pending: deque[_Task],
-              report: EngineReport, tracker: ProgressTracker,
-              worker_id: int) -> None:
+              report: EngineReport) -> None:
         task.attempts += 1
         task.last_error = error
-        retry = task.attempts <= self.config.max_retries
-        tracker.task_failed(worker_id, retried=retry)
-        if retry:
+        if task.attempts <= self.config.max_retries:
             report.retries += 1
+            self._note(RETRY, key=task.unit.key, attempt=task.attempts,
+                       error=error)
             task.not_before = time.monotonic() + (
                 self.config.retry_backoff * (2 ** (task.attempts - 1)))
             pending.append(task)
@@ -260,17 +243,17 @@ class CampaignEngine:
             report.quarantined[task.unit.key] = error
             if self.store is not None:
                 self.store.quarantine(task.unit.key, error, task.unit.payload)
-        self._publish(tracker)
+        self._publish(report)
 
-    def _publish(self, tracker: ProgressTracker) -> None:
+    def _publish(self, report: EngineReport) -> None:
         if self.on_progress is not None:
-            self.on_progress(tracker.snapshot())
+            self.on_progress(report)
 
     # ------------------------------------------------------------------
     # Serial execution (parallel <= 1)
     # ------------------------------------------------------------------
-    def _run_serial(self, pending: deque[_Task], report: EngineReport,
-                    tracker: ProgressTracker) -> None:
+    def _run_serial(self, pending: deque[_Task],
+                    report: EngineReport) -> None:
         """In-process execution.  Deadlines are not enforced (a wedged
         experiment cannot be preempted without a worker process), but
         retry/quarantine/resume and flight-recorder semantics match the
@@ -285,11 +268,11 @@ class CampaignEngine:
                 if wait_s > 0:
                     time.sleep(wait_s)
                 self._extend_block(block, pending)
-                self._lease(block, 0, tracker)
+                self._lease(block, 0)
                 tag, body = run_lease(
                     runner, [task.unit.key for task in block],
                     [task.unit.payload for task in block], capture)
-                self._settle(block, tag, body, pending, report, tracker, 0)
+                self._settle(block, tag, body, pending, report)
 
     def _extend_block(self, block: list[_Task], pending: deque[_Task],
                       now: float | None = None) -> None:
@@ -308,14 +291,16 @@ class CampaignEngine:
             else:
                 pending.append(candidate)
 
-    @staticmethod
-    def _lease(block: list[_Task], worker_id: int, tracker: ProgressTracker,
-               deadline: float | None = None) -> None:
-        for task in block:
-            tracker.task_started(worker_id, task.unit.key, deadline)
+    def _lease(self, block: list[_Task], worker_id: int,
+               budget: float | None = None) -> None:
+        """Record the lease: its worker, keys and wall-clock deadline
+        (``budget`` seconds from now; None: it cannot be preempted)."""
+        self._note(LEASE, worker=worker_id,
+                   keys=[task.unit.key for task in block],
+                   deadline=None if budget is None else time.time() + budget)
 
-    def _settle(self, block: list[_Task], tag: str, body, pending, report,
-                tracker, worker_id: int) -> None:
+    def _settle(self, block: list[_Task], tag: str, body, pending,
+                report) -> None:
         """Resolve a lease the runner returned from: ``body`` is the
         result list (``DONE``), stored with one ``fsync`` for the lease,
         or the error every unit fails with."""
@@ -323,10 +308,10 @@ class CampaignEngine:
             with self.store.group() if self.store is not None \
                     else nullcontext():
                 for task, result in zip(block, body):
-                    self._complete(task, result, report, tracker, worker_id)
+                    self._complete(task, result, report)
         else:
             for task in block:
-                self._fail(task, body, pending, report, tracker, worker_id)
+                self._fail(task, body, pending, report)
 
     # ------------------------------------------------------------------
     # Parallel execution
@@ -340,8 +325,8 @@ class CampaignEngine:
                 f"offers only {methods} — run with parallel=1")
         return mp.get_context("fork")
 
-    def _run_parallel(self, pending: deque[_Task], report: EngineReport,
-                      tracker: ProgressTracker) -> None:
+    def _run_parallel(self, pending: deque[_Task],
+                      report: EngineReport) -> None:
         ctx = self._make_context()
         workers: dict[int, _WorkerHandle] = {}
         worker_ids = count()
@@ -355,7 +340,6 @@ class CampaignEngine:
                           if self._trace_dir is not None else None)
             workers[worker_id] = _WorkerHandle(
                 worker_id, ctx, self.runner_factory, trace_path=trace_path)
-            tracker.worker_started(worker_id)
 
         def replace(handle: _WorkerHandle, error: str | None = None) -> None:
             """Kill the worker, fail its lease with ``error`` (default:
@@ -365,8 +349,8 @@ class CampaignEngine:
             error = error or \
                 f"worker crashed (exit code {handle.process.exitcode})"
             for task in handle.block or ():
-                self._fail(task, error, pending, report, tracker, handle.id)
-            tracker.worker_restarted(handle.id)
+                self._fail(task, error, pending, report)
+            self._note(RESTART, worker=handle.id)
             if pending or busy():
                 spawn()
 
@@ -380,7 +364,6 @@ class CampaignEngine:
                 elif tag == worker_proto.INIT_ERROR:
                     handle.kill()
                     del workers[handle.id]
-                    tracker.workers.pop(handle.id, None)
                     if not workers and pending:
                         raise RuntimeError(
                             f"engine worker failed to initialize: {body}")
@@ -388,8 +371,7 @@ class CampaignEngine:
                 else:
                     lease, handle.block = handle.block, None
                     handle.deadline = None
-                    self._settle(lease, tag, body, pending, report, tracker,
-                                 handle.id)
+                    self._settle(lease, tag, body, pending, report)
             if exited or not open_:
                 replace(handle)
 
@@ -398,8 +380,7 @@ class CampaignEngine:
 
         try:
             while pending or busy():
-                wake = self._dispatch(workers, pending, tracker,
-                                      time.monotonic())
+                wake = self._dispatch(workers, pending, time.monotonic())
                 owners = {waitable: handle for handle in workers.values()
                           for waitable in (handle.conn,
                                            handle.process.sentinel)}
@@ -423,8 +404,7 @@ class CampaignEngine:
                 handle.kill()
 
     def _dispatch(self, workers: dict[int, _WorkerHandle],
-                  pending: deque[_Task], tracker: ProgressTracker,
-                  now: float) -> float | None:
+                  pending: deque[_Task], now: float) -> float | None:
         """Lease due tasks to idle workers; returns when the parent must
         wake without a message: the earliest lease deadline, or the end
         of a backoff an idle worker waits for (None: neither exists)."""
@@ -441,9 +421,10 @@ class CampaignEngine:
             handle.block = block
             # Deadline scales with the lease: it is len(block)
             # experiments of work.
-            handle.deadline = (now + self.config.timeout * len(block)
-                               if self.config.timeout is not None else None)
-            self._lease(block, handle.id, tracker, handle.deadline)
+            budget = (self.config.timeout * len(block)
+                      if self.config.timeout is not None else None)
+            handle.deadline = None if budget is None else now + budget
+            self._lease(block, handle.id, budget)
             try:
                 handle.conn.send(([t.unit.key for t in block],
                                   [t.unit.payload for t in block]))

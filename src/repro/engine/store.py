@@ -9,14 +9,22 @@ restart from scratch after a crash.  The store is a JSONL file:
 * every subsequent line is one **experiment** record (a stable
   experiment key plus the serialized result payload) or one
   **quarantine** record (an experiment that repeatedly crashed or timed
-  out, kept so a resume does not retry it forever).
+  out, kept so a resume does not retry it forever);
+* between them the engine notes how it ran: a **session** record opens
+  each run (its size and how many units it resumed), a **lease** record
+  hands keys to a worker until a wall-clock deadline, a **retry** record
+  sends a key back to the queue, and a **restart** record retires a
+  worker.  They are what :func:`repro.engine.monitor.collect` reads a
+  campaign's pool, retries and session rate from; every other reader
+  skips them by their ``record`` tag.
 
-The file is a :mod:`repro.jsonl` record log: each record is fsynced
+The file is a :mod:`repro.jsonl` record log: each result is fsynced
 before ``append`` returns, or with the rest of its :meth:`ResultStore.group`
 (one lease's results), so a killed run loses at most the lease being
-written, and a resume cuts a torn line off before appending.  Keys
-are content hashes of ``(index, fault descriptor)``, which makes stores
-idempotent under resume and mergeable across machines.
+written, and a resume cuts a torn line off before appending.  Engine
+records are only flushed: the next result group makes them durable.
+Keys are content hashes of ``(index, fault descriptor)``, which makes
+stores idempotent under resume and mergeable across machines.
 """
 
 from __future__ import annotations
@@ -30,9 +38,18 @@ from repro import jsonl
 
 STORE_SCHEMA_VERSION = jsonl.SCHEMA[jsonl.STORE]
 
-#: Record type tags.
+#: Record type tags: the two results, then the engine's own records.
 EXPERIMENT = "experiment"
 QUARANTINE = "quarantine"
+SESSION = "session"
+LEASE = "lease"
+RETRY = "retry"
+RESTART = "restart"
+
+#: Config keys two runs of one campaign may differ in: outcomes are
+#: bit-identical across backends and experiment batches (see
+#: :meth:`repro.core.faults.Campaign.from_config`).
+OVERRIDABLE_CONFIG = frozenset({"backend", "experiment_batch"})
 
 
 def experiment_key(index: int, payload: dict) -> str:
@@ -103,6 +120,12 @@ class ResultStore:
                           "payload": payload, "ts": time.time()})
         self.completed[key] = payload
 
+    def note(self, record: str, **fields) -> None:
+        """Append one engine record (:data:`SESSION`, :data:`LEASE`,
+        :data:`RETRY`, :data:`RESTART`), stamped like a result; flushed,
+        and made durable by the next result's ``fsync``."""
+        self._log.write({"record": record, **fields, "ts": time.time()})
+
     def group(self):
         """Context in which appends share one ``fsync``, taken when it
         exits (:meth:`repro.jsonl.LogWriter.group`): the engine stores a
@@ -146,12 +169,26 @@ def read_records(path: str | Path) -> list[dict]:
     return [log.header, *log.records]
 
 
+def config_difference(ours: dict, theirs: dict) -> list[str]:
+    """The ``config`` keys two store headers' ``meta`` disagree on,
+    apart from :data:`OVERRIDABLE_CONFIG`; none when either records no
+    config.  What makes two stores one campaign, for a resume and a
+    merge alike."""
+    ours, theirs = ours.get("config") or {}, theirs.get("config") or {}
+    if not ours or not theirs:
+        return []
+    return sorted(key for key in ours.keys() | theirs.keys()
+                  if key not in OVERRIDABLE_CONFIG
+                  and ours.get(key) != theirs.get(key))
+
+
 def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
     """Merge partial stores (e.g. shards from several machines) into one.
 
     Records are deduplicated by experiment key; an experiment completed
     in any shard wins over a quarantine record for the same key.  All
-    shards must agree on ``kind``.
+    shards must agree on ``kind`` and on their campaign ``config``
+    (:func:`config_difference`); engine records are not carried over.
     """
     if not sources:
         raise ValueError("nothing to merge")
@@ -162,8 +199,13 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
     kinds = {records[0].get("kind") for _, records in loaded}
     if len(kinds) != 1:
         raise ValueError(f"cannot merge stores of different kinds: {sorted(kinds)}")
-    merged = ResultStore(dest, kind=kinds.pop(),
-                         meta=loaded[0][1][0].get("meta") or {})
+    first, first_meta = loaded[0][0], loaded[0][1][0].get("meta") or {}
+    for source, records in loaded[1:]:
+        differ = config_difference(first_meta, records[0].get("meta") or {})
+        if differ:
+            raise ValueError(f"cannot merge {source}: its campaign config "
+                             f"differs from {first}'s in {', '.join(differ)}")
+    merged = ResultStore(dest, kind=kinds.pop(), meta=first_meta)
     quarantines: dict[str, dict] = {}
     with merged.group():
         for _, records in loaded:

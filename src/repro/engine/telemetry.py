@@ -1,28 +1,23 @@
-"""One observation of a campaign, whichever side of the disk it is read from.
+"""One observation of a campaign, read from its files.
 
 A paper-scale campaign runs for days; the operator needs throughput
 (experiments/sec), the outcome breakdown so far, an ETA, and per-worker
 health (a wedged or crash-looping worker shows up here long before the
-run finishes).  :class:`CampaignState` is that observation, and there is
-one of it: :meth:`ProgressTracker.snapshot` fills it from the engine's
-own events (published through ``on_progress`` and
-:meth:`~repro.engine.scheduler.CampaignEngine.progress`) and
-:func:`repro.engine.monitor.collect` fills it from the store and worker
-shards on disk.  What only one source knows is optional; everything
-downstream — the :meth:`~CampaignState.sample` every SLO rule and
-``/metrics`` scrape reads, the status line, the monitor dashboard — takes
-either.  It is the only source of a campaign's numbers: a count made
-where an experiment runs would stay in a forked worker, so a new
-campaign metric is a field here, counted by the parent's tracker and
-read back from disk by ``collect``.
+run finishes).  :class:`CampaignState` is that observation, and it has
+one producer: :func:`repro.engine.monitor.collect`, which reads the
+result store — results plus the scheduler's session, lease, retry and
+restart records — and the worker trace shards next to it.  Everything
+downstream (the :meth:`~CampaignState.sample` every SLO rule and
+``/metrics`` scrape reads, the monitor dashboard) takes it.  It is the
+only source of a campaign's numbers: a count made where an experiment
+runs would stay in a forked worker, so a new campaign metric is a field
+here, written to the store by the scheduler and read back by
+``collect``.
 """
 
 from __future__ import annotations
 
-import time
-from collections import Counter
 from dataclasses import dataclass, field
-from math import inf
 from pathlib import Path
 
 from repro.observe.timeseries import TelemetrySample, campaign_sample
@@ -45,9 +40,8 @@ class WorkerState:
     worker: int
     #: Key of the unit it is executing (None when idle).
     busy_key: str | None = None
-    #: Set by the source, because only the source knows the deadline:
-    #: live, the lease is past the deadline the scheduler gave it; on
-    #: disk, busy with no shard write for ``stall_after`` seconds.
+    #: Busy past its lease's deadline, or with no shard write for
+    #: ``stall_after`` seconds.
     stalled: bool = False
     #: Units this worker saw to completion.
     finished: int = 0
@@ -64,30 +58,31 @@ class WorkerState:
 
 @dataclass
 class CampaignState:
-    """One observation of a campaign (live engine or files on disk)."""
+    """One observation of a campaign, as its files record it."""
 
-    #: Campaign size (None when a store's header does not record it).
+    #: Campaign size: the current session's, else the store header's
+    #: (None when neither records it).
     total: int | None
     #: Completed experiments, including ones resumed from the store.
     done: int = 0
     quarantined: int = 0
     #: Outcome label -> count over everything completed so far.
     breakdown: dict[str, int] = field(default_factory=dict)
-    #: Completions per second (live: this session's; disk: over the
-    #: stamped records); None or 0.0 until one can be measured.
+    #: Results per second over the current session; None until one can
+    #: be measured.
     throughput: float | None = None
     #: Estimated seconds to completion (None without a throughput).
     eta: float | None = None
-    #: The pool right now, by worker id: live, the worker processes
-    #: spawned and not since respawned; on disk, the shards present.
+    #: The pool right now, by worker id: the session's leased workers
+    #: not since retired by a restart, and the trace shards present.
     workers: list[WorkerState] = field(default_factory=list)
-    # -- what only the live tracker knows --
+    # -- the current session's, None for a store without session records --
     skipped: int | None = None
     retries: int | None = None
     #: Worker processes replaced after a crash or a timeout kill.
     restarts: int | None = None
+    #: Seconds from the session's start to its last record.
     elapsed: float | None = None
-    # -- what only the files say --
     store_path: Path | None = None
     kind: str = "campaign"
     meta: dict = field(default_factory=dict)
@@ -167,109 +162,3 @@ class CampaignState:
             text += ", STALLED: " + ",".join(
                 f"w{wid}" for wid in self.stalled_workers)
         return text
-
-    def status_line(self) -> str:
-        """One status line, suitable for streaming to a terminal."""
-        parts = [self.headline()]
-        if self.breakdown:
-            parts.append(self.outcomes_line())
-        if self.workers:
-            parts.append(f"workers {self.worker_summary()}")
-        return "[engine] " + " | ".join(parts)
-
-
-class ProgressTracker:
-    """Accumulates engine events into :class:`CampaignState` values.
-
-    ``done`` counts completed experiments including ones resumed from the
-    store (so the fraction reflects campaign completion); throughput and
-    ETA are computed from this session's completions only.
-    """
-
-    def __init__(self, total: int, skipped: int = 0, clock=time.monotonic):
-        self.total = int(total)
-        self.skipped = int(skipped)
-        self._clock = clock
-        self._start = clock()
-        self.session_done = 0
-        self.quarantined = 0
-        self.retries = 0
-        self.restarts = 0
-        self.breakdown: Counter[str] = Counter()
-        self.workers: dict[int, WorkerState] = {}
-        #: worker id -> deadline of its in-flight lease on ``clock``.
-        self._deadlines: dict[int, float] = {}
-
-    # ------------------------------------------------------------------
-    # Events
-    # ------------------------------------------------------------------
-    def worker_started(self, worker_id: int) -> WorkerState:
-        """A worker process joined the pool (idempotent)."""
-        return self.workers.setdefault(worker_id, WorkerState(worker_id))
-
-    def _idle(self, worker_id: int) -> WorkerState:
-        self._deadlines.pop(worker_id, None)
-        state = self.worker_started(worker_id)
-        state.busy_key = None
-        return state
-
-    def task_started(self, worker_id: int, key: str,
-                     deadline: float | None = None) -> None:
-        """``deadline`` is the lease's own, on this tracker's clock
-        (None: the lease cannot be preempted and never reads stalled)."""
-        self.worker_started(worker_id).busy_key = key
-        if deadline is not None:
-            self._deadlines[worker_id] = deadline
-
-    def task_done(self, worker_id: int, outcome: str | None) -> None:
-        self._idle(worker_id).finished += 1
-        self.session_done += 1
-        if outcome is not None:
-            self.breakdown[outcome] += 1
-
-    def task_failed(self, worker_id: int, retried: bool) -> None:
-        self._idle(worker_id)
-        if retried:
-            self.retries += 1
-        else:
-            self.quarantined += 1
-
-    def worker_restarted(self, worker_id: int) -> None:
-        """The worker process is gone (its replacement gets a fresh id):
-        its row leaves the pool, its restart stays in the total."""
-        self.workers.pop(worker_id, None)
-        self.restarts += 1
-
-    def preload_breakdown(self, outcomes: list[str]) -> None:
-        """Fold outcomes resumed from the store into the breakdown."""
-        self.breakdown.update(outcomes)
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-    def snapshot(self) -> CampaignState:
-        """O(workers) and no I/O: the engine calls this per completion."""
-        now = self._clock()
-        elapsed = now - self._start
-        throughput = self.session_done / elapsed if elapsed > 0 else 0.0
-        done = self.skipped + self.session_done
-        remaining = max(self.total - done - self.quarantined, 0)
-        # sorted() copies: the telemetry sampler snapshots from its own
-        # thread while the engine mutates these dicts.
-        workers = [
-            WorkerState(wid, w.busy_key, now > self._deadlines.get(wid, inf),
-                        w.finished)
-            for wid, w in sorted(self.workers.items())]
-        return CampaignState(
-            total=self.total,
-            done=done,
-            quarantined=self.quarantined,
-            breakdown=dict(self.breakdown),
-            throughput=throughput,
-            eta=remaining / throughput if throughput > 0 else None,
-            workers=workers,
-            skipped=self.skipped,
-            retries=self.retries,
-            restarts=self.restarts,
-            elapsed=elapsed,
-        )

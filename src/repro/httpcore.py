@@ -1,7 +1,7 @@
 """The one HTTP server: a route table, one request parser, two hostings.
 
-``campaign --serve``, ``monitor --serve`` and ``serve-infer`` are this
-module plus a route table; there is no other listener, router or parser.
+``monitor --serve`` and ``serve-infer`` are this module plus a route
+table; there is no other listener, router or parser.
 
 Route table: ``{(method, path): handler}``; a handler (function or
 coroutine function) takes the request body (``bytes``) and returns
@@ -20,7 +20,7 @@ Hosting: handlers run on the thread of the loop that accepted the
 connection.  ``start``/``stop`` use the caller's running loop
 (``serve-infer``: ``POST /predict`` awaits the batcher there);
 ``start_thread``/``stop_thread`` run a private loop on a daemon thread
-(campaign, monitor: handlers only read published snapshots).
+(monitor: handlers only read published snapshots).
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ traces) and telemetry series are one format, written by
 Durability follows the log's kind: every store and series record is
 ``fsync``-ed before :meth:`LogWriter.append` returns, or when the
 :meth:`LogWriter.group` it was appended in ends (the engine writes a
-lease's results as one group); trace lines are only flushed, because
-worker shards sit on the campaign's hot path and a lost trace tail costs
-a story, not a result.
+lease's results as one group), and a store's engine records
+(:meth:`LogWriter.write`) ride the next ``fsync``; trace lines are only
+flushed, because worker shards sit on the campaign's hot path and a lost
+trace tail costs a story, not a result.
 """
 
 from __future__ import annotations
@@ -154,6 +155,13 @@ class LogWriter:
         self._fh.write(dumps(record) + "\n")
         if not self._grouped:
             self._sync()
+
+    def write(self, record: dict) -> None:
+        """Append ``record`` flushed but never ``fsync``-ed on its own:
+        it is durable once the next durable append or group is."""
+        self._fh.write(dumps(record) + "\n")
+        if not self._grouped:
+            self._fh.flush()
 
     @contextmanager
     def group(self):

@@ -26,13 +26,13 @@ like ``rate.serving.requests`` and histogram quantiles like
 ``min``) per rule.
 
 :class:`SLOEngine` is the only thing that turns an observation into an
-exit code: ``repro monitor`` in every mode, ``repro campaign --serve``
-and ``repro serve-infer`` hold one engine across the polls of their
-watch and exit 1 iff :meth:`SLOEngine.breached` names a ``critical``
-rule that fired at any poll.  A threshold on one gauge is a one-rule
-file.  A watch of a single poll (``monitor --once``, ``--json``) cannot
-sustain a ``for_seconds > 0`` rule: such a rule reports ``pending``
-there and does not gate.
+exit code: ``repro monitor`` in every mode and ``repro serve-infer``
+hold one engine across the polls of their watch and exit 1 iff
+:meth:`SLOEngine.breached` names a ``critical`` rule that fired at any
+poll.  A threshold on one gauge is a one-rule file.  A watch of a
+single poll (``monitor --once``, ``--json``) cannot sustain a
+``for_seconds > 0`` rule: such a rule reports ``pending`` there and does
+not gate.
 """
 
 from __future__ import annotations

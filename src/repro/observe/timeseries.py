@@ -16,8 +16,7 @@ requirement, not a luxury.  This module provides the substrate:
   the ``campaign.*`` / ``workers.*`` gauges, called only by
   ``CampaignState.sample``: a campaign's telemetry is its
   :class:`~repro.engine.telemetry.CampaignState` and nothing else, so
-  it reads the same at any ``--parallel`` and from a live engine or a
-  store on disk;
+  it reads the same at any ``--parallel`` and during or after a run;
 * :func:`derive_rates` — per-second counter rates between consecutive
   samples (monotonic counters; a reset restarts the rate from zero);
 * :func:`read_series` — the series file next to the result store is a
@@ -115,8 +114,8 @@ def campaign_sample(*, done: int, quarantined: int, breakdown: dict,
                     extras: dict | None = None,
                     now: float | None = None) -> TelemetrySample:
     """The one mapping from raw campaign counts to the flat namespace;
-    its one caller is ``CampaignState.sample``, whether the state came
-    from a live engine or from a store polled from disk.
+    its one caller is ``CampaignState.sample``, over a state
+    :func:`repro.engine.monitor.collect` read from a store on disk.
 
     Always present: ``campaign.done``, ``campaign.quarantined``,
     ``workers.alive|busy|stalled`` and the source's ``extras`` (full

@@ -3,14 +3,13 @@
 A paper-scale campaign should behave like a service, not a script: while
 it runs, anything — a Prometheus scraper, a cron gate, an operator with
 ``curl`` — can ask how it is doing.  :class:`TelemetryService` is that
-answer for all three telemetry sources, which differ only in the
+answer for both telemetry sources, which differ only in the
 zero-argument *provider* handed to it: ``lambda:
-engine.progress().sample()`` (``repro campaign --serve``), ``lambda:
 collect(store).sample()`` (every mode of ``repro monitor``,
 :func:`watch_store`) and ``ServingEngine.sample`` (``repro
-serve-infer``).  The two campaign providers sample one type,
-:class:`~repro.engine.telemetry.CampaignState`, so a rules file reads
-the same names live and from disk.
+serve-infer``).  A campaign is watched from its files alone — a
+``repro monitor --serve`` next to a running ``repro campaign`` — so a
+rules file reads the same names during a run and after it.
 
 The service owns the sampler (so the sample ring and the
 ``<store>.series.jsonl`` file), the SLO engine, and the
@@ -54,9 +53,9 @@ DEFAULT_MONITOR_RULES = (
 class TelemetryService:
     """Sampler + SLO engine + series file + HTTP routes for one provider.
 
-    ``with service:`` is the thread-hosted lifecycle (server thread +
-    sampler thread, what ``repro campaign --serve`` uses); a caller with
-    its own loop awaits ``service.server.start()`` instead.
+    The caller hosts it: :func:`watch_store` starts ``server`` on a
+    thread and polls ``sampler`` itself; ``repro serve-infer`` awaits
+    ``server.start()`` on its own loop and starts the sampler thread.
     """
 
     def __init__(self, provider, *, rules: list[SLORule] | None = None,
@@ -130,21 +129,6 @@ class TelemetryService:
         }
         return not reasons, payload
 
-    def start(self) -> "TelemetryService":
-        self.server.start_thread()
-        self.sampler.start()
-        return self
-
-    def stop(self) -> None:
-        self.sampler.stop()  # takes the final sample
-        self.server.stop_thread()
-
-    def __enter__(self) -> "TelemetryService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
 
 def watch_store(store_path: str | Path, *,
                 rules: list[SLORule] | None = None,
@@ -160,9 +144,9 @@ def watch_store(store_path: str | Path, *,
     filesystem, and against a crashed or finished run — sampled through
     one :class:`SLOEngine` held for the whole watch (``rules``, or
     :data:`DEFAULT_MONITOR_RULES`), then ``on_poll(state, statuses)``.
-    A ``port`` also serves the observations (the post-hoc twin of
-    ``repro campaign --serve``; ``on_start(url)`` once bound).  The
-    caller's exit gate is ``SLOEngine.breached()``.
+    A ``port`` also serves the observations (``on_start(url)`` once
+    bound): pointed at a running campaign's store, it is that campaign's
+    live endpoint.  The caller's exit gate is ``SLOEngine.breached()``.
     """
     from repro.engine.monitor import collect
 

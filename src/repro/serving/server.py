@@ -14,7 +14,7 @@ Three layers, separable for tests:
   route-table entries for the one HTTP core (:mod:`repro.httpcore`),
   mounted next to the telemetry surface (``/metrics``, ``/healthz``,
   ``/progress``, ``/alerts``) of the same
-  :class:`~repro.serve.TelemetryService` the campaign service uses.
+  :class:`~repro.serve.TelemetryService` ``repro monitor --serve`` uses.
 * :func:`run_service` — hands ``ServingEngine.sample`` to a
   :class:`~repro.serve.TelemetryService`, hosts its server on the
   running loop next to the batcher, and runs until a duration elapses

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import ResultStore, read_records
 from repro.observe import Tracer
 
 
@@ -48,13 +49,12 @@ class TestParser:
     def test_campaign_engine_args(self):
         args = build_parser().parse_args([
             "campaign", "resnet", "--parallel", "4", "--store", "r.jsonl",
-            "--resume", "--timeout", "30", "--progress-every", "10",
+            "--resume", "--timeout", "30",
         ])
         assert args.parallel == 4
         assert args.store == "r.jsonl"
         assert args.resume is True
         assert args.timeout == 30.0
-        assert args.progress_every == 10
 
 
 class TestCommands:
@@ -112,12 +112,13 @@ class TestEngineCommands:
         """Parallel campaign into a store, then report and merge it."""
         store = tmp_path / "r.jsonl"
         rc = main(["campaign", "resnet", "--experiments", "2", "--devices",
-                   "2", "--parallel", "2", "--store", str(store),
-                   "--progress-every", "1"])
-        out, err = capsys.readouterr()
+                   "2", "--parallel", "2", "--store", str(store)])
+        out = capsys.readouterr().out
         assert rc == 0
         assert "engine: 2 executed, 0 resumed" in out
-        assert "[engine]" in err
+        # How it ran is in the store: the monitor reads it back.
+        assert main(["monitor", str(store)]) == 0
+        assert "progress   2/2 done | " in capsys.readouterr().out
 
         rc = main(["report", str(store)])
         out = capsys.readouterr().out
@@ -129,6 +130,16 @@ class TestEngineCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "2 experiments, 0 quarantined" in out
+
+        # Another campaign's store is not merged into this one.
+        header = read_records(store)[0]
+        config = dict(header["meta"]["config"], seed=9)
+        ResultStore(tmp_path / "other.jsonl",
+                    meta=dict(header["meta"], config=config)).close()
+        rc = main(["merge", str(tmp_path / "m2.jsonl"), str(store),
+                   str(tmp_path / "other.jsonl")])
+        assert rc == 2
+        assert "config differs" in capsys.readouterr().err
 
     def test_store_clobber_without_resume_is_clean_error(self, capsys,
                                                          tmp_path):

@@ -7,7 +7,14 @@ import pytest
 
 from repro.core.analysis import stable_floats
 from repro.core.faults.campaign import Campaign
-from repro.engine import ResultStore, collect, snapshot_dict
+from repro.engine import (
+    RESTART,
+    RETRY,
+    ResultStore,
+    collect,
+    read_records,
+    snapshot_dict,
+)
 from repro.observe import DETECTOR_FIRED, FAULT_INJECTED, Tracer
 from repro.observe.merge import campaign_trace_path
 from repro.replay import QUARANTINED, diff_campaigns, render_diff
@@ -197,3 +204,45 @@ class TestDeterministicOutputs:
         assert diff["flip_count"] == 0
         assert diff["detection"] is not None  # trace sits next to the store
         assert diff["detection"]["deltas"] == []
+
+    def test_engine_records_change_no_reader(self, campaign_store, tmp_path,
+                                             capsys):
+        """A store's session, lease, retry and restart records are the
+        monitor's: a resume, `report --json` and `diff-campaign` read the
+        store as if they were not there."""
+        from repro.cli import main
+
+        noted, bare = tmp_path / "camp.jsonl", tmp_path / "bare" / "camp.jsonl"
+        bare.parent.mkdir()
+        noted.write_bytes(campaign_store.read_bytes())
+        with ResultStore(noted, resume=True) as store:
+            store.note(RETRY, key="k", attempt=1, error="RuntimeError")
+            store.note(RESTART, worker=0)
+        assert {r["record"] for r in read_records(noted)} == {
+            "header", "session", "lease", "experiment", "retry", "restart"}
+        bare.write_text("".join(
+            line for line in noted.read_text().splitlines(keepends=True)
+            if json.loads(line)["record"] in ("header", "experiment")))
+        trace = campaign_trace_path(campaign_store).read_bytes()
+        for path in (noted, bare):
+            campaign_trace_path(path).write_bytes(trace)
+
+        def resumed(path):
+            with ResultStore(path, resume=True) as store:
+                return store.completed, store.quarantined, store.meta
+
+        def report(path):
+            assert main(["report", str(path), "--json"]) == 0
+            return {k: v for k, v in json.loads(capsys.readouterr().out).items()
+                    if k != "store"}
+
+        def diff(path):
+            assert main(["diff-campaign", str(path), str(bare),
+                         "--json"]) == 0
+            return {k: v for k, v in json.loads(capsys.readouterr().out).items()
+                    if k != "a"}
+
+        assert resumed(noted) == resumed(bare)
+        assert report(noted) == report(bare)
+        assert diff(noted) == diff(bare)
+        assert diff(noted)["detection"] is not None

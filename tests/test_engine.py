@@ -13,10 +13,14 @@ from repro.core.analysis import campaign_report_dict
 from repro.core.faults import Campaign, HardwareFault, OpSite
 from repro.core.faults.campaign import _submit
 from repro.engine import (
+    EXPERIMENT,
+    LEASE,
+    SESSION,
     CampaignEngine,
     EngineConfig,
     ResultStore,
     WorkUnit,
+    collect,
     read_records,
     render_text,
     scheduler,
@@ -76,15 +80,30 @@ def _units(payloads):
             for i, p in enumerate(payloads)]
 
 
+def _experiments(path) -> list[dict]:
+    """A store file's experiment records, in file order (the engine's
+    session, lease, retry and restart records sit between them)."""
+    return [r for r in read_records(path)[1:] if r["record"] == EXPERIMENT]
+
+
 class TestToyEngine:
-    def test_serial_matches_parallel(self):
+    def test_serial_matches_parallel(self, tmp_path):
         units = _units([{} for _ in range(6)])
-        serial = CampaignEngine(_toy_factory, EngineConfig(parallel=1)).run(units)
-        parallel = CampaignEngine(_toy_factory, EngineConfig(parallel=2)).run(units)
+        reports, states = [], []
+        for parallel in (1, 2):
+            path = tmp_path / f"p{parallel}.jsonl"
+            with ResultStore(path, kind="toy") as store:
+                reports.append(CampaignEngine(
+                    _toy_factory, EngineConfig(parallel=parallel),
+                    store=store).run(units))
+            states.append(collect(path))
+        serial, parallel = reports
         assert serial.results == parallel.results
         assert parallel.executed == 6
-        assert parallel.snapshot.done == 6
-        assert parallel.snapshot.breakdown == {"ok": 6}
+        for state in states:
+            assert (state.total, state.done, state.skipped) == (6, 6, 0)
+            assert state.breakdown == {"ok": 6}
+            assert sum(w.finished for w in state.workers) == 6
 
     def test_parallel_drain_does_not_idle_workers(self):
         # The parent must hand a worker its next lease as soon as the
@@ -141,32 +160,34 @@ class TestToyEngine:
         assert sorted(report.results) == ["key0", "key2"]
         assert "timeout" in report.quarantined["key1"]
 
-    def test_parallel_worker_crash_quarantined(self):
+    def test_parallel_worker_crash_quarantined(self, tmp_path):
         # The long sleeps keep both survivors leased, so the retry runs
         # on (and kills) a worker other than the first casualty.
         units = _units([{"sleep": 0.3}, {"crash": True}, {"sleep": 0.3}])
-        snapshots = []
-        report = CampaignEngine(
-            _toy_factory,
-            EngineConfig(parallel=2, max_retries=1, retry_backoff=0.01),
-            on_progress=snapshots.append,
-        ).run(units)
+        path = tmp_path / "s.jsonl"
+        states = []
+        with ResultStore(path, kind="toy") as store:
+            report = CampaignEngine(
+                _toy_factory,
+                EngineConfig(parallel=2, max_retries=1, retry_backoff=0.01),
+                store=store,
+                on_progress=lambda _report: states.append(collect(path)),
+            ).run(units)
         assert sorted(report.results) == ["key0", "key2"]
         assert "crashed" in report.quarantined["key1"]
         # Two attempts, two dead workers, two respawns — and the gauge
         # is the pool, not its history: a respawn retires the dead id
-        # (at the parent the final snapshot held ids 0, 1, 2, read
+        # (a pool counted from every id ever spawned read
         # `workers.alive 3` and `workers 0/3 busy` for a pool of two).
-        snapshots.append(report.snapshot)
-        assert report.snapshot.restarts == 2
-        for snapshot in snapshots:
-            assert len(snapshot.workers) <= 2
-            assert snapshot.sample().gauges["workers.alive"] <= 2.0
-        final = report.snapshot.sample().gauges
-        assert final["workers.restarts"] == 2.0
-        alive = len(report.snapshot.workers)
-        assert f"workers 0/{alive} busy, 2 restarts" \
-            in report.snapshot.status_line()
+        final = collect(path)
+        states.append(final)
+        assert (final.retries, final.restarts) == (1, 2)
+        for state in states:
+            assert len(state.workers) <= 2
+            assert state.sample().gauges["workers.alive"] <= 2.0
+        assert final.sample().gauges["workers.restarts"] == 2.0
+        alive = len(final.workers)
+        assert f"workers    0/{alive} busy, 2 restarts" in render_text(final)
 
     def test_worker_killed_mid_send_does_not_wedge_the_run(self, tmp_path):
         """A worker SIGKILLed while sending a multi-megabyte result to a
@@ -231,7 +252,8 @@ class TestToyEngine:
                 store=store).run(units)
         assert (report.executed, report.skipped) == (0, 3)
         assert not calls.exists()
-        assert report.snapshot.workers == []
+        state = collect(tmp_path / "s.jsonl")
+        assert (state.skipped, state.workers) == (3, [])
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_one_store_fsync_per_lease(self, parallel, tmp_path, fsyncs):
@@ -245,7 +267,7 @@ class TestToyEngine:
                 EngineConfig(parallel=parallel, block_size=3),
                 store=store).run(units)
         assert len(fsyncs) == 1 + 3
-        keys = [r["key"] for r in read_records(tmp_path / "s.jsonl")[1:]]
+        keys = [r["key"] for r in _experiments(tmp_path / "s.jsonl")]
         assert sorted(keys) == [u.key for u in units] == sorted(report.results)
         leases = [[u.key for u in units[i:i + 3]] for i in range(0, 7, 3)]
         if parallel == 1:
@@ -265,8 +287,8 @@ class TestToyEngine:
         marker = tmp_path / "executed.log"
         units = _units([{"marker": str(marker)} for _ in range(6)])
 
-        def interrupt_after_three(snapshot):
-            if snapshot.done >= 3:
+        def interrupt_after_three(report):
+            if report.executed >= 3:
                 raise KeyboardInterrupt
 
         store = ResultStore(tmp_path / "s.jsonl", kind="toy")
@@ -363,8 +385,7 @@ def serial_result(engine_campaign):
 
 def _store_report(path) -> dict:
     """The training summary over a store file's payloads."""
-    return campaign_report_dict([r["payload"] for r in read_records(path)[1:]
-                                 if r["record"] == "experiment"])
+    return campaign_report_dict([r["payload"] for r in _experiments(path)])
 
 
 def _sweep(groups, iterations):
@@ -386,7 +407,7 @@ class TestCampaignThroughEngine:
         assert campaign_report_dict(parallel.payloads) == serial_report
         assert _store_report(tmp_path / "s.jsonl") == serial_report
         assert parallel.engine_report.executed == 5
-        keys = [r["key"] for r in read_records(tmp_path / "s.jsonl")[1:]]
+        keys = [r["key"] for r in _experiments(tmp_path / "s.jsonl")]
         assert len(keys) == len(set(keys)) == 5
 
     def test_kill_and_resume_no_duplicates(self, engine_campaign,
@@ -396,19 +417,19 @@ class TestCampaignThroughEngine:
         matches a straight serial run with the same seeds."""
         path = tmp_path / "s.jsonl"
 
-        def killer(snapshot):
-            if snapshot.done >= 2:
+        def killer(report):
+            if report.executed >= 2:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
             engine_campaign.run(5, seed=11, store=path, on_progress=killer)
-        partial = [r["key"] for r in read_records(path)[1:]]
+        partial = [r["key"] for r in _experiments(path)]
         assert len(partial) == 2
 
         resumed = engine_campaign.run(5, seed=11, store=path, resume=True)
         assert resumed.engine_report.skipped == 2
         assert resumed.engine_report.executed == 3
-        keys = [r["key"] for r in read_records(path)[1:]]
+        keys = [r["key"] for r in _experiments(path)]
         assert len(keys) == len(set(keys)) == 5
         serial_report = campaign_report_dict(serial_result.payloads)
         assert campaign_report_dict(resumed.payloads) == serial_report
@@ -449,10 +470,13 @@ class TestCampaignThroughEngine:
         assert resumed.engine_report.skipped == 3
         assert resumed.engine_report.executed == 1
         assert [r.fault for r in resumed.results] == faults
-        header, *records = read_records(path)
+        header = read_records(path)[0]
+        records = _experiments(path)
         assert header["meta"]["num_experiments"] == 3
         assert header["meta"]["seed"] is None
         assert len({r["key"] for r in records}) == len(records) == 4
+        # The header keeps the first run's size; the session says 4.
+        assert collect(path).total == 4
 
     def test_fully_resumed_parallel_campaign_does_not_prepare(
             self, engine_campaign, tmp_path, monkeypatch):
@@ -540,7 +564,7 @@ class TestCampaignThroughEngine:
         daemonic = []
         campaign.run(faults=_sweep(groups=[1, 2], iterations=[4]),
                      parallel=2,
-                     on_progress=lambda _snapshot: daemonic.extend(
+                     on_progress=lambda _report: daemonic.extend(
                          p.daemon for p in multiprocessing.active_children()))
         assert daemonic and all(daemonic)
 
@@ -564,6 +588,18 @@ def _slow_lease_factory():
     return runner
 
 
+def _lease_store(path, deadline, settle=()):
+    """A store whose session leased key0..key3 to worker 0 with
+    ``deadline``, then stored the results of ``settle``."""
+    with ResultStore(path, kind="toy") as store:
+        store.note(SESSION, total=8, skipped=0)
+        store.note(LEASE, worker=0, keys=[f"key{i}" for i in range(4)],
+                   deadline=deadline)
+        for key in settle:
+            store.append(key, {"outcome": "ok"})
+    return path
+
+
 class TestStallTelemetry:
     def _snapshot(self, stalled):
         from repro.engine import CampaignState, WorkerState
@@ -579,60 +615,56 @@ class TestStallTelemetry:
         snapshot = self._snapshot(stalled=True)
         assert snapshot.stalled_workers == [1]
         assert snapshot.sample().gauges["workers.stalled"] == 1.0
-        assert "STALLED: w1" in snapshot.status_line()
-        # The live engine's observation goes through the monitor
-        # dashboard as it is.
+        assert "STALLED: w1" in snapshot.worker_summary()
         dashboard = render_text(snapshot)
         assert "3/6 done" in dashboard and "STALLED key=key7" in dashboard
 
     def test_fast_workers_not_flagged(self):
         snapshot = self._snapshot(stalled=False)
         assert snapshot.stalled_workers == []
-        assert "STALLED" not in snapshot.status_line()
+        assert "STALLED" not in snapshot.worker_summary()
         assert "STALLED" not in render_text(snapshot)
 
-    def test_no_timeout_disables_stall_flagging(self):
-        from repro.engine import ProgressTracker
+    def test_no_timeout_disables_stall_flagging(self, tmp_path):
+        path = _lease_store(tmp_path / "s.jsonl", deadline=None)
+        state = collect(path, now=1e12)
+        assert state.busy_workers == [0]
+        assert state.stalled_workers == []
 
-        now = [0.0]
-        tracker = ProgressTracker(total=2, clock=lambda: now[0])
-        tracker.task_started(0, "key0", deadline=None)
-        now[0] = 1e9
-        assert tracker.snapshot().stalled_workers == []
-
-    def test_tracker_snapshot_carries_stall_flag(self):
+    def test_lease_deadline_is_the_stall_flag(self, tmp_path):
         """The flag is the lease's own deadline (here 4 T for a lease of
         four), not the bare per-experiment timeout T."""
-        from repro.engine import ProgressTracker
+        T = 0.25
+        path = _lease_store(tmp_path / "s.jsonl", deadline=100.0 + 4 * T)
+        assert collect(path, now=100.0 + 3 * T).stalled_workers == []
+        state = collect(path, now=100.0 + 5 * T)
+        assert state.workers[0].stalled
+        assert (state.stalled_workers, state.workers[0].busy_key) \
+            == ([0], "key3")
+        settled = _lease_store(tmp_path / "t.jsonl", deadline=100.0 + 4 * T,
+                               settle=[f"key{i}" for i in range(4)])
+        state = collect(settled, now=100.0 + 5 * T)
+        assert (state.stalled_workers, state.busy_workers) == ([], [])
+        assert state.workers[0].finished == 4
 
-        now, T = [100.0], 0.25
-        tracker = ProgressTracker(total=8, clock=lambda: now[0])
-        for key in ("key0", "key1", "key2", "key3"):
-            tracker.task_started(0, key, deadline=100.0 + 4 * T)
-        now[0] = 100.0 + 3 * T
-        assert tracker.snapshot().stalled_workers == []
-        now[0] = 100.0 + 5 * T
-        snapshot = tracker.snapshot()
-        assert snapshot.workers[0].stalled
-        assert snapshot.stalled_workers == [0]
-        tracker.task_done(0, "ok")
-        assert tracker.snapshot().stalled_workers == []
-
-    def test_block_lease_inside_its_deadline_never_reads_stalled(self):
+    def test_block_lease_inside_its_deadline_never_reads_stalled(
+            self, tmp_path):
         """Leases of four at 2.4 T each, deadline 4 T: a healthy
-        `--experiment-batch 4` campaign.  At the parent every sample from
-        T on read `workers.stalled 2` (and `/healthz` answered 503)."""
+        `--experiment-batch 4` campaign.  A deadline of the bare T read
+        `workers.stalled 2` from T on (and `/healthz` answered 503)."""
+        path = tmp_path / "s.jsonl"
+        store = ResultStore(path, kind="toy")
         engine = CampaignEngine(
             _slow_lease_factory,
-            EngineConfig(parallel=2, timeout=0.25, block_size=4))
+            EngineConfig(parallel=2, timeout=0.25, block_size=4),
+            store=store)
         stalled, stop = [], threading.Event()
 
         def sampler():
             while not stop.wait(0.02):
-                progress = engine.progress()
-                if progress is not None:
-                    stalled.append(
-                        progress.sample().gauges["workers.stalled"])
+                state = collect(path)
+                if state.workers:
+                    stalled.append(state.sample().gauges["workers.stalled"])
 
         thread = threading.Thread(target=sampler)
         thread.start()
@@ -641,6 +673,7 @@ class TestStallTelemetry:
         finally:
             stop.set()
             thread.join(timeout=5)
+            store.close()
         assert not thread.is_alive()
         assert (report.executed, report.retries, report.quarantined) \
             == (8, 0, {})

@@ -1,23 +1,31 @@
 """Tests for the live campaign monitor (repro.engine.monitor)."""
 
-import contextlib
-import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
+from repro.core.faults import Campaign
 from repro.engine import (
+    CampaignEngine,
+    EngineConfig,
     ResultStore,
+    WorkUnit,
     monitor,
     collect,
     render_html,
     render_markdown,
     render_text,
+    snapshot_dict,
+    store as store_module,
 )
 from repro.engine.worker import UnitCapture
 from repro.observe import (
@@ -26,11 +34,13 @@ from repro.observe import (
     TelemetrySample,
     Tracer,
     campaign_trace_path,
-    read_series,
     shard_path,
 )
-from repro.observe.slo import SLOEngine, SLORule
+from repro.observe.slo import SLOEngine, SLORule, load_rules
 from repro.serve import watch_store
+from repro.workloads import build_workload
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _fixture_store(path, outcomes=("ok", "ok", "latent_inf_nan"),
@@ -62,6 +72,33 @@ def _rules_file(directory, rules, name="rules.json"):
     path = directory / name
     path.write_text(json.dumps(rules), encoding="utf-8")
     return str(path)
+
+
+def _watched_campaign(store, *argv, rules=None):
+    """Run ``repro campaign resnet --devices 2 --store store *argv`` in a
+    process of its own and watch its store while it runs, the way
+    ``repro monitor --follow`` next to it would: returns the state of
+    every poll and the watch's SLO engine (``rules``: a rules file)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "campaign", "resnet", "--devices",
+         "2", "--store", str(store), *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    polls = []
+    try:
+        deadline = time.monotonic() + 120
+        while not (store.exists() and store.read_bytes().endswith(b"\n")):
+            assert process.poll() is None, process.stdout.read()
+            assert time.monotonic() < deadline, "no store header"
+            time.sleep(0.01)
+        _, slo = watch_store(
+            store, rules=load_rules(rules) if rules else None, interval=0.05,
+            on_poll=lambda state, _statuses: polls.append(state))
+    finally:
+        out, _ = process.communicate(timeout=600)
+    assert process.returncode == 0, out
+    return polls, slo
 
 
 class TestCollect:
@@ -292,21 +329,20 @@ class TestMonitorCli:
 
 
 # ----------------------------------------------------------------------
-# One namespace, three sources: the same campaign observed live (the
-# samples `campaign --serve` builds from `engine.progress()`), from disk
-# (`collect` -> sample) and through a served `watch_store` must read the
-# same under every name a rule can address — so one rules file must gate
-# every CLI path the same way.
+# One namespace, three views of one store: what a watch saw while the
+# campaign ran, `collect` after it (-> sample) and a served
+# `watch_store` must read the same under every name a rule can address —
+# so one rules file must gate every CLI path the same way.
 # ----------------------------------------------------------------------
-#: Gauges each source measures on its own clock; present once measured
-#: but not comparable across sources.
+#: Gauges each view measures on its own clock; present once measured
+#: but not comparable across views.
 WALL_CLOCK = {"campaign.throughput", "campaign.eta_seconds",
               "campaign.elapsed_seconds",
               "campaign.last_result_age_seconds"}
 UNDEFINED_AT_ZERO = WALL_CLOCK - {"campaign.elapsed_seconds"} | {
     "campaign.quarantine_rate", "campaign.divergence_rate"}
-#: Facts only the live tracker has.
-LIVE_ONLY = {"campaign.skipped", "campaign.retries"}
+#: Facts of one session: the fixture's resume is a second session.
+SESSION_FACTS = {"campaign.skipped", "campaign.retries"}
 
 
 def _served_sample(store_path) -> TelemetrySample:
@@ -327,7 +363,7 @@ def _served_sample(store_path) -> TelemetrySample:
 def _shared(sample: TelemetrySample) -> dict[str, float]:
     return {name: value for name, value in sample.flat().items()
             if name.startswith(("campaign.", "outcome."))
-            and name not in WALL_CLOCK | LIVE_ONLY}
+            and name not in WALL_CLOCK | SESSION_FACTS}
 
 
 def _firing_lines(out: str) -> set[str]:
@@ -378,32 +414,28 @@ class TestOneNamespace:
 
     @pytest.fixture(scope="class")
     def campaign(self, tmp_path_factory):
-        """One small live campaign served with the rules file; the
-        series it leaves behind is the live source's own samples.  Then
-        the same store resumed (nothing left to run) under the
+        """One small campaign watched with the rules file while it runs;
+        the states that watch polled are the live view.  Then the same
+        store resumed (nothing left to run), watched under the
         warning-only file."""
         tmp = tmp_path_factory.mktemp("one-namespace")
         rules = _rules_file(tmp, self.RULES)
         warning = _rules_file(tmp, [self.WARNING], "warning.json")
         store = tmp / "camp.jsonl"
-        served = []
-        for extra in (["--slo", rules], ["--resume", "--slo", warning]):
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr):
-                rc = main(["campaign", "resnet", "--experiments", "3",
-                           "--devices", "2", "--store", str(store),
-                           "--serve", "0", "--serve-interval", "0.05",
-                           *extra])
-            served.append((rc, _gated(stderr.getvalue())))
-            if len(served) == 1:
-                _, live = read_series(store.with_name("camp.series.jsonl"))
+        watched = []
+        for extra, file in (([], rules), (["--resume"], warning)):
+            polls, slo = _watched_campaign(store, "--experiments", "3",
+                                           *extra, rules=file)
+            watched.append((1 if slo.breached() else 0, set(slo.breached())))
+            if len(watched) == 1:
+                live = [state.sample() for state in polls]
         empty = ResultStore(tmp / "empty.jsonl", kind="campaign",
                             meta={"workload": "resnet",
                                   "num_experiments": 3})
         empty.close()
         return {"store": store, "empty": tmp / "empty.jsonl",
                 "rules": rules, "warning": warning, "live": live,
-                "campaign-serve": served}
+                "watched": watched}
 
     @pytest.mark.parametrize("source", ["live", "disk", "served"])
     def test_sources_agree_and_one_rules_file_gates_every_path(
@@ -439,14 +471,18 @@ class TestOneNamespace:
             **{f"outcome.{label}": float(count) for label, count
                in collect(store).breakdown.items()}}
         assert sum(collect(store).breakdown.values()) == 3
-        assert final.gauges["campaign.throughput"] > 0.0
+        # The rate is the last session's: the resume ran nothing, so
+        # only the watch of the first session measured one.
+        if source == "live":
+            assert final.gauges["campaign.throughput"] > 0.0
+        else:
+            assert "campaign.throughput" not in final.gauges
 
         # One rules file: on every CLI path that reads this source the
         # critical rule that fired gates, the warning rule that fired is
         # shown and does not; the warning rule alone gates nothing.
         if source == "live":
-            assert campaign["campaign-serve"] == [(1, {"done-floor"}),
-                                                  (0, set())]
+            assert campaign["watched"] == [(1, {"done-floor"}), (0, set())]
             return
         modes = {"disk": ("json", "--once", "--follow"),
                  "served": ("--serve",)}[source]
@@ -514,49 +550,181 @@ class TestOneNamespace:
 
 
 class TestParallelInvariance:
-    """A campaign's telemetry is its state alone: the same fault list
-    read live at any ``--parallel`` has one set of names, and every one
-    of them that is not a live-only extra reads from the store too.  At
-    the parent of this test the live samples also folded in a
-    process-global registry whose detector counters were bumped in the
-    forked workers, so they read differently at ``--parallel 2``, and
-    `monitor` had none of its names."""
-
-    #: What only the live tracker knows.
-    LIVE_EXTRAS = LIVE_ONLY | {"campaign.elapsed_seconds", "workers.restarts"}
+    """A campaign's telemetry is its store alone: the same fault list
+    watched at any ``--parallel`` has one set of names and counts, and
+    the last poll of a watch during the run reads, name for name, what
+    the store reads after it.  ``campaign.skipped|retries`` and
+    ``workers.restarts`` come from the store's session records; at the
+    parent of this test only the engine's live tracker had them."""
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
-        """parallel -> (final live sample, store) of one seeded
-        ``--detect`` campaign served at that worker count."""
+        """parallel -> (last state a watch polled, store) of one seeded
+        ``--detect`` campaign at that worker count."""
         runs = {}
-        # Parallel first: a process-wide metric the serial run filled
-        # would otherwise carry its names into the parallel run's samples.
         for parallel in (2, 1):
             store = tmp_path_factory.mktemp(f"parallel{parallel}") / "c.jsonl"
-            with contextlib.redirect_stderr(io.StringIO()):
-                rc = main(["campaign", "resnet", "--experiments", "4",
-                           "--devices", "2", "--detect",
-                           "--parallel", str(parallel), "--store", str(store),
-                           "--serve", "0", "--serve-interval", "0.05"])
-            assert rc == 0
-            _, live = read_series(store.with_name("c.series.jsonl"))
-            runs[parallel] = (live[-1].flat(), store)
+            polls, _ = _watched_campaign(
+                store, "--experiments", "4", "--detect",
+                "--parallel", str(parallel))
+            runs[parallel] = (polls[-1], store)
         return runs
 
     def test_same_names_and_counts_at_any_parallel(self, runs):
-        (serial, _), (parallel, _) = runs[1], runs[2]
+        serial, parallel = (runs[p][0].sample().flat() for p in (1, 2))
         assert set(serial) == set(parallel)
         counted = [name for name in serial if name.startswith("outcome.")
-                   or name in ("campaign.done", "campaign.quarantined")]
+                   or name in ("campaign.done", "campaign.quarantined",
+                               "campaign.skipped", "campaign.retries",
+                               "workers.restarts")]
         assert {name: serial[name] for name in counted} == \
             {name: parallel[name] for name in counted}
         assert serial["campaign.done"] == 4.0
+        assert serial["campaign.skipped"] == serial["campaign.retries"] \
+            == serial["workers.restarts"] == 0.0
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_every_live_name_reads_from_the_store(self, runs, parallel):
-        live, store = runs[parallel]
-        assert set(live) - self.LIVE_EXTRAS <= set(collect(store).sample().flat())
+        last, store = runs[parallel]
+        live, disk = last.sample().flat(), collect(store).sample().flat()
+        assert set(live) == set(disk)
+        assert {n: v for n, v in live.items() if n not in WALL_CLOCK} == \
+            {n: v for n, v in disk.items() if n not in WALL_CLOCK}
+
+
+def _crash_once(flag: Path):
+    """A ``Campaign._engine_runner`` whose worker dies on the first
+    attempt of the unit at index 1 (``flag`` marks that it did)."""
+    real = Campaign._engine_runner
+
+    def engine_runner(self):
+        run_lease = real(self)
+
+        def runner(payloads, sinks):
+            if any(p["index"] == 1 for p in payloads) and not flag.exists():
+                flag.write_text("crashed")
+                os._exit(3)
+            return run_lease(payloads, sinks)
+
+        return runner
+
+    return engine_runner
+
+
+class TestObservability:
+    def test_monitor_after_the_run_equals_the_last_poll_during_it(
+            self, tmp_path, monkeypatch, capsys):
+        """Anything a watch saw while the campaign ran, `monitor --json`
+        over its store sees after it: a ``--parallel 2`` campaign with a
+        killed worker and a retry, field for field (the snapshot has no
+        wall-clock field)."""
+        monkeypatch.setattr(Campaign, "_engine_runner",
+                            _crash_once(tmp_path / "crashed"))
+        spec = build_workload("resnet", size="tiny", seed=0)
+        campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=6,
+                            horizon=10, inject_window=4, test_every=5)
+        campaign.prepare()
+        path = tmp_path / "c.jsonl"
+        polls = []
+
+        def watch():
+            while not (path.exists() and path.read_bytes().endswith(b"\n")):
+                time.sleep(0.005)
+            watch_store(path, interval=0.02, on_poll=lambda state, statuses:
+                        polls.append(snapshot_dict(state, statuses)))
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            result = campaign.run(4, seed=5, parallel=2, store=path)
+        finally:
+            watcher.join(timeout=60)
+        assert not watcher.is_alive()
+        report = result.engine_report
+        assert (report.executed, report.retries, report.quarantined) \
+            == (4, 1, {})
+        assert main(["monitor", str(path), "--json"]) == 0
+        after = json.loads(capsys.readouterr().out)
+        assert len(polls) >= 2
+        assert after == json.loads(json.dumps(polls[-1]))
+        assert (after["completed"], after["skipped"], after["retries"],
+                after["restarts"]) == (4, 0, 1, 1)
+        assert sum(w["finished"] for w in after["workers"]) <= 4
+        assert all(w["busy_key"] is None for w in after["workers"])
+
+
+def _counting_factory(clock):
+    """Toy runner: each unit takes one second of ``clock``."""
+    def runner(payloads, sinks):
+        clock[0] += len(payloads)
+        return [{"outcome": "ok", "x": p["x"]} for p in payloads]
+    return lambda: runner
+
+
+def _grow(path, clock, n, stop_after=None):
+    """Run units 0..n-1 into ``path`` (resuming it if it exists),
+    interrupted once ``stop_after`` units ran this session."""
+    units = [WorkUnit(key=f"k{i}", payload={"x": i}) for i in range(n)]
+
+    def interrupt(report):
+        if report.executed == stop_after:
+            raise KeyboardInterrupt
+
+    with ResultStore(path, kind="toy", meta={"num_experiments": n},
+                     resume=path.exists()) as store:
+        try:
+            CampaignEngine(_counting_factory(clock), EngineConfig(),
+                           store=store, on_progress=interrupt).run(units)
+        except KeyboardInterrupt:
+            pass
+
+
+class TestGrowth:
+    """A resume that grows a store keeps the first run's header, so its
+    size and rate are the current session's."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = [1000.0]
+        monkeypatch.setattr(store_module, "time",
+                            SimpleNamespace(time=lambda: clock[0]))
+        return clock
+
+    def test_a_grown_store_reads_its_new_total(self, tmp_path, clock):
+        """At the parent a 4-experiment store grown to 8 read `total 4`
+        and `complete True` after 6 results."""
+        path = tmp_path / "s.jsonl"
+        _grow(path, clock, 4)
+        _grow(path, clock, 8, stop_after=2)
+        state = collect(path)
+        assert (state.total, state.done, state.skipped) == (8, 6, 4)
+        assert not state.complete
+
+    def test_a_watch_does_not_stop_at_the_first_runs_total(
+            self, tmp_path, clock):
+        """`monitor --follow` / `--serve` stop once the campaign is
+        complete: at the parent that was the first poll."""
+        path = tmp_path / "s.jsonl"
+        _grow(path, clock, 4)
+        _grow(path, clock, 8, stop_after=2)
+        polls = []
+        watch_store(path, interval=0.01, max_polls=3,
+                    on_poll=lambda state, _statuses: polls.append(state.done))
+        assert polls == [6, 6, 6]
+
+    def test_throughput_is_the_current_sessions(self, tmp_path, clock):
+        """Four results at 1/s, then a day later four more at 1/s: the
+        rate reads 1.0, not 8 over the day between (8.1e-05 at the
+        parent)."""
+        path = tmp_path / "s.jsonl"
+        _grow(path, clock, 4)
+        clock[0] += 86400
+        _grow(path, clock, 8)
+        state = collect(path, now=clock[0])
+        assert state.throughput == pytest.approx(1.0)
+        assert state.complete and state.total == 8
+        assert state.elapsed == pytest.approx(4.0)
+        assert state.eta == 0.0
 
 
 class TestMonitorSlo:

@@ -15,10 +15,10 @@ import pytest
 from repro import httpcore
 from repro.engine import (
     CampaignEngine,
-    CampaignState,
     EngineConfig,
     ResultStore,
     WorkUnit,
+    collect,
 )
 from repro.observe.export import (
     dumps_json,
@@ -300,8 +300,8 @@ class TestEndpointsLoopHosted(EndpointSuite):
 
 
 # ----------------------------------------------------------------------
-# Concurrent scrape-while-writing (the ISSUE acceptance scenario):
-# a live parallel engine runs while a scraper hammers /metrics — every
+# Concurrent scrape-while-writing: a parallel engine writes its store
+# while a served watch of that store is hammered on /metrics — every
 # single scrape must parse.
 # ----------------------------------------------------------------------
 def _sleepy_factory():
@@ -311,68 +311,79 @@ def _sleepy_factory():
     return lambda payloads, sinks: [run_one(payload) for payload in payloads]
 
 
-def _live_sample(engine):
-    """What ``repro campaign --serve`` samples: the engine's state, an
-    empty one while it is idle."""
-    return (engine.progress() or CampaignState(total=None)).sample()
+def _engine_thread(store_path, units, parallel):
+    """Start an engine writing ``units`` into a new store at
+    ``store_path`` on a thread; returns the thread and its report box."""
+    store = ResultStore(store_path, kind="toy")
+    box = {}
+
+    def run():
+        with store:
+            box["report"] = CampaignEngine(
+                _sleepy_factory, EngineConfig(parallel=parallel),
+                store=store).run(units)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, box
 
 
 class TestConcurrentScrape:
-    def test_every_scrape_parses_during_live_parallel_run(self):
+    def test_every_scrape_parses_during_live_parallel_run(self, tmp_path):
         units = [WorkUnit(key=f"key{i}",
                           payload={"key": f"key{i}", "x": i, "sleep": 0.03})
                  for i in range(12)]
-        engine = CampaignEngine(_sleepy_factory, EngineConfig(parallel=2))
-        telemetry = TelemetryService(
-            lambda: _live_sample(engine), port=0, interval=0.01)
-        report_box = {}
+        runner, box = _engine_thread(tmp_path / "s.jsonl", units, 2)
+        urls, scrapes = [], []
 
-        def run_engine():
-            report_box["report"] = engine.run(units)
-
-        runner = threading.Thread(target=run_engine)
-        with telemetry:
-            runner.start()
-            scrapes = 0
-            while runner.is_alive():
-                _, body, _ = _get(f"{telemetry.url}/metrics")
+        def scrape(_state, _statuses):
+            if runner.is_alive():
+                _, body, _ = _get(f"{urls[0]}/metrics")
                 validate_exposition(body)  # raises on any malformed scrape
-                status, health, _ = _get(f"{telemetry.url}/healthz")
+                status, health, _ = _get(f"{urls[0]}/healthz")
                 assert status in (200, 503)
                 json.loads(health)
-                scrapes += 1
-            runner.join()
-        assert scrapes >= 3, f"only {scrapes} scrapes landed mid-run"
-        assert report_box["report"].executed == 12
-        # The final (post-stop) sample reflects the finished campaign.
-        final = telemetry.latest()
-        assert final.gauges["campaign.done"] == 12.0
+                scrapes.append(1)
+
+        try:
+            state, _ = watch_store(tmp_path / "s.jsonl", port=0,
+                                   interval=0.01, on_start=urls.append,
+                                   on_poll=scrape)
+        finally:
+            runner.join(timeout=60)
+        assert len(scrapes) >= 3, f"only {len(scrapes)} scrapes landed mid-run"
+        assert box["report"].executed == 12
+        # The watch ends on the finished campaign.
+        assert state.complete and state.sample().gauges["campaign.done"] \
+            == 12.0
 
     def test_campaign_telemetry_persists_series_and_gates_on_slo(
             self, tmp_path):
         store_path = tmp_path / "camp.jsonl"
         rules = [SLORule(name="done-ceiling", metric="campaign.done",
                          max=0.5)]
-        engine = CampaignEngine(_sleepy_factory, EngineConfig(parallel=1))
-        telemetry = TelemetryService(
-            lambda: _live_sample(engine), store_path=store_path,
-            port=0, interval=0.01, rules=rules)
         units = [WorkUnit(key=f"k{i}",
                           payload={"key": f"k{i}", "x": i, "sleep": 0.02})
                  for i in range(4)]
-        with telemetry:
-            engine.run(units)
-            time.sleep(0.05)  # let the sampler observe the breach
+        runner, _ = _engine_thread(store_path, units, 1)
+        telemetry = TelemetryService(
+            lambda: collect(store_path).sample(), store_path=store_path,
+            port=0, interval=0.01, rules=rules)
+        telemetry.sampler.start()
+        runner.join(timeout=60)
+        time.sleep(0.05)  # let the sampler observe the breach
+        telemetry.sampler.stop()
         assert telemetry.slo.breached() == ["done-ceiling"]
         assert telemetry.series_path.exists()
         from repro.observe.timeseries import read_series
         _, samples = read_series(telemetry.series_path)
         assert samples, "series file persisted no samples"
+        assert samples[-1].gauges["campaign.done"] == 4.0
 
 
 # ----------------------------------------------------------------------
-# The one store watch: served (repro monitor --serve, the post-hoc twin
-# of campaign --serve) and unserved (--follow, --once)
+# The one store watch: served (repro monitor --serve) and unserved
+# (--follow, --once)
 # ----------------------------------------------------------------------
 PORTS = (0, None)
 

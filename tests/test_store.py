@@ -4,6 +4,10 @@ file-format cases every log shares are in tests/test_jsonl.py."""
 import pytest
 
 from repro.engine import (
+    LEASE,
+    RESTART,
+    RETRY,
+    SESSION,
     STORE_SCHEMA_VERSION,
     ResultStore,
     experiment_key,
@@ -134,3 +138,47 @@ class TestMerge:
         with pytest.raises(ValueError, match="different kinds"):
             merge_stores([tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
                          tmp_path / "out.jsonl")
+
+    def test_another_campaigns_store_is_refused(self, tmp_path):
+        """A `yolo` seed-9 store merged after a `resnet` seed-0 store
+        used to come out headed `resnet` / seed 0, holding both
+        experiments at index 0."""
+        config = {"workload": "resnet", "seed": 0, "backend": "inprocess"}
+        for name, meta in (
+                ("a", {"workload": "resnet", "config": config}),
+                ("b", {"workload": "yolo", "config": dict(
+                    config, workload="yolo", seed=9)}),
+                # Outcomes do not depend on the backend: one campaign.
+                ("c", {"workload": "resnet", "config": dict(
+                    config, backend="batched")})):
+            with ResultStore(tmp_path / f"{name}.jsonl", meta=meta) as store:
+                store.append(f"{name}0", {"outcome": "masked", "index": 0})
+        with pytest.raises(ValueError, match=r"b\.jsonl: its campaign config "
+                                             r"differs .* in seed, workload$"):
+            merge_stores([tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
+                         tmp_path / "out.jsonl")
+        assert not (tmp_path / "out.jsonl").exists()
+        with merge_stores([tmp_path / "a.jsonl", tmp_path / "c.jsonl"],
+                          tmp_path / "out.jsonl") as merged:
+            assert sorted(merged.completed) == ["a0", "c0"]
+
+
+class TestEngineRecords:
+    def test_readers_skip_what_the_engine_notes(self, tmp_path, fsyncs):
+        """Session, lease, retry and restart records are flushed without
+        an fsync of their own, and a resume reads past them."""
+        path = tmp_path / "s.jsonl"
+        with ResultStore(path, kind="campaign") as store:
+            store.note(SESSION, total=2, skipped=0)
+            store.note(LEASE, worker=0, keys=["k1", "k2"], deadline=None)
+            store.note(RETRY, key="k2", attempt=1, error="boom")
+            store.note(RESTART, worker=0)
+            assert len(fsyncs) == 1  # the header's
+            assert [r["record"] for r in read_records(path)[1:]] == \
+                [SESSION, LEASE, RETRY, RESTART]
+            with store.group():
+                store.append("k1", {"outcome": "masked"})
+            assert len(fsyncs) == 2
+        with ResultStore(path, resume=True) as store:
+            assert store.completed == {"k1": {"outcome": "masked"}}
+            assert store.quarantined == {}

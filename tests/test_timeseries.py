@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.engine.telemetry import CampaignState, ProgressTracker
+from repro.engine.telemetry import CampaignState, WorkerState
 from repro.observe import Counter, Histogram
 from repro.observe.counters import DEFAULT_BOUNDS
 from repro.observe.timeseries import (
@@ -130,13 +130,11 @@ class TestBuildSample:
         assert empty.counters == {} and empty.histograms == {}
 
     def test_progress_snapshot_gauges_and_outcomes(self):
-        tracker = ProgressTracker(total=4, clock=lambda: 100.0)
-        tracker._start = 90.0
-        tracker.task_started(0, "k0")
-        tracker.task_done(0, "ok")
-        tracker.task_started(1, "k1")
-        tracker.task_done(1, "latent_inf_nan")
-        sample = tracker.snapshot().sample(now=1.0)
+        state = CampaignState(
+            total=4, done=2, breakdown={"ok": 1, "latent_inf_nan": 1},
+            throughput=0.2, eta=10.0,
+            workers=[WorkerState(0, finished=1), WorkerState(1, finished=1)])
+        sample = state.sample(now=1.0)
         g = sample.gauges
         assert g["campaign.total"] == 4.0
         assert g["campaign.done"] == 2.0
