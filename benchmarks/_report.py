@@ -9,6 +9,10 @@ hook in ``benchmarks/conftest.py`` — they appear at the end of
 Benchmarks can additionally persist their measurements as
 machine-readable ``BENCH_<name>.json`` artifacts (:func:`write_artifact`)
 so CI and trend tooling can track them without scraping the text.
+
+A paper claim is decided once, by :func:`verdict`, from the interval
+:func:`paper_vs_measured` builds out of the claim's counts; the record
+it returns goes into the bench's artifact under ``claims``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import os
 from pathlib import Path
 
 from repro.bench.provenance import run_provenance
+from repro.core.analysis import difference_interval, rate_interval
+from repro.core.analysis.report import INTERVAL_CONFIDENCE
 
 #: Buffered report lines, flushed at terminal summary.
 LINES: list[str] = []
@@ -98,8 +104,58 @@ def table(rows: list[dict], columns: list[str] | None = None,
         emit("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
-def paper_vs_measured(claim: str, paper: str, measured: str, holds: bool) -> None:
-    status = "OK " if holds else "DIFF"
-    emit(f"[{status}] {claim}")
+#: The verdict words, worst first: a bench reads as its worst claim.
+VERDICTS = ("DIFF", "PARTIAL", "OK")
+
+
+def verdict(low: float, high: float, band: tuple) -> str:
+    """OK when ``[low, high]`` lies inside ``band``, DIFF when the two
+    are disjoint, PARTIAL otherwise.  ``band`` is ``(lo, hi)``; a
+    ``None`` end leaves that side open."""
+    lo, hi = band
+    if (lo is None or low >= lo) and (hi is None or high <= hi):
+        return "OK"
+    if (lo is not None and high < lo) or (hi is not None and low > hi):
+        return "DIFF"
+    return "PARTIAL"
+
+
+def paper_vs_measured(claim: str, paper: str, measured: str, *, band: tuple,
+                      counts: tuple | None = None,
+                      value: float | None = None) -> dict:
+    """Decide one paper claim against the paper's ``band``, report it,
+    and return its record for the bench's artifact.
+
+    The measured interval comes from ``counts``: ``(hits, n)`` gives the
+    99 % Wilson interval of the rate, ``((a_hits, a_n), (b_hits, b_n))``
+    the Newcombe interval of the difference of two rates.  A ``value``
+    (a timing, a ratio) is the interval ``[value, value]`` with no n.
+    A zero-width band (``(1, 1)``: "every") is judged on the point
+    estimate; the record still carries the interval and its n.
+    """
+    if (counts is None) == (value is None):
+        raise ValueError("a claim is measured by counts or by a value")
+    if value is not None:
+        estimate = low = high = float(value)
+        n = None
+    elif isinstance(counts[0], tuple):
+        (a_hits, a_n), (b_hits, b_n) = counts
+        estimate = a_hits / a_n - b_hits / b_n
+        low, high = difference_interval(a_hits, a_n, b_hits, b_n,
+                                        INTERVAL_CONFIDENCE)
+        n = [a_n, b_n]
+    else:
+        hits, n = counts
+        interval = rate_interval(hits, n)
+        estimate, low, high = hits / n, interval["low"], interval["high"]
+    point = band[0] is not None and band[0] == band[1]
+    word = verdict(estimate if point else low, estimate if point else high,
+                   band)
+    emit(f"[{word}] {claim}")
     emit(f"       paper:    {paper}")
     emit(f"       measured: {measured}")
+    emit(f"       band {list(band)} vs {estimate:.4g} [{low:.4g}, "
+         f"{high:.4g}] (n={n})")
+    return {"claim": claim, "paper": paper, "measured": measured,
+            "band": list(band), "n": n, "estimate": estimate,
+            "low": low, "high": high, "verdict": word}

@@ -31,7 +31,7 @@ come from the store, the training-accuracy curve from the merged trace.
 
 from __future__ import annotations
 
-from _report import emit, header, table
+from _report import emit, header, paper_vs_measured, table, write_artifact
 from conftest import directed_campaign, pinned_fault, traced
 from repro.core.analysis.classify import Outcome
 from repro.workloads import build_workload
@@ -101,6 +101,17 @@ def bench_fig2_latent_outcomes(benchmark, tmp_path):
     emit("optimizer; LowTestAccuracy leaves training accuracy intact while")
     emit("the faulty device's test accuracy collapses under slow mvar decay.")
 
+    matched = sum(o.value.replace("_", "") == label.lower()
+                  for label, o in outcomes.items())
+    claim = paper_vs_measured(
+        "each latent outcome arises from the mechanism the paper names",
+        "SlowDegrade, SharpSlowDegrade, SharpDegrade and LowTestAccuracy, "
+        "each from its Table 4 condition (Fig. 2)",
+        f"{matched}/{len(outcomes)} directed instances classified as their "
+        f"outcome",
+        band=(1, 1), counts=(matched, len(outcomes)),
+    )
+    write_artifact("fig2_latent_outcomes", {"claims": [claim]}, smoke=False)
     assert all(o.is_latent for o in outcomes.values()), \
         {label: o.value for label, o in outcomes.items()}
     assert outcomes["LowTestAccuracy"] == Outcome.LOW_TEST_ACCURACY

@@ -9,23 +9,19 @@ normalization as the paper's Fig. 3.
 Shape expectations at our scale: the large majority of faults are benign
 (the paper: 82.3%-90.3%), and unexpected outcomes concentrate in the
 critical FF classes.  With tens (not hundreds of thousands) of
-experiments per workload the intervals are wide; the benign-majority and
-masking-dominance claims are the testable shape here.
+experiments per workload the intervals are wide; the pooled benign rate
+is judged against the paper's benign band.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from _report import emit, header, paper_vs_measured, table
-from conftest import CAMPAIGN_EXPERIMENTS
-from repro.core.analysis import campaign_report_dict, render_rate
+from _report import emit, header, paper_vs_measured, table, write_artifact
+from conftest import CAMPAIGN_EXPERIMENTS, uniform_meta
+from repro.core.analysis import Outcome, campaign_report_dict, render_rate
 from repro.core.faults import Campaign
 from repro.workloads import build_workload
-
-#: The paper's unexpected band across workloads (Fig. 3).
-PAPER_UNEXPECTED = (0.097, 0.177)
-
 
 def bench_fig3_breakdown(benchmark, campaign_results):
     rows = []
@@ -45,25 +41,24 @@ def bench_fig3_breakdown(benchmark, campaign_results):
     table(rows, columns=["workload"] + columns)
     emit()
 
-    pooled = campaign_report_dict(
-        [p for result in campaign_results.values() for p in result.payloads])
-    high = pooled["intervals"]["unexpected_rate"]["high"]
-    paper_vs_measured(
+    payloads = [p for result in campaign_results.values()
+                for p in result.payloads]
+    benign = sum(not Outcome(p["outcome"]).is_unexpected for p in payloads)
+    pooled = campaign_report_dict(payloads)
+    claim = paper_vs_measured(
         "the large majority of faults are benign",
         "82.3%-90.3% benign across workloads (>2.9M experiments)",
         f"unexpected {render_rate(pooled, 'unexpected_rate')} over the "
         f"four workloads pooled",
-        high < 0.35,
+        band=(0.823, 0.903), counts=(benign, len(payloads)),
     )
-    emit(f"Against the paper's {PAPER_UNEXPECTED[0]:.1%}-"
-         f"{PAPER_UNEXPECTED[1]:.1%} unexpected band the pooled interval is "
-         + ("below it" if high < PAPER_UNEXPECTED[0] else "not below it")
-         + " at 99 % confidence.")
+    write_artifact("fig3_breakdown", {"claims": [claim], **uniform_meta()},
+                   smoke=False)
     emit()
     emit("Note: at tiny model scale the masking/recovery effects the paper")
     emit("describes (Observation 1 and 3) are stronger — small BN-protected")
     emit("networks recover from almost all single-site faults, so the")
-    emit("unexpected fraction sits at or below the paper's 9.7%-17.7% band.")
+    emit("benign fraction sits above the paper's 82.3%-90.3% band.")
 
     # Benchmark one full FI experiment (restore + inject + train +
     # classify) through the campaign engine.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _report import emit, header, table
+from _report import emit, header, paper_vs_measured, table, write_artifact
 from conftest import GROUP1, NUM_DEVICES
 from repro.core.analysis.propagation import PropagationTracer
 from repro.core.faults import FaultInjector, HardwareFault, OpSite
@@ -86,6 +86,18 @@ def bench_fig4_propagation(benchmark):
     emit("faults inflate BatchNorm's moving variance; weights remain bounded")
     emit("under Adam in both cases — the Fig. 4 propagation structure.")
 
+    on_time = sum(onsets[kind].get(condition, 99) <= 2
+                  for kind, condition in (("weight_grad", "gradient_history"),
+                                          ("forward", "mvar")))
+    claim = paper_vs_measured(
+        "a fault's pass decides the state it persists in",
+        "backward fault -> gradients -> optimizer history; forward fault -> "
+        "activations -> mvar (Fig. 4)",
+        f"{on_time}/2 faults fired their pass's condition within 2 "
+        f"iterations",
+        band=(1, 1), counts=(on_time, 2),
+    )
+    write_artifact("fig4_propagation", {"claims": [claim]}, smoke=False)
     assert onsets["weight_grad"].get("gradient_history", 99) <= 2
 
     benchmark.pedantic(lambda: _traced_run("1.conv1", "weight_grad", 3),

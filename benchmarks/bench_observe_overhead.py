@@ -116,12 +116,12 @@ def _report_and_check(traced_ips, untraced_ips, overhead, events,
     emit()
     table(_micro_costs(), floatfmt="{:.0f}")
     emit()
-    paper_vs_measured(
+    claim = paper_vs_measured(
         "observability must not perturb the measured system (the paper's "
         "per-iteration statistics are collected on every experiment)",
         "telemetry cost indistinguishable from run-to-run noise",
         f"{overhead * 100.0:+.2f}% per iteration with a live tracer",
-        overhead <= OVERHEAD_CEILING,
+        band=(None, OVERHEAD_CEILING), value=overhead,
     )
     write_artifact("observe_overhead", {
         "num_devices": num_devices,
@@ -132,6 +132,7 @@ def _report_and_check(traced_ips, untraced_ips, overhead, events,
         "overhead_fraction": overhead,
         "budget_fraction": OVERHEAD_CEILING,
         "events_buffered": events,
+        "claims": [claim],
     }, smoke=smoke)
     assert overhead <= OVERHEAD_CEILING, (
         f"tracing overhead {overhead * 100.0:.2f}% exceeds the "

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from _report import emit, header, paper_vs_measured, table
+from _report import emit, header, paper_vs_measured, table, write_artifact
 from conftest import directed_campaign, pinned_fault, traced
 
 BUDGET = 60
 INJECT_AT = 50          # "late in the training process"
-EXTENSIONS = (0.10, 0.17)
+#: Extra training time -> the paper's deficit ceiling after it.
+EXTENSIONS = {0.10: 0.02, 0.17: 0.005}
 #: The warm-up snapshot precedes the last three test points (39, 49,
 #: 59), whose mean is the final test accuracy, so every experiment's
 #: record holds them.
@@ -33,7 +34,7 @@ def bench_recovery_extension(benchmark, tmp_path):
                          magnitude=1e10, elements=512, seed=4, coherent=True)
     rows = []
     deltas = {}
-    for extension in (0.0,) + EXTENSIONS:
+    for extension in (0.0, *EXTENSIONS):
         extra = int(round(BUDGET * extension))
         # One campaign per budget: its reference run is the clean run.
         campaign = directed_campaign("resnet_nobn", WARMUP, BUDGET + extra)
@@ -54,13 +55,17 @@ def bench_recovery_extension(benchmark, tmp_path):
            f"(fault at iteration {INJECT_AT} of {BUDGET})")
     table(rows)
     emit()
-    paper_vs_measured(
-        "extra training time shrinks the late-fault deficit",
+    claims = [paper_vs_measured(
+        f"+{extension:.0%} training time brings the late-fault deficit "
+        f"within {ceiling:.1%}",
         "+10% training time -> within 2% of fault-free; +17% -> within 0.5%",
         f"deficit at nominal budget {deltas[0.0]:+.3f}; "
-        f"at +10% {deltas[0.10]:+.3f}; at +17% {deltas[0.17]:+.3f}",
-        deltas[0.17] <= deltas[0.0] + 1e-9,
-    )
+        f"at +{extension:.0%} {deltas[extension]:+.3f}",
+        band=(None, ceiling), value=deltas[extension],
+    ) for extension, ceiling in EXTENSIONS.items()]
+    write_artifact("recovery_extension", {"claims": claims, "seed": None,
+                                          "config": campaign.config_dict()},
+                   smoke=False)
     assert deltas[0.17] <= max(deltas[0.0], 0.02) + 0.05
 
     benchmark.pedantic(lambda: campaign.run_experiment(fault),

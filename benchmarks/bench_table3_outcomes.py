@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from _report import emit, header, table
+from _report import emit, header, paper_vs_measured, table, write_artifact
 from conftest import GROUP1, directed_campaign, traced
 from repro.accelerator.ffs import FFDescriptor
+from repro.core.analysis import Outcome
 from repro.core.faults import HardwareFault, OpSite
 
 INJECT_AT, TOTAL = 20, 60
@@ -72,6 +73,19 @@ def bench_table3_outcome_examples(benchmark, tmp_path):
     emit("Manifestation latencies observed: immediate INFs/NaNs at the")
     emit("injection iteration; masked faults leave convergence untouched;")
     emit("backward-pass faults corrupt history state (see Table 4 bench).")
+    expected = (not Outcome(masked_row["classified"]).is_unexpected,
+                Outcome(found["classified"]) == Outcome.IMMEDIATE_INF_NAN,
+                Outcome(history_row["classified"]).is_latent)
+    claim = paper_vs_measured(
+        "each artifact example lands in its outcome class",
+        "inj_masked -> Masked, inj_immediate_infs_nans -> immediate "
+        "INFs/NaNs, inj_slow_degrade -> a latent degradation (Table 3)",
+        f"{sum(expected)}/3 classified as their class",
+        band=(1, 1), counts=(sum(expected), 3),
+    )
+    write_artifact("table3_outcomes", {"claims": [claim],
+                                       "config": campaign.config_dict(),
+                                       "seed": None}, smoke=False)
 
     benchmark.pedantic(lambda: campaign.run_experiment(masked),
                        rounds=3, iterations=1)

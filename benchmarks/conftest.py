@@ -77,20 +77,37 @@ def trained_resnet():
     return trainer
 
 
+#: The Fig. 3 workload set and the sample seed of its uniform campaigns.
+UNIFORM_WORKLOADS = ("resnet", "resnet_nobn", "resnet_sgd",
+                     "resnet_largedecay")
+CAMPAIGN_SEED = 77
+
+
+def uniform_campaign(name: str) -> Campaign:
+    """The statistical FI campaign ``campaign_results`` runs on ``name``."""
+    spec = build_workload(name, size="tiny", seed=0)
+    return Campaign(spec, num_devices=NUM_DEVICES, seed=0,
+                    warmup_iterations=15, horizon=45, inject_window=10,
+                    test_every=10)
+
+
+def uniform_meta(names=UNIFORM_WORKLOADS) -> dict:
+    """What a bench's artifact records of the uniform campaigns its
+    claims read: each campaign's ``config_dict()`` and the sample seed."""
+    return {"seed": CAMPAIGN_SEED,
+            "config": {name: uniform_campaign(name).config_dict()
+                       for name in names}}
+
+
 @pytest.fixture(scope="session")
 def campaign_results(tmp_path_factory):
     """Statistical FI campaigns for the Fig. 3 workload set (cached), each
     with a store and a merged trace (``engine_report.trace_path``)."""
     out = tmp_path_factory.mktemp("campaigns")
-    results = {}
-    for name in ("resnet", "resnet_nobn", "resnet_sgd", "resnet_largedecay"):
-        spec = build_workload(name, size="tiny", seed=0)
-        campaign = Campaign(spec, num_devices=NUM_DEVICES, seed=0,
-                            warmup_iterations=15, horizon=45,
-                            inject_window=10, test_every=10)
-        results[name] = campaign.run(CAMPAIGN_EXPERIMENTS, seed=77,
-                                     store=out / f"{name}.jsonl", trace=True)
-    return results
+    return {name: uniform_campaign(name).run(
+                CAMPAIGN_EXPERIMENTS, seed=CAMPAIGN_SEED,
+                store=out / f"{name}.jsonl", trace=True)
+            for name in UNIFORM_WORKLOADS}
 
 
 @pytest.fixture

@@ -65,6 +65,20 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> Pr
     )
 
 
+def difference_interval(a_successes: int, a_trials: int, b_successes: int,
+                        b_trials: int, confidence: float = 0.99
+                        ) -> tuple[float, float]:
+    """Interval for the difference ``p_a - p_b`` of two independent
+    proportions: Newcombe's hybrid score interval (Statistics in
+    Medicine 17, 1998, method 10), built from each side's Wilson
+    interval."""
+    a = wilson_interval(a_successes, a_trials, confidence)
+    b = wilson_interval(b_successes, b_trials, confidence)
+    delta = a.point - b.point
+    return (delta - float(np.hypot(a.point - a.low, b.high - b.point)),
+            delta + float(np.hypot(a.high - a.point, b.point - b.low)))
+
+
 def unobserved_outcome_bound(trials: int, confidence: float = 0.995) -> float:
     """Upper bound on the probability of an outcome never observed in
     ``trials`` experiments (the paper's "<0.004% with 99.5% confidence").

@@ -666,8 +666,7 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
     key the content hash of (index, fault); a ``store`` given as a path
     is opened with ``kind``/``meta`` in its header (resuming one another
     run wrote is refused; see :func:`_check_resume`) and closed again.
-    ``before_fork`` runs first, unless the store already holds every
-    unit (a fully resumed run does no work)."""
+    ``before_fork`` goes to :meth:`CampaignEngine.run`."""
     from repro.core.faults.serialization import fault_to_dict
 
     units = []
@@ -690,10 +689,7 @@ def _submit(runner_factory, faults: list[HardwareFault], *, kind: str,
                      block_size=block_size),
         store=store, on_progress=on_progress)
     try:
-        if before_fork is not None and (
-                store is None or any(u.key not in store for u in units)):
-            before_fork()
-        return engine.run(units)
+        return engine.run(units, before_fork=before_fork)
     finally:
         if owns_store:
             store.close()

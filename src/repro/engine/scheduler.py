@@ -169,7 +169,10 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def run(self, units: list[WorkUnit]) -> EngineReport:
+    def run(self, units: list[WorkUnit], before_fork=None) -> EngineReport:
+        """Run every unit the store does not hold yet.  ``before_fork()``
+        runs once the ``session`` record is written, and only when some
+        unit is left to run (a fully resumed run does no work)."""
         start = time.monotonic()
         report = EngineReport()
         self._trace_dir: Path | None = None
@@ -194,6 +197,8 @@ class CampaignEngine:
             else:
                 pending.append(_Task(unit))
         self._note(SESSION, total=len(units), skipped=report.skipped)
+        if pending and before_fork is not None:
+            before_fork()
 
         try:
             if not pending:

@@ -187,8 +187,9 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
 
     Records are deduplicated by experiment key; an experiment completed
     in any shard wins over a quarantine record for the same key.  All
-    shards must agree on ``kind`` and on their campaign ``config``
-    (:func:`config_difference`); engine records are not carried over.
+    shards must agree on ``kind``, on their campaign ``config``
+    (:func:`config_difference`) and on the sample ``seed``; engine
+    records are not carried over.
     """
     if not sources:
         raise ValueError("nothing to merge")
@@ -201,7 +202,10 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
         raise ValueError(f"cannot merge stores of different kinds: {sorted(kinds)}")
     first, first_meta = loaded[0][0], loaded[0][1][0].get("meta") or {}
     for source, records in loaded[1:]:
-        differ = config_difference(first_meta, records[0].get("meta") or {})
+        meta = records[0].get("meta") or {}
+        differ = config_difference(first_meta, meta)
+        if meta.get("seed") != first_meta.get("seed"):
+            differ.append("sample seed")
         if differ:
             raise ValueError(f"cannot merge {source}: its campaign config "
                              f"differs from {first}'s in {', '.join(differ)}")

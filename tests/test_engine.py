@@ -448,6 +448,40 @@ class TestCampaignThroughEngine:
         assert _store_report(tmp_path / "m.jsonl") == \
             campaign_report_dict(serial_result.payloads)
 
+    def test_store_merge_refuses_two_sample_seeds(self, engine_campaign,
+                                                  tmp_path):
+        """Two samples of one config are two campaigns: their experiments
+        would share indices under one header's seed."""
+        from repro.engine import merge_stores
+
+        for seed in (1, 2):
+            engine_campaign.run(2, seed=seed, store=tmp_path / f"{seed}.jsonl")
+        with pytest.raises(ValueError, match="seed"):
+            merge_stores([tmp_path / "1.jsonl", tmp_path / "2.jsonl"],
+                         tmp_path / "m.jsonl")
+
+    def test_prepare_runs_after_the_session_record(self, tmp_path,
+                                                   monkeypatch):
+        """A parallel resume prepares (seconds of warm-up) only once the
+        store reads as the new session, so a watcher never takes the
+        finished previous session for the run."""
+        spec = build_workload("resnet", size="tiny", seed=0)
+        campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=6,
+                            horizon=10, inject_window=4, test_every=5)
+        path = tmp_path / "s.jsonl"
+        campaign.run(2, seed=5, store=path)
+        seen, prepare = [], campaign.prepare
+
+        def watched_prepare():
+            sessions = [r for r in read_records(path)
+                        if r["record"] == SESSION]
+            seen.append(sessions[-1]["total"])
+            prepare()
+
+        monkeypatch.setattr(campaign, "prepare", watched_prepare)
+        campaign.run(4, seed=5, store=path, resume=True, parallel=2)
+        assert seen == [4]
+
     def test_sweep_parallel_matches_serial(self, engine_campaign):
         """A directed battery — a fixed fault list in place of the
         sample — gives the same results at any worker count."""
