@@ -7,7 +7,8 @@ exponent-bit datapath FFs (5.5% of all FFs) contribute 31.9%-44.3%.
 This bench reports the same stratification over the campaign results,
 plus a *stratified* comparison of unexpected rates per class with equal
 sample counts (the per-class rates expose the effect even when the
-uniform-sample counts are small).  The stratified faults are one fault
+uniform-sample counts are small); a stratified fault's FF is drawn from
+the FF population conditioned on its class.  The stratified faults are one fault
 list through ``Campaign.run``, and each class's unexpected rate is
 ``campaign_report_dict``'s.  Every rate prints as estimate [99 % Wilson
 interval] (n).  The verdicts judge the paper's numbers, each class's
@@ -20,13 +21,14 @@ import numpy as np
 
 from _report import emit, header, paper_vs_measured, table, write_artifact
 from conftest import uniform_meta
-from repro.accelerator.ffs import FF_CLASSES, FFDescriptor
+from repro.accelerator.ffs import FF_CLASSES
 from repro.core.analysis import (
     campaign_report_dict,
     rates_with_intervals,
     render_rate,
 )
 from repro.core.faults import Campaign, HardwareFault
+from repro.core.faults.hardware import FF_POPULATION
 from repro.workloads import build_workload
 
 #: Sec. 4.3.1's shares of all unexpected outcomes, per critical FF class.
@@ -68,16 +70,11 @@ def bench_sec431_ff_contributions(benchmark, campaign_results):
     per_class = 16
 
     def classed_fault(category: str) -> HardwareFault:
+        """A sampled experiment whose FF is redrawn from the population
+        until it falls in ``category``: the class's own FF mix."""
         fault = campaign.sample_experiment(rng)
-        if category == "critical_control":
-            group = int(rng.choice([1, 3]))
-            fault.ff = FFDescriptor("global_control", group=group,
-                                    has_feedback=True)
-        elif category == "upper_exponent":
-            fault.ff = FFDescriptor("datapath", bit=30, has_feedback=False)
-        else:
-            fault.ff = FFDescriptor("datapath", bit=int(rng.integers(0, 23)),
-                                    has_feedback=False)
+        while fault.ff.ff_class != category:
+            fault.ff = FF_POPULATION.sample(rng)
         return fault
 
     faults = [classed_fault(category) for category in FF_CLASSES

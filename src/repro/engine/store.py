@@ -188,8 +188,10 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
     Records are deduplicated by experiment key; an experiment completed
     in any shard wins over a quarantine record for the same key.  All
     shards must agree on ``kind``, on their campaign ``config``
-    (:func:`config_difference`) and on the sample ``seed``; engine
-    records are not carried over.
+    (:func:`config_difference`), on the sample ``seed`` and on the
+    experiment at every payload ``index`` (two fault lists of one config
+    share indices, not experiments); engine records are not carried
+    over.
     """
     if not sources:
         raise ValueError("nothing to merge")
@@ -209,6 +211,18 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
         if differ:
             raise ValueError(f"cannot merge {source}: its campaign config "
                              f"differs from {first}'s in {', '.join(differ)}")
+    key_at: dict = {}
+    for source, records in loaded:
+        for record in records[1:]:
+            if record["record"] not in (EXPERIMENT, QUARANTINE):
+                continue
+            index = (record.get("payload") or {}).get("index")
+            if index is not None and \
+                    key_at.setdefault(index, record["key"]) != record["key"]:
+                raise ValueError(
+                    f"cannot merge {source}: its experiment at index "
+                    f"{index} is not the one another store holds there "
+                    f"(another fault list)")
     merged = ResultStore(dest, kind=kinds.pop(), meta=first_meta)
     quarantines: dict[str, dict] = {}
     with merged.group():

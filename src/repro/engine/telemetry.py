@@ -17,10 +17,16 @@ here, written to the store by the scheduler and read back by
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.observe.timeseries import TelemetrySample, campaign_sample
+from repro.observe.timeseries import TelemetrySample
+
+#: Outcome labels that count as training divergence (the INF/NaN
+#: classes of the Table 3 taxonomy), summed by ``campaign.divergence_rate``.
+DIVERGENCE_OUTCOMES = frozenset({
+    "immediate_inf_nan", "short_term_inf_nan", "latent_inf_nan"})
 
 
 def _fmt_eta(seconds: float | None) -> str:
@@ -110,22 +116,58 @@ class CampaignState:
         return [w.worker for w in self.workers if w.stalled]
 
     def sample(self, now: float | None = None) -> TelemetrySample:
-        """This observation in the one exposition and SLO namespace
-        (:func:`~repro.observe.timeseries.campaign_sample`)."""
-        return campaign_sample(
-            done=self.done, quarantined=self.quarantined,
-            breakdown=self.breakdown, total=self.total,
-            throughput=self.throughput, eta=self.eta,
-            workers_alive=len(self.workers),
-            workers_busy=len(self.busy_workers),
-            workers_stalled=len(self.stalled_workers),
-            extras={
-                "campaign.skipped": self.skipped,
-                "campaign.retries": self.retries,
-                "campaign.elapsed_seconds": self.elapsed,
-                "workers.restarts": self.restarts,
-                "campaign.last_result_age_seconds": self.last_result_age,
-            }, now=now)
+        """This observation in the one exposition and SLO namespace.
+
+        Always present: ``campaign.done``, ``campaign.quarantined``,
+        ``workers.alive|busy|stalled`` and, when recorded,
+        ``campaign.skipped|retries|elapsed_seconds|last_result_age_seconds``
+        and ``workers.restarts``.  ``workers.alive`` is the pool as it is
+        now, not its history: the session's leased workers not since
+        retired by a restart, and the shard files present.
+        ``workers.stalled`` counts the rows flagged stalled: a lease past
+        the deadline the scheduler gave it (``timeout x len(lease)``;
+        never without a timeout), or busy with no shard write for
+        ``stall_after``.  Once the total is known: ``campaign.total``,
+        ``campaign.remaining``.  Only once defined — so a rule over them
+        is ``no_data``, not trivially passing or breaching, before the
+        campaign starts: ``campaign.quarantine_rate`` (first attempt),
+        ``campaign.divergence_rate`` (first completion),
+        ``campaign.throughput`` / ``campaign.eta_seconds`` (first
+        measured completion rate).
+        """
+        gauges = {
+            "campaign.done": float(self.done),
+            "campaign.quarantined": float(self.quarantined),
+            "workers.alive": float(len(self.workers)),
+            "workers.busy": float(len(self.busy_workers)),
+            "workers.stalled": float(len(self.stalled_workers)),
+        }
+        if self.total is not None:
+            gauges["campaign.total"] = float(self.total)
+            gauges["campaign.remaining"] = float(
+                max(self.total - self.attempted, 0))
+        if self.attempted:
+            gauges["campaign.quarantine_rate"] = (self.quarantined
+                                                  / self.attempted)
+        if self.done:
+            diverged = sum(count for outcome, count in self.breakdown.items()
+                           if outcome in DIVERGENCE_OUTCOMES)
+            gauges["campaign.divergence_rate"] = diverged / self.done
+        if self.throughput:
+            gauges["campaign.throughput"] = float(self.throughput)
+        if self.eta is not None:
+            gauges["campaign.eta_seconds"] = float(self.eta)
+        for name, value in (
+                ("campaign.skipped", self.skipped),
+                ("campaign.retries", self.retries),
+                ("campaign.elapsed_seconds", self.elapsed),
+                ("workers.restarts", self.restarts),
+                ("campaign.last_result_age_seconds", self.last_result_age)):
+            if value is not None:
+                gauges[name] = float(value)
+        return TelemetrySample(
+            t=time.time() if now is None else now, gauges=gauges,
+            outcomes={k: int(v) for k, v in sorted(self.breakdown.items())})
 
     # ------------------------------------------------------------------
     # The headline, formatted once for every surface that shows it

@@ -1,4 +1,4 @@
-"""The one HTTP server: a route table, one request parser, two hostings.
+"""The one HTTP server: a route table, one request parser, one hosting.
 
 ``monitor --serve`` and ``serve-infer`` are this module plus a route
 table; there is no other listener, router or parser.
@@ -16,20 +16,18 @@ non-negative integer 400, over :data:`MAX_BODY_BYTES` 413; a method
 other than GET/POST 405; a handler that raises 500.  Malformed input
 never reaches the event loop's exception handler.
 
-Hosting: handlers run on the thread of the loop that accepted the
-connection.  ``start``/``stop`` use the caller's running loop
-(``serve-infer``: ``POST /predict`` awaits the batcher there);
-``start_thread``/``stop_thread`` run a private loop on a daemon thread
-(monitor: handlers only read published snapshots).
+Hosting: ``start``/``stop`` serve from the caller's running loop, and
+handlers run on it — the loop that also runs the telemetry poll
+(:mod:`repro.serve`) and, for ``serve-infer``, the batcher that
+``POST /predict`` awaits.  A handler must not block: it reads published
+snapshots or awaits.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import inspect
 import json
-import threading
 from http import HTTPStatus
 
 #: Default bind host: telemetry is an operator surface, not a public
@@ -94,13 +92,7 @@ class HTTPServer:
         #: GET requests answered so far.
         self.scrapes = 0
         self._server: asyncio.AbstractServer | None = None
-        self._thread: threading.Thread | None = None
-        #: The private loop while thread-hosted (None otherwise).
-        self.loop: asyncio.AbstractEventLoop | None = None
 
-    # ------------------------------------------------------------------
-    # Hosting on the caller's loop
-    # ------------------------------------------------------------------
     async def start(self) -> "HTTPServer":
         self._server = await asyncio.start_server(
             self._handle, host=self.host, port=self.port,
@@ -114,38 +106,6 @@ class HTTPServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    # ------------------------------------------------------------------
-    # Hosting on a private daemon-thread loop
-    # ------------------------------------------------------------------
-    def start_thread(self) -> "HTTPServer":
-        """Serve from a daemon thread; returns once the port is bound
-        (a bind error is raised here, in the caller's thread)."""
-        bound: concurrent.futures.Future = concurrent.futures.Future()
-
-        async def main() -> None:
-            self.loop = asyncio.get_running_loop()
-            self._quit = asyncio.Event()
-            try:
-                await self.start()
-            except OSError as exc:
-                return bound.set_exception(exc)
-            bound.set_result(None)
-            await self._quit.wait()
-            await self.stop()
-
-        self._thread = threading.Thread(
-            target=asyncio.run, args=(main(),), daemon=True,
-            name="repro-http-server")
-        self._thread.start()
-        bound.result()
-        return self
-
-    def stop_thread(self) -> None:
-        if self._thread is not None:
-            self.loop.call_soon_threadsafe(self._quit.set)
-            self._thread.join(timeout=2.0)
-            self._thread = self.loop = None
 
     # ------------------------------------------------------------------
     # One connection

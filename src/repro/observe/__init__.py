@@ -65,11 +65,8 @@ from repro.observe.slo import (
     load_rules,
 )
 from repro.observe.timeseries import (
-    DIVERGENCE_OUTCOMES,
     SERIES_SCHEMA_VERSION,
     TelemetrySample,
-    TelemetrySampler,
-    campaign_sample,
     derive_rates,
     read_series,
     series_path,
@@ -85,7 +82,6 @@ from repro.observe.tracer import (
 __all__ = [
     "DETECTOR_FIRED",
     "DIVERGENCE",
-    "DIVERGENCE_OUTCOMES",
     "EVENT_TYPES",
     "EXPERIMENT_FINISHED",
     "EXPERIMENT_STARTED",
@@ -104,12 +100,10 @@ __all__ = [
     "Histogram",
     "StampedView",
     "TelemetrySample",
-    "TelemetrySampler",
     "TraceEvent",
     "TraceFile",
     "TraceMergeResult",
     "Tracer",
-    "campaign_sample",
     "campaign_trace_path",
     "derive_rates",
     "dumps_json",

@@ -16,10 +16,10 @@ Three layers, separable for tests:
   ``/progress``, ``/alerts``) of the same
   :class:`~repro.serve.TelemetryService` ``repro monitor --serve`` uses.
 * :func:`run_service` — hands ``ServingEngine.sample`` to a
-  :class:`~repro.serve.TelemetryService`, hosts its server on the
-  running loop next to the batcher, and runs until a duration elapses
-  or the task is cancelled; the telemetry series lands in
-  ``<store>.series.jsonl``.
+  :class:`~repro.serve.TelemetryService` and runs its server and its
+  telemetry loop on the running loop next to the batcher, until a
+  duration elapses or the task is cancelled; the telemetry series lands
+  in ``<store>.series.jsonl`` and ends on a final sample.
 
 Detection semantics: with ``fault_rate == 0`` nothing is armed and the
 response bytes are bit-identical to a direct ``model.forward`` of the
@@ -301,7 +301,7 @@ async def run_service(engine: ServingEngine, *, host: str = DEFAULT_HOST,
               "fault_rate": engine.plane.rate})
     await service.server.start()
     batcher_task = asyncio.create_task(engine.batcher.run())
-    service.sampler.start()
+    telemetry_task = asyncio.create_task(service.run())
     if announce is not None:
         announce(f"serving: {engine.session.spec.name} on {service.url} "
                  f"(fault-rate {engine.plane.rate:g})")
@@ -316,7 +316,8 @@ async def run_service(engine: ServingEngine, *, host: str = DEFAULT_HOST,
         await service.server.stop()
         engine.batcher.stop()
         await batcher_task
-        service.sampler.stop()
+        service.stop()
+        await telemetry_task
         summary = engine.summary()
         summary["breached"] = sorted(service.slo.ever_fired)
         summary["breached_critical"] = service.slo.breached("critical")

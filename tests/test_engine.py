@@ -440,9 +440,14 @@ class TestCampaignThroughEngine:
         """Two half-campaign shards merge into the full campaign."""
         from repro.engine import merge_stores
 
-        faults = engine_campaign.sample_faults(5, seed=11)
-        for name, chunk in (("a", faults[:2]), ("b", faults[2:])):
-            engine_campaign.run(faults=chunk, store=tmp_path / f"{name}.jsonl")
+        engine_campaign.run(5, seed=11, store=tmp_path / "full.jsonl")
+        header = read_records(tmp_path / "full.jsonl")[0]
+        experiments = _experiments(tmp_path / "full.jsonl")
+        for name, shard in (("a", experiments[:2]), ("b", experiments[2:])):
+            with ResultStore(tmp_path / f"{name}.jsonl", kind="campaign",
+                             meta=header["meta"]) as store:
+                for record in shard:
+                    store.append(record["key"], record["payload"])
         merge_stores([tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
                      tmp_path / "m.jsonl").close()
         assert _store_report(tmp_path / "m.jsonl") == \
@@ -458,6 +463,20 @@ class TestCampaignThroughEngine:
             engine_campaign.run(2, seed=seed, store=tmp_path / f"{seed}.jsonl")
         with pytest.raises(ValueError, match="seed"):
             merge_stores([tmp_path / "1.jsonl", tmp_path / "2.jsonl"],
+                         tmp_path / "m.jsonl")
+
+    def test_store_merge_refuses_two_fault_lists(self, engine_campaign,
+                                                 tmp_path):
+        """Two fault lists of one config both start at index 0: merged,
+        they held two experiments at index 0 under a header counting
+        one."""
+        from repro.engine import merge_stores
+
+        for name, fault in zip("ab", engine_campaign.sample_faults(2, 11)):
+            engine_campaign.run(faults=[fault],
+                                store=tmp_path / f"{name}.jsonl")
+        with pytest.raises(ValueError, match="at index 0 "):
+            merge_stores([tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
                          tmp_path / "m.jsonl")
 
     def test_prepare_runs_after_the_session_record(self, tmp_path,

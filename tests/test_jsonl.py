@@ -3,6 +3,7 @@ system writes: a result store, a trace (shard stream) and a telemetry
 series.  Each case writes the log with its real writer and reads it back
 with its public reader."""
 
+import asyncio
 import json
 
 import pytest
@@ -12,11 +13,12 @@ from repro.engine import ResultStore, merge_stores, read_records
 from repro.observe import (
     ITERATION_STATS,
     TelemetrySample,
-    TelemetrySampler,
     Tracer,
     read_series,
     read_trace,
+    series_path,
 )
+from repro.serve import TelemetryService
 
 N = 5
 
@@ -43,11 +45,10 @@ def _read_trace(path):
 
 def _write_series(path):
     ts = iter(range(N))
-    sampler = TelemetrySampler(lambda: TelemetrySample(t=float(next(ts))),
-                               interval=1.0, path=path)
-    for _ in range(N):
-        sampler.sample_once()
-    sampler.stop(final_sample=False)
+    service = TelemetryService(lambda: TelemetrySample(t=float(next(ts))),
+                               store_path=path, interval=0.01)
+    asyncio.run(service.run(lambda sample: sample.t == N - 1))
+    series_path(path).replace(path)
 
 
 def _read_series(path):

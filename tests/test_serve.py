@@ -3,6 +3,7 @@ repro.httpcore)."""
 
 import asyncio
 import contextlib
+import itertools
 import json
 import socket
 import threading
@@ -11,6 +12,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import httpcore
 from repro.engine import (
@@ -27,7 +30,7 @@ from repro.observe.export import (
     validate_exposition,
 )
 from repro.observe.slo import SLORule
-from repro.observe.timeseries import TelemetrySample
+from repro.observe.timeseries import TelemetrySample, read_series
 from repro.serve import TelemetryService, watch_store
 
 
@@ -106,39 +109,41 @@ class TestExposition:
 
 
 # ----------------------------------------------------------------------
-# Service endpoints on the one HTTP core, under both hostings
+# Service endpoints on the one HTTP core and its one hosting
 # ----------------------------------------------------------------------
+def _polled(service: TelemetryService) -> TelemetrySample | None:
+    """One poll of ``service``, outside any loop's lifetime."""
+    return asyncio.run(service.poll())
+
+
+def _slow_sample() -> TelemetrySample:
+    time.sleep(0.05)  # a store read
+    return _sample()
+
+
 @contextlib.contextmanager
-def _hosted(server, hosting: str):
-    """Host ``server`` and yield the list its event loop's exception
-    handler fills: ``"thread"`` is the campaign/monitor hosting (private
-    daemon-thread loop), ``"loop"`` the serve-infer one (the server is
-    started on a loop somebody else owns and runs)."""
+def _hosted(server, poller: TelemetryService | None = None):
+    """Start ``server`` on a loop somebody else owns and runs (the
+    serve-infer and monitor hosting), with ``poller``'s telemetry loop
+    on the same loop if given, and yield the list that loop's exception
+    handler fills."""
     unhandled: list[dict] = []
-
-    def record(_loop, context):
-        unhandled.append(context)
-
-    if hosting == "thread":
-        server.start_thread()
-        server.loop.call_soon_threadsafe(
-            server.loop.set_exception_handler, record)
-        try:
-            yield unhandled
-        finally:
-            server.stop_thread()
-        return
-
     ready = threading.Event()
     box = {}
 
     async def main():
         box["loop"] = asyncio.get_running_loop()
-        box["loop"].set_exception_handler(record)
+        box["loop"].set_exception_handler(
+            lambda _loop, context: unhandled.append(context))
         box["quit"] = asyncio.Event()
         await server.start()
+        polling = (asyncio.create_task(poller.run())
+                   if poller is not None else None)
         ready.set()
         await box["quit"].wait()
+        if polling is not None:
+            poller.stop()
+            await polling
         await server.stop()
 
     thread = threading.Thread(target=asyncio.run, args=(main(),))
@@ -155,17 +160,23 @@ def _hosted(server, hosting: str):
 @pytest.fixture
 def host(request):
     """``host(server)`` starts it under the requesting class's
-    ``hosting`` and returns the loop's unhandled-exception list."""
+    ``hosting`` and returns the loop's unhandled-exception list:
+    ``"polled"`` also runs a telemetry loop over a slow provider on that
+    loop, as both commands do."""
     with contextlib.ExitStack() as stack:
-        yield lambda server: stack.enter_context(
-            _hosted(server, request.cls.hosting))
+        yield lambda server: stack.enter_context(_hosted(
+            server, TelemetryService(_slow_sample, interval=0.01)
+            if request.cls.hosting == "polled" else None))
 
 
 def _raw(url: str, payload: bytes) -> int | None:
-    """Send raw bytes; the response's status code (None: closed mute)."""
+    """Send raw bytes (none: connect and close); the response's status
+    code (None: closed mute)."""
     host_name, port = url.removeprefix("http://").split(":")
     with socket.create_connection((host_name, int(port)), timeout=5) as sock:
         sock.sendall(payload)
+        if not payload:
+            sock.shutdown(socket.SHUT_WR)
         data = b""
         while chunk := sock.recv(65536):
             data += chunk
@@ -192,14 +203,73 @@ HOSTILE = {
 }
 
 
+#: The routes the generated requests may hit, beyond the telemetry ones.
+ECHO = {("POST", "/echo"): lambda body: (200, str(len(body)), "text/plain")}
+_TOKEN = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-",
+                 min_size=1, max_size=8)
+_HEADER_VALUE = st.text(alphabet=st.characters(min_codepoint=0x20,
+                                               max_codepoint=0x7e),
+                        max_size=16)
+
+
+@st.composite
+def _requests(draw) -> tuple[bytes, int | None]:
+    """``(raw request, the status the parser documents for it)``:
+    request lines, headers and a ``Content-Length`` that is valid,
+    negative, non-decimal, over the cap or longer than the body sent.
+    A body is only sent where the server reads it all, so its close is
+    never a reset that would hide the answer."""
+    shape = draw(st.sampled_from(["empty", "one-token"] + ["request"] * 4))
+    if shape == "empty":
+        return b"", None
+    if shape == "one-token":
+        return draw(_TOKEN).encode() + b"\r\n\r\n", 400
+    method = draw(st.sampled_from(["GET", "POST", "get", "DELETE", "PUT"]))
+    path = draw(st.sampled_from(
+        ["/metrics", "/healthz/", "/alerts?x=1", "/", "/echo", "/nope"]))
+    headers = draw(st.lists(st.tuples(_TOKEN, _HEADER_VALUE), max_size=3))
+    length = draw(st.sampled_from(["none", "valid", "negative",
+                                   "non-decimal", "over-cap", "mismatched"]))
+    body = (draw(st.binary(max_size=32))
+            if length in ("valid", "mismatched") else b"")
+    value = {
+        "none": None,
+        "valid": str(len(body)),
+        "negative": f"-{draw(st.integers(1, 99))}",
+        "non-decimal": draw(st.sampled_from(
+            ["abc", "1e3", "0x10", "+5", "1.5", ""])),
+        "over-cap": str(httpcore.MAX_BODY_BYTES
+                        + draw(st.integers(1, 1 << 20))),
+        "mismatched": str(len(body) + draw(st.integers(1, 16))),
+    }[length]
+    if value is not None:
+        headers.insert(draw(st.integers(0, len(headers))),
+                       ("Content-Length", value))
+    raw = (f"{method} {path} HTTP/1.1\r\n"
+           + "".join(f"{name}: {val}\r\n" for name, val in headers)
+           + "\r\n").encode("latin-1") + body
+    route = (method.upper(), path.split("?")[0].rstrip("/") or "/")
+    if length in ("negative", "non-decimal"):
+        return raw, 400
+    if route[0] not in ("GET", "POST"):
+        return raw, 405
+    if length == "over-cap":
+        return raw, 413
+    if length == "mismatched":
+        return raw, 408
+    routed = {("GET", "/")} | set(TelemetryService(_sample).routes()) \
+        | set(ECHO)
+    return raw, 200 if route in routed else 404
+
+
 class EndpointSuite:
-    """The endpoint contract; subclasses pick the hosting."""
+    """The endpoint contract; subclasses pick what shares the loop."""
 
     hosting: str
 
     def test_all_endpoints_respond(self, host):
         service = TelemetryService(_sample, meta={"workload": "resnet"})
-        service.sampler.sample_once()
+        _polled(service)
         server = service.server
         host(server)
         status, body, ctype = _get(f"{server.url}/metrics")
@@ -239,7 +309,7 @@ class EndpointSuite:
             lambda: sample,
             rules=[SLORule(name="qrate", metric="campaign.quarantine_rate",
                            max=0.1)])
-        service.sampler.sample_once()
+        _polled(service)
         server = service.server
         host(server)
         status, body, _ = _get(f"{server.url}/healthz")
@@ -255,7 +325,7 @@ class EndpointSuite:
         """A gauge read, with no rule about it loaded."""
         service = TelemetryService(lambda: TelemetrySample(
             t=time.time(), gauges={"workers.stalled": 2.0}))
-        service.sampler.sample_once()
+        _polled(service)
         healthy, payload = service.health()
         assert not healthy
         assert payload["reasons"] == ["stalled_workers:2"]
@@ -269,7 +339,7 @@ class EndpointSuite:
         monkeypatch.setattr(httpcore, "READ_TIMEOUT_S", 0.3)
         payload, expected = HOSTILE[case]
         service = TelemetryService(_sample)
-        service.sampler.sample_once()
+        _polled(service)
         unhandled = host(service.server)
         assert _raw(service.url, payload) == expected
         # The server is still healthy for the next, well-formed client...
@@ -278,6 +348,22 @@ class EndpointSuite:
         validate_exposition(body)
         # ...and nothing fell through to the loop's exception handler.
         assert unhandled == []
+
+    def test_generated_request_gets_its_documented_answer(
+            self, host, monkeypatch):
+        monkeypatch.setattr(httpcore, "READ_TIMEOUT_S", 0.2)
+        service = TelemetryService(_sample, routes=ECHO)
+        _polled(service)
+        unhandled = host(service.server)
+
+        @given(_requests())
+        @settings(max_examples=40, deadline=None, database=None)
+        def answered(case):
+            payload, expected = case
+            assert _raw(service.url, payload) == expected
+            assert unhandled == []
+
+        answered()
 
     def test_handler_exception_is_a_500_not_a_dropped_socket(self, host):
         def boom(_body):
@@ -292,11 +378,93 @@ class EndpointSuite:
 
 
 class TestEndpoints(EndpointSuite):
-    hosting = "thread"
+    """With a telemetry loop polling a slow provider on the same loop."""
+
+    hosting = "polled"
 
 
 class TestEndpointsLoopHosted(EndpointSuite):
     hosting = "loop"
+
+
+# ----------------------------------------------------------------------
+# The one poll and the one loop
+# ----------------------------------------------------------------------
+class TestPoll:
+    def test_poll_derives_rates_persists_and_evaluates(self, tmp_path):
+        samples = iter([TelemetrySample(t=0.0, counters={"c": 0.0}),
+                        TelemetrySample(t=10.0, counters={"c": 20.0})])
+        service = TelemetryService(
+            lambda: next(samples), store_path=tmp_path / "s.jsonl",
+            interval=0.01, rules=[SLORule(name="rate", metric="rate.c",
+                                          max=1.0)])
+        seen = []
+        asyncio.run(service.run(
+            lambda sample: seen.append(sample) or len(seen) == 2))
+        assert [sample.rates for sample in seen] == [{}, {"c": 2.0}]
+        assert service.latest is seen[-1]
+        _, persisted = read_series(service.series_path)
+        assert [sample.rates for sample in persisted] == [{}, {"c": 2.0}]
+        assert service.slo.breached() == ["rate"]
+
+    def test_provider_errors_are_counted_not_raised(self):
+        def provider():
+            raise RuntimeError("registry on fire")
+        service = TelemetryService(provider)
+        assert _polled(service) is None
+        assert service.errors == 1
+        assert "registry on fire" in service.last_error
+        assert service.latest is None
+
+    def test_loop_polls_until_stopped_and_ends_on_a_final_sample(
+            self, tmp_path):
+        ticks = itertools.count()
+        service = TelemetryService(
+            lambda: TelemetrySample(t=float(next(ticks))),
+            store_path=tmp_path / "s.jsonl", interval=0.01)
+
+        async def main():
+            polling = asyncio.create_task(service.run())
+            while service.latest is None or service.latest.t < 2:
+                await asyncio.sleep(0.01)
+            stopped_after = service.latest.t
+            service.stop()
+            await polling
+            return stopped_after
+
+        stopped_after = asyncio.run(main())
+        _, persisted = read_series(service.series_path)
+        assert [sample.t for sample in persisted] == \
+            [float(t) for t in range(len(persisted))]
+        # stop() takes one last poll: the series ends after the stop.
+        assert persisted[-1].t == service.latest.t > stopped_after
+
+    def test_rejects_nonpositive_interval(self):
+        with pytest.raises(ValueError):
+            TelemetryService(_sample, interval=0.0)
+
+    def test_scrape_is_answered_while_the_provider_blocks(self):
+        """The provider runs off the loop: a 2 s store read delays no
+        scrape."""
+        calls, inside, release = itertools.count(), threading.Event(), \
+            threading.Event()
+
+        def provider():
+            if next(calls) == 1:  # the first poll publishes a sample
+                inside.set()
+                release.wait(timeout=2.0)
+            return _sample()
+
+        service = TelemetryService(provider, interval=0.01)
+        with _hosted(service.server, service) as unhandled:
+            assert inside.wait(timeout=5)
+            started = time.perf_counter()
+            status, body, _ = _get(f"{service.url}/metrics")
+            elapsed = time.perf_counter() - started
+            release.set()
+        assert status == 200 and "repro_campaign_done 3" in body
+        assert elapsed < 0.5, f"scrape took {elapsed:.2f}s behind a poll"
+        assert unhandled == []
 
 
 # ----------------------------------------------------------------------
@@ -368,14 +536,18 @@ class TestConcurrentScrape:
         runner, _ = _engine_thread(store_path, units, 1)
         telemetry = TelemetryService(
             lambda: collect(store_path).sample(), store_path=store_path,
-            port=0, interval=0.01, rules=rules)
-        telemetry.sampler.start()
-        runner.join(timeout=60)
-        time.sleep(0.05)  # let the sampler observe the breach
-        telemetry.sampler.stop()
+            interval=0.01, rules=rules)
+
+        async def watch():
+            polling = asyncio.create_task(telemetry.run())
+            await asyncio.to_thread(runner.join, 60)
+            await asyncio.sleep(0.05)  # let the loop observe the breach
+            telemetry.stop()
+            await polling
+
+        asyncio.run(watch())
         assert telemetry.slo.breached() == ["done-ceiling"]
         assert telemetry.series_path.exists()
-        from repro.observe.timeseries import read_series
         _, samples = read_series(telemetry.series_path)
         assert samples, "series file persisted no samples"
         assert samples[-1].gauges["campaign.done"] == 4.0

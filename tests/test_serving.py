@@ -627,6 +627,9 @@ class TestInferenceServerHTTP:
             flat_keys.update(line.get("histograms", {}))
         assert "serving.shed_rate" in flat_keys
         assert "serving.latency_seconds" in flat_keys
+        # The series ends on a final sample, taken once serving stopped.
+        assert lines[-1]["counters"]["serving.responses"] \
+            == summary["responses"]
 
     def test_healthz_degrades_under_induced_slo_breach(self, session):
         report = {}

@@ -152,7 +152,9 @@ class TestMerge:
                 ("c", {"workload": "resnet", "config": dict(
                     config, backend="batched")})):
             with ResultStore(tmp_path / f"{name}.jsonl", meta=meta) as store:
-                store.append(f"{name}0", {"outcome": "masked", "index": 0})
+                # c holds another experiment of a's campaign.
+                store.append(f"{name}0", {"outcome": "masked",
+                                          "index": int(name == "c")})
         with pytest.raises(ValueError, match=r"b\.jsonl: its campaign config "
                                              r"differs .* in seed, workload$"):
             merge_stores([tmp_path / "a.jsonl", tmp_path / "b.jsonl"],

@@ -1,17 +1,18 @@
 """Tests for the telemetry time-series layer (repro.observe.timeseries)
-plus the Histogram edge cases its samples depend on."""
+plus the Histogram edge cases its samples depend on.  The poll that
+writes a series is tested with its service (tests/test_serve.py)."""
 
-import time
+import asyncio
 
 import pytest
 
 from repro.engine.telemetry import CampaignState, WorkerState
 from repro.observe import Counter, Histogram
 from repro.observe.counters import DEFAULT_BOUNDS
+from repro.serve import TelemetryService
 from repro.observe.timeseries import (
     SERIES_SCHEMA_VERSION,
     TelemetrySample,
-    TelemetrySampler,
     derive_rates,
     read_series,
     series_path,
@@ -167,23 +168,6 @@ class TestBuildSample:
 
 
 # ----------------------------------------------------------------------
-# Ring buffer
-# ----------------------------------------------------------------------
-class TestSeriesBuffer:
-    def test_bounded_eviction(self):
-        """The sampler's ring keeps the newest 720 samples."""
-        sampler = TelemetrySampler(
-            lambda: TelemetrySample(t=float(sampler.samples_taken)),
-            interval=1.0)
-        assert sampler.latest() is None
-        for _ in range(725):
-            sampler.sample_once()
-        assert len(sampler.buffer) == 720
-        assert sampler.buffer[0].t == 5.0
-        assert sampler.latest().t == 724.0
-
-
-# ----------------------------------------------------------------------
 # Persistence (the format cases every log shares: tests/test_jsonl.py)
 # ----------------------------------------------------------------------
 class TestSeriesPersistence:
@@ -195,58 +179,13 @@ class TestSeriesPersistence:
         path = tmp_path / "camp.series.jsonl"
         written = iter([TelemetrySample(t=1.0, gauges={"g": 1.5}),
                         TelemetrySample(t=2.0, counters={"c": 3.0})])
-        sampler = TelemetrySampler(lambda: next(written), interval=1.0,
-                                   path=path, meta={"workload": "resnet"})
-        sampler.sample_once()
-        sampler.sample_once()
-        sampler.stop(final_sample=False)
+        service = TelemetryService(
+            lambda: next(written), store_path=tmp_path / "camp.jsonl",
+            interval=0.01, meta={"workload": "resnet"})
+        asyncio.run(service.run(lambda sample: sample.t == 2.0))
         header, samples = read_series(path)
         assert header["schema"] == SERIES_SCHEMA_VERSION
         assert header["meta"] == {"workload": "resnet"}
         assert [s.t for s in samples] == [1.0, 2.0]
         assert samples[0].gauges == {"g": 1.5}
         assert samples[1].counters == {"c": 3.0}
-
-
-# ----------------------------------------------------------------------
-# Sampler
-# ----------------------------------------------------------------------
-class TestTelemetrySampler:
-    def test_sample_once_derives_rates_and_persists(self, tmp_path):
-        path = tmp_path / "s.series.jsonl"
-        samples = [TelemetrySample(t=0.0, counters={"c": 0.0}),
-                   TelemetrySample(t=10.0, counters={"c": 20.0})]
-        sampler = TelemetrySampler(lambda: samples[sampler.samples_taken],
-                                   interval=5.0, path=path)
-        assert sampler.sample_once().rates == {}
-        assert sampler.sample_once().rates == {"c": 2.0}
-        sampler.stop(final_sample=False)
-        _, persisted = read_series(path)
-        assert len(persisted) == 2
-        assert persisted[1].rates == {"c": 2.0}
-
-    def test_provider_errors_are_swallowed_and_counted(self):
-        def provider():
-            raise RuntimeError("registry on fire")
-        sampler = TelemetrySampler(provider, interval=1.0)
-        assert sampler.sample_once() is None
-        assert sampler.errors == 1
-        assert "registry on fire" in sampler.last_error
-        assert len(sampler.buffer) == 0
-
-    def test_background_thread_samples_and_final_sample_on_stop(self):
-        sampler = TelemetrySampler(
-            lambda: TelemetrySample(t=float(sampler.samples_taken)),
-            interval=0.01)
-        with sampler:
-            deadline = 200
-            while sampler.samples_taken < 2 and deadline:
-                deadline -= 1
-                time.sleep(0.01)
-        # stop() takes one final sample so the series ends on the
-        # campaign's terminal state.
-        assert sampler.samples_taken >= 3
-
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError):
-            TelemetrySampler(lambda: None, interval=0.0)

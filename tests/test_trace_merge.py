@@ -1,9 +1,13 @@
 """Tests for the campaign flight recorder's shard merge (repro.observe.merge)."""
 
+import itertools
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+from repro import jsonl
 from repro.engine import CampaignEngine, EngineConfig, ResultStore, WorkUnit
 from repro.observe import (
     EXPERIMENT_FINISHED,
@@ -194,6 +198,83 @@ class TestCampaignShards:
 
     def test_nothing_to_merge_returns_none(self, tmp_path):
         assert merge_campaign_shards(tmp_path / "results.jsonl") is None
+
+
+# ----------------------------------------------------------------------
+# Kill anywhere: a merge killed at any point re-runs to the same trace.
+# ----------------------------------------------------------------------
+#: Exit status of a child killed at its kill point.
+KILLED = 17
+
+
+def _campaign_shards(directory) -> Path:
+    """A store and its shards: worker 0 finished key0 and was killed in
+    key2, which its replacement, worker 1, re-ran before key1.  Merged:
+    3 experiments, 12 events."""
+    directory.mkdir()
+    store_path = directory / "results.jsonl"
+    ResultStore(store_path, kind="toy", meta={"workload": "w"}).close()
+    _write_shard(shard_path(directory, 0), 0, [("key0", [0, 1])])
+    with open(shard_path(directory, 0), "a", encoding="utf-8") as fh:
+        fh.write('{"record":"event","type":"experiment_st')
+    _write_shard(shard_path(directory, 1), 1, [("key2", [0, 1, 2]),
+                                               ("key1", [0])])
+    return store_path
+
+
+def _merge_killed(store_path, target, name, call: int) -> int:
+    """Run the shard merge in a forked child that ``os._exit``s right
+    after its ``call``-th call of ``target.name``; the child's exit
+    status (:data:`KILLED` when it died there)."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        try:
+            real, calls = getattr(target, name), itertools.count(1)
+
+            def dying(*args, **kwargs):
+                result = real(*args, **kwargs)
+                if next(calls) == call:
+                    os._exit(KILLED)
+                return result
+
+            setattr(target, name, dying)
+            merge_campaign_shards(store_path)
+            os._exit(1)  # the kill point was never reached
+        except BaseException:
+            os._exit(2)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+def _merged(store_path) -> tuple[dict, list[tuple]]:
+    """The merged trace, ``seq``, ``t`` and the source count masked."""
+    trace = read_trace(campaign_trace_path(store_path))
+    meta = {k: v for k, v in trace.meta.items() if k != "merged_sources"}
+    return meta, [(e.type, e.iteration, e.data) for e in trace.events]
+
+
+class TestKillAnywhere:
+    @pytest.mark.parametrize("target,name,call", [
+        # Mid-write of the .tmp file: the header, then 1 or 7 events out.
+        (jsonl.LogWriter, "append", 2),
+        (jsonl.LogWriter, "append", 8),
+        (os, "replace", 1),
+        (Path, "unlink", 1),  # the first consumed shard
+    ], ids=["tmp-1-event", "tmp-7-events", "after-replace",
+            "after-first-unlink"])
+    def test_rerun_after_a_kill_yields_the_uninterrupted_trace(
+            self, tmp_path, target, name, call):
+        whole = _campaign_shards(tmp_path / "whole")
+        merge_campaign_shards(whole)
+        expected = _merged(whole)
+        assert len(expected[1]) == 12
+
+        killed = _campaign_shards(tmp_path / "killed")
+        assert _merge_killed(killed, target, name, call) == KILLED
+        merge_campaign_shards(killed)
+        assert _merged(killed) == expected
+        assert sorted(p.name for p in killed.parent.iterdir()) == \
+            ["results.jsonl", "results.trace.jsonl"]
 
 
 # ----------------------------------------------------------------------
