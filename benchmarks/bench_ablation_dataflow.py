@@ -18,7 +18,7 @@ import numpy as np
 
 from _report import emit, header, table
 from repro.accelerator.ffs import FFDescriptor
-from repro.core.faults.software_models import model_for_ff
+from repro.core.faults.software_models import model_for_ff, write_record
 from repro.distributed import SyncDataParallelTrainer
 from repro.workloads import build_workload
 
@@ -32,7 +32,7 @@ def bench_ablation_fault_geometry(benchmark):
     # Dataflow-derived geometry: channel spread per fault.
     spreads_dataflow = []
     for seed in range(200):
-        _, record = model.apply(tensor, np.random.default_rng(seed), ff)
+        record = model.apply(tensor, np.random.default_rng(seed), ff)
         if record.num_faulty:
             coords = np.unravel_index(record.positions, tensor.shape)
             spreads_dataflow.append(len(set(coords[1].tolist())))
@@ -40,7 +40,7 @@ def bench_ablation_fault_geometry(benchmark):
     # Naive uniform geometry with matched fault sizes.
     spreads_uniform = []
     for seed in range(200):
-        _, record = model.apply(tensor, np.random.default_rng(seed), ff)
+        record = model.apply(tensor, np.random.default_rng(seed), ff)
         if record.num_faulty:
             idx = np.random.default_rng(seed + 10_000).choice(
                 tensor.size, size=record.num_faulty, replace=False
@@ -95,4 +95,5 @@ def bench_ablation_fault_geometry(benchmark):
     emit("the two opposing device-count factors of Sec. 4.3.3.")
     assert rows[0]["post-fault max|m|"] > rows[-1]["post-fault max|m|"]
 
-    benchmark(lambda: model.apply(tensor, np.random.default_rng(1), ff))
+    benchmark(lambda: write_record(
+        tensor, model.apply(tensor, np.random.default_rng(1), ff)))

@@ -11,8 +11,9 @@ fallback, and the reference the lane step is pinned against).  Rows:
 * ``lane_chunk`` 16 and 32 at E = 32 — the one constant in the lane
   program, swept with each row's own peak RSS.
 
-Every row runs in a fresh child process, so ``peak_rss_mb`` is that
-configuration's alone, and every experiment's loss trace must equal the
+Every row runs in a fresh child process and is timed best of three, the
+baseline too; ``peak_rss_mb`` is read after the first run, so it is that
+configuration's alone.  Every experiment's loss trace must equal the
 solo loop's bit for bit.  Throughput is experiment-iterations/second.
 What the sweep says (EXPERIMENTS.md "Lane-program scaling"): the lane
 step beats the solo loop ~1.5x at E = 1 already and stacking more
@@ -77,11 +78,20 @@ def _losses(trainer) -> list[str]:
     return [float(v).hex() for v in trainer.record.train_loss]
 
 
+def _best_of_three(run) -> dict:
+    """``run()`` -> ``(seconds, traces)``, three times: the fastest run,
+    with the peak RSS of the first.  A child's first run is that
+    configuration's alone; the later ones reuse and fragment its heap."""
+    runs = [run()]
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    runs += [run(), run()]
+    seconds, traces = min(runs, key=lambda run: run[0])
+    return {"seconds": seconds, "traces": traces, "peak_rss_mb": peak_kb / 1024}
+
+
 def _one_trainer(iterations: int, solo: bool) -> dict:
-    """E = 1 on the default backend (``solo``: its forced fallback),
-    best of three; returns seconds, loss hexes and the peak RSS."""
-    runs = []
-    for _ in range(3):
+    """E = 1 on the default backend (``solo``: its forced fallback)."""
+    def run():
         with mock.patch.object(Module, "is_lane_native", lambda self: False) \
                 if solo else contextlib.nullcontext():
             trainer = _trainer()
@@ -89,28 +99,27 @@ def _one_trainer(iterations: int, solo: bool) -> dict:
         with trainer:
             start = time.perf_counter()
             trainer.train(iterations)
-            runs.append((time.perf_counter() - start, [_losses(trainer)]))
-    return _measured(*min(runs, key=lambda run: run[0]))
+            return time.perf_counter() - start, [_losses(trainer)]
+    return _best_of_three(run)
 
 
 def _lockstep(batch: int, iterations: int, lane_chunk: int) -> dict:
-    """E identical experiments through one shared LaneGroup."""
-    group = LaneGroup(capacity=batch)
-    group.lane_chunk = lane_chunk
-    trainers = [_trainer(BatchedBackend(group=group)) for _ in range(batch)]
-    try:
-        start = time.perf_counter()
-        run_lockstep(group, trainers, [iterations] * batch)
-        elapsed = time.perf_counter() - start
-        return _measured(elapsed, [_losses(t) for t in trainers])
-    finally:
-        for trainer in trainers:
-            trainer.close()
-
-
-def _measured(seconds: float, traces: list) -> dict:
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"seconds": seconds, "traces": traces, "peak_rss_mb": peak_kb / 1024}
+    """E identical experiments through one shared LaneGroup.  Timed
+    best of three like the E = 1 rows, so one noisy run of a row does
+    not decide it against the baseline's best."""
+    def run():
+        group = LaneGroup(capacity=batch)
+        group.lane_chunk = lane_chunk
+        trainers = [_trainer(BatchedBackend(group=group)) for _ in range(batch)]
+        try:
+            start = time.perf_counter()
+            run_lockstep(group, trainers, [iterations] * batch)
+            return (time.perf_counter() - start,
+                    [_losses(trainer) for trainer in trainers])
+        finally:
+            for trainer in trainers:
+                trainer.close()
+    return _best_of_three(run)
 
 
 def _in_child(fn, *args) -> dict:

@@ -13,7 +13,7 @@ import numpy as np
 
 from _report import header, table
 from repro.accelerator.ffs import GLOBAL_GROUP_FRACTIONS, FFDescriptor
-from repro.core.faults.software_models import model_for_ff
+from repro.core.faults.software_models import model_for_ff, write_record
 
 #: A conv-activation-sized tensor: shard batch 8, 32 channels, 16x16.
 TENSOR_SHAPE = (8, 32, 16, 16)
@@ -24,7 +24,7 @@ def _characterize(model, ff, tensor, trials=40):
     counts, max_abs = [], 0.0
     for _ in range(trials):
         seed = int(rng_master.integers(0, 2**31))
-        _, record = model.apply(tensor, np.random.default_rng(seed), ff)
+        record = model.apply(tensor, np.random.default_rng(seed), ff)
         counts.append(record.num_faulty)
         value = record.max_abs_faulty()
         if np.isfinite(value):
@@ -67,6 +67,6 @@ def bench_table1_inventory(benchmark):
     seeds = iter(range(10_000_000))
 
     def apply_once():
-        model1.apply(tensor, np.random.default_rng(next(seeds)), ff1)
+        write_record(tensor, model1.apply(tensor, np.random.default_rng(next(seeds)), ff1))
 
     benchmark(apply_once)

@@ -105,10 +105,15 @@ class FFInventory:
             dtype=np.float64,
         )
         self._weights /= self._weights.sum()
+        # What ``rng.choice(n, p=weights)`` computes on every call: one
+        # uniform draw looked up in the normalised CDF, so the index and
+        # the generator's next state are the ones it gives.
+        self._cdf = self._weights.cumsum()
+        self._cdf /= self._cdf[-1]
 
     def sample(self, rng: np.random.Generator) -> FFDescriptor:
         """Draw one FF uniformly over the design's FF population."""
-        idx = int(rng.choice(len(self._categories), p=self._weights))
+        idx = int(self._cdf.searchsorted(rng.random(), side="right"))
         category, group = self._categories[idx]
         has_feedback = bool(rng.random() < self.feedback_fraction)
         if category == "datapath":

@@ -23,6 +23,7 @@ for the training-vs-inference comparison of Table 5.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -50,6 +51,7 @@ from repro.core.faults.hardware import (
     WEIGHT_UPDATE,
     HardwareFault,
     enumerate_sites,
+    layer_chain,
     module_at,
     sample_fault,
     sample_forward_fault,
@@ -57,6 +59,7 @@ from repro.core.faults.hardware import (
 )
 from repro.core.faults.injector import FaultInjector
 from repro.core.faults.session import QUIET, InferenceSession
+from repro.core.faults.software_models import FaultRecord, write_record
 from repro.core.mitigation.bounds import DetectionBounds, derive_bounds_for_trainer
 from repro.core.mitigation.detector import HardwareFailureDetector
 from repro.distributed.sync import SyncDataParallelTrainer
@@ -720,10 +723,30 @@ def _check_resume(store: ResultStore, kind: str, meta: dict,
                          f"smaller sample or another fault list)")
 
 
-#: Units per lease of an :class:`InferenceCampaign`: a lease forwards
-#: once per top-level layer its units start at and reaches the store with
-#: one ``fsync`` (DESIGN.md decision 18).
+#: Units per lease of an :class:`InferenceCampaign`: a lease makes one
+#: pass down the layer chain and reaches the store with one ``fsync``
+#: (DESIGN.md decision 18).
 INFERENCE_LEASE = 64
+
+
+class _Unit(NamedTuple):
+    """An inference unit's fault on its site's golden tensor."""
+
+    site: str
+    record: FaultRecord
+    #: The axis-0 rows whose bytes the record changes, and those rows as
+    #: written.
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row (axis 0), whether ``a`` and ``b`` (one dtype) are
+    byte-equal."""
+    word = np.dtype(f"u{a.dtype.itemsize}")
+    a = np.ascontiguousarray(a).reshape(len(a), -1).view(word)
+    b = np.ascontiguousarray(b).reshape(len(b), -1).view(word)
+    return (a == b).all(axis=1)
 
 
 class InferenceCampaign:
@@ -737,12 +760,13 @@ class InferenceCampaign:
 
     In eval mode every layer is per-image and an image's output bytes do
     not depend on its batch-mates (DESIGN.md decision 16), so the images
-    a fault left alone come out golden; a unit forwards only the images
+    a fault left alone come out golden; a unit carries only the images
     whose bytes the fault changed at its site and judges them against
-    their golden top-1 (decision 12), in one forward with the rest of its
-    lease that starts at the same layer (decision 18).  The model, its
-    training run and its forwards are an :class:`InferenceSession`'s,
-    the one the inference server runs on too (decision 24).
+    their golden top-1 (decision 12), in one pass down the layers with
+    the rest of its lease, which drops an image once it is golden again
+    (decision 18).  The model, its training run and its forwards are an
+    :class:`InferenceSession`'s, the one the inference server runs on too
+    (decision 24).
     """
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0,
@@ -759,14 +783,13 @@ class InferenceCampaign:
         """The session's trained model."""
         return self.session.model
 
-    def _forward(self, hooks: dict, x: np.ndarray,
-                 start: int | None = None) -> np.ndarray:
-        """``session.forward(x, start)`` with ``hooks[name]`` as site
-        ``name``'s forward hook."""
+    @contextmanager
+    def _hooked(self, hooks: dict):
+        """``hooks[name]`` armed as site ``name``'s forward hook."""
         for name, hook in hooks.items():
             module_at(self.model, name).set_fault_hook(FORWARD, hook)
         try:
-            return self.session.forward(x, start)
+            yield
         finally:
             for name in hooks:
                 module_at(self.model, name).set_fault_hook(FORWARD, None)
@@ -776,7 +799,7 @@ class InferenceCampaign:
         from: each top-level layer's input (what the session's primary
         forward keeps), and each site module's forward-hook tensor (what
         a fault at that site rewrites); and what it is judged against:
-        each image's golden top-1."""
+        each image's golden top-1 and whether its logits are finite."""
         self._golden_batch = None
         self._golden_sites: dict[str, np.ndarray] = {}
 
@@ -786,112 +809,157 @@ class InferenceCampaign:
                 return tensor
             return hook
 
-        self._golden_top1 = top1(self._forward(
-            {site.module_name: keep(site.module_name)
-             for site in enumerate_sites(self.model, (FORWARD,))}, inputs))
+        with self._hooked({site.module_name: keep(site.module_name)
+                           for site in enumerate_sites(self.model, (FORWARD,))}):
+            out = self.session.forward(inputs)
+        self._golden_top1 = top1(out)
+        self._golden_finite = np.isfinite(out).reshape(len(out), -1).all(axis=1)
         self._golden_inputs = self.session.layer_inputs
 
     def _engine_runner(self):
         """Runner factory: one lease of forward-pass injections per call.
 
-        A unit starts at the top-level layer holding its site, on that
-        layer's golden input, and forwards only the rows whose bytes its
-        fault changed at the site (none when it changed none).  The
-        lease's units share one forward per start layer, over their rows
-        stacked, each site's hook writing its units' faulty rows
-        (DESIGN.md decision 18).  An inference unit emits no events, so
-        the runner ignores its ``sinks``."""
+        A unit draws its fault's record on its site's golden tensor and
+        keeps the rows whose bytes the record changes; with none it is
+        masked and forwards nothing.  The lease's rows then make one pass
+        down the top-level layers (DESIGN.md decision 18): a unit's rows
+        join at the layer holding its site, on that layer's golden input;
+        every site's hook writes its own units' faulty rows; and after
+        each layer a row whose site has fired and whose bytes equal its
+        image's golden input to the next layer leaves the pass, golden
+        from there on.  An inference unit emits no events, so the runner
+        ignores its ``sinks``."""
         from repro.core.faults.serialization import fault_from_dict
 
         # Tests map every site to layer 0 here (patching ``site_layers``)
         # to get the whole-model forward as the oracle.
         layer_of = site_layers(self.model)
+        layers = layer_chain(self.model)
 
-        def inject(payload: dict) -> tuple[str, FaultInjector, np.ndarray]:
-            """The fault applied to its site's golden tensor: the site,
-            the injector (``rows`` = the rows it changed) and those rows'
-            faulty values."""
+        def inject(payload: dict) -> _Unit:
             fault = fault_from_dict(payload["fault"])
             name = fault.site.module_name
-            injector = FaultInjector(fault)
-            faulty = injector.apply(self._golden_sites[name],
-                                    module_at(self.model, name))
-            return name, injector, faulty[injector.rows]
+            golden = self._golden_sites[name]
+            record = FaultInjector(fault).draw(golden, module_at(self.model, name))
+            return _Unit(name, record, *write_record(golden, record, rows_only=True))
 
-        def substitute(name: str, count: int, parts: list) -> object:
-            """Site ``name``'s hook in a forward of ``count`` stacked rows:
-            each ``(slice, values)`` of ``parts`` replaces those rows."""
-            shape = (count, *self._golden_sites[name].shape[1:])
+        def judge(units: list[_Unit]) -> list[tuple[bool, bool]]:
+            """One pass of the rows of ``units`` (each with rows); per
+            unit, whether the top-1 of one of its rows moved off the
+            golden one (an SDC) and whether one of their outputs is not
+            finite."""
+            sites = sorted({unit.site for unit in units})
+            site_of = np.array([sites.index(unit.site) for unit in units])
+            fired = np.zeros(len(sites), dtype=bool)
+            joining: dict[int, list[int]] = {}
+            for u, unit in enumerate(units):
+                joining.setdefault(layer_of[unit.site], []).append(u)
+            sdc = np.zeros(len(units), dtype=bool)
+            nonfinite = np.zeros(len(units), dtype=bool)
+            # The carried rows: their activations, units and images.
+            x, owner, image = None, np.empty(0, np.intp), np.empty(0, np.intp)
 
-            def hook(tensor: np.ndarray, info: dict) -> np.ndarray:
-                if tensor.shape != shape:
-                    raise ValueError(
-                        f"site {name!r} produced {tensor.shape} for {count} "
-                        f"rows, not {shape}: its forward hook does not see "
-                        f"the batch on axis 0")
-                out = tensor.copy()
-                for where, values in parts:
-                    out[where] = values
-                return out
-            return hook
+            def substitute(site: int):
+                # The site's units join together and none of their rows
+                # leaves before it fires: they are its rows in the pass,
+                # in unit order.
+                values = np.concatenate([units[u].values
+                                         for u in np.flatnonzero(site_of == site)])
+                shape = values.shape[1:]
 
-        def judge(start: int, units: list) -> list[tuple[bool, bool]]:
-            """Forward the rows of ``units`` (:func:`inject` triples),
-            stacked, from top-level layer ``start``; per unit, whether the
-            top-1 of one of its rows moved off the golden one (an SDC)
-            and whether one of their outputs is not finite."""
-            ends = np.cumsum([len(injector.rows) for _n, injector, _v in units])
-            where = [slice(end - len(injector.rows), end)
-                     for end, (_n, injector, _v) in zip(ends, units)]
-            parts: dict[str, list] = {}
-            for (name, _injector, values), rows in zip(units, where):
-                parts.setdefault(name, []).append((rows, values))
-            images = np.concatenate([injector.rows for _n, injector, _v in units])
-            x = self._golden_inputs[start][images]
-            out = self._forward({name: substitute(name, len(x), at_site)
-                                 for name, at_site in parts.items()}, x, start)
-            flipped = top1(out) != self._golden_top1[images]
-            finite = np.isfinite(out).reshape(len(out), -1).all(axis=1)
-            return [(bool(flipped[rows].any()), not bool(finite[rows].all()))
-                    for rows in where]
+                def hook(tensor: np.ndarray, info: dict) -> np.ndarray:
+                    if tensor.shape != (len(owner), *shape):
+                        raise ValueError(
+                            f"site {sites[site]!r} produced {tensor.shape} for "
+                            f"{len(owner)} rows, not {(len(owner), *shape)}: "
+                            f"its forward hook does not see the batch on axis 0")
+                    out = tensor.copy()
+                    out[site_of[owner] == site] = values
+                    fired[site] = True
+                    return out
+                return hook
+
+            with self._hooked({name: substitute(site)
+                               for site, name in enumerate(sites)}):
+                for index, layer in enumerate(layers):
+                    if index in joining:
+                        rows = [units[u].rows for u in joining[index]]
+                        owner = np.concatenate([owner, np.repeat(
+                            joining[index], [len(r) for r in rows])])
+                        rows = np.concatenate(rows)
+                        start = self._golden_inputs[index][rows]
+                        x = start if x is None else np.concatenate([x, start])
+                        image = np.concatenate([image, rows])
+                    if x is None:
+                        continue
+                    x = layer.forward(x)
+                    if index + 1 == len(layers):
+                        break
+                    # The rows whose site has fired; all of them unless
+                    # sites sit below the layer they joined at, and then
+                    # ``x`` is not copied to compare them.
+                    settled = np.flatnonzero(fired[site_of[owner]])
+                    if settled.size == len(owner):
+                        settled = slice(None)
+                    golden = np.arange(len(owner))[settled][_rows_equal(
+                        x[settled], self._golden_inputs[index + 1][image[settled]])]
+                    if golden.size:
+                        # A row that leaves ends as its image's golden logits.
+                        ends_nonfinite = golden[~self._golden_finite[image[golden]]]
+                        nonfinite[owner[ends_nonfinite]] = True
+                        keep = np.ones(len(owner), dtype=bool)
+                        keep[golden] = False
+                        x, owner, image = x[keep], owner[keep], image[keep]
+                        if not keep.any():
+                            x = None
+            if x is not None:
+                flipped = top1(x) != self._golden_top1[image]
+                sdc[owner[flipped.reshape(len(x), -1).any(axis=1)]] = True
+                nonfinite[owner[~np.isfinite(x).reshape(len(x), -1).all(axis=1)]] = True
+            return list(zip(sdc.tolist(), nonfinite.tolist()))
 
         def run_lease(payloads: list[dict], sinks=None) -> list[dict]:
             with np.errstate(**QUIET):
                 units = [inject(payload) for payload in payloads]
-                by_start: dict[int, list[int]] = {}
-                for i, (name, injector, _values) in enumerate(units):
-                    if injector.rows.size:
-                        by_start.setdefault(layer_of[name], []).append(i)
-                verdicts = {}
-                for start, members in by_start.items():
-                    verdicts.update(zip(members, judge(
-                        start, [units[i] for i in members])))
+                touched = [i for i, unit in enumerate(units) if unit.rows.size]
+                verdicts = dict(zip(touched, judge([units[i] for i in touched])))
             results = []
-            for i, (payload, (_name, injector, _values)) in enumerate(
-                    zip(payloads, units)):
+            for i, (payload, unit) in enumerate(zip(payloads, units)):
                 sdc, nonfinite = verdicts.get(i, (False, False))
                 results.append({
                     "index": payload["index"], "fault": payload["fault"],
                     "sdc": sdc, "nonfinite": nonfinite,
                     "outcome": classify_inference_experiment(
                         sdc=sdc, nonfinite=nonfinite).value,
-                    "rows_touched": int(injector.rows.size),
-                    "num_faulty_elements": injector.record.num_faulty})
+                    "rows_touched": int(unit.rows.size),
+                    "num_faulty_elements": unit.record.num_faulty})
             return results
 
         return run_lease
 
-    def run(self, num_experiments: int, seed: int = 99, batch: int = 32, *,
+    def run(self, num_experiments: int | None = None, seed: int = 99,
+            batch: int = 32, *, faults: list[HardwareFault] | None = None,
             parallel: int = 1, store=None, resume: bool = False,
             timeout: float | None = None, max_retries: int = 2,
             on_progress=None) -> dict:
-        """Inject ``num_experiments`` forward-pass faults into the first
-        ``batch`` inputs and report SDC rates; engine keywords behave as
-        in :meth:`Campaign.run`.  The golden pass over those inputs is
-        taken once: a later run over the same ``batch`` reuses it."""
-        rng = np.random.default_rng(seed)
-        faults = [sample_forward_fault(self.model, rng)
-                  for _ in range(int(num_experiments))]
+        """Inject ``num_experiments`` sampled forward-pass faults — or
+        exactly the faults in ``faults``, each a ``forward`` site at
+        iteration 0 on device 0 — into the first ``batch`` inputs and
+        report SDC rates; engine keywords behave as in
+        :meth:`Campaign.run`.  The golden pass over those inputs is taken
+        once: a later run over the same ``batch`` reuses it."""
+        sampled = faults is None
+        if sampled:
+            rng = np.random.default_rng(seed)
+            faults = [sample_forward_fault(self.model, rng)
+                      for _ in range(int(num_experiments))]
+        for index, fault in enumerate(faults):
+            if (fault.site.kind, fault.iteration, fault.device) != (FORWARD, 0, 0):
+                raise ValueError(
+                    f"fault {index} is a {fault.site.kind!r} fault at iteration "
+                    f"{fault.iteration} on device {fault.device}; an inference "
+                    f"campaign takes forward-site faults at iteration 0 on "
+                    f"device 0")
         # The session keeps the model in eval mode; a caller may not have.
         self.model.eval()
         if self._golden_batch != batch:
@@ -899,8 +967,9 @@ class InferenceCampaign:
             self._golden_batch = batch
         report = _submit(
             self._engine_runner, faults, kind="inference",
-            meta={"workload": self.spec.name, "seed": int(seed),
-                  "num_experiments": int(num_experiments),
+            meta={"workload": self.spec.name,
+                  "seed": int(seed) if sampled else None,
+                  "num_experiments": len(faults),
                   "config": dict(self.session.config, batch=int(batch))},
             block_size=INFERENCE_LEASE, parallel=parallel, store=store,
             resume=resume, timeout=timeout, max_retries=max_retries,

@@ -42,17 +42,9 @@ import numpy as np
 
 from repro.accelerator.config import DEFAULT_CONFIG, AcceleratorConfig
 from repro.core.faults.hardware import COMM, WEIGHT_UPDATE, HardwareFault, module_at
-from repro.core.faults.software_models import FaultRecord, model_for_ff
+from repro.core.faults.software_models import FaultRecord, model_for_ff, write_record
 from repro.observe import FAULT_INJECTED
 from repro.state import StateArena
-
-
-def rows_touched(faulty: np.ndarray, original: np.ndarray) -> np.ndarray:
-    """Indices along axis 0 (the batch, for an eval-mode forward site)
-    whose bytes differ; both are float32, as every fault model's output
-    is."""
-    changed = faulty.view(np.uint32) != original.view(np.uint32)
-    return np.flatnonzero(changed.reshape(len(original), -1).any(axis=1))
 
 
 def resolve_site_module(trainer, replica, module_name: str):
@@ -87,27 +79,32 @@ class FaultInjector:
         self.record: FaultRecord | None = None
         self._rng = np.random.default_rng(fault.seed)
         self.fired = False
-        #: Axis-0 indices of an op site's tensor whose bytes the fault
-        #: changed; set when a module-site fault fires.
+        #: Axis-0 indices (the batch, at an eval-mode forward site) of
+        #: the tensor whose bytes the fault changed; set when it fires.
         self.rows: np.ndarray | None = None
         self._emitted = False
         #: The setter of the armed hook slot (called with ``None`` to
         #: disarm), or ``None`` when nothing is armed.
         self._slot = None
 
-    def apply(self, tensor: np.ndarray, module=None) -> np.ndarray:
-        """The fault applied to ``tensor``, the first time only; later
-        calls return ``tensor`` as is.  ``module`` is an op site's
-        module: its ``fan_in`` scales a Group 7 or 8 fault, and the rows the
-        fault changed are kept in :attr:`rows`."""
-        if self.fired:
-            return tensor
+    def draw(self, tensor: np.ndarray, module=None) -> FaultRecord:
+        """The fault's record on ``tensor``, which is only read: the
+        software fault model is the one its FF selects, or its ``pinned``
+        model.  ``module`` is an op site's module: its ``fan_in`` scales a
+        Group 7 or 8 fault."""
         self.fired = True
         model = self.fault.pinned or model_for_ff(self.fault.ff, self.config)
-        faulty, self.record = model.apply(tensor, self._rng, self.fault.ff,
-                                          fan_in=getattr(module, "fan_in", None))
-        if module is not None:
-            self.rows = rows_touched(faulty, np.asarray(tensor, dtype=np.float32))
+        self.record = model.apply(tensor, self._rng, self.fault.ff,
+                                  fan_in=getattr(module, "fan_in", None))
+        return self.record
+
+    def apply(self, tensor: np.ndarray, module=None) -> np.ndarray:
+        """The fault applied to ``tensor``, the first time only; later
+        calls return ``tensor`` as is.  ``module`` goes to :meth:`draw`;
+        the rows the fault changed are kept in :attr:`rows`."""
+        if self.fired:
+            return tensor
+        self.rows, faulty = write_record(tensor, self.draw(tensor, module))
         return faulty
 
     # ------------------------------------------------------------------

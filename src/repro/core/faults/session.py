@@ -51,7 +51,7 @@ class InferenceSession:
         layer ``start`` (see :func:`~repro.core.faults.hardware.layer_chain`),
         through ``model.forward`` (at 0 without ``start``, which a model
         that is not a ``Sequential`` does not take) and leaves
-        :attr:`layer_inputs` alone: a shadow or an inference unit."""
+        :attr:`layer_inputs` alone: the serving shadow."""
         with np.errstate(**QUIET):
             if start is None:
                 out, self.layer_inputs = forward_by_layer(self.model, batch)

@@ -12,16 +12,19 @@ one :class:`SoftwareFaultModel` row per model — its lane geometry, its
 duration rule, its value rule, its default ``has_feedback`` and its
 behaviour text — and one :meth:`SoftwareFaultModel.apply` runs every row.
 
-All models operate on the *canonical accelerator view* of the tensor
-(see :mod:`repro.accelerator.dataflow`) and restore the original layout,
-so they apply uniformly to conv activations, dense outputs, sequence
-tensors, and weight-gradient tensors.
+All models read the *canonical accelerator view* of the tensor (see
+:mod:`repro.accelerator.dataflow`), so they apply uniformly to conv
+activations, dense outputs, sequence tensors, and weight-gradient
+tensors.  A model only reads the tensor and returns its
+:class:`FaultRecord`; :func:`write_record` is the one writer, into a
+copy of the whole tensor or into the rows the record changes alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from repro.accelerator.dataflow import (
     DataflowMap,
     canonical_view_shape,
     from_canonical,
-    to_canonical,
 )
 from repro.accelerator.ffs import FFDescriptor
 from repro.tensor.bits import flip_float32_bit, random_float32_pattern
@@ -60,6 +62,73 @@ class FaultRecord:
         with np.errstate(invalid="ignore"):
             m = np.abs(self.faulty_values).max()
         return float(m) if np.isfinite(m) else float("inf")
+
+
+def _layout_index(shape: tuple[int, ...], positions: np.ndarray) -> np.ndarray:
+    """Canonical flat indices (the element order of
+    :func:`~repro.accelerator.dataflow.to_canonical`) as
+    flat indices of a row-major tensor of ``shape``."""
+    if len(shape) == 3:
+        _n, t, d = shape
+        sample, rest = np.divmod(positions, d * t)
+        channel, step = np.divmod(rest, t)
+        return (sample * t + step) * d + channel
+    if len(shape) == 2:
+        n, f = shape
+        feature, row = np.divmod(positions, n)
+        return row * f + feature
+    return positions
+
+
+#: One schedule per (shape, config): a campaign applies many faults to the
+#: same few site tensors.
+_dataflow = lru_cache(maxsize=256)(DataflowMap)
+
+
+class _CanonicalReader:
+    """A tensor read through its canonical flat view without laying it
+    out again: ``reader[positions]`` gathers canonical flat indices."""
+
+    def __init__(self, tensor: np.ndarray):
+        tensor = np.asarray(tensor, dtype=np.float32)
+        self.shape = tensor.shape
+        self.size = tensor.size
+        self._flat = tensor.reshape(-1)
+
+    def __getitem__(self, positions) -> np.ndarray:
+        return self._flat[_layout_index(self.shape, positions)]
+
+
+def write_record(tensor: np.ndarray, record: FaultRecord, *,
+                 rows_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``record`` written over ``tensor``, which is only read.  Returns
+    the axis-0 rows whose bytes it changes, ascending, and the written
+    values: the whole tensor in a C-ordered float32 copy, or with
+    ``rows_only`` just those rows.  Where the record names a position
+    twice the last write wins, and a write that keeps a value's bytes
+    changes no row."""
+    tensor = np.asarray(tensor, dtype=np.float32)
+    row_size = tensor.size // len(tensor)
+    positions = _layout_index(tensor.shape, record.positions)
+    before = tensor.reshape(-1)[positions].view(np.uint32)
+    row = positions // row_size
+    rows = np.unique(row)
+    if rows_only:
+        # Only the rows the record writes, each position moved into them.
+        positions = positions - (row - np.searchsorted(rows, row)) * row_size
+        written = np.ascontiguousarray(tensor[rows])
+    else:
+        written = np.array(tensor, order="C")
+    flat = written.reshape(-1)
+    flat[positions] = record.faulty_values
+    # Read back: of two writes to one position, the last is what counts.
+    changed = flat[positions].view(np.uint32) != before
+    if changed.all():
+        return rows, written
+    kept = np.unique(row[changed])
+    if rows_only:
+        written = written[np.searchsorted(rows, kept)]
+    return kept, written
 
 
 # ----------------------------------------------------------------------
@@ -155,21 +224,17 @@ class SoftwareFaultModel:
 
     def apply(self, tensor: np.ndarray, rng: np.random.Generator,
               ff: FFDescriptor | None = None,
-              fan_in: int | None = None) -> tuple[np.ndarray, FaultRecord]:
-        """``tensor`` with this row's fault applied, and its record.
-        ``fan_in`` is the op site's fan-in; only attenuation reads it."""
+              fan_in: int | None = None) -> FaultRecord:
+        """This row's fault on ``tensor``, as its record; ``tensor`` is
+        only read (:func:`write_record` writes the record).  ``fan_in``
+        is the op site's fan-in; only attenuation reads it."""
         config = self.config
         has_feedback = self.feedback if ff is None else bool(ff.has_feedback)
         bit = None
         if self.value is _bit_flip:
             # Drawn before the cycle so every recorded datapath fault keeps its draws.
             bit = ff.bit if ff is not None and ff.bit is not None else int(rng.integers(0, 32))
-        # order="C" is load-bearing: np.array's default order="K" keeps the
-        # layout of a non-contiguous input (a conv weight gradient is
-        # dw.T.reshape(...)), and reshape(-1) of a non-contiguous canonical
-        # array would be a silent copy that the writes below miss.
-        canonical = to_canonical(np.array(tensor, dtype=np.float32, copy=True, order="C"))
-        flow = DataflowMap(tensor.shape, config)
+        flow = _dataflow(tensor.shape, config)
         cycle = flow.random_cycle(rng)
         n = int(rng.integers(1, config.max_feedback_loop + 1)) if has_feedback else 1
         if self.cycles == INPUT:
@@ -182,16 +247,13 @@ class SoftwareFaultModel:
             coords = flow.lane_element_for_cycles(cycle, span, lane)
         else:
             coords = flow.elements_for_cycles(cycle, span)
-        record = FaultRecord(self.name, ff, cycle, n)
-        if coords[0].size:  # A lane past the tensor's channels is masked.
-            flat = canonical.reshape(-1)
-            positions, values = self.value(flat, flow.flat_indices(coords), rng,
-                                           n=n, fan_in=fan_in, bit=bit, config=config)
-            record.positions = positions
-            record.original_values = flat[positions]
-            record.faulty_values = np.asarray(values, dtype=np.float32)
-            flat[positions] = record.faulty_values
-        return from_canonical(canonical, tensor.shape), record
+        if not coords[0].size:  # A lane past the tensor's channels is masked.
+            return FaultRecord(self.name, ff, cycle, n)
+        flat = _CanonicalReader(tensor)
+        positions, values = self.value(flat, flow.flat_indices(coords), rng,
+                                       n=n, fan_in=fan_in, bit=bit, config=config)
+        return FaultRecord(self.name, ff, cycle, n, positions, flat[positions],
+                           np.asarray(values, dtype=np.float32))
 
 
 _SINGLE_REGISTER = "FIdelity-style single-register fault"
@@ -251,24 +313,22 @@ class PinnedMagnitude:
 
     def apply(self, tensor: np.ndarray, rng: np.random.Generator,
               ff: FFDescriptor | None = None,
-              fan_in: int | None = None) -> tuple[np.ndarray, FaultRecord]:
-        out = np.array(tensor, dtype=np.float32, copy=True, order="C")
-        flat = out.reshape(-1)
-        size = out.size
+              fan_in: int | None = None) -> FaultRecord:
+        tensor = np.asarray(tensor, dtype=np.float32)
+        size = tensor.size
         count = min(self.elements, size)
         flat_idx = (np.arange(size) if count == size
                     else rng.choice(size, size=count, replace=False))
         signs = (np.ones(count) if self.coherent
                  else rng.choice([-1.0, 1.0], size=count))
         record = FaultRecord(self.name, ff, 0, 1)
-        record.original_values = flat[flat_idx]
+        record.original_values = tensor.reshape(-1)[flat_idx]
         record.faulty_values = np.asarray(signs * self.magnitude, dtype=np.float32)
-        flat[flat_idx] = record.faulty_values
         # Each element's canonical flat index, laid out like the tensor.
         canonical_index = from_canonical(
-            np.arange(size).reshape(canonical_view_shape(out.shape)), out.shape)
+            np.arange(size).reshape(canonical_view_shape(tensor.shape)), tensor.shape)
         record.positions = canonical_index.reshape(-1)[flat_idx]
-        return out, record
+        return record
 
 
 def model_for_ff(ff: FFDescriptor, config: AcceleratorConfig = DEFAULT_CONFIG) -> SoftwareFaultModel:

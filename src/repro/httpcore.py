@@ -14,7 +14,10 @@ connection, complete within :data:`READ_TIMEOUT_S` (408); a line over
 :data:`MAX_LINE_BYTES` is 431; a ``Content-Length`` that is not a
 non-negative integer 400, over :data:`MAX_BODY_BYTES` 413; a method
 other than GET/POST 405; a handler that raises 500.  Malformed input
-never reaches the event loop's exception handler.
+never reaches the event loop's exception handler.  After the answer the
+server half-closes and drains what the client still sends (bounded by
+:data:`MAX_DRAIN_BYTES` and :data:`DRAIN_TIMEOUT_S`), so a client that
+sent a refused body reads its 413 rather than a reset.
 
 Hosting: ``start``/``stop`` serve from the caller's running loop, and
 handlers run on it — the loop that also runs the telemetry poll
@@ -42,6 +45,10 @@ MAX_LINE_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1 << 20
 #: Deadline for a complete request to arrive once a client connects.
 READ_TIMEOUT_S = 10.0
+#: After answering, what is still read and dropped before the socket
+#: closes: a client may still be sending a body the answer refused.
+MAX_DRAIN_BYTES = 2 * MAX_BODY_BYTES
+DRAIN_TIMEOUT_S = 1.0
 
 
 class _Reject(Exception):
@@ -76,6 +83,22 @@ async def _read_request(reader: asyncio.StreamReader):
     if length > MAX_BODY_BYTES:
         raise _Reject(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     return method, path, await reader.readexactly(length)
+
+
+async def _drain(reader: asyncio.StreamReader) -> None:
+    """Drop what the client still sends until it closes, or for at most
+    :data:`MAX_DRAIN_BYTES` / :data:`DRAIN_TIMEOUT_S`.  Closing a socket
+    with unread input resets the connection, and a reset can reach the
+    client before the answer it was sent (a refused body's 413)."""
+    async def drop() -> None:
+        dropped = 0
+        while dropped < MAX_DRAIN_BYTES and (chunk := await reader.read(1 << 16)):
+            dropped += len(chunk)
+
+    try:
+        await asyncio.wait_for(drop(), DRAIN_TIMEOUT_S)
+    except (ConnectionError, asyncio.TimeoutError):
+        pass
 
 
 class HTTPServer:
@@ -123,6 +146,10 @@ class HTTPServer:
                         f"Connection: close\r\n\r\n")
                 writer.write(head.encode("latin-1") + data)
                 await writer.drain()
+                # Half-close: the client reads the answer to its end
+                # while what it still sends is drained.
+                writer.write_eof()
+                await _drain(reader)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request
         finally:

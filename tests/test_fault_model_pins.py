@@ -3,7 +3,8 @@
 ``tests/data/fault_model_pins.json`` holds one sha256 per (model, config
 preset, shape).  Each digest covers, for every seed and FF variant, the
 faulty tensor's bytes, every :class:`FaultRecord` field and the
-generator's state after ``apply`` (so its next draw).  The pins were
+generator's state after ``apply`` (so its next draw); the faulty
+tensor is the record :func:`write_record` writes.  The pins were
 written before the models became one table; any change to a model's
 output, record or draw order fails here.
 
@@ -28,7 +29,7 @@ import pytest
 
 from repro.accelerator.config import CONFIG_PRESETS
 from repro.accelerator.ffs import FFDescriptor
-from repro.core.faults.software_models import TABLE1, PinnedMagnitude
+from repro.core.faults.software_models import TABLE1, PinnedMagnitude, write_record
 
 PINS = Path(__file__).parent / "data" / "fault_model_pins.json"
 
@@ -89,7 +90,8 @@ def digest_model(model, shape) -> str:
         for fan_in in fan_ins(model.name):
             for seed in SEEDS:
                 rng = np.random.default_rng(seed)
-                faulty, record = model.apply(tensor, rng, ff, fan_in=fan_in)
+                record = model.apply(tensor, rng, ff, fan_in=fan_in)
+                _, faulty = write_record(tensor, record)
                 _array(h, faulty)
                 h.update(f"{record.model}|{record.start_cycle}|{record.n_cycles}"
                          f"|{record.ff is ff}".encode())
@@ -106,7 +108,7 @@ def digest_pinned(shape) -> str:
     for pinned in PINNED:
         for seed in SEEDS:
             rng = np.random.default_rng(seed)
-            faulty, _ = pinned.apply(tensor, rng)
+            _, faulty = write_record(tensor, pinned.apply(tensor, rng))
             _array(h, faulty)
             _state(h, rng)
     return h.hexdigest()

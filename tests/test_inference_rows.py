@@ -1,17 +1,21 @@
-"""An inference unit forwards only the images its fault touched
-(DESIGN.md decision 12), and nothing about its verdict or its logits
-may show it.
+"""An inference unit carries only the images its fault touched
+(DESIGN.md decision 12), in one pass down the layers per lease that
+drops an image once it is golden again (decision 18), and nothing about
+its verdict or its logits may show it.
 
 The oracle lives here, not in ``src/``: the whole-batch unit — arm the
 fault on its site module, forward every input through every layer,
 ``argmax`` against the golden batch — which is what a unit was before.
-With batch-invariant eval kernels (decision 16) the unit's logits are
-the oracle's rows byte for byte, not just its verdict.
+With batch-invariant eval kernels (decision 16) the rows a unit carries
+to the end have the oracle's logits byte for byte, not just its
+verdict, and every row it drops has the golden logits in the oracle.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +27,15 @@ from repro.core.analysis import (
 )
 from repro.core.faults import InferenceCampaign
 from repro.core.faults.campaign import INFERENCE_LEASE
-from repro.core.faults.hardware import FORWARD, enumerate_sites, site_layers
+from repro.core.faults.hardware import (
+    FORWARD,
+    OpSite,
+    enumerate_sites,
+    forward_by_layer,
+    layer_chain,
+    sample_forward_fault,
+    site_layers,
+)
 from repro.core.faults.injector import FaultInjector
 from repro.core.faults.serialization import fault_from_dict
 from repro.engine import ResultStore
@@ -47,24 +59,31 @@ def _payloads(campaign: InferenceCampaign, path, n: int, seed: int,
         return sorted(done.completed.values(), key=lambda p: p["index"])
 
 
-def _unit_forwards(campaign: InferenceCampaign, runner,
-                   payload: dict) -> list[np.ndarray]:
-    """The outputs of every model forward ``runner`` makes for one unit."""
-    model = campaign.model
-    forward = model.forward
-    outputs: list[np.ndarray] = []
-
-    def recording(x, start=0):
-        outputs.append(forward(x, start))
-        return outputs[-1]
-
-    model.forward = recording
+def _layer_calls(campaign: InferenceCampaign, runner,
+                 payloads: list[dict]) -> tuple[list[dict], list[tuple]]:
+    """``runner(payloads)``'s results, and every top-level layer forward
+    it made, in order: ``(layer index, input, output)``."""
+    layers = layer_chain(campaign.model)
+    calls: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for index, layer in enumerate(layers):
+        def recording(x, index=index, forward=layer.forward):
+            calls.append((index, x, forward(x)))
+            return calls[-1][2]
+        layer.forward = recording
     try:
-        (result,) = runner([payload])
+        results = runner(payloads)
     finally:
-        del model.forward
+        for layer in layers:
+            del layer.forward
+    return results, calls
+
+
+def _unit_pass(campaign: InferenceCampaign, runner,
+               payload: dict) -> list[tuple]:
+    """The layer forwards of ``payload``'s unit in a lease of its own."""
+    (result,), calls = _layer_calls(campaign, runner, [payload])
     assert _verdict(result) == _verdict(payload)
-    return outputs
+    return calls
 
 
 def _same_logits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -77,37 +96,56 @@ def _same_logits(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(same | (np.isnan(a) & np.isnan(b))))
 
 
+def _rows_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.tobytes() == b.tobytes()
+
+
 def _whole_batch_units(campaign: InferenceCampaign, payloads: list[dict],
                        batch: int) -> list[tuple]:
     """The oracle: ``(sdc, nonfinite, outcome, images flipped)`` per
     payload's fault, from one armed forward of the whole batch each.
-    Along the way, each unit's one forward (none for a fault that
-    touched no image) must give the logits of the oracle's touched
-    rows."""
+    Along the way, each unit's pass (none for a fault that touched no
+    image) must be the one the oracle predicts: from the layer holding
+    its site, the touched images; after each layer, an image whose
+    oracle input to the next layer equals the golden one leaves; the
+    images left at the end have the oracle's logits, and every image
+    that left has the golden logits in the oracle."""
     model = campaign.model
     inputs = campaign.spec.test_data.inputs[:batch]
+    layer_of = site_layers(model)
     verdicts = []
     model.eval()
     try:
         campaign._golden_pass(inputs)
         runner = campaign._engine_runner()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            golden = np.argmax(model.forward(inputs), axis=-1)
+            golden_out, golden_in = forward_by_layer(model, inputs)
+            golden = np.argmax(golden_out, axis=-1)
             for payload in payloads:
                 injector = FaultInjector(fault_from_dict(payload["fault"]))
                 injector.arm(None, model)
                 try:
-                    out = model.forward(inputs)
+                    out, oracle_in = forward_by_layer(model, inputs)
                 finally:
                     injector.disarm()
                 assert injector.fired
                 assert len(injector.rows) == payload["rows_touched"]
-                unit = _unit_forwards(campaign, runner, payload)
-                if injector.rows.size:
-                    assert len(unit) == 1
-                    assert _same_logits(unit[0], out[injector.rows])
-                else:
-                    assert unit == []
+                calls = _unit_pass(campaign, runner, payload)
+                alive = list(injector.rows)
+                expected = []
+                for index in range(layer_of[injector.fault.site.module_name],
+                                   len(golden_in)):
+                    if not alive:
+                        break
+                    expected.append((index, len(alive)))
+                    if index + 1 < len(golden_in):
+                        alive = [i for i in alive if not _rows_equal(
+                            oracle_in[index + 1][i], golden_in[index + 1][i])]
+                assert [(index, len(x)) for index, x, _y in calls] == expected
+                if alive:
+                    assert _same_logits(calls[-1][2], out[alive])
+                for i in set(injector.rows) - set(alive):
+                    assert _same_logits(out[i], golden_out[i])
                 flipped = np.argmax(np.nan_to_num(out, nan=-np.inf),
                                     axis=-1) != golden
                 sdc = bool(flipped.any())
@@ -162,72 +200,72 @@ def test_rows_unit_equals_whole_batch_unit_every_workload(workload, tmp_path):
     assert any(p["rows_touched"] for p in payloads)
 
 
-def test_forwards_per_unit(resnet_campaign, tmp_path):
-    """No forward for a fault that rewrote no byte; otherwise exactly one,
-    of the unit's rows and only them — every time, with no reference
+def test_a_unit_makes_one_pass(resnet_campaign, tmp_path):
+    """No forward for a fault that rewrote no byte; otherwise one pass
+    from the layer holding its site, each layer at most once, entered by
+    the unit's rows and only them — every time, with no reference
     forward beside it."""
     payloads = _payloads(resnet_campaign, tmp_path / "s.jsonl", 300,
                          seed=7, batch=32)
     model = resnet_campaign.model
+    layer_of = site_layers(model)
     model.eval()
     try:
         resnet_campaign._golden_pass(resnet_campaign.spec.test_data.inputs[:32])
         runner = resnet_campaign._engine_runner()
 
-        def forwarded(payload: dict) -> list[int]:
-            return [len(out) for out in
-                    _unit_forwards(resnet_campaign, runner, payload)]
+        def rows_per_layer(payload: dict) -> list[tuple[int, int]]:
+            return [(index, len(x)) for index, x, _y in
+                    _unit_pass(resnet_campaign, runner, payload)]
 
         untouched = next(p for p in payloads if p["rows_touched"] == 0)
-        assert forwarded(untouched) == []
+        assert rows_per_layer(untouched) == []
         for payload in ([p for p in payloads if p["rows_touched"] == 1][:5]
                         + [p for p in payloads if p["rows_touched"] >= 2][:5]):
-            rows = payload["rows_touched"]
-            assert forwarded(payload) == [rows]
-            assert forwarded(payload) == [rows]
+            calls = rows_per_layer(payload)
+            start = layer_of[payload["fault"]["site"]["module_name"]]
+            assert calls[0] == (start, payload["rows_touched"])
+            assert [index for index, _n in calls] == \
+                list(range(start, start + len(calls)))
+            assert [n for _i, n in calls] == sorted(
+                (n for _i, n in calls), reverse=True)
+            assert rows_per_layer(payload) == calls
     finally:
         model.train()
 
 
-def test_a_lease_forwards_once_per_start_layer(resnet_campaign, tmp_path):
-    """A lease's units share their forwards: one per top-level layer some
-    touched unit starts at, over all those units' rows; each unit's
-    verdict, and its rows' logits, are the ones it gets in a lease of its
+def test_a_lease_makes_one_pass(resnet_campaign, tmp_path):
+    """A lease's units share one pass: each top-level layer runs at most
+    once, a unit's rows join at the layer holding its site, and rows
+    leave once golden again; each unit's verdict, and the logits of the
+    rows it carries to the end, are the ones it gets in a lease of its
     own."""
     payloads = _payloads(resnet_campaign, tmp_path / "s.jsonl",
                          INFERENCE_LEASE, seed=11, batch=32)
     model = resnet_campaign.model
     layer_of = site_layers(model)
-    forward = model.forward
-    calls: list[tuple[int, np.ndarray]] = []
-
-    def recording(x, start=0):
-        calls.append((start, forward(x, start)))
-        return calls[-1][1]
-
     model.eval()
     try:
         resnet_campaign._golden_pass(resnet_campaign.spec.test_data.inputs[:32])
         runner = resnet_campaign._engine_runner()
-        model.forward = recording
-        try:
-            results = runner(payloads)
-        finally:
-            del model.forward
+        results, calls = _layer_calls(resnet_campaign, runner, payloads)
         assert [_verdict(r) for r in results] == [_verdict(p) for p in payloads]
         touched = [p for p in payloads if p["rows_touched"]]
         start_of = [layer_of[p["fault"]["site"]["module_name"]] for p in touched]
-        assert sorted(start for start, _out in calls) == sorted(set(start_of))
-        assert len(calls) >= 3 and len(touched) >= 4 * len(calls)
-        assert sum(len(out) for _start, out in calls) == \
-            sum(p["rows_touched"] for p in payloads)
-        stacked = dict(calls)
-        used = dict.fromkeys(stacked, 0)
-        for payload, start in zip(touched, start_of):
-            rows = stacked[start][used[start]:used[start] + payload["rows_touched"]]
-            used[start] += payload["rows_touched"]
-            (alone,) = _unit_forwards(resnet_campaign, runner, payload)
-            assert _same_logits(rows, alone)
+        indices = [index for index, _x, _y in calls]
+        assert indices == sorted(set(indices))
+        assert indices[0] == min(start_of) and len(touched) >= 4 * len(calls)
+        joined = sum(p["rows_touched"] for p in payloads)
+        # Rows left the pass before the last layer.
+        assert indices[-1] == len(layer_chain(model)) - 1
+        assert len(calls[-1][2]) < joined
+        # The last layer's rows are each unit's carried rows, units in the
+        # order they joined.
+        order = sorted(range(len(touched)), key=lambda u: start_of[u])
+        alone = [_unit_pass(resnet_campaign, runner, touched[u]) for u in order]
+        carried = [unit[-1][2] for unit in alone
+                   if unit and unit[-1][0] == indices[-1]]
+        assert _same_logits(calls[-1][2], np.concatenate(carried))
     finally:
         model.train()
 
@@ -245,6 +283,43 @@ def test_parallel_workers_give_the_same_payloads(resnet_campaign, tmp_path):
     forked = _payloads(resnet_campaign, tmp_path / "p2.jsonl", 200, seed=3,
                        batch=32, parallel=2)
     assert forked == serial
+
+
+def test_a_fault_list_gives_the_payloads_of_its_sample(resnet_campaign,
+                                                      tmp_path):
+    """``run(faults=...)`` runs exactly those faults: the sample of
+    ``run(n, seed)`` given as a list gives its payloads byte for byte,
+    under a header that names no seed."""
+    rng = np.random.default_rng(13)
+    faults = [sample_forward_fault(resnet_campaign.model, rng)
+              for _ in range(150)]
+    sampled = _payloads(resnet_campaign, tmp_path / "a.jsonl", 150, seed=13,
+                        batch=32)
+    report = resnet_campaign.run(faults=faults, batch=32,
+                                 store=tmp_path / "b.jsonl")
+    with ResultStore(tmp_path / "b.jsonl", resume=True) as done:
+        listed = sorted(done.completed.values(), key=lambda p: p["index"])
+        assert done.meta["seed"] is None
+        assert done.meta["num_experiments"] == 150
+
+    def masked(payloads: list[dict]) -> str:
+        return json.dumps([{k: v for k, v in p.items() if k != "ts"}
+                           for p in payloads], sort_keys=True)
+
+    assert masked(listed) == masked(sampled)
+    assert report["num_experiments"] == 150
+
+
+@pytest.mark.parametrize("change", [
+    {"site": OpSite("1.conv1", "weight_grad")}, {"iteration": 1},
+    {"device": 1}])
+def test_a_fault_list_takes_forward_faults_only(resnet_campaign, change):
+    rng = np.random.default_rng(1)
+    faults = [sample_forward_fault(resnet_campaign.model, rng)
+              for _ in range(3)]
+    faults[2] = replace(faults[2], **change)
+    with pytest.raises(ValueError, match="fault 2 is a"):
+        resnet_campaign.run(faults=faults)
 
 
 @pytest.mark.parametrize("workload", workload_names())

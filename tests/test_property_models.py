@@ -29,6 +29,7 @@ from repro.core.faults.software_models import (
     PinnedMagnitude,
     all_model_names,
     model_for_ff,
+    write_record,
 )
 from repro.tensor.bits import (
     BFLOAT16_BITS,
@@ -207,7 +208,8 @@ class TestTable1ModelProperties:
         rng = np.random.default_rng(seed)
         original = rng.standard_normal(shape).astype(np.float32)
         model = model_named(name)
-        faulty, record = model.apply(original, rng, descriptor_for(name))
+        record = model.apply(original, rng, descriptor_for(name))
+        _, faulty = write_record(original, record)
         return original, faulty, record
 
     def test_shape_and_dtype_preserved(self, name, shape):
@@ -255,7 +257,7 @@ class TestModelContracts:
             rng = np.random.default_rng(seed)
             original = rng.standard_normal((8, 8)).astype(np.float32)
             ff = FFDescriptor("datapath", bit=int(rng.integers(0, 32)))
-            _, record = model_for_ff(ff).apply(original, rng, ff)
+            record = model_for_ff(ff).apply(original, rng, ff)
             if record.num_faulty == 0:
                 continue
             assert record.num_faulty == 1
@@ -268,7 +270,7 @@ class TestModelContracts:
         rng = np.random.default_rng(21)
         original = rng.standard_normal((4, 8, 6, 6)).astype(np.float32)
         ff = FFDescriptor("global_control", group=2, has_feedback=True)
-        _, record = model_for_ff(ff).apply(original, rng, ff)
+        record = model_for_ff(ff).apply(original, rng, ff)
         assert record.num_faulty > 0
         assert np.all(record.faulty_values == 0.0)
 
@@ -278,12 +280,12 @@ class TestModelContracts:
         ff = FFDescriptor("global_control", group=7, has_feedback=True)
         rng = np.random.default_rng(22)
         original = rng.standard_normal((16, 32)).astype(np.float32)
-        _, record = model_for_ff(ff).apply(original, rng, ff, fan_in=4096)
+        record = model_for_ff(ff).apply(original, rng, ff, fan_in=4096)
         assert record.num_faulty > 0
         assert np.all(np.abs(record.faulty_values)
                       <= np.abs(record.original_values))
         rng = np.random.default_rng(22)
-        _, record = model_for_ff(ff).apply(original, rng, ff)
+        record = model_for_ff(ff).apply(original, rng, ff)
         assert np.all(record.faulty_values == 0.0)
 
     def test_group5_and_9_values_come_from_the_tensor(self):
@@ -294,7 +296,7 @@ class TestModelContracts:
         pool = set(float32_to_bits(original).reshape(-1).tolist())
         for group in (5, 9):
             ff = FFDescriptor("global_control", group=group, has_feedback=True)
-            _, record = model_for_ff(ff).apply(
+            record = model_for_ff(ff).apply(
                 original, np.random.default_rng(group), ff)
             assert record.num_faulty > 0
             faulty_bits = float32_to_bits(record.faulty_values).tolist()
@@ -308,7 +310,7 @@ class TestModelContracts:
         biggest = 0.0
         for seed in range(10):
             ff = FFDescriptor("global_control", group=1, has_feedback=True)
-            _, record = model_for_ff(ff).apply(
+            record = model_for_ff(ff).apply(
                 original, np.random.default_rng(seed), ff)
             biggest = max(biggest, record.max_abs_faulty())
         assert biggest > float(np.abs(original).max())

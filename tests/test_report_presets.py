@@ -40,9 +40,9 @@ class TestConfigPresets:
 
         tensor = rng.normal(size=(1, 64, 4, 4)).astype(np.float32)
         ff = FFDescriptor("global_control", group=1, has_feedback=False)
-        _, rec_gpu = model_for_ff(ff, GPU_LIKE_CONFIG).apply(
+        rec_gpu = model_for_ff(ff, GPU_LIKE_CONFIG).apply(
             tensor, np.random.default_rng(0), ff)
-        _, rec_cpu = model_for_ff(ff, CPU_SIMD_CONFIG).apply(
+        rec_cpu = model_for_ff(ff, CPU_SIMD_CONFIG).apply(
             tensor, np.random.default_rng(0), ff)
         assert rec_gpu.num_faulty == 32  # one GPU-like cycle
         assert rec_cpu.num_faulty == 8   # one CPU-SIMD cycle

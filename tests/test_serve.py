@@ -197,6 +197,15 @@ HOSTILE = {
     "body-over-cap":
         (b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
          % (httpcore.MAX_BODY_BYTES + 1), 413),
+    # The refused body is sent too: the answer must still arrive, not a
+    # reset from closing on unread input.
+    "body-over-cap-sent":
+        (b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (httpcore.MAX_BODY_BYTES + 1)
+         + b"x" * (httpcore.MAX_BODY_BYTES + 1), 413),
+    "undeclared-body-after-get":
+        (b"GET /metrics HTTP/1.1\r\n\r\n" + b"x" * httpcore.MAX_BODY_BYTES,
+         200),
     "unknown-method":
         (b"DELETE /metrics HTTP/1.1\r\n\r\n", 405),
     "garbage-request-line": (b"\x00\xff\r\n\r\n", 400),

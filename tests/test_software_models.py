@@ -12,6 +12,7 @@ from repro.core.faults.software_models import (
     PinnedMagnitude,
     all_model_names,
     model_for_ff,
+    write_record,
 )
 from repro.tensor.bits import float32_to_bits
 
@@ -33,7 +34,8 @@ class TestRecordConsistency:
     def test_record_matches_tensor_change(self, group, tensor):
         rng = np.random.default_rng(group)
         model = model_for_ff(global_ff(group))
-        faulty, record = model.apply(tensor, rng, global_ff(group))
+        record = model.apply(tensor, rng, global_ff(group))
+        _, faulty = write_record(tensor, record)
         flat_faulty = faulty.reshape(-1)
         flat_orig = tensor.reshape(-1)
         # Everything outside recorded positions is untouched.
@@ -58,7 +60,8 @@ class TestRecordConsistency:
         tensor = base.T.reshape(16, 8, 3, 3)
         assert not tensor.flags["C_CONTIGUOUS"]
         model = model_for_ff(global_ff(1))
-        faulty, record = model.apply(tensor, np.random.default_rng(3), global_ff(1))
+        record = model.apply(tensor, np.random.default_rng(3), global_ff(1))
+        _, faulty = write_record(tensor, record)
         got = faulty.reshape(-1)[record.positions]
         assert np.array_equal(got, record.faulty_values, equal_nan=True)
 
@@ -67,7 +70,7 @@ class TestGroupSemantics:
     def test_group1_random_dynamic_range(self, tensor):
         hit_large = False
         for seed in range(20):
-            _, record = model_for_ff(global_ff(1)).apply(
+            record = model_for_ff(global_ff(1)).apply(
                 tensor, np.random.default_rng(seed), global_ff(1)
             )
             if record.max_abs_faulty() > 1e20:
@@ -75,23 +78,24 @@ class TestGroupSemantics:
         assert hit_large  # random patterns span the dynamic range
 
     def test_group2_zeros(self, tensor):
-        faulty, record = model_for_ff(global_ff(2)).apply(
+        record = model_for_ff(global_ff(2)).apply(
             tensor, np.random.default_rng(1), global_ff(2)
         )
         assert np.all(record.faulty_values == 0.0)
         assert record.num_faulty >= 16
 
     def test_group3_single_lane(self, tensor):
-        _, record = model_for_ff(global_ff(3)).apply(
+        record = model_for_ff(global_ff(3)).apply(
             tensor, np.random.default_rng(2), global_ff(3)
         )
         # At most one element per cycle: n_cycles bounds the count.
         assert record.num_faulty <= record.n_cycles
 
     def test_group4_moves_block(self, tensor):
-        faulty, record = model_for_ff(global_ff(4)).apply(
+        record = model_for_ff(global_ff(4)).apply(
             tensor, np.random.default_rng(3), global_ff(4)
         )
+        _, faulty = write_record(tensor, record)
         # Holes (zeros) plus destinations: record covers both.
         assert record.num_faulty >= 32
         # The intended locations were never written: zeros.
@@ -100,14 +104,14 @@ class TestGroupSemantics:
         assert np.all(faulty.reshape(-1)[holes] == 0.0)
 
     def test_group5_values_from_same_tensor(self, tensor):
-        faulty, record = model_for_ff(global_ff(5)).apply(
+        record = model_for_ff(global_ff(5)).apply(
             tensor, np.random.default_rng(4), global_ff(5)
         )
         values = set(tensor.reshape(-1).tolist())
         assert all(float(v) in values for v in record.faulty_values)
 
     def test_group7_attenuates_with_fan_in(self, tensor):
-        faulty, record = model_for_ff(global_ff(7)).apply(
+        record = model_for_ff(global_ff(7)).apply(
             tensor, np.random.default_rng(5), global_ff(7, feedback=False),
             fan_in=128,
         )
@@ -118,13 +122,13 @@ class TestGroupSemantics:
         assert np.all(ratios <= 1.0 + 1e-6)
 
     def test_group7_without_fan_in_zeroes(self, tensor):
-        _, record = model_for_ff(global_ff(7)).apply(
+        record = model_for_ff(global_ff(7)).apply(
             tensor, np.random.default_rng(6), global_ff(7), fan_in=None
         )
         assert np.all(record.faulty_values == 0.0)
 
     def test_group9_in_distribution(self, tensor):
-        _, record = model_for_ff(global_ff(9)).apply(
+        record = model_for_ff(global_ff(9)).apply(
             tensor, np.random.default_rng(7), global_ff(9)
         )
         assert record.max_abs_faulty() <= np.abs(tensor).max() + 1e-6
@@ -133,7 +137,7 @@ class TestGroupSemantics:
 class TestDatapathAndLocal:
     def test_datapath_single_element_bit_flip(self, tensor):
         ff = FFDescriptor("datapath", bit=30)
-        faulty, record = model_for_ff(ff).apply(tensor, np.random.default_rng(1), ff)
+        record = model_for_ff(ff).apply(tensor, np.random.default_rng(1), ff)
         if record.num_faulty:  # lane may be masked
             assert record.num_faulty == 1
             orig_bits = float32_to_bits(record.original_values)
@@ -147,14 +151,14 @@ class TestDatapathAndLocal:
         masked = 0
         for seed in range(40):
             ff = FFDescriptor("datapath", bit=5)
-            _, record = model_for_ff(ff).apply(tensor, np.random.default_rng(seed), ff)
+            record = model_for_ff(ff).apply(tensor, np.random.default_rng(seed), ff)
             if record.num_faulty == 0:
                 masked += 1
         assert masked > 0
 
     def test_local_control_random_value(self, tensor):
         ff = FFDescriptor("local_control", has_feedback=True)
-        _, record = model_for_ff(ff).apply(tensor, np.random.default_rng(3), ff)
+        record = model_for_ff(ff).apply(tensor, np.random.default_rng(3), ff)
         assert record.num_faulty <= record.n_cycles
 
 
@@ -181,8 +185,10 @@ class TestDeterminism:
         rng_data = np.random.default_rng(99)
         tensor = rng_data.normal(size=(1, 20, 3, 3)).astype(np.float32)
         model = model_for_ff(global_ff(group))
-        f1, r1 = model.apply(tensor, np.random.default_rng(seed), global_ff(group))
-        f2, r2 = model.apply(tensor, np.random.default_rng(seed), global_ff(group))
+        r1 = model.apply(tensor, np.random.default_rng(seed), global_ff(group))
+        _, f1 = write_record(tensor, r1)
+        r2 = model.apply(tensor, np.random.default_rng(seed), global_ff(group))
+        _, f2 = write_record(tensor, r2)
         assert np.array_equal(f1, f2, equal_nan=True)
         assert np.array_equal(r1.positions, r2.positions)
 
@@ -194,7 +200,7 @@ class TestDeterminism:
         tensor = rng.normal(size=shape).astype(np.float32)
         group = int(rng.integers(1, 11))
         model = model_for_ff(global_ff(group))
-        _, record = model.apply(tensor, rng, global_ff(group))
+        record = model.apply(tensor, rng, global_ff(group))
         if record.num_faulty:
             assert record.positions.min() >= 0
             assert record.positions.max() < tensor.size
@@ -202,8 +208,9 @@ class TestDeterminism:
 
 class TestPinnedMagnitude:
     def test_writes_count_elements_at_plus_minus_magnitude(self, tensor):
-        faulty, record = PinnedMagnitude(1e12, elements=40).apply(
+        record = PinnedMagnitude(1e12, elements=40).apply(
             tensor, np.random.default_rng(3), global_ff(1))
+        _, faulty = write_record(tensor, record)
         changed = np.flatnonzero(faulty.reshape(-1) != tensor.reshape(-1))
         assert record.model == "pinned"
         assert record.num_faulty == changed.size == 40
@@ -212,16 +219,18 @@ class TestPinnedMagnitude:
         assert len(set(np.sign(record.faulty_values).tolist())) == 2
 
     def test_coherent_writes_one_sign(self, tensor):
-        faulty, record = PinnedMagnitude(1e6, elements=40, coherent=True).apply(
+        record = PinnedMagnitude(1e6, elements=40, coherent=True).apply(
             tensor, np.random.default_rng(3))
+        _, faulty = write_record(tensor, record)
         assert set(faulty.reshape(-1)[record.positions].tolist()) == {1e6}
 
     def test_whole_tensor_draws_no_positions(self, tensor):
         """Covering every element, the model draws only the signs: the
         generator ends where a sign draw alone leaves it."""
         rng, signs_only = np.random.default_rng(5), np.random.default_rng(5)
-        faulty, record = PinnedMagnitude(100.0, elements=tensor.size + 1).apply(
+        record = PinnedMagnitude(100.0, elements=tensor.size + 1).apply(
             tensor, rng)
+        _, faulty = write_record(tensor, record)
         signs = signs_only.choice([-1.0, 1.0], size=tensor.size)
         assert np.array_equal(faulty, (signs * 100.0).astype(np.float32)
                               .reshape(tensor.shape))
@@ -235,7 +244,7 @@ class TestPrecisionConfigFault:
         finite (quantized to the fixed-point grid)."""
         tensor = rng.normal(size=(1, 16, 4, 4)).astype(np.float32) * 0.01
         model = TABLE1["precision_config"]
-        faulty, record = model.apply(
+        record = model.apply(
             tensor, np.random.default_rng(1),
             FFDescriptor("global_control", group=1, has_feedback=True),
         )
@@ -250,7 +259,7 @@ class TestPrecisionConfigFault:
         rescale amplifies them — the overflow path of Sec. 4.2.1."""
         tensor = (rng.normal(size=(1, 16, 4, 4)) * 1e4).astype(np.float32)
         model = TABLE1["precision_config"]
-        _, record = model.apply(
+        record = model.apply(
             tensor, np.random.default_rng(2),
             FFDescriptor("global_control", group=1, has_feedback=True),
         )
@@ -267,7 +276,7 @@ class TestConservationProperties:
         data is displaced, not fabricated)."""
         rng_data = np.random.default_rng(7)
         tensor = rng_data.normal(size=(1, 20, 3, 3)).astype(np.float32) + 5.0
-        faulty, record = model_for_ff(global_ff(4)).apply(
+        record = model_for_ff(global_ff(4)).apply(
             tensor, np.random.default_rng(seed), global_ff(4)
         )
         originals = set(tensor.reshape(-1).tolist())
@@ -282,7 +291,7 @@ class TestConservationProperties:
         lane bursts (full cycles), clipped at the schedule end."""
         rng_data = np.random.default_rng(11)
         tensor = rng_data.normal(size=(2, 16, 3, 3)).astype(np.float32)
-        _, record = model_for_ff(global_ff(2)).apply(
+        record = model_for_ff(global_ff(2)).apply(
             tensor, np.random.default_rng(seed), global_ff(2)
         )
         # 16 channels = exactly one full lane group per cycle.
