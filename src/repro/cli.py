@@ -15,9 +15,6 @@ injection, evaluate the technique) as subcommands::
     python -m repro monitor results.jsonl --follow
     python -m repro monitor results.jsonl --once --slo slo_rules.json
     python -m repro monitor results.jsonl --serve 9100 --slo slo_rules.json
-    python -m repro serve-infer resnet --port 9200 --fault-rate 1e-3 \\
-        --store serving.json
-    python -m repro loadgen http://127.0.0.1:9200 --rps 200 --duration 10
     python -m repro merge merged.jsonl shard0.jsonl shard1.jsonl
     python -m repro validate --experiments 400
     python -m repro mitigate resnet --iteration 20 --trace run.trace.jsonl
@@ -169,16 +166,6 @@ def cmd_inject(args) -> int:
     print(f"outcome: {report.outcome.value} (unexpected: {report.is_unexpected})")
     _export_trace(tracer, args)
     return 0
-
-
-def _slo_exit(breached: list[str]) -> int:
-    """The one exit gate: 1, and one line on stderr, iff a critical SLO
-    rule fired at any point of the watch (``SLOEngine.breached()``)."""
-    if breached:
-        print("slo: sustained breach of critical rule"
-              f"{'s' if len(breached) > 1 else ''}: " + ", ".join(breached),
-              file=sys.stderr)
-    return 1 if breached else 0
 
 
 def cmd_campaign(args) -> int:
@@ -391,7 +378,14 @@ def cmd_monitor(args) -> int:
         Path(args.markdown).write_text(render_markdown(state, slo.statuses),
                                        encoding="utf-8")
         print(f"markdown snapshot -> {args.markdown}")
-    return _slo_exit(slo.breached())
+    # The one exit gate: 1, and one line on stderr, iff a critical SLO
+    # rule fired at any point of the watch.
+    breached = slo.breached()
+    if breached:
+        print("slo: sustained breach of critical rule"
+              f"{'s' if len(breached) > 1 else ''}: " + ", ".join(breached),
+              file=sys.stderr)
+    return 1 if breached else 0
 
 
 def _print_replay_report(report) -> None:
@@ -404,59 +398,6 @@ def _print_replay_report(report) -> None:
           f"  arena={arena}  events={events}")
     for mismatch in report.mismatches:
         print(f"      {mismatch}")
-
-
-def cmd_serve_infer(args) -> int:
-    """``repro serve-infer``: fault-injected inference serving."""
-    import asyncio
-    import json
-
-    from repro.observe.slo import load_rules
-    from repro.serving import InferenceSession, ServingEngine, run_service
-
-    spec = build_workload(args.workload, size=args.size, seed=args.seed)
-    print(f"training {args.workload} ({args.size}) for serving...",
-          flush=True)
-    session = InferenceSession(spec, seed=args.seed,
-                               train_iterations=args.train_iterations,
-                               num_devices=args.devices)
-    engine = ServingEngine(
-        session, fault_rate=args.fault_rate, seed=args.fault_seed,
-        max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3,
-        queue_cap=args.queue_cap, shadow_rate=args.shadow_rate,
-        recover=not args.no_recover)
-    rules = load_rules(args.slo) if args.slo else None
-    try:
-        summary = asyncio.run(run_service(
-            engine, host=args.host, port=args.port, store=args.store,
-            rules=rules, interval=args.interval, duration=args.duration,
-            announce=lambda message: print(message, flush=True)))
-    except KeyboardInterrupt:
-        print("\nserving interrupted", file=sys.stderr)
-        return 130
-    except OSError as exc:  # e.g. the requested port is already bound
-        print(f"error: cannot serve on {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    print(json.dumps(stable_floats(summary), indent=2, sort_keys=True))
-    return _slo_exit(summary["breached_critical"])
-
-
-def cmd_loadgen(args) -> int:
-    """``repro loadgen``: open-loop load against a serve-infer endpoint."""
-    import asyncio
-    import json
-
-    from repro.serving import render_loadgen, run_loadgen
-
-    report = asyncio.run(run_loadgen(
-        args.url, rps=args.rps, duration=args.duration,
-        timeout=args.timeout, seed=args.seed))
-    if args.json:
-        print(json.dumps(stable_floats(report), indent=2, sort_keys=True))
-    else:
-        print(render_loadgen(report))
-    return 0 if report["errors"] == 0 else 1
 
 
 def cmd_replay(args) -> int:
@@ -645,73 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "sustain a for_seconds > 0 rule: it reports "
                               "pending and exits 0")
     monitor.set_defaults(func=cmd_monitor)
-
-    serve_infer = sub.add_parser(
-        "serve-infer",
-        help="serve batched inference over a workload with in-flight "
-             "fault injection, telemetry, and SLO gating")
-    serve_infer.add_argument("workload", choices=workload_names())
-    serve_infer.add_argument("--size", choices=["tiny", "small"],
-                             default="tiny",
-                             help="workload scale (default: tiny)")
-    serve_infer.add_argument("--devices", type=int, default=2,
-                             help="devices for the pre-serving training "
-                                  "run (default: 2)")
-    serve_infer.add_argument("--seed", type=int, default=0)
-    serve_infer.add_argument("--train-iterations", type=int, default=None,
-                             help="training iterations before serving "
-                                  "(default: the workload's own)")
-    serve_infer.add_argument("--host", default="127.0.0.1")
-    serve_infer.add_argument("--port", type=int, default=0,
-                             help="bind port (default: 0 = ephemeral, "
-                                  "announced on stdout)")
-    serve_infer.add_argument("--fault-rate", type=float, default=0.0,
-                             help="expected forward faults per request "
-                                  "(Poisson; default: 0)")
-    serve_infer.add_argument("--fault-seed", type=int, default=3)
-    serve_infer.add_argument("--max-batch", type=int, default=32,
-                             help="dynamic batcher max batch size")
-    serve_infer.add_argument("--max-wait-ms", type=float, default=5.0,
-                             help="max time the oldest queued request "
-                                  "waits for a batch to fill (ms)")
-    serve_infer.add_argument("--queue-cap", type=int, default=256,
-                             help="queue bound; beyond it requests shed "
-                                  "with HTTP 503")
-    serve_infer.add_argument("--shadow-rate", type=float, default=0.25,
-                             help="fraction of fault-armed batches "
-                                  "golden-re-executed for SDC detection "
-                                  "(default: 0.25)")
-    serve_infer.add_argument("--no-recover", action="store_true",
-                             help="serve faulty outputs instead of "
-                                  "re-executing detected-faulty batches")
-    serve_infer.add_argument("--slo", metavar="RULES.json",
-                             help="SLO rule file (default: built-in "
-                                  "shed-rate/p99/sdc-per-million rules)")
-    serve_infer.add_argument("--store", metavar="PATH",
-                             help="write the run summary to PATH and the "
-                                  "telemetry series to "
-                                  "PATH-derived .series.jsonl")
-    serve_infer.add_argument("--interval", type=float, default=0.25,
-                             help="telemetry sampling interval (s)")
-    serve_infer.add_argument("--duration", type=float, default=None,
-                             help="serve this many seconds then exit "
-                                  "(default: until interrupted)")
-    serve_infer.set_defaults(func=cmd_serve_infer)
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="open-loop load generator against a serve-infer endpoint")
-    loadgen.add_argument("url", help="server URL, e.g. http://127.0.0.1:9200")
-    loadgen.add_argument("--rps", type=float, default=50.0,
-                         help="scheduled request rate (default: 50)")
-    loadgen.add_argument("--duration", type=float, default=5.0,
-                         help="seconds of load (default: 5)")
-    loadgen.add_argument("--timeout", type=float, default=10.0)
-    loadgen.add_argument("--seed", type=int, default=0,
-                         help="seed for the sampled request indices")
-    loadgen.add_argument("--json", action="store_true",
-                         help="emit the report as JSON")
-    loadgen.set_defaults(func=cmd_loadgen)
 
     merge = sub.add_parser("merge",
                            help="merge partial result stores (dedup by key)")

@@ -90,6 +90,8 @@ class ExperimentResult:
     max_abs_faulty: float
     #: Necessary-condition magnitudes within 2 iterations of the fault.
     condition_window: dict[str, float]
+    #: The run's convergence record (``None`` once decoded from a store
+    #: payload, which does not carry it).
     record: ConvergenceRecord | None = None
     #: Digest of the final training state (params + optimizer slots +
     #: per-replica extra state), the replay gate's byte-identity anchor.
@@ -162,7 +164,6 @@ class Campaign:
         test_every: int = 10,
         thresholds: ClassifierThresholds | None = None,
         site_kinds: tuple[str, ...] = SITE_KINDS,
-        keep_records: bool = False,
         detect: bool = False,
         backend: str = "inprocess",
         experiment_batch: int = 1,
@@ -194,7 +195,6 @@ class Campaign:
         self.test_every = int(test_every)
         self.thresholds = thresholds or ClassifierThresholds()
         self.site_kinds = site_kinds
-        self.keep_records = bool(keep_records)
         #: Attach a Sec. 5.1 :class:`HardwareFailureDetector` to every
         #: experiment.  The detector only *reads* trainer state, so
         #: outcomes and final state bytes are unchanged; with tracing on,
@@ -509,7 +509,7 @@ class Campaign:
             max_abs_faulty=injected.max_abs_faulty() if injected else 0.0,
             condition_window=condition_magnitude_in_window(
                 conditions, exp.fault.iteration),
-            record=record if self.keep_records else None,
+            record=record,
             arena_sha256=exp.arena_sha256,
         )
 
@@ -630,11 +630,6 @@ class Campaign:
         settled experiment.  Experiments are fully seeded, so the
         aggregate outcome breakdown is identical at any worker count.
         """
-        if self.keep_records:
-            raise ValueError(
-                "keep_records campaigns retain full convergence records, "
-                "which the engine does not serialize; call run_experiment "
-                "or run_experiment_batch")
         sampled = faults is None
         if sampled:
             faults = self.sample_faults(num_experiments, seed)

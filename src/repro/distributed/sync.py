@@ -52,7 +52,6 @@ class SyncDataParallelTrainer:
         seed: int = 0,
         test_every: int = 25,
         eval_device: int = 0,
-        track_conditions: bool = True,
         stop_on_nonfinite: bool = True,
         hooks: list | None = None,
         tracer=None,
@@ -65,7 +64,6 @@ class SyncDataParallelTrainer:
         self.seed = int(seed)
         self.test_every = int(test_every)
         self.eval_device = int(eval_device)
-        self.track_conditions = bool(track_conditions)
         self.stop_on_nonfinite = bool(stop_on_nonfinite)
         self.hooks = list(hooks) if hooks else []
         #: Shared event sink for the trainer and every attached hook
@@ -212,9 +210,8 @@ class SyncDataParallelTrainer:
         record, ``ITERATION_STATS`` event.  Returns whether a test
         evaluation is due, whose score goes to :meth:`finish_iteration`
         (the caller evaluates, so lockstep drivers can batch it)."""
-        hist = self.history_magnitude() if self.track_conditions else None
-        mvar = self.mvar_magnitude() if self.track_conditions else None
-        self._log_iteration(t, loss, acc, hist, mvar)
+        self._log_iteration(t, loss, acc, self.history_magnitude(),
+                            self.mvar_magnitude())
         return self.test_due(t)
 
     def test_due(self, t: int) -> bool:
@@ -222,7 +219,7 @@ class SyncDataParallelTrainer:
         return bool(self.test_every) and (t + 1) % self.test_every == 0
 
     def _log_iteration(self, t: int, loss: float, acc: float,
-                       hist: float | None, mvar: float | None) -> None:
+                       hist: float, mvar: float) -> None:
         self.record.record_train(t, loss, acc, hist, mvar)
         if self.tracer.enabled:  # skip argument marshalling when off
             self.tracer.emit(ITERATION_STATS, iteration=t,
@@ -242,12 +239,10 @@ class SyncDataParallelTrainer:
         runs, so a hook that keeps memory of past iterations rules this
         out; the counter ends at ``stop``."""
         row = source.iterations.index(start) if start < stop else 0
-        tracked = self.track_conditions
         for t in range(start, stop):
             self._log_iteration(
                 t, source.train_loss[row], source.train_acc[row],
-                source.history_magnitude[row] if tracked else None,
-                source.mvar_magnitude[row] if tracked else None)
+                source.history_magnitude[row], source.mvar_magnitude[row])
             if self.test_due(t):
                 self.record.record_test(t, test_score(t))
             row += 1

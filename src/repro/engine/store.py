@@ -70,8 +70,8 @@ class ResultStore:
     Open with ``resume=False`` (the default) to create a fresh store —
     refusing to clobber an existing non-empty one — or ``resume=True``
     to load completed/quarantined keys from an existing file and append
-    to it.  ``kind`` names the runner; the two non-store log kinds
-    (``trace``, ``telemetry_series``) are refused.
+    to it.  ``kind`` names the runner; the trace log's kind (``trace``)
+    is refused.
     """
 
     def __init__(self, path: str | Path, kind: str = "campaign",

@@ -1,35 +1,34 @@
 """The one HTTP server: a route table, one request parser, one hosting.
 
-``monitor --serve`` and ``serve-infer`` are this module plus a route
-table; there is no other listener, router or parser.
+``monitor --serve`` is this module plus a route table; there is no other
+listener, router or parser.
 
-Route table: ``{(method, path): handler}``; a handler (function or
-coroutine function) takes the request body (``bytes``) and returns
-``(status, body: str, content_type)``.  Paths match without query string
-or trailing slash.  The server itself answers ``GET /`` (index generated
-from the table, plus ``meta``) and every miss (404 + endpoint list).
+Route table: ``{path: handler}``; a handler takes no argument and returns
+``(status, body: str, content_type)``.  Every route is a ``GET``: a
+request body is read (within the limits below) and dropped.  Paths match
+without query string or trailing slash.  The server itself answers
+``GET /`` (index generated from the table, plus ``meta``) and every miss
+(404 + endpoint list).
 
 Parser limits (module constants, not options): one request per
 connection, complete within :data:`READ_TIMEOUT_S` (408); a line over
 :data:`MAX_LINE_BYTES` is 431; a ``Content-Length`` that is not a
 non-negative integer 400, over :data:`MAX_BODY_BYTES` 413; a method
-other than GET/POST 405; a handler that raises 500.  Malformed input
-never reaches the event loop's exception handler.  After the answer the
-server half-closes and drains what the client still sends (bounded by
+other than GET 405; a handler that raises 500.  Malformed input never
+reaches the event loop's exception handler.  After the answer the server
+half-closes and drains what the client still sends (bounded by
 :data:`MAX_DRAIN_BYTES` and :data:`DRAIN_TIMEOUT_S`), so a client that
 sent a refused body reads its 413 rather than a reset.
 
 Hosting: ``start``/``stop`` serve from the caller's running loop, and
 handlers run on it — the loop that also runs the telemetry poll
-(:mod:`repro.serve`) and, for ``serve-infer``, the batcher that
-``POST /predict`` awaits.  A handler must not block: it reads published
-snapshots or awaits.
+(:mod:`repro.serve`).  A handler must not block: it reads published
+snapshots.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 from http import HTTPStatus
 
@@ -61,8 +60,8 @@ def error(status: int, message: str, **extra) -> tuple[int, str, str]:
 
 
 async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request into ``(method, path, body)``; ``None`` when
-    the client closed without sending anything."""
+    """Parse one GET request into its path, after reading its body;
+    ``None`` when the client closed without sending anything."""
     request_line = await reader.readline()
     if not request_line:
         return None
@@ -78,11 +77,12 @@ async def _read_request(reader: asyncio.StreamReader):
             if not value.strip().isdecimal():
                 raise _Reject(400, f"invalid Content-Length {value.strip()!r}")
             length = int(value)
-    if method not in ("GET", "POST"):
+    if method != "GET":
         raise _Reject(405, f"method {method} not allowed")
     if length > MAX_BODY_BYTES:
         raise _Reject(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-    return method, path, await reader.readexactly(length)
+    await reader.readexactly(length)
+    return path
 
 
 async def _drain(reader: asyncio.StreamReader) -> None:
@@ -157,31 +157,26 @@ class HTTPServer:
 
     async def _respond(self, reader) -> tuple[int, str, str] | None:
         try:
-            request = await asyncio.wait_for(_read_request(reader),
-                                             READ_TIMEOUT_S)
+            path = await asyncio.wait_for(_read_request(reader),
+                                          READ_TIMEOUT_S)
         except _Reject as exc:
             return error(*exc.args)
         except ValueError:  # a line over the StreamReader limit
             return error(431, f"line exceeds {MAX_LINE_BYTES} bytes")
         except asyncio.TimeoutError:
             return error(408, f"no request within {READ_TIMEOUT_S:g}s")
-        if request is None:
+        if path is None:
             return None
-        method, path, body = request
-        if method == "GET":
-            self.scrapes += 1
-        handler = self.routes.get((method, path))
+        self.scrapes += 1
+        handler = self.routes.get(path)
         if handler is None:
-            endpoints = list(dict.fromkeys(route for _, route in self.routes))
-            if (method, path) == ("GET", "/"):
+            endpoints = list(self.routes)
+            if path == "/":
                 return 200, json.dumps(
                     {"endpoints": endpoints, "meta": self.meta},
                     indent=2, sort_keys=True), JSON
             return error(404, f"unknown path {path!r}", endpoints=endpoints)
         try:
-            response = handler(body)
-            if inspect.isawaitable(response):
-                response = await response
-            return response
+            return handler()
         except Exception as exc:  # noqa: BLE001 - surface as HTTP 500
             return error(500, f"{type(exc).__name__}: {exc}")

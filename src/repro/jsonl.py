@@ -1,13 +1,13 @@
 """The one record log: every JSONL file the system writes and reads.
 
-Result stores, trace files (worker shards, exports, merged campaign
-traces) and telemetry series are one format, written by
-:class:`LogWriter` and read by :func:`read`; no other module opens them.
+Result stores and trace files (worker shards, exports, merged campaign
+traces) are one format, written by :class:`LogWriter` and read by
+:func:`read`; no other module opens them.
 
 * Line 1 is a header ``{"record": "header", "schema": N, "kind": K,
   "meta": {...}, ...}``.  ``kind`` says which log the file is:
-  :data:`TRACE`, :data:`SERIES`, or any other string for a result
-  store, whose kind names its runner (``campaign``, ``inference``, ...).
+  :data:`TRACE`, or any other string for a result store, whose kind
+  names its runner (``campaign``, ``inference``, ...).
   ``schema`` is that log's :data:`SCHEMA` version.
 * Every following line is one JSON object: compact separators, keys in
   insertion order, numpy scalars and arrays as plain JSON values.
@@ -18,8 +18,8 @@ traces) and telemetry series are one format, written by
   so a resumed log never glues a record onto it.  A line that does not
   parse anywhere else is a hard error.
 
-Durability follows the log's kind: every store and series record is
-``fsync``-ed before :meth:`LogWriter.append` returns, or when the
+Durability follows the log's kind: every store record is ``fsync``-ed
+before :meth:`LogWriter.append` returns, or when the
 :meth:`LogWriter.group` it was appended in ends (the engine writes a
 lease's results as one group), and a store's engine records
 (:meth:`LogWriter.write`) ride the next ``fsync``; trace lines are only
@@ -40,16 +40,15 @@ import numpy as np
 #: Record tag of the header line.
 HEADER = "header"
 
-#: The three logs.  ``TRACE`` and ``SERIES`` are header kinds; ``STORE``
-#: is what :func:`read` is asked for a result store of any runner kind.
+#: The two logs.  ``TRACE`` is a header kind; ``STORE`` is what
+#: :func:`read` is asked for a result store of any runner kind.
 STORE = "store"
 TRACE = "trace"
-SERIES = "telemetry_series"
 
 #: Schema version of each log's record layout.  Bump one on an
 #: incompatible change to that layout; readers reject versions they do
 #: not know.
-SCHEMA = {STORE: 1, TRACE: 1, SERIES: 1}
+SCHEMA = {STORE: 1, TRACE: 1}
 
 
 class LogFormatError(ValueError):
@@ -61,9 +60,9 @@ class LogSchemaError(LogFormatError):
 
 
 def log_of(kind) -> str:
-    """The log a header ``kind`` belongs to: ``TRACE``, ``SERIES``, or
-    ``STORE`` for any other kind (a store's kind names its runner)."""
-    return kind if kind in (TRACE, SERIES) else STORE
+    """The log a header ``kind`` belongs to: ``TRACE``, or ``STORE`` for
+    any other kind (a store's kind names its runner)."""
+    return TRACE if kind == TRACE else STORE
 
 
 def _plain(value):
@@ -99,13 +98,12 @@ class Log:
 
 def read(path: str | Path, kind: str) -> Log:
     """Parse the log at ``path``, which must be a ``kind`` log
-    (``STORE``, ``TRACE`` or ``SERIES``) of a known schema version;
-    raises :class:`LogFormatError` (or :class:`LogSchemaError`)."""
+    (``STORE`` or ``TRACE``) of a known schema version; raises
+    :class:`LogFormatError` (or :class:`LogSchemaError`)."""
     path = Path(path)
-    noun = "series" if kind == SERIES else kind
     data = path.read_bytes()
     if not data:
-        raise LogFormatError(f"{path}: empty {noun} file")
+        raise LogFormatError(f"{path}: empty {kind} file")
     end = data.rfind(b"\n") + 1
     torn = end < len(data)
     lines = data[:end].split(b"\n")[:-1]
@@ -120,7 +118,7 @@ def read(path: str | Path, kind: str) -> Log:
         if not isinstance(record, dict):
             if lineno < len(lines) or torn:
                 raise LogFormatError(
-                    f"{path}:{lineno}: corrupt {noun} record")
+                    f"{path}:{lineno}: corrupt {kind} record")
             torn = True  # the final line was cut before it could parse
             end -= len(line) + 1
             continue
@@ -129,11 +127,11 @@ def read(path: str | Path, kind: str) -> Log:
     found = header.get("kind")
     if header.get("record") != HEADER or log_of(found) != kind:
         raise LogFormatError(
-            f"{path}: first record is not a {noun} header "
+            f"{path}: first record is not a {kind} header "
             f"(got record={header.get('record')!r} kind={found!r})")
     if header.get("schema") != SCHEMA[kind]:
         raise LogSchemaError(
-            f"{path}: {noun} schema version {header.get('schema')!r} is not "
+            f"{path}: {kind} schema version {header.get('schema')!r} is not "
             f"supported (this build reads version {SCHEMA[kind]})")
     return Log(path=path, header=header, records=records[1:], torn=torn,
                end=end)

@@ -64,13 +64,7 @@ from repro.observe.slo import (
     SLOStatus,
     load_rules,
 )
-from repro.observe.timeseries import (
-    SERIES_SCHEMA_VERSION,
-    TelemetrySample,
-    derive_rates,
-    read_series,
-    series_path,
-)
+from repro.observe.timeseries import TelemetrySample, derive_rates
 from repro.observe.tracer import (
     NULL_TRACER,
     StampedView,
@@ -89,7 +83,6 @@ __all__ = [
     "ITERATION_STATS",
     "NULL_TRACER",
     "ROLLBACK",
-    "SERIES_SCHEMA_VERSION",
     "SHARD_PREFIX",
     "SLOConfigError",
     "SLOEngine",
@@ -111,11 +104,9 @@ __all__ = [
     "metric_name",
     "merge_campaign_shards",
     "merge_traces",
-    "read_series",
     "read_trace",
     "render_json",
     "render_prometheus",
-    "series_path",
     "shard_path",
     "shard_paths",
     "validate_exposition",

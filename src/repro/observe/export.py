@@ -4,9 +4,8 @@ A :class:`~repro.observe.timeseries.TelemetrySample` renders two ways:
 
 * :func:`render_prometheus` — Prometheus/OpenMetrics text exposition
   (the ``/metrics`` endpoint of :mod:`repro.serve`), with counters as
-  ``*_total``, gauges verbatim, histograms as summaries
-  (quantile-labelled series plus ``_sum``/``_count``), and the outcome
-  taxonomy as one labelled counter family;
+  ``*_total``, gauges verbatim, and the outcome taxonomy as one labelled
+  counter family;
 * :func:`render_json` — a deterministic JSON document (sorted keys,
   wall-clock timestamp isolated in one field) for machine diffing.
 
@@ -115,17 +114,6 @@ def render_prometheus(sample: TelemetrySample | None,
                      "per-second rate derived between consecutive samples")
         lines.append(f"{fam} {_format_value(sample.rates[name])}")
 
-    for name in sorted(sample.histograms):
-        summary = sample.histograms[name]
-        fam = family(metric_name(name, prefix), "summary")
-        for q_key, q_label in (("p50", "0.5"), ("p99", "0.99")):
-            if q_key in summary:
-                lines.append(f'{fam}{{quantile="{q_label}"}} '
-                             f"{_format_value(summary[q_key])}")
-        if "sum" in summary:
-            lines.append(f"{fam}_sum {_format_value(summary['sum'])}")
-        if "count" in summary:
-            lines.append(f"{fam}_count {_format_value(summary['count'])}")
     return "\n".join(lines) + "\n"
 
 
@@ -147,8 +135,6 @@ def render_json(sample: TelemetrySample | None,
             "gauges": dict(sorted(sample.gauges.items())),
             "counters": dict(sorted(sample.counters.items())),
             "rates": dict(sorted(sample.rates.items())),
-            "histograms": {k: dict(sorted(v.items()))
-                           for k, v in sorted(sample.histograms.items())},
             "outcomes": dict(sorted(sample.outcomes.items())),
         },
     }

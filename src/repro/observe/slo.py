@@ -1,7 +1,7 @@
 """Declarative SLO rules with sustained-for and hysteresis semantics.
 
 A threshold that trips on one noisy sample is an alarm nobody trusts.
-Rules here evaluate over the telemetry *series*: a breach must hold
+Rules here evaluate over successive samples: a breach must hold
 continuously for ``for_seconds`` before the rule fires, and a firing
 rule only resolves once the metric clears the threshold by the
 ``hysteresis`` fraction — the standard flap-damping pair.
@@ -20,14 +20,12 @@ A rule file is JSON — either a list of rule objects or
 ``metric`` addresses the flat namespace of
 :meth:`~repro.observe.timeseries.TelemetrySample.flat` (gauges like
 ``campaign.divergence_rate`` or ``workers.stalled``, outcome tallies
-like ``outcome.latent_inf_nan``; on a serving engine also counter rates
-like ``rate.serving.requests`` and histogram quantiles like
-``serving.latency_seconds.p99``).  Exactly one bound (``max`` or
+like ``outcome.latent_inf_nan``).  Exactly one bound (``max`` or
 ``min``) per rule.
 
 :class:`SLOEngine` is the only thing that turns an observation into an
-exit code: ``repro monitor`` in every mode and ``repro serve-infer``
-hold one engine across the polls of their watch and exit 1 iff
+exit code: ``repro monitor`` in every mode holds one engine across the
+polls of its watch and exits 1 iff
 :meth:`SLOEngine.breached` names a ``critical`` rule that fired at any
 poll.  A threshold on one gauge is a one-rule file.  A watch of a
 single poll (``monitor --once``, ``--json``) cannot sustain a

@@ -3,31 +3,26 @@
 A paper-scale campaign should behave like a service, not a script: while
 it runs, anything — a Prometheus scraper, a cron gate, an operator with
 ``curl`` — can ask how it is doing.  :class:`TelemetryService` is that
-answer for both telemetry sources, which differ only in the
-zero-argument *provider* handed to it: ``lambda:
-collect(store).sample()`` (every mode of ``repro monitor``,
-:func:`watch_store`) and ``ServingEngine.sample`` (``repro
-serve-infer``).  A campaign is watched from its files alone — a
+answer: a zero-argument *provider* (``lambda: collect(store).sample()``
+in every mode of ``repro monitor``, :func:`watch_store`) polled into one
+SLO engine and served.  A campaign is watched from its files alone — a
 ``repro monitor --serve`` next to a running ``repro campaign`` — so a
 rules file reads the same names during a run and after it.
 
 One poll (:meth:`TelemetryService.poll`) is provider -> counter rates
--> latest sample -> ``<store>.series.jsonl`` append -> SLO evaluation.
-One loop (:meth:`TelemetryService.run`) repeats it on the asyncio loop
-that also hosts the service's :class:`~repro.httpcore.HTTPServer` —
-``/metrics``, ``/healthz`` (503 while degraded), ``/progress``,
-``/alerts``, next to the caller's extra ``routes``.  What blocks (the
-provider's store read, the series ``fsync``, the caller's ``on_poll``)
-runs in a worker thread, so a slow poll never delays a scrape or a
-request; handlers read only the latest sample and the SLO engine's last
-statuses, never training state, so a slow or hostile scraper cannot
-perturb the campaign.
+-> latest sample -> SLO evaluation.  One loop
+(:meth:`TelemetryService.run`) repeats it on the asyncio loop that also
+hosts the service's :class:`~repro.httpcore.HTTPServer` — ``/metrics``,
+``/healthz`` (503 while degraded), ``/progress``, ``/alerts``.  What
+blocks (the provider's store read, the caller's ``on_poll``) runs in a
+worker thread, so a slow poll never delays a scrape; handlers read only
+the latest sample and the SLO engine's last statuses, never training
+state, so a slow or hostile scraper cannot perturb the campaign.
 
 :func:`watch_store` runs that loop under ``asyncio.run``: ``repro
 monitor --once | --json | --follow | --serve`` are its one-poll,
 unserved and served cases, so one rules file means one thing on all of
-them.  ``repro serve-infer`` runs it as a task beside its batcher
-(:func:`repro.serving.server.run_service`).
+them.
 """
 
 from __future__ import annotations
@@ -38,16 +33,10 @@ import json
 import time
 from pathlib import Path
 
-from repro import jsonl
 from repro.httpcore import DEFAULT_HOST, JSON, HTTPServer
 from repro.observe.export import dumps_json, render_prometheus
 from repro.observe.slo import SLOEngine, SLORule
-from repro.observe.timeseries import (
-    SERIES_SAMPLE,
-    TelemetrySample,
-    derive_rates,
-    series_path,
-)
+from repro.observe.timeseries import TelemetrySample, derive_rates
 
 #: SLO rules applied when `repro monitor` is given no --slo file (a file
 #: replaces them): a worker its source flagged as stalled.
@@ -57,34 +46,26 @@ DEFAULT_MONITOR_RULES = (
 
 
 class TelemetryService:
-    """Poll + SLO engine + series file + HTTP routes for one provider.
+    """Poll + SLO engine + HTTP routes for one provider.
 
-    The caller owns the loop: :func:`watch_store` and ``run_service``
-    start ``server`` on it and run :meth:`run` there.
+    The caller owns the loop: :func:`watch_store` starts ``server`` on
+    it and runs :meth:`run` there.
     """
 
     def __init__(self, provider, *, rules: list[SLORule] | None = None,
-                 store_path: str | Path | None = None,
                  interval: float = 1.0, meta: dict | None = None,
-                 host: str = DEFAULT_HOST, port: int = 0,
-                 routes: dict | None = None):
+                 host: str = DEFAULT_HOST, port: int = 0):
         if interval <= 0:
             raise ValueError("telemetry interval must be positive")
         self.provider = provider
         self.interval = float(interval)
         self.meta = dict(meta or {})
         self.slo = SLOEngine(list(rules or []))
-        #: Where the series is persisted (None without a store).
-        self.series_path = series_path(store_path) if store_path else None
-        # A series observes this run only: an existing file is replaced.
-        self._series = (jsonl.create(self.series_path, jsonl.SERIES,
-                                     self.meta)
-                        if self.series_path else None)
-        self.server = HTTPServer({**self.routes(), **(routes or {})},
-                                 host=host, port=port, meta=self.meta)
+        self.server = HTTPServer(self.routes(), host=host, port=port,
+                                 meta=self.meta)
         #: The newest sample (None before the first good poll).
         self.latest: TelemetrySample | None = None
-        #: Provider and series-write failures, counted instead of raised.
+        #: Provider failures, counted instead of raised.
         self.errors = 0
         self.last_error: str | None = None
         self._stopping = asyncio.Event()
@@ -96,47 +77,32 @@ class TelemetryService:
     # ------------------------------------------------------------------
     # The poll and the loop
     # ------------------------------------------------------------------
-    def _failed(self, exc: Exception) -> None:
-        self.errors += 1
-        self.last_error = f"{type(exc).__name__}: {exc}"
-
     async def poll(self) -> TelemetrySample | None:
         """Take one sample; ``None`` when the provider raised — a
         telemetry hiccup must not sink a multi-day campaign."""
         try:
             sample = await asyncio.to_thread(self.provider)
         except Exception as exc:  # noqa: BLE001 - counted, not raised
-            self._failed(exc)
+            self.errors += 1
+            self.last_error = f"{type(exc).__name__}: {exc}"
             return None
         sample.rates = derive_rates(self.latest, sample)
         self.latest = sample
-        if self._series is not None:
-            try:
-                await asyncio.to_thread(
-                    self._series.append,
-                    {"record": SERIES_SAMPLE, **sample.to_dict()})
-            except (OSError, ValueError) as exc:
-                self._failed(exc)
         self.slo.evaluate(sample.flat(), now=sample.t)
         return sample
 
     async def run(self, on_poll=None) -> None:
         """Poll now and every ``interval`` until ``on_poll(sample)`` (run
         in a worker thread) returns true, or until :meth:`stop` — after
-        which one last poll ends the series on the final state."""
-        try:
-            while True:
-                stopping = self._stopping.is_set()
-                sample = await self.poll()
-                if stopping or (on_poll is not None and
-                                await asyncio.to_thread(on_poll, sample)):
-                    return
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(self._stopping.wait(),
-                                           self.interval)
-        finally:
-            if self._series is not None:
-                self._series.close()
+        which one last poll observes the final state."""
+        while True:
+            stopping = self._stopping.is_set()
+            sample = await self.poll()
+            if stopping or (on_poll is not None and
+                            await asyncio.to_thread(on_poll, sample)):
+                return
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._stopping.wait(), self.interval)
 
     def stop(self) -> None:
         """End :meth:`run` after one final poll."""
@@ -147,19 +113,19 @@ class TelemetryService:
     # ------------------------------------------------------------------
     def routes(self) -> dict:
         """The telemetry route table (see :mod:`repro.httpcore`)."""
-        def healthz(_body):
+        def healthz():
             healthy, payload = self.health()
             return (200 if healthy else 503,
                     json.dumps(payload, indent=2, sort_keys=True), JSON)
 
         return {
-            ("GET", "/metrics"): lambda _body: (
+            "/metrics": lambda: (
                 200, render_prometheus(self.latest),
                 "text/plain; version=0.0.4; charset=utf-8"),
-            ("GET", "/healthz"): healthz,
-            ("GET", "/progress"): lambda _body: (
+            "/healthz": healthz,
+            "/progress": lambda: (
                 200, dumps_json(self.latest, meta=self.meta), JSON),
-            ("GET", "/alerts"): lambda _body: (200, self.alerts_json(), JSON),
+            "/alerts": lambda: (200, self.alerts_json(), JSON),
         }
 
     def alerts_json(self) -> str:

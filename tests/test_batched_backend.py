@@ -231,7 +231,7 @@ class TestCampaignBatch:
     def campaigns(self):
         kwargs = dict(num_devices=DEVICES, seed=0, warmup_iterations=WARMUP,
                       horizon=HORIZON, inject_window=4, test_every=4,
-                      keep_records=True, detect=True)
+                      detect=True)
         solo = Campaign(_spec(), **kwargs)
         solo.prepare()
         batched = Campaign(_spec(), backend="batched", experiment_batch=3,

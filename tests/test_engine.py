@@ -621,18 +621,6 @@ class TestCampaignThroughEngine:
                          p.daemon for p in multiprocessing.active_children()))
         assert daemonic and all(daemonic)
 
-    def test_keep_records_rejects_engine_options(self):
-        """The engine does not serialize convergence records, so ``run``
-        is not how a ``keep_records`` campaign runs — with or without
-        engine options."""
-        spec = build_workload("resnet", size="tiny", seed=0)
-        campaign = Campaign(spec, num_devices=2, seed=0, warmup_iterations=4,
-                            horizon=6, keep_records=True)
-        with pytest.raises(ValueError, match="keep_records"):
-            campaign.run(1, parallel=2)
-        with pytest.raises(ValueError, match="keep_records"):
-            campaign.run(1)
-
 
 def _slow_lease_factory():
     def runner(payloads, sinks):

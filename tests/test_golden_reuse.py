@@ -52,7 +52,7 @@ BATCH = 3
 def _campaign(workload: str, config: str, detect: bool) -> Campaign:
     campaign = Campaign(
         build_workload(workload, size="tiny"), **CONFIGS[config],
-        detect=detect, site_kinds=SITE_KINDS, keep_records=True,
+        detect=detect, site_kinds=SITE_KINDS,
         backend="batched", experiment_batch=BATCH)
     campaign.prepare()
     return campaign
@@ -223,7 +223,7 @@ def test_detect_changes_no_payload_byte(backend, block):
         Campaign(build_workload("resnet", size="tiny"), num_devices=2,
                  warmup_iterations=4, horizon=8, inject_window=3,
                  test_every=4, detect=detect, site_kinds=SITE_KINDS,
-                 keep_records=True, backend=backend, experiment_batch=block)
+                 backend=backend, experiment_batch=block)
         for detect in (False, True))
     faults = plain.sample_faults(10, seed=21)
     # Two faults the detector fires on for iterations on end.

@@ -1,24 +1,15 @@
 """The record-log format (repro.jsonl), checked once on each log the
-system writes: a result store, a trace (shard stream) and a telemetry
-series.  Each case writes the log with its real writer and reads it back
-with its public reader."""
+system writes: a result store and a trace (shard stream).  Each case
+writes the log with its real writer and reads it back with its public
+reader."""
 
-import asyncio
 import json
 
 import pytest
 
 from repro import jsonl
 from repro.engine import ResultStore, merge_stores, read_records
-from repro.observe import (
-    ITERATION_STATS,
-    TelemetrySample,
-    Tracer,
-    read_series,
-    read_trace,
-    series_path,
-)
-from repro.serve import TelemetryService
+from repro.observe import ITERATION_STATS, Tracer, read_trace
 
 N = 5
 
@@ -43,23 +34,10 @@ def _read_trace(path):
     return [e.iteration for e in read_trace(path).events]
 
 
-def _write_series(path):
-    ts = iter(range(N))
-    service = TelemetryService(lambda: TelemetrySample(t=float(next(ts))),
-                               store_path=path, interval=0.01)
-    asyncio.run(service.run(lambda sample: sample.t == N - 1))
-    series_path(path).replace(path)
-
-
-def _read_series(path):
-    return [int(s.t) for s in read_series(path)[1]]
-
-
 #: log -> (kind read as, writer, reader returning the record indices).
 LOGS = {
     "store": (jsonl.STORE, _write_store, _read_store),
     "trace": (jsonl.TRACE, _write_trace, _read_trace),
-    "series": (jsonl.SERIES, _write_series, _read_series),
 }
 
 
@@ -108,14 +86,14 @@ def test_missing_header(log):
     if name != other])
 def test_wrong_kind(name, other, tmp_path):
     """A reader refuses every other log (a store is any runner kind but
-    the two non-store kinds)."""
+    the trace kind)."""
     path = tmp_path / f"{other}.jsonl"
     LOGS[other][1](path)
     with pytest.raises(jsonl.LogFormatError, match="not a .* header"):
         LOGS[name][2](path)
 
 
-@pytest.mark.parametrize("other", ["trace", "series"])
+@pytest.mark.parametrize("other", ["trace"])
 def test_store_refuses_other_logs(other, tmp_path):
     path = tmp_path / f"{other}.jsonl"
     LOGS[other][1](path)

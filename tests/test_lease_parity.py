@@ -29,12 +29,12 @@ LOUD = [HardwareFault(CONTROL, OpSite("0.1", "weight_grad"), 5, 1, 2),
         HardwareFault(CONTROL, OpSite("1.conv1", "weight_grad"), 4, 0, 2)]
 
 
-def _campaign(batch: int, **kwargs) -> Campaign:
+def _campaign(batch: int) -> Campaign:
     return Campaign(build_workload("resnet", size="tiny"), num_devices=2,
                     warmup_iterations=4, horizon=8, inject_window=3,
                     test_every=4, detect=True, site_kinds=SITE_KINDS,
                     backend="batched" if batch > 1 else "inprocess",
-                    experiment_batch=batch, **kwargs)
+                    experiment_batch=batch)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_detection_latency_is_observed_on_either_path(method):
     """One body runs one experiment or several, so every experiment's
     detection latency is in its record and in its trace the same way
     (a batch used to observe nothing)."""
-    campaign = _campaign(2, keep_records=True)
+    campaign = _campaign(2)
     tracer = Tracer()
     views = [StampedView(tracer, key=f"k{i}") for i in range(len(LOUD))]
     if method == "run_experiment":

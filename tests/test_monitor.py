@@ -356,8 +356,7 @@ def _served_sample(store_path) -> TelemetrySample:
 
     watch_store(store_path, port=0, interval=0.01, max_polls=1,
                 on_start=urls.append, on_poll=scrape)
-    return TelemetrySample.from_dict(
-        {"t": bodies[0]["t"], **bodies[0]["sample"]})
+    return TelemetrySample(t=bodies[0]["t"], **bodies[0]["sample"])
 
 
 def _shared(sample: TelemetrySample) -> dict[str, float]:

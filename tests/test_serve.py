@@ -30,7 +30,7 @@ from repro.observe.export import (
     validate_exposition,
 )
 from repro.observe.slo import SLORule
-from repro.observe.timeseries import TelemetrySample, read_series
+from repro.observe.timeseries import TelemetrySample
 from repro.serve import TelemetryService, watch_store
 
 
@@ -50,9 +50,6 @@ def _sample(**gauges) -> TelemetrySample:
         t=100.0, gauges=gauges or {"campaign.done": 3.0},
         counters={"serving.requests": 3.0},
         rates={"serving.requests": 0.5},
-        histograms={"serving.latency_seconds": {
-            "count": 3, "sum": 0.6, "mean": 0.2, "max": 0.3,
-            "p50": 0.2, "p99": 0.3}},
         outcomes={"ok": 2, "latent_inf_nan": 1})
 
 
@@ -71,16 +68,15 @@ class TestExposition:
         assert by_name["repro_campaign_done"] == 3.0
         assert by_name["repro_serving_requests_total"] == 3.0
         assert by_name["repro_serving_requests_rate"] == 0.5
-        assert by_name["repro_serving_latency_seconds_count"] == 3.0
 
-    def test_outcomes_and_quantiles_are_labelled(self):
+    def test_outcomes_are_labelled(self):
         parsed = validate_exposition(render_prometheus(_sample()))
         labelled = {(name, tuple(sorted(labels.items()))): value
                     for name, labels, value in parsed if labels}
-        assert labelled[("repro_campaign_outcome_total",
-                         (("outcome", "latent_inf_nan"),))] == 1.0
-        assert labelled[("repro_serving_latency_seconds",
-                         (("quantile", "0.99"),))] == 0.3
+        assert labelled == {
+            ("repro_campaign_outcome_total",
+             (("outcome", "latent_inf_nan"),)): 1.0,
+            ("repro_campaign_outcome_total", (("outcome", "ok"),)): 2.0}
 
     def test_none_sample_still_exposes_up(self):
         text = render_prometheus(None)
@@ -124,7 +120,7 @@ def _slow_sample() -> TelemetrySample:
 @contextlib.contextmanager
 def _hosted(server, poller: TelemetryService | None = None):
     """Start ``server`` on a loop somebody else owns and runs (the
-    serve-infer and monitor hosting), with ``poller``'s telemetry loop
+    monitor's hosting), with ``poller``'s telemetry loop
     on the same loop if given, and yield the list that loop's exception
     handler fills."""
     unhandled: list[dict] = []
@@ -162,7 +158,7 @@ def host(request):
     """``host(server)`` starts it under the requesting class's
     ``hosting`` and returns the loop's unhandled-exception list:
     ``"polled"`` also runs a telemetry loop over a slow provider on that
-    loop, as both commands do."""
+    loop, as ``monitor --serve`` does."""
     with contextlib.ExitStack() as stack:
         yield lambda server: stack.enter_context(_hosted(
             server, TelemetryService(_slow_sample, interval=0.01)
@@ -183,37 +179,41 @@ def _raw(url: str, payload: bytes) -> int | None:
     return int(data.split()[1]) if data else None
 
 
-#: The hostile-request table: every malformed request gets an answer.
+#: The hostile-request table: every malformed request gets an answer,
+#: and empty input a clean close.
 HOSTILE = {
     "non-integer-length":
-        (b"POST /predict HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"GET /metrics HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
     "negative-length":
-        (b"POST /predict HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+        (b"GET /metrics HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
     "oversized-header-line":
         (b"GET /metrics HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
          + b"\r\n\r\n", 431),
     "body-never-arrives":
-        (b"POST /predict HTTP/1.1\r\nContent-Length: 10\r\n\r\n", 408),
+        (b"GET /metrics HTTP/1.1\r\nContent-Length: 10\r\n\r\n", 408),
     "body-over-cap":
-        (b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        (b"GET /metrics HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
          % (httpcore.MAX_BODY_BYTES + 1), 413),
     # The refused body is sent too: the answer must still arrive, not a
     # reset from closing on unread input.
     "body-over-cap-sent":
-        (b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        (b"GET /metrics HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
          % (httpcore.MAX_BODY_BYTES + 1)
          + b"x" * (httpcore.MAX_BODY_BYTES + 1), 413),
+    "declared-body-on-get":
+        (b"GET /metrics HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello", 200),
     "undeclared-body-after-get":
         (b"GET /metrics HTTP/1.1\r\n\r\n" + b"x" * httpcore.MAX_BODY_BYTES,
          200),
+    "post-not-allowed":
+        (b"POST /metrics HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello", 405),
     "unknown-method":
         (b"DELETE /metrics HTTP/1.1\r\n\r\n", 405),
     "garbage-request-line": (b"\x00\xff\r\n\r\n", 400),
+    "empty-input": (b"", None),
 }
 
 
-#: The routes the generated requests may hit, beyond the telemetry ones.
-ECHO = {("POST", "/echo"): lambda body: (200, str(len(body)), "text/plain")}
 _TOKEN = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-",
                  min_size=1, max_size=8)
 _HEADER_VALUE = st.text(alphabet=st.characters(min_codepoint=0x20,
@@ -226,8 +226,8 @@ def _requests(draw) -> tuple[bytes, int | None]:
     """``(raw request, the status the parser documents for it)``:
     request lines, headers and a ``Content-Length`` that is valid,
     negative, non-decimal, over the cap or longer than the body sent.
-    A body is only sent where the server reads it all, so its close is
-    never a reset that would hide the answer."""
+    A body the server does not read is drained, so its close is never a
+    reset that would hide the answer."""
     shape = draw(st.sampled_from(["empty", "one-token"] + ["request"] * 4))
     if shape == "empty":
         return b"", None
@@ -235,7 +235,7 @@ def _requests(draw) -> tuple[bytes, int | None]:
         return draw(_TOKEN).encode() + b"\r\n\r\n", 400
     method = draw(st.sampled_from(["GET", "POST", "get", "DELETE", "PUT"]))
     path = draw(st.sampled_from(
-        ["/metrics", "/healthz/", "/alerts?x=1", "/", "/echo", "/nope"]))
+        ["/metrics", "/healthz/", "/alerts?x=1", "/", "/nope"]))
     headers = draw(st.lists(st.tuples(_TOKEN, _HEADER_VALUE), max_size=3))
     length = draw(st.sampled_from(["none", "valid", "negative",
                                    "non-decimal", "over-cap", "mismatched"]))
@@ -257,17 +257,16 @@ def _requests(draw) -> tuple[bytes, int | None]:
     raw = (f"{method} {path} HTTP/1.1\r\n"
            + "".join(f"{name}: {val}\r\n" for name, val in headers)
            + "\r\n").encode("latin-1") + body
-    route = (method.upper(), path.split("?")[0].rstrip("/") or "/")
+    route = path.split("?")[0].rstrip("/") or "/"
     if length in ("negative", "non-decimal"):
         return raw, 400
-    if route[0] not in ("GET", "POST"):
+    if method.upper() != "GET":
         return raw, 405
     if length == "over-cap":
         return raw, 413
     if length == "mismatched":
         return raw, 408
-    routed = {("GET", "/")} | set(TelemetryService(_sample).routes()) \
-        | set(ECHO)
+    routed = {"/"} | set(TelemetryService(_sample).routes())
     return raw, 200 if route in routed else 404
 
 
@@ -300,8 +299,7 @@ class EndpointSuite:
         status, body, _ = _get(f"{server.url}/")
         assert "/metrics" in json.loads(body)["endpoints"]
         # The index is generated from the route table.
-        assert json.loads(body)["endpoints"] == \
-            [path for _, path in server.routes] == \
+        assert json.loads(body)["endpoints"] == list(server.routes) == \
             ["/metrics", "/healthz", "/progress", "/alerts"]
         assert json.loads(body)["meta"] == {"workload": "resnet"}
 
@@ -361,7 +359,7 @@ class EndpointSuite:
     def test_generated_request_gets_its_documented_answer(
             self, host, monkeypatch):
         monkeypatch.setattr(httpcore, "READ_TIMEOUT_S", 0.2)
-        service = TelemetryService(_sample, routes=ECHO)
+        service = TelemetryService(_sample)
         _polled(service)
         unhandled = host(service.server)
 
@@ -375,10 +373,10 @@ class EndpointSuite:
         answered()
 
     def test_handler_exception_is_a_500_not_a_dropped_socket(self, host):
-        def boom(_body):
+        def boom():
             raise RuntimeError("deliberate")
 
-        server = httpcore.HTTPServer({("GET", "/boom"): boom})
+        server = httpcore.HTTPServer({"/boom": boom})
         unhandled = host(server)
         status, body, _ = _get(f"{server.url}/boom")
         assert status == 500
@@ -400,20 +398,17 @@ class TestEndpointsLoopHosted(EndpointSuite):
 # The one poll and the one loop
 # ----------------------------------------------------------------------
 class TestPoll:
-    def test_poll_derives_rates_persists_and_evaluates(self, tmp_path):
+    def test_poll_derives_rates_and_evaluates(self):
         samples = iter([TelemetrySample(t=0.0, counters={"c": 0.0}),
                         TelemetrySample(t=10.0, counters={"c": 20.0})])
         service = TelemetryService(
-            lambda: next(samples), store_path=tmp_path / "s.jsonl",
-            interval=0.01, rules=[SLORule(name="rate", metric="rate.c",
-                                          max=1.0)])
+            lambda: next(samples), interval=0.01,
+            rules=[SLORule(name="rate", metric="rate.c", max=1.0)])
         seen = []
         asyncio.run(service.run(
             lambda sample: seen.append(sample) or len(seen) == 2))
         assert [sample.rates for sample in seen] == [{}, {"c": 2.0}]
         assert service.latest is seen[-1]
-        _, persisted = read_series(service.series_path)
-        assert [sample.rates for sample in persisted] == [{}, {"c": 2.0}]
         assert service.slo.breached() == ["rate"]
 
     def test_provider_errors_are_counted_not_raised(self):
@@ -425,12 +420,14 @@ class TestPoll:
         assert "registry on fire" in service.last_error
         assert service.latest is None
 
-    def test_loop_polls_until_stopped_and_ends_on_a_final_sample(
-            self, tmp_path):
-        ticks = itertools.count()
-        service = TelemetryService(
-            lambda: TelemetrySample(t=float(next(ticks))),
-            store_path=tmp_path / "s.jsonl", interval=0.01)
+    def test_loop_polls_until_stopped_and_ends_on_a_final_sample(self):
+        ticks, polled = itertools.count(), []
+
+        def provider():
+            polled.append(TelemetrySample(t=float(next(ticks))))
+            return polled[-1]
+
+        service = TelemetryService(provider, interval=0.01)
 
         async def main():
             polling = asyncio.create_task(service.run())
@@ -442,11 +439,11 @@ class TestPoll:
             return stopped_after
 
         stopped_after = asyncio.run(main())
-        _, persisted = read_series(service.series_path)
-        assert [sample.t for sample in persisted] == \
-            [float(t) for t in range(len(persisted))]
-        # stop() takes one last poll: the series ends after the stop.
-        assert persisted[-1].t == service.latest.t > stopped_after
+        assert [sample.t for sample in polled] == \
+            [float(t) for t in range(len(polled))]
+        # stop() takes one last poll: the loop ends after the stop.
+        assert polled[-1] is service.latest
+        assert service.latest.t > stopped_after
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
@@ -534,8 +531,7 @@ class TestConcurrentScrape:
         assert state.complete and state.sample().gauges["campaign.done"] \
             == 12.0
 
-    def test_campaign_telemetry_persists_series_and_gates_on_slo(
-            self, tmp_path):
+    def test_campaign_telemetry_gates_on_slo(self, tmp_path):
         store_path = tmp_path / "camp.jsonl"
         rules = [SLORule(name="done-ceiling", metric="campaign.done",
                          max=0.5)]
@@ -544,8 +540,7 @@ class TestConcurrentScrape:
                  for i in range(4)]
         runner, _ = _engine_thread(store_path, units, 1)
         telemetry = TelemetryService(
-            lambda: collect(store_path).sample(), store_path=store_path,
-            interval=0.01, rules=rules)
+            lambda: collect(store_path).sample(), interval=0.01, rules=rules)
 
         async def watch():
             polling = asyncio.create_task(telemetry.run())
@@ -556,10 +551,7 @@ class TestConcurrentScrape:
 
         asyncio.run(watch())
         assert telemetry.slo.breached() == ["done-ceiling"]
-        assert telemetry.series_path.exists()
-        _, samples = read_series(telemetry.series_path)
-        assert samples, "series file persisted no samples"
-        assert samples[-1].gauges["campaign.done"] == 4.0
+        assert telemetry.latest.gauges["campaign.done"] == 4.0
 
 
 # ----------------------------------------------------------------------
@@ -618,11 +610,17 @@ class TestServeMonitor:
         rules = [SLORule(name="done-floor", metric="campaign.done",
                          min=100.0)]
         for port in PORTS:
-            _, slo = watch_store(store_path, port=port, interval=0.01,
-                                 max_polls=2, rules=rules)
+            urls, health = [], []
+            _, slo = watch_store(
+                store_path, port=port, interval=0.01, max_polls=2,
+                rules=rules, on_start=urls.append,
+                on_poll=lambda state, statuses: health.extend(
+                    _get(f"{url}/healthz")[0] for url in urls))
             assert slo.breached() == ["done-floor"]
             assert [(s.rule, s.state) for s in slo.statuses] \
                 == [("done-floor", "firing")]
+            # Served, the firing critical rule degrades /healthz.
+            assert health == ([] if port is None else [503])
 
     def test_unreadable_store_raises(self, tmp_path):
         for port in PORTS:

@@ -1,14 +1,11 @@
-"""Tests for repro.serving: batcher, fault plane, detection/recovery,
-and the HTTP front-end (no pytest-asyncio — coroutines run under
+"""Tests for repro.serving: batcher, fault plane, detection/recovery and
+the engine's summary (no pytest-asyncio — coroutines run under
 ``asyncio.run``)."""
 
 import asyncio
 import hashlib
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,8 +29,6 @@ from repro.core.faults.hardware import (
     site_layers,
 )
 from repro.core.faults.injector import FaultInjector
-from repro.observe.export import validate_exposition
-from repro.observe.slo import SLORule
 from repro.serving import (
     DynamicBatcher,
     FaultPlane,
@@ -41,8 +36,6 @@ from repro.serving import (
     ServingEngine,
     ShedError,
 )
-from repro.serving.loadgen import run_loadgen
-from repro.serving.server import run_service
 from repro.workloads.registry import build_workload
 
 
@@ -553,227 +546,59 @@ class TestServingEngine:
         assert diverged, "faulty outputs never reached responses"
         assert engine.c_recovered.value == 0
 
-    def test_outcome_counters_feed_the_sample(self, session):
-        engine = ServingEngine(session, fault_rate=5.0, seed=11,
-                               max_batch=4, shadow_rate=1.0)
-        for _ in range(6):
-            engine._execute_batch([{"index": i} for i in range(4)])
-        sample = engine.sample()
-        counted = sum(sample.outcomes.values())
-        assert counted == 24  # every shadowed row classified
-        assert sample.gauges["serving.fault_rate"] == 5.0
-        if sample.outcomes["sdc"]:
-            assert sample.gauges["serving.sdc_per_million"] > 0
+    def test_summary_reports_the_counters_and_their_ratios(self, session):
+        """The dict the benchmark reads: its keys, and the shed rate and
+        SDCs per million as ratios of the counters."""
+        async def main():
+            engine = ServingEngine(session, fault_rate=5.0, seed=9,
+                                   max_batch=4, shadow_rate=1.0, queue_cap=8)
+            requests = [asyncio.ensure_future(engine.predict(i))
+                        for i in range(12)]
+            await asyncio.sleep(0)  # all submitted: 8 queued, 4 shed
+            runner = asyncio.ensure_future(engine.batcher.run())
+            await asyncio.gather(*requests, return_exceptions=True)
+            engine.batcher.stop()
+            await runner
+            return engine.summary()
 
+        summary = asyncio.run(main())
+        assert set(summary) == {
+            "kind", "workload", "fault_rate", "shadow_rate", "recover",
+            "requests", "responses", "shed", "batches", "faults_armed",
+            "faults_fired", "shadow_execs", "recovered_batches", "outcomes",
+            "sdc_per_million", "shed_rate", "latency_seconds"}
+        assert (summary["requests"], summary["responses"],
+                summary["shed"], summary["batches"]) == (12, 8, 4, 2)
+        # Every row of a fired, fully shadowed batch is classified.
+        assert sum(summary["outcomes"].values()) == 8
+        assert summary["outcomes"]["sdc"] > 0
+        assert summary["shed_rate"] == 4 / 12
+        assert summary["sdc_per_million"] == \
+            summary["outcomes"]["sdc"] / 8 * 1e6
 
-# ----------------------------------------------------------------------
-# HTTP front-end + service driver (real sockets, ephemeral ports)
-# ----------------------------------------------------------------------
-def _get(url: str) -> tuple[int, str]:
-    try:
-        with urllib.request.urlopen(url, timeout=10) as response:
-            return response.status, response.read().decode("utf-8")
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read().decode("utf-8")
-
-
-class TestInferenceServerHTTP:
-    def test_predict_and_telemetry_endpoints(self, session, tmp_path):
-        store = tmp_path / "serving.json"
-        report = {}
+    def test_served_outputs_are_batch_invariant_with_faults_and_recovery(
+            self, session):
+        """A request's output is the same served alone and in a shared
+        batch while faults fire and recovery re-serves the batches they
+        corrupted."""
+        indices = list(range(12))
 
         async def main():
-            engine = ServingEngine(session, fault_rate=1.0, seed=5,
+            engine = ServingEngine(session, fault_rate=0.3, seed=5,
                                    max_batch=8, max_wait_s=0.002,
-                                   shadow_rate=1.0)
-            service = asyncio.ensure_future(run_service(
-                engine, port=0, store=store, duration=2.5,
-                announce=lambda m: report.setdefault("announce", m)))
-            while "announce" not in report:
-                await asyncio.sleep(0.01)
-            url = report["announce"].split()[3]
-            report["loadgen"] = await run_loadgen(url, rps=80, duration=1.0)
-            status, metrics = await asyncio.to_thread(_get, url + "/metrics")
-            report["metrics"] = (status, metrics)
-            report["workload"] = await asyncio.to_thread(
-                _get, url + "/workload")
-            report["bad"] = await asyncio.to_thread(_get, url + "/nope")
-            report["summary"] = await service
+                                   shadow_rate=1.0, recover=True)
+            runner = asyncio.ensure_future(engine.batcher.run())
+            alone = {i: await engine.predict(i) for i in indices}
+            shared = await asyncio.gather(
+                *(engine.predict(i) for i in indices * 8))
+            engine.batcher.stop()
+            await runner
+            return engine, alone, shared
 
-        asyncio.run(main())
-        load = report["loadgen"]
-        assert load["completed"] > 0 and load["errors"] == 0
-        assert load["latency_ms"]["p99"] >= load["latency_ms"]["p50"] > 0
-        status, metrics = report["metrics"]
-        assert status == 200
-        parsed = validate_exposition(metrics)
-        names = {name for name, _, _ in parsed}
-        assert {"repro_serving_requests_total", "repro_serving_shed_total",
-                "repro_serving_sdc_total",
-                "repro_serving_queue_depth"} <= names
-        assert json.loads(report["workload"][1])["workload"] == "resnet"
-        assert report["bad"][0] == 404
-        summary = report["summary"]
-        assert summary["responses"] >= load["completed"]
-        assert summary["kind"] == "serving"
-        # Store + series artifacts landed.
-        assert json.loads(store.read_text())["workload"] == "resnet"
-        with open(summary["series_path"], encoding="utf-8") as handle:
-            lines = [json.loads(line) for line in handle]
-        assert lines[0]["record"] == "header"
-        flat_keys = set()
-        for line in lines[1:]:
-            flat_keys.update(line.get("gauges", {}))
-            flat_keys.update(line.get("histograms", {}))
-        assert "serving.shed_rate" in flat_keys
-        assert "serving.latency_seconds" in flat_keys
-        # The series ends on a final sample, taken once serving stopped.
-        assert lines[-1]["counters"]["serving.responses"] \
-            == summary["responses"]
-
-    def test_healthz_degrades_under_induced_slo_breach(self, session):
-        report = {}
-        # An impossible ceiling: any served request breaches immediately.
-        rules = [SLORule(name="no-requests",
-                         metric="counter.serving.requests", max=0.0,
-                         severity="critical")]
-
-        async def main():
-            engine = ServingEngine(session, fault_rate=0.0, max_batch=4,
-                                   max_wait_s=0.001)
-            service = asyncio.ensure_future(run_service(
-                engine, port=0, rules=rules, interval=0.05, duration=1.5,
-                announce=lambda m: report.setdefault("announce", m)))
-            while "announce" not in report:
-                await asyncio.sleep(0.01)
-            url = report["announce"].split()[3]
-            report["healthz_before"] = await asyncio.to_thread(
-                _get, url + "/healthz")
-            await engine.predict(0)
-            await asyncio.sleep(0.3)  # let the sampler observe the breach
-            report["healthz"] = await asyncio.to_thread(
-                _get, url + "/healthz")
-            report["alerts"] = await asyncio.to_thread(
-                _get, url + "/alerts")
-            report["summary"] = await service
-
-        asyncio.run(main())
-        assert report["healthz_before"][0] == 200
-        status, body = report["healthz"]
-        assert status == 503
-        payload = json.loads(body)
-        assert payload["status"] == "degraded"
-        assert "slo:no-requests" in payload["reasons"]
-        assert json.loads(report["alerts"][1])["firing"] == ["no-requests"]
-        assert report["summary"]["breached_critical"] == ["no-requests"]
-
-    def test_predict_validates_input(self, session):
-        report = {}
-
-        async def main():
-            engine = ServingEngine(session, max_batch=2, max_wait_s=0.001)
-            hub_service = asyncio.ensure_future(run_service(
-                engine, port=0, duration=1.0,
-                announce=lambda m: report.setdefault("announce", m)))
-            while "announce" not in report:
-                await asyncio.sleep(0.01)
-            url = report["announce"].split()[3]
-
-            def post(body):
-                request = urllib.request.Request(
-                    url + "/predict", data=body.encode("utf-8"),
-                    headers={"Content-Type": "application/json"})
-                try:
-                    with urllib.request.urlopen(request, timeout=10) as r:
-                        return r.status, r.read().decode("utf-8")
-                except urllib.error.HTTPError as exc:
-                    return exc.code, exc.read().decode("utf-8")
-
-            report["bad_json"] = await asyncio.to_thread(post, "not json")
-            report["bad_index"] = await asyncio.to_thread(
-                post, json.dumps({"index": 10 ** 9}))
-            report["negative"] = await asyncio.to_thread(
-                post, json.dumps({"index": -1}))
-            report["good"] = await asyncio.to_thread(
-                post, json.dumps({"index": 0}))
-            await hub_service
-
-        asyncio.run(main())
-        assert report["bad_json"][0] == 400
-        assert report["bad_index"][0] == 400
-        assert report["negative"][0] == 400
-        status, body = report["good"]
-        assert status == 200
-        assert json.loads(body)["index"] == 0
-
-
-# ----------------------------------------------------------------------
-# Overload end to end: loadgen far above capacity must shed, not hang
-# ----------------------------------------------------------------------
-class TestOverload:
-    def test_loadgen_observes_shedding(self, session):
-        report = {}
-
-        def slow_execute(payloads):
-            import time as _time
-            _time.sleep(0.05)  # throttle capacity well below the load
-            return [{"index": p["index"], "pred": 0, "output": [],
-                     "outcome": None, "screened": False, "recovered": False,
-                     "batch_size": len(payloads), "faults_fired": 0}
-                    for p in payloads]
-
-        async def main():
-            engine = ServingEngine(session, max_batch=2, max_wait_s=0.001,
-                                   queue_cap=4)
-            engine.batcher.execute = slow_execute
-            service = asyncio.ensure_future(run_service(
-                engine, port=0, duration=2.0, interval=0.05,
-                announce=lambda m: report.setdefault("announce", m)))
-            while "announce" not in report:
-                await asyncio.sleep(0.01)
-            url = report["announce"].split()[3]
-            report["loadgen"] = await run_loadgen(url, rps=300,
-                                                  duration=1.0)
-            report["summary"] = await service
-
-        asyncio.run(main())
-        load = report["loadgen"]
-        assert load["shed"] > 0, "overload never shed"
-        assert load["errors"] == 0
-        summary = report["summary"]
-        assert summary["shed"] == load["shed"]
-        assert summary["shed_rate"] > 0
-        assert "shed-rate" in summary["breached"]
-
-
-# ----------------------------------------------------------------------
-# The server cooperates with plain threads (CLI smoke path)
-# ----------------------------------------------------------------------
-class TestThreadedClient:
-    def test_scrape_from_foreign_thread_while_serving(self, session):
-        report = {"codes": []}
-        announce = threading.Event()
-        url_box = {}
-
-        async def main():
-            engine = ServingEngine(session, max_batch=4, max_wait_s=0.002)
-
-            def on_announce(message):
-                url_box["url"] = message.split()[3]
-                announce.set()
-
-            await run_service(engine, port=0, duration=1.2,
-                              announce=on_announce)
-
-        def scraper():
-            announce.wait(timeout=5)
-            for _ in range(3):
-                status, body = _get(url_box["url"] + "/metrics")
-                validate_exposition(body)
-                report["codes"].append(status)
-
-        thread = threading.Thread(target=scraper)
-        thread.start()
-        asyncio.run(main())
-        thread.join(timeout=5)
-        assert report["codes"] == [200, 200, 200]
+        engine, alone, shared = asyncio.run(main())
+        assert all(alone[i]["batch_size"] == 1 for i in indices)
+        for response in shared:
+            assert response["output"] == alone[response["index"]]["output"]
+        assert any(response["batch_size"] > 1 for response in shared)
+        assert engine.c_faults_fired.value > 0
+        assert engine.c_recovered.value > 0

@@ -1,26 +1,17 @@
-"""Tests for the telemetry time-series layer (repro.observe.timeseries)
-plus the Histogram edge cases its samples depend on.  The poll that
-writes a series is tested with its service (tests/test_serve.py)."""
-
-import asyncio
+"""Tests for the telemetry sample layer (repro.observe.timeseries)
+plus the Histogram edge cases the serving engine's summary depends on.
+The poll is tested with its service (tests/test_serve.py)."""
 
 import pytest
 
 from repro.engine.telemetry import CampaignState, WorkerState
-from repro.observe import Counter, Histogram
+from repro.observe import Histogram
 from repro.observe.counters import DEFAULT_BOUNDS
-from repro.serve import TelemetryService
-from repro.observe.timeseries import (
-    SERIES_SCHEMA_VERSION,
-    TelemetrySample,
-    derive_rates,
-    read_series,
-    series_path,
-)
+from repro.observe.timeseries import TelemetrySample, derive_rates
 
 
 # ----------------------------------------------------------------------
-# Histogram.quantile edge cases (the p50/p99 every sample exports)
+# Histogram.quantile edge cases (the p50/p99 of a serving summary)
 # ----------------------------------------------------------------------
 class TestHistogramQuantiles:
     def test_empty_histogram_quantile_is_zero(self):
@@ -105,31 +96,6 @@ class TestDeriveRates:
 # Sample assembly and the flat namespace
 # ----------------------------------------------------------------------
 class TestBuildSample:
-    def test_registry_counters_and_histograms(self):
-        """Only a serving engine owns counters and histograms: each of
-        its metrics is in its sample, in name order, and a campaign
-        sample has none."""
-        from repro.serving import InferenceSession, ServingEngine
-        from repro.workloads import build_workload
-
-        session = InferenceSession(build_workload("resnet", size="tiny"),
-                                   train_iterations=1)
-        engine = ServingEngine(session)
-        engine.c_requests.inc(7)
-        engine.h_latency.observe(0.5)
-        sample = engine.sample()
-        assert sample.counters["serving.requests"] == 7.0
-        hist = sample.histograms["serving.latency_seconds"]
-        assert hist["count"] == 1 and "p99" in hist
-        assert [*sample.counters] == sorted(
-            metric.name for metric in engine.metrics
-            if isinstance(metric, Counter))
-        assert [*sample.histograms] == ["serving.batch_size",
-                                        "serving.latency_seconds"]
-        empty = CampaignState(total=None).sample(now=123.0)
-        assert empty.t == 123.0
-        assert empty.counters == {} and empty.histograms == {}
-
     def test_progress_snapshot_gauges_and_outcomes(self):
         state = CampaignState(
             total=4, done=2, breakdown={"ok": 1, "latent_inf_nan": 1},
@@ -150,42 +116,9 @@ class TestBuildSample:
             gauges={"campaign.done": 3.0},
             counters={"serving.requests": 3.0},
             rates={"serving.requests": 0.5},
-            histograms={"lat": {"count": 2, "sum": 1.0, "mean": 0.5,
-                                "max": 0.9, "p50": 0.4, "p99": 0.9}},
             outcomes={"ok": 3})
         flat = sample.flat()
         assert flat["campaign.done"] == 3.0
         assert flat["counter.serving.requests"] == 3.0
         assert flat["rate.serving.requests"] == 0.5
-        assert flat["lat.p99"] == 0.9
         assert flat["outcome.ok"] == 3.0
-
-    def test_roundtrip_via_dict(self):
-        sample = TelemetrySample(t=5.0, gauges={"g": 1.0},
-                                 counters={"c": 2.0}, outcomes={"ok": 1})
-        clone = TelemetrySample.from_dict(sample.to_dict())
-        assert clone.to_dict() == sample.to_dict()
-
-
-# ----------------------------------------------------------------------
-# Persistence (the format cases every log shares: tests/test_jsonl.py)
-# ----------------------------------------------------------------------
-class TestSeriesPersistence:
-    def test_series_path_next_to_store(self, tmp_path):
-        assert series_path(tmp_path / "camp.jsonl") == \
-            tmp_path / "camp.series.jsonl"
-
-    def test_write_read_roundtrip(self, tmp_path):
-        path = tmp_path / "camp.series.jsonl"
-        written = iter([TelemetrySample(t=1.0, gauges={"g": 1.5}),
-                        TelemetrySample(t=2.0, counters={"c": 3.0})])
-        service = TelemetryService(
-            lambda: next(written), store_path=tmp_path / "camp.jsonl",
-            interval=0.01, meta={"workload": "resnet"})
-        asyncio.run(service.run(lambda sample: sample.t == 2.0))
-        header, samples = read_series(path)
-        assert header["schema"] == SERIES_SCHEMA_VERSION
-        assert header["meta"] == {"workload": "resnet"}
-        assert [s.t for s in samples] == [1.0, 2.0]
-        assert samples[0].gauges == {"g": 1.5}
-        assert samples[1].counters == {"c": 3.0}
