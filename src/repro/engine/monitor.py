@@ -166,7 +166,7 @@ def collect(store_path: str | Path, stall_after: float | None = None,
     state = CampaignState(
         total=int(total) if isinstance(total, (int, float)) else None,
         store_path=store_path, kind=header.get("kind", "campaign"),
-        meta=meta)
+        meta=meta, observed_at=now)
     if session is not None:
         state.skipped = session.get("skipped")
         state.retries = sum(r.get("record") == RETRY for r in current)
@@ -253,7 +253,7 @@ def snapshot_dict(state: CampaignState,
     def without(row: dict, key: str) -> dict:
         return {k: v for k, v in sorted(row.items()) if k != key}
 
-    gauges = state.sample().gauges
+    gauges = state.gauges()
     return stable_floats({
         "store": state.store_path.name,
         "kind": state.kind,

@@ -7,12 +7,13 @@ run finishes).  :class:`CampaignState` is that observation, and it has
 one producer: :func:`repro.engine.monitor.collect`, which reads the
 result store — results plus the scheduler's session, lease, retry and
 restart records — and the worker trace shards next to it.  Everything
-downstream (the :meth:`~CampaignState.sample` every SLO rule and
-``/metrics`` scrape reads, the monitor dashboard) takes it.  It is the
-only source of a campaign's numbers: a count made where an experiment
-runs would stay in a forked worker, so a new campaign metric is a field
-here, written to the store by the scheduler and read back by
-``collect``.
+downstream takes it: the telemetry loop polls it, every SLO rule reads
+its :meth:`~CampaignState.flat` namespace, ``/metrics`` and
+``/progress`` render its :meth:`~CampaignState.gauges`, and the monitor
+dashboard formats it.  It is the only source of a campaign's numbers: a
+count made where an experiment runs would stay in a forked worker, so a
+new campaign metric is a field here, written to the store by the
+scheduler and read back by ``collect``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from repro.observe.timeseries import TelemetrySample
 
 #: Outcome labels that count as training divergence (the INF/NaN
 #: classes of the Table 3 taxonomy), summed by ``campaign.divergence_rate``.
@@ -98,6 +97,8 @@ class CampaignState:
     detections: list[dict] = field(default_factory=list)
     #: Merged campaign trace next to the store, if one exists.
     trace_path: Path | None = None
+    #: Wall-clock time of the observation (``collect``'s ``now``).
+    observed_at: float = field(default_factory=time.time)
 
     @property
     def attempted(self) -> int:
@@ -115,8 +116,8 @@ class CampaignState:
     def stalled_workers(self) -> list[int]:
         return [w.worker for w in self.workers if w.stalled]
 
-    def sample(self, now: float | None = None) -> TelemetrySample:
-        """This observation in the one exposition and SLO namespace.
+    def gauges(self) -> dict[str, float]:
+        """This observation's gauges, the names every surface exposes.
 
         Always present: ``campaign.done``, ``campaign.quarantined``,
         ``workers.alive|busy|stalled`` and, when recorded,
@@ -165,9 +166,15 @@ class CampaignState:
                 ("campaign.last_result_age_seconds", self.last_result_age)):
             if value is not None:
                 gauges[name] = float(value)
-        return TelemetrySample(
-            t=time.time() if now is None else now, gauges=gauges,
-            outcomes={k: int(v) for k, v in sorted(self.breakdown.items())})
+        return gauges
+
+    def flat(self) -> dict[str, float]:
+        """The one SLO namespace: the gauges plus ``outcome.<label>`` per
+        outcome in the breakdown."""
+        flat = self.gauges()
+        for label, count in sorted(self.breakdown.items()):
+            flat[f"outcome.{label}"] = float(count)
+        return flat
 
     # ------------------------------------------------------------------
     # The headline, formatted once for every surface that shows it

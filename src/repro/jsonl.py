@@ -50,6 +50,11 @@ TRACE = "trace"
 #: not know.
 SCHEMA = {STORE: 1, TRACE: 1}
 
+#: Header kinds of logs this build no longer reads, refused by name
+#: rather than read as an empty result store: the telemetry series an
+#: earlier HTTP inference front-end wrote.
+RETIRED = ("telemetry_series",)
+
 
 class LogFormatError(ValueError):
     """A file that is not a readable log of the kind asked for."""
@@ -125,6 +130,9 @@ def read(path: str | Path, kind: str) -> Log:
         records.append(record)
     header = records[0] if records else {}
     found = header.get("kind")
+    if found in RETIRED:
+        raise LogFormatError(
+            f"{path}: a {found!r} log is no longer read by this build")
     if header.get("record") != HEADER or log_of(found) != kind:
         raise LogFormatError(
             f"{path}: first record is not a {kind} header "

@@ -18,7 +18,12 @@ plumbing:
   :class:`Histogram` metrics, held as attributes by the one object that
   updates them (a serving engine); there is no registry, because a
   campaign's numbers are its ``CampaignState`` (workers are forked
-  processes).
+  processes);
+* :mod:`~repro.observe.export` and :mod:`~repro.observe.slo` — the
+  ``/metrics`` and ``/progress`` renderings of that ``CampaignState``
+  and the SLO rules over its flat namespace.  They are handed the
+  state, so this package never imports :mod:`repro.engine` when it
+  loads.
 
 Where the wall-clock went is not answered here: ``benchmarks/perf/run.py
 --trace`` attributes it from outside the package (DESIGN.md decision 8).
@@ -44,7 +49,6 @@ from repro.observe.events import (
 from repro.observe.export import (
     dumps_json,
     metric_name,
-    render_json,
     render_prometheus,
     validate_exposition,
 )
@@ -64,7 +68,6 @@ from repro.observe.slo import (
     SLOStatus,
     load_rules,
 )
-from repro.observe.timeseries import TelemetrySample, derive_rates
 from repro.observe.tracer import (
     NULL_TRACER,
     StampedView,
@@ -92,20 +95,17 @@ __all__ = [
     "Counter",
     "Histogram",
     "StampedView",
-    "TelemetrySample",
     "TraceEvent",
     "TraceFile",
     "TraceMergeResult",
     "Tracer",
     "campaign_trace_path",
-    "derive_rates",
     "dumps_json",
     "load_rules",
     "metric_name",
     "merge_campaign_shards",
     "merge_traces",
     "read_trace",
-    "render_json",
     "render_prometheus",
     "shard_path",
     "shard_paths",

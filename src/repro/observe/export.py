@@ -1,12 +1,11 @@
-"""Exposition formats for telemetry samples.
+"""Exposition formats for a campaign observation.
 
-A :class:`~repro.observe.timeseries.TelemetrySample` renders two ways:
+A :class:`~repro.engine.telemetry.CampaignState` renders two ways:
 
 * :func:`render_prometheus` — Prometheus/OpenMetrics text exposition
-  (the ``/metrics`` endpoint of :mod:`repro.serve`), with counters as
-  ``*_total``, gauges verbatim, and the outcome taxonomy as one labelled
-  counter family;
-* :func:`render_json` — a deterministic JSON document (sorted keys,
+  (the ``/metrics`` endpoint of :mod:`repro.serve`): its gauges
+  verbatim, and the outcome taxonomy as one labelled counter family;
+* :func:`dumps_json` — a deterministic JSON document (sorted keys,
   wall-clock timestamp isolated in one field) for machine diffing.
 
 :func:`validate_exposition` is the parser the tests and the CI smoke
@@ -19,8 +18,10 @@ from __future__ import annotations
 
 import json
 import re
+from typing import TYPE_CHECKING
 
-from repro.observe.timeseries import TelemetrySample
+if TYPE_CHECKING:  # annotations only: repro.observe never imports repro.engine
+    from repro.engine.telemetry import CampaignState
 
 #: Every exported metric family is prefixed with this namespace.
 PROMETHEUS_PREFIX = "repro"
@@ -41,14 +42,9 @@ _LABEL_PAIR = re.compile(
 _COMMENT_TYPES = ("counter", "gauge", "summary", "histogram", "untyped")
 
 
-def metric_name(name: str, prefix: str = PROMETHEUS_PREFIX) -> str:
+def metric_name(name: str) -> str:
     """A dotted repro metric name as a valid Prometheus metric name."""
-    flat = _SANITIZE.sub("_", name.strip())
-    if prefix:
-        flat = f"{prefix}_{flat}"
-    if not _NAME_OK.match(flat):
-        flat = "_" + flat
-    return flat
+    return f"{PROMETHEUS_PREFIX}_{_SANITIZE.sub('_', name.strip())}"
 
 
 def _escape_label(value: str) -> str:
@@ -67,14 +63,13 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def render_prometheus(sample: TelemetrySample | None,
-                      prefix: str = PROMETHEUS_PREFIX) -> str:
-    """Render one sample as Prometheus text exposition (format 0.0.4).
+def render_prometheus(state: CampaignState | None) -> str:
+    """Render one observation as Prometheus text exposition (format 0.0.4).
 
     Deterministic: families are emitted in sorted order, so two
-    renderings of the same sample are byte-identical.  ``sample=None``
-    (a scrape before the first sample lands) still yields a valid
-    exposition carrying only the ``<prefix>_up`` gauge.
+    renderings of the same state are byte-identical.  ``state=None``
+    (a scrape before the first poll lands) still yields a valid
+    exposition carrying only the ``repro_up`` gauge.
     """
     lines: list[str] = []
 
@@ -84,65 +79,44 @@ def render_prometheus(sample: TelemetrySample | None,
         lines.append(f"# TYPE {name} {kind}")
         return name
 
-    up = family(metric_name("up", prefix), "gauge",
+    up = family(metric_name("up"), "gauge",
                 "1 while the telemetry endpoint is live")
     lines.append(f"{up} 1")
-    if sample is None:
+    if state is None:
         return "\n".join(lines) + "\n"
 
-    ts = family(metric_name("sample_timestamp_seconds", prefix), "gauge",
+    ts = family(metric_name("sample_timestamp_seconds"), "gauge",
                 "wall-clock time of the exposed sample")
-    lines.append(f"{ts} {_format_value(sample.t)}")
+    lines.append(f"{ts} {_format_value(state.observed_at)}")
 
-    for name in sorted(sample.gauges):
-        fam = family(metric_name(name, prefix), "gauge")
-        lines.append(f"{fam} {_format_value(sample.gauges[name])}")
+    gauges = state.gauges()
+    for name in sorted(gauges):
+        fam = family(metric_name(name), "gauge")
+        lines.append(f"{fam} {_format_value(gauges[name])}")
 
-    if sample.outcomes:
-        fam = family(metric_name("campaign.outcome", prefix) + "_total",
+    if state.breakdown:
+        fam = family(metric_name("campaign.outcome") + "_total",
                      "counter", "completed experiments per Table 3 outcome")
-        for label in sorted(sample.outcomes):
+        for label in sorted(state.breakdown):
             lines.append(f'{fam}{{outcome="{_escape_label(label)}"}} '
-                         f"{_format_value(sample.outcomes[label])}")
-
-    for name in sorted(sample.counters):
-        fam = family(metric_name(name, prefix) + "_total", "counter")
-        lines.append(f"{fam} {_format_value(sample.counters[name])}")
-
-    for name in sorted(sample.rates):
-        fam = family(metric_name(name, prefix) + "_rate", "gauge",
-                     "per-second rate derived between consecutive samples")
-        lines.append(f"{fam} {_format_value(sample.rates[name])}")
+                         f"{_format_value(state.breakdown[label])}")
 
     return "\n".join(lines) + "\n"
 
 
-def render_json(sample: TelemetrySample | None,
-                meta: dict | None = None) -> dict:
-    """A deterministic JSON document for one sample.
+def dumps_json(state: CampaignState | None, meta: dict | None = None) -> str:
+    """A deterministic JSON document for one observation.
 
-    Key order is stable (callers dump with ``sort_keys=True``) and the
-    wall-clock stamp is isolated in ``t`` so consumers can strip it for
-    byte-diffing two snapshots of the same state.
+    Keys are sorted and the wall-clock stamp is isolated in ``t`` so
+    consumers can strip it for byte-diffing two snapshots of the same
+    state.
     """
-    if sample is None:
-        return {"schema": 1, "meta": dict(meta or {}), "sample": None}
-    return {
-        "schema": 1,
-        "meta": dict(meta or {}),
-        "t": sample.t,
-        "sample": {
-            "gauges": dict(sorted(sample.gauges.items())),
-            "counters": dict(sorted(sample.counters.items())),
-            "rates": dict(sorted(sample.rates.items())),
-            "outcomes": dict(sorted(sample.outcomes.items())),
-        },
-    }
-
-
-def dumps_json(sample: TelemetrySample | None,
-               meta: dict | None = None) -> str:
-    return json.dumps(render_json(sample, meta), indent=2, sort_keys=True)
+    doc = {"schema": 1, "meta": dict(meta or {}), "sample": None}
+    if state is not None:
+        doc["t"] = state.observed_at
+        doc["sample"] = {"gauges": state.gauges(),
+                         "outcomes": dict(state.breakdown)}
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def validate_exposition(text: str) -> list[tuple[str, dict, float]]:

@@ -18,10 +18,10 @@ A rule file is JSON — either a list of rule objects or
       "min": 0.5, "for_seconds": 30, "severity": "warning"}]
 
 ``metric`` addresses the flat namespace of
-:meth:`~repro.observe.timeseries.TelemetrySample.flat` (gauges like
-``campaign.divergence_rate`` or ``workers.stalled``, outcome tallies
-like ``outcome.latent_inf_nan``).  Exactly one bound (``max`` or
-``min``) per rule.
+:meth:`~repro.engine.telemetry.CampaignState.flat`: its gauges (like
+``campaign.divergence_rate`` or ``workers.stalled``) plus one
+``outcome.<label>`` tally per outcome (like ``outcome.latent_inf_nan``).
+Exactly one bound (``max`` or ``min``) per rule.
 
 :class:`SLOEngine` is the only thing that turns an observation into an
 exit code: ``repro monitor`` in every mode holds one engine across the

@@ -3,20 +3,22 @@
 A paper-scale campaign should behave like a service, not a script: while
 it runs, anything — a Prometheus scraper, a cron gate, an operator with
 ``curl`` — can ask how it is doing.  :class:`TelemetryService` is that
-answer: a zero-argument *provider* (``lambda: collect(store).sample()``
-in every mode of ``repro monitor``, :func:`watch_store`) polled into one
-SLO engine and served.  A campaign is watched from its files alone — a
+answer: a zero-argument *provider* of
+:class:`~repro.engine.telemetry.CampaignState` (``collect(store)`` in
+every mode of ``repro monitor``, :func:`watch_store`) polled into one SLO
+engine and served.  A campaign is watched from its files alone — a
 ``repro monitor --serve`` next to a running ``repro campaign`` — so a
 rules file reads the same names during a run and after it.
 
-One poll (:meth:`TelemetryService.poll`) is provider -> counter rates
--> latest sample -> SLO evaluation.  One loop
-(:meth:`TelemetryService.run`) repeats it on the asyncio loop that also
-hosts the service's :class:`~repro.httpcore.HTTPServer` — ``/metrics``,
-``/healthz`` (503 while degraded), ``/progress``, ``/alerts``.  What
+One poll (:meth:`TelemetryService.poll`) is provider -> latest state ->
+SLO evaluation.  One loop (:meth:`TelemetryService.run`) repeats it
+until its ``on_poll`` says the watch is over, on the asyncio loop that
+also hosts the service's :class:`~repro.httpcore.HTTPServer` —
+``/metrics``, ``/healthz`` (503 while degraded), ``/progress``,
+``/alerts``.  What
 blocks (the provider's store read, the caller's ``on_poll``) runs in a
 worker thread, so a slow poll never delays a scrape; handlers read only
-the latest sample and the SLO engine's last statuses, never training
+the latest state and the SLO engine's last statuses, never training
 state, so a slow or hostile scraper cannot perturb the campaign.
 
 :func:`watch_store` runs that loop under ``asyncio.run``: ``repro
@@ -28,15 +30,17 @@ them.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.httpcore import DEFAULT_HOST, JSON, HTTPServer
 from repro.observe.export import dumps_json, render_prometheus
 from repro.observe.slo import SLOEngine, SLORule
-from repro.observe.timeseries import TelemetrySample, derive_rates
+
+if TYPE_CHECKING:
+    from repro.engine.telemetry import CampaignState
 
 #: SLO rules applied when `repro monitor` is given no --slo file (a file
 #: replaces them): a worker its source flagged as stalled.
@@ -63,12 +67,11 @@ class TelemetryService:
         self.slo = SLOEngine(list(rules or []))
         self.server = HTTPServer(self.routes(), host=host, port=port,
                                  meta=self.meta)
-        #: The newest sample (None before the first good poll).
-        self.latest: TelemetrySample | None = None
+        #: The newest observation (None before the first good poll).
+        self.latest: CampaignState | None = None
         #: Provider failures, counted instead of raised.
         self.errors = 0
         self.last_error: str | None = None
-        self._stopping = asyncio.Event()
 
     @property
     def url(self) -> str:
@@ -77,36 +80,24 @@ class TelemetryService:
     # ------------------------------------------------------------------
     # The poll and the loop
     # ------------------------------------------------------------------
-    async def poll(self) -> TelemetrySample | None:
-        """Take one sample; ``None`` when the provider raised — a
+    async def poll(self) -> CampaignState | None:
+        """Take one observation; ``None`` when the provider raised — a
         telemetry hiccup must not sink a multi-day campaign."""
         try:
-            sample = await asyncio.to_thread(self.provider)
+            state = await asyncio.to_thread(self.provider)
         except Exception as exc:  # noqa: BLE001 - counted, not raised
             self.errors += 1
             self.last_error = f"{type(exc).__name__}: {exc}"
             return None
-        sample.rates = derive_rates(self.latest, sample)
-        self.latest = sample
-        self.slo.evaluate(sample.flat(), now=sample.t)
-        return sample
+        self.latest = state
+        self.slo.evaluate(state.flat(), now=state.observed_at)
+        return state
 
-    async def run(self, on_poll=None) -> None:
-        """Poll now and every ``interval`` until ``on_poll(sample)`` (run
-        in a worker thread) returns true, or until :meth:`stop` — after
-        which one last poll observes the final state."""
-        while True:
-            stopping = self._stopping.is_set()
-            sample = await self.poll()
-            if stopping or (on_poll is not None and
-                            await asyncio.to_thread(on_poll, sample)):
-                return
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._stopping.wait(), self.interval)
-
-    def stop(self) -> None:
-        """End :meth:`run` after one final poll."""
-        self._stopping.set()
+    async def run(self, on_poll) -> None:
+        """Poll now and every ``interval`` until ``on_poll(state)`` (run
+        in a worker thread; ``None`` for a failed poll) returns true."""
+        while not await asyncio.to_thread(on_poll, await self.poll()):
+            await asyncio.sleep(self.interval)
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -139,11 +130,11 @@ class TelemetryService:
     def health(self) -> tuple[bool, dict]:
         """``(healthy, payload)`` for ``/healthz``.
 
-        Degraded while any critical SLO rule fires or the latest sample
-        counts stalled workers (a gauge read, whatever the rules say).
+        Degraded while any critical SLO rule fires or the latest state
+        has stalled workers (whatever the rules say).
         """
-        sample = self.latest
-        stalled = int(sample.gauges.get("workers.stalled", 0)) if sample else 0
+        state = self.latest
+        stalled = len(state.stalled_workers) if state else 0
         reasons = [f"slo:{status.rule}" for status in self.slo.statuses
                    if status.firing and status.severity == "critical"]
         if stalled:
@@ -151,8 +142,8 @@ class TelemetryService:
         payload = {
             "status": "ok" if not reasons else "degraded",
             "reasons": reasons,
-            "last_sample_age_s": (max(time.time() - sample.t, 0.0)
-                                  if sample else None),
+            "last_sample_age_s": (max(time.time() - state.observed_at, 0.0)
+                                  if state else None),
             "scrapes": self.server.scrapes,
         }
         return not reasons, payload
@@ -169,7 +160,7 @@ def watch_store(store_path: str | Path, *,
 
     Each poll is :func:`repro.engine.monitor.collect` over the on-disk
     store + shards — so it works from any machine that can read the
-    filesystem, and against a crashed or finished run — sampled through
+    filesystem, and against a crashed or finished run — evaluated by
     one :class:`SLOEngine` held for the whole watch (``rules``, or
     :data:`DEFAULT_MONITOR_RULES`), then ``on_poll(state, statuses)``.
     A ``port`` also serves the observations (``on_start(url)`` once
@@ -181,26 +172,21 @@ def watch_store(store_path: str | Path, *,
     from repro.engine.monitor import collect
 
     store_path = Path(store_path)
-    state = None
     polls = 0
-
-    def provider() -> TelemetrySample:
-        nonlocal state
-        state = collect(store_path, stall_after=stall_after)
-        return state.sample()
-
     service = TelemetryService(
-        provider, interval=interval, meta={"store": store_path.name},
+        lambda: collect(store_path, stall_after=stall_after),
+        interval=interval, meta={"store": store_path.name},
         rules=DEFAULT_MONITOR_RULES if rules is None else rules,
         host=host, port=port or 0)
 
-    def observed(sample: TelemetrySample | None) -> bool:
+    def observed(polled: CampaignState | None) -> bool:
         nonlocal polls
-        if state is None:  # later failures keep the last good state
+        state = service.latest  # a failed poll keeps the last good state
+        if state is None:
             raise ValueError(
                 f"monitor polling failed: {service.last_error}")
         # on_poll runs once the observation is scrapeable.
-        if sample is not None and on_poll is not None:
+        if polled is not None and on_poll is not None:
             on_poll(state, service.slo.statuses)
         polls += 1
         return state.complete or (max_polls is not None
@@ -219,6 +205,6 @@ def watch_store(store_path: str | Path, *,
     try:
         asyncio.run(watch())
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        if state is None:
+        if service.latest is None:
             raise
-    return state, service.slo
+    return service.latest, service.slo

@@ -36,10 +36,6 @@ from repro.observe.counters import Counter, Histogram
 from repro.serving.batcher import DynamicBatcher, ShedError
 from repro.serving.session import FaultPlane, InferenceSession
 
-#: Batch-size histogram bounds: exact integer buckets up to the largest
-#: max-batch anyone configures in practice.
-_BATCH_BOUNDS = tuple(float(b) for b in (1, 2, 4, 8, 16, 32, 64, 128, 256))
-
 
 class ServingEngine:
     """The request path: batching, faults, detection, recovery, metrics."""
@@ -70,8 +66,6 @@ class ServingEngine:
         self.c_outcome = {outcome: Counter(f"serving.{outcome.value}")
                           for outcome in InferenceOutcome}
         self.h_latency = Histogram("serving.latency_seconds")
-        self.h_batch_size = Histogram("serving.batch_size",
-                                      bounds=_BATCH_BOUNDS)
 
     # ------------------------------------------------------------------
     # Hot path (runs in the batcher's executor thread)
@@ -86,7 +80,6 @@ class ServingEngine:
             FaultPlane.disarm(injectors)
         fired = [injector for injector in injectors if injector.fired]
         self.c_batches.inc()
-        self.h_batch_size.observe(float(len(payloads)))
         self.c_faults_armed.inc(len(injectors))
         self.c_faults_fired.inc(len(fired))
 

@@ -184,8 +184,8 @@ class TestToyEngine:
         assert (final.retries, final.restarts) == (1, 2)
         for state in states:
             assert len(state.workers) <= 2
-            assert state.sample().gauges["workers.alive"] <= 2.0
-        assert final.sample().gauges["workers.restarts"] == 2.0
+            assert state.gauges()["workers.alive"] <= 2.0
+        assert final.gauges()["workers.restarts"] == 2.0
         alive = len(final.workers)
         assert f"workers    0/{alive} busy, 2 restarts" in render_text(final)
 
@@ -655,7 +655,7 @@ class TestStallTelemetry:
     def test_stalled_workers_flagged_and_rendered(self):
         snapshot = self._snapshot(stalled=True)
         assert snapshot.stalled_workers == [1]
-        assert snapshot.sample().gauges["workers.stalled"] == 1.0
+        assert snapshot.gauges()["workers.stalled"] == 1.0
         assert "STALLED: w1" in snapshot.worker_summary()
         dashboard = render_text(snapshot)
         assert "3/6 done" in dashboard and "STALLED key=key7" in dashboard
@@ -705,7 +705,7 @@ class TestStallTelemetry:
             while not stop.wait(0.02):
                 state = collect(path)
                 if state.workers:
-                    stalled.append(state.sample().gauges["workers.stalled"])
+                    stalled.append(state.gauges()["workers.stalled"])
 
         thread = threading.Thread(target=sampler)
         thread.start()

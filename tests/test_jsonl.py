@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro import jsonl
+from repro.cli import main
 from repro.engine import ResultStore, merge_stores, read_records
 from repro.observe import ITERATION_STATS, Tracer, read_trace
 
@@ -194,3 +195,36 @@ def test_append_after_torn_tail(log):
         writer.append(torn.records[0])
     assert read(path) == list(range(N - 1)) + [0]
     assert not jsonl.read(path, kind).torn
+
+
+def _legacy_series(path):
+    """A telemetry series as the deleted HTTP inference front-end wrote
+    it: a schema-1 header of kind ``telemetry_series``, then samples."""
+    _rewrite(path, [jsonl.dumps(line) for line in (
+        {"record": "header", "schema": 1, "kind": "telemetry_series",
+         "meta": {}},
+        {"t": 1.0, "gauges": {"serving.queue_depth": 0.0},
+         "counters": {"serving.requests": 4.0}, "outcomes": {}})])
+
+
+def test_legacy_series_is_refused_by_name(tmp_path, capsys):
+    """Read as a store, a series would be an empty campaign that reports
+    and monitors with exit 0; it is refused like any other foreign log."""
+    path = tmp_path / "old.series.jsonl"
+    _legacy_series(path)
+    with pytest.raises(jsonl.LogFormatError, match="'telemetry_series'"):
+        jsonl.read(path, jsonl.STORE)
+    with pytest.raises(jsonl.LogFormatError, match="'telemetry_series'"):
+        read_records(path)
+    for argv in (["report", str(path)], ["monitor", str(path), "--once"]):
+        assert main(argv) == 2
+        assert "telemetry_series" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["campaign", "inference", "toy"])
+def test_every_store_kind_still_reads(kind, tmp_path):
+    path = tmp_path / f"{kind}.jsonl"
+    with ResultStore(path, kind=kind) as store:
+        store.append("k0", {"i": 0, "outcome": "masked"})
+    assert jsonl.read(path, jsonl.STORE).header["kind"] == kind
+    assert _read_store(path) == [0]

@@ -27,11 +27,11 @@ from repro.engine import (
     snapshot_dict,
     store as store_module,
 )
+from repro.engine.telemetry import CampaignState, WorkerState
 from repro.engine.worker import UnitCapture
 from repro.observe import (
     DETECTOR_FIRED,
     ITERATION_STATS,
-    TelemetrySample,
     Tracer,
     campaign_trace_path,
     shard_path,
@@ -111,7 +111,7 @@ class TestCollect:
         assert state.quarantined == 1
         assert state.attempted == 4
         assert state.breakdown == {"ok": 2, "latent_inf_nan": 1}
-        gauges = state.sample().gauges
+        gauges = state.gauges()
         assert gauges["campaign.quarantine_rate"] == pytest.approx(0.25)
         assert gauges["campaign.divergence_rate"] == pytest.approx(1 / 3)
         assert state.recent[-1]["outcome"] == "quarantined"
@@ -176,6 +176,23 @@ class TestCollect:
                             lambda path: reads.append(path) or real(path))
         collect(store_path)
         assert sorted(reads) == sorted([merged, *shards])
+
+
+class TestGauges:
+    def test_progress_snapshot_gauges_and_outcomes(self):
+        state = CampaignState(
+            total=4, done=2, breakdown={"ok": 1, "latent_inf_nan": 1},
+            throughput=0.2, eta=10.0,
+            workers=[WorkerState(0, finished=1), WorkerState(1, finished=1)])
+        g = state.gauges()
+        assert g["campaign.total"] == 4.0
+        assert g["campaign.done"] == 2.0
+        assert g["campaign.divergence_rate"] == pytest.approx(0.5)
+        assert g["workers.alive"] == 2.0
+        assert g["workers.busy"] == 0.0
+        # The SLO namespace is the gauges plus one tally per outcome.
+        assert state.flat() == {**g, "outcome.latent_inf_nan": 1.0,
+                                "outcome.ok": 1.0}
 
 
 class TestAlerts:
@@ -248,7 +265,7 @@ class TestRendering:
     def statuses(self, state):
         rules = [SLORule("qrate", "campaign.quarantine_rate", max=0.1),
                  SLORule("quiet", "campaign.quarantine_rate", max=0.9)]
-        return SLOEngine(rules).evaluate(state.sample().flat(), now=0.0)
+        return SLOEngine(rules).evaluate(state.flat(), now=0.0)
 
     FIRING = "[critical] qrate: campaign.quarantine_rate=0.25 > 0.1 (firing)"
 
@@ -330,7 +347,7 @@ class TestMonitorCli:
 
 # ----------------------------------------------------------------------
 # One namespace, three views of one store: what a watch saw while the
-# campaign ran, `collect` after it (-> sample) and a served
+# campaign ran, `collect` after it (-> flat) and a served
 # `watch_store` must read the same under every name a rule can address —
 # so one rules file must gate every CLI path the same way.
 # ----------------------------------------------------------------------
@@ -345,8 +362,9 @@ UNDEFINED_AT_ZERO = WALL_CLOCK - {"campaign.elapsed_seconds"} | {
 SESSION_FACTS = {"campaign.skipped", "campaign.retries"}
 
 
-def _served_sample(store_path) -> TelemetrySample:
-    """What a scraper of `monitor --serve` reads for this store."""
+def _served_flat(store_path) -> dict[str, float]:
+    """What a scraper of `monitor --serve` reads for this store, in the
+    flat namespace of ``CampaignState.flat``."""
     urls, bodies = [], []
 
     def scrape(_state, _statuses):
@@ -356,11 +374,14 @@ def _served_sample(store_path) -> TelemetrySample:
 
     watch_store(store_path, port=0, interval=0.01, max_polls=1,
                 on_start=urls.append, on_poll=scrape)
-    return TelemetrySample(t=bodies[0]["t"], **bodies[0]["sample"])
+    sample = bodies[0]["sample"]
+    outcomes = {f"outcome.{label}": float(count)
+                for label, count in sample["outcomes"].items()}
+    return {**sample["gauges"], **outcomes}
 
 
-def _shared(sample: TelemetrySample) -> dict[str, float]:
-    return {name: value for name, value in sample.flat().items()
+def _shared(flat: dict[str, float]) -> dict[str, float]:
+    return {name: value for name, value in flat.items()
             if name.startswith(("campaign.", "outcome."))
             and name not in WALL_CLOCK | SESSION_FACTS}
 
@@ -427,7 +448,7 @@ class TestOneNamespace:
                                            *extra, rules=file)
             watched.append((1 if slo.breached() else 0, set(slo.breached())))
             if len(watched) == 1:
-                live = [state.sample() for state in polls]
+                live = [state.flat() for state in polls]
         empty = ResultStore(tmp / "empty.jsonl", kind="campaign",
                             meta={"workload": "resnet",
                                   "num_experiments": 3})
@@ -440,25 +461,25 @@ class TestOneNamespace:
     def test_sources_agree_and_one_rules_file_gates_every_path(
             self, campaign, source, capsys):
         store = str(campaign["store"])
-        reference = collect(store).sample()
+        reference = collect(store).flat()
         if source == "live":
-            unstarted = [s for s in campaign["live"]
-                         if s.gauges.get("campaign.done") == 0.0]
+            unstarted = [flat for flat in campaign["live"]
+                         if flat.get("campaign.done") == 0.0]
             final = campaign["live"][-1]
         elif source == "disk":
-            unstarted = [collect(campaign["empty"]).sample()]
-            final = collect(store).sample()
+            unstarted = [collect(campaign["empty"]).flat()]
+            final = collect(store).flat()
         else:
-            unstarted = [_served_sample(campaign["empty"])]
-            final = _served_sample(store)
+            unstarted = [_served_flat(campaign["empty"])]
+            final = _served_flat(store)
 
         # Zero completions: rates, throughput and ETA are absent (a rule
         # over them is no_data), never a trivially-passing 0.0.
         assert unstarted
-        for sample in unstarted:
-            assert sample.gauges["campaign.done"] == 0.0
-            assert sample.gauges["campaign.total"] == 3.0
-            assert not UNDEFINED_AT_ZERO & set(sample.flat())
+        for flat in unstarted:
+            assert flat["campaign.done"] == 0.0
+            assert flat["campaign.total"] == 3.0
+            assert not UNDEFINED_AT_ZERO & set(flat)
 
         # Finished: the sources report the same keys, every one reads
         # the same as from disk, and the rates are defined everywhere.
@@ -473,9 +494,9 @@ class TestOneNamespace:
         # The rate is the last session's: the resume ran nothing, so
         # only the watch of the first session measured one.
         if source == "live":
-            assert final.gauges["campaign.throughput"] > 0.0
+            assert final["campaign.throughput"] > 0.0
         else:
-            assert "campaign.throughput" not in final.gauges
+            assert "campaign.throughput" not in final
 
         # One rules file: on every CLI path that reads this source the
         # critical rule that fired gates, the warning rule that fired is
@@ -570,7 +591,7 @@ class TestParallelInvariance:
         return runs
 
     def test_same_names_and_counts_at_any_parallel(self, runs):
-        serial, parallel = (runs[p][0].sample().flat() for p in (1, 2))
+        serial, parallel = (runs[p][0].flat() for p in (1, 2))
         assert set(serial) == set(parallel)
         counted = [name for name in serial if name.startswith("outcome.")
                    or name in ("campaign.done", "campaign.quarantined",
@@ -585,7 +606,7 @@ class TestParallelInvariance:
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_every_live_name_reads_from_the_store(self, runs, parallel):
         last, store = runs[parallel]
-        live, disk = last.sample().flat(), collect(store).sample().flat()
+        live, disk = last.flat(), collect(store).flat()
         assert set(live) == set(disk)
         assert {n: v for n, v in live.items() if n not in WALL_CLOCK} == \
             {n: v for n, v in disk.items() if n not in WALL_CLOCK}

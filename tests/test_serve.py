@@ -23,6 +23,7 @@ from repro.engine import (
     WorkUnit,
     collect,
 )
+from repro.engine.telemetry import CampaignState, WorkerState
 from repro.observe.export import (
     dumps_json,
     metric_name,
@@ -30,7 +31,6 @@ from repro.observe.export import (
     validate_exposition,
 )
 from repro.observe.slo import SLORule
-from repro.observe.timeseries import TelemetrySample
 from repro.serve import TelemetryService, watch_store
 
 
@@ -45,12 +45,10 @@ def _get(url: str) -> tuple[int, str, str]:
             exc.headers.get("Content-Type", "")
 
 
-def _sample(**gauges) -> TelemetrySample:
-    return TelemetrySample(
-        t=100.0, gauges=gauges or {"campaign.done": 3.0},
-        counters={"serving.requests": 3.0},
-        rates={"serving.requests": 0.5},
-        outcomes={"ok": 2, "latent_inf_nan": 1})
+def _state() -> CampaignState:
+    """A fake observation: 3 of 4 done, two outcomes."""
+    return CampaignState(total=4, done=3, observed_at=100.0,
+                         breakdown={"ok": 2, "latent_inf_nan": 1})
 
 
 # ----------------------------------------------------------------------
@@ -58,19 +56,19 @@ def _sample(**gauges) -> TelemetrySample:
 # ----------------------------------------------------------------------
 class TestExposition:
     def test_render_is_deterministic_and_parseable(self):
-        sample = _sample()
-        text = render_prometheus(sample)
-        assert text == render_prometheus(sample)
+        state = _state()
+        text = render_prometheus(state)
+        assert text == render_prometheus(state)
         parsed = validate_exposition(text)
         by_name = {name: value for name, labels, value in parsed
                    if not labels}
         assert by_name["repro_up"] == 1.0
+        assert by_name["repro_sample_timestamp_seconds"] == 100.0
         assert by_name["repro_campaign_done"] == 3.0
-        assert by_name["repro_serving_requests_total"] == 3.0
-        assert by_name["repro_serving_requests_rate"] == 0.5
+        assert by_name["repro_campaign_remaining"] == 1.0
 
     def test_outcomes_are_labelled(self):
-        parsed = validate_exposition(render_prometheus(_sample()))
+        parsed = validate_exposition(render_prometheus(_state()))
         labelled = {(name, tuple(sorted(labels.items()))): value
                     for name, labels, value in parsed if labels}
         assert labelled == {
@@ -96,25 +94,26 @@ class TestExposition:
             validate_exposition("# HELP only comments\n")
 
     def test_json_document_is_deterministic(self):
-        sample = _sample()
-        assert dumps_json(sample) == dumps_json(sample)
-        doc = json.loads(dumps_json(sample, meta={"workload": "resnet"}))
+        state = _state()
+        assert dumps_json(state) == dumps_json(state)
+        doc = json.loads(dumps_json(state, meta={"workload": "resnet"}))
         assert doc["schema"] == 1
         assert doc["meta"] == {"workload": "resnet"}
+        assert doc["t"] == 100.0
         assert doc["sample"]["outcomes"] == {"latent_inf_nan": 1, "ok": 2}
 
 
 # ----------------------------------------------------------------------
 # Service endpoints on the one HTTP core and its one hosting
 # ----------------------------------------------------------------------
-def _polled(service: TelemetryService) -> TelemetrySample | None:
+def _polled(service: TelemetryService) -> CampaignState | None:
     """One poll of ``service``, outside any loop's lifetime."""
     return asyncio.run(service.poll())
 
 
-def _slow_sample() -> TelemetrySample:
+def _slow_state() -> CampaignState:
     time.sleep(0.05)  # a store read
-    return _sample()
+    return _state()
 
 
 @contextlib.contextmanager
@@ -124,7 +123,7 @@ def _hosted(server, poller: TelemetryService | None = None):
     on the same loop if given, and yield the list that loop's exception
     handler fills."""
     unhandled: list[dict] = []
-    ready = threading.Event()
+    ready, ended = threading.Event(), threading.Event()
     box = {}
 
     async def main():
@@ -133,12 +132,12 @@ def _hosted(server, poller: TelemetryService | None = None):
             lambda _loop, context: unhandled.append(context))
         box["quit"] = asyncio.Event()
         await server.start()
-        polling = (asyncio.create_task(poller.run())
-                   if poller is not None else None)
+        polling = (asyncio.create_task(poller.run(
+            lambda _state: ended.is_set())) if poller is not None else None)
         ready.set()
         await box["quit"].wait()
         if polling is not None:
-            poller.stop()
+            ended.set()
             await polling
         await server.stop()
 
@@ -161,7 +160,7 @@ def host(request):
     loop, as ``monitor --serve`` does."""
     with contextlib.ExitStack() as stack:
         yield lambda server: stack.enter_context(_hosted(
-            server, TelemetryService(_slow_sample, interval=0.01)
+            server, TelemetryService(_slow_state, interval=0.01)
             if request.cls.hosting == "polled" else None))
 
 
@@ -266,7 +265,7 @@ def _requests(draw) -> tuple[bytes, int | None]:
         return raw, 413
     if length == "mismatched":
         return raw, 408
-    routed = {"/"} | set(TelemetryService(_sample).routes())
+    routed = {"/"} | set(TelemetryService(_state).routes())
     return raw, 200 if route in routed else 404
 
 
@@ -276,7 +275,7 @@ class EndpointSuite:
     hosting: str
 
     def test_all_endpoints_respond(self, host):
-        service = TelemetryService(_sample, meta={"workload": "resnet"})
+        service = TelemetryService(_state, meta={"workload": "resnet"})
         _polled(service)
         server = service.server
         host(server)
@@ -310,10 +309,9 @@ class EndpointSuite:
         assert server.scrapes == 6
 
     def test_healthz_degrades_on_firing_critical_slo(self, host):
-        sample = TelemetrySample(
-            t=time.time(), gauges={"campaign.quarantine_rate": 0.5})
+        state = CampaignState(total=2, done=1, quarantined=1)
         service = TelemetryService(
-            lambda: sample,
+            lambda: state,
             rules=[SLORule(name="qrate", metric="campaign.quarantine_rate",
                            max=0.1)])
         _polled(service)
@@ -329,9 +327,11 @@ class EndpointSuite:
         assert json.loads(body)["firing"] == ["qrate"]
 
     def test_healthz_degrades_on_stalled_workers(self, host):
-        """A gauge read, with no rule about it loaded."""
-        service = TelemetryService(lambda: TelemetrySample(
-            t=time.time(), gauges={"workers.stalled": 2.0}))
+        """Read off the state, with no rule about it loaded."""
+        stalled = [WorkerState(w, busy_key=f"k{w}", stalled=True)
+                   for w in (0, 1)]
+        service = TelemetryService(
+            lambda: CampaignState(total=None, workers=stalled))
         _polled(service)
         healthy, payload = service.health()
         assert not healthy
@@ -345,7 +345,7 @@ class EndpointSuite:
     def test_hostile_request_is_answered(self, host, case, monkeypatch):
         monkeypatch.setattr(httpcore, "READ_TIMEOUT_S", 0.3)
         payload, expected = HOSTILE[case]
-        service = TelemetryService(_sample)
+        service = TelemetryService(_state)
         _polled(service)
         unhandled = host(service.server)
         assert _raw(service.url, payload) == expected
@@ -359,7 +359,7 @@ class EndpointSuite:
     def test_generated_request_gets_its_documented_answer(
             self, host, monkeypatch):
         monkeypatch.setattr(httpcore, "READ_TIMEOUT_S", 0.2)
-        service = TelemetryService(_sample)
+        service = TelemetryService(_state)
         _polled(service)
         unhandled = host(service.server)
 
@@ -398,18 +398,26 @@ class TestEndpointsLoopHosted(EndpointSuite):
 # The one poll and the one loop
 # ----------------------------------------------------------------------
 class TestPoll:
-    def test_poll_derives_rates_and_evaluates(self):
-        samples = iter([TelemetrySample(t=0.0, counters={"c": 0.0}),
-                        TelemetrySample(t=10.0, counters={"c": 20.0})])
+    def test_poll_evaluates_each_state_at_its_observation_time(self):
+        """Ten seconds of observation time apart, though polled 10 ms
+        apart: the sustained rule fires at the second state."""
+        states = iter([CampaignState(total=2, done=1, observed_at=0.0),
+                       CampaignState(total=2, done=2, observed_at=10.0)])
         service = TelemetryService(
-            lambda: next(samples), interval=0.01,
-            rules=[SLORule(name="rate", metric="rate.c", max=1.0)])
-        seen = []
-        asyncio.run(service.run(
-            lambda sample: seen.append(sample) or len(seen) == 2))
-        assert [sample.rates for sample in seen] == [{}, {"c": 2.0}]
+            lambda: next(states), interval=0.01,
+            rules=[SLORule(name="done", metric="campaign.done", max=0.5,
+                           for_seconds=5.0)])
+        seen, verdicts = [], []
+
+        def on_poll(state):
+            seen.append(state)
+            verdicts.append(service.slo.statuses[0].state)
+            return len(seen) == 2
+
+        asyncio.run(service.run(on_poll))
+        assert verdicts == ["pending", "firing"]
         assert service.latest is seen[-1]
-        assert service.slo.breached() == ["rate"]
+        assert service.slo.breached() == ["done"]
 
     def test_provider_errors_are_counted_not_raised(self):
         def provider():
@@ -420,34 +428,24 @@ class TestPoll:
         assert "registry on fire" in service.last_error
         assert service.latest is None
 
-    def test_loop_polls_until_stopped_and_ends_on_a_final_sample(self):
-        ticks, polled = itertools.count(), []
+    def test_loop_polls_until_on_poll_ends_it(self):
+        ticks, polled, seen = itertools.count(), [], []
 
         def provider():
-            polled.append(TelemetrySample(t=float(next(ticks))))
+            polled.append(CampaignState(total=None,
+                                        observed_at=float(next(ticks))))
             return polled[-1]
 
         service = TelemetryService(provider, interval=0.01)
-
-        async def main():
-            polling = asyncio.create_task(service.run())
-            while service.latest is None or service.latest.t < 2:
-                await asyncio.sleep(0.01)
-            stopped_after = service.latest.t
-            service.stop()
-            await polling
-            return stopped_after
-
-        stopped_after = asyncio.run(main())
-        assert [sample.t for sample in polled] == \
-            [float(t) for t in range(len(polled))]
-        # stop() takes one last poll: the loop ends after the stop.
-        assert polled[-1] is service.latest
-        assert service.latest.t > stopped_after
+        asyncio.run(service.run(
+            lambda state: seen.append(state) or state.observed_at >= 2))
+        # on_poll saw every poll, and the one it ended on was the last.
+        assert [state.observed_at for state in polled] == [0.0, 1.0, 2.0]
+        assert seen == polled and service.latest is polled[-1]
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
-            TelemetryService(_sample, interval=0.0)
+            TelemetryService(_state, interval=0.0)
 
     def test_scrape_is_answered_while_the_provider_blocks(self):
         """The provider runs off the loop: a 2 s store read delays no
@@ -456,10 +454,10 @@ class TestPoll:
             threading.Event()
 
         def provider():
-            if next(calls) == 1:  # the first poll publishes a sample
+            if next(calls) == 1:  # the first poll publishes a state
                 inside.set()
                 release.wait(timeout=2.0)
-            return _sample()
+            return _state()
 
         service = TelemetryService(provider, interval=0.01)
         with _hosted(service.server, service) as unhandled:
@@ -528,7 +526,7 @@ class TestConcurrentScrape:
         assert len(scrapes) >= 3, f"only {len(scrapes)} scrapes landed mid-run"
         assert box["report"].executed == 12
         # The watch ends on the finished campaign.
-        assert state.complete and state.sample().gauges["campaign.done"] \
+        assert state.complete and state.gauges()["campaign.done"] \
             == 12.0
 
     def test_campaign_telemetry_gates_on_slo(self, tmp_path):
@@ -540,18 +538,18 @@ class TestConcurrentScrape:
                  for i in range(4)]
         runner, _ = _engine_thread(store_path, units, 1)
         telemetry = TelemetryService(
-            lambda: collect(store_path).sample(), interval=0.01, rules=rules)
+            lambda: collect(store_path), interval=0.01, rules=rules)
+        finished = []
 
-        async def watch():
-            polling = asyncio.create_task(telemetry.run())
-            await asyncio.to_thread(runner.join, 60)
-            await asyncio.sleep(0.05)  # let the loop observe the breach
-            telemetry.stop()
-            await polling
+        def ended(_state):
+            """True at the first poll taken after the run was seen over."""
+            finished.append(not runner.is_alive())
+            return len(finished) > 1 and finished[-2]
 
-        asyncio.run(watch())
+        asyncio.run(telemetry.run(ended))
+        runner.join(timeout=60)
         assert telemetry.slo.breached() == ["done-ceiling"]
-        assert telemetry.latest.gauges["campaign.done"] == 4.0
+        assert telemetry.latest.gauges()["campaign.done"] == 4.0
 
 
 # ----------------------------------------------------------------------
@@ -595,6 +593,31 @@ class TestServeMonitor:
                 status, body = seen["metrics"]
                 assert status == 200
                 validate_exposition(body)
+
+    def test_serves_the_states_gauges_and_outcomes_alone(self, tmp_path):
+        """/progress and /metrics render the polled CampaignState: its
+        gauges and its outcome tally, nothing else."""
+        store_path = self._store(tmp_path / "r.jsonl")
+        urls, bodies = [], {}
+
+        def scrape(_state, _statuses):
+            for route in ("/progress", "/metrics"):
+                bodies[route] = _get(urls[0] + route)[1]
+
+        state, _ = watch_store(store_path, port=0, interval=0.01,
+                               max_polls=1, on_start=urls.append,
+                               on_poll=scrape)
+        progress = json.loads(bodies["/progress"])
+        assert set(progress["sample"]) == {"gauges", "outcomes"}
+        assert progress["sample"] == {"gauges": state.gauges(),
+                                      "outcomes": {"ok": 3}}
+        assert progress["t"] == state.observed_at
+        families = {line.split()[2] for line in bodies["/metrics"].splitlines()
+                    if line.startswith("# TYPE ")}
+        assert families == {
+            "repro_up", "repro_sample_timestamp_seconds",
+            "repro_campaign_outcome_total",
+            *(metric_name(name) for name in state.gauges())}
 
     def test_max_polls_ends_the_watch_of_an_unfinished_store(self, tmp_path):
         store_path = self._store(tmp_path / "r.jsonl", done=1, total=9)
