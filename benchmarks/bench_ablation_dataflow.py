@@ -84,10 +84,8 @@ def bench_ablation_fault_geometry(benchmark):
         rows.append({
             "devices": devices,
             "injected max|value|": injector.record.max_abs_faulty(),
-            "post-fault max|m|": float(max(
-                np.abs(np.nan_to_num(m, posinf=3e38)).max()
-                for m in trainer.optimizer.m
-            )),
+            "post-fault max|m|": float(np.abs(np.nan_to_num(
+                trainer.optimizer.slots["m"], posinf=3e38)).max()),
         })
     table(rows, floatfmt="{:.3g}")
     emit("Gradient averaging dilutes the same faulty contribution by")

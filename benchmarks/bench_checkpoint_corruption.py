@@ -5,10 +5,10 @@ dilemma: for a latent outcome, "it is not clear how one could determine
 which checkpoint to revert to, not to mention that the available
 checkpoints may all have been corrupted."
 
-This bench stages the dilemma: a history-corrupting fault strikes, a
-rolling per-epoch checkpoint store keeps the ``keep`` most recent
-checkpoints, and the corruption is only *noticed* (accuracy visibly low)
-many iterations later.  By then every retained checkpoint carries the
+This bench stages the dilemma: a history-corrupting fault strikes, the
+recovery ring at epoch cadence (``RecoveryManager(every=EPOCH)``) keeps
+the ``keep`` most recent checkpoints, and the corruption is only
+*noticed* (accuracy visibly low) many iterations later.  By then every retained checkpoint carries the
 corrupted optimizer state.  The paper's detector flags the fault within
 two iterations — while a clean checkpoint still exists.
 """
@@ -20,9 +20,8 @@ import numpy as np
 from _report import emit, header, paper_vs_measured, table, write_artifact
 from conftest import NUM_DEVICES, pinned_fault
 from repro.core.faults import FaultInjector
-from repro.core.mitigation import HardwareFailureDetector
+from repro.core.mitigation import HardwareFailureDetector, RecoveryManager
 from repro.distributed import SyncDataParallelTrainer
-from repro.training.checkpoints import CheckpointStore
 from repro.workloads import build_workload
 
 EPOCH = 10          # iterations per "epoch" (checkpoint cadence)
@@ -45,21 +44,21 @@ def bench_checkpoint_corruption(benchmark):
     spec = build_workload("resnet", size="tiny", seed=0)
     trainer = SyncDataParallelTrainer(spec, num_devices=NUM_DEVICES, seed=0,
                                       test_every=0, stop_on_nonfinite=False)
-    store = CheckpointStore(every=EPOCH, keep=KEEP)
+    ring = RecoveryManager(every=EPOCH, keep=KEEP)
     detector = HardwareFailureDetector()
     fault = FaultInjector(pinned_fault("1.conv1", "weight_grad", INJECT_AT,
                                        device=1, magnitude=1e12, elements=64,
                                        seed=7))
-    trainer.add_hook(store)
+    trainer.add_hook(ring)
     trainer.add_hook(fault)
     trainer.add_hook(detector)
     trainer.train(TOTAL)
 
     rows = []
     noticed_at = INJECT_AT + NOTICE_DELAY
-    # Which checkpoints does the rolling store hold at "notice time"?
+    # Which checkpoints does the ring hold at "notice time"?
     held_at_notice = [i for i in range(0, noticed_at, EPOCH)][-KEEP:]
-    for ckpt in store.checkpoints:
+    for ckpt in ring.snapshots:
         rows.append({
             "checkpoint iter": ckpt.iteration,
             "optimizer history clean": _history_is_clean(ckpt),
@@ -67,11 +66,11 @@ def bench_checkpoint_corruption(benchmark):
 
     header("Sec. 5 motivation — the checkpoint-corruption dilemma "
            f"(epoch={EPOCH}, keep last {KEEP}, fault at {INJECT_AT})")
-    emit("rolling store contents at the end of training:")
+    emit("ring contents at the end of training:")
     table(rows)
     emit()
     emit(f"if the degradation is noticed {NOTICE_DELAY} iterations after the")
-    emit(f"fault (iteration {noticed_at}), the store would hold checkpoints "
+    emit(f"fault (iteration {noticed_at}), the ring would hold checkpoints "
          f"{held_at_notice} —")
     clean_available = any(i <= INJECT_AT for i in held_at_notice)
     emit(f"a pre-fault checkpoint {'IS' if clean_available else 'is NOT'} "
@@ -93,5 +92,5 @@ def bench_checkpoint_corruption(benchmark):
     write_artifact("checkpoint_corruption", {"claims": [claim]}, smoke=False)
     assert detector.fired
 
-    benchmark.pedantic(lambda: _history_is_clean(store.checkpoints[-1]),
+    benchmark.pedantic(lambda: _history_is_clean(ring.snapshots[-1]),
                        rounds=10, iterations=1)

@@ -10,7 +10,9 @@ noise; a direct measurement of each per-iteration component is exact):
 * the cost of one two-iteration re-execution event (paper: 0.04%-0.15%
   amortized per run);
 * checkpoint-recovery cost in re-executed iterations (paper: up to ~500x
-  the two-iteration re-execution at ~1000-iteration epochs).
+  the two-iteration re-execution at ~1000-iteration epochs) — the same
+  snapshot ring as re-execution, captured once per epoch instead of
+  every iteration.
 
 Absolute percentages do not transfer from a NumPy simulator (iterations
 are ~1000x cheaper than on a TPU pod while the bound check is constant
@@ -25,11 +27,12 @@ import time
 from _report import emit, header, paper_vs_measured, table, write_artifact
 from conftest import NUM_DEVICES
 from repro.core.mitigation import (
+    REEXECUTE_ITERATIONS,
     HardwareFailureDetector,
     RecoveryManager,
     derive_bounds_for_trainer,
 )
-from repro.core.mitigation.baselines import ABFTChecker, CheckpointRecovery
+from repro.core.mitigation.baselines import ABFTChecker
 from repro.distributed import SyncDataParallelTrainer
 from repro.training.checkpoints import Checkpoint
 from repro.workloads import build_workload
@@ -81,14 +84,17 @@ def bench_sec5_overheads(benchmark):
     recovery_trainer.train(10 - resume)
     recovery_event_time = time.perf_counter() - start
 
-    # Checkpoint recovery: one epoch back.
+    # Checkpoint recovery: the same ring at epoch cadence, detection in
+    # an epoch's last iteration, so the rewind goes one epoch back.
     epoch = 25
     ckpt_trainer = SyncDataParallelTrainer(spec, num_devices=NUM_DEVICES, seed=0,
                                            test_every=0)
-    ckpt = CheckpointRecovery(iterations_per_epoch=epoch)
+    ckpt = RecoveryManager(every=epoch)
     ckpt_trainer.add_hook(ckpt)
     ckpt_trainer.train(2 * epoch - 1)
-    cost = ckpt.recover(ckpt_trainer)
+    detected_at = ckpt_trainer.iteration - 1
+    reexecuted = detected_at + 1 - ckpt.rewind(ckpt_trainer,
+                                               detected_at=detected_at)
 
     def pct(t):
         return 100.0 * t / iteration_time
@@ -113,8 +119,8 @@ def bench_sec5_overheads(benchmark):
     emit(f"one recovery event (rewind + re-execute 2 iters): "
          f"{recovery_event_time * 1e3:.0f}ms = "
          f"{recovery_event_time / iteration_time:.1f} iteration-equivalents")
-    ratio = cost.cost_ratio_vs_reexecution(2)
-    emit(f"one checkpoint recovery: {cost.reexecuted_iterations} iterations "
+    ratio = reexecuted / REEXECUTE_ITERATIONS
+    emit(f"one checkpoint recovery: {reexecuted} iterations "
          f"re-executed = {ratio:.0f}x the "
          f"two-iteration re-execution (paper: up to ~500x at ~1000-iteration "
          f"epochs)")
@@ -130,7 +136,7 @@ def bench_sec5_overheads(benchmark):
             "checkpoint recovery is costlier than two-iteration "
             "re-execution, in proportion to the epoch length",
             "up to ~500x (one checkpoint per ~1000-iteration epoch)",
-            f"{ratio:.0f}x at {cost.reexecuted_iterations}-iteration "
+            f"{ratio:.0f}x at {reexecuted}-iteration "
             f"rollback (epoch={epoch})",
             band=(1, None), value=ratio),
     ]

@@ -178,10 +178,7 @@ class ExecutionBackend:
         given, self.given = self.given, {}
         for device, share in given.items():
             np.copyto(trainer.arenas[device].grad, share.grad)
-            for (_, module), (_, state) in zip(
-                    trainer.arenas[device].stateful_modules, share.extra):
-                module.load_extra_state(
-                    {k: np.array(v, copy=True) for k, v in state.items()})
+            trainer.arenas[device].load_extra(share.extra)
             results[device] = (share.loss, share.acc)
         total_loss = 0.0
         total_acc = 0.0

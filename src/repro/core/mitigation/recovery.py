@@ -1,4 +1,4 @@
-"""Light-weight recovery by two-iteration re-execution (Sec. 5.2).
+"""Recovery by re-execution from a ring of snapshots (Sec. 5.2, Sec. 5.3).
 
 When the detector fires (at most two iterations after the hardware
 failure, per the necessary conditions), the recovery manager rewinds the
@@ -9,15 +9,24 @@ addressed by iteration index, the replayed iterations see exactly the
 same mini-batches and random masks (requirements (2) and (3) of
 Sec. 5.2).
 
-Two interchangeable rewind strategies, both exercised by tests/benches:
+The paper's Sec. 5.3 baseline, per-epoch checkpointing, is the same
+mechanism at another cadence: :class:`RecoveryManager` captures a
+:class:`~repro.training.checkpoints.Checkpoint` before every iteration
+divisible by ``every``, keeps the ``keep`` newest, and a rewind restores
+the newest one at or before the iteration it must re-execute from.
+``RecoveryManager()`` (``every=1``) is two-iteration re-execution;
+``RecoveryManager(every=epoch)`` is the checkpoint baseline, whose
+re-executed iterations (up to an epoch) set the paper's "up to ~500x".
 
-* ``"snapshot"`` (default) — keep a rolling ring of the last few
-  pre-iteration state snapshots; rewind restores one.  Bit-exact.
+Two rewind strategies, both exercised by tests/benches:
+
+* ``"snapshot"`` (default) — the ring above.  Bit-exact.
 * ``"arithmetic"`` — the paper's formulation: store the applied updates
-  and gradients of the last two iterations and *invert* the optimizer
+  and gradients of the last few iterations and *invert* the optimizer
   recurrences (``w_{t-1} = w_t + u_t``; for Adam,
   ``m_{t-1} = (m_t - (1-b1) g_t)/b1`` etc.).  Cheaper in bookkeeping,
-  exact up to float rounding.
+  exact up to float rounding; it inverts one iteration at a time, so it
+  takes ``every=1`` only.
 """
 
 from __future__ import annotations
@@ -40,79 +49,89 @@ class RecoveryError(RuntimeError):
 
 
 class RecoveryManager:
-    """Trainer hook maintaining rewind state and performing recovery."""
+    """Trainer hook keeping a ring of rewind points and rewinding to one.
 
-    def __init__(self, strategy: str = "snapshot", depth: int = REEXECUTE_ITERATIONS,
-                 max_recoveries: int = 8):
+    ``every`` is the capture cadence in iterations and ``keep`` the ring
+    size; the defaults hold the three newest pre-iteration snapshots,
+    enough for a two-iteration re-execution.
+    """
+
+    def __init__(self, strategy: str = "snapshot", every: int = 1,
+                 keep: int = REEXECUTE_ITERATIONS + 1, max_recoveries: int = 8):
         if strategy not in ("snapshot", "arithmetic"):
             raise ValueError(f"unknown recovery strategy: {strategy!r}")
+        if every < 1 or keep < 1:
+            raise ValueError(
+                f"snapshot interval and ring size must be positive: "
+                f"every={every}, keep={keep}")
+        if strategy == "arithmetic" and every != 1:
+            raise ValueError(
+                "the arithmetic rewind inverts every iteration it re-executes, "
+                f"so it captures every iteration: every=1, not {every}")
         self.strategy = strategy
-        self.depth = int(depth)
+        self.every = int(every)
         self.max_recoveries = int(max_recoveries)
         self.recoveries = 0
-        # snapshot strategy: iteration -> pre-iteration Checkpoint.
-        self._snapshots: deque[Checkpoint] = deque(maxlen=self.depth + 1)
-        # arithmetic strategy: per-iteration inversion records.
-        self._steps: deque[dict] = deque(maxlen=self.depth + 1)
+        #: The snapshot strategy's ring, oldest first.
+        self.snapshots: deque[Checkpoint] = deque(maxlen=int(keep))
+        # The arithmetic strategy's ring: per-iteration inversion records.
+        self._steps: deque[dict] = deque(maxlen=int(keep))
 
     # ------------------------------------------------------------------
     # State capture (hook: before every iteration)
     # ------------------------------------------------------------------
     def before_iteration(self, trainer, iteration: int) -> None:
-        if self.strategy == "snapshot":
-            self._snapshots.append(Checkpoint.capture(trainer))
-        else:
+        if self.strategy == "arithmetic":
             self._arm_arithmetic_capture(trainer, iteration)
+        elif iteration % self.every == 0:
+            self.snapshots.append(Checkpoint.capture(trainer))
 
     def _arm_arithmetic_capture(self, trainer, iteration: int) -> None:
-        """Record gradients, applied updates, and the small history state
-        (BatchNorm moving stats) needed to invert this iteration."""
+        """Record the applied updates, the gradient, and the small
+        history state (BatchNorm moving stats) needed to invert this
+        iteration."""
+        optimizer = trainer.optimizer
+        previous_hook = optimizer._update_hook
         entry: dict = {
             "iteration": iteration,
-            "grads": None,
+            "grad": None,
             "updates": [],
-            "bn_states": [
-                {name: module.extra_state()
-                 for name, module in replica.named_modules()
-                 if module.extra_state()}
-                for replica in trainer.replicas
-            ],
+            "extra": [arena.capture_extra() for arena in trainer.arenas],
+            "previous_hook": previous_hook,
         }
         self._steps.append(entry)
-        previous_hook = trainer.optimizer._update_hook
 
         def capture_hook(update: np.ndarray, info: dict) -> np.ndarray:
             if previous_hook is not None:
                 update = previous_hook(update, info)
             entry["updates"].append(np.array(update, copy=True))
-            if entry["grads"] is None:
-                entry["grads"] = []
             return update
 
-        trainer.optimizer.set_update_hook(capture_hook)
-        self._previous_hook = previous_hook
+        optimizer.set_update_hook(capture_hook)
 
     def after_step(self, trainer, iteration: int) -> None:
         if self.strategy == "arithmetic" and self._steps:
             entry = self._steps[-1]
-            if entry["iteration"] == iteration and entry["grads"] is not None:
-                entry["grads"] = [np.array(p.grad, copy=True)
-                                  for p in trainer.optimizer.params]
-                trainer.optimizer.set_update_hook(self._previous_hook)
+            if entry["iteration"] == iteration and entry["updates"]:
+                entry["grad"] = trainer.optimizer.arena.grad.copy()
+                trainer.optimizer.set_update_hook(entry["previous_hook"])
 
     # ------------------------------------------------------------------
     # Rewind
     # ------------------------------------------------------------------
     def rewind(self, trainer, iterations: int = REEXECUTE_ITERATIONS,
                detected_at: int | None = None) -> int:
-        """Rewind so the ``iterations`` most recent iterations re-execute.
+        """Rewind so at least the ``iterations`` most recent iterations
+        re-execute; returns the iteration training resumes from.
 
         ``detected_at`` is the iteration at which detection fired (the
-        iteration currently completing); training resumes from
-        ``detected_at + 1 - iterations``.  If the manager was attached too
-        recently to hold state that far back, it rewinds as far as it can
-        (the oldest captured state), which still precedes the fault when
-        detection latency is within the capture depth.
+        iteration currently completing); the snapshot strategy restores
+        the newest ring entry at or before ``detected_at + 1 -
+        iterations``, so ``every > 1`` re-executes up to ``every - 1``
+        iterations more.  If the manager was attached too recently to
+        hold state that far back, it rewinds as far as it can (the oldest
+        captured state), which still precedes the fault when detection
+        latency is within the ring's reach.
         """
         if self.recoveries >= self.max_recoveries:
             raise RecoveryError(
@@ -131,15 +150,15 @@ class RecoveryManager:
         return target
 
     def _rewind_snapshot(self, trainer, ideal: int) -> int:
-        if not self._snapshots:
+        if not self.snapshots:
             raise RecoveryError("no snapshots captured yet; cannot rewind")
-        at_or_before = [s for s in self._snapshots if s.iteration <= ideal]
+        at_or_before = [s for s in self.snapshots if s.iteration <= ideal]
         snapshot = max(at_or_before, key=lambda s: s.iteration) if at_or_before else min(
-            self._snapshots, key=lambda s: s.iteration
+            self.snapshots, key=lambda s: s.iteration
         )
         snapshot.restore(trainer)
-        while self._snapshots and self._snapshots[-1].iteration > snapshot.iteration:
-            self._snapshots.pop()
+        while self.snapshots and self.snapshots[-1].iteration > snapshot.iteration:
+            self.snapshots.pop()
         return snapshot.iteration
 
     def _rewind_arithmetic(self, trainer, ideal: int) -> int:
@@ -153,76 +172,65 @@ class RecoveryManager:
             self._invert_step(optimizer, entry)
             # Restore the small module state (BatchNorm moving statistics)
             # captured before the iteration ran.
-            for replica, states in zip(trainer.replicas, entry["bn_states"]):
-                modules = dict(replica.named_modules())
-                for name, state in states.items():
-                    modules[name].load_extra_state(
-                        {k: np.array(v, copy=True) for k, v in state.items()}
-                    )
+            for arena, extra in zip(trainer.arenas, entry["extra"]):
+                arena.load_extra(extra)
             self._steps.remove(entry)
         # Float32 overflow is not invertible: if the corrupted state
         # saturated to inf (e.g. Adam's v after squaring a huge faulty
         # gradient), the pre-fault value is destroyed and (inf - x)/beta
         # yields inf/NaN.  Surface this instead of resuming from garbage —
         # the snapshot strategy handles these cases.
-        for param in optimizer.params:
-            if not np.all(np.isfinite(param.data)):
+        if not np.all(np.isfinite(optimizer.arena.param)):
+            raise RecoveryError(
+                "arithmetic rewind produced non-finite weights: the "
+                "corrupted state overflowed and is not invertible; use "
+                "the snapshot recovery strategy"
+            )
+        for buf in optimizer.slots.values():
+            if not np.all(np.isfinite(buf)):
                 raise RecoveryError(
-                    "arithmetic rewind produced non-finite weights: the "
-                    "corrupted state overflowed and is not invertible; use "
-                    "the snapshot recovery strategy"
+                    "arithmetic rewind produced non-finite optimizer "
+                    "state: the corrupted state overflowed and is not "
+                    "invertible; use the snapshot recovery strategy"
                 )
-        for slots in optimizer._slot_arrays().values():
-            for arr in slots:
-                if not np.all(np.isfinite(arr)):
-                    raise RecoveryError(
-                        "arithmetic rewind produced non-finite optimizer "
-                        "state: the corrupted state overflowed and is not "
-                        "invertible; use the snapshot recovery strategy"
-                    )
         trainer.iteration = target
         trainer.backend.broadcast()
         return target
 
     @staticmethod
     def _invert_step(optimizer, entry: dict) -> None:
-        """Undo one optimizer step from its recorded updates/gradients.
+        """Undo one optimizer step from its recorded updates/gradient.
 
-        All writes are in place so arena-bound parameters and slot views
-        (see :mod:`repro.state`) stay bound to their fused buffers."""
-        updates, grads = entry["updates"], entry["grads"]
-        if updates is None or grads is None or len(updates) != len(optimizer.params):
+        All writes are in place, into the parameters' arena views and the
+        optimizer's slot segments (see :mod:`repro.state`)."""
+        updates, g = entry["updates"], entry["grad"]
+        if g is None or len(updates) != len(optimizer.params):
             raise RecoveryError("incomplete step record; cannot invert")
+        slots = optimizer.slots
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i, param in enumerate(optimizer.params):
-                np.add(param.data, updates[i], out=param.data, casting="unsafe")
+            for param, update in zip(optimizer.params, updates):
+                np.add(param.data, update, out=param.data, casting="unsafe")
             if isinstance(optimizer, Adam):
                 b1, b2 = optimizer.beta1, optimizer.beta2
-                for i, g in enumerate(grads):
-                    m = optimizer.m[i]
-                    np.subtract(m, (1 - b1) * g, out=m)
-                    np.divide(m, b1, out=m)
-                    # Catastrophic cancellation can push the inverted second
-                    # moment slightly negative (v is a sum of squares, so
-                    # its true value is non-negative); clamp to the
-                    # physical domain or the next sqrt(v) would be NaN.
-                    v = optimizer.v[i]
-                    np.subtract(v, (1 - b2) * g * g, out=v)
-                    np.divide(v, b2, out=v)
-                    np.maximum(v, 0.0, out=v)
+                m, v = slots["m"], slots["v"]
+                np.subtract(m, (1 - b1) * g, out=m)
+                np.divide(m, b1, out=m)
+                # Catastrophic cancellation can push the inverted second
+                # moment slightly negative (v is a sum of squares, so
+                # its true value is non-negative); clamp to the
+                # physical domain or the next sqrt(v) would be NaN.
+                np.subtract(v, (1 - b2) * g * g, out=v)
+                np.divide(v, b2, out=v)
+                np.maximum(v, 0.0, out=v)
             elif isinstance(optimizer, SGD) and optimizer.momentum > 0:
-                mu = optimizer.momentum
-                for i, g in enumerate(grads):
-                    vel = optimizer.velocity[i]
-                    np.subtract(vel, g, out=vel, casting="unsafe")
-                    np.divide(vel, mu, out=vel)
+                vel = slots["velocity"]
+                np.subtract(vel, g, out=vel, casting="unsafe")
+                np.divide(vel, optimizer.momentum, out=vel)
             elif isinstance(optimizer, RMSProp):
-                rho = optimizer.rho
-                for i, g in enumerate(grads):
-                    sq = optimizer.sq[i]
-                    np.subtract(sq, (1 - rho) * g * g, out=sq)
-                    np.divide(sq, rho, out=sq)
-                    np.maximum(sq, 0.0, out=sq)
+                sq = slots["sq"]
+                np.subtract(sq, (1 - optimizer.rho) * g * g, out=sq)
+                np.divide(sq, optimizer.rho, out=sq)
+                np.maximum(sq, 0.0, out=sq)
         optimizer.iteration -= 1
 
 

@@ -41,6 +41,7 @@ from repro.engine.store import (
     RESTART,
     RETRY,
     SESSION,
+    campaign_size,
     read_records,
 )
 from repro.engine.telemetry import CampaignState, WorkerState
@@ -161,8 +162,7 @@ def collect(store_path: str | Path, stall_after: float | None = None,
     header = records[0]
     meta = header.get("meta") or {}
     session, current = _session(records[1:])
-    total = meta.get("num_experiments") if session is None \
-        else session.get("total")
+    total = campaign_size(records)
     state = CampaignState(
         total=int(total) if isinstance(total, (int, float)) else None,
         store_path=store_path, kind=header.get("kind", "campaign"),

@@ -99,12 +99,7 @@ class ResultStore:
             self.kind = log.header.get("kind", self.kind)
             self.meta = log.header.get("meta", {}) or self.meta
             for record in log.records:
-                if record["record"] == EXPERIMENT:
-                    self.completed[record["key"]] = record["payload"]
-                elif record["record"] == QUARANTINE:
-                    self.quarantined[record["key"]] = record.get("error", "")
-                    self.quarantine_payloads[record["key"]] = \
-                        record.get("payload")
+                self._index(record)
             self._log = jsonl.reopen(log)
         else:
             self._log = jsonl.create(self.path, self.kind, self.meta)
@@ -116,9 +111,8 @@ class ResultStore:
         older stores) so monitors can compute session throughput."""
         if key in self.completed:
             return
-        self._log.append({"record": EXPERIMENT, "key": key,
-                          "payload": payload, "ts": time.time()})
-        self.completed[key] = payload
+        self._keep({"record": EXPERIMENT, "key": key,
+                    "payload": payload, "ts": time.time()})
 
     def note(self, record: str, **fields) -> None:
         """Append one engine record (:data:`SESSION`, :data:`LEASE`,
@@ -137,11 +131,22 @@ class ResultStore:
         """Persist a pathological experiment so resumes skip it."""
         if key in self.quarantined:
             return
-        self._log.append({"record": QUARANTINE, "key": key,
-                          "error": error, "payload": payload,
-                          "ts": time.time()})
-        self.quarantined[key] = error
-        self.quarantine_payloads[key] = payload
+        self._keep({"record": QUARANTINE, "key": key, "error": error,
+                    "payload": payload, "ts": time.time()})
+
+    def _keep(self, record: dict) -> None:
+        """Persist one result record as it is (a merge keeps its source's
+        ``ts``) and index it."""
+        self._log.append(record)
+        self._index(record)
+
+    def _index(self, record: dict) -> None:
+        """Index one result record; engine records are not indexed."""
+        if record["record"] == EXPERIMENT:
+            self.completed[record["key"]] = record["payload"]
+        elif record["record"] == QUARANTINE:
+            self.quarantined[record["key"]] = record.get("error", "")
+            self.quarantine_payloads[record["key"]] = record.get("payload")
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -169,6 +174,16 @@ def read_records(path: str | Path) -> list[dict]:
     return [log.header, *log.records]
 
 
+def campaign_size(records: list[dict]):
+    """The campaign size a store's header and records name: its last
+    ``session`` record's ``total`` (a resume may grow a campaign), else
+    its header's ``num_experiments``; ``None`` when it names none."""
+    for record in reversed(records[1:]):
+        if record.get("record") == SESSION:
+            return record.get("total")
+    return (records[0].get("meta") or {}).get("num_experiments")
+
+
 def config_difference(ours: dict, theirs: dict) -> list[str]:
     """The ``config`` keys two store headers' ``meta`` disagree on,
     apart from :data:`OVERRIDABLE_CONFIG`; none when either records no
@@ -191,7 +206,9 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
     (:func:`config_difference`), on the sample ``seed`` and on the
     experiment at every payload ``index`` (two fault lists of one config
     share indices, not experiments); engine records are not carried
-    over.
+    over.  The merged header's ``num_experiments`` is the largest
+    :func:`campaign_size` of the sources, and every result keeps its
+    source's ``ts``.
     """
     if not sources:
         raise ValueError("nothing to merge")
@@ -223,18 +240,23 @@ def merge_stores(sources: list[str | Path], dest: str | Path) -> ResultStore:
                     f"cannot merge {source}: its experiment at index "
                     f"{index} is not the one another store holds there "
                     f"(another fault list)")
-    merged = ResultStore(dest, kind=kinds.pop(), meta=first_meta)
+    meta = dict(first_meta)
+    sizes = [size for size in (campaign_size(records) for _, records in loaded)
+             if isinstance(size, int)]
+    if sizes:
+        meta["num_experiments"] = max(sizes)
+    merged = ResultStore(dest, kind=kinds.pop(), meta=meta)
     quarantines: dict[str, dict] = {}
     with merged.group():
         for _, records in loaded:
             for record in records[1:]:
                 if record["record"] == EXPERIMENT:
-                    merged.append(record["key"], record["payload"])
+                    if record["key"] not in merged.completed:
+                        merged._keep(record)
                 elif record["record"] == QUARANTINE:
                     quarantines[record["key"]] = record
         for key, record in quarantines.items():
             if key not in merged.completed:
-                merged.quarantine(key, record.get("error", ""),
-                                  record.get("payload"))
+                merged._keep(record)
     return merged
 

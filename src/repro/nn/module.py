@@ -205,14 +205,15 @@ class Module:
         return self
 
     # ------------------------------------------------------------------
-    # State snapshot / restore (used by recovery and campaigns)
+    # State snapshot / restore
     # ------------------------------------------------------------------
     def extra_state(self) -> dict[str, np.ndarray]:
         """Non-parameter persistent state (e.g. BatchNorm moving stats)."""
         return {}
 
     def load_extra_state(self, state: dict[str, np.ndarray]) -> None:
-        """Restore state produced by :meth:`extra_state`."""
+        """Restore state produced by :meth:`extra_state`.  An override
+        copies what it keeps, so callers pass ``state`` as is."""
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Flat snapshot of all parameters and extra state, copied."""
@@ -224,15 +225,12 @@ class Module:
                 out[f"state:{mod_name}:{key}"] = np.array(value, copy=True)
         return out
 
-    def load_state_dict(
-        self, state: dict[str, np.ndarray], allow_partial: bool = False
-    ) -> None:
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore a :meth:`state_dict` snapshot, in place.
 
         The state dict must cover every parameter and every extra-state
         leaf; missing or unexpected keys raise ``KeyError`` (a partial
-        load would silently leave the remaining state stale).  Pass
-        ``allow_partial=True`` to load a subset deliberately.  Parameter
+        load would silently leave the remaining state stale).  Parameter
         values are written into the existing arrays, so arena views (see
         :mod:`repro.state`) survive a load.
         """
@@ -248,10 +246,9 @@ class Module:
                 f"unexpected state keys (not in this model): {unexpected[:5]}"
             )
         missing = sorted(expected - set(state))
-        if missing and not allow_partial:
+        if missing:
             raise KeyError(
-                f"state dict is missing {len(missing)} keys (e.g. "
-                f"{missing[:5]}); pass allow_partial=True to load anyway"
+                f"state dict is missing {len(missing)} keys (e.g. {missing[:5]})"
             )
         extra: dict[str, dict[str, np.ndarray]] = {}
         for key, value in state.items():
@@ -269,9 +266,7 @@ class Module:
                 mod_name, _, state_key = rest.partition(":")
                 extra.setdefault(mod_name, {})[state_key] = value
         for mod_name, mod_state in extra.items():
-            modules[mod_name].load_extra_state(
-                {k: np.array(v, copy=True) for k, v in mod_state.items()}
-            )
+            modules[mod_name].load_extra_state(mod_state)
 
     # ------------------------------------------------------------------
     # Fault hooks

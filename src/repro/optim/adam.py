@@ -18,11 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.optim.base import Optimizer, max_abs
+from repro.optim.base import Optimizer
 
 
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba), matching Eq. 1 of the paper."""
+
+    SLOTS = ("m", "v")
 
     def __init__(
         self,
@@ -36,40 +38,21 @@ class Adam(Optimizer):
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.m: list[np.ndarray] = [np.zeros_like(p.data) for p in self.params]
-        self.v: list[np.ndarray] = [np.zeros_like(p.data) for p in self.params]
 
     def normalizes_gradients(self) -> bool:
         return True
 
-    def history_magnitude(self) -> float:
-        if self._arena is not None:
-            return self._fused_max_abs(self._fused_slots["m"], self._fused_slots["v"])
-        return max_abs(self.m + self.v)
-
     def first_moment_arrays(self) -> list[np.ndarray]:
-        return self.m
+        return self._views["m"]
 
     def second_moment_arrays(self) -> list[np.ndarray]:
-        return self.v
+        return self._views["v"]
 
-    def _slot_arrays(self) -> dict[str, list[np.ndarray]]:
-        return {"m": self.m, "v": self.v}
-
-    def _update_for(self, i: int, param: Parameter, t: int) -> np.ndarray:
-        """The bias-corrected Adam update ``u_t`` for parameter ``i``."""
-        m_hat = self.m[i] / (1.0 - self.beta1**t)
-        v_hat = self.v[i] / (1.0 - self.beta2**t)
-        return (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(np.float32)
-
-    def _fused_update_into(self, out: np.ndarray, t: int) -> None:
-        """Write the fused bias-corrected update ``u_t`` into ``out``.
-
-        Evaluates the exact expression tree of :meth:`_update_for`
-        (``lr * m_hat / (sqrt(v_hat) + eps)``) over the fused buffers, so
-        each element is bit-identical to the per-parameter path."""
-        m = self._fused_slots["m"]
-        v = self._fused_slots["v"]
+    def _update_into(self, out: np.ndarray, t: int) -> None:
+        """Write the bias-corrected update
+        ``u_t = lr * m_hat / (sqrt(v_hat) + eps)`` into ``out``."""
+        m = self.slots["m"]
+        v = self.slots["v"]
         s = self._scratch
         np.divide(v, 1.0 - self.beta2**t, out=s)
         np.sqrt(s, out=s)
@@ -78,10 +61,11 @@ class Adam(Optimizer):
         np.multiply(out, self.lr, out=out)
         np.divide(out, s, out=out)
 
-    def _fused_step(self, t: int) -> None:
+    def step(self) -> None:
+        t = self._begin_step()
         g = self._arena.grad
-        m = self._fused_slots["m"]
-        v = self._fused_slots["v"]
+        m = self.slots["m"]
+        v = self.slots["v"]
         s = self._scratch
         u = self._update_buf
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -94,23 +78,8 @@ class Adam(Optimizer):
             np.multiply(g, 1.0 - self.beta2, out=s)
             np.multiply(s, g, out=s)
             np.add(v, s, out=v)
-            self._fused_update_into(u, t)
-        self._apply_fused_update(u)
-
-    def step(self) -> None:
-        self.iteration += 1
-        t = self.iteration
-        if self._arena is not None:
-            self._fused_step(t)
-            return
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i, param in enumerate(self.params):
-                g = param.grad
-                self.m[i] = (self.beta1 * self.m[i] + (1.0 - self.beta1) * g).astype(np.float32)
-                self.v[i] = (self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g).astype(
-                    np.float32
-                )
-                self._apply_update(param, self._update_for(i, param, t), i)
+            self._update_into(u, t)
+        self._apply_update(u)
 
 
 class AdamW(Adam):
@@ -121,12 +90,9 @@ class AdamW(Adam):
         super().__init__(params, lr, beta1, beta2, eps)
         self.weight_decay = float(weight_decay)
 
-    def _update_for(self, i: int, param: Parameter, t: int) -> np.ndarray:
-        update = super()._update_for(i, param, t)
-        return (update + self.lr * self.weight_decay * param.data).astype(np.float32)
-
-    def _fused_update_into(self, out: np.ndarray, t: int) -> None:
-        super()._fused_update_into(out, t)
+    def _update_into(self, out: np.ndarray, t: int) -> None:
+        """Adam's update plus the decoupled decay ``lr * wd * w``."""
+        super()._update_into(out, t)
         s = self._scratch
         np.multiply(self._arena.param, self.lr * self.weight_decay, out=s)
         np.add(out, s, out=out)
@@ -141,30 +107,24 @@ class RMSProp(Optimizer):
     developed 2015-2021 normalize gradients via history values).
     """
 
+    SLOTS = ("sq",)
+
     def __init__(self, params: list[Parameter], lr: float = 1e-3, rho: float = 0.9,
                  eps: float = 1e-8):
         super().__init__(params, lr)
         self.rho = float(rho)
         self.eps = float(eps)
-        self.sq: list[np.ndarray] = [np.zeros_like(p.data) for p in self.params]
 
     def normalizes_gradients(self) -> bool:
         return True
 
-    def history_magnitude(self) -> float:
-        if self._arena is not None:
-            return self._fused_max_abs(self._fused_slots["sq"])
-        return max_abs(self.sq)
-
     def second_moment_arrays(self) -> list[np.ndarray]:
-        return self.sq
+        return self._views["sq"]
 
-    def _slot_arrays(self) -> dict[str, list[np.ndarray]]:
-        return {"sq": self.sq}
-
-    def _fused_step(self) -> None:
+    def step(self) -> None:
+        self._begin_step()
         g = self._arena.grad
-        sq = self._fused_slots["sq"]
+        sq = self.slots["sq"]
         s = self._scratch
         u = self._update_buf
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -178,18 +138,4 @@ class RMSProp(Optimizer):
             np.add(s, self.eps, out=s)
             np.multiply(g, self.lr, out=u)
             np.divide(u, s, out=u)
-        self._apply_fused_update(u)
-
-    def step(self) -> None:
-        self.iteration += 1
-        if self._arena is not None:
-            self._fused_step()
-            return
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i, param in enumerate(self.params):
-                g = param.grad
-                self.sq[i] = (self.rho * self.sq[i] + (1.0 - self.rho) * g * g).astype(
-                    np.float32
-                )
-                update = (self.lr * g / (np.sqrt(self.sq[i]) + self.eps)).astype(np.float32)
-                self._apply_update(param, update, i)
+        self._apply_update(u)

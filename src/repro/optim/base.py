@@ -10,9 +10,17 @@ Sec. 4.2.6).  Every optimizer here therefore exposes:
 * :meth:`normalizes_gradients` — whether the optimizer divides by a
   gradient-history statistic.  Per Sec. 4.2.3, SlowDegrade and
   SharpSlowDegrade require a normalizing optimizer, while SharpDegrade
-  requires a non-normalizing one;
-* :meth:`state_dict` / :meth:`load_state_dict` — snapshots used by the
-  two-iteration re-execution recovery (Sec. 5.2) and by FI campaigns.
+  requires a non-normalizing one.
+
+Where the history lives
+-----------------------
+An optimizer's state is its iteration count plus one fused buffer per
+history slot (:attr:`Optimizer.SLOTS`), and those buffers are segments
+``opt.<slot>`` of the master replica's :class:`repro.state.StateArena`,
+allocated by :meth:`Optimizer.bind_arena`.  There is no second copy: an
+optimizer steps only once bound, every step is a handful of whole-buffer
+vectorized ops, and a snapshot (:class:`repro.training.checkpoints.Checkpoint`)
+or digest (:func:`repro.state.training_state_digest`) reads the segments.
 
 Update hooks
 ------------
@@ -30,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from repro.nn.module import Parameter
+from repro.state.arena import OPT_SEGMENT_PREFIX
 
 UpdateHook = Callable[[np.ndarray, dict], np.ndarray]
 
@@ -37,20 +46,15 @@ UpdateHook = Callable[[np.ndarray, dict], np.ndarray]
 class Optimizer:
     """Base optimizer over an explicit parameter list.
 
-    Optimizers run in one of two equivalent modes:
-
-    * **scattered** (default) — per-parameter arrays, per-parameter update
-      loop; and
-    * **fused** — after :meth:`bind_arena`, every slot lives in a
-      contiguous segment of a :class:`repro.state.StateArena` and
-      ``step()`` runs a handful of whole-buffer vectorized ops.
-
-    The fused path computes the exact same elementwise expressions over
-    the exact same float32 values, so the two modes are bit-identical;
-    per-parameter slot lists (``self.m`` etc.) remain valid as views into
-    the fused segments, keeping ``state_dict`` /
-    ``first_moment_arrays`` / fault-injection contracts unchanged.
+    Construction records the hyperparameters; :meth:`bind_arena` gives
+    the optimizer its state, zero-initialized segments of the arena laid
+    out over exactly these parameters.  :meth:`step` refuses to run
+    before that.
     """
+
+    #: History slot names; each lives in the bound arena's ``opt.<name>``
+    #: segment.
+    SLOTS: tuple[str, ...] = ()
 
     def __init__(self, params: list[Parameter], lr: float):
         self.params = list(params)
@@ -60,7 +64,10 @@ class Optimizer:
         self.iteration = 0
         self._update_hook: UpdateHook | None = None
         self._arena = None
-        self._fused_slots: dict[str, np.ndarray] = {}
+        #: Slot name -> its fused segment of the bound arena.
+        self.slots: dict[str, np.ndarray] = {}
+        #: Slot name -> per-parameter views of that segment.
+        self._views: dict[str, list[np.ndarray]] = {}
         self._update_buf: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
 
@@ -68,7 +75,8 @@ class Optimizer:
     # Interface
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Apply one update using the gradients stored on the parameters."""
+        """Apply one update using the gradients in the arena's ``grad``
+        segment."""
         raise NotImplementedError
 
     def normalizes_gradients(self) -> bool:
@@ -76,12 +84,8 @@ class Optimizer:
         raise NotImplementedError
 
     def history_magnitude(self) -> float:
-        """Largest absolute gradient-history value across all slots.
-
-        Optimizers without history (plain SGD) return 0.0: the
-        gradient-history necessary condition is structurally impossible.
-        """
-        return 0.0
+        """Largest absolute gradient-history value across all slots."""
+        return max_abs(list(self.slots.values()))
 
     def first_moment_arrays(self) -> list[np.ndarray]:
         """History values that are linear in gradients (Adam ``m``, SGD
@@ -94,15 +98,13 @@ class Optimizer:
         return []
 
     # ------------------------------------------------------------------
-    # Arena binding (fused mode)
+    # Arena binding
     # ------------------------------------------------------------------
     def bind_arena(self, arena) -> None:
-        """Move all optimizer slots into fused segments of ``arena``.
+        """Allocate every slot as a fused segment of ``arena``.
 
         The arena must be built over exactly this optimizer's parameters
-        (same objects, same order).  Existing slot values are copied into
-        the segments and the per-parameter slot lists are rebound in place
-        as views, so every external reference stays valid.
+        (same objects, same order).
         """
         if [id(p) for p in self.params] != [id(p) for p in arena.parameters]:
             raise ValueError(
@@ -111,51 +113,37 @@ class Optimizer:
         self._arena = arena
         self._update_buf = arena.scratch()
         self._scratch = arena.scratch()
-        self._fused_slots = {}
-        for name, slots in self._slot_arrays().items():
-            segment = arena.allocate_segment(f"opt.{name}")
-            views = arena.views(f"opt.{name}")
-            for view, old in zip(views, slots):
-                view[...] = old
-            slots[:] = views
-            self._fused_slots[name] = segment
+        for name in self.SLOTS:
+            arena.allocate_segment(OPT_SEGMENT_PREFIX + name)
+        self.refresh_arena_views()
 
     def refresh_arena_views(self) -> None:
-        """Re-derive slot views after the bound arena's segments moved.
+        """Re-read the bound arena's slot segments and their views.
 
         :meth:`repro.state.StateArena.rebind_segment` repoints a segment
         at caller-provided storage (a backend's lane group adopts arenas
-        into ``(E, ...)`` row stacks this way), which orphans the views
-        and fused-segment references captured by :meth:`bind_arena`.
-        Calling this re-reads the arena's current segments so the
-        optimizer keeps updating the live storage.
+        into ``(E, ...)`` row stacks this way); calling this afterwards
+        keeps the optimizer updating the live storage.
         """
-        if self._arena is None:
-            return
-        for name, slots in self._slot_arrays().items():
-            slots[:] = self._arena.views(f"opt.{name}")
-            self._fused_slots[name] = self._arena.segments[f"opt.{name}"]
+        self.slots = {name: self._arena.segments[OPT_SEGMENT_PREFIX + name]
+                      for name in self.SLOTS}
+        self._views = {name: self._arena.views(OPT_SEGMENT_PREFIX + name)
+                       for name in self.SLOTS}
 
     @property
     def arena(self):
         """The bound :class:`~repro.state.StateArena`, or ``None``."""
         return self._arena
 
-    def fused_slot(self, name: str) -> np.ndarray:
-        """The fused buffer behind one slot (fused mode only)."""
-        return self._fused_slots[name]
-
-    def _fused_max_abs(self, *segments: np.ndarray) -> float:
-        """``max |.|`` across fused segments; inf/NaN map to inf (the
-        same semantics as :func:`max_abs` over scattered slot lists)."""
-        worst = 0.0
-        for buf in segments:
-            with np.errstate(invalid="ignore"):
-                m = np.abs(buf).max()
-            if not np.isfinite(m):
-                return float("inf")
-            worst = max(worst, float(m))
-        return worst
+    def _begin_step(self) -> int:
+        """Count the step about to run and return its number; refuses an
+        unbound optimizer, which has no state to step."""
+        if self._arena is None:
+            raise RuntimeError(
+                f"{type(self).__name__} is not bound to a StateArena; "
+                "call bind_arena() before step()")
+        self.iteration += 1
+        return self.iteration
 
     # ------------------------------------------------------------------
     # Shared plumbing
@@ -167,27 +155,20 @@ class Optimizer:
     def set_update_hook(self, hook: UpdateHook | None) -> None:
         self._update_hook = hook
 
-    def _apply_update(self, param: Parameter, update: np.ndarray, index: int) -> None:
-        """Subtract ``update`` from ``param.data``, via the hook if set.
-
-        Writes in place so arena-bound parameters keep their views."""
-        if self._update_hook is not None:
-            update = self._update_hook(
-                update, {"param": param, "index": index, "iteration": self.iteration}
-            )
+    def _apply_update(self, update: np.ndarray) -> None:
+        """Subtract the fused ``update`` from the parameters: one
+        vectorized subtraction when no hook is installed, else the hook
+        applied to each parameter's view in turn."""
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(param.data, update, out=param.data, casting="unsafe")
-
-    def _apply_fused_update(self, update: np.ndarray) -> None:
-        """Fused-mode weight update: one vectorized subtraction when no
-        hook is installed, the per-parameter hook protocol otherwise."""
-        if self._update_hook is None:
-            with np.errstate(over="ignore", invalid="ignore"):
+            if self._update_hook is None:
                 np.subtract(self._arena.param, update, out=self._arena.param)
-            return
-        index = self.index_views(update)
-        for i, (param, view) in enumerate(zip(self.params, index)):
-            self._apply_update(param, view, i)
+                return
+            for index, (param, view) in enumerate(
+                    zip(self.params, self.index_views(update))):
+                view = self._update_hook(
+                    view, {"param": param, "index": index,
+                           "iteration": self.iteration})
+                np.subtract(param.data, view, out=param.data, casting="unsafe")
 
     def index_views(self, buf: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a buffer with the arena's layout."""
@@ -195,30 +176,6 @@ class Optimizer:
             buf[e.offset : e.offset + e.size].reshape(e.shape)
             for e in self._arena.index.values()
         ]
-
-    # ------------------------------------------------------------------
-    # State snapshot / restore
-    # ------------------------------------------------------------------
-    def _slot_arrays(self) -> dict[str, list[np.ndarray]]:
-        """Name -> per-parameter state arrays.  Subclasses override."""
-        return {}
-
-    def state_dict(self) -> dict:
-        out: dict = {"iteration": self.iteration, "lr": self.lr}
-        for name, slots in self._slot_arrays().items():
-            out[name] = [np.array(s, copy=True) for s in slots]
-        return out
-
-    def load_state_dict(self, state: dict) -> None:
-        self.iteration = int(state["iteration"])
-        self.lr = float(state["lr"])
-        slots = self._slot_arrays()
-        for name, arrays in state.items():
-            if name in ("iteration", "lr"):
-                continue
-            target = slots[name]
-            for i, arr in enumerate(arrays):
-                target[i][...] = arr
 
 
 def max_abs(values: list[np.ndarray]) -> float:

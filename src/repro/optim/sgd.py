@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.optim.base import Optimizer, max_abs
+from repro.optim.base import Optimizer
 
 
 class SGD(Optimizer):
@@ -23,53 +23,35 @@ class SGD(Optimizer):
     ``normalizes_gradients() == False``.
     """
 
+    #: Allocated at ``momentum == 0`` too, where it stays zero.
+    SLOTS = ("velocity",)
+
     def __init__(self, params: list[Parameter], lr: float = 0.01, momentum: float = 0.0):
         super().__init__(params, lr)
         self.momentum = float(momentum)
-        self.velocity: list[np.ndarray] = [np.zeros_like(p.data) for p in self.params]
 
     def normalizes_gradients(self) -> bool:
         return False
 
     def history_magnitude(self) -> float:
-        if self.momentum == 0.0:
-            return 0.0
-        if self._arena is not None:
-            return self._fused_max_abs(self._fused_slots["velocity"])
-        return max_abs(self.velocity)
+        """0.0 without momentum: the gradient-history necessary condition
+        is then structurally impossible (and the zero velocity unread)."""
+        return 0.0 if self.momentum == 0.0 else super().history_magnitude()
 
     def first_moment_arrays(self) -> list[np.ndarray]:
-        return self.velocity if self.momentum > 0.0 else []
+        return self._views["velocity"] if self.momentum > 0.0 else []
 
-    def _slot_arrays(self) -> dict[str, list[np.ndarray]]:
-        return {"velocity": self.velocity}
-
-    def _fused_step(self) -> None:
+    def step(self) -> None:
+        self._begin_step()
         g = self._arena.grad
         u = self._update_buf
         with np.errstate(over="ignore", invalid="ignore"):
             if self.momentum > 0.0:
                 # vel_t = momentum * vel + g;  u_t = lr * vel_t
-                vel = self._fused_slots["velocity"]
+                vel = self.slots["velocity"]
                 np.multiply(vel, self.momentum, out=vel)
                 np.add(vel, g, out=vel)
                 np.multiply(vel, self.lr, out=u)
             else:
                 np.multiply(g, self.lr, out=u)
-        self._apply_fused_update(u)
-
-    def step(self) -> None:
-        self.iteration += 1
-        if self._arena is not None:
-            self._fused_step()
-            return
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, param in enumerate(self.params):
-                if self.momentum > 0.0:
-                    self.velocity[i] = (
-                        self.momentum * self.velocity[i] + param.grad
-                    ).astype(np.float32)
-                    update = self.lr * self.velocity[i]
-                else:
-                    update = self.lr * param.grad
-                self._apply_update(param, update.astype(np.float32), i)
+        self._apply_update(u)

@@ -1,20 +1,21 @@
-"""Fused training-state arena.
+"""Fused training-state arena: the one place training state lives.
 
 The mitigation story of the paper (Sec. 5.2) depends on per-iteration
 state capture being cheap enough to run always-on.  A model's training
 state, however, is naturally scattered: every :class:`~repro.nn.module.Parameter`
-owns its own ``data``/``grad`` arrays and every optimizer keeps per-parameter
-slot lists (Adam ``m``/``v``, SGD ``velocity``, RMSProp ``sq``).  Snapshotting
-or broadcasting that state means one Python-level copy per array — hundreds
-of small allocations per iteration on the 8-device trainer.
+owns its own ``data``/``grad`` arrays.  Snapshotting or broadcasting that
+state means one Python-level copy per array — hundreds of small
+allocations per iteration on the 8-device trainer.
 
 :class:`StateArena` lays the same state out as *views into contiguous fused
 float32 buffers*, one buffer ("segment") per state class:
 
 * ``"param"`` — all master/replica parameter values, concatenated;
 * ``"grad"``  — their gradients, same layout;
-* ``"opt.<slot>"`` — one segment per optimizer slot, allocated on demand
-  by :meth:`allocate_segment` (same layout again).
+* ``"opt.<slot>"`` — one segment per optimizer slot (Adam ``m``/``v``,
+  SGD ``velocity``, RMSProp ``sq``), allocated by
+  :meth:`repro.optim.Optimizer.bind_arena` (same layout again).  These
+  segments are the optimizer's only state: no per-parameter copy exists.
 
 Every segment shares a single stable ``name -> (offset, size, shape)``
 index built from ``Module.named_parameters()`` traversal order.  The
@@ -27,16 +28,15 @@ above can operate on whole state classes with single vectorized ops:
 * optimizer ``step()`` / ``history_magnitude()``: one pass over each segment;
 * snapshot/restore: one buffer copy per segment.
 
-Because every fused operation is elementwise over the identical values,
-the arena is numerically invisible: convergence records, outcome
-breakdowns, and detector firing iterations are bit-identical to the
-scattered representation.
-
-What stays *outside* the arena: BatchNorm moving statistics.  They are
+What stays *outside* the segments: BatchNorm moving statistics.  They are
 per-replica state that is never averaged across devices (that locality is
 the mechanism behind the LowTestAccuracy outcome, Sec. 4.3.3), and the
-layer rebinds them on every forward pass, so they are snapshotted as
-per-device extra state instead (see :mod:`repro.training.checkpoints`).
+layer rebinds them on every forward pass.  The arena keeps the list of
+modules that carry them and has the one capture
+(:meth:`StateArena.capture_extra`) and the one load
+(:meth:`StateArena.load_extra`) of that state, which snapshots
+(:mod:`repro.training.checkpoints`), the backend's given device shares
+and the arithmetic rewind all use.
 """
 
 from __future__ import annotations
@@ -103,9 +103,8 @@ class StateArena:
         self.total = offset
         self.parameters: list[Parameter] = params
         #: Modules carrying non-parameter persistent state (BatchNorm
-        #: moving statistics).  Cached so per-iteration snapshot capture
-        #: does not re-walk the module tree (see
-        #: :mod:`repro.training.checkpoints`).
+        #: moving statistics).  Cached so per-iteration capture
+        #: (:meth:`capture_extra`) does not re-walk the module tree.
         self.stateful_modules: list[tuple[str, Module]] = [
             (mod_name, module)
             for mod_name, module in model.named_modules()
@@ -170,6 +169,22 @@ class StateArena:
                 else:
                     param.grad = view
         return old
+
+    # ------------------------------------------------------------------
+    # Extra state (outside the segments)
+    # ------------------------------------------------------------------
+    def capture_extra(self) -> list[tuple[str, dict[str, np.ndarray]]]:
+        """A copy of every stateful module's extra state, as
+        ``[(module_name, {key: array}), ...]`` in :attr:`stateful_modules`
+        order — the format of one replica's ``Checkpoint.extra``."""
+        return [(mod_name, {k: v.copy() for k, v in module.extra_state().items()})
+                for mod_name, module in self.stateful_modules]
+
+    def load_extra(self, extra: list[tuple[str, dict[str, np.ndarray]]]) -> None:
+        """Load state :meth:`capture_extra` took (the module copies it,
+        so ``extra`` stays reusable)."""
+        for (_, module), (_, state) in zip(self.stateful_modules, extra):
+            module.load_extra_state(state)
 
     # ------------------------------------------------------------------
     # The stable name index
@@ -241,9 +256,9 @@ class StateArena:
 
 
 def training_state_digest(trainer) -> str:
-    """sha256 over a trainer's final params, optimizer slots, and
-    per-replica extra state (BatchNorm moving statistics), in a
-    deterministic order.
+    """sha256 over a trainer's final params, optimizer slot segments (in
+    slot-name order), and per-replica extra state (BatchNorm moving
+    statistics), in a deterministic order.
 
     This is the repo's definition of "byte-identical final training
     state": the golden traces pin it across machines and backends, and
@@ -255,10 +270,9 @@ def training_state_digest(trainer) -> str:
     for name, param in sorted(trainer.master.named_parameters()):
         h.update(name.encode())
         h.update(param.data.tobytes())
-    opt = trainer.optimizer.state_dict()
-    for key in sorted(k for k in opt if k not in ("iteration", "lr")):
-        for arr in opt[key]:
-            h.update(arr.tobytes())
+    slots = trainer.optimizer.slots
+    for name in sorted(slots):
+        h.update(slots[name].tobytes())
     for replica in trainer.replicas:
         for _mod_name, module in sorted(replica.named_modules()):
             for _k, v in sorted(module.extra_state().items()):

@@ -79,7 +79,7 @@ class ExperimentStacks:
         into the stacks.  Returns the experiment slot index.
         """
         master = arenas[0]
-        slot_names = sorted(optimizer._fused_slots)
+        slot_names = sorted(optimizer.slots)
         if self.param is None:
             self._allocate(master, len(arenas), slot_names)
         else:

@@ -1,6 +1,6 @@
 """Training engine: convergence recording and checkpoint utilities."""
 
-from repro.training.checkpoints import Checkpoint, CheckpointStore
+from repro.training.checkpoints import Checkpoint
 from repro.training.metrics import ConvergenceRecord
 
-__all__ = ["Checkpoint", "CheckpointStore", "ConvergenceRecord"]
+__all__ = ["Checkpoint", "ConvergenceRecord"]

@@ -7,12 +7,13 @@ from repro.accelerator.ffs import FFDescriptor
 from repro.backend import BatchedBackend, LaneGroup, run_lockstep
 from repro.core.faults import FaultInjector, HardwareFault, OpSite
 from repro.nn import Conv2D, Dense
+from repro.core.mitigation import RecoveryError, RecoveryManager
 from repro.core.mitigation.baselines import (
     ABFTChecker,
-    CheckpointRecovery,
     GradientClipper,
     RangerGuard,
 )
+from repro.state import training_state_digest
 from tests.conftest import once
 
 
@@ -114,7 +115,7 @@ class TestABFT:
         checker = ABFTChecker()
 
         def corrupt_history_directly(tr):
-            tr.optimizer.v[0][:] = 1e20  # faulty second moment
+            tr.optimizer.second_moment_arrays()[0][:] = 1e20  # faulty second moment
 
         trainer.add_hook(once("after_step", 3, corrupt_history_directly))
         trainer.add_hook(checker)
@@ -183,7 +184,7 @@ class TestRanger:
         guard = RangerGuard(profile_iterations=5, margin=2.0)
 
         def corrupt_history(tr):
-            tr.optimizer.v[0][:] = 1e19
+            tr.optimizer.second_moment_arrays()[0][:] = 1e19
 
         trainer.add_hook(guard)
         trainer.add_hook(once("after_step", 8, corrupt_history))
@@ -253,27 +254,28 @@ class TestGradientClipper:
 
 
 class TestCheckpointRecovery:
+    """The Sec. 5.3 checkpoint-recovery baseline is the recovery ring at
+    epoch cadence, ``RecoveryManager(every=epoch)``."""
+
     def test_recovery_cost_accounting(self, make_trainer):
+        """13 iterations at ``every=5`` hold snapshots 0, 5, 10; a
+        detection in the last one rewinds to 10 and re-executes 3,
+        ending in the fault-free state."""
         trainer = make_trainer(num_devices=2)
-        recovery = CheckpointRecovery(iterations_per_epoch=5)
-        trainer.add_hook(recovery)
-        trainer.train(13)  # checkpoints at 0, 5, 10
-        cost = recovery.recover(trainer)
-        assert cost.checkpoint_iteration == 10
-        assert cost.reexecuted_iterations == 3
-        assert trainer.iteration == 10
-
-    def test_cost_ratio(self):
-        from repro.core.mitigation.baselines.checkpointing import CheckpointRecoveryCost
-
-        cost = CheckpointRecoveryCost(detected_at=1000, checkpoint_iteration=0,
-                                      reexecuted_iterations=1000)
-        # The paper's comparison: ~1000-iteration epochs vs 2-iteration
-        # re-execution -> up to ~500x.
-        assert cost.cost_ratio_vs_reexecution(2) == 500.0
+        ring = RecoveryManager(every=5)
+        trainer.add_hook(ring)
+        trainer.train(13)
+        detected_at = trainer.iteration - 1
+        resume = ring.rewind(trainer, detected_at=detected_at)
+        assert resume == trainer.iteration == 10
+        assert detected_at + 1 - resume == 3
+        assert trainer.record.recoveries == [10]
+        trainer.train(3)
+        clean = make_trainer(num_devices=2)
+        clean.train(13)
+        assert training_state_digest(trainer) == training_state_digest(clean)
 
     def test_no_checkpoint_raises(self, make_trainer):
         trainer = make_trainer(num_devices=2)
-        recovery = CheckpointRecovery(iterations_per_epoch=100)
-        with pytest.raises(RuntimeError):
-            recovery.recover(trainer)
+        with pytest.raises(RecoveryError):
+            RecoveryManager(every=100).rewind(trainer)

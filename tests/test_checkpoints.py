@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.training.checkpoints import Checkpoint, CheckpointStore
+from repro.core.mitigation import RecoveryManager
+from repro.training.checkpoints import Checkpoint
 
 
 class TestCheckpoint:
@@ -12,13 +13,13 @@ class TestCheckpoint:
         trainer.train(5)
         ckpt = Checkpoint.capture(trainer)
         before = {n: p.data.copy() for n, p in trainer.master.named_parameters()}
-        opt_m0 = trainer.optimizer.m[0].copy()
+        opt_m0 = trainer.optimizer.first_moment_arrays()[0].copy()
         trainer.train(5)
         ckpt.restore(trainer)
         assert trainer.iteration == 5
         for n, p in trainer.master.named_parameters():
             assert np.array_equal(p.data, before[n])
-        assert np.array_equal(trainer.optimizer.m[0], opt_m0)
+        assert np.array_equal(trainer.optimizer.first_moment_arrays()[0], opt_m0)
 
     def test_restore_resumes_identically(self, make_trainer):
         """Training from a restored checkpoint replays the exact same
@@ -49,37 +50,37 @@ class TestCheckpoint:
 
 
 class TestCheckpointStore:
+    """The checkpoint store is the recovery ring at a cadence:
+    ``RecoveryManager(every, keep)`` captures before every iteration
+    divisible by ``every`` and keeps the ``keep`` newest."""
+
     def test_captures_on_boundaries(self, make_trainer):
         trainer = make_trainer()
-        store = CheckpointStore(every=3, keep=10)
-        trainer.add_hook(store)
+        ring = RecoveryManager(every=3, keep=10)
+        trainer.add_hook(ring)
         trainer.train(7)
-        assert [c.iteration for c in store.checkpoints] == [0, 3, 6]
+        assert [s.iteration for s in ring.snapshots] == [0, 3, 6]
 
     def test_keep_limit(self, make_trainer):
         trainer = make_trainer()
-        store = CheckpointStore(every=2, keep=2)
-        trainer.add_hook(store)
+        ring = RecoveryManager(every=2, keep=2)
+        trainer.add_hook(ring)
         trainer.train(9)
-        assert len(store.checkpoints) == 2
-        assert store.checkpoints[-1].iteration == 8
+        assert [s.iteration for s in ring.snapshots] == [6, 8]
 
     def test_latest_before(self, make_trainer):
+        """Each rewind restores the newest snapshot at or before
+        ``detected_at - 1`` and drops the newer ones."""
         trainer = make_trainer()
-        store = CheckpointStore(every=3, keep=10)
-        trainer.add_hook(store)
+        ring = RecoveryManager(every=3, keep=10)
+        trainer.add_hook(ring)
         trainer.train(8)
-        assert store.latest_before(7).iteration == 6
-        assert store.latest_before(6).iteration == 3
-        assert store.latest_before(0) is None
+        assert [ring.rewind(trainer, detected_at=at) for at in (7, 6, 3)] \
+            == [6, 3, 0]
+        assert [s.iteration for s in ring.snapshots] == [0]
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
-            CheckpointStore(every=0)
-
-    def test_capture_time_accounted(self, make_trainer):
-        trainer = make_trainer()
-        store = CheckpointStore(every=1)
-        trainer.add_hook(store)
-        trainer.train(3)
-        assert store.capture_seconds > 0
+            RecoveryManager(every=0)
+        with pytest.raises(ValueError):
+            RecoveryManager(keep=0)

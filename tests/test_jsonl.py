@@ -197,6 +197,34 @@ def test_append_after_torn_tail(log):
     assert not jsonl.read(path, kind).torn
 
 
+def test_cut_at_every_byte(log, tmp_path):
+    """The log cut at every byte offset, as a killed writer may leave it:
+    a cut inside the header is a format error; any other cut reads
+    exactly the records whose newline lies before it (a final record
+    without one is torn), and the log resumed there appends a record
+    that reads back after them."""
+    kind, path, read = log
+    data = path.read_bytes()
+    last = jsonl.read(path, kind).records[-1]
+    newlines = [i for i, byte in enumerate(data) if byte == ord("\n")]
+    cut_path = tmp_path / "cut.jsonl"
+    for cut in range(len(data) + 1):
+        cut_path.write_bytes(data[:cut])
+        if cut <= newlines[0]:
+            with pytest.raises(jsonl.LogFormatError):
+                read(cut_path)
+            continue
+        kept = list(range(sum(n < cut for n in newlines[1:])))
+        assert read(cut_path) == kept, cut
+        if kind == jsonl.STORE:
+            with ResultStore(cut_path, resume=True) as store:
+                store.append(f"k{N}", {"i": N, "outcome": "masked"})
+        else:
+            with jsonl.reopen(jsonl.read(cut_path, kind)) as writer:
+                writer.append(dict(last, iteration=N))
+        assert read(cut_path) == kept + [N], cut
+
+
 def _legacy_series(path):
     """A telemetry series as the deleted HTTP inference front-end wrote
     it: a schema-1 header of kind ``telemetry_series``, then samples."""

@@ -5,39 +5,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.module import Parameter
+from repro.nn.module import Module, Parameter
 from repro.optim import SGD, Adam, AdamW, RMSProp
 from repro.optim.base import max_abs
+from repro.state import StateArena
 
 
 def make_param(values) -> Parameter:
     return Parameter(np.asarray(values, dtype=np.float32))
 
 
+def bound(factory, values):
+    """An optimizer over one parameter holding ``values``, bound to an
+    arena over it (its state lives nowhere else); returns ``(param, opt)``."""
+    holder = Module()
+    param = holder.add_param("w", np.asarray(values, dtype=np.float32))
+    opt = factory([param])
+    opt.bind_arena(StateArena(holder))
+    return param, opt
+
+
 class TestSGD:
     def test_plain_update(self):
-        p = make_param([1.0])
+        p, opt = bound(lambda ps: SGD(ps, lr=0.1), [1.0])
         p.grad[:] = 0.5
-        SGD([p], lr=0.1).step()
+        opt.step()
         assert p.data[0] == pytest.approx(0.95)
 
     def test_momentum_accumulates(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.5)
+        p, opt = bound(lambda ps: SGD(ps, lr=1.0, momentum=0.5), [0.0])
         p.grad[:] = 1.0
         opt.step()  # v=1, w=-1
         p.grad[:] = 1.0
         opt.step()  # v=1.5, w=-2.5
         assert p.data[0] == pytest.approx(-2.5)
-        assert opt.velocity[0][0] == pytest.approx(1.5)
+        assert opt.first_moment_arrays()[0][0] == pytest.approx(1.5)
 
     def test_history_flags(self):
         p = make_param([0.0])
         assert not SGD([p], momentum=0.0).normalizes_gradients()
         assert SGD([p], momentum=0.0).history_magnitude() == 0.0
         assert SGD([p], momentum=0.0).first_moment_arrays() == []
-        with_momentum = SGD([p], momentum=0.9)
+        _, with_momentum = bound(lambda ps: SGD(ps, momentum=0.9), [0.0])
         assert len(with_momentum.first_moment_arrays()) == 1
+
+    def test_unbound_step_raises(self):
+        """An optimizer's state is its arena segments: there is nothing
+        to step before it is bound."""
+        with pytest.raises(RuntimeError, match="bind_arena"):
+            SGD([make_param([0.0])]).step()
 
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
@@ -53,8 +69,8 @@ class TestAdam:
     @settings(max_examples=50, deadline=None)
     def test_matches_reference_formula(self, g1, g2, g3):
         """Three steps of Adam on a scalar match Eq. 1 computed by hand."""
-        p = make_param([1.0])
-        opt = Adam([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        p, opt = bound(
+            lambda ps: Adam(ps, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8), [1.0])
         m = v = 0.0
         w = 1.0
         for t, g in enumerate([g1, g2, g3], start=1):
@@ -73,8 +89,7 @@ class TestAdam:
         """Adam normalizes: even a huge single gradient moves weights by
         ~lr, which is why weight-update faults are needed to create large
         weights under Adam (Sec. 4.2.2)."""
-        p = make_param([0.0])
-        opt = Adam([p], lr=0.01)
+        p, opt = bound(lambda ps: Adam(ps, lr=0.01), [0.0])
         p.grad[:] = 1e20
         opt.step()
         assert abs(p.data[0]) < 0.1
@@ -82,26 +97,24 @@ class TestAdam:
     def test_huge_gradient_inflates_history(self):
         """The SlowDegrade precondition: one faulty gradient inflates m
         and v, which then persist across iterations."""
-        p = make_param([0.0])
-        opt = Adam([p], lr=0.01)
+        p, opt = bound(lambda ps: Adam(ps, lr=0.01), [0.0])
         p.grad[:] = 1e15
         opt.step()
         assert opt.history_magnitude() > 1e14
         # After the fault, v decays at beta2 per iteration — slowly.
         opt.zero_grad()
         opt.step()
-        assert float(opt.v[0][0]) == pytest.approx(0.999 * (1e15**2) * 0.001, rel=1e-2)
+        assert float(opt.second_moment_arrays()[0][0]) == pytest.approx(
+            0.999 * (1e15**2) * 0.001, rel=1e-2)
 
     def test_history_magnitude_inf(self):
-        p = make_param([0.0])
-        opt = Adam([p])
+        p, opt = bound(Adam, [0.0])
         p.grad[:] = 1e30
         opt.step()  # v overflows float32
         assert opt.history_magnitude() == float("inf")
 
     def test_moment_accessors(self):
-        p = make_param([0.0])
-        opt = Adam([p])
+        _, opt = bound(Adam, [0.0])
         assert len(opt.first_moment_arrays()) == 1
         assert len(opt.second_moment_arrays()) == 1
         assert opt.normalizes_gradients()
@@ -109,8 +122,7 @@ class TestAdam:
 
 class TestAdamW:
     def test_weight_decay_applied(self):
-        p = make_param([10.0])
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
+        p, opt = bound(lambda ps: AdamW(ps, lr=0.1, weight_decay=0.5), [10.0])
         p.grad[:] = 0.0
         opt.step()
         # No gradient: update is pure decoupled decay lr*wd*w = 0.5.
@@ -119,8 +131,7 @@ class TestAdamW:
 
 class TestRMSProp:
     def test_normalizes(self):
-        p = make_param([0.0])
-        opt = RMSProp([p], lr=0.1)
+        p, opt = bound(lambda ps: RMSProp(ps, lr=0.1), [0.0])
         p.grad[:] = 100.0
         opt.step()
         # Update ~ lr * g / sqrt((1-rho) g^2) = lr / sqrt(0.1).
@@ -130,41 +141,44 @@ class TestRMSProp:
 
 
 class TestStateDict:
+    """An optimizer's whole state is its iteration count and its slot
+    segments: putting those (and the weights) back replays a step
+    exactly."""
+
     @pytest.mark.parametrize("factory", [
         lambda p: Adam(p, lr=0.01),
         lambda p: SGD(p, lr=0.1, momentum=0.9),
         lambda p: RMSProp(p, lr=0.01),
     ])
     def test_round_trip(self, factory, rng):
-        params = [make_param(rng.normal(size=(4, 3)))]
-        opt = factory(params)
+        p, opt = bound(factory, rng.normal(size=(4, 3)))
         for _ in range(3):
-            params[0].grad[:] = rng.normal(size=(4, 3)).astype(np.float32)
+            p.grad[:] = rng.normal(size=(4, 3)).astype(np.float32)
             opt.step()
-        state = opt.state_dict()
-        snapshot = {k: [a.copy() for a in v] if isinstance(v, list) else v
-                    for k, v in state.items()}
-        params[0].grad[:] = 1.0
+        weights = opt.arena.param.copy()
+        snapshot = {name: buf.copy() for name, buf in opt.slots.items()}
+        assert set(snapshot) == set(opt.SLOTS)
+        p.grad[:] = 1.0
         opt.step()
-        opt.load_state_dict(snapshot)
-        assert opt.iteration == 3
-        for name, arrays in opt._slot_arrays().items():
-            for a, b in zip(arrays, snapshot[name]):
-                assert np.array_equal(a, b)
+        stepped = opt.arena.param.copy()
+        np.copyto(opt.arena.param, weights)
+        for name, buf in snapshot.items():
+            np.copyto(opt.slots[name], buf)
+        opt.iteration = 3
+        opt.step()
+        assert np.array_equal(opt.arena.param, stepped)
 
 
 class TestUpdateHook:
     def test_hook_modifies_update(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0)
+        p, opt = bound(lambda ps: SGD(ps, lr=1.0), [0.0])
         opt.set_update_hook(lambda u, info: u * 0.0)
         p.grad[:] = 5.0
         opt.step()
         assert p.data[0] == 0.0
 
     def test_hook_info(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0)
+        p, opt = bound(lambda ps: SGD(ps, lr=1.0), [0.0])
         seen = {}
         opt.set_update_hook(lambda u, info: seen.update(info) or u)
         p.grad[:] = 1.0

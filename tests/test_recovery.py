@@ -1,4 +1,6 @@
-"""Tests for two-iteration re-execution recovery (Sec. 5.2)."""
+"""Tests for recovery by re-execution from the snapshot ring: two
+iterations back (Sec. 5.2) and an epoch back, the checkpoint baseline
+(Sec. 5.3)."""
 
 from dataclasses import replace
 
@@ -86,6 +88,13 @@ class TestSnapshotRewind:
         with pytest.raises(ValueError):
             RecoveryManager(strategy="magic")
 
+    def test_defaults_keep_the_three_newest_iterations(self, make_trainer):
+        trainer = make_trainer()
+        ring = RecoveryManager()
+        trainer.add_hook(ring)
+        trainer.train(6)
+        assert [s.iteration for s in ring.snapshots] == [3, 4, 5]
+
 
 def _assert_inverts_one_step(spec) -> None:
     """Train 4 iterations, invert the last one arithmetically, and
@@ -106,17 +115,24 @@ def _assert_inverts_one_step(spec) -> None:
     now, ref = trainer.master.state_dict(), reference.master.state_dict()
     for key in ref:
         close(now[key], ref[key], key)
-    now, ref = trainer.optimizer.state_dict(), reference.optimizer.state_dict()
-    assert now["iteration"] == ref["iteration"] == 3
-    slots = [name for name in ref if name not in ("iteration", "lr")]
-    assert slots, "the optimizer keeps no slots to invert"
-    for name in slots:
-        assert any(np.abs(b).max() > 0 for b in ref[name]), name
-        for i, (a, b) in enumerate(zip(now[name], ref[name])):
-            close(a, b, f"{name}[{i}]")
+    now, ref = trainer.optimizer, reference.optimizer
+    assert now.iteration == ref.iteration == 3
+    assert ref.slots, "the optimizer keeps no slots to invert"
+    for name, buf in ref.slots.items():
+        assert np.abs(buf).max() > 0, name
+        for key, a, b in zip(trainer.master_arena.names(),
+                             now.index_views(now.slots[name]),
+                             ref.index_views(buf)):
+            close(a, b, f"{name}[{key}]")
 
 
 class TestArithmeticRewind:
+    def test_refuses_a_cadence(self):
+        """The arithmetic rewind inverts each iteration it re-executes,
+        so it cannot skip any."""
+        with pytest.raises(ValueError, match="every=1"):
+            RecoveryManager(strategy="arithmetic", every=2)
+
     def test_inverts_adam_step_closely(self):
         _assert_inverts_one_step(build_workload("resnet", size="tiny"))
 

@@ -8,6 +8,7 @@ import pytest
 from repro import nn
 from repro.nn.module import Parameter
 from repro.optim import SGD, Adam, AdamW, RMSProp
+from repro.optim.base import max_abs
 from repro.distributed import SyncDataParallelTrainer
 from repro.state import ArenaLayoutError, StateArena, build_arenas
 from repro.training.checkpoints import Checkpoint
@@ -122,6 +123,39 @@ def _random_grads(params, rng, scale=1.0):
     ]
 
 
+def reference_step(opt, params, slots, t):
+    """Step ``t`` of ``opt``'s rule, one parameter at a time over
+    per-parameter ``slots`` lists — the optimizers' own step bodies from
+    before their state lived only in an arena, kept here as the oracle
+    for the fused step (DESIGN.md decision 13)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, param in enumerate(params):
+            g = param.grad
+            if isinstance(opt, SGD):
+                if opt.momentum > 0.0:
+                    vel = slots["velocity"]
+                    vel[i] = (opt.momentum * vel[i] + g).astype(np.float32)
+                    update = opt.lr * vel[i]
+                else:
+                    update = opt.lr * g
+                update = update.astype(np.float32)
+            elif isinstance(opt, Adam):
+                m, v = slots["m"], slots["v"]
+                m[i] = (opt.beta1 * m[i] + (1.0 - opt.beta1) * g).astype(np.float32)
+                v[i] = (opt.beta2 * v[i] + (1.0 - opt.beta2) * g * g).astype(np.float32)
+                m_hat = m[i] / (1.0 - opt.beta1**t)
+                v_hat = v[i] / (1.0 - opt.beta2**t)
+                update = (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(np.float32)
+                if isinstance(opt, AdamW):
+                    update = (update + opt.lr * opt.weight_decay * param.data
+                              ).astype(np.float32)
+            else:
+                sq = slots["sq"]
+                sq[i] = (opt.rho * sq[i] + (1.0 - opt.rho) * g * g).astype(np.float32)
+                update = (opt.lr * g / (np.sqrt(sq[i]) + opt.eps)).astype(np.float32)
+            np.subtract(param.data, update, out=param.data, casting="unsafe")
+
+
 @pytest.mark.parametrize(
     "make_optimizer",
     [
@@ -134,14 +168,17 @@ def _random_grads(params, rng, scale=1.0):
     ids=["sgd", "sgd-momentum", "adam", "adamw", "rmsprop"],
 )
 class TestFusedStepBitIdentical:
-    """The fused optimizer path must be bit-identical to the scattered
-    path — including under overflowed (faulty) gradient magnitudes."""
+    """The fused optimizer step must be bit-identical to the
+    per-parameter reference — including under overflowed (faulty)
+    gradient magnitudes."""
 
     def run_both(self, make_optimizer, grad_scale):
         rng = np.random.default_rng(3)
         model = build_model(0)
         scattered_params = _clone_params(model)
-        scattered = make_optimizer(scattered_params)
+        reference = make_optimizer(scattered_params)
+        slots = {name: [np.zeros_like(p.data) for p in scattered_params]
+                 for name in reference.SLOTS}
         arena = StateArena(model)
         fused = make_optimizer(list(model.parameters()))
         fused.bind_arena(arena)
@@ -150,16 +187,19 @@ class TestFusedStepBitIdentical:
             for p_s, p_f, g in zip(scattered_params, model.parameters(), grads):
                 p_s.grad[...] = g
                 p_f.grad[...] = g
-            scattered.step()
+            reference_step(reference, scattered_params, slots, step + 1)
             fused.step()
             for p_s, p_f in zip(scattered_params, model.parameters()):
                 assert np.array_equal(p_s.data, p_f.data, equal_nan=True), (
                     f"divergence at step {step}"
                 )
-        for name, slots in scattered._slot_arrays().items():
-            for s_arr, f_arr in zip(slots, fused._slot_arrays()[name]):
-                assert np.array_equal(s_arr, f_arr, equal_nan=True)
-        assert scattered.history_magnitude() == fused.history_magnitude()
+        assert set(fused.slots) == set(slots)
+        for name, arrays in slots.items():
+            assert np.array_equal(
+                np.concatenate([a.ravel() for a in arrays]), fused.slots[name],
+                equal_nan=True)
+        assert max_abs([a for arrays in slots.values() for a in arrays]) \
+            == fused.history_magnitude()
 
     def test_normal_gradients(self, make_optimizer):
         self.run_both(make_optimizer, grad_scale=1.0)
@@ -175,17 +215,9 @@ class TestFusedOptimizerPlumbing:
         arena = StateArena(model)
         opt = Adam(list(model.parameters()), lr=1e-3)
         opt.bind_arena(arena)
-        opt.fused_slot("m").fill(3.0)
-        assert all(np.all(m == 3.0) for m in opt.m)
-
-    def test_bind_preserves_existing_slot_values(self):
-        model = build_model()
-        opt = Adam(list(model.parameters()), lr=1e-3)
-        opt.m[0][...] = 5.0
-        arena = StateArena(model)
-        opt.bind_arena(arena)
-        assert np.all(opt.m[0] == 5.0)
-        assert np.all(opt.fused_slot("m")[: opt.m[0].size] == 5.0)
+        assert opt.slots["m"] is arena.segments["opt.m"]
+        opt.slots["m"].fill(3.0)
+        assert all(np.all(m == 3.0) for m in opt.first_moment_arrays())
 
     def test_bind_requires_matching_params(self):
         model = build_model()
@@ -206,22 +238,6 @@ class TestFusedOptimizerPlumbing:
             p.grad[...] = 1.0
         opt.step()
         assert seen == list(range(len(opt.params)))
-
-    def test_state_dict_round_trip_fused(self):
-        model = build_model()
-        arena = StateArena(model)
-        opt = Adam(list(model.parameters()), lr=1e-3)
-        opt.bind_arena(arena)
-        for p in model.parameters():
-            p.grad[...] = 0.5
-        opt.step()
-        snapshot = opt.state_dict()
-        opt.step()
-        opt.load_state_dict(snapshot)
-        assert np.array_equal(opt.fused_slot("m"), np.concatenate(
-            [np.ravel(a) for a in snapshot["m"]]
-        ))
-        assert opt.iteration == 1
 
 
 class TestTrainerArena:
@@ -248,8 +264,9 @@ class TestTrainerArena:
         assert np.array_equal(trainer.master_arena.param, before)
 
     def test_fused_and_scattered_checkpoints_agree(self, make_trainer):
-        """The fused capture against the per-array ``state_dict()`` walk
-        of the same trainer (the oracle)."""
+        """The fused capture against a per-array walk of the same trainer
+        (the oracle): ``state_dict()`` per replica, the optimizer's
+        per-parameter slot views."""
         trainer = make_trainer(num_devices=2)
         trainer.train(3)
         fused = Checkpoint.capture(trainer)
@@ -269,14 +286,15 @@ class TestTrainerArena:
             for key in f_state:
                 assert np.array_equal(f_state[key], s_state[key]), key
             oracle_bytes += sum(v.nbytes for v in s_state.values())
-        s_opt = trainer.optimizer.state_dict()
-        assert set(fused.opt_slots) | {"iteration", "lr"} == set(s_opt)
-        assert fused.opt_iteration == s_opt["iteration"]
-        assert fused.opt_lr == s_opt["lr"]
+        optimizer = trainer.optimizer
+        assert set(fused.opt_slots) == set(optimizer.SLOTS) == {"m", "v"}
+        assert fused.opt_iteration == optimizer.iteration
+        assert fused.opt_lr == optimizer.lr
         for key, buf in fused.opt_slots.items():
-            for f_arr, s_arr in zip(views(buf).values(), s_opt[key]):
+            s_opt = trainer.master_arena.views(f"opt.{key}")
+            for f_arr, s_arr in zip(views(buf).values(), s_opt, strict=True):
                 assert np.array_equal(f_arr, s_arr)
-            oracle_bytes += sum(arr.nbytes for arr in s_opt[key])
+            oracle_bytes += sum(arr.nbytes for arr in s_opt)
         assert fused.nbytes() == oracle_bytes
 
     def test_fused_checkpoint_restores_into_fresh_trainer(self, make_trainer):
@@ -302,7 +320,7 @@ class TestTrainerArena:
         spec = dataclasses.replace(
             donor.spec, optimizer_fn=lambda params: RMSProp(params, lr=0.01))
         other = SyncDataParallelTrainer(spec, num_devices=2)
-        assert set(other.optimizer._fused_slots) != set(ckpt.opt_slots)
+        assert set(other.optimizer.slots) != set(ckpt.opt_slots)
         before = other.master_arena.param.copy()
         with pytest.raises(ValueError, match="optimizer slots"):
             ckpt.restore(other)

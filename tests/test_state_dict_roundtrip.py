@@ -75,25 +75,6 @@ class TestLoadStateDictValidation:
         with pytest.raises(KeyError, match="unexpected"):
             model.load_state_dict(state)
 
-    def test_allow_partial_tolerates_missing(self):
-        model = self.build()
-        state = model.state_dict()
-        weight = np.array(state["param:0.weight"], copy=True) + 2.0
-        bias_before = np.array(state["param:0.bias"], copy=True)
-        model.load_state_dict(
-            {"param:0.weight": weight}, allow_partial=True
-        )
-        assert np.array_equal(model.state_dict()["param:0.weight"], weight)
-        assert np.array_equal(model.state_dict()["param:0.bias"], bias_before)
-
-    def test_allow_partial_still_rejects_unexpected(self):
-        model = self.build()
-        with pytest.raises(KeyError, match="unexpected"):
-            model.load_state_dict(
-                {"param:9.bogus": np.zeros(3, dtype=np.float32)},
-                allow_partial=True,
-            )
-
     def test_shape_mismatch_raises(self):
         model = self.build()
         state = model.state_dict()

@@ -1,9 +1,12 @@
 """Tests for the persistent result store (repro.engine.store).  The
 file-format cases every log shares are in tests/test_jsonl.py."""
 
+import shutil
+
 import pytest
 
 from repro.engine import (
+    EXPERIMENT,
     LEASE,
     RESTART,
     RETRY,
@@ -11,6 +14,7 @@ from repro.engine import (
     STORE_SCHEMA_VERSION,
     ResultStore,
     experiment_key,
+    collect,
     merge_stores,
     read_records,
 )
@@ -163,6 +167,34 @@ class TestMerge:
         with merge_stores([tmp_path / "a.jsonl", tmp_path / "c.jsonl"],
                           tmp_path / "out.jsonl") as merged:
             assert sorted(merged.completed) == ["a0", "c0"]
+
+
+    def test_header_names_the_union_and_results_keep_their_ts(self, tmp_path):
+        """`b` is `a` grown from 2 to 4 experiments by a resume, so only
+        its session record names 4.  Merged in either order, the header
+        used to say 2 (`monitor` read "4/2 done") and every result was
+        restamped with the merge's own write time (its rate read the
+        merge's write speed)."""
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        with ResultStore(a, meta={"workload": "w", "num_experiments": 2}) as store:
+            store.note(SESSION, total=2, skipped=0)
+            for key in ("k0", "k1"):
+                store.append(key, {"outcome": "masked"})
+        shutil.copy(a, b)
+        with ResultStore(b, resume=True) as store:
+            store.note(SESSION, total=4, skipped=2)
+            for key in ("k2", "k3"):
+                store.append(key, {"outcome": "masked"})
+        stamps = {r["key"]: r["ts"] for r in read_records(b)[1:]
+                  if r["record"] == EXPERIMENT}
+        for order, out in (([a, b], tmp_path / "ab.jsonl"),
+                           ([b, a], tmp_path / "ba.jsonl")):
+            merge_stores(order, out).close()
+            header, *records = read_records(out)
+            assert header["meta"] == {"workload": "w", "num_experiments": 4}
+            assert {r["key"]: r["ts"] for r in records} == stamps
+            state = collect(out)
+            assert (state.done, state.total) == (4, 4)
 
 
 class TestEngineRecords:
